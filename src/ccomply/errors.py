@@ -49,6 +49,12 @@ class SemaError(AnalysisError):
     stage = "sema"
 
 
+class FlowError(AnalysisError):
+    """A data-flow analysis did not reach its fixpoint within its budget."""
+
+    stage = "flow"
+
+
 class ConfigError(CcomplyError):
     """Invalid run configuration (flags, config file, rule selection)."""
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import IntEnum
 
-from ccomply.flow.cfg import Cfg, DeclItem, TBranch, TReturn, TSwitch
-from ccomply.flow.effects import addr_taken_syms, item_events, walk_effects
-from ccomply.parsing.astnodes import Expr, Identifier
+from ccomply.flow.cfg import Cfg, DeclItem
+from ccomply.flow.solver import solve
+from ccomply.parsing.astnodes import Identifier
 from ccomply.sema.symbols import Symbol
 
 
@@ -34,17 +34,9 @@ class ReadEvent:
 
 @dataclass
 class DefAssignResult:
-    pre: dict[tuple[int, int], dict[int, AssignState]] = field(default_factory=dict)
     reads: list[ReadEvent] = field(default_factory=list)
     decl_spans: dict[int, object] = field(default_factory=dict)
     iterations: int = 0
-    lattice_height: int = 3
-
-    def state_at_read(self, node: Identifier) -> AssignState | None:
-        for ev in self.reads:
-            if ev.node is node:
-                return ev.state
-        return None
 
 
 def _tracked(sym: Symbol | None) -> bool:
@@ -65,7 +57,7 @@ def _join(a: dict[int, AssignState], b: dict[int, AssignState]) -> dict[int, Ass
 
 def definite_assignment(cfg: Cfg) -> DefAssignResult:
     result = DefAssignResult()
-    addr_taken = addr_taken_syms(cfg)
+    addr_taken = cfg.addr_taken
 
     def transfer_events(events, state: dict[int, AssignState], collect: bool, bid: int, idx: int) -> None:
         for ev in events:
@@ -86,59 +78,30 @@ def definite_assignment(cfg: Cfg) -> DefAssignResult:
                     if uid in state:
                         state[uid] = max(state[uid], AssignState.ASSIGNED_BY_ALIAS)
 
-    def transfer_item(item, state, collect=False, bid=0, idx=0) -> None:
-        if isinstance(item, DeclItem):
-            if item.init is not None:
-                transfer_events(walk_effects(item.init), state, collect, bid, idx)
-                state[item.symbol.uid] = AssignState.DEFINITELY_ASSIGNED
-            else:
-                state[item.symbol.uid] = AssignState.MAYBE_UNASSIGNED
-                result.decl_spans[item.symbol.uid] = item.entry.span
-        else:
-            transfer_events(item_events(item), state, collect, bid, idx)
-
-    def term_expr(b) -> Expr | None:
-        if isinstance(b.term, TBranch):
-            return b.term.cond
-        if isinstance(b.term, TSwitch):
-            return b.term.expr
-        if isinstance(b.term, TReturn):
-            return b.term.value
-        return None
-
-    in_states: dict[int, dict[int, AssignState]] = {cfg.entry: {}}
-    worklist = [cfg.entry]
-    iterations = 0
-    budget = len(cfg.blocks) * 3 + 32
-    while worklist:
-        bid = worklist.pop(0)
-        iterations += 1
-        if iterations > budget * 4:
-            raise RuntimeError("definite assignment failed to stabilize")
-        state = dict(in_states[bid])
+    def transfer_block(bid: int, entry: dict[int, AssignState], collect: bool) -> dict[int, AssignState]:
         b = cfg.block(bid)
-        for item in b.items:
-            transfer_item(item, state)
-        te = term_expr(b)
-        if te is not None:
-            transfer_events(walk_effects(te), state, False, bid, len(b.items))
-        for target, _kind in b.succs:
-            merged = _join(in_states[target], state) if target in in_states else dict(state)
-            if target not in in_states or merged != in_states[target]:
-                in_states[target] = merged
-                if target not in worklist:
-                    worklist.append(target)
-    result.iterations = iterations
+        state = dict(entry)
+        for idx, item in enumerate(b.items):
+            # A declaration's events end with the store of its initializer.
+            transfer_events(item.events, state, collect, bid, idx)
+            if isinstance(item, DeclItem):
+                if item.init is not None:
+                    state[item.symbol.uid] = AssignState.DEFINITELY_ASSIGNED
+                else:
+                    state[item.symbol.uid] = AssignState.MAYBE_UNASSIGNED
+                    result.decl_spans[item.symbol.uid] = item.entry.span
+        transfer_events(b.term_events, state, collect, bid, len(b.items))
+        return state
 
+    def transfer(bid: int, entry: dict[int, AssignState]):
+        state = transfer_block(bid, entry, False)
+        return [(target, state) for target, _kind in cfg.block(bid).succs]
+
+    in_states, result.iterations = solve(
+        cfg, {cfg.entry: {}}, transfer, _join,
+        budget=12 * len(cfg.blocks) + 128, analysis="definite assignment",
+    )
     # Final collection pass over the stabilized states.
     for bid, entry_state in in_states.items():
-        b = cfg.block(bid)
-        state = dict(entry_state)
-        for idx, item in enumerate(b.items):
-            result.pre[(bid, idx)] = dict(state)
-            transfer_item(item, state, collect=True, bid=bid, idx=idx)
-        result.pre[(bid, len(b.items))] = dict(state)
-        te = term_expr(b)
-        if te is not None:
-            transfer_events(walk_effects(te), state, True, bid, len(b.items))
+        transfer_block(bid, entry_state, True)
     return result

@@ -11,8 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 
 from ccomply.errors import SemaError
+from ccomply.flow import effects
+from ccomply.flow.effects import Event
 from ccomply.parsing.astnodes import (
     AddrOf, Assign, Binary, Break, Call, Cast, Comma, CompoundAssign,
     CompoundStmt, Conditional, Constant, Continue, DeclEntry, Declaration,
@@ -39,6 +42,11 @@ class EvalItem:
     expr: Expr
     stmt: Node  # originating statement (or declaration entry)
 
+    @cached_property
+    def events(self) -> list[Event]:
+        """The item's effect events, walked once and kept."""
+        return list(effects.walk_effects(self.expr))
+
 
 @dataclass(eq=False)
 class DeclItem:
@@ -46,6 +54,15 @@ class DeclItem:
     init: Expr | None
     entry: DeclEntry
     stmt: Node
+
+    @cached_property
+    def events(self) -> list[Event]:
+        """The initializer's events, then the store of the declared object."""
+        if self.init is None:
+            return []
+        out = list(effects.walk_effects(self.init))
+        out.append(Event("write", sym=self.symbol, value=self.init, node=self.init))
+        return out
 
 
 Item = EvalItem | DeclItem
@@ -97,6 +114,24 @@ class Block:
         if self.span_hint is None and span is not None:
             self.span_hint = span
 
+    @property
+    def term_expr(self) -> Expr | None:
+        """The expression the terminator evaluates, if any."""
+        term = self.term
+        if isinstance(term, TBranch):
+            return term.cond
+        if isinstance(term, TSwitch):
+            return term.expr
+        if isinstance(term, TReturn):
+            return term.value
+        return None
+
+    @cached_property
+    def term_events(self) -> list[Event]:
+        """The terminator expression's effect events, walked once and kept."""
+        expr = self.term_expr
+        return list(effects.walk_effects(expr)) if expr is not None else []
+
 
 @dataclass(eq=False)
 class Cfg:
@@ -122,6 +157,11 @@ class Cfg:
             for target, kind in b.succs:
                 out.append((b.id, target, kind))
         return out
+
+    @cached_property
+    def addr_taken(self) -> frozenset[int]:
+        """`addr_taken_syms` of this graph, computed once."""
+        return effects.addr_taken_syms(self)
 
 
 @dataclass

@@ -7,6 +7,7 @@ canonical order is left-to-right, value before store.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator
 
 from ccomply.parsing.astnodes import (
@@ -18,7 +19,7 @@ from ccomply.sema.symbols import SymKind, Symbol
 from ccomply.sema.typesys import TK
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     kind: str              # read | write | addrof | deref_read | deref_store | call | volatile
     sym: Symbol | None = None
@@ -212,40 +213,14 @@ def _address_events(operand: Expr) -> Iterator[Event]:
     yield from walk_effects(operand)
 
 
-def item_exprs(item) -> list[Expr]:
-    """Expressions evaluated by one CFG item, in order."""
-    from ccomply.flow.cfg import DeclItem, EvalItem
+def addr_taken_syms(cfg) -> frozenset[int]:
+    """uids of automatic-storage variables whose address is ever taken.
 
-    if isinstance(item, EvalItem):
-        return [item.expr]
-    if isinstance(item, DeclItem) and item.init is not None:
-        return [item.init]
-    return []
-
-
-def item_events(item) -> list[Event]:
-    from ccomply.flow.cfg import DeclItem
-
-    events: list[Event] = []
-    for e in item_exprs(item):
-        events.extend(walk_effects(e))
-    if isinstance(item, DeclItem) and item.init is not None:
-        events.append(Event("write", sym=item.symbol, value=item.init, node=item.init))
-    return events
-
-
-def addr_taken_syms(cfg) -> set[int]:
-    """uids of automatic-storage variables whose address is ever taken."""
-    out: set[int] = set()
-    for _, _, item in cfg.points():
-        for ev in item_events(item):
-            if ev.kind == "addrof" and ev.sym is not None and ev.sym.is_local_object:
-                out.add(ev.sym.uid)
-    for b in cfg.blocks:
-        term = b.term
-        expr = getattr(term, "cond", None) or getattr(term, "expr", None) or getattr(term, "value", None)
-        if expr is not None:
-            for ev in walk_effects(expr):
-                if ev.kind == "addrof" and ev.sym is not None and ev.sym.is_local_object:
-                    out.add(ev.sym.uid)
-    return out
+    Walks the graph's cached events; `Cfg.addr_taken` keeps the result.
+    """
+    streams = chain((item.events for _, _, item in cfg.points()),
+                    (b.term_events for b in cfg.blocks))
+    return frozenset(
+        ev.sym.uid for events in streams for ev in events
+        if ev.kind == "addrof" and ev.sym is not None and ev.sym.is_local_object
+    )

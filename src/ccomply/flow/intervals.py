@@ -10,19 +10,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ccomply.flow.cfg import Cfg, DeclItem, EvalItem, TBranch, TReturn, TSwitch
+from ccomply.flow.cfg import Cfg, DeclItem, TBranch, TSwitch
+from ccomply.flow.solver import solve
 from ccomply.parsing.astnodes import (
     AddrOf, Assign, Binary, Call, Cast, Comma, CompoundAssign, Conditional,
     Constant, Deref, Expr, Identifier, IncDec, Index, InitList, Member,
     Sizeof, StringLiteral, Unary,
 )
 from ccomply.sema.consteval import const_eval
-from ccomply.sema.symbols import Storage, SymKind, Symbol
+from ccomply.sema.symbols import SymKind, Symbol
 from ccomply.sema.typesys import (
-    DEFAULT_MODEL, TK, IntegerModel, TypeDesc, is_integer, type_range,
+    DEFAULT_MODEL, IntegerModel, TypeDesc, is_integer, type_range,
 )
-
-WIDEN_DELAY = 3
 
 
 @dataclass(frozen=True)
@@ -535,43 +534,32 @@ def _widen_env(old: Env, new: Env, bounds: dict[int, Interval]) -> Env:
 
 
 def interval_analysis(cfg: Cfg, model: IntegerModel = DEFAULT_MODEL) -> IntervalResult:
-    from ccomply.flow.effects import addr_taken_syms
-
     result = IntervalResult(model)
-    addr_taken = addr_taken_syms(cfg)
-    ev = _AbstractEval(model, addr_taken)
+    ev = _AbstractEval(model, cfg.addr_taken)
     result._evaluator = ev
     symmap: dict[int, Symbol] = {}
 
-    def seed_entry() -> Env:
-        env: Env = {}
-        # Parameters and locals start at their full type range; they enter
-        # the environment lazily, so the empty map is exactly "all top".
+    def transfer_block(b, entry: Env, pre: dict | None = None) -> Env:
+        env = dict(entry)
+        for idx, item in enumerate(b.items):
+            if pre is not None:
+                pre[(b.id, idx)] = dict(env)
+            if isinstance(item, DeclItem):
+                sym = item.symbol
+                if item.init is not None and not isinstance(item.init, InitList):
+                    value = ev.eval(item.init, env, mutate=True, symmap=symmap)
+                    if _tracked(sym):
+                        symmap[sym.uid] = sym
+                        converted = ev._converted(value, sym.type)
+                        if converted is not None:
+                            env[sym.uid] = converted
+                elif isinstance(item.init, InitList):
+                    ev.eval(item.init, env, mutate=True, symmap=symmap)
+            else:
+                ev.eval(item.expr, env, mutate=True, symmap=symmap)
+        if pre is not None:
+            pre[(b.id, len(b.items))] = dict(env)
         return env
-
-    def transfer_item(item, env: Env) -> None:
-        if isinstance(item, DeclItem):
-            sym = item.symbol
-            if item.init is not None and not isinstance(item.init, InitList):
-                value = ev.eval(item.init, env, mutate=True, symmap=symmap)
-                if _tracked(sym):
-                    symmap[sym.uid] = sym
-                    converted = ev._converted(value, sym.type)
-                    if converted is not None:
-                        env[sym.uid] = converted
-            elif isinstance(item.init, InitList):
-                ev.eval(item.init, env, mutate=True, symmap=symmap)
-        else:
-            ev.eval(item.expr, env, mutate=True, symmap=symmap)
-
-    def term_transfer(b, env: Env) -> None:
-        term = b.term
-        if isinstance(term, TSwitch):
-            ev.eval(term.expr, env, mutate=True, symmap=symmap)
-        elif isinstance(term, TReturn) and term.value is not None:
-            ev.eval(term.value, env, mutate=True, symmap=symmap)
-        elif isinstance(term, TBranch):
-            ev.eval(term.cond, env, mutate=True, symmap=symmap)
 
     bounds: dict[int, Interval] = {}
 
@@ -584,45 +572,16 @@ def interval_analysis(cfg: Cfg, model: IntegerModel = DEFAULT_MODEL) -> Interval
                     if full is not None:
                         bounds[uid] = full
 
-    in_states: dict[int, Env] = {cfg.entry: seed_entry()}
-    visits: dict[int, int] = {}
-    worklist = [cfg.entry]
-    iterations = 0
-    budget = len(cfg.blocks) * 8 + 64 + 16 * len(cfg.blocks)
-    while worklist:
-        bid = worklist.pop(0)
-        iterations += 1
-        if iterations > budget * 8 + 512:
-            raise RuntimeError("interval analysis failed to stabilize")
+    def transfer(bid: int, entry: Env):
         b = cfg.block(bid)
-        env = dict(in_states[bid])
-        for item in b.items:
-            transfer_item(item, env)
-        term_transfer(b, env)
+        env = transfer_block(b, entry)
+        if b.term_expr is not None:
+            ev.eval(b.term_expr, env, mutate=True, symmap=symmap)
         note_bounds(env)
-
-        def push(target: int, out_env: Env | None) -> None:
-            if out_env is None:
-                return
-            if target not in in_states:
-                in_states[target] = dict(out_env)
-                worklist.append(target)
-                visits[target] = visits.get(target, 0) + 1
-                return
-            joined = _join_env(in_states[target], out_env)
-            tb = cfg.block(target)
-            visits[target] = visits.get(target, 0) + 1
-            if tb.is_loop_head and visits[target] > WIDEN_DELAY:
-                joined = _widen_env(in_states[target], joined, bounds)
-            if joined != in_states[target]:
-                in_states[target] = joined
-                if target not in worklist:
-                    worklist.append(target)
-
         term = b.term
         if isinstance(term, TBranch) and term.const_value is None:
-            push(term.true_target, ev.narrow(env, term.cond, True))
-            push(term.false_target, ev.narrow(env, term.cond, False))
+            yield term.true_target, ev.narrow(env, term.cond, True)
+            yield term.false_target, ev.narrow(env, term.cond, False)
         elif isinstance(term, TSwitch):
             scrutinee = _strip_casts(term.expr)
             for value, target in term.cases:
@@ -638,21 +597,24 @@ def interval_analysis(cfg: Cfg, model: IntegerModel = DEFAULT_MODEL) -> Interval
                     if refined is None:
                         continue
                     out_env[scrutinee.symbol.uid] = refined
-                push(target, out_env)
-            push(term.default_target, dict(env))
+                yield target, out_env
+            yield term.default_target, dict(env)
         else:
             for target, _kind in b.succs:
-                push(target, dict(env))
-    result.iterations = iterations
+                yield target, dict(env)
+
+    # The empty entry map is "all top": parameters and locals enter the
+    # environment lazily at their full type range.
+    in_states, result.iterations = solve(
+        cfg, {cfg.entry: {}}, transfer, _join_env,
+        budget=192 * len(cfg.blocks) + 1024, analysis="interval analysis",
+        widen=lambda old, new: _widen_env(old, new, bounds),
+    )
 
     # Final pass: record per-point pre-states, terminator states, dead edges.
     for bid, entry_env in in_states.items():
         b = cfg.block(bid)
-        env = dict(entry_env)
-        for idx, item in enumerate(b.items):
-            result.pre[(bid, idx)] = dict(env)
-            transfer_item(item, env)
-        result.pre[(bid, len(b.items))] = dict(env)
+        env = transfer_block(b, entry_env, result.pre)
         result.term_env[bid] = dict(env)
         term = b.term
         if isinstance(term, TBranch):

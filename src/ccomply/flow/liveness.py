@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ccomply.flow.cfg import Cfg, DeclItem, TBranch, TReturn, TSwitch
-from ccomply.flow.effects import addr_taken_syms, item_events, walk_effects
+from ccomply.flow.cfg import Cfg, DeclItem
+from ccomply.flow.solver import solve
 from ccomply.sema.symbols import Symbol
 
 
@@ -18,7 +18,6 @@ from ccomply.sema.symbols import Symbol
 class LivenessResult:
     live_after: dict[tuple[int, int], frozenset[int]] = field(default_factory=dict)
     live_in: dict[int, frozenset[int]] = field(default_factory=dict)
-    addr_taken: frozenset[int] = frozenset()
     iterations: int = 0
 
     def is_live_after(self, bid: int, idx: int, uid: int) -> bool:
@@ -31,8 +30,7 @@ def _tracked(sym: Symbol | None) -> bool:
 
 def liveness(cfg: Cfg) -> LivenessResult:
     result = LivenessResult()
-    addr_taken = frozenset(addr_taken_syms(cfg))
-    result.addr_taken = addr_taken
+    addr_taken = cfg.addr_taken
     volatile_locals = frozenset(
         item.symbol.uid
         for _, _, item in cfg.points()
@@ -41,7 +39,7 @@ def liveness(cfg: Cfg) -> LivenessResult:
     always_live = addr_taken | volatile_locals
 
     def backward_events(events, live: set[int]) -> None:
-        for ev in reversed(list(events)):
+        for ev in reversed(events):
             sym = ev.sym
             if ev.kind == "write" and _tracked(sym):
                 if sym.uid not in volatile_locals:
@@ -51,65 +49,37 @@ def liveness(cfg: Cfg) -> LivenessResult:
             elif ev.kind in ("call", "deref_read", "deref_store"):
                 live.update(addr_taken)
 
-    def item_backward(item, live: set[int]) -> None:
-        if isinstance(item, DeclItem):
-            if item.symbol.uid not in volatile_locals:
+    def transfer_block(bid: int, out: frozenset[int], after: list | None = None) -> frozenset[int]:
+        """Live-in of a block from its live-out; fills `after` per item."""
+        b = cfg.block(bid)
+        live = set(out) | volatile_locals
+        backward_events(b.term_events, live)
+        for item in reversed(b.items):
+            if after is not None:
+                after.append(frozenset(live))
+            if isinstance(item, DeclItem) and item.symbol.uid not in volatile_locals:
                 live.discard(item.symbol.uid)
-            if item.init is not None:
-                backward_events(walk_effects(item.init), live)
-        else:
-            backward_events(item_events(item), live)
+            # A declaration's events end with the store of its initializer.
+            backward_events(item.events, live)
+        return frozenset(live)
 
-    def term_uses(b) -> list:
-        term = b.term
-        expr = None
-        if isinstance(term, TBranch):
-            expr = term.cond
-        elif isinstance(term, TSwitch):
-            expr = term.expr
-        elif isinstance(term, TReturn):
-            expr = term.value
-        return list(walk_effects(expr)) if expr is not None else []
+    def transfer(bid: int, out: frozenset[int]):
+        live_in = transfer_block(bid, out)
+        return [(p, live_in) for p in cfg.block(bid).preds if cfg.block(p).reachable]
 
-    live_out: dict[int, frozenset[int]] = {}
+    # States are live-out sets. Every reachable block is a seed, in reverse
+    # id order; the exit keeps what may be read after the function returns.
     order = [b.id for b in cfg.blocks if b.reachable]
-    iterations = 0
-    budget = (len(order) + 1) * (len(order) + 8)
-    changed = True
-    while changed:
-        changed = False
-        for bid in reversed(order):
-            iterations += 1
-            if iterations > budget * 4 + 64:
-                raise RuntimeError("liveness failed to stabilize")
-            b = cfg.block(bid)
-            out: set[int] = set()
-            if bid == cfg.exit:
-                out |= always_live
-            for target, _ in b.succs:
-                out |= result.live_in.get(target, frozenset())
-            live = set(out) | volatile_locals
-            backward_events(term_uses(b), live)
-            for item in reversed(b.items):
-                item_backward(item, live)
-            new_in = frozenset(live)
-            if new_in != result.live_in.get(bid):
-                result.live_in[bid] = new_in
-                changed = True
-            live_out[bid] = frozenset(out)
-    result.iterations = iterations
+    seeds = {bid: always_live if bid == cfg.exit else frozenset() for bid in reversed(order)}
+    live_out, result.iterations = solve(
+        cfg, seeds, transfer, frozenset.union,
+        budget=(len(order) + 1) * (len(order) + 8) * 4 + 64, analysis="liveness",
+    )
 
     # Record per-item live-after sets from the stabilized solution.
     for bid in order:
-        b = cfg.block(bid)
-        live = set(live_out.get(bid, frozenset())) | volatile_locals
-        if bid == cfg.exit:
-            live |= always_live
-        backward_events(term_uses(b), live)
         after: list[frozenset[int]] = []
-        for item in reversed(b.items):
-            after.append(frozenset(live))
-            item_backward(item, live)
+        result.live_in[bid] = transfer_block(bid, live_out[bid], after)
         after.reverse()
         for idx, live_set in enumerate(after):
             result.live_after[(bid, idx)] = live_set

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ccomply.flow.cfg import Cfg, DeclItem, TBranch, TReturn, TSwitch
-from ccomply.flow.effects import addr_taken_syms
+from ccomply.flow.cfg import Cfg, DeclItem
+from ccomply.flow.solver import solve
 from ccomply.parsing.astnodes import (
     AddrOf, Assign, Binary, Call, Cast, Comma, CompoundAssign, Conditional,
     Constant, Deref, Expr, Identifier, IncDec, Index, InitList, Member,
@@ -250,63 +250,37 @@ def _join_env(a: PtEnv, b: PtEnv) -> PtEnv:
 
 def local_points_to(cfg: Cfg) -> PointsToResult:
     result = PointsToResult()
-    addr_taken = addr_taken_syms(cfg)
-    ev = _PtEval(addr_taken)
+    ev = _PtEval(cfg.addr_taken)
     result._evaluator = ev
 
-    def transfer_item(item, env: PtEnv) -> None:
-        if isinstance(item, DeclItem):
-            sym = item.symbol
-            if item.init is not None:
-                _walk_stores(item.init, ev, env)
-                if _is_pointer_var(sym) and not isinstance(item.init, InitList):
-                    env[sym.uid] = ev.eval(item.init, env, mutate=False)
-        else:
-            _walk_stores(item.expr, ev, env)
-
-    def term_transfer(b, env: PtEnv) -> None:
-        term = b.term
-        expr = None
-        if isinstance(term, TBranch):
-            expr = term.cond
-        elif isinstance(term, TSwitch):
-            expr = term.expr
-        elif isinstance(term, TReturn):
-            expr = term.value
-        if expr is not None:
-            _walk_stores(expr, ev, env)
-
-    in_states: dict[int, PtEnv] = {cfg.entry: {}}
-    worklist = [cfg.entry]
-    iterations = 0
-    budget = len(cfg.blocks) * 8 + 64
-    while worklist:
-        bid = worklist.pop(0)
-        iterations += 1
-        if iterations > budget * 8 + 256:
-            raise RuntimeError("points-to analysis failed to stabilize")
-        b = cfg.block(bid)
-        env = dict(in_states[bid])
-        for item in b.items:
-            transfer_item(item, env)
-        term_transfer(b, env)
-        for target, _kind in b.succs:
-            if target not in in_states:
-                in_states[target] = dict(env)
-                worklist.append(target)
-                continue
-            joined = _join_env(in_states[target], env)
-            if joined != in_states[target]:
-                in_states[target] = joined
-                if target not in worklist:
-                    worklist.append(target)
-    result.iterations = iterations
-
-    for bid, entry_env in in_states.items():
-        b = cfg.block(bid)
-        env = dict(entry_env)
+    def transfer_block(b, entry: PtEnv, pre: dict | None = None) -> PtEnv:
+        env = dict(entry)
         for idx, item in enumerate(b.items):
-            result.pre[(bid, idx)] = dict(env)
-            transfer_item(item, env)
-        result.pre[(bid, len(b.items))] = dict(env)
+            if pre is not None:
+                pre[(b.id, idx)] = dict(env)
+            if isinstance(item, DeclItem):
+                sym = item.symbol
+                if item.init is not None:
+                    _walk_stores(item.init, ev, env)
+                    if _is_pointer_var(sym) and not isinstance(item.init, InitList):
+                        env[sym.uid] = ev.eval(item.init, env, mutate=False)
+            else:
+                _walk_stores(item.expr, ev, env)
+        if pre is not None:
+            pre[(b.id, len(b.items))] = dict(env)
+        return env
+
+    def transfer(bid: int, entry: PtEnv):
+        b = cfg.block(bid)
+        env = transfer_block(b, entry)
+        if b.term_expr is not None:
+            _walk_stores(b.term_expr, ev, env)
+        return [(target, env) for target, _kind in b.succs]
+
+    in_states, result.iterations = solve(
+        cfg, {cfg.entry: {}}, transfer, _join_env,
+        budget=64 * len(cfg.blocks) + 768, analysis="points-to analysis",
+    )
+    for bid, entry_env in in_states.items():
+        transfer_block(cfg.block(bid), entry_env, result.pre)
     return result

@@ -166,12 +166,15 @@ def _accesses(e: Expr, facts: TUFacts, conflicts: list) -> list[_Access]:
                                                    target_write.deref,
                                                    target_write.span,
                                                    target_write.name)]
-        # The updating store is exempt from conflicts with reads that feed
-        # the stored value, but two writes of one object always conflict.
-        write_half = [a for a in value_acc + target_reads if a.write]
+        # The updating store is exempt from conflicts with reads of the same
+        # key that feed the stored value, but two writes of one object always
+        # conflict, and a store through one pointer may alias a read through
+        # another.
         if target_write is not None:
-            for other in write_half:
-                _check_pair(target_write, other, e, facts, conflicts)
+            for other in value_acc + target_reads:
+                if other.write or (target_write.deref and other.deref
+                                   and other.key != target_write.key):
+                    _check_pair(target_write, other, e, facts, conflicts)
         cross([value_acc, target_reads], e)
         result = value_acc + target_reads
         if target_write is not None:

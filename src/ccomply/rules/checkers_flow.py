@@ -3,7 +3,6 @@ from __future__ import annotations
 
 from ccomply.flow.assign import AssignState
 from ccomply.flow.cfg import Cfg, DeclItem, EvalItem, TBranch, TReturn, TSwitch
-from ccomply.flow.effects import item_events, walk_effects
 from ccomply.parsing.astnodes import (
     Binary, CompoundAssign, Constant, DoWhile, Expr, ExprStmt, For, If, While,
     walk,
@@ -15,30 +14,16 @@ from ccomply.sema.typesys import is_integer, promoted_width, rvalue_type
 from ccomply.source import Span
 
 
-def _term_expr(block) -> Expr | None:
-    term = block.term
-    if isinstance(term, TBranch):
-        return term.cond
-    if isinstance(term, TSwitch):
-        return term.expr
-    if isinstance(term, TReturn):
-        return term.value
-    return None
-
-
 def _point_exprs(cfg: Cfg):
-    """(block id, index, expr) for every evaluated expression, in order."""
+    """(block id, index, expr, its events) for every evaluated expression, in order."""
     for b, i, item in cfg.points():
         if isinstance(item, EvalItem):
-            yield b.id, i, item.expr
+            yield b.id, i, item.expr, item.events
         elif isinstance(item, DeclItem) and item.init is not None:
-            yield b.id, i, item.init
+            yield b.id, i, item.init, item.events
     for b in cfg.blocks:
-        if not b.reachable:
-            continue
-        te = _term_expr(b)
-        if te is not None:
-            yield b.id, len(b.items), te
+        if b.reachable and b.term_expr is not None:
+            yield b.id, len(b.items), b.term_expr, b.term_events
 
 
 # ---- R12.2: shift amount within the promoted width --------------------------
@@ -47,7 +32,7 @@ def _point_exprs(cfg: Cfg):
 def check_shift_range(facts: TUFacts) -> list[Finding]:
     out: list[Finding] = []
     for fn in facts.functions:
-        for bid, idx, expr in _point_exprs(fn.cfg):
+        for bid, idx, expr, _ in _point_exprs(fn.cfg):
             env = fn.intervals.env_at(bid, idx)
             for node in walk(expr):
                 shift = _shift_parts(node)
@@ -256,7 +241,7 @@ def check_dead_code(facts: TUFacts) -> list[Finding]:
         for b, idx, item in fn.cfg.points():
             if not isinstance(item, EvalItem) or not isinstance(item.stmt, ExprStmt):
                 continue
-            events = list(item_events(item))
+            events = item.events
             if any(ev.kind in ("call", "volatile", "deref_store") for ev in events):
                 continue
             writes = [ev for ev in events if ev.kind == "write"]
@@ -325,9 +310,9 @@ def check_invariant_condition(facts: TUFacts) -> list[Finding]:
 def check_literal_write(facts: TUFacts) -> list[Finding]:
     out: list[Finding] = []
     for fn in facts.functions:
-        for bid, idx, expr in _point_exprs(fn.cfg):
+        for bid, idx, expr, events in _point_exprs(fn.cfg):
             env = fn.points.env_at(bid, idx)
-            for ev in walk_effects(expr):
+            for ev in events:
                 if ev.kind != "deref_store" or ev.pointer is None:
                     continue
                 pts = fn.points.points_to(ev.pointer, env)

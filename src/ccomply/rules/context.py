@@ -2,11 +2,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ccomply.flow import (
     Cfg, DefAssignResult, IntervalResult, LivenessResult, PointsToResult,
+    build_cfg, definite_assignment, interval_analysis, liveness, local_points_to,
 )
-from ccomply.flow.effects import addr_taken_syms
 from ccomply.parsing.astnodes import FunctionDef, TranslationUnitAst
 from ccomply.sema.symbols import SymbolTable
 from ccomply.sema.typesys import DEFAULT_MODEL, IntegerModel
@@ -15,13 +16,43 @@ from ccomply.source import SourceManager
 
 @dataclass
 class FunctionFacts:
+    """The data-flow facts of one function, each computed on first access.
+
+    `cfg` lowers the function; `assign`, `intervals`, `live` and `points`
+    run definite assignment, interval analysis, liveness and points-to over
+    it; `addr_taken` is the CFG's address-taken locals. Nothing runs until a
+    checker reads it, and each runs at most once. A run of AST-scope
+    guidelines only builds the CFG and `addr_taken`, and only of the
+    functions R13.2 asks about when it weighs a dereference against a
+    variable.
+    """
+
     fn: FunctionDef
-    cfg: Cfg
-    assign: DefAssignResult
-    intervals: IntervalResult
-    live: LivenessResult
-    points: PointsToResult
-    addr_taken: frozenset[int] = frozenset()
+    model: IntegerModel = DEFAULT_MODEL
+
+    @cached_property
+    def cfg(self) -> Cfg:
+        return build_cfg(self.fn, self.model)
+
+    @cached_property
+    def assign(self) -> DefAssignResult:
+        return definite_assignment(self.cfg)
+
+    @cached_property
+    def intervals(self) -> IntervalResult:
+        return interval_analysis(self.cfg, self.model)
+
+    @cached_property
+    def live(self) -> LivenessResult:
+        return liveness(self.cfg)
+
+    @cached_property
+    def points(self) -> PointsToResult:
+        return local_points_to(self.cfg)
+
+    @property
+    def addr_taken(self) -> frozenset[int]:
+        return self.cfg.addr_taken
 
 
 @dataclass
@@ -40,22 +71,6 @@ def compute_tu_facts(
     manager: SourceManager | None = None,
     model: IntegerModel = DEFAULT_MODEL,
 ) -> TUFacts:
-    from ccomply.flow import (
-        build_cfg, definite_assignment, interval_analysis, liveness,
-        local_points_to,
-    )
-
-    facts = TUFacts(tu, table, tu.path, model=model, manager=manager)
-    for decl in tu.decls:
-        if isinstance(decl, FunctionDef):
-            cfg = build_cfg(decl, model)
-            facts.functions.append(FunctionFacts(
-                fn=decl,
-                cfg=cfg,
-                assign=definite_assignment(cfg),
-                intervals=interval_analysis(cfg, model),
-                live=liveness(cfg),
-                points=local_points_to(cfg),
-                addr_taken=frozenset(addr_taken_syms(cfg)),
-            ))
-    return facts
+    """List the TU's functions; their facts are computed when first read."""
+    functions = [FunctionFacts(d, model) for d in tu.decls if isinstance(d, FunctionDef)]
+    return TUFacts(tu, table, tu.path, functions, model, manager)

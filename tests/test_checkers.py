@@ -1,6 +1,6 @@
 """Per-rule unit tests over the operation examples."""
-from ccomply.rules import BehaviorClass, Certainty
-from rule_helpers import PRELUDE, kinds_of, run_rule
+from ccomply.rules import BehaviorClass, Certainty, run_rules
+from rule_helpers import PRELUDE, kinds_of, run_rule, run_rule_full
 
 
 def single(findings):
@@ -406,3 +406,27 @@ class TestRecursion:
         assert run_rule(
             "void leaf(void) { }\nvoid top(void) { leaf(); }\n", "R17.2"
         ) == []
+
+
+class TestFactsOnDemand:
+    AST_RULES = {"R8.13", "R11.4", "R13.1", "R13.2", "R13.5", "R14.1", "R14.2"}
+    ANALYSES = {"assign", "intervals", "live", "points"}
+    TEXT = (
+        "int g;\n"
+        "void f(int *p, int x) { int i; for (i = 0; i < x; i++) { use((*p = 1) + x); } }\n"
+        "void h(int *q) { use((*q = 2) + g); }\n"
+    )
+
+    def test_ast_rules_run_no_flow_analysis(self):
+        _, facts = run_rule_full(self.TEXT, "R13.2")
+        run_rules([facts], self.AST_RULES)
+        assert facts.functions
+        for fn in facts.functions:
+            assert not self.ANALYSES & vars(fn).keys()
+        # R13.2 weighed a dereference against a local, which needs the CFG.
+        assert any("cfg" in vars(fn) for fn in facts.functions)
+
+    def test_flow_rule_computes_only_what_it_reads(self):
+        _, facts = run_rule_full(self.TEXT, "R9.1")
+        for fn in facts.functions:
+            assert self.ANALYSES & vars(fn).keys() == {"assign"}

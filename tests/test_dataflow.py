@@ -1,10 +1,16 @@
 import random
+from collections import Counter
 
+import pytest
+
+from ccomply.errors import AnalysisError, FlowError
 from ccomply.flow import (
     AssignState, build_call_graph, definite_assignment, interval_analysis,
     liveness, local_points_to, recursion_components,
 )
-from ccomply.flow.cfg import EvalItem
+from ccomply.flow import effects
+from ccomply.flow.cfg import DeclItem, EvalItem
+from ccomply.flow.solver import solve
 from ccomply.parsing import Assign, Call, FunctionDef, Identifier, parse, walk
 from ccomply.sema import link_units, resolve
 from flow_helpers import PRELUDE, analyze_fn, probe_points, sym_named
@@ -281,6 +287,83 @@ class TestPointsTo:
         )
         p = sym_named(table, "p")
         assert repr(env[p.uid]) == "{&a}"
+
+
+class TestSolver:
+    def test_budget_exhaustion_raises_flow_error(self):
+        cfg, fn, _, _ = analyze_fn("void f(int n) { while (n) { n = n - 1; } }")
+        head = next(b for b in cfg.blocks if b.is_loop_head)
+        # A counter that grows on every visit never reaches a fixpoint.
+        with pytest.raises(FlowError) as info:
+            solve(cfg, {head.id: 0}, lambda bid, n: [(bid, n + 1)], max,
+                  budget=50, analysis="counter")
+        err = info.value
+        assert isinstance(err, AnalysisError)
+        assert err.stage == "flow"
+        assert err.loc == fn.span.start
+        assert "counter" in err.message and "'f'" in err.message
+
+    def test_visits_in_breadth_first_order(self):
+        # A state that never changes after its first arrival makes the FIFO
+        # worklist visit each reachable block once, in breadth-first order.
+        cfg, _, _, _ = analyze_fn(
+            "void f(int a) { if (a) { use(1); } else { use(2); } use(3); }"
+        )
+        order = []
+
+        def transfer(bid, state):
+            order.append(bid)
+            return [(t, state) for t, _ in cfg.block(bid).succs]
+
+        states, visits = solve(cfg, {cfg.entry: frozenset()}, transfer, frozenset.union,
+                               budget=100, analysis="reach")
+        bfs, frontier = [cfg.entry], 0
+        while frontier < len(bfs):
+            for t, _ in cfg.block(bfs[frontier]).succs:
+                if t not in bfs:
+                    bfs.append(t)
+            frontier += 1
+        assert order == bfs
+        assert visits == len(bfs) == len(states)
+
+
+class TestEffectCache:
+    TEXT = (
+        "int f(int n) { int a = n + 1; int b; int *p = &a; "
+        "for (b = 0; b < n; ++b) { *p = *p + b; use(a); } "
+        "switch (a) { case 1: return b; default: break; } return a ? b : n; }"
+    )
+
+    def test_each_expression_walked_once_across_analyses(self, monkeypatch):
+        cfg, _, _, _ = analyze_fn(self.TEXT)
+        walked = Counter()
+        addr_walks = []
+        walk = effects.walk_effects
+        addr_taken = effects.addr_taken_syms
+
+        def counting_walk(e):
+            walked[id(e)] += 1
+            return walk(e)
+
+        def counting_addr_taken(g):
+            addr_walks.append(g)
+            return addr_taken(g)
+
+        monkeypatch.setattr(effects, "walk_effects", counting_walk)
+        monkeypatch.setattr(effects, "addr_taken_syms", counting_addr_taken)
+        definite_assignment(cfg)
+        interval_analysis(cfg)
+        liveness(cfg)
+        local_points_to(cfg)
+
+        exprs = [item.expr if isinstance(item, EvalItem) else item.init
+                 for _, _, item in cfg.points()
+                 if isinstance(item, EvalItem) or item.init is not None]
+        exprs += [b.term_expr for b in cfg.blocks if b.term_expr is not None]
+        assert any(isinstance(item, DeclItem) for _, _, item in cfg.points())
+        assert exprs and all(walked[id(e)] == 1 for e in exprs)
+        assert max(walked.values()) == 1
+        assert addr_walks == [cfg]
 
 
 def _unit(text, path):
