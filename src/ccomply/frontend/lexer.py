@@ -23,8 +23,15 @@ class TokenKind(Enum):
     OTHER = "other"
 
 
-@dataclass
+@dataclass(slots=True)
 class PPToken:
+    """One preprocessing token.
+
+    Only `lex` sets fields after construction. Once it returns, a token may
+    be shared: the tokens of an included file serve every translation unit
+    that includes it, and macro bodies are shared by every expansion.
+    """
+
     kind: TokenKind
     lexeme: str
     origin: Location

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from ccomply.errors import PreprocessError, UnsupportedConstructError
 from ccomply.frontend.lexer import PPToken, TokenKind, lex
@@ -65,16 +65,21 @@ class SourceMap:
 
     def check_total(self, manager: SourceManager) -> None:
         """Assert every origin and chain site is a real place in a loaded file."""
+        lines_of: dict[int, list[str]] = {}
         for i in range(len(self._tokens)):
-            self._check_loc(manager, self.origin(i))
+            self._check_loc(manager, self.origin(i), lines_of)
             for frame in self.chain(i):
-                self._check_loc(manager, frame.site)
+                self._check_loc(manager, frame.site, lines_of)
 
     @staticmethod
-    def _check_loc(manager: SourceManager, loc: Location) -> None:
-        if not manager.has(loc.file):
-            raise AssertionError(f"origin refers to unknown file id {loc.file}")
-        lines = manager.get(loc.file).contents.split("\n")
+    def _check_loc(
+        manager: SourceManager, loc: Location, lines_of: dict[int, list[str]]
+    ) -> None:
+        lines = lines_of.get(loc.file)
+        if lines is None:
+            if not manager.has(loc.file):
+                raise AssertionError(f"origin refers to unknown file id {loc.file}")
+            lines = lines_of[loc.file] = manager.get(loc.file).contents.split("\n")
         if not (1 <= loc.line <= len(lines)):
             raise AssertionError(f"origin line {loc.line} outside {manager.path_of(loc.file)}")
         if not (1 <= loc.column <= len(lines[loc.line - 1]) + 1):
@@ -121,13 +126,15 @@ class _Preprocessor:
 
     # ---- file processing ----------------------------------------------
 
-    def process_file(self, source: SourceFile, depth: int, site: Location | None) -> None:
+    def process_file(
+        self, source: SourceFile, tokens: list[PPToken], depth: int, site: Location | None
+    ) -> None:
         if depth > INCLUDE_DEPTH_LIMIT:
             raise PreprocessError(
                 f"include depth exceeded ({INCLUDE_DEPTH_LIMIT}) while including {source.path}",
                 site,
             )
-        stream = _Stream(lex(source))
+        stream = _Stream(tokens)
         conds: list[_CondFrame] = []
         while stream:
             tok = stream.pop()
@@ -333,7 +340,10 @@ class _Preprocessor:
             form = f"<{name}>" if angled else f'"{name}"'
             raise PreprocessError(f"include file not found: {form}", head.origin)
         included = self.manager.load(path)
-        self.process_file(included, depth + 1, head.origin)
+        tokens = self.manager.lexed.get(included.id)
+        if tokens is None:
+            tokens = self.manager.lexed[included.id] = lex(included)
+        self.process_file(included, tokens, depth + 1, head.origin)
 
     def _include_name(self, rest: list[PPToken], head: PPToken) -> tuple[str, bool]:
         for attempt in range(2):
@@ -376,19 +386,14 @@ class _Preprocessor:
             expanded_args = [self._expand_isolated(a) for a in args]
             body = self._substitute(macro, expanded_args)
         else:
-            body = [replace(t) for t in macro.body]
-        frame = ExpansionFrame(macro.name, tok.origin)
-        produced: list[PPToken] = []
-        for t in body:
-            produced.append(
-                replace(
-                    t,
-                    chain=tok.chain + (frame,) + t.chain,
-                    no_expand=t.no_expand | tok.no_expand | {macro.name},
-                    at_bol=False,
-                )
-            )
-        stream.push_front(produced)
+            body = macro.body
+        outer = tok.chain + (ExpansionFrame(macro.name, tok.origin),)
+        hide = tok.no_expand | {macro.name}
+        stream.push_front([
+            PPToken(t.kind, t.lexeme, t.origin, chain=outer + t.chain, at_bol=False,
+                    ws_before=t.ws_before, no_expand=t.no_expand | hide)
+            for t in body
+        ])
         return True
 
     def _collect_args(self, stream: _Stream, name_tok: PPToken, macro: MacroDef) -> list[list[PPToken]]:
@@ -431,9 +436,9 @@ class _Preprocessor:
         out: list[PPToken] = []
         for t in macro.body:
             if t.kind is TokenKind.IDENT and t.lexeme in index:
-                out.extend(replace(a) for a in args[index[t.lexeme]])
+                out.extend(args[index[t.lexeme]])
             else:
-                out.append(replace(t))
+                out.append(t)
         return out
 
     def _expand_isolated(self, tokens: list[PPToken]) -> list[PPToken]:
@@ -474,7 +479,7 @@ def preprocess(
     pp = _Preprocessor(include_paths, manager)
     for m in predefined:
         pp.macros[m.name] = m
-    pp.process_file(entry, depth=0, site=None)
+    pp.process_file(entry, lex(entry), depth=0, site=None)
     return pp.out, SourceMap(pp.out), pp.pragmas
 
 

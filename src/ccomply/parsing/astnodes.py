@@ -329,50 +329,57 @@ def for_clauses(node: "For") -> tuple[Optional[Node], Optional["Expr"], Optional
 
 _SKIP_FIELDS = {"span", "first_tok", "last_tok", "ctype", "symbol", "behavior"}
 
+# Per node class: the names of the fields `children` reads, in field order.
+_CHILD_FIELDS: dict[type, tuple[str, ...]] = {}
+
 
 def children(node: Node) -> list[Node]:
     """Direct child nodes, in source order."""
+    cls = type(node)
+    names = _CHILD_FIELDS.get(cls)
+    if names is None:
+        names = _CHILD_FIELDS[cls] = tuple(
+            f.name for f in fields(cls) if f.name not in _SKIP_FIELDS
+        )
     out: list[Node] = []
-
-    def collect(value: Any) -> None:
-        if isinstance(value, Node):
-            out.append(value)
-        elif isinstance(value, list):
-            for v in value:
-                collect(v)
-        elif isinstance(value, DeclEntry):
-            if value.init is not None:
-                out.append(value.init)
-        elif isinstance(value, SynParam):
-            pass
-        elif isinstance(value, SynType):
-            collect_syntype(value)
-        elif isinstance(value, SynBase):
-            collect_base(value)
-
-    def collect_syntype(st: SynType) -> None:
-        collect_base(st.base)
-        for d in st.derivs:
-            if isinstance(d, SynArr) and d.size is not None:
-                out.append(d.size)
-            elif isinstance(d, SynFunc) and d.params:
-                for p in d.params:
-                    collect_syntype(p.syntype)
-
-    def collect_base(b: SynBase) -> None:
-        if b.members:
-            for m in b.members:
-                collect_syntype(m.syntype)
-        if b.enumerators:
-            for _, e in b.enumerators:
-                if e is not None:
-                    out.append(e)
-
-    for f in fields(node):
-        if f.name in _SKIP_FIELDS:
-            continue
-        collect(getattr(node, f.name))
+    for name in names:
+        _collect(getattr(node, name), out)
     return out
+
+
+def _collect(value: Any, out: list[Node]) -> None:
+    if isinstance(value, Node):
+        out.append(value)
+    elif isinstance(value, list):
+        for v in value:
+            _collect(v, out)
+    elif isinstance(value, DeclEntry):
+        if value.init is not None:
+            out.append(value.init)
+    elif isinstance(value, SynType):
+        _collect_syntype(value, out)
+    elif isinstance(value, SynBase):
+        _collect_base(value, out)
+
+
+def _collect_syntype(st: SynType, out: list[Node]) -> None:
+    _collect_base(st.base, out)
+    for d in st.derivs:
+        if isinstance(d, SynArr) and d.size is not None:
+            out.append(d.size)
+        elif isinstance(d, SynFunc) and d.params:
+            for p in d.params:
+                _collect_syntype(p.syntype, out)
+
+
+def _collect_base(b: SynBase, out: list[Node]) -> None:
+    if b.members:
+        for m in b.members:
+            _collect_syntype(m.syntype, out)
+    if b.enumerators:
+        for _, e in b.enumerators:
+            if e is not None:
+                out.append(e)
 
 
 def walk(node: Node) -> Iterator[Node]:
@@ -400,10 +407,7 @@ _ATOM_FIELDS = {
 
 
 def _atoms(node: Any) -> tuple:
-    for klass, names in _ATOM_FIELDS.items():
-        if type(node) is klass:
-            return tuple(getattr(node, n) for n in names)
-    return ()
+    return tuple(getattr(node, n) for n in _ATOM_FIELDS.get(type(node), ()))
 
 
 def _syn_sig(st: SynType) -> tuple:

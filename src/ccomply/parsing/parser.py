@@ -54,6 +54,13 @@ _BINARY_LEVELS = [
     ("+", "-"),
     ("*", "/", "%"),
 ]
+_BINARY_PREC = {op: level for level, ops in enumerate(_BINARY_LEVELS) for op in ops}
+
+# Parentheses (grouping and call argument lists) open inside one full
+# expression. C99 5.2.4.1 requires 63 levels of parenthesized expressions;
+# deeper nesting is rejected before the recursive descent exhausts Python's
+# stack.
+PAREN_NESTING_LIMIT = 63
 
 _ESCAPES = {
     "n": "\n", "t": "\t", "r": "\r", "a": "\a", "b": "\b", "f": "\f",
@@ -111,6 +118,7 @@ class Parser:
         self.toks = tokens
         self.i = 0
         self.path = path
+        self.paren_depth = 0
         self.scopes: list[_Scope] = [_Scope()]
         for name in BUILTIN_TYPEDEF_NAMES:
             self.scopes[0].names[name] = "typedef"
@@ -778,19 +786,33 @@ class Parser:
             return self._finish(Conditional(cond, then, other), start)
         return cond
 
-    def parse_binary(self, level: int) -> Expr:
-        if level >= len(_BINARY_LEVELS):
-            return self.parse_cast()
+    def parse_binary(self, min_level: int) -> Expr:
+        """Precedence climbing over `_BINARY_LEVELS`; all levels are left-associative."""
         start = self.i
-        left = self.parse_binary(level + 1)
-        ops = _BINARY_LEVELS[level]
+        left = self.parse_cast()
         while True:
             t = self.peek()
-            if t is None or t.kind is not TokenKind.PUNCT or t.lexeme not in ops:
+            if t is None or t.kind is not TokenKind.PUNCT:
+                return left
+            level = _BINARY_PREC.get(t.lexeme)
+            if level is None or level < min_level:
                 return left
             self.pop()
             right = self.parse_binary(level + 1)
             left = self._finish(Binary(t.lexeme, left, right), start)
+
+    def _open_paren(self) -> None:
+        t = self.pop()
+        self.paren_depth += 1
+        if self.paren_depth > PAREN_NESTING_LIMIT:
+            raise UnsupportedConstructError(
+                f"parentheses nested more than {PAREN_NESTING_LIMIT} levels deep",
+                t.report_site,
+            )
+
+    def _close_paren(self) -> None:
+        self.expect_punct(")")
+        self.paren_depth -= 1
 
     def parse_cast(self) -> Expr:
         start = self.i
@@ -849,14 +871,14 @@ class Parser:
             if t is None or t.kind is not TokenKind.PUNCT:
                 return expr
             if t.lexeme == "(":
-                self.pop()
+                self._open_paren()
                 args: list[Expr] = []
                 if not self.at_punct(")"):
                     args.append(self.parse_assignment())
                     while self.at_punct(","):
                         self.pop()
                         args.append(self.parse_assignment())
-                self.expect_punct(")")
+                self._close_paren()
                 expr = self._finish(Call(expr, args), start)
             elif t.lexeme == "[":
                 self.pop()
@@ -883,9 +905,9 @@ class Parser:
         if t is None:
             raise ParseError("expected expression", self._last_loc())
         if t.is_punct("("):
-            self.pop()
+            self._open_paren()
             inner = self.parse_expression()
-            self.expect_punct(")")
+            self._close_paren()
             return inner
         if t.kind is TokenKind.IDENT:
             if t.lexeme in KEYWORDS:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from ccomply.flow.effects import is_volatile_access, walk_effects
 from ccomply.parsing.astnodes import (
@@ -116,11 +117,9 @@ def check_logical_operand_side_effects(facts: TUFacts) -> list[Finding]:
     return out
 
 
-def walk_tu(tu) -> list[Node]:
-    out = []
+def walk_tu(tu) -> Iterator[Node]:
     for decl in tu.decls:
-        out.extend(walk(decl))
-    return out
+        yield from walk(decl)
 
 
 # ---- R13.2: no reliance on unspecified evaluation order --------------------------

@@ -52,11 +52,20 @@ class SourceFile:
 
 
 class SourceManager:
-    """Owns all loaded files; ids are dense and unique per run."""
+    """Owns all loaded files; ids are dense and unique per run.
+
+    A loaded path is never reloaded, so a file's text, and therefore its
+    tokens, are fixed for the manager's lifetime. `lexed` holds the tokens
+    of every file reached through `#include`, keyed by file id; the
+    preprocessor fills it, so each header is lexed once per run. Tokens
+    there are shared by every translation unit that includes the file and
+    must not be mutated.
+    """
 
     def __init__(self) -> None:
         self._files: list[SourceFile] = []
         self._by_path: dict[str, int] = {}
+        self.lexed: dict[int, list] = {}
 
     def add_virtual(self, path: str, contents: str) -> SourceFile:
         """Register in-memory contents under a display path."""

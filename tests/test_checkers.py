@@ -1,5 +1,9 @@
 """Per-rule unit tests over the operation examples."""
-from ccomply.rules import BehaviorClass, Certainty, run_rules
+import pytest
+
+from ccomply.errors import UnsupportedConstructError
+from ccomply.parsing.parser import PAREN_NESTING_LIMIT
+from ccomply.rules import IMPLEMENTED, BehaviorClass, Certainty, run_rules
 from rule_helpers import PRELUDE, kinds_of, run_rule, run_rule_full
 
 
@@ -430,3 +434,45 @@ class TestFactsOnDemand:
         _, facts = run_rule_full(self.TEXT, "R9.1")
         for fn in facts.functions:
             assert self.ANALYSES & vars(fn).keys() == {"assign"}
+
+
+def _nest(depth, inner, wrap):
+    for _ in range(depth):
+        inner = wrap.format(inner)
+    return inner
+
+
+class TestParenNestingLimit:
+    """C99 5.2.4.1 requires 63 levels of parenthesized expressions."""
+
+    @staticmethod
+    def program(depth):
+        return (
+            "#define P(x) (x)\n"
+            "int g(int v) { return v; }\n"
+            "int f(int a, int *p) {\n"
+            f"  int x = {_nest(depth, 'a', '({})')};\n"
+            f"  int y = {_nest(depth, 'a', '(1 + {})')};\n"
+            f"  int z = {_nest(depth, 'a', '({} << 1)')};\n"
+            f"  int i = {_nest(depth, 'a', 'P({})')};\n"
+            f"  while ({_nest(depth, 'i < x', '({})')}) {{ i = {_nest(depth - 1, 'i', 'g({})')}; }}\n"
+            f"  *p = {_nest(depth - 1, '*p', 'g({} + y)')};\n"
+            f"  return {_nest(depth, 'z', '({})')};\n"
+            "}\n"
+        )
+
+    def test_limit_depth_passes_every_stage_and_guideline(self):
+        text = self.program(PAREN_NESTING_LIMIT)
+        for rule in sorted(IMPLEMENTED - {"D4.1"}):
+            run_rule(text, rule)  # any escape but findings fails the test
+
+    @pytest.mark.parametrize("depth", [PAREN_NESTING_LIMIT + 1, 600])
+    def test_deeper_nesting_is_a_tagged_error(self, depth):
+        for text in (
+            f"int f(int a) {{ return {_nest(depth, 'a', '({})')}; }}\n",
+            f"int f(int a) {{ return {_nest(depth, 'a', 'f({})')}; }}\n",
+        ):
+            with pytest.raises(UnsupportedConstructError) as info:
+                run_rule(text, "R12.2", prelude="")
+            assert info.value.stage == "unsupported"
+            assert info.value.loc is not None and info.value.loc.line == 1

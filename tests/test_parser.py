@@ -287,6 +287,57 @@ def test_unparse_reparse_round_trip(idx):
     assert structural_equal(_normalize(tu1), _normalize(tu2)), emitted
 
 
+def _reference_children(node):
+    """`children` as spelled by reflection on every visit."""
+    from dataclasses import fields
+
+    from ccomply.parsing import DeclEntry, Node, SynArr, SynBase, SynFunc, SynType
+
+    out = []
+
+    def collect(value):
+        if isinstance(value, Node):
+            out.append(value)
+        elif isinstance(value, list):
+            for v in value:
+                collect(v)
+        elif isinstance(value, DeclEntry):
+            if value.init is not None:
+                out.append(value.init)
+        elif isinstance(value, SynType):
+            collect(value.base)
+            for d in value.derivs:
+                if isinstance(d, SynArr) and d.size is not None:
+                    out.append(d.size)
+                elif isinstance(d, SynFunc) and d.params:
+                    for p in d.params:
+                        collect(p.syntype)
+        elif isinstance(value, SynBase):
+            for m in value.members or ():
+                collect(m.syntype)
+            for _, e in value.enumerators or ():
+                if e is not None:
+                    out.append(e)
+
+    skip = {"span", "first_tok", "last_tok", "ctype", "symbol", "behavior"}
+    for f in fields(node):
+        if f.name not in skip:
+            collect(getattr(node, f.name))
+    return out
+
+
+def test_children_match_reflection_on_every_corpus_node():
+    from ccomply.parsing import children, walk
+
+    visited = 0
+    for text in CORPUS_SAMPLES:
+        for node in walk(parse_text(text)):
+            got, want = children(node), _reference_children(node)
+            assert len(got) == len(want) and all(a is b for a, b in zip(got, want)), node
+            visited += 1
+    assert visited > 100
+
+
 def test_parse_is_deterministic():
     text = CORPUS_SAMPLES[2]
     a, b = parse_text(text), parse_text(text)

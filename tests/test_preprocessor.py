@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from ccomply.errors import PreprocessError, UnsupportedConstructError
@@ -120,6 +122,68 @@ def test_include_resolution_order(tmp_path):
     toks, srcmap, _ = preprocess(entry, [str(tmp_path / "othr")], [], mgr)
     assert lexemes(toks) == ["int", "from_sub", ";", "int", "from_othr", ";"]
     srcmap.check_total(mgr)
+
+
+class TestHeaderTokenCache:
+    """A header reached through #include is lexed once per SourceManager."""
+
+    HEADER = (
+        "#ifndef REG_H\n#define REG_H\n"
+        "#define BASE 0x40u\n#define FIELD(v, s) (((v) >> (s)) & BASE)\n"
+        "extern volatile unsigned int reg;\n#endif\n"
+    )
+    UNITS = {
+        "a.c": '#include "reg.h"\nunsigned int fa(void) { return FIELD(reg, 2); }\n',
+        "b.c": '#include "reg.h"\n#include "reg.h"\nunsigned int fb(void) { return BASE; }\n',
+    }
+
+    @staticmethod
+    def view(mgr, tokens):
+        def place(loc):
+            return (os.path.basename(mgr.path_of(loc.file)), loc.line, loc.column)
+
+        return [
+            (t.kind, t.lexeme, place(t.origin),
+             tuple((f.macro, place(f.site)) for f in t.chain), t.at_bol, t.ws_before)
+            for t in tokens
+        ]
+
+    def write(self, tmp_path):
+        (tmp_path / "reg.h").write_text(self.HEADER)
+        for name, text in self.UNITS.items():
+            (tmp_path / name).write_text(text)
+        return [str(tmp_path / name) for name in self.UNITS]
+
+    def test_two_units_lex_the_header_once(self, tmp_path, monkeypatch):
+        from ccomply.frontend import preprocessor
+
+        paths = self.write(tmp_path)
+        lexed = []
+        real_lex = preprocessor.lex
+
+        def counting_lex(source):
+            lexed.append(os.path.basename(source.path))
+            return real_lex(source)
+
+        monkeypatch.setattr(preprocessor, "lex", counting_lex)
+        mgr = SourceManager()
+        for path in paths:
+            preprocess(mgr.load(path), [], [], mgr)
+        assert sorted(lexed) == ["a.c", "b.c", "reg.h"]
+
+    def test_shared_header_tokens_match_a_fresh_manager(self, tmp_path):
+        paths = self.write(tmp_path)
+        mgr = SourceManager()
+        for path in paths:
+            toks, srcmap, _ = preprocess(mgr.load(path), [], [], mgr)
+            srcmap.check_total(mgr)
+            fresh = SourceManager()
+            fresh_toks, _, _ = preprocess(fresh.load(path), [], [], fresh)
+            assert self.view(mgr, toks) == self.view(fresh, fresh_toks)
+            assert any(t.chain for t in toks)
+        (header_id,) = mgr.lexed
+        assert mgr.path_of(header_id).endswith("reg.h")
+        assert mgr.lexed[header_id] == lex(mgr.get(header_id))
 
 
 def test_angle_include_ignores_including_dir(tmp_path):
