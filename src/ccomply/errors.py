@@ -57,7 +57,3 @@ class FlowError(AnalysisError):
 
 class ConfigError(CcomplyError):
     """Invalid run configuration (flags, config file, rule selection)."""
-
-
-class ComplianceError(CcomplyError):
-    """Invalid compliance input (GRP file, deviation records, imports)."""

@@ -24,9 +24,6 @@ class CallGraph:
     def_spans: dict[str, Span] = field(default_factory=dict)
     display: dict[str, str] = field(default_factory=dict)
 
-    def successors(self, node: str) -> list[str]:
-        return sorted(callee for caller, callee in self.direct_edges if caller == node)
-
 
 def _callee_symbol(callee) -> Symbol | None:
     """Directly named callee, if any (f(...) or (&f)(...))."""

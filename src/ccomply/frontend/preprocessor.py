@@ -21,6 +21,11 @@ from ccomply.source import ExpansionFrame, Location, SourceFile, SourceManager
 
 INCLUDE_DEPTH_LIMIT = 64
 
+# Parentheses open inside one expression, in `#if` here and in the parser.
+# C99 5.2.4.1 requires 63 levels of parenthesized expressions; deeper
+# nesting is rejected before the recursive descent exhausts Python's stack.
+PAREN_NESTING_LIMIT = 63
+
 
 @dataclass
 class MacroDef:
@@ -515,6 +520,7 @@ class _CondParser:
         self.toks = tokens
         self.i = 0
         self.at = at
+        self.paren_depth = 0
 
     def peek(self) -> PPToken | None:
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -557,10 +563,17 @@ class _CondParser:
         if t.kind is TokenKind.PUNCT and t.lexeme in ("!", "~", "+", "-"):
             return ("u" + t.lexeme, self.parse_unary())
         if t.is_punct("("):
+            self.paren_depth += 1
+            if self.paren_depth > PAREN_NESTING_LIMIT:
+                raise UnsupportedConstructError(
+                    f"parentheses nested more than {PAREN_NESTING_LIMIT} levels deep",
+                    t.report_site,
+                )
             inner = self.parse()
             close = self.pop()
             if not close.is_punct(")"):
                 raise PreprocessError("expected ')' in #if expression", close.origin)
+            self.paren_depth -= 1
             return inner
         if t.kind is TokenKind.NUMBER:
             return ("num", _pp_int_value(t))

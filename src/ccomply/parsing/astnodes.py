@@ -19,7 +19,7 @@ __all__ = [
     "Goto", "Label", "Break", "Continue", "Return", "ExprStmt", "Identifier",
     "Constant", "StringLiteral", "Unary", "Binary", "Assign", "CompoundAssign",
     "IncDec", "Call", "Index", "Member", "Deref", "AddrOf", "Cast", "Conditional",
-    "Comma", "Sizeof", "InitList", "children", "walk", "structural_equal",
+    "Comma", "Sizeof", "InitList", "children", "walk", "NodeIndex", "structural_equal",
 ]
 
 
@@ -389,6 +389,63 @@ def walk(node: Node) -> Iterator[Node]:
         n = stack.pop()
         yield n
         stack.extend(reversed(children(n)))
+
+
+class NodeIndex:
+    """Every node below a translation unit's declarations, from one pre-order walk.
+
+    `nodes` lists them in pre-order, `by_class` maps each node class to its
+    nodes in pre-order, and `parents` maps `id(node)` to the node's parent;
+    top-level declarations have no entry. `subtree` gives the pre-order
+    nodes of a top-level declaration or of a function's body as a slice of
+    `nodes`.
+
+    The index costs a dict entry and a list slot per node, so a caller
+    builds one for a batch of queries and drops it, rather than keeping it
+    with the tree.
+    """
+
+    __slots__ = ("nodes", "by_class", "parents", "_bounds", "__weakref__")
+
+    def __init__(self, tu: TranslationUnitAst) -> None:
+        nodes: list[Node] = []
+        parents: dict[int, Node] = {}
+        bounds: dict[int, tuple[int, int]] = {}
+        for decl in tu.decls:
+            start = len(nodes)
+            stack = [decl]
+            while stack:
+                n = stack.pop()
+                nodes.append(n)
+                kids = children(n)
+                for kid in kids:
+                    parents[id(kid)] = n
+                kids.reverse()
+                stack.extend(kids)
+            end = len(nodes)
+            bounds[id(decl)] = (start, end)
+            if isinstance(decl, FunctionDef):
+                # `body` is the last child field, so its subtree ends the decl's.
+                bounds[id(decl.body)] = (nodes.index(decl.body, start, end), end)
+        by_class: dict[type, list[Node]] = {}
+        for n in nodes:
+            group = by_class.get(type(n))
+            if group is None:
+                group = by_class[type(n)] = []
+            group.append(n)
+        self.nodes = nodes
+        self.by_class = by_class
+        self.parents = parents
+        self._bounds = bounds
+
+    def of(self, cls: type) -> list[Node]:
+        """The nodes whose class is exactly `cls`, in pre-order."""
+        return self.by_class.get(cls, [])
+
+    def subtree(self, root: Node) -> list[Node]:
+        """Pre-order nodes of a top-level declaration or a function body."""
+        start, end = self._bounds[id(root)]
+        return self.nodes[start:end]
 
 
 _ATOM_FIELDS = {

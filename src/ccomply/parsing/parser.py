@@ -12,6 +12,7 @@ from typing import Optional
 
 from ccomply.errors import ParseError, UnsupportedConstructError
 from ccomply.frontend.lexer import PPToken, TokenKind
+from ccomply.frontend.preprocessor import PAREN_NESTING_LIMIT
 from ccomply.parsing.astnodes import (
     AddrOf, Assign, Binary, Break, Call, Cast, Comma, CompoundAssign,
     CompoundStmt, Conditional, Constant, Continue, DeclEntry, Declaration,
@@ -56,11 +57,13 @@ _BINARY_LEVELS = [
 ]
 _BINARY_PREC = {op: level for level, ops in enumerate(_BINARY_LEVELS) for op in ops}
 
-# Parentheses (grouping and call argument lists) open inside one full
-# expression. C99 5.2.4.1 requires 63 levels of parenthesized expressions;
-# deeper nesting is rejected before the recursive descent exhausts Python's
-# stack.
-PAREN_NESTING_LIMIT = 63
+# Compound, selection and iteration statements open inside one function
+# body. C99 5.2.4.1 requires 127 nesting levels of blocks; deeper nesting is
+# rejected before the recursive descent exhausts Python's stack, as
+# PAREN_NESTING_LIMIT does for parentheses (grouping and call argument lists)
+# inside one full expression.
+BLOCK_NESTING_LIMIT = 127
+_BLOCK_KEYWORDS = frozenset({"if", "switch", "while", "do", "for"})
 
 _ESCAPES = {
     "n": "\n", "t": "\t", "r": "\r", "a": "\a", "b": "\b", "f": "\f",
@@ -119,6 +122,7 @@ class Parser:
         self.i = 0
         self.path = path
         self.paren_depth = 0
+        self.block_depth = 0
         self.scopes: list[_Scope] = [_Scope()]
         for name in BUILTIN_TYPEDEF_NAMES:
             self.scopes[0].names[name] = "typedef"
@@ -632,43 +636,22 @@ class Parser:
         if t is None:
             raise ParseError("expected statement", self._last_loc())
 
-        if t.is_punct("{"):
-            return self.parse_compound()
+        if t.is_punct("{") or (t.kind is TokenKind.IDENT and t.lexeme in _BLOCK_KEYWORDS):
+            self.block_depth += 1
+            if self.block_depth > BLOCK_NESTING_LIMIT:
+                raise UnsupportedConstructError(
+                    f"blocks nested more than {BLOCK_NESTING_LIMIT} levels deep",
+                    t.report_site,
+                )
+            stmt = self._parse_block_statement(start, t.lexeme)
+            self.block_depth -= 1
+            return stmt
         if t.is_punct(";"):
             self.pop()
             return self._finish(ExprStmt(None), start)
 
         if t.kind is TokenKind.IDENT:
             word = t.lexeme
-            if word == "if":
-                return self._parse_if(start)
-            if word == "switch":
-                self.pop()
-                self.expect_punct("(")
-                cond = self.parse_expression()
-                self.expect_punct(")")
-                body = self.parse_statement()
-                return self._finish(Switch(cond, body), start)
-            if word == "while":
-                self.pop()
-                self.expect_punct("(")
-                cond = self.parse_expression()
-                self.expect_punct(")")
-                body = self.parse_statement()
-                return self._finish(While(cond, body), start)
-            if word == "do":
-                self.pop()
-                body = self.parse_statement()
-                if not self.at_kw("while"):
-                    raise ParseError("expected 'while' after do-body", self._here())
-                self.pop()
-                self.expect_punct("(")
-                cond = self.parse_expression()
-                self.expect_punct(")")
-                self.expect_punct(";")
-                return self._finish(DoWhile(body, cond), start)
-            if word == "for":
-                return self._parse_for(start)
             if word == "goto":
                 self.pop()
                 label = self.expect_ident("label name").lexeme
@@ -713,6 +696,39 @@ class Parser:
         expr = self.parse_expression()
         self.expect_punct(";")
         return self._finish(ExprStmt(expr), start)
+
+    def _parse_block_statement(self, start: int, word: str) -> Stmt:
+        """A compound, selection or iteration statement; `word` is its first token."""
+        if word == "{":
+            return self.parse_compound()
+        if word == "if":
+            return self._parse_if(start)
+        if word == "switch":
+            self.pop()
+            self.expect_punct("(")
+            cond = self.parse_expression()
+            self.expect_punct(")")
+            body = self.parse_statement()
+            return self._finish(Switch(cond, body), start)
+        if word == "while":
+            self.pop()
+            self.expect_punct("(")
+            cond = self.parse_expression()
+            self.expect_punct(")")
+            body = self.parse_statement()
+            return self._finish(While(cond, body), start)
+        if word == "do":
+            self.pop()
+            body = self.parse_statement()
+            if not self.at_kw("while"):
+                raise ParseError("expected 'while' after do-body", self._here())
+            self.pop()
+            self.expect_punct("(")
+            cond = self.parse_expression()
+            self.expect_punct(")")
+            self.expect_punct(";")
+            return self._finish(DoWhile(body, cond), start)
+        return self._parse_for(start)
 
     def _parse_if(self, start: int) -> If:
         self.pop()

@@ -1,6 +1,6 @@
 """Guideline registry, findings, policies, and the rule checkers."""
 from ccomply.rules.context import FunctionFacts, TUFacts, compute_tu_facts
-from ccomply.rules.engine import checkable_ids, run_rules, validate_enabled
+from ccomply.rules.engine import run_rules, validate_enabled
 from ccomply.rules.findings import (
     BehaviorClass, Certainty, DontKnowPolicy, Evidence, Finding, PolicyMode,
     apply_dont_know_policy,
@@ -12,7 +12,7 @@ from ccomply.rules.registry import (
 
 __all__ = [
     "FunctionFacts", "TUFacts", "compute_tu_facts",
-    "checkable_ids", "run_rules", "validate_enabled",
+    "run_rules", "validate_enabled",
     "BehaviorClass", "Certainty", "DontKnowPolicy", "Evidence", "Finding",
     "PolicyMode", "apply_dont_know_policy",
     "IMPLEMENTED", "REGISTRY", "Category", "Decidability", "GuidelineMeta",

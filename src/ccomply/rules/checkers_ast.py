@@ -2,14 +2,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from ccomply.flow.effects import is_volatile_access, walk_effects
 from ccomply.parsing.astnodes import (
     AddrOf, Assign, Binary, Call, Cast, Comma, CompoundAssign, Conditional,
-    Constant, DeclEntry, Declaration, Deref, Expr, ExprStmt, For, FunctionDef,
-    Identifier, IncDec, Index, InitList, Member, Node, Return, Sizeof,
-    StringLiteral, Unary, children, for_clauses, walk,
+    Constant, Declaration, Deref, DoWhile, Expr, ExprStmt, For, FunctionDef,
+    Identifier, If, IncDec, Index, InitList, Member, Node, NodeIndex, Return,
+    Sizeof, StringLiteral, Switch, Unary, While, children, for_clauses, walk,
 )
 from ccomply.rules.context import TUFacts
 from ccomply.rules.findings import BehaviorClass, Certainty, Evidence, Finding
@@ -21,7 +20,7 @@ from ccomply.sema.typesys import TK, TypeDesc, is_integer, is_object_pointer, rv
 # ---- R11.4: no integer <-> object-pointer conversion ---------------------------
 
 
-def check_int_pointer_conversion(facts: TUFacts) -> list[Finding]:
+def check_int_pointer_conversion(facts: TUFacts, index: NodeIndex) -> list[Finding]:
     out: list[Finding] = []
 
     def site(dst: TypeDesc | None, src_expr: Expr, node: Expr, what: str) -> None:
@@ -48,7 +47,7 @@ def check_int_pointer_conversion(facts: TUFacts) -> list[Finding]:
         ret_t = None
         if isinstance(decl, FunctionDef) and decl.symbol is not None:
             ret_t = decl.symbol.type.ret
-        for node in walk(decl):
+        for node in index.subtree(decl):
             if isinstance(node, Cast):
                 site(node.ctype, node.operand, node, "cast")
             elif isinstance(node, Assign):
@@ -88,25 +87,24 @@ def _has_side_effect(e: Expr) -> bool:
     return False
 
 
-def check_initializer_side_effects(facts: TUFacts) -> list[Finding]:
+def check_initializer_side_effects(facts: TUFacts, index: NodeIndex) -> list[Finding]:
     out: list[Finding] = []
-    for node in walk_tu(facts.tu):
-        if isinstance(node, Declaration):
-            for entry in node.entries:
-                if entry.init is not None and _has_side_effect(entry.init):
-                    out.append(Finding(
-                        "R13.1", entry.init.span, Certainty.DEFINITE,
-                        f"initializer of '{entry.name}' contains a side effect",
-                        evidence=(Evidence(entry.init.span,
-                                           "side effects in initializers are not permitted"),),
-                    ))
+    for node in index.of(Declaration):
+        for entry in node.entries:
+            if entry.init is not None and _has_side_effect(entry.init):
+                out.append(Finding(
+                    "R13.1", entry.init.span, Certainty.DEFINITE,
+                    f"initializer of '{entry.name}' contains a side effect",
+                    evidence=(Evidence(entry.init.span,
+                                       "side effects in initializers are not permitted"),),
+                ))
     return out
 
 
-def check_logical_operand_side_effects(facts: TUFacts) -> list[Finding]:
+def check_logical_operand_side_effects(facts: TUFacts, index: NodeIndex) -> list[Finding]:
     out: list[Finding] = []
-    for node in walk_tu(facts.tu):
-        if isinstance(node, Binary) and node.op in ("&&", "||"):
+    for node in index.of(Binary):
+        if node.op in ("&&", "||"):
             if _has_side_effect(node.right):
                 out.append(Finding(
                     "R13.5", node.right.span, Certainty.DEFINITE,
@@ -115,11 +113,6 @@ def check_logical_operand_side_effects(facts: TUFacts) -> list[Finding]:
                                        "this operand is conditionally evaluated"),),
                 ))
     return out
-
-
-def walk_tu(tu) -> Iterator[Node]:
-    for decl in tu.decls:
-        yield from walk(decl)
 
 
 # ---- R13.2: no reliance on unspecified evaluation order --------------------------
@@ -312,11 +305,9 @@ def _check_pair(a: _Access, b: _Access, node: Expr, facts: TUFacts, conflicts: l
     ))
 
 
-def _full_expressions(fn: FunctionDef) -> list[Expr]:
+def _full_expressions(body: list[Node]) -> list[Expr]:
     out: list[Expr] = []
-    from ccomply.parsing.astnodes import DoWhile, If, Label, Switch, While
-
-    for node in walk(fn.body):
+    for node in body:
         if isinstance(node, ExprStmt) and node.expr is not None:
             out.append(node.expr)
         elif isinstance(node, (If, While, DoWhile, Switch)):
@@ -334,12 +325,12 @@ def _full_expressions(fn: FunctionDef) -> list[Expr]:
     return out
 
 
-def check_evaluation_order(facts: TUFacts) -> list[Finding]:
+def check_evaluation_order(facts: TUFacts, index: NodeIndex) -> list[Finding]:
     out: list[Finding] = []
     for decl in facts.tu.decls:
         if not isinstance(decl, FunctionDef):
             continue
-        for full in _full_expressions(decl):
+        for full in _full_expressions(index.subtree(decl.body)):
             conflicts: list = []
             _accesses(full, facts, conflicts)
             seen: set[tuple] = set()
@@ -361,19 +352,20 @@ def check_evaluation_order(facts: TUFacts) -> list[Finding]:
 # ---- R8.13: pointer to const where possible ---------------------------------------
 
 
-def check_const_pointer(facts: TUFacts) -> list[Finding]:
+def check_const_pointer(facts: TUFacts, index: NodeIndex) -> list[Finding]:
     out: list[Finding] = []
+    parents = index.parents
     for decl in facts.tu.decls:
         if not isinstance(decl, FunctionDef):
             continue
-        candidates = _const_candidates(decl)
+        body = index.subtree(decl.body)
+        candidates = _const_candidates(decl, body)
         if not candidates:
             continue
-        parents = _parent_map(decl.body)
         ret_t = decl.symbol.type.ret if decl.symbol is not None else None
         verdicts = {sym.uid: "const-ok" for sym in candidates}
         by_uid = {sym.uid: sym for sym in candidates}
-        for node in walk(decl.body):
+        for node in body:
             if not isinstance(node, Identifier) or not isinstance(node.symbol, Symbol):
                 continue
             uid = node.symbol.uid
@@ -392,12 +384,12 @@ def check_const_pointer(facts: TUFacts) -> list[Finding]:
     return out
 
 
-def _const_candidates(fn: FunctionDef) -> list[Symbol]:
+def _const_candidates(fn: FunctionDef, body: list[Node]) -> list[Symbol]:
     syms: list[Symbol] = []
     for p in fn.params:
         if p.symbol is not None:
             syms.append(p.symbol)
-    for node in walk(fn.body):
+    for node in body:
         if isinstance(node, Declaration):
             for entry in node.entries:
                 if entry.symbol is not None:
@@ -409,17 +401,6 @@ def _const_candidates(fn: FunctionDef) -> list[Symbol]:
         and s.type.pointee.kind is not TK.FUNCTION
         and "const" not in s.type.pointee.quals
     ]
-
-
-def _parent_map(root: Node) -> dict[int, Node]:
-    parents: dict[int, Node] = {}
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        for child in children(node):
-            parents[id(child)] = node
-            stack.append(child)
-    return parents
 
 
 def _classify_use(node: Expr, parents: dict[int, Node], fn_ret: TypeDesc | None) -> str:
@@ -465,8 +446,10 @@ def _classify_use(node: Expr, parents: dict[int, Node], fn_ret: TypeDesc | None)
             return "const-ok"  # reassigning the pointer itself
         return _sink_verdict(parent.target.ctype)
     if isinstance(parent, Declaration):
+        # `child` is a direct child of the declaration, so it lies within
+        # an initializer only if it is that initializer.
         for entry in parent.entries:
-            if entry.init is not None and _contains(entry.init, child):
+            if entry.init is child:
                 sink = entry.symbol.type if entry.symbol is not None else None
                 return _sink_verdict(sink)
         return "const-ok"  # array-size or enum position: value-only use
@@ -514,10 +497,6 @@ def _sink_verdict(sink: TypeDesc | None) -> str:
     return "havoc"
 
 
-def _contains(root: Expr, needle: Expr) -> bool:
-    return any(n is needle for n in walk(root))
-
-
 # ---- R14.1 / R14.2: loop counter discipline -----------------------------------------
 
 
@@ -547,11 +526,9 @@ def _loop_counter(node: For) -> Symbol | None:
     return None
 
 
-def check_float_loop_counter(facts: TUFacts) -> list[Finding]:
+def check_float_loop_counter(facts: TUFacts, index: NodeIndex) -> list[Finding]:
     out: list[Finding] = []
-    for node in walk_tu(facts.tu):
-        if not isinstance(node, For):
-            continue
+    for node in index.of(For):
         counter = _loop_counter(node)
         if counter is None and isinstance(node.init, Declaration):
             # `for (float f = 0; ...)` declares the counter in the init.
@@ -571,11 +548,9 @@ def check_float_loop_counter(facts: TUFacts) -> list[Finding]:
     return out
 
 
-def check_for_loop_shape(facts: TUFacts) -> list[Finding]:
+def check_for_loop_shape(facts: TUFacts, index: NodeIndex) -> list[Finding]:
     out: list[Finding] = []
-    for node in walk_tu(facts.tu):
-        if not isinstance(node, For):
-            continue
+    for node in index.of(For):
         problem = _for_shape_problem(node)
         if problem is not None:
             out.append(Finding(

@@ -4,8 +4,8 @@ from __future__ import annotations
 from ccomply.flow.assign import AssignState
 from ccomply.flow.cfg import Cfg, DeclItem, EvalItem, TBranch, TReturn, TSwitch
 from ccomply.parsing.astnodes import (
-    Binary, CompoundAssign, Constant, DoWhile, Expr, ExprStmt, For, If, While,
-    walk,
+    Binary, CompoundAssign, Constant, DoWhile, Expr, ExprStmt, For, If, NodeIndex,
+    While, walk,
 )
 from ccomply.rules.context import FunctionFacts, TUFacts
 from ccomply.rules.findings import BehaviorClass, Certainty, Evidence, Finding
@@ -29,7 +29,7 @@ def _point_exprs(cfg: Cfg):
 # ---- R12.2: shift amount within the promoted width --------------------------
 
 
-def check_shift_range(facts: TUFacts) -> list[Finding]:
+def check_shift_range(facts: TUFacts, index: NodeIndex) -> list[Finding]:
     out: list[Finding] = []
     for fn in facts.functions:
         for bid, idx, expr, _ in _point_exprs(fn.cfg):
@@ -95,7 +95,7 @@ def _range_text(lo: int, hi: int) -> str:
 # ---- R9.1: no read of unset automatic storage --------------------------------
 
 
-def check_uninitialized_read(facts: TUFacts) -> list[Finding]:
+def check_uninitialized_read(facts: TUFacts, index: NodeIndex) -> list[Finding]:
     out: list[Finding] = []
     for fn in facts.functions:
         for ev in fn.assign.reads:
@@ -131,7 +131,7 @@ def check_uninitialized_read(facts: TUFacts) -> list[Finding]:
 # ---- R2.1: no unreachable code ------------------------------------------------
 
 
-def check_unreachable(facts: TUFacts) -> list[Finding]:
+def check_unreachable(facts: TUFacts, index: NodeIndex) -> list[Finding]:
     out: list[Finding] = []
     for fn in facts.functions:
         cfg = fn.cfg
@@ -235,7 +235,7 @@ def _region_reason(cfg: Cfg, region: set[int], fn: FunctionFacts):
 # ---- R2.2: no dead code ---------------------------------------------------------
 
 
-def check_dead_code(facts: TUFacts) -> list[Finding]:
+def check_dead_code(facts: TUFacts, index: NodeIndex) -> list[Finding]:
     out: list[Finding] = []
     for fn in facts.functions:
         for b, idx, item in fn.cfg.points():
@@ -272,10 +272,10 @@ def check_dead_code(facts: TUFacts) -> list[Finding]:
 # ---- R14.3: no invariant controlling expressions ---------------------------------
 
 
-def check_invariant_condition(facts: TUFacts) -> list[Finding]:
+def check_invariant_condition(facts: TUFacts, index: NodeIndex) -> list[Finding]:
     out: list[Finding] = []
     for fn in facts.functions:
-        for stmt in walk(fn.fn.body):
+        for stmt in index.subtree(fn.fn.body):
             cond = None
             if isinstance(stmt, (If, While, DoWhile)):
                 cond = stmt.cond
@@ -307,7 +307,7 @@ def check_invariant_condition(facts: TUFacts) -> list[Finding]:
 # ---- R1.3 (string-literal-write instance): no writes through literals -------------
 
 
-def check_literal_write(facts: TUFacts) -> list[Finding]:
+def check_literal_write(facts: TUFacts, index: NodeIndex) -> list[Finding]:
     out: list[Finding] = []
     for fn in facts.functions:
         for bid, idx, expr, events in _point_exprs(fn.cfg):

@@ -3,13 +3,15 @@ from __future__ import annotations
 
 from ccomply.errors import ConfigError
 from ccomply.flow.callgraph import CallGraph
+from ccomply.parsing.astnodes import NodeIndex
 from ccomply.rules import checkers_ast, checkers_flow, checkers_system
 from ccomply.rules.context import TUFacts
 from ccomply.rules.findings import Evidence, Finding
 from ccomply.rules.registry import REGISTRY, Scope
 from ccomply.source import SourceManager, format_location
 
-# Guideline id -> per-TU checker.
+# Guideline id -> per-TU checker, called as checker(facts, index) with the
+# TU's NodeIndex.
 PER_TU_CHECKERS = {
     "R1.3": checkers_flow.check_literal_write,
     "R2.1": checkers_flow.check_unreachable,
@@ -32,10 +34,6 @@ IMPORT_ONLY = frozenset({"D4.1"})
 SYSTEM_CHECKERS = {
     "R17.2": checkers_system.check_recursion,
 }
-
-
-def checkable_ids() -> frozenset[str]:
-    return frozenset(PER_TU_CHECKERS) | frozenset(SYSTEM_CHECKERS) | IMPORT_ONLY
 
 
 def validate_enabled(enabled: set[str], system_mode: bool) -> None:
@@ -66,14 +64,18 @@ def run_rules(
     call_graph: CallGraph | None = None,
     manager: SourceManager | None = None,
 ) -> list[Finding]:
-    """Run every enabled checker; returns findings in deterministic order."""
+    """Run every enabled checker; returns findings in deterministic order.
+
+    Each unit's NodeIndex is built once and shared by its checkers; it is
+    not kept past this call, since callers keep every unit's facts alive.
+    """
     findings: list[Finding] = []
-    for gid in sorted(enabled):
-        checker = PER_TU_CHECKERS.get(gid)
-        if checker is None:
-            continue
+    checkers = [PER_TU_CHECKERS[gid] for gid in sorted(enabled) if gid in PER_TU_CHECKERS]
+    if checkers:
         for unit in units:
-            findings.extend(checker(unit))
+            index = NodeIndex(unit.tu)
+            for checker in checkers:
+                findings.extend(checker(unit, index))
     system_enabled = sorted(set(enabled) & set(SYSTEM_CHECKERS))
     if system_enabled:
         if call_graph is None:

@@ -266,17 +266,6 @@ def _build() -> dict[str, GuidelineMeta]:
 REGISTRY: dict[str, GuidelineMeta] = _build()
 
 
-def get(gid: str) -> GuidelineMeta | None:
-    return REGISTRY.get(gid)
-
-
-def require(gid: str) -> GuidelineMeta:
-    meta = REGISTRY.get(gid)
-    if meta is None:
-        raise KeyError(f"unknown guideline id {gid!r}")
-    return meta
-
-
 def all_ids() -> list[str]:
     return sorted(REGISTRY, key=_sort_key)
 

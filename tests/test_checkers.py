@@ -1,9 +1,11 @@
 """Per-rule unit tests over the operation examples."""
+import weakref
+
 import pytest
 
 from ccomply.errors import UnsupportedConstructError
-from ccomply.parsing.parser import PAREN_NESTING_LIMIT
-from ccomply.rules import IMPLEMENTED, BehaviorClass, Certainty, run_rules
+from ccomply.parsing.parser import BLOCK_NESTING_LIMIT, PAREN_NESTING_LIMIT
+from ccomply.rules import IMPLEMENTED, BehaviorClass, Certainty, engine, run_rules
 from rule_helpers import PRELUDE, kinds_of, run_rule, run_rule_full
 
 
@@ -476,3 +478,86 @@ class TestParenNestingLimit:
                 run_rule(text, "R12.2", prelude="")
             assert info.value.stage == "unsupported"
             assert info.value.loc is not None and info.value.loc.line == 1
+
+
+class TestBlockNestingLimit:
+    """C99 5.2.4.1 requires 127 nesting levels of blocks."""
+
+    @staticmethod
+    def program(depth):
+        # A switch with a braced body opens two levels.
+        switch_leaf = "{ use(n); }" if depth % 2 else "use(n);"
+        return (
+            "int f(int a) {\n"
+            f"  {_nest(depth, 'a = a + 1;', '{{ {} }}')}\n"
+            f"  {_nest(depth, 'a = a - 1;', 'if (a) {}')}\n"
+            f"  {_nest(depth, 'a = 0;', 'if (a > 1) a = 2; else {}')}\n"
+            f"  {_nest(depth, 'a = a - 1;', 'while (a) {}')}\n"
+            f"  {_nest(depth, 'a = a - 1;', 'do {} while (a);')}\n"
+            "  return a;\n"
+            "}\n"
+            "void g(int n, int *p) {\n"
+            "  int i;\n"
+            f"  {_nest(depth, '*p = i;', 'for (i = 0; i < n; i++) {}')}\n"
+            f"  {_nest(depth // 2, switch_leaf, 'switch (n) {{ case 1: {} break; }}')}\n"
+            "}\n"
+        )
+
+    def test_limit_depth_passes_every_stage_and_guideline(self):
+        text = self.program(BLOCK_NESTING_LIMIT)
+        for rule in sorted(IMPLEMENTED - {"D4.1"}):
+            run_rule(text, rule)  # any escape but findings fails the test
+
+    @pytest.mark.parametrize("depth", [BLOCK_NESTING_LIMIT + 1, 600])
+    def test_deeper_nesting_is_a_tagged_error(self, depth):
+        for wrap in ("{{ {} }}", "if (a) {}", "if (a) a = 2; else {}", "while (a) {}",
+                     "do {} while (a);", "for (;;) {}", "switch (a) {}"):
+            text = f"int f(int a) {{ {_nest(depth, 'a = 1;', wrap)} return a; }}\n"
+            with pytest.raises(UnsupportedConstructError) as info:
+                run_rule(text, "R12.2", prelude="")
+            assert info.value.stage == "unsupported"
+            assert info.value.loc is not None and info.value.loc.line == 1
+
+
+class TestConditionalInclusionParenLimit:
+    """The #if expression evaluator keeps the 63-level parenthesis limit."""
+
+    def test_limit_depth_passes_every_stage_and_guideline(self):
+        text = (
+            f"#if {_nest(PAREN_NESTING_LIMIT, '1', '(1 + {})')} > 1\n"
+            "int f(int a) { int b = a++; return b; }\n"
+            "#endif\n"
+        )
+        for rule in sorted(IMPLEMENTED - {"D4.1"}):
+            findings = run_rule(text, rule)
+            if rule == "R13.1":
+                assert len(findings) == 1  # the #if held, so f was analysed
+
+    @pytest.mark.parametrize("depth", [PAREN_NESTING_LIMIT + 1, 600])
+    def test_deeper_nesting_is_a_tagged_error(self, depth):
+        text = f"#if {_nest(depth, '1', '({})')}\nint x;\n#endif\n"
+        with pytest.raises(UnsupportedConstructError) as info:
+            run_rule(text, "R13.1", prelude="")
+        assert info.value.stage == "unsupported"
+        assert info.value.loc is not None and info.value.loc.line == 1
+
+
+class TestNodeIndexLifetime:
+    def test_one_index_per_unit_and_none_outlives_the_call(self, monkeypatch):
+        units = [run_rule_full(TestFactsOnDemand.TEXT, "R13.2", path=f"u{i}.c")[1]
+                 for i in range(3)]
+        built = []
+
+        class CountingIndex(engine.NodeIndex):
+            __slots__ = ()
+
+            def __init__(self, tu):
+                super().__init__(tu)
+                built.append(weakref.ref(self))
+
+        monkeypatch.setattr(engine, "NodeIndex", CountingIndex)
+        enabled = set(engine.PER_TU_CHECKERS)
+        assert len(enabled) == 13
+        assert run_rules(units, enabled)
+        assert len(built) == len(units)
+        assert all(ref() is None for ref in built)

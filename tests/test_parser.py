@@ -338,6 +338,37 @@ def test_children_match_reflection_on_every_corpus_node():
     assert visited > 100
 
 
+def test_node_index_matches_walk_on_every_corpus_tu():
+    from ccomply.parsing import FunctionDef, NodeIndex, children, walk
+
+    for text in CORPUS_SAMPLES:
+        tu = parse_text(text)
+        index = NodeIndex(tu)
+        want = []
+        for decl in tu.decls:
+            nodes = list(walk(decl))
+            got = index.subtree(decl)
+            assert len(got) == len(nodes) and all(a is b for a, b in zip(got, nodes)), decl
+            if isinstance(decl, FunctionDef):
+                body = list(walk(decl.body))
+                got = index.subtree(decl.body)
+                assert len(got) == len(body) and all(a is b for a, b in zip(got, body))
+            want.extend(nodes)
+        assert len(index.nodes) == len(want)
+        assert all(a is b for a, b in zip(index.nodes, want))
+        for cls in {type(n) for n in want}:
+            group = [n for n in want if type(n) is cls]
+            got = index.of(cls)
+            assert len(got) == len(group) and all(a is b for a, b in zip(got, group)), cls
+        assert sum(len(g) for g in index.by_class.values()) == len(want)
+        edges = 0
+        for n in want:
+            for child in children(n):
+                assert index.parents[id(child)] is n
+                edges += 1
+        assert edges == len(index.parents) == len(want) - len(tu.decls)
+
+
 def test_parse_is_deterministic():
     text = CORPUS_SAMPLES[2]
     a, b = parse_text(text), parse_text(text)
