@@ -1,13 +1,23 @@
 """Preprocessing-token lexer for 8-bit C99 source.
 
-Tokens keep their physical (line, column) origin; backslash-newline
-splices are consumed transparently but positions always refer to the
-real text. Comments count as whitespace. Trigraphs, digraphs, and wide
-literals are outside the subset and raise UnsupportedConstructError.
+Tokens keep their physical (line, column) origin: positions always refer
+to the real text. Comments count as whitespace. Trigraphs, digraphs, and
+wide literals are outside the subset and raise UnsupportedConstructError.
+
+A backslash-newline splice joins the text of an identifier, a pp-number,
+a string literal or a character constant; it is dropped from the lexeme.
+Anywhere else a splice only ends the physical line: it does not join
+punctuators (`+\\<newline>+` lexes as `+`, `+`) or comment delimiters
+(`/\\<newline>*` is `/`, `*`), and it does not extend a `//` comment
+(`a // c \\<newline> b` yields `b` on line 2). All three differ from
+C99 5.1.1.2 phase 2, which splices before tokenizing; the last is the
+case MISRA C:2012 Rule 3.2 forbids. A splice sets neither `at_bol` nor
+`ws_before`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from enum import Enum
 
 from ccomply.errors import LexError, UnsupportedConstructError
@@ -27,8 +37,8 @@ class TokenKind(Enum):
 class PPToken:
     """One preprocessing token.
 
-    Only `lex` sets fields after construction. Once it returns, a token may
-    be shared: the tokens of an included file serve every translation unit
+    Nothing sets a field after construction, because a token may be
+    shared: the tokens of an included file serve every translation unit
     that includes it, and macro bodies are shared by every expansion.
     """
 
@@ -38,7 +48,7 @@ class PPToken:
     chain: tuple[ExpansionFrame, ...] = ()
     at_bol: bool = False
     ws_before: bool = True
-    no_expand: frozenset[str] = field(default_factory=frozenset)
+    no_expand: frozenset[str] = frozenset()
 
     @property
     def report_site(self) -> Location:
@@ -57,61 +67,52 @@ class PPToken:
         return self.kind is other.kind and self.lexeme == other.lexeme
 
 
-# Longest-match punctuator table ('#' included for directive detection;
-# '##' lexes as one token so macro definitions can reject pasting).
-_PUNCT3 = ("<<=", ">>=", "...")
-_PUNCT2 = (
+# Punctuators, the longest first. '#' is for directive detection; '##' lexes
+# as one token so that macro definitions can reject pasting.
+_PUNCT_MULTI = (
+    "<<=", ">>=", "...",
     "->", "++", "--", "<<", ">>", "<=", ">=", "==", "!=", "&&", "||",
     "*=", "/=", "%=", "+=", "-=", "&=", "^=", "|=", "##",
 )
-_PUNCT1 = set("[](){}.&*+-~!/%<>^|?:;=,#")
-
-_DIGRAPHS = ("<%", "%>", "<:", ":>", "%:")
-_TRIGRAPH_TAILS = set("='()!<>-/")
-
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789")
-_DIGITS = set("0123456789")
-
-
-class _Scanner:
-    """Character cursor with physical position tracking and splicing."""
-
-    def __init__(self, source: SourceFile):
-        self.text = source.contents
-        self.file = source.id
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def loc(self) -> Location:
-        return Location(self.file, self.line, self.col)
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def peek(self, ahead: int = 0) -> str:
-        i = self.pos + ahead
-        return self.text[i] if i < len(self.text) else ""
-
-    def advance(self) -> str:
-        ch = self.text[self.pos]
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        return ch
-
-    def skip_splices(self) -> bool:
-        """Consume any backslash-newline pairs at the cursor."""
-        did = False
-        while self.peek() == "\\" and self.peek(1) == "\n":
-            self.advance()
-            self.advance()
-            did = True
-        return did
+_PUNCT_SINGLE = "[](){}.&*+-~!/%<>^|?:;=,#"
+# In a literal a backslash takes the next character: an escaped one, or the
+# newline of a splice (`.` matches it under DOTALL).
+_QUOTED = r"[^{q}\\\n]*(?:\\.[^{q}\\\n]*)*{q}"
+# One alternative per kind of text, tried in order at each position. A
+# backslash-newline splice may sit inside an identifier, a pp-number or a
+# literal, and is dropped from its lexeme; anywhere else it stands alone.
+# Numbers precede punctuators so that `.5` is a number. `other` takes any
+# one character, so the pattern matches at every position; `_reject`
+# decides what that character means.
+_MASTER = re.compile(
+    "|".join(
+        f"(?P<{name}>{pattern})"
+        for name, pattern in (
+            ("ws", r"[ \t\f\v]+"),
+            ("newline", r"\n[ \t\f\v]*"),
+            ("splice", r"(?:\\\n)+"),
+            ("ident", r"[A-Za-z_][A-Za-z0-9_]*(?:\\\n[A-Za-z0-9_]*)*"),
+            ("number", r"(?:[0-9]|\.[0-9])(?:\\\n|[eEpP][+-]|[A-Za-z0-9_.])*"),
+            ("line_comment", r"//[^\n]*"),
+            ("block_comment", r"/\*.*?\*/"),
+            ("open_comment", r"/\*"),
+            ("trigraph", r"\?\?[='()!<>\-/]"),
+            ("digraph", r"<%|%>|<:|:>|%:"),
+            ("punct", "|".join(map(re.escape, _PUNCT_MULTI)) + f"|[{re.escape(_PUNCT_SINGLE)}]"),
+            ("string", '"' + _QUOTED.format(q='"')),
+            ("char", "'" + _QUOTED.format(q="'")),
+            ("other", r"."),
+        )
+    ),
+    re.DOTALL,
+)
+_TOKEN_KINDS = {
+    "ident": TokenKind.IDENT,
+    "punct": TokenKind.PUNCT,
+    "number": TokenKind.NUMBER,
+    "string": TokenKind.STRING,
+    "char": TokenKind.CHAR_CONST,
+}
 
 
 def lex(source: SourceFile) -> list[PPToken]:
@@ -120,149 +121,83 @@ def lex(source: SourceFile) -> list[PPToken]:
     Raises LexError for malformed input and UnsupportedConstructError
     for trigraphs/digraphs/wide literals.
     """
-    sc = _Scanner(source)
+    text = source.contents
+    file = source.id
+    match = _MASTER.match
+    token_kinds = _TOKEN_KINDS
     tokens: list[PPToken] = []
+    append = tokens.append
+    pos = 0
+    end = len(text)
+    line = 1
+    line_start = 0  # offset of the first character of `line`
     at_bol = True
     ws_before = True
 
-    while True:
-        sc.skip_splices()
-        if sc.at_end():
-            break
-        ch = sc.peek()
-
-        if ch == "\n":
-            sc.advance()
-            at_bol = True
+    while pos < end:
+        m = match(text, pos)
+        group = m.lastgroup
+        nxt = m.end()
+        kind = token_kinds.get(group)
+        if kind is not None:
+            lexeme = m.group()
+            origin = Location(file, line, pos - line_start + 1)
+            if "\\\n" in lexeme:
+                line += lexeme.count("\n")
+                line_start = text.rindex("\n", pos, nxt) + 1
+                lexeme = lexeme.replace("\\\n", "")
+            # Only an identifier can be `L`, only a character constant `''`.
+            if lexeme == "L" and text[nxt:nxt + 1] in ("'", '"'):
+                raise UnsupportedConstructError(
+                    "wide character/string literals are not supported", origin)
+            if lexeme == "''":
+                raise LexError("empty character constant", origin)
+            append(PPToken(kind, lexeme, origin, (), at_bol, ws_before))
+            at_bol = ws_before = False
+        elif group == "ws" or group == "line_comment":
             ws_before = True
-            continue
-        if ch in " \t\f\v":
-            sc.advance()
+        elif group == "newline":
+            line += 1
+            line_start = pos + 1
+            at_bol = ws_before = True
+        elif group == "block_comment":
+            newlines = text.count("\n", pos, nxt)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", pos, nxt) + 1
             ws_before = True
-            continue
-        if ch == "/" and sc.peek(1) == "/":
-            while not sc.at_end() and sc.peek() != "\n":
-                sc.advance()
-            ws_before = True
-            continue
-        if ch == "/" and sc.peek(1) == "*":
-            start = sc.loc()
-            sc.advance()
-            sc.advance()
-            closed = False
-            while not sc.at_end():
-                if sc.peek() == "*" and sc.peek(1) == "/":
-                    sc.advance()
-                    sc.advance()
-                    closed = True
-                    break
-                sc.advance()
-            if not closed:
-                raise LexError("unterminated block comment", start)
-            ws_before = True
-            continue
-
-        if ch == "?" and sc.peek(1) == "?" and sc.peek(2) in _TRIGRAPH_TAILS:
-            raise UnsupportedConstructError("trigraph sequences are not supported", sc.loc())
-
-        tok = _lex_token(sc)
-        tok.at_bol = at_bol
-        tok.ws_before = ws_before
-        tokens.append(tok)
-        at_bol = False
-        ws_before = False
+        elif group == "splice":
+            line += (nxt - pos) // 2
+            line_start = nxt
+        else:
+            ch = text[pos]
+            origin = Location(file, line, pos - line_start + 1)
+            _reject(group, ch, origin)
+            append(PPToken(TokenKind.OTHER, ch, origin, (), at_bol, ws_before))
+            at_bol = ws_before = False
+        pos = nxt
     return tokens
 
 
-def _lex_token(sc: _Scanner) -> PPToken:
-    start = sc.loc()
-    ch = sc.peek()
+def _reject(group: str, ch: str, origin: Location) -> None:
+    """Raise the error that a match of `group` at `ch` means, if any.
 
-    if ch in _IDENT_START:
-        name = _lex_spliced_run(sc, _IDENT_CONT)
-        if name == "L" and sc.peek() in ("'", '"'):
-            raise UnsupportedConstructError("wide character/string literals are not supported", start)
-        return PPToken(TokenKind.IDENT, name, start)
-
-    if ch in _DIGITS or (ch == "." and sc.peek(1) in _DIGITS):
-        return PPToken(TokenKind.NUMBER, _lex_pp_number(sc), start)
-
+    Only a character that no other alternative takes may lex as OTHER.
+    """
+    if group == "open_comment":
+        raise LexError("unterminated block comment", origin)
+    if group == "trigraph":
+        raise UnsupportedConstructError("trigraph sequences are not supported", origin)
+    if group == "digraph":
+        raise UnsupportedConstructError("digraph sequences are not supported", origin)
     if ch == '"':
-        return PPToken(TokenKind.STRING, _lex_quoted(sc, '"', "string literal"), start)
+        raise LexError("unterminated string literal", origin)
     if ch == "'":
-        lex = _lex_quoted(sc, "'", "character constant")
-        if lex == "''":
-            raise LexError("empty character constant", start)
-        return PPToken(TokenKind.CHAR_CONST, lex, start)
-
-    two = ch + sc.peek(1)
-    if two in _DIGRAPHS:
-        raise UnsupportedConstructError("digraph sequences are not supported", start)
-
-    three = two + sc.peek(2)
-    for p in _PUNCT3:
-        if three == p:
-            sc.advance(), sc.advance(), sc.advance()
-            return PPToken(TokenKind.PUNCT, p, start)
-    for p in _PUNCT2:
-        if two == p:
-            sc.advance(), sc.advance()
-            return PPToken(TokenKind.PUNCT, p, start)
-    if ch in _PUNCT1:
-        sc.advance()
-        return PPToken(TokenKind.PUNCT, ch, start)
-
-    if ord(ch) >= 0x80 or (ord(ch) < 0x20 and ch not in "\t\n\f\v"):
-        raise LexError(f"invalid byte 0x{ord(ch):02x} in source", start)
+        raise LexError("unterminated character constant", origin)
+    if not 0x20 <= ord(ch) < 0x80:  # blanks and newlines never get here
+        raise LexError(f"invalid byte 0x{ord(ch):02x} in source", origin)
     if ch in "\\@`$":
-        raise LexError(f"unexpected character {ch!r}", start)
-    sc.advance()
-    return PPToken(TokenKind.OTHER, ch, start)
-
-
-def _lex_spliced_run(sc: _Scanner, allowed: set[str]) -> str:
-    out = []
-    while True:
-        sc.skip_splices()
-        if sc.at_end() or sc.peek() not in allowed:
-            break
-        out.append(sc.advance())
-    return "".join(out)
-
-
-def _lex_pp_number(sc: _Scanner) -> str:
-    # pp-number: digits, identifier chars, '.', and exponent sign pairs.
-    out = [sc.advance()]
-    while True:
-        sc.skip_splices()
-        ch = sc.peek()
-        if ch and ch in "eEpP" and sc.peek(1) in ("+", "-"):
-            out.append(sc.advance())
-            out.append(sc.advance())
-            continue
-        if ch in _IDENT_CONT or ch == ".":
-            out.append(sc.advance())
-            continue
-        break
-    return "".join(out)
-
-
-def _lex_quoted(sc: _Scanner, quote: str, what: str) -> str:
-    start = sc.loc()
-    out = [sc.advance()]
-    while True:
-        sc.skip_splices()
-        if sc.at_end() or sc.peek() == "\n":
-            raise LexError(f"unterminated {what}", start)
-        ch = sc.advance()
-        out.append(ch)
-        if ch == "\\":
-            if sc.at_end() or sc.peek() == "\n":
-                raise LexError(f"unterminated {what}", start)
-            out.append(sc.advance())
-            continue
-        if ch == quote:
-            return "".join(out)
+        raise LexError(f"unexpected character {ch!r}", origin)
 
 
 def render_tokens(tokens: list[PPToken]) -> str:

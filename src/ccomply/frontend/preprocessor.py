@@ -11,6 +11,7 @@ diagnostics can always be mapped back to pre-preprocessing source.
 """
 from __future__ import annotations
 
+import operator
 import os
 from collections import deque
 from dataclasses import dataclass
@@ -625,45 +626,57 @@ def _char_value(tok: PPToken) -> int:
     return ord(body)
 
 
+def _c_quotient(a: int, b: int) -> int:
+    """C99 6.5.5: integer division truncates toward zero."""
+    q = abs(a) // abs(b)
+    return q if (a < 0) == (b < 0) else -q
+
+
+_UNARY_OPS = {
+    "u!": lambda v: 0 if v else 1,
+    "u~": lambda v: _wrap64(~v),
+    "u+": lambda v: v,
+    "u-": lambda v: _wrap64(-v),
+}
+# Results before the 64-bit wraparound that `_eval_cond` applies.
+_BINARY_OPS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": _c_quotient, "%": lambda a, b: a - _c_quotient(a, b) * b,
+    "<<": lambda a, b: a << min(b, 64) if b >= 0 else 0,
+    ">>": lambda a, b: a >> min(b, 64) if b >= 0 else 0,
+    "&": operator.and_, "|": operator.or_, "^": operator.xor,
+    "==": lambda a, b: int(a == b), "!=": lambda a, b: int(a != b),
+    "<": lambda a, b: int(a < b), ">": lambda a, b: int(a > b),
+    "<=": lambda a, b: int(a <= b), ">=": lambda a, b: int(a >= b),
+}
+
+
 def _eval_cond(node, at: Location | None) -> int:
+    # `_CondParser.parse_binary` builds a chain `a op b op c ...` as a
+    # left-deep tree, so walk each chain's left spine with a loop and
+    # recurse only into right operands and other node kinds.
+    spine = []
+    while node[0] in _PP_BINOPS:
+        spine.append(node)
+        node = node[1]
     op = node[0]
     if op == "num":
-        return node[1]
-    if op == "?:":
-        return _eval_cond(node[2] if _eval_cond(node[1], at) else node[3], at)
-    if op == "&&":
-        return 1 if _eval_cond(node[1], at) and _eval_cond(node[2], at) else 0
-    if op == "||":
-        return 1 if _eval_cond(node[1], at) or _eval_cond(node[2], at) else 0
-    if op.startswith("u"):
-        v = _eval_cond(node[1], at)
-        return {"u!": lambda: 0 if v else 1,
-                "u~": lambda: _wrap64(~v),
-                "u+": lambda: v,
-                "u-": lambda: _wrap64(-v)}[op]()
-    a = _eval_cond(node[1], at)
-    b = _eval_cond(node[2], at)
-    if op in ("/", "%") and b == 0:
-        raise PreprocessError("division by zero in #if expression", at)
-    if op == "/":
-        q = abs(a) // abs(b)
-        return _wrap64(q if (a < 0) == (b < 0) else -q)
-    if op == "%":
-        q = abs(a) // abs(b)
-        q = q if (a < 0) == (b < 0) else -q
-        return _wrap64(a - q * b)
-    if op == "<<":
-        return _wrap64(a << min(max(b, 0), 64)) if b >= 0 else 0
-    if op == ">>":
-        return _wrap64(a >> min(b, 64)) if b >= 0 else 0
-    table = {
-        "+": lambda: a + b, "-": lambda: a - b, "*": lambda: a * b,
-        "&": lambda: a & b, "|": lambda: a | b, "^": lambda: a ^ b,
-        "==": lambda: int(a == b), "!=": lambda: int(a != b),
-        "<": lambda: int(a < b), ">": lambda: int(a > b),
-        "<=": lambda: int(a <= b), ">=": lambda: int(a >= b),
-    }
-    return _wrap64(table[op]())
+        value = node[1]
+    elif op == "?:":
+        value = _eval_cond(node[2] if _eval_cond(node[1], at) else node[3], at)
+    else:
+        value = _UNARY_OPS[op](_eval_cond(node[1], at))
+    for op, _, right in reversed(spine):
+        if op == "&&":
+            value = 1 if value and _eval_cond(right, at) else 0
+        elif op == "||":
+            value = 1 if value or _eval_cond(right, at) else 0
+        else:
+            b = _eval_cond(right, at)
+            if b == 0 and op in ("/", "%"):
+                raise PreprocessError("division by zero in #if expression", at)
+            value = _wrap64(_BINARY_OPS[op](value, b))
+    return value
 
 
 def evaluate_pp_condition(

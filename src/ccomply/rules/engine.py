@@ -28,9 +28,6 @@ PER_TU_CHECKERS = {
     "R14.3": checkers_flow.check_invariant_condition,
 }
 
-# Guidelines whose findings arrive only via the external import.
-IMPORT_ONLY = frozenset({"D4.1"})
-
 SYSTEM_CHECKERS = {
     "R17.2": checkers_system.check_recursion,
 }

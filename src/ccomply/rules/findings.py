@@ -18,7 +18,6 @@ class BehaviorClass(Enum):
     IMPLEMENTATION_DEFINED = "implementation-defined"
     UNDEFINED = "undefined"
     UNSPECIFIED = "unspecified"
-    LOCALE_SPECIFIC = "locale-specific"
 
 
 @dataclass(frozen=True)
@@ -35,8 +34,6 @@ class Finding:
     message: str
     behavior_class: BehaviorClass | None = None
     evidence: tuple[Evidence, ...] = ()
-    provenance: str = "analysis"  # 'analysis' | 'external'
-    deviated: bool = False
     path: str = ""  # reporting path, filled by the driver
 
     def sort_key(self) -> tuple:

@@ -365,3 +365,18 @@ class TestCondition:
         assert self.evaluate("(1 == 2) | (3 != 3)") == 0
         assert self.evaluate("!5") == 0
         assert self.evaluate("~0 == -1") == 1
+
+    def test_long_sum_evaluates_without_recursion(self):
+        # A chain of 3,000 terms parses to a left-deep tree 3,000 levels deep.
+        assert self.evaluate("+".join(["1"] * 3000)) == 3000
+        toks, _, _, _ = pp_text("#if " + "+".join(["1"] * 3000) + " == 3000\nint a;\n#endif\n")
+        assert lexemes(toks) == ["int", "a", ";"]
+
+    def test_long_logical_and_chain_short_circuits(self):
+        assert self.evaluate(" && ".join(["1"] * 3000)) == 1
+        assert self.evaluate(" && ".join(["1"] * 2999 + ["0"])) == 0
+        assert self.evaluate(" && ".join(["0"] + ["1 / 0"] * 2999)) == 0
+
+    def test_long_chain_keeps_division_by_zero_error(self):
+        with pytest.raises(PreprocessError, match="division by zero"):
+            self.evaluate("+".join(["1"] * 2999) + " / 0")
