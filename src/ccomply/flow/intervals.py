@@ -1,17 +1,51 @@
-"""Interval analysis over integer variables.
+"""Interval analysis over integer variables, by abstract compilation.
 
 Non-relational forward fixpoint. Every transfer clamps to the
 variable's type range; widening fires after three visits to a loop
 head and sends each unstable bound straight to its type bound (no
 narrowing pass). Singleton operands evaluate exactly, so constant
 subexpressions like `32 & 0x1F` keep their precise value.
+
+The transfer functions are compiled, not interpreted (abstract
+compilation, Boucher & Feeley, CC 1996). The first time the solver visits
+a block, `_AbstractEval.lower_block` lowers its items, its terminator
+expression and its branch condition into closures over an environment;
+the analysis keeps them until it returns. Everything that does not depend
+on the abstract state is resolved then, once per node: `const_eval`
+folds, type ranges (cached per type for the CFG's model), which variables
+are tracked, volatile or havocable, store targets, which subexpressions
+can change the environment at all (an item that cannot is dropped), and
+the narrowing plan of each `TBranch` and `TSwitch`. Per visit only the
+interval arithmetic runs: the kernel behind `_AbstractEval._arith`, and
+`_compare`.
+
+The result keeps one state per reached block, not one per program point.
+`IntervalResult.env_at(bid, idx)` lowers the block's items again and
+replays those before `idx` on its in-state (`solver.state_at`): it is
+`{}` in a block the solver never reached, the in-state itself at index 0,
+and `term_env[bid]`, the state before the terminator, at `len(items)`.
+The lowered code is not kept past the analysis: held for a whole run, its
+closures take more memory than the per-point states they replace.
+`eval_expr` and `truth_of` lower the queried AST-level expression, `&&`,
+`||`, `?:` and `,` included, on each call, and never change the
+environment they are given.
+
+The lowering reproduces the original evaluator's order-dependent
+behaviour exactly. A variable's widening bound is the type range of the
+symbol last registered under its uid when it first reaches the state,
+and every CFG temporary shares uid -1; so each block records the last
+symbol it registers per uid (`_BlockCode.regs`), and the analysis applies
+them after each visit. A call forgets the address-taken locals and the
+tracked static locals the function declares (`havoc`): no other variable
+can be in the state and have its address escape.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
-from ccomply.flow.cfg import Cfg, DeclItem, TBranch, TSwitch
-from ccomply.flow.solver import solve
+from ccomply.flow.cfg import Block, Cfg, DeclItem, TBranch, TSwitch
+from ccomply.flow.solver import solve, state_at
 from ccomply.parsing.astnodes import (
     AddrOf, Assign, Binary, Call, Cast, Comma, CompoundAssign, Conditional,
     Constant, Deref, Expr, Identifier, IncDec, Index, InitList, Member,
@@ -51,6 +85,12 @@ class Interval:
 
 
 Env = dict[int, Interval]  # symbol uid -> interval
+# A lowered expression: its value under an environment, which it may update.
+ValueFn = Callable[[Env], "Interval | None"]
+
+ZERO = Interval(0, 0)
+ONE = Interval(1, 1)
+BOOL = Interval(0, 1)
 
 
 def _type_interval(t: TypeDesc | None, model: IntegerModel) -> Interval | None:
@@ -60,13 +100,22 @@ def _type_interval(t: TypeDesc | None, model: IntegerModel) -> Interval | None:
     return Interval(lo, hi)
 
 
-def _clamp(lo: int, hi: int, t: TypeDesc | None, model: IntegerModel) -> Interval | None:
-    full = _type_interval(t, model)
+def _clamp(lo: int, hi: int, full: Interval | None) -> Interval | None:
+    """[lo, hi] in a type whose range is `full` (None: not an integer type)."""
     if full is None:
         return None
     if lo < full.lo or hi > full.hi:
         return full  # wraparound / overflow degrades to the type range
     return Interval(lo, hi)
+
+
+def _converted(iv: Interval | None, full: Interval | None) -> Interval | None:
+    """`iv` converted to a type whose range is `full`."""
+    if iv is None or full is None:
+        return full
+    if iv.lo < full.lo or iv.hi > full.hi:
+        return full
+    return iv
 
 
 def _tracked(sym: Symbol | None) -> bool:
@@ -83,25 +132,45 @@ def _havocable(sym: Symbol) -> bool:
 
 @dataclass
 class IntervalResult:
+    """Per-block states of one function, and queries against them.
+
+    `in_states` holds the state at the entry of each block the solver
+    reached and `term_env` the state before its terminator; `env_at`
+    replays the states in between. `dead_edges` are the branch edges no
+    state can take, `cond_entry` maps a branch statement to the lowest block
+    that tests its condition, `iterations` counts block visits and
+    `widenings` the widening steps that moved a bound.
+    """
+
     model: IntegerModel
-    pre: dict[tuple[int, int], Env] = field(default_factory=dict)
+    in_states: dict[int, Env] = field(default_factory=dict)
     term_env: dict[int, Env] = field(default_factory=dict)
     cond_entry: dict[int, int] = field(default_factory=dict)  # id(stmt node) -> block id
     dead_edges: set[tuple[int, int]] = field(default_factory=set)
     iterations: int = 0
+    widenings: int = 0
     _evaluator: "_AbstractEval | None" = None
+    _cfg: Cfg | None = None
 
     def env_at(self, bid: int, idx: int) -> Env:
-        return self.pre.get((bid, idx), {})
+        """The state before item `idx` of block `bid`; {} if never reached."""
+        entry = self.in_states.get(bid)
+        if entry is None:
+            return {}
+        b = self._cfg.block(bid)
+        if idx == len(b.items):
+            return self.term_env[bid]
+        steps = self._evaluator.lower_items(b, {}) if 0 < idx < len(b.items) else []
+        return state_at(entry, steps, idx, len(b.items))
 
     def eval_expr(self, expr: Expr, env: Env) -> Interval | None:
         assert self._evaluator is not None
-        return self._evaluator.eval(expr, dict(env), mutate=False)
+        return self._evaluator.lower_value(expr)(env)
 
     def truth_of(self, expr: Expr, env: Env) -> tuple[bool, bool]:
-        """(can_be_false, can_be_true) under `env`, handling && || !."""
+        """(can_be_false, can_be_true) under `env`, handling && || ! ?: and ,."""
         assert self._evaluator is not None
-        return self._evaluator.truth(expr, env)
+        return self._evaluator.lower_truth(expr)(env)
 
     def var_interval(self, env: Env, sym: Symbol) -> Interval | None:
         if not _tracked(sym):
@@ -110,321 +179,597 @@ class IntervalResult:
         return iv if iv is not None else _type_interval(sym.type, self.model)
 
 
+class _BlockCode:
+    """One block's lowered transfer.
+
+    `steps` are `(item index, step)` for the items that can change the
+    state; `run` applies them and the terminator expression; `regs` maps
+    each uid the block registers to the symbol it registers last; `edges`
+    gives the successor states of the state after `run`. For a branch on a
+    non-constant condition, `narrow` gives the (true, false) edge states
+    and `truth` the condition's (can_be_false, can_be_true).
+    """
+
+    __slots__ = ("steps", "run", "regs", "edges", "narrow", "truth")
+
+    def __init__(self, steps, run, regs, edges, narrow=None, truth=None):
+        self.steps = steps
+        self.run = run
+        self.regs = regs
+        self.edges = edges
+        self.narrow = narrow
+        self.truth = truth
+
+
 class _AbstractEval:
-    def __init__(self, model: IntegerModel, addr_taken: set[int]):
+    """Lowers one CFG's expressions to closures; holds the arithmetic kernel.
+
+    `havoc` is the set of uids a call may change (by default the
+    address-taken ones). Each `_lower_*` method takes an expression, whether
+    its stores and calls update the environment (`mutate`), and the block's
+    registrations `regs`, and returns `(value function, whether that
+    function can change the environment)`.
+    """
+
+    def __init__(self, model: IntegerModel, addr_taken, havoc=None):
         self.model = model
         self.addr_taken = addr_taken
+        self.havoc = addr_taken if havoc is None else havoc
+        self._full: dict[TypeDesc | None, Interval | None] = {}
 
-    # -- environment helpers -------------------------------------------------
+    def full(self, t: TypeDesc | None) -> Interval | None:
+        """The range of type `t`, or None if it is not an integer type."""
+        try:
+            return self._full[t]
+        except KeyError:
+            iv = self._full[t] = _type_interval(t, self.model)
+            return iv
 
-    def var(self, env: Env, sym: Symbol) -> Interval | None:
-        if not _tracked(sym):
-            return None
-        if "volatile" in sym.quals:
-            return _type_interval(sym.type, self.model)
-        iv = env.get(sym.uid)
-        return iv if iv is not None else _type_interval(sym.type, self.model)
-
-    # -- evaluation ------------------------------------------------------------
-
-    def eval(self, e: Expr, env: Env, mutate: bool = True, symmap: dict[int, Symbol] | None = None) -> Interval | None:
-        symmap = symmap if symmap is not None else {}
-        return self._eval(e, env, mutate, symmap)
-
-    def _eval(self, e: Expr, env: Env, mutate: bool, symmap: dict[int, Symbol]) -> Interval | None:
-        model = self.model
-
-        cv = const_eval(e, model)
-        if cv.is_constant:
-            return Interval(cv.value, cv.value)
-
-        if isinstance(e, Identifier):
-            sym = e.symbol
-            if isinstance(sym, Symbol):
-                if _tracked(sym):
-                    symmap[sym.uid] = sym
-                return self.var(env, sym)
-            return _type_interval(e.ctype, model)
-
-        if isinstance(e, Constant):
-            if e.is_float:
-                return None
-            return Interval(e.value, e.value)
-
-        if isinstance(e, Assign):
-            value = self._eval(e.value, env, mutate, symmap)
-            self._eval_store(e.target, value, e.value, env, mutate, symmap)
-            return self._converted(value, e.ctype)
-
-        if isinstance(e, CompoundAssign):
-            synth = Binary(e.op, e.target, e.value, span=e.span)
-            synth.ctype = e.ctype
-            value = self._eval(synth, env, mutate, symmap)
-            value = self._converted(value, e.ctype)
-            self._eval_store(e.target, value, None, env, mutate, symmap)
-            return value
-
-        if isinstance(e, IncDec):
-            old = self._eval(e.operand, env, mutate, symmap)
-            one = Interval(1, 1)
-            op = "+" if e.op == "++" else "-"
-            new = self._arith(op, old, one, e.ctype)
-            self._eval_store(e.operand, new, None, env, mutate, symmap)
-            return new if e.prefix else self._converted(old, e.ctype)
-
-        if isinstance(e, Unary):
-            inner = self._eval(e.operand, env, mutate, symmap)
-            if e.op == "!":
-                if inner is None:
-                    return Interval(0, 1)
-                if not inner.contains(0):
-                    return Interval(0, 0)
-                if inner.singleton() == 0:
-                    return Interval(1, 1)
-                return Interval(0, 1)
-            if inner is None:
-                return _type_interval(e.ctype, model)
-            if e.op == "-":
-                return _clamp(-inner.hi, -inner.lo, e.ctype, model)
-            if e.op == "+":
-                return self._converted(inner, e.ctype)
-            if e.op == "~":
-                return _clamp(~inner.hi, ~inner.lo, e.ctype, model)
-            return _type_interval(e.ctype, model)
-
-        if isinstance(e, Binary):
-            return self._binary(e, env, mutate, symmap)
-
-        if isinstance(e, Cast):
-            inner = self._eval(e.operand, env, mutate, symmap)
-            if inner is None:
-                return _type_interval(e.ctype, model)
-            return _clamp(inner.lo, inner.hi, e.ctype, model)
-
-        if isinstance(e, Call):
-            self._eval(e.callee, env, mutate, symmap)
-            for a in e.args:
-                self._eval(a, env, mutate, symmap)
-            if mutate:
-                for uid in list(env):
-                    sym = symmap.get(uid)
-                    if uid in self.addr_taken or (sym is not None and _havocable(sym)):
-                        del env[uid]
-            return _type_interval(e.ctype, model)
-
-        if isinstance(e, (Deref, Index, Member)):
-            for child in _eval_children(e):
-                self._eval(child, env, mutate, symmap)
-            return _type_interval(e.ctype, model)
-
-        if isinstance(e, (StringLiteral, InitList, AddrOf, Sizeof)):
-            return _type_interval(e.ctype, model)
-
-        if isinstance(e, (Comma, Conditional)):
-            # AST-level queries only (lowered items never contain these).
-            if isinstance(e, Comma):
-                self._eval(e.left, env, False, symmap)
-                return self._eval(e.right, env, False, symmap)
-            then = self._eval(e.then, env, False, symmap)
-            other = self._eval(e.other, env, False, symmap)
-            if then is None or other is None:
-                return _type_interval(e.ctype, model)
-            return then.join(other)
-
-        return _type_interval(e.ctype, model)
-
-    def _eval_store(self, target: Expr, value: Interval | None, value_expr, env: Env,
-                    mutate: bool, symmap: dict[int, Symbol]) -> None:
-        if isinstance(target, Identifier) and isinstance(target.symbol, Symbol):
-            sym = target.symbol
-            if _tracked(sym) and not _havocable(sym):
-                symmap[sym.uid] = sym
-                if mutate:
-                    converted = self._converted(value, sym.type)
-                    if converted is not None:
-                        env[sym.uid] = converted
-                    else:
-                        env.pop(sym.uid, None)
-            elif mutate and _tracked(sym):
-                env.pop(sym.uid, None)
-            return
-        # Store through memory: evaluate subexpressions, then havoc
-        # whatever the pointer may alias.
-        for child in _eval_children(target):
-            self._eval(child, env, mutate, symmap)
-        if mutate:
-            for uid in list(env):
-                if uid in self.addr_taken:
-                    del env[uid]
-
-    def _converted(self, iv: Interval | None, t: TypeDesc | None) -> Interval | None:
-        if iv is None:
-            return _type_interval(t, self.model)
-        return _clamp(iv.lo, iv.hi, t, self.model)
-
-    def _binary(self, e: Binary, env: Env, mutate: bool, symmap) -> Interval | None:
-        op = e.op
-        left = self._eval(e.left, env, mutate, symmap)
-        right = self._eval(e.right, env, mutate, symmap)
-        if op in ("&&", "||"):
-            return Interval(0, 1)
-        if op in ("==", "!=", "<", ">", "<=", ">="):
-            truth = _compare(op, left, right)
-            return Interval(0, 1) if truth is None else Interval(int(truth), int(truth))
-        if left is None or right is None:
-            return _type_interval(e.ctype, self.model)
-        return self._arith(op, left, right, e.ctype)
+    def _width(self, t: TypeDesc | None) -> int:
+        return t.width if t is not None and is_integer(t) else self.model.int_bits
 
     def _arith(self, op: str, a: Interval | None, b: Interval | None,
                t: TypeDesc | None) -> Interval | None:
-        model = self.model
+        """`a op b` in type `t`: the one arithmetic kernel."""
+        full = self.full(t)
         if a is None or b is None:
-            return _type_interval(t, model)
-        if op == "+":
-            return _clamp(a.lo + b.lo, a.hi + b.hi, t, model)
-        if op == "-":
-            return _clamp(a.lo - b.hi, a.hi - b.lo, t, model)
-        if op == "*":
-            corners = [a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi]
-            return _clamp(min(corners), max(corners), t, model)
-        if op == "/":
-            if b.contains(0):
-                return _type_interval(t, model)
-            corners = [_c_div(x, y) for x in (a.lo, a.hi) for y in (b.lo, b.hi)]
-            return _clamp(min(corners), max(corners), t, model)
-        if op == "%":
-            if b.contains(0):
-                return _type_interval(t, model)
-            m = max(abs(b.lo), abs(b.hi)) - 1
-            lo = -m if a.lo < 0 else 0
-            hi = m if a.hi > 0 else 0
-            sa, sb = a.singleton(), b.singleton()
-            if sa is not None and sb is not None:
-                r = _c_mod(sa, sb)
-                return _clamp(r, r, t, model)
-            return _clamp(lo, hi, t, model)
-        if op in ("<<", ">>"):
-            width = t.width if t is not None and is_integer(t) else model.int_bits
-            if b.lo < 0 or b.hi >= width:
-                return _type_interval(t, model)
-            if op == "<<":
-                corners = [a.lo << b.lo, a.lo << b.hi, a.hi << b.lo, a.hi << b.hi]
-                return _clamp(min(corners), max(corners), t, model)
-            if a.lo < 0:
-                return _type_interval(t, model)  # >> of negative is impl-defined
-            return _clamp(a.lo >> b.hi, a.hi >> b.lo, t, model)
-        if op in ("&", "|", "^"):
-            sa, sb = a.singleton(), b.singleton()
-            if sa is not None and sb is not None:
-                table = {"&": sa & sb, "|": sa | sb, "^": sa ^ sb}
-                return _clamp(table[op], table[op], t, model)
-            if a.lo >= 0 and b.lo >= 0:
-                if op == "&":
-                    return _clamp(0, min(a.hi, b.hi), t, model)
-                bound = _next_pow2_mask(max(a.hi, b.hi))
-                return _clamp(0, bound, t, model)
-            return _type_interval(t, model)
-        return _type_interval(t, model)
+            return full
+        return _ARITH[op](a, b, full, self._width(t))
 
-    # -- branch reasoning --------------------------------------------------------
+    # -- queries ---------------------------------------------------------------
 
-    def truth(self, e: Expr, env: Env) -> tuple[bool, bool]:
-        """(can_be_false, can_be_true); handles short-circuit forms."""
-        if isinstance(e, Binary) and e.op == "&&":
-            lf, lt = self.truth(e.left, env)
-            rf, rt = self.truth(e.right, env)
-            return (lf or (lt and rf), lt and rt)
-        if isinstance(e, Binary) and e.op == "||":
-            lf, lt = self.truth(e.left, env)
-            rf, rt = self.truth(e.right, env)
-            return (lf and rf, lt or (lf and rt))
-        if isinstance(e, Unary) and e.op == "!":
-            cf, ct = self.truth(e.operand, env)
-            return (ct, cf)
-        if isinstance(e, Comma):
-            return self.truth(e.right, env)
-        if isinstance(e, Conditional):
-            cf, ct = self.truth(e.cond, env)
-            tf, tt = self.truth(e.then, env)
-            of, ot = self.truth(e.other, env)
-            can_false = (ct and tf) or (cf and of)
-            can_true = (ct and tt) or (cf and ot)
-            return (can_false, can_true)
-        iv = self.eval(e, dict(env), mutate=False)
-        if iv is None:
-            return (True, True)
-        can_true = iv.lo != 0 or iv.hi != 0
-        can_false = iv.contains(0)
-        return (can_false, can_true)
+    def lower_value(self, e: Expr) -> ValueFn:
+        """`e`'s value function, with stores and calls leaving the state as is."""
+        return self._lower(e, False, {})[0]
 
-    def narrow(self, env: Env, cond: Expr, taken: bool) -> Env | None:
-        """Refine `env` along a branch edge; None = edge infeasible."""
-        out = dict(env)
-        if not self._narrow_into(out, cond, taken):
-            return None
-        return out
+    def lower_truth(self, e: Expr) -> Callable[[Env], tuple[bool, bool]]:
+        """`e`'s (can_be_false, can_be_true) function."""
+        if type(e) is Binary and e.op == "&&":
+            left, right = self.lower_truth(e.left), self.lower_truth(e.right)
 
-    def _narrow_into(self, env: Env, cond: Expr, taken: bool) -> bool:
-        if isinstance(cond, Unary) and cond.op == "!":
-            return self._narrow_into(env, cond.operand, not taken)
-        if isinstance(cond, Binary) and cond.op in ("==", "!=", "<", ">", "<=", ">="):
-            op = cond.op
-            if not taken:
-                op = {"==": "!=", "!=": "==", "<": ">=", ">": "<=",
-                      "<=": ">", ">=": "<"}[op]
-            return self._narrow_compare(env, op, cond.left, cond.right)
-        # Bare scalar condition: x / (x) etc.
-        target = _strip_casts(cond)
-        if isinstance(target, Identifier) and isinstance(target.symbol, Symbol):
+            def both(env):
+                lf, lt = left(env)
+                rf, rt = right(env)
+                return (lf or (lt and rf), lt and rt)
+            return both
+        if type(e) is Binary and e.op == "||":
+            left, right = self.lower_truth(e.left), self.lower_truth(e.right)
+
+            def either(env):
+                lf, lt = left(env)
+                rf, rt = right(env)
+                return (lf and rf, lt or (lf and rt))
+            return either
+        if type(e) is Unary and e.op == "!":
+            inner = self.lower_truth(e.operand)
+            return lambda env: inner(env)[::-1]
+        if type(e) is Comma:
+            return self.lower_truth(e.right)
+        if type(e) is Conditional:
+            cond, then = self.lower_truth(e.cond), self.lower_truth(e.then)
+            other = self.lower_truth(e.other)
+
+            def pick(env):
+                cf, ct = cond(env)
+                tf, tt = then(env)
+                of, ot = other(env)
+                return ((ct and tf) or (cf and of), (ct and tt) or (cf and ot))
+            return pick
+        value = self._lower(e, False, {})[0]
+
+        def test(env):
+            iv = value(env)
+            if iv is None:
+                return (True, True)
+            return (iv.lo <= 0 <= iv.hi, iv.lo != 0 or iv.hi != 0)
+        return test
+
+    # -- blocks ----------------------------------------------------------------
+
+    def lower_block(self, b: Block) -> _BlockCode:
+        regs: dict[int, Symbol] = {}
+        steps = self.lower_items(b, regs)
+        run_all = [step for _, step in steps]
+        if b.term_expr is not None:
+            fn, changes = self._lower(b.term_expr, True, regs)
+            if changes:
+                run_all.append(fn)
+        run = _sequence(run_all) if run_all else None
+        term = b.term
+        if isinstance(term, TBranch) and term.const_value is None:
+            narrow = self._narrowing(term.cond)
+            targets = (term.true_target, term.false_target)
+
+            def edges(env):
+                return zip(targets, narrow(env))
+            return _BlockCode(steps, run, regs, edges, narrow, self.lower_truth(term.cond))
+        if isinstance(term, TSwitch):
+            return _BlockCode(steps, run, regs, self._switch_edges(term))
+        succs = [target for target, _kind in b.succs]
+        return _BlockCode(steps, run, regs, lambda env: [(t, env) for t in succs])
+
+    def lower_items(self, b: Block, regs: dict) -> list[tuple[int, ValueFn]]:
+        """(index, step) for each of `b`'s items that can change the state."""
+        steps = []
+        for idx, item in enumerate(b.items):
+            step = self._lower_item(item, regs)
+            if step is not None:
+                steps.append((idx, step))
+        return steps
+
+    def _lower_item(self, item, regs) -> ValueFn | None:
+        if not isinstance(item, DeclItem):
+            fn, changes = self._lower(item.expr, True, regs)
+            return fn if changes else None
+        sym, init = item.symbol, item.init
+        if init is None or isinstance(init, InitList):
+            return None  # an initializer list is not evaluated
+        value, changes = self._lower(init, True, regs)
+        if not _tracked(sym):
+            return value if changes else None
+        regs[sym.uid] = sym
+        uid, full = sym.uid, self.full(sym.type)
+
+        def declare(env):
+            env[uid] = _converted(value(env), full)
+        return declare
+
+    def _narrowable(self, e: Expr) -> tuple[int, Interval, bool] | None:
+        """(uid, type range, volatile) of a variable a branch may refine."""
+        sym = e.symbol if type(e) is Identifier else None
+        if isinstance(sym, Symbol) and _tracked(sym) and not _havocable(sym):
+            return sym.uid, self.full(sym.type), "volatile" in sym.quals
+        return None
+
+    def _narrowing(self, cond: Expr):
+        """narrow(env) -> (true-edge state, false-edge state); None = infeasible.
+
+        CFG construction turns a leading `!` into swapped branch targets,
+        so `cond` is a comparison, a variable or an opaque expression.
+        """
+        if type(cond) is Binary and cond.op in _NEGATE:
+            op, neg = cond.op, _NEGATE[cond.op]
+            left, right = self.lower_value(cond.left), self.lower_value(cond.right)
+            lvar, rvar = self._narrowable(cond.left), self._narrowable(cond.right)
+
+            def compare(env):
+                lv, rv = left(env), right(env)
+                return (_refine(env, op, lv, rv, lvar, rvar),
+                        _refine(env, neg, lv, rv, lvar, rvar))
+            return compare
+        var = self._narrowable(_strip_casts(cond))
+        if var is None:
+            return lambda env: (env, env)
+        uid, full, volatile = var
+
+        def scalar(env):
+            iv = full if volatile else env.get(uid, full)
+            return _nonzero(env, uid, iv), _zero(env, uid, iv)
+        return scalar
+
+    def _switch_edges(self, term: TSwitch):
+        default = term.default_target
+        var = self._narrowable(_strip_casts(term.expr))
+        if var is None:
+            targets = [target for _value, target in term.cases] + [default]
+            return lambda env: [(t, env) for t in targets]
+        uid, full, volatile = var
+        cases = [(Interval(value, value), target) for value, target in term.cases]
+
+        def edges(env):
+            iv = full if volatile else env.get(uid, full)
+            out = []
+            for case, target in cases:
+                if iv.lo <= case.lo <= iv.hi:
+                    state = dict(env)
+                    state[uid] = case
+                    out.append((target, state))
+            out.append((default, env))
+            return out
+        return edges
+
+    # -- expressions -------------------------------------------------------------
+
+    def _lower(self, e: Expr, mutate: bool, regs: dict) -> tuple[ValueFn, bool]:
+        cv = const_eval(e, self.model)
+        if cv.is_constant:
+            return _const(Interval(cv.value, cv.value)), False
+        return _LOWER.get(type(e), _AbstractEval._lower_opaque)(self, e, mutate, regs)
+
+    def _effects(self, exprs, mutate: bool, regs: dict) -> list[ValueFn]:
+        """Lower `exprs` in order; keep the ones that can change the state."""
+        steps = []
+        for x in exprs:
+            fn, changes = self._lower(x, mutate, regs)
+            if changes:
+                steps.append(fn)
+        return steps
+
+    def _lower_opaque(self, e, mutate, regs):
+        return _const(self.full(e.ctype)), False
+
+    def _lower_identifier(self, e, mutate, regs):
+        sym = e.symbol
+        if not isinstance(sym, Symbol):
+            return _const(self.full(e.ctype)), False
+        if not _tracked(sym):
+            return _const(None), False
+        regs[sym.uid] = sym
+        uid, full = sym.uid, self.full(sym.type)
+        if "volatile" in sym.quals:
+            return _const(full), False
+        return (lambda env: env.get(uid, full)), False
+
+    def _lower_constant(self, e, mutate, regs):
+        return _const(None if e.is_float else Interval(e.value, e.value)), False
+
+    def _lower_assign(self, e, mutate, regs):
+        value, changes = self._lower(e.value, mutate, regs)
+        store = self._store(e.target, mutate, regs)
+        full = self.full(e.ctype)
+        if store is None:
+            return (lambda env: _converted(value(env), full)), changes
+
+        def assign(env):
+            v = value(env)
+            store(env, v)
+            return _converted(v, full)
+        return assign, True
+
+    def _lower_compound_assign(self, e, mutate, regs):
+        synth = Binary(e.op, e.target, e.value, span=e.span)
+        synth.ctype = e.ctype
+        value, changes = self._lower(synth, mutate, regs)
+        full = self.full(e.ctype)
+        store = self._store(e.target, mutate, regs)
+        if store is None:
+            return (lambda env: _converted(value(env), full)), changes
+
+        def update(env):
+            v = _converted(value(env), full)
+            store(env, v)
+            return v
+        return update, True
+
+    def _lower_incdec(self, e, mutate, regs):
+        old, changes = self._lower(e.operand, mutate, regs)
+        kernel = _ARITH["+" if e.op == "++" else "-"]
+        full, width = self.full(e.ctype), self._width(e.ctype)
+        store = self._store(e.operand, mutate, regs)
+        prefix = e.prefix
+
+        def step(env):
+            a = old(env)
+            new = full if a is None else kernel(a, ONE, full, width)
+            if store is not None:
+                store(env, new)
+            return new if prefix else _converted(a, full)
+        return step, changes or store is not None
+
+    def _store(self, target: Expr, mutate: bool, regs: dict):
+        """store(env, value) for an assignment to `target`, or None if it
+        cannot change the state."""
+        if type(target) is Identifier and isinstance(target.symbol, Symbol):
             sym = target.symbol
-            iv = self.var(env, sym)
-            if iv is None or not _tracked(sym) or _havocable(sym):
-                return True
-            if taken:
-                if iv.singleton() == 0:
-                    return False
-                if iv.lo == 0:
-                    env[sym.uid] = Interval(1, iv.hi) if iv.hi >= 1 else iv
-                elif iv.hi == 0 and iv.lo < 0:
-                    env[sym.uid] = Interval(iv.lo, -1)
-            else:
-                refined = iv.meet(Interval(0, 0))
-                if refined is None:
-                    return False
-                env[sym.uid] = refined
-        return True
+            if not _tracked(sym):
+                return None
+            uid = sym.uid
+            if _havocable(sym):
+                return (lambda env, v: env.pop(uid, None)) if mutate else None
+            regs[uid] = sym
+            if not mutate:
+                return None
+            full = self.full(sym.type)
 
-    def _narrow_compare(self, env: Env, op: str, left: Expr, right: Expr) -> bool:
-        lv = self.eval(left, dict(env), mutate=False)
-        rv = self.eval(right, dict(env), mutate=False)
-        truth = _compare(op, lv, rv)
-        if truth is False:
-            return False
-        for var_side, other_iv, var_op in (
-            (left, rv, op),
-            (right, lv, _flip(op)),
-        ):
-            target = _strip_casts(var_side)
-            if (
-                isinstance(target, Identifier)
-                and isinstance(target.symbol, Symbol)
-                and _tracked(target.symbol)
-                and not _havocable(target.symbol)
-                and target is var_side  # do not narrow through value-changing casts
-                and other_iv is not None
-            ):
-                sym = target.symbol
-                current = self.var(env, sym)
-                if current is None:
-                    continue
-                bound = _bound_for(var_op, other_iv)
-                if bound is None:
-                    continue
-                refined = current.meet(bound)
-                if refined is None:
-                    return False
-                env[sym.uid] = refined
-        return True
+            def assign(env, v):
+                env[uid] = _converted(v, full)
+            return assign
+        # Store through memory: evaluate subexpressions, then forget
+        # whatever the pointer may alias.
+        steps = self._effects(_eval_children(target), mutate, regs)
+        if mutate and self.addr_taken:
+            steps.append(_forget(self.addr_taken))
+        if not steps:
+            return None
+        run = _sequence(steps)
+        return lambda env, v: run(env)
+
+    def _lower_unary(self, e, mutate, regs):
+        inner, changes = self._lower(e.operand, mutate, regs)
+        op, full = e.op, self.full(e.ctype)
+        if op == "!":
+            return (lambda env: _not(inner(env))), changes
+        if op == "-":
+            def negate(env):
+                iv = inner(env)
+                return full if iv is None else _clamp(-iv.hi, -iv.lo, full)
+            return negate, changes
+        if op == "+":
+            return (lambda env: _converted(inner(env), full)), changes
+
+        def complement(env):  # ~
+            iv = inner(env)
+            return full if iv is None else _clamp(~iv.hi, ~iv.lo, full)
+        return complement, changes
+
+    def _lower_binary(self, e, mutate, regs):
+        op = e.op
+        left, lchanges = self._lower(e.left, mutate, regs)
+        right, rchanges = self._lower(e.right, mutate, regs)
+        changes = lchanges or rchanges
+        if op in _NEGATE:
+            def compare(env):
+                truth = _compare(op, left(env), right(env))
+                return BOOL if truth is None else (ONE if truth else ZERO)
+            return compare, changes
+        if op in ("&&", "||"):  # AST-level queries only; both sides evaluated
+            steps = [f for f, c in ((left, lchanges), (right, rchanges)) if c]
+            return _then(steps, BOOL), changes
+        kernel, full, width = _ARITH[op], self.full(e.ctype), self._width(e.ctype)
+
+        def arith(env):
+            a, b = left(env), right(env)
+            if a is None or b is None:
+                return full
+            return kernel(a, b, full, width)
+        return arith, changes
+
+    def _lower_cast(self, e, mutate, regs):
+        inner, changes = self._lower(e.operand, mutate, regs)
+        full = self.full(e.ctype)
+        return (lambda env: _converted(inner(env), full)), changes
+
+    def _lower_call(self, e, mutate, regs):
+        steps = self._effects([e.callee, *e.args], mutate, regs)
+        if mutate and self.havoc:
+            steps.append(_forget(self.havoc))
+        return _then(steps, self.full(e.ctype)), bool(steps)
+
+    def _lower_access(self, e, mutate, regs):
+        steps = self._effects(_eval_children(e), mutate, regs)
+        return _then(steps, self.full(e.ctype)), bool(steps)
+
+    def _lower_comma(self, e, mutate, regs):
+        # AST-level queries only (lowered items never contain these).
+        self._lower(e.left, False, regs)
+        return self._lower(e.right, False, regs)[0], False
+
+    def _lower_conditional(self, e, mutate, regs):
+        then = self._lower(e.then, False, regs)[0]
+        other = self._lower(e.other, False, regs)[0]
+        full = self.full(e.ctype)
+
+        def join(env):
+            a, b = then(env), other(env)
+            if a is None or b is None:
+                return full
+            return a.join(b)
+        return join, False
+
+
+_LOWER = {
+    Identifier: _AbstractEval._lower_identifier,
+    Constant: _AbstractEval._lower_constant,
+    Assign: _AbstractEval._lower_assign,
+    CompoundAssign: _AbstractEval._lower_compound_assign,
+    IncDec: _AbstractEval._lower_incdec,
+    Unary: _AbstractEval._lower_unary,
+    Binary: _AbstractEval._lower_binary,
+    Cast: _AbstractEval._lower_cast,
+    Call: _AbstractEval._lower_call,
+    Deref: _AbstractEval._lower_access,
+    Index: _AbstractEval._lower_access,
+    Member: _AbstractEval._lower_access,
+    Comma: _AbstractEval._lower_comma,
+    Conditional: _AbstractEval._lower_conditional,
+    StringLiteral: _AbstractEval._lower_opaque,
+    InitList: _AbstractEval._lower_opaque,
+    AddrOf: _AbstractEval._lower_opaque,
+    Sizeof: _AbstractEval._lower_opaque,
+}
+
+
+def _const(value):
+    return lambda env: value
+
+
+def _sequence(steps: list[ValueFn]) -> Callable[[Env], None]:
+    if len(steps) == 1:
+        return steps[0]
+
+    def run(env):
+        for step in steps:
+            step(env)
+    return run
+
+
+def _then(steps: list[ValueFn], value) -> ValueFn:
+    """Apply `steps` for their effects, then give `value`."""
+    if not steps:
+        return _const(value)
+    run = _sequence(steps)
+
+    def then(env):
+        run(env)
+        return value
+    return then
+
+
+def _forget(uids) -> Callable[[Env], None]:
+    def forget(env):
+        for uid in env.keys() & uids:
+            del env[uid]
+    return forget
+
+
+def _not(iv: Interval | None) -> Interval:
+    if iv is None:
+        return BOOL
+    if not iv.lo <= 0 <= iv.hi:
+        return ZERO
+    if iv.lo == iv.hi:
+        return ONE
+    return BOOL
+
+
+# -- the arithmetic kernel: (a, b, range of the result type, its width) ---------
+
+
+def _add(a, b, full, width):
+    return _clamp(a.lo + b.lo, a.hi + b.hi, full)
+
+
+def _sub(a, b, full, width):
+    return _clamp(a.lo - b.hi, a.hi - b.lo, full)
+
+
+def _mul(a, b, full, width):
+    corners = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
+    return _clamp(min(corners), max(corners), full)
+
+
+def _div(a, b, full, width):
+    if b.contains(0):
+        return full
+    corners = [_c_div(x, y) for x in (a.lo, a.hi) for y in (b.lo, b.hi)]
+    return _clamp(min(corners), max(corners), full)
+
+
+def _mod(a, b, full, width):
+    if b.contains(0):
+        return full
+    sa, sb = a.singleton(), b.singleton()
+    if sa is not None and sb is not None:
+        r = _c_mod(sa, sb)
+        return _clamp(r, r, full)
+    m = max(abs(b.lo), abs(b.hi)) - 1
+    return _clamp(-m if a.lo < 0 else 0, m if a.hi > 0 else 0, full)
+
+
+def _shl(a, b, full, width):
+    if b.lo < 0 or b.hi >= width:
+        return full
+    corners = (a.lo << b.lo, a.lo << b.hi, a.hi << b.lo, a.hi << b.hi)
+    return _clamp(min(corners), max(corners), full)
+
+
+def _shr(a, b, full, width):
+    if b.lo < 0 or b.hi >= width or a.lo < 0:
+        return full  # >> of negative is impl-defined
+    return _clamp(a.lo >> b.hi, a.hi >> b.lo, full)
+
+
+def _and(a, b, full, width):
+    if a.lo == a.hi and b.lo == b.hi:
+        return _clamp(a.lo & b.lo, a.lo & b.lo, full)
+    if a.lo >= 0 and b.lo >= 0:
+        return _clamp(0, min(a.hi, b.hi), full)
+    return full
+
+
+def _or(a, b, full, width):
+    if a.lo == a.hi and b.lo == b.hi:
+        return _clamp(a.lo | b.lo, a.lo | b.lo, full)
+    return _nonnegative_bits(a, b, full)
+
+
+def _xor(a, b, full, width):
+    if a.lo == a.hi and b.lo == b.hi:
+        return _clamp(a.lo ^ b.lo, a.lo ^ b.lo, full)
+    return _nonnegative_bits(a, b, full)
+
+
+def _nonnegative_bits(a, b, full):
+    """`a | b` or `a ^ b` of non-singleton operands."""
+    if a.lo >= 0 and b.lo >= 0:
+        return _clamp(0, _next_pow2_mask(max(a.hi, b.hi)), full)
+    return full
+
+
+_ARITH = {
+    "+": _add, "-": _sub, "*": _mul, "/": _div, "%": _mod,
+    "<<": _shl, ">>": _shr,
+    "&": _and, "|": _or, "^": _xor,
+}
+
+
+# -- branch reasoning --------------------------------------------------------------
+
+_NEGATE = {"==": "!=", "!=": "==", "<": ">=", ">": "<=", "<=": ">", ">=": "<"}
+_FLIP = {"<": ">", ">": "<", "<=": ">=", ">=": "<=", "==": "==", "!=": "!="}
+
+
+def _refine(env: Env, op: str, lv, rv, lvar, rvar) -> Env | None:
+    """`env` where `left op right` holds, given both sides' values; None if it cannot."""
+    if _compare(op, lv, rv) is False:
+        return None
+    out = env
+    if lvar is not None and rv is not None:
+        out = _meet_var(out, env, lvar, _bound_for(op, rv))
+        if out is None:
+            return None
+    if rvar is not None and lv is not None:
+        out = _meet_var(out, env, rvar, _bound_for(_FLIP[op], lv))
+    return out
+
+
+def _meet_var(out: Env, env: Env, var, bound: Interval | None) -> Env | None:
+    """`out` with `var` met with `bound`; copies `env` before the first change."""
+    if bound is None:
+        return out
+    uid, full, volatile = var
+    refined = (full if volatile else out.get(uid, full)).meet(bound)
+    if refined is None:
+        return None
+    if out.get(uid) != refined:
+        if out is env:
+            out = dict(env)
+        out[uid] = refined
+    return out
+
+
+def _nonzero(env: Env, uid: int, iv: Interval) -> Env | None:
+    if iv.lo == iv.hi == 0:
+        return None
+    if iv.lo == 0:
+        return _with(env, uid, Interval(1, iv.hi))
+    if iv.hi == 0 and iv.lo < 0:
+        return _with(env, uid, Interval(iv.lo, -1))
+    return env
+
+
+def _zero(env: Env, uid: int, iv: Interval) -> Env | None:
+    if not iv.lo <= 0 <= iv.hi:
+        return None
+    return _with(env, uid, ZERO)
+
+
+def _with(env: Env, uid: int, iv: Interval) -> Env:
+    if env.get(uid) == iv:
+        return env
+    out = dict(env)
+    out[uid] = iv
+    return out
 
 
 def _eval_children(e: Expr) -> list[Expr]:
@@ -443,10 +788,6 @@ def _strip_casts(e: Expr) -> Expr:
     return e
 
 
-def _flip(op: str) -> str:
-    return {"<": ">", ">": "<", "<=": ">=", ">=": "<=", "==": "==", "!=": "!="}[op]
-
-
 def _bound_for(op: str, other: Interval) -> Interval | None:
     big = 1 << 70
     if op == "==":
@@ -459,9 +800,7 @@ def _bound_for(op: str, other: Interval) -> Interval | None:
         return Interval(other.lo + 1, big)
     if op == ">=":
         return Interval(other.lo, big)
-    if op == "!=":
-        return None  # endpoint trimming is below interval precision
-    return None
+    return None  # !=: endpoint trimming is below interval precision
 
 
 def _compare(op: str, a: Interval | None, b: Interval | None) -> bool | None:
@@ -516,9 +855,16 @@ def _c_mod(a: int, b: int) -> int:
 
 
 def _join_env(a: Env, b: Env) -> Env:
+    """Pointwise join; a variable missing on one side is at its type range."""
     out: Env = {}
-    for uid in set(a) & set(b):
-        out[uid] = a[uid].join(b[uid])
+    for uid in a.keys() & b.keys():
+        x, y = a[uid], b[uid]
+        if x.lo <= y.lo and y.hi <= x.hi:
+            out[uid] = x
+        elif y.lo <= x.lo and x.hi <= y.hi:
+            out[uid] = y
+        else:
+            out[uid] = x.join(y)
     return out
 
 
@@ -534,105 +880,71 @@ def _widen_env(old: Env, new: Env, bounds: dict[int, Interval]) -> Env:
 
 
 def interval_analysis(cfg: Cfg, model: IntegerModel = DEFAULT_MODEL) -> IntervalResult:
-    result = IntervalResult(model)
-    ev = _AbstractEval(model, cfg.addr_taken)
-    result._evaluator = ev
+    # A call may change the address-taken locals and any tracked static
+    # local, the only havocable variables a declaration puts in the state.
+    havoc = cfg.addr_taken | {
+        item.symbol.uid for b in cfg.blocks for item in b.items
+        if isinstance(item, DeclItem) and _tracked(item.symbol) and _havocable(item.symbol)
+    }
+    ev = _AbstractEval(model, cfg.addr_taken, havoc)
+    result = IntervalResult(model, _evaluator=ev, _cfg=cfg)
     symmap: dict[int, Symbol] = {}
-
-    def transfer_block(b, entry: Env, pre: dict | None = None) -> Env:
-        env = dict(entry)
-        for idx, item in enumerate(b.items):
-            if pre is not None:
-                pre[(b.id, idx)] = dict(env)
-            if isinstance(item, DeclItem):
-                sym = item.symbol
-                if item.init is not None and not isinstance(item.init, InitList):
-                    value = ev.eval(item.init, env, mutate=True, symmap=symmap)
-                    if _tracked(sym):
-                        symmap[sym.uid] = sym
-                        converted = ev._converted(value, sym.type)
-                        if converted is not None:
-                            env[sym.uid] = converted
-                elif isinstance(item.init, InitList):
-                    ev.eval(item.init, env, mutate=True, symmap=symmap)
-            else:
-                ev.eval(item.expr, env, mutate=True, symmap=symmap)
-        if pre is not None:
-            pre[(b.id, len(b.items))] = dict(env)
-        return env
-
     bounds: dict[int, Interval] = {}
 
-    def note_bounds(env: Env) -> None:
-        for uid in env:
-            if uid not in bounds:
-                sym = symmap.get(uid)
-                if sym is not None:
-                    full = _type_interval(sym.type, model)
-                    if full is not None:
-                        bounds[uid] = full
+    # The lowered blocks live as long as the analysis: kept for the whole
+    # run, closures would outweigh the states they replace.
+    codes: dict[int, _BlockCode] = {}
 
     def transfer(bid: int, entry: Env):
-        b = cfg.block(bid)
-        env = transfer_block(b, entry)
-        if b.term_expr is not None:
-            ev.eval(b.term_expr, env, mutate=True, symmap=symmap)
-        note_bounds(env)
-        term = b.term
-        if isinstance(term, TBranch) and term.const_value is None:
-            yield term.true_target, ev.narrow(env, term.cond, True)
-            yield term.false_target, ev.narrow(env, term.cond, False)
-        elif isinstance(term, TSwitch):
-            scrutinee = _strip_casts(term.expr)
-            for value, target in term.cases:
-                out_env = dict(env)
-                if (
-                    isinstance(scrutinee, Identifier)
-                    and isinstance(scrutinee.symbol, Symbol)
-                    and _tracked(scrutinee.symbol)
-                    and not _havocable(scrutinee.symbol)
-                ):
-                    current = ev.var(out_env, scrutinee.symbol)
-                    refined = current.meet(Interval(value, value)) if current else None
-                    if refined is None:
-                        continue
-                    out_env[scrutinee.symbol.uid] = refined
-                yield target, out_env
-            yield term.default_target, dict(env)
-        else:
-            for target, _kind in b.succs:
-                yield target, dict(env)
+        code = codes.get(bid)
+        if code is None:
+            code = codes[bid] = ev.lower_block(cfg.blocks[bid])
+        env = entry
+        if code.run is not None:
+            env = dict(entry)
+            code.run(env)
+        symmap.update(code.regs)
+        if not bounds.keys() >= env.keys():
+            for uid in env.keys() - bounds.keys():
+                sym = symmap.get(uid)
+                if sym is not None:
+                    full = ev.full(sym.type)
+                    if full is not None:
+                        bounds[uid] = full
+        return code.edges(env)
+
+    def widen(old: Env, new: Env) -> Env:
+        out = _widen_env(old, new, bounds)
+        if out != new:
+            result.widenings += 1
+        return out
 
     # The empty entry map is "all top": parameters and locals enter the
     # environment lazily at their full type range.
-    in_states, result.iterations = solve(
+    result.in_states, result.iterations = solve(
         cfg, {cfg.entry: {}}, transfer, _join_env,
         budget=192 * len(cfg.blocks) + 1024, analysis="interval analysis",
-        widen=lambda old, new: _widen_env(old, new, bounds),
+        widen=widen,
     )
 
-    # Final pass: record per-point pre-states, terminator states, dead edges.
-    for bid, entry_env in in_states.items():
+    # Final pass: terminator states, condition blocks, dead edges.
+    for bid, entry in result.in_states.items():
         b = cfg.block(bid)
-        env = transfer_block(b, entry_env, result.pre)
-        result.term_env[bid] = dict(env)
+        code = codes[bid]
+        env = result.term_env[bid] = state_at(entry, code.steps, len(b.items), len(b.items))
         term = b.term
-        if isinstance(term, TBranch):
-            node_key = id(term.node)
-            prev = result.cond_entry.get(node_key)
-            if prev is None or bid < prev:
-                result.cond_entry[node_key] = bid
-        if isinstance(term, TBranch) and term.const_value is None:
-            if ev.narrow(env, term.cond, True) is None:
-                result.dead_edges.add((bid, term.true_target))
-            else:
-                can_false, can_true = ev.truth(term.cond, env)
-                if not can_true:
-                    result.dead_edges.add((bid, term.true_target))
-            if ev.narrow(env, term.cond, False) is None:
-                result.dead_edges.add((bid, term.false_target))
-            else:
-                can_false, can_true = ev.truth(term.cond, env)
-                if not can_false:
-                    result.dead_edges.add((bid, term.false_target))
+        if not isinstance(term, TBranch):
+            continue
+        node_key = id(term.node)
+        prev = result.cond_entry.get(node_key)
+        if prev is None or bid < prev:
+            result.cond_entry[node_key] = bid
+        if term.const_value is not None:
+            continue
+        on_true, on_false = code.narrow(env)
+        truth = code.truth(env) if on_true is not None or on_false is not None else None
+        if on_true is None or not truth[1]:
+            result.dead_edges.add((bid, term.true_target))
+        if on_false is None or not truth[0]:
+            result.dead_edges.add((bid, term.false_target))
     return result

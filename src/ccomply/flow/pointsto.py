@@ -8,9 +8,10 @@ havoc every address-taken pointer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from ccomply.flow.cfg import Cfg, DeclItem
-from ccomply.flow.solver import solve
+from ccomply.flow.solver import solve, state_at
 from ccomply.parsing.astnodes import (
     AddrOf, Assign, Binary, Call, Cast, Comma, CompoundAssign, Conditional,
     Constant, Deref, Expr, Identifier, IncDec, Index, InitList, Member,
@@ -79,12 +80,22 @@ def _is_pointer_var(sym: Symbol | None) -> bool:
 
 @dataclass
 class PointsToResult:
-    pre: dict[tuple[int, int], PtEnv] = field(default_factory=dict)
+    """The points-to state at the entry of each block the solver reached;
+    `env_at` replays the states in between."""
+
+    in_states: dict[int, PtEnv] = field(default_factory=dict)
     iterations: int = 0
     _evaluator: "_PtEval | None" = None
+    _cfg: Cfg | None = None
 
     def env_at(self, bid: int, idx: int) -> PtEnv:
-        return self.pre.get((bid, idx), {})
+        """The state before item `idx` of block `bid`; {} if never reached."""
+        entry = self.in_states.get(bid)
+        if entry is None:
+            return {}
+        items = self._cfg.block(bid).items
+        steps = [(i, partial(_apply_item, self._evaluator, item)) for i, item in enumerate(items)]
+        return state_at(entry, steps, idx, len(items))
 
     def points_to(self, expr: Expr, env: PtEnv) -> PointsToSet:
         assert self._evaluator is not None
@@ -248,39 +259,33 @@ def _join_env(a: PtEnv, b: PtEnv) -> PtEnv:
     return out
 
 
-def local_points_to(cfg: Cfg) -> PointsToResult:
-    result = PointsToResult()
-    ev = _PtEval(cfg.addr_taken)
-    result._evaluator = ev
+def _apply_item(ev: _PtEval, item, env: PtEnv) -> None:
+    """Apply one CFG item's points-to effects to `env`."""
+    if isinstance(item, DeclItem):
+        sym = item.symbol
+        if item.init is not None:
+            _walk_stores(item.init, ev, env)
+            if _is_pointer_var(sym) and not isinstance(item.init, InitList):
+                env[sym.uid] = ev.eval(item.init, env, mutate=False)
+    else:
+        _walk_stores(item.expr, ev, env)
 
-    def transfer_block(b, entry: PtEnv, pre: dict | None = None) -> PtEnv:
-        env = dict(entry)
-        for idx, item in enumerate(b.items):
-            if pre is not None:
-                pre[(b.id, idx)] = dict(env)
-            if isinstance(item, DeclItem):
-                sym = item.symbol
-                if item.init is not None:
-                    _walk_stores(item.init, ev, env)
-                    if _is_pointer_var(sym) and not isinstance(item.init, InitList):
-                        env[sym.uid] = ev.eval(item.init, env, mutate=False)
-            else:
-                _walk_stores(item.expr, ev, env)
-        if pre is not None:
-            pre[(b.id, len(b.items))] = dict(env)
-        return env
+
+def local_points_to(cfg: Cfg) -> PointsToResult:
+    ev = _PtEval(cfg.addr_taken)
+    result = PointsToResult(_evaluator=ev, _cfg=cfg)
 
     def transfer(bid: int, entry: PtEnv):
         b = cfg.block(bid)
-        env = transfer_block(b, entry)
+        env = dict(entry)
+        for item in b.items:
+            _apply_item(ev, item, env)
         if b.term_expr is not None:
             _walk_stores(b.term_expr, ev, env)
         return [(target, env) for target, _kind in b.succs]
 
-    in_states, result.iterations = solve(
+    result.in_states, result.iterations = solve(
         cfg, {cfg.entry: {}}, transfer, _join_env,
         budget=64 * len(cfg.blocks) + 768, analysis="points-to analysis",
     )
-    for bid, entry_env in in_states.items():
-        transfer_block(cfg.block(bid), entry_env, result.pre)
     return result

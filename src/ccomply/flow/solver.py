@@ -82,3 +82,24 @@ def solve(
                 queued.add(target)
                 worklist.append(target)
     return states, visits
+
+
+def state_at(entry: dict, steps: list[tuple[int, Callable[[dict], object]]],
+             idx: int, n_items: int) -> dict:
+    """The state before item `idx` of a block whose in-state is `entry`.
+
+    `steps` are `(item index, step)` for the block's items that can change
+    the state, in item order; a step updates a state in place. The steps
+    before `idx` are replayed on a copy of `entry`; with none, `entry`
+    itself is returned. An `idx` outside `0..n_items` gives `{}`.
+    """
+    if not 0 <= idx <= n_items:
+        return {}
+    state = entry
+    for i, step in steps:
+        if i >= idx:
+            break
+        if state is entry:
+            state = dict(entry)
+        step(state)
+    return state

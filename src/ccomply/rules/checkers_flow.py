@@ -33,7 +33,6 @@ def check_shift_range(facts: TUFacts, index: NodeIndex) -> list[Finding]:
     out: list[Finding] = []
     for fn in facts.functions:
         for bid, idx, expr, _ in _point_exprs(fn.cfg):
-            env = fn.intervals.env_at(bid, idx)
             for node in walk(expr):
                 shift = _shift_parts(node)
                 if shift is None:
@@ -48,7 +47,7 @@ def check_shift_range(facts: TUFacts, index: NodeIndex) -> list[Finding]:
                 if cv.is_constant:
                     lo = hi = cv.value
                 else:
-                    iv = fn.intervals.eval_expr(right, env)
+                    iv = fn.intervals.eval_expr(right, fn.intervals.env_at(bid, idx))
                     if iv is None:
                         continue
                     lo, hi = iv.lo, iv.hi
@@ -311,10 +310,11 @@ def check_literal_write(facts: TUFacts, index: NodeIndex) -> list[Finding]:
     out: list[Finding] = []
     for fn in facts.functions:
         for bid, idx, expr, events in _point_exprs(fn.cfg):
+            stores = [ev for ev in events if ev.kind == "deref_store" and ev.pointer is not None]
+            if not stores:
+                continue
             env = fn.points.env_at(bid, idx)
-            for ev in events:
-                if ev.kind != "deref_store" or ev.pointer is None:
-                    continue
+            for ev in stores:
                 pts = fn.points.points_to(ev.pointer, env)
                 if pts.is_unknown or not pts.has_literal():
                     continue

@@ -25,6 +25,12 @@ class FunctionFacts:
     guidelines only builds the CFG and `addr_taken`, and only of the
     functions R13.2 asks about when it weighs a dereference against a
     variable.
+
+    `intervals` and `points` keep one state per reached block; `env_at`
+    replays the state at a program point when a checker asks for it. R12.2
+    asks only at shifts whose right operand is not constant and R1.3 only
+    at stores through a pointer, so points-to runs only on functions that
+    store through a pointer.
     """
 
     fn: FunctionDef

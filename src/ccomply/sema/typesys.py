@@ -130,12 +130,16 @@ DEFAULT_MODEL = IntegerModel()
 # ---- predicates -------------------------------------------------------------
 
 
+_INTEGER_KINDS = frozenset((TK.BOOL, TK.INT, TK.UINT, TK.ENUM))
+_FLOATING_KINDS = frozenset((TK.FLOAT, TK.DOUBLE))
+
+
 def is_integer(t: TypeDesc) -> bool:
-    return t.kind in (TK.BOOL, TK.INT, TK.UINT, TK.ENUM)
+    return t.kind in _INTEGER_KINDS
 
 
 def is_floating(t: TypeDesc) -> bool:
-    return t.kind in (TK.FLOAT, TK.DOUBLE)
+    return t.kind in _FLOATING_KINDS
 
 
 def is_arithmetic(t: TypeDesc) -> bool:

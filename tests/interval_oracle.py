@@ -1,0 +1,647 @@
+"""The original AST-walking interval analysis, kept as a test oracle.
+
+`ccomply.flow.intervals` lowers each expression to closures once per CFG;
+on every function it must give exactly this evaluator's per-point states,
+terminator states, dead edges, condition blocks, block visits and
+widenings, and the same `eval_expr` and `truth_of` answers (see
+`test_interval_oracle.py`). The code is the evaluator as it was before the
+lowering, unchanged but for `IntervalResult.widenings`, which counts the
+`_widen_env` calls that moved a bound. Nothing under `src/` imports it.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+from ccomply.flow.cfg import Cfg, DeclItem, TBranch, TSwitch
+from ccomply.flow.solver import solve
+from ccomply.parsing.astnodes import (
+    AddrOf, Assign, Binary, Call, Cast, Comma, CompoundAssign, Conditional,
+    Constant, Deref, Expr, Identifier, IncDec, Index, InitList, Member,
+    Sizeof, StringLiteral, Unary,
+)
+from ccomply.sema.consteval import const_eval
+from ccomply.sema.symbols import SymKind, Symbol
+from ccomply.sema.typesys import (
+    DEFAULT_MODEL, IntegerModel, TypeDesc, is_integer, type_range,
+)
+
+
+@dataclass(frozen=True)
+class Interval:
+    lo: int
+    hi: int
+
+    def __post_init__(self):
+        if self.lo > self.hi:
+            raise ValueError(f"bad interval [{self.lo}, {self.hi}]")
+
+    def join(self, other: "Interval") -> "Interval":
+        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
+
+    def meet(self, other: "Interval") -> "Interval | None":
+        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
+        return Interval(lo, hi) if lo <= hi else None
+
+    def singleton(self) -> int | None:
+        return self.lo if self.lo == self.hi else None
+
+    def contains(self, v: int) -> bool:
+        return self.lo <= v <= self.hi
+
+    def __repr__(self):
+        return f"[{self.lo}, {self.hi}]"
+
+
+Env = dict[int, Interval]  # symbol uid -> interval
+
+
+def _type_interval(t: TypeDesc | None, model: IntegerModel) -> Interval | None:
+    if t is None or not is_integer(t):
+        return None
+    lo, hi = type_range(t, model)
+    return Interval(lo, hi)
+
+
+def _clamp(lo: int, hi: int, t: TypeDesc | None, model: IntegerModel) -> Interval | None:
+    full = _type_interval(t, model)
+    if full is None:
+        return None
+    if lo < full.lo or hi > full.hi:
+        return full  # wraparound / overflow degrades to the type range
+    return Interval(lo, hi)
+
+
+def _tracked(sym: Symbol | None) -> bool:
+    return (
+        sym is not None
+        and sym.kind is SymKind.OBJECT
+        and is_integer(sym.type)
+    )
+
+
+def _havocable(sym: Symbol) -> bool:
+    return not (sym.is_local_object or sym.is_temp or sym.is_param)
+
+
+@dataclass
+class IntervalResult:
+    model: IntegerModel
+    pre: dict[tuple[int, int], Env] = field(default_factory=dict)
+    term_env: dict[int, Env] = field(default_factory=dict)
+    cond_entry: dict[int, int] = field(default_factory=dict)  # id(stmt node) -> block id
+    dead_edges: set[tuple[int, int]] = field(default_factory=set)
+    iterations: int = 0
+    widenings: int = 0
+    _evaluator: "_AbstractEval | None" = None
+
+    def env_at(self, bid: int, idx: int) -> Env:
+        return self.pre.get((bid, idx), {})
+
+    def eval_expr(self, expr: Expr, env: Env) -> Interval | None:
+        assert self._evaluator is not None
+        return self._evaluator.eval(expr, dict(env), mutate=False)
+
+    def truth_of(self, expr: Expr, env: Env) -> tuple[bool, bool]:
+        """(can_be_false, can_be_true) under `env`, handling && || !."""
+        assert self._evaluator is not None
+        return self._evaluator.truth(expr, env)
+
+    def var_interval(self, env: Env, sym: Symbol) -> Interval | None:
+        if not _tracked(sym):
+            return None
+        iv = env.get(sym.uid)
+        return iv if iv is not None else _type_interval(sym.type, self.model)
+
+
+class _AbstractEval:
+    def __init__(self, model: IntegerModel, addr_taken: set[int]):
+        self.model = model
+        self.addr_taken = addr_taken
+
+    # -- environment helpers -------------------------------------------------
+
+    def var(self, env: Env, sym: Symbol) -> Interval | None:
+        if not _tracked(sym):
+            return None
+        if "volatile" in sym.quals:
+            return _type_interval(sym.type, self.model)
+        iv = env.get(sym.uid)
+        return iv if iv is not None else _type_interval(sym.type, self.model)
+
+    # -- evaluation ------------------------------------------------------------
+
+    def eval(self, e: Expr, env: Env, mutate: bool = True, symmap: dict[int, Symbol] | None = None) -> Interval | None:
+        symmap = symmap if symmap is not None else {}
+        return self._eval(e, env, mutate, symmap)
+
+    def _eval(self, e: Expr, env: Env, mutate: bool, symmap: dict[int, Symbol]) -> Interval | None:
+        model = self.model
+
+        cv = const_eval(e, model)
+        if cv.is_constant:
+            return Interval(cv.value, cv.value)
+
+        if isinstance(e, Identifier):
+            sym = e.symbol
+            if isinstance(sym, Symbol):
+                if _tracked(sym):
+                    symmap[sym.uid] = sym
+                return self.var(env, sym)
+            return _type_interval(e.ctype, model)
+
+        if isinstance(e, Constant):
+            if e.is_float:
+                return None
+            return Interval(e.value, e.value)
+
+        if isinstance(e, Assign):
+            value = self._eval(e.value, env, mutate, symmap)
+            self._eval_store(e.target, value, e.value, env, mutate, symmap)
+            return self._converted(value, e.ctype)
+
+        if isinstance(e, CompoundAssign):
+            synth = Binary(e.op, e.target, e.value, span=e.span)
+            synth.ctype = e.ctype
+            value = self._eval(synth, env, mutate, symmap)
+            value = self._converted(value, e.ctype)
+            self._eval_store(e.target, value, None, env, mutate, symmap)
+            return value
+
+        if isinstance(e, IncDec):
+            old = self._eval(e.operand, env, mutate, symmap)
+            one = Interval(1, 1)
+            op = "+" if e.op == "++" else "-"
+            new = self._arith(op, old, one, e.ctype)
+            self._eval_store(e.operand, new, None, env, mutate, symmap)
+            return new if e.prefix else self._converted(old, e.ctype)
+
+        if isinstance(e, Unary):
+            inner = self._eval(e.operand, env, mutate, symmap)
+            if e.op == "!":
+                if inner is None:
+                    return Interval(0, 1)
+                if not inner.contains(0):
+                    return Interval(0, 0)
+                if inner.singleton() == 0:
+                    return Interval(1, 1)
+                return Interval(0, 1)
+            if inner is None:
+                return _type_interval(e.ctype, model)
+            if e.op == "-":
+                return _clamp(-inner.hi, -inner.lo, e.ctype, model)
+            if e.op == "+":
+                return self._converted(inner, e.ctype)
+            if e.op == "~":
+                return _clamp(~inner.hi, ~inner.lo, e.ctype, model)
+            return _type_interval(e.ctype, model)
+
+        if isinstance(e, Binary):
+            return self._binary(e, env, mutate, symmap)
+
+        if isinstance(e, Cast):
+            inner = self._eval(e.operand, env, mutate, symmap)
+            if inner is None:
+                return _type_interval(e.ctype, model)
+            return _clamp(inner.lo, inner.hi, e.ctype, model)
+
+        if isinstance(e, Call):
+            self._eval(e.callee, env, mutate, symmap)
+            for a in e.args:
+                self._eval(a, env, mutate, symmap)
+            if mutate:
+                for uid in list(env):
+                    sym = symmap.get(uid)
+                    if uid in self.addr_taken or (sym is not None and _havocable(sym)):
+                        del env[uid]
+            return _type_interval(e.ctype, model)
+
+        if isinstance(e, (Deref, Index, Member)):
+            for child in _eval_children(e):
+                self._eval(child, env, mutate, symmap)
+            return _type_interval(e.ctype, model)
+
+        if isinstance(e, (StringLiteral, InitList, AddrOf, Sizeof)):
+            return _type_interval(e.ctype, model)
+
+        if isinstance(e, (Comma, Conditional)):
+            # AST-level queries only (lowered items never contain these).
+            if isinstance(e, Comma):
+                self._eval(e.left, env, False, symmap)
+                return self._eval(e.right, env, False, symmap)
+            then = self._eval(e.then, env, False, symmap)
+            other = self._eval(e.other, env, False, symmap)
+            if then is None or other is None:
+                return _type_interval(e.ctype, model)
+            return then.join(other)
+
+        return _type_interval(e.ctype, model)
+
+    def _eval_store(self, target: Expr, value: Interval | None, value_expr, env: Env,
+                    mutate: bool, symmap: dict[int, Symbol]) -> None:
+        if isinstance(target, Identifier) and isinstance(target.symbol, Symbol):
+            sym = target.symbol
+            if _tracked(sym) and not _havocable(sym):
+                symmap[sym.uid] = sym
+                if mutate:
+                    converted = self._converted(value, sym.type)
+                    if converted is not None:
+                        env[sym.uid] = converted
+                    else:
+                        env.pop(sym.uid, None)
+            elif mutate and _tracked(sym):
+                env.pop(sym.uid, None)
+            return
+        # Store through memory: evaluate subexpressions, then havoc
+        # whatever the pointer may alias.
+        for child in _eval_children(target):
+            self._eval(child, env, mutate, symmap)
+        if mutate:
+            for uid in list(env):
+                if uid in self.addr_taken:
+                    del env[uid]
+
+    def _converted(self, iv: Interval | None, t: TypeDesc | None) -> Interval | None:
+        if iv is None:
+            return _type_interval(t, self.model)
+        return _clamp(iv.lo, iv.hi, t, self.model)
+
+    def _binary(self, e: Binary, env: Env, mutate: bool, symmap) -> Interval | None:
+        op = e.op
+        left = self._eval(e.left, env, mutate, symmap)
+        right = self._eval(e.right, env, mutate, symmap)
+        if op in ("&&", "||"):
+            return Interval(0, 1)
+        if op in ("==", "!=", "<", ">", "<=", ">="):
+            truth = _compare(op, left, right)
+            return Interval(0, 1) if truth is None else Interval(int(truth), int(truth))
+        if left is None or right is None:
+            return _type_interval(e.ctype, self.model)
+        return self._arith(op, left, right, e.ctype)
+
+    def _arith(self, op: str, a: Interval | None, b: Interval | None,
+               t: TypeDesc | None) -> Interval | None:
+        model = self.model
+        if a is None or b is None:
+            return _type_interval(t, model)
+        if op == "+":
+            return _clamp(a.lo + b.lo, a.hi + b.hi, t, model)
+        if op == "-":
+            return _clamp(a.lo - b.hi, a.hi - b.lo, t, model)
+        if op == "*":
+            corners = [a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi]
+            return _clamp(min(corners), max(corners), t, model)
+        if op == "/":
+            if b.contains(0):
+                return _type_interval(t, model)
+            corners = [_c_div(x, y) for x in (a.lo, a.hi) for y in (b.lo, b.hi)]
+            return _clamp(min(corners), max(corners), t, model)
+        if op == "%":
+            if b.contains(0):
+                return _type_interval(t, model)
+            m = max(abs(b.lo), abs(b.hi)) - 1
+            lo = -m if a.lo < 0 else 0
+            hi = m if a.hi > 0 else 0
+            sa, sb = a.singleton(), b.singleton()
+            if sa is not None and sb is not None:
+                r = _c_mod(sa, sb)
+                return _clamp(r, r, t, model)
+            return _clamp(lo, hi, t, model)
+        if op in ("<<", ">>"):
+            width = t.width if t is not None and is_integer(t) else model.int_bits
+            if b.lo < 0 or b.hi >= width:
+                return _type_interval(t, model)
+            if op == "<<":
+                corners = [a.lo << b.lo, a.lo << b.hi, a.hi << b.lo, a.hi << b.hi]
+                return _clamp(min(corners), max(corners), t, model)
+            if a.lo < 0:
+                return _type_interval(t, model)  # >> of negative is impl-defined
+            return _clamp(a.lo >> b.hi, a.hi >> b.lo, t, model)
+        if op in ("&", "|", "^"):
+            sa, sb = a.singleton(), b.singleton()
+            if sa is not None and sb is not None:
+                table = {"&": sa & sb, "|": sa | sb, "^": sa ^ sb}
+                return _clamp(table[op], table[op], t, model)
+            if a.lo >= 0 and b.lo >= 0:
+                if op == "&":
+                    return _clamp(0, min(a.hi, b.hi), t, model)
+                bound = _next_pow2_mask(max(a.hi, b.hi))
+                return _clamp(0, bound, t, model)
+            return _type_interval(t, model)
+        return _type_interval(t, model)
+
+    # -- branch reasoning --------------------------------------------------------
+
+    def truth(self, e: Expr, env: Env) -> tuple[bool, bool]:
+        """(can_be_false, can_be_true); handles short-circuit forms."""
+        if isinstance(e, Binary) and e.op == "&&":
+            lf, lt = self.truth(e.left, env)
+            rf, rt = self.truth(e.right, env)
+            return (lf or (lt and rf), lt and rt)
+        if isinstance(e, Binary) and e.op == "||":
+            lf, lt = self.truth(e.left, env)
+            rf, rt = self.truth(e.right, env)
+            return (lf and rf, lt or (lf and rt))
+        if isinstance(e, Unary) and e.op == "!":
+            cf, ct = self.truth(e.operand, env)
+            return (ct, cf)
+        if isinstance(e, Comma):
+            return self.truth(e.right, env)
+        if isinstance(e, Conditional):
+            cf, ct = self.truth(e.cond, env)
+            tf, tt = self.truth(e.then, env)
+            of, ot = self.truth(e.other, env)
+            can_false = (ct and tf) or (cf and of)
+            can_true = (ct and tt) or (cf and ot)
+            return (can_false, can_true)
+        iv = self.eval(e, dict(env), mutate=False)
+        if iv is None:
+            return (True, True)
+        can_true = iv.lo != 0 or iv.hi != 0
+        can_false = iv.contains(0)
+        return (can_false, can_true)
+
+    def narrow(self, env: Env, cond: Expr, taken: bool) -> Env | None:
+        """Refine `env` along a branch edge; None = edge infeasible."""
+        out = dict(env)
+        if not self._narrow_into(out, cond, taken):
+            return None
+        return out
+
+    def _narrow_into(self, env: Env, cond: Expr, taken: bool) -> bool:
+        if isinstance(cond, Unary) and cond.op == "!":
+            return self._narrow_into(env, cond.operand, not taken)
+        if isinstance(cond, Binary) and cond.op in ("==", "!=", "<", ">", "<=", ">="):
+            op = cond.op
+            if not taken:
+                op = {"==": "!=", "!=": "==", "<": ">=", ">": "<=",
+                      "<=": ">", ">=": "<"}[op]
+            return self._narrow_compare(env, op, cond.left, cond.right)
+        # Bare scalar condition: x / (x) etc.
+        target = _strip_casts(cond)
+        if isinstance(target, Identifier) and isinstance(target.symbol, Symbol):
+            sym = target.symbol
+            iv = self.var(env, sym)
+            if iv is None or not _tracked(sym) or _havocable(sym):
+                return True
+            if taken:
+                if iv.singleton() == 0:
+                    return False
+                if iv.lo == 0:
+                    env[sym.uid] = Interval(1, iv.hi) if iv.hi >= 1 else iv
+                elif iv.hi == 0 and iv.lo < 0:
+                    env[sym.uid] = Interval(iv.lo, -1)
+            else:
+                refined = iv.meet(Interval(0, 0))
+                if refined is None:
+                    return False
+                env[sym.uid] = refined
+        return True
+
+    def _narrow_compare(self, env: Env, op: str, left: Expr, right: Expr) -> bool:
+        lv = self.eval(left, dict(env), mutate=False)
+        rv = self.eval(right, dict(env), mutate=False)
+        truth = _compare(op, lv, rv)
+        if truth is False:
+            return False
+        for var_side, other_iv, var_op in (
+            (left, rv, op),
+            (right, lv, _flip(op)),
+        ):
+            target = _strip_casts(var_side)
+            if (
+                isinstance(target, Identifier)
+                and isinstance(target.symbol, Symbol)
+                and _tracked(target.symbol)
+                and not _havocable(target.symbol)
+                and target is var_side  # do not narrow through value-changing casts
+                and other_iv is not None
+            ):
+                sym = target.symbol
+                current = self.var(env, sym)
+                if current is None:
+                    continue
+                bound = _bound_for(var_op, other_iv)
+                if bound is None:
+                    continue
+                refined = current.meet(bound)
+                if refined is None:
+                    return False
+                env[sym.uid] = refined
+        return True
+
+
+def _eval_children(e: Expr) -> list[Expr]:
+    if isinstance(e, Deref):
+        return [e.operand]
+    if isinstance(e, Index):
+        return [e.base, e.index]
+    if isinstance(e, Member):
+        return [e.base]
+    return []
+
+
+def _strip_casts(e: Expr) -> Expr:
+    while isinstance(e, Cast):
+        e = e.operand
+    return e
+
+
+def _flip(op: str) -> str:
+    return {"<": ">", ">": "<", "<=": ">=", ">=": "<=", "==": "==", "!=": "!="}[op]
+
+
+def _bound_for(op: str, other: Interval) -> Interval | None:
+    big = 1 << 70
+    if op == "==":
+        return other
+    if op == "<":
+        return Interval(-big, other.hi - 1)
+    if op == "<=":
+        return Interval(-big, other.hi)
+    if op == ">":
+        return Interval(other.lo + 1, big)
+    if op == ">=":
+        return Interval(other.lo, big)
+    if op == "!=":
+        return None  # endpoint trimming is below interval precision
+    return None
+
+
+def _compare(op: str, a: Interval | None, b: Interval | None) -> bool | None:
+    """Definite comparison outcome, or None when both are possible."""
+    if a is None or b is None:
+        return None
+    if op == "<":
+        if a.hi < b.lo:
+            return True
+        if a.lo >= b.hi:
+            return False
+        return None
+    if op == "<=":
+        if a.hi <= b.lo:
+            return True
+        if a.lo > b.hi:
+            return False
+        return None
+    if op == ">":
+        r = _compare("<=", a, b)
+        return None if r is None else not r
+    if op == ">=":
+        r = _compare("<", a, b)
+        return None if r is None else not r
+    if op == "==":
+        sa, sb = a.singleton(), b.singleton()
+        if sa is not None and sa == sb:
+            return True
+        if a.hi < b.lo or b.hi < a.lo:
+            return False
+        return None
+    if op == "!=":
+        r = _compare("==", a, b)
+        return None if r is None else not r
+    return None
+
+
+def _next_pow2_mask(v: int) -> int:
+    m = 1
+    while m <= v:
+        m <<= 1
+    return m - 1
+
+
+def _c_div(a: int, b: int) -> int:
+    q = abs(a) // abs(b)
+    return q if (a < 0) == (b < 0) else -q
+
+
+def _c_mod(a: int, b: int) -> int:
+    return a - _c_div(a, b) * b
+
+
+def _join_env(a: Env, b: Env) -> Env:
+    out: Env = {}
+    for uid in set(a) & set(b):
+        out[uid] = a[uid].join(b[uid])
+    return out
+
+
+def _widen_env(old: Env, new: Env, bounds: dict[int, Interval]) -> Env:
+    out: Env = {}
+    for uid in set(old) & set(new):
+        o, n = old[uid], new[uid]
+        full = bounds.get(uid)
+        lo = o.lo if n.lo >= o.lo else (full.lo if full else n.lo)
+        hi = o.hi if n.hi <= o.hi else (full.hi if full else n.hi)
+        out[uid] = Interval(lo, hi)
+    return out
+
+
+def interval_analysis(cfg: Cfg, model: IntegerModel = DEFAULT_MODEL) -> IntervalResult:
+    result = IntervalResult(model)
+    ev = _AbstractEval(model, cfg.addr_taken)
+    result._evaluator = ev
+    symmap: dict[int, Symbol] = {}
+
+    def transfer_block(b, entry: Env, pre: dict | None = None) -> Env:
+        env = dict(entry)
+        for idx, item in enumerate(b.items):
+            if pre is not None:
+                pre[(b.id, idx)] = dict(env)
+            if isinstance(item, DeclItem):
+                sym = item.symbol
+                if item.init is not None and not isinstance(item.init, InitList):
+                    value = ev.eval(item.init, env, mutate=True, symmap=symmap)
+                    if _tracked(sym):
+                        symmap[sym.uid] = sym
+                        converted = ev._converted(value, sym.type)
+                        if converted is not None:
+                            env[sym.uid] = converted
+                elif isinstance(item.init, InitList):
+                    ev.eval(item.init, env, mutate=True, symmap=symmap)
+            else:
+                ev.eval(item.expr, env, mutate=True, symmap=symmap)
+        if pre is not None:
+            pre[(b.id, len(b.items))] = dict(env)
+        return env
+
+    bounds: dict[int, Interval] = {}
+
+    def note_bounds(env: Env) -> None:
+        for uid in env:
+            if uid not in bounds:
+                sym = symmap.get(uid)
+                if sym is not None:
+                    full = _type_interval(sym.type, model)
+                    if full is not None:
+                        bounds[uid] = full
+
+    def transfer(bid: int, entry: Env):
+        b = cfg.block(bid)
+        env = transfer_block(b, entry)
+        if b.term_expr is not None:
+            ev.eval(b.term_expr, env, mutate=True, symmap=symmap)
+        note_bounds(env)
+        term = b.term
+        if isinstance(term, TBranch) and term.const_value is None:
+            yield term.true_target, ev.narrow(env, term.cond, True)
+            yield term.false_target, ev.narrow(env, term.cond, False)
+        elif isinstance(term, TSwitch):
+            scrutinee = _strip_casts(term.expr)
+            for value, target in term.cases:
+                out_env = dict(env)
+                if (
+                    isinstance(scrutinee, Identifier)
+                    and isinstance(scrutinee.symbol, Symbol)
+                    and _tracked(scrutinee.symbol)
+                    and not _havocable(scrutinee.symbol)
+                ):
+                    current = ev.var(out_env, scrutinee.symbol)
+                    refined = current.meet(Interval(value, value)) if current else None
+                    if refined is None:
+                        continue
+                    out_env[scrutinee.symbol.uid] = refined
+                yield target, out_env
+            yield term.default_target, dict(env)
+        else:
+            for target, _kind in b.succs:
+                yield target, dict(env)
+
+    def widen(old: Env, new: Env) -> Env:
+        out = _widen_env(old, new, bounds)
+        if out != new:
+            result.widenings += 1
+        return out
+
+    # The empty entry map is "all top": parameters and locals enter the
+    # environment lazily at their full type range.
+    in_states, result.iterations = solve(
+        cfg, {cfg.entry: {}}, transfer, _join_env,
+        budget=192 * len(cfg.blocks) + 1024, analysis="interval analysis",
+        widen=widen,
+    )
+
+    # Final pass: record per-point pre-states, terminator states, dead edges.
+    for bid, entry_env in in_states.items():
+        b = cfg.block(bid)
+        env = transfer_block(b, entry_env, result.pre)
+        result.term_env[bid] = dict(env)
+        term = b.term
+        if isinstance(term, TBranch):
+            node_key = id(term.node)
+            prev = result.cond_entry.get(node_key)
+            if prev is None or bid < prev:
+                result.cond_entry[node_key] = bid
+        if isinstance(term, TBranch) and term.const_value is None:
+            if ev.narrow(env, term.cond, True) is None:
+                result.dead_edges.add((bid, term.true_target))
+            else:
+                can_false, can_true = ev.truth(term.cond, env)
+                if not can_true:
+                    result.dead_edges.add((bid, term.true_target))
+            if ev.narrow(env, term.cond, False) is None:
+                result.dead_edges.add((bid, term.false_target))
+            else:
+                can_false, can_true = ev.truth(term.cond, env)
+                if not can_false:
+                    result.dead_edges.add((bid, term.false_target))
+    return result

@@ -1,0 +1,288 @@
+"""The lowered interval analysis against the original evaluator (`interval_oracle`).
+
+On every function both must give the same state at every program point,
+the same terminator states, dead edges, condition blocks, block visits
+and widenings, the same `eval_expr` on every shift's right operand and
+the same `truth_of` on every controlling expression. The inputs are the
+snippets of the interval, R12.2, R14.3 and R2.1 tests, cases aimed at the
+lowering's special paths, and the first TUs of two benchmark workloads.
+
+Run as a script to compare every function of whole workloads:
+
+    PYTHONPATH=src:tests:perfbench python3 tests/test_interval_oracle.py --seeds 1 2
+"""
+from __future__ import annotations
+
+import os
+import sys
+
+import pytest
+
+import interval_oracle
+from ccomply.builtins import BUILTIN_MACRO_SPECS
+from ccomply.flow import build_cfg, interval_analysis
+from ccomply.flow.cfg import DeclItem
+from ccomply.flow.intervals import Interval
+from ccomply.frontend import macro_from_define_flag, preprocess
+from ccomply.parsing import (
+    Binary, CompoundAssign, DoWhile, For, FunctionDef, If, While, parse, walk,
+)
+from ccomply.sema import resolve
+from ccomply.source import SourceManager
+from flow_helpers import analyze_fn
+from rule_helpers import PRELUDE
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+from gen import generate  # noqa: E402  (the generator imports nothing from ccomply)
+
+SNIPPETS = [
+    # The interval tests (test_dataflow.TestIntervals).
+    "void f(void) { int x; x = 5; use(x); }",
+    "void f(uint32_t n) { if (n < 32) { use(n); } }",
+    "void f(uint32_t n) { if (n < 32) { } else { use(n); } }",
+    "void f(void) { int i; for (i = 0; i < 10; ++i) { use(i); } }",
+    "void f(int n) { int i = 0; while (n) { use(i); i = i + 1; } }",
+    "void f(int n) { int i = 0; while (i < n) { use(i); i = i + 1; } }",
+    "extern void touch(int *);\n"
+    "void f(void) { int x = 1; int *p = &x; touch(p); use(x); }",
+    "void f(void) { int x = 32 & 0x1F; use(x); }",
+    "void f(int x) { use(x * 0); }",
+    "void f(uint8_t u) { use(u); }",
+    "void f(int n) { int i; int s = 0; for (i = 0; i < n; ++i) "
+    "{ if (s < 100) { s += i; } } use(s); }",
+    # R12.2.
+    "void f(void) { uint32_t i = 1; i = i << 32; useu(i); }",
+    "void f(void) { uint32_t i = 1; i = i << (32 & 0x1F); useu(i); }",
+    "void f(uint32_t i, uint32_t n) { if (n <= 40u) { useu(i << n); } }",
+    "void f(uint32_t i, uint32_t n) { if (n < 32u) { useu(i << n); } }",
+    "void f(int x) { use(x << -1); }",
+    "void f(uint8_t b) { use(b << 20); }",
+    "void f(void) { uint32_t i = 1; i <<= 32; useu(i); }",
+    # R14.3.
+    "void f(void) { uint8_t u = get(); if (u < 256) { use(1); } }",
+    "void f(void) { while (1) { if (get()) { break; } } }",
+    "void f(void) { do { get(); } while (0); }",
+    "void f(void) { if (0) { use(1); } }",
+    "void f(uint8_t u) { if (u < 10) { use(1); } }",
+    # R2.1.
+    "void f(void) { return; use(1); }",
+    "void f(void) { if (0) { use(1); } use(2); }",
+    "void f(int x) { if (x * 0 == 0) { use(1); } else { use(2); } }",
+    "void f(void) { while (1) { get(); } use(1); }",
+    "void f(int a) { if (a) { use(1); } else { use(2); } use(3); }",
+    # Temporaries of different types share uid -1 across a widened loop;
+    # its widening bound is the type of the temporary registered first.
+    "void f(int n, int a, int b) { long k = 0; long t = (a && b); int i; for (i = 0; i < n; i++) "
+    "{ t = t + (a ? k : 0L); k = k + 1; } use((int)t); }",
+    "void f(int n, uint8_t c) { int s = 0; int i; for (i = 0; i < n; i++) "
+    "{ s = s + (c ? 300 : (uint8_t)i) + (i && n); } use(s); }",
+    "void f(long n) { long k = 0; while (k < n || n > 7) "
+    "{ k = k + (n > 3 ? (unsigned char)k : 9L); } use((int)k); }",
+    # Calls forget static locals and address-taken locals, not other locals.
+    "void f(int n) { static int calls = 0; int x = 3; int *p = &n; "
+    "while (calls < n) { calls = calls + 1; get(); x = x + *p; } use(x + calls); }",
+    "void f(void) { static int calls = 0; get(); if (calls > 0) { use(calls); } }",
+    # Branches decided by the condition's value, not by narrowing.
+    "void f(int x) { if (x * 0) { use(1); } if (x * 0 + 3) { use(2); } }",
+    # Stores through memory, with side effects in the address.
+    "void f(int *a, int i) { int k = 0; int *q = &k; a[i++] += 1; *q = 2; "
+    "a[k++] = a[i] << k; use(k + i); }",
+    # Volatile reads, negated and scalar conditions, casts.
+    "void f(volatile int v, int x) { if (!(v < 3)) { use(v); } "
+    "if (!!x) { use(x); } else { use(x); } if ((char)x) { use(x); } }",
+    "void f(int x) { if (x) { use(x); } if (!x) { use(x); } "
+    "if (x == 5) { use(x); } if (5 != x) { use(x); } if (x >= x) { use(x); } }",
+    # Switches, with a narrowable and an opaque scrutinee.
+    "void f(int x) { int y = 0; switch (x) { case 1: y = x; break; "
+    "case 2: case 3: y = x << x; break; default: y = -x; } "
+    "switch (x + 1) { case 4: y++; break; } use(y); }",
+    # goto loops (label blocks are loop heads).
+    "void f(int n) { int i = 0; top: i++; if (i < n) goto top; use(i); }",
+    # Division, remainder, bitwise, unary, increments.
+    "void f(int a, unsigned b) { int r = 0; int i; for (i = -3; i < 9; i += 2) "
+    "{ r = r + a / (i | 1) + (a % 7) - (int)(b & 12u) + (~i ^ 5) - -i; "
+    "r += b >> 3; r -= i--; i++; } use(r); }",
+    # AST-level && || ?: and , in controlling expressions.
+    "void f(int a, int b) { while (a < 10 && (b = a, b > 2)) { a++; } "
+    "if (a ? b : a + 1) { use(a); } if (a > 3 || b < 0) { use(b); } "
+    "for (; a < 100 && b; a += b) { use(a << b); } }",
+]
+
+# Functions of generated TUs compared in the suite, per workload.
+WORKLOAD_TUS = 10
+
+
+def compare(cfg, fn) -> list[str]:
+    """Every way the lowered analysis differs from the oracle on `cfg`."""
+    new, old = _outcome(interval_analysis, cfg), _outcome(interval_oracle.interval_analysis, cfg)
+    if isinstance(new, str) or isinstance(old, str):
+        return [] if new == old else [f"{fn.name}: {new} != {old}"]
+    diffs = []
+
+    def check(what, a, b):
+        a, b = _plain(a), _plain(b)
+        if a != b:
+            diffs.append(f"{fn.name}: {what}: {a!r} != {b!r}")
+
+    for b in cfg.blocks:
+        for idx in range(len(b.items) + 1):
+            check(f"env_at({b.id}, {idx})", new.env_at(b.id, idx), old.env_at(b.id, idx))
+    check("term_env", new.term_env, old.term_env)
+    check("dead_edges", new.dead_edges, old.dead_edges)
+    check("cond_entry", new.cond_entry, old.cond_entry)
+    check("iterations", new.iterations, old.iterations)
+    check("widenings", new.widenings, old.widenings)
+    for bid, idx, expr in _point_exprs(cfg):
+        for node in walk(expr):
+            if isinstance(node, (Binary, CompoundAssign)) and node.op in ("<<", ">>"):
+                right = node.value if isinstance(node, CompoundAssign) else node.right
+                check(f"eval_expr at ({bid}, {idx})",
+                      new.eval_expr(right, new.env_at(bid, idx)),
+                      old.eval_expr(right, old.env_at(bid, idx)))
+    envs = [{}] + [old.term_env[bid] for bid in sorted(old.term_env)]
+    for stmt in walk(fn.body):
+        if isinstance(stmt, (If, While, DoWhile, For)) and stmt.cond is not None:
+            for env in envs:
+                check("truth_of", new.truth_of(stmt.cond, env), old.truth_of(stmt.cond, env))
+    return diffs
+
+
+def _plain(value):
+    """`value` with each interval as a (lo, hi) pair: the two modules' classes differ."""
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if hasattr(value, "lo"):
+        return (value.lo, value.hi)
+    return value
+
+
+def _outcome(analysis, cfg):
+    try:
+        return analysis(cfg)
+    except Exception as exc:  # the same failure on both sides is agreement
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _point_exprs(cfg):
+    for b in cfg.blocks:
+        for i, item in enumerate(b.items):
+            expr = item.init if isinstance(item, DeclItem) else item.expr
+            if expr is not None:
+                yield b.id, i, expr
+        if b.term_expr is not None:
+            yield b.id, len(b.items), b.term_expr
+
+
+def workload_functions(workload: str, seed: int, workdir: str, tus: int | None = None):
+    """(CFG, FunctionDef) of every function in the workload's first `tus` TUs."""
+    project = generate(workload, seed)
+    for path, text in project.files.items():
+        full = os.path.join(workdir, path)
+        os.makedirs(os.path.dirname(full), exist_ok=True)
+        with open(full, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    manager = SourceManager()
+    builtins = [macro_from_define_flag(spec, manager) for spec in BUILTIN_MACRO_SPECS]
+    for path in project.tus[:tus]:
+        full = os.path.join(workdir, path)
+        tokens, _, _ = preprocess(manager.load(full), [], builtins, manager)
+        tu = parse(tokens, full)
+        resolve(tu)
+        for fn in tu.decls:
+            if isinstance(fn, FunctionDef):
+                yield build_cfg(fn), fn
+
+
+@pytest.mark.parametrize("text", SNIPPETS)
+def test_snippet_matches_oracle(text):
+    cfg, fn, _, _ = analyze_fn(text, prelude=PRELUDE)
+    assert compare(cfg, fn) == []
+
+
+@pytest.mark.parametrize("workload", ["project_all_rules", "header_heavy"])
+def test_workload_matches_oracle(workload, tmp_path):
+    functions = list(workload_functions(workload, 1, str(tmp_path), WORKLOAD_TUS))
+    assert functions
+    diffs = [d for cfg, fn in functions for d in compare(cfg, fn)]
+    assert diffs == []
+
+
+class TestReplayContract:
+    def analysis(self, text):
+        cfg, fn, table, _ = analyze_fn(text, prelude=PRELUDE)
+        return cfg, fn, interval_analysis(cfg), interval_oracle.interval_analysis(cfg)
+
+    def test_unreached_block_has_empty_state(self):
+        cfg, _, res, _ = self.analysis(
+            "void f(int x) { x = 1; if (x == 2) { x = 3; use(x); } }")
+        unreached = [b for b in cfg.blocks if b.id not in res.in_states]
+        assert any(b.items for b in unreached)
+        for b in unreached:
+            for idx in range(len(b.items) + 1):
+                assert res.env_at(b.id, idx) == {}
+
+    def test_index_zero_is_the_block_entry_state(self):
+        cfg, _, res, old = self.analysis(
+            "void f(int n) { int i; for (i = 0; i < n; i++) { use(i); i += 2; } }")
+        for bid, entry in res.in_states.items():
+            assert res.env_at(bid, 0) is entry
+            assert _plain(entry) == _plain(old.env_at(bid, 0))
+
+    def test_last_index_is_the_state_before_the_terminator(self):
+        cfg, _, res, old = self.analysis(
+            "void f(int n) { int x = n; x = x + 1; if (x++ < 3) { use(x); } }")
+        for bid in res.in_states:
+            n = len(cfg.block(bid).items)
+            assert res.env_at(bid, n) is res.term_env[bid]
+            assert _plain(res.term_env[bid]) == _plain(old.env_at(bid, n))
+        assert res.env_at(cfg.entry, len(cfg.block(cfg.entry).items) + 1) == {}
+
+    def test_queries_leave_the_environment_unchanged(self):
+        cfg, fn, res, _ = self.analysis(
+            "extern int *ptr(void);\n"
+            "void f(int x, int y) { if ((x = y++) + get() > 0 && (*ptr() = 4)) { use(x); } }")
+        env = {uid: Interval(1, 5) for uid in range(20)}
+        before = dict(env)
+        cond = [s for s in walk(fn.body) if isinstance(s, If)][0].cond
+        res.truth_of(cond, env)
+        for node in walk(cond):
+            res.eval_expr(node, env)
+        assert env == before
+
+    @pytest.mark.parametrize("cond", ["a && b", "c ? x : y", "(x, y)", "!(a || c ? x : (y, b))"])
+    def test_ast_level_condition_matches_oracle(self, cond):
+        cfg, fn, res, old = self.analysis(
+            f"void f(int a, int b, int c) {{ int x = 1; int y = 7; a = 0; "
+            f"if (c > 4) {{ y = 0; }} if ({cond}) {{ use(1); }} }}")
+        stmt = [s for s in walk(fn.body) if isinstance(s, If)][-1]
+        bid = res.cond_entry[id(stmt)]
+        varied = {uid: Interval(uid % 3 - 1, uid % 3 + uid % 2) for uid in range(40)}
+        for env in ({}, res.term_env[bid], {uid: Interval(0, 0) for uid in range(40)}, varied):
+            assert res.truth_of(stmt.cond, env) == old.truth_of(stmt.cond, env)
+            assert _plain(res.eval_expr(stmt.cond, env)) == _plain(old.eval_expr(stmt.cond, env))
+
+
+def main(argv: list[str]) -> int:
+    """Compare every function of both workloads at the given seeds."""
+    import argparse
+    import json
+    import tempfile
+
+    ap = argparse.ArgumentParser(description=main.__doc__)
+    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
+    args = ap.parse_args(argv)
+    report = {}
+    for workload in ("project_all_rules", "header_heavy"):
+        for seed in args.seeds:
+            with tempfile.TemporaryDirectory() as workdir:
+                functions = diffs = 0
+                for cfg, fn in workload_functions(workload, seed, workdir):
+                    functions += 1
+                    diffs += len(compare(cfg, fn))
+            report[f"{workload}:{seed}"] = {"functions": functions, "diffs": diffs}
+    print(json.dumps(report))
+    return 0 if all(r["diffs"] == 0 for r in report.values()) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
