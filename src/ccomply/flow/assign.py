@@ -42,7 +42,7 @@ class DefAssignResult:
 def _tracked(sym: Symbol | None) -> bool:
     # Parameters are tracked too: they start DefinitelyAssigned (the
     # default for variables absent from the state).
-    return sym is not None and (sym.is_local_object or sym.is_temp)
+    return sym is not None and sym.is_local_object
 
 
 def _join(a: dict[int, AssignState], b: dict[int, AssignState]) -> dict[int, AssignState]:

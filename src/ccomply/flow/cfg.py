@@ -198,12 +198,14 @@ class CfgBuilder:
         return b
 
     def new_temp(self, ctype) -> Symbol:
+        # Temporaries get uids -1, -2, ...: distinct within the graph, and
+        # never a symbol-table uid (those are >= 0).
         name = f"$t{self.temp_count}"
         self.temp_count += 1
         span = self.fn.span
         return Symbol(
             name, SymKind.OBJECT, ctype or make_int(self.model.int_bits, True),
-            0, Storage.AUTO, Linkage.NONE, span, is_temp=True, uid=-1,
+            0, Storage.AUTO, Linkage.NONE, span, is_temp=True, uid=-self.temp_count,
         )
 
     def temp_ref(self, temp: Symbol, span: Span) -> Identifier:

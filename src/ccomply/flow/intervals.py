@@ -30,14 +30,12 @@ closures take more memory than the per-point states they replace.
 `||`, `?:` and `,` included, on each call, and never change the
 environment they are given.
 
-The lowering reproduces the original evaluator's order-dependent
-behaviour exactly. A variable's widening bound is the type range of the
-symbol last registered under its uid when it first reaches the state,
-and every CFG temporary shares uid -1; so each block records the last
-symbol it registers per uid (`_BlockCode.regs`), and the analysis applies
-them after each visit. A call forgets the address-taken locals and the
-tracked static locals the function declares (`havoc`): no other variable
-can be in the state and have its address escape.
+A variable's widening bound is its type range, which lowering records
+(`_AbstractEval.bounds`) the first time it meets the variable; a uid
+names one symbol, CFG temporaries included. A call forgets the
+address-taken locals and the tracked static locals the function declares
+(`havoc`): no other variable can be in the state and have its address
+escape.
 """
 from __future__ import annotations
 
@@ -127,7 +125,7 @@ def _tracked(sym: Symbol | None) -> bool:
 
 
 def _havocable(sym: Symbol) -> bool:
-    return not (sym.is_local_object or sym.is_temp or sym.is_param)
+    return not sym.is_local_object
 
 
 @dataclass
@@ -160,7 +158,7 @@ class IntervalResult:
         b = self._cfg.block(bid)
         if idx == len(b.items):
             return self.term_env[bid]
-        steps = self._evaluator.lower_items(b, {}) if 0 < idx < len(b.items) else []
+        steps = self._evaluator.lower_items(b) if 0 < idx < len(b.items) else []
         return state_at(entry, steps, idx, len(b.items))
 
     def eval_expr(self, expr: Expr, env: Env) -> Interval | None:
@@ -183,19 +181,17 @@ class _BlockCode:
     """One block's lowered transfer.
 
     `steps` are `(item index, step)` for the items that can change the
-    state; `run` applies them and the terminator expression; `regs` maps
-    each uid the block registers to the symbol it registers last; `edges`
-    gives the successor states of the state after `run`. For a branch on a
+    state; `run` applies them and the terminator expression; `edges` gives
+    the successor states of the state after `run`. For a branch on a
     non-constant condition, `narrow` gives the (true, false) edge states
     and `truth` the condition's (can_be_false, can_be_true).
     """
 
-    __slots__ = ("steps", "run", "regs", "edges", "narrow", "truth")
+    __slots__ = ("steps", "run", "edges", "narrow", "truth")
 
-    def __init__(self, steps, run, regs, edges, narrow=None, truth=None):
+    def __init__(self, steps, run, edges, narrow=None, truth=None):
         self.steps = steps
         self.run = run
-        self.regs = regs
         self.edges = edges
         self.narrow = narrow
         self.truth = truth
@@ -205,16 +201,18 @@ class _AbstractEval:
     """Lowers one CFG's expressions to closures; holds the arithmetic kernel.
 
     `havoc` is the set of uids a call may change (by default the
-    address-taken ones). Each `_lower_*` method takes an expression, whether
-    its stores and calls update the environment (`mutate`), and the block's
-    registrations `regs`, and returns `(value function, whether that
-    function can change the environment)`.
+    address-taken ones), and `bounds` maps the uid of each tracked variable
+    lowering has met to its type range, the variable's widening bound. Each
+    `_lower_*` method takes an expression and whether its stores and calls
+    update the environment (`mutate`), and returns `(value function, whether
+    that function can change the environment)`.
     """
 
     def __init__(self, model: IntegerModel, addr_taken, havoc=None):
         self.model = model
         self.addr_taken = addr_taken
         self.havoc = addr_taken if havoc is None else havoc
+        self.bounds: dict[int, Interval] = {}
         self._full: dict[TypeDesc | None, Interval | None] = {}
 
     def full(self, t: TypeDesc | None) -> Interval | None:
@@ -224,6 +222,13 @@ class _AbstractEval:
         except KeyError:
             iv = self._full[t] = _type_interval(t, self.model)
             return iv
+
+    def _range(self, sym: Symbol) -> Interval:
+        """The type range of tracked variable `sym`, recorded in `bounds`."""
+        full = self.bounds.get(sym.uid)
+        if full is None:
+            full = self.bounds[sym.uid] = self.full(sym.type)
+        return full
 
     def _width(self, t: TypeDesc | None) -> int:
         return t.width if t is not None and is_integer(t) else self.model.int_bits
@@ -240,7 +245,7 @@ class _AbstractEval:
 
     def lower_value(self, e: Expr) -> ValueFn:
         """`e`'s value function, with stores and calls leaving the state as is."""
-        return self._lower(e, False, {})[0]
+        return self._lower(e, False)[0]
 
     def lower_truth(self, e: Expr) -> Callable[[Env], tuple[bool, bool]]:
         """`e`'s (can_be_false, can_be_true) function."""
@@ -275,7 +280,7 @@ class _AbstractEval:
                 of, ot = other(env)
                 return ((ct and tf) or (cf and of), (ct and tt) or (cf and ot))
             return pick
-        value = self._lower(e, False, {})[0]
+        value = self._lower(e, False)[0]
 
         def test(env):
             iv = value(env)
@@ -287,11 +292,10 @@ class _AbstractEval:
     # -- blocks ----------------------------------------------------------------
 
     def lower_block(self, b: Block) -> _BlockCode:
-        regs: dict[int, Symbol] = {}
-        steps = self.lower_items(b, regs)
+        steps = self.lower_items(b)
         run_all = [step for _, step in steps]
         if b.term_expr is not None:
-            fn, changes = self._lower(b.term_expr, True, regs)
+            fn, changes = self._lower(b.term_expr, True)
             if changes:
                 run_all.append(fn)
         run = _sequence(run_all) if run_all else None
@@ -302,33 +306,32 @@ class _AbstractEval:
 
             def edges(env):
                 return zip(targets, narrow(env))
-            return _BlockCode(steps, run, regs, edges, narrow, self.lower_truth(term.cond))
+            return _BlockCode(steps, run, edges, narrow, self.lower_truth(term.cond))
         if isinstance(term, TSwitch):
-            return _BlockCode(steps, run, regs, self._switch_edges(term))
+            return _BlockCode(steps, run, self._switch_edges(term))
         succs = [target for target, _kind in b.succs]
-        return _BlockCode(steps, run, regs, lambda env: [(t, env) for t in succs])
+        return _BlockCode(steps, run, lambda env: [(t, env) for t in succs])
 
-    def lower_items(self, b: Block, regs: dict) -> list[tuple[int, ValueFn]]:
+    def lower_items(self, b: Block) -> list[tuple[int, ValueFn]]:
         """(index, step) for each of `b`'s items that can change the state."""
         steps = []
         for idx, item in enumerate(b.items):
-            step = self._lower_item(item, regs)
+            step = self._lower_item(item)
             if step is not None:
                 steps.append((idx, step))
         return steps
 
-    def _lower_item(self, item, regs) -> ValueFn | None:
+    def _lower_item(self, item) -> ValueFn | None:
         if not isinstance(item, DeclItem):
-            fn, changes = self._lower(item.expr, True, regs)
+            fn, changes = self._lower(item.expr, True)
             return fn if changes else None
         sym, init = item.symbol, item.init
         if init is None or isinstance(init, InitList):
             return None  # an initializer list is not evaluated
-        value, changes = self._lower(init, True, regs)
+        value, changes = self._lower(init, True)
         if not _tracked(sym):
             return value if changes else None
-        regs[sym.uid] = sym
-        uid, full = sym.uid, self.full(sym.type)
+        uid, full = sym.uid, self._range(sym)
 
         def declare(env):
             env[uid] = _converted(value(env), full)
@@ -338,7 +341,7 @@ class _AbstractEval:
         """(uid, type range, volatile) of a variable a branch may refine."""
         sym = e.symbol if type(e) is Identifier else None
         if isinstance(sym, Symbol) and _tracked(sym) and not _havocable(sym):
-            return sym.uid, self.full(sym.type), "volatile" in sym.quals
+            return sym.uid, self._range(sym), "volatile" in sym.quals
         return None
 
     def _narrowing(self, cond: Expr):
@@ -390,42 +393,41 @@ class _AbstractEval:
 
     # -- expressions -------------------------------------------------------------
 
-    def _lower(self, e: Expr, mutate: bool, regs: dict) -> tuple[ValueFn, bool]:
+    def _lower(self, e: Expr, mutate: bool) -> tuple[ValueFn, bool]:
         cv = const_eval(e, self.model)
         if cv.is_constant:
             return _const(Interval(cv.value, cv.value)), False
-        return _LOWER.get(type(e), _AbstractEval._lower_opaque)(self, e, mutate, regs)
+        return _LOWER.get(type(e), _AbstractEval._lower_opaque)(self, e, mutate)
 
-    def _effects(self, exprs, mutate: bool, regs: dict) -> list[ValueFn]:
+    def _effects(self, exprs, mutate: bool) -> list[ValueFn]:
         """Lower `exprs` in order; keep the ones that can change the state."""
         steps = []
         for x in exprs:
-            fn, changes = self._lower(x, mutate, regs)
+            fn, changes = self._lower(x, mutate)
             if changes:
                 steps.append(fn)
         return steps
 
-    def _lower_opaque(self, e, mutate, regs):
+    def _lower_opaque(self, e, mutate):
         return _const(self.full(e.ctype)), False
 
-    def _lower_identifier(self, e, mutate, regs):
+    def _lower_identifier(self, e, mutate):
         sym = e.symbol
         if not isinstance(sym, Symbol):
             return _const(self.full(e.ctype)), False
         if not _tracked(sym):
             return _const(None), False
-        regs[sym.uid] = sym
-        uid, full = sym.uid, self.full(sym.type)
+        uid, full = sym.uid, self._range(sym)
         if "volatile" in sym.quals:
             return _const(full), False
         return (lambda env: env.get(uid, full)), False
 
-    def _lower_constant(self, e, mutate, regs):
+    def _lower_constant(self, e, mutate):
         return _const(None if e.is_float else Interval(e.value, e.value)), False
 
-    def _lower_assign(self, e, mutate, regs):
-        value, changes = self._lower(e.value, mutate, regs)
-        store = self._store(e.target, mutate, regs)
+    def _lower_assign(self, e, mutate):
+        value, changes = self._lower(e.value, mutate)
+        store = self._store(e.target, mutate)
         full = self.full(e.ctype)
         if store is None:
             return (lambda env: _converted(value(env), full)), changes
@@ -436,12 +438,12 @@ class _AbstractEval:
             return _converted(v, full)
         return assign, True
 
-    def _lower_compound_assign(self, e, mutate, regs):
+    def _lower_compound_assign(self, e, mutate):
         synth = Binary(e.op, e.target, e.value, span=e.span)
         synth.ctype = e.ctype
-        value, changes = self._lower(synth, mutate, regs)
+        value, changes = self._lower(synth, mutate)
         full = self.full(e.ctype)
-        store = self._store(e.target, mutate, regs)
+        store = self._store(e.target, mutate)
         if store is None:
             return (lambda env: _converted(value(env), full)), changes
 
@@ -451,11 +453,11 @@ class _AbstractEval:
             return v
         return update, True
 
-    def _lower_incdec(self, e, mutate, regs):
-        old, changes = self._lower(e.operand, mutate, regs)
+    def _lower_incdec(self, e, mutate):
+        old, changes = self._lower(e.operand, mutate)
         kernel = _ARITH["+" if e.op == "++" else "-"]
         full, width = self.full(e.ctype), self._width(e.ctype)
-        store = self._store(e.operand, mutate, regs)
+        store = self._store(e.operand, mutate)
         prefix = e.prefix
 
         def step(env):
@@ -466,7 +468,7 @@ class _AbstractEval:
             return new if prefix else _converted(a, full)
         return step, changes or store is not None
 
-    def _store(self, target: Expr, mutate: bool, regs: dict):
+    def _store(self, target: Expr, mutate: bool):
         """store(env, value) for an assignment to `target`, or None if it
         cannot change the state."""
         if type(target) is Identifier and isinstance(target.symbol, Symbol):
@@ -476,17 +478,16 @@ class _AbstractEval:
             uid = sym.uid
             if _havocable(sym):
                 return (lambda env, v: env.pop(uid, None)) if mutate else None
-            regs[uid] = sym
             if not mutate:
                 return None
-            full = self.full(sym.type)
+            full = self._range(sym)
 
             def assign(env, v):
                 env[uid] = _converted(v, full)
             return assign
         # Store through memory: evaluate subexpressions, then forget
         # whatever the pointer may alias.
-        steps = self._effects(_eval_children(target), mutate, regs)
+        steps = self._effects(_eval_children(target), mutate)
         if mutate and self.addr_taken:
             steps.append(_forget(self.addr_taken))
         if not steps:
@@ -494,8 +495,8 @@ class _AbstractEval:
         run = _sequence(steps)
         return lambda env, v: run(env)
 
-    def _lower_unary(self, e, mutate, regs):
-        inner, changes = self._lower(e.operand, mutate, regs)
+    def _lower_unary(self, e, mutate):
+        inner, changes = self._lower(e.operand, mutate)
         op, full = e.op, self.full(e.ctype)
         if op == "!":
             return (lambda env: _not(inner(env))), changes
@@ -512,10 +513,10 @@ class _AbstractEval:
             return full if iv is None else _clamp(~iv.hi, ~iv.lo, full)
         return complement, changes
 
-    def _lower_binary(self, e, mutate, regs):
+    def _lower_binary(self, e, mutate):
         op = e.op
-        left, lchanges = self._lower(e.left, mutate, regs)
-        right, rchanges = self._lower(e.right, mutate, regs)
+        left, lchanges = self._lower(e.left, mutate)
+        right, rchanges = self._lower(e.right, mutate)
         changes = lchanges or rchanges
         if op in _NEGATE:
             def compare(env):
@@ -534,29 +535,28 @@ class _AbstractEval:
             return kernel(a, b, full, width)
         return arith, changes
 
-    def _lower_cast(self, e, mutate, regs):
-        inner, changes = self._lower(e.operand, mutate, regs)
+    def _lower_cast(self, e, mutate):
+        inner, changes = self._lower(e.operand, mutate)
         full = self.full(e.ctype)
         return (lambda env: _converted(inner(env), full)), changes
 
-    def _lower_call(self, e, mutate, regs):
-        steps = self._effects([e.callee, *e.args], mutate, regs)
+    def _lower_call(self, e, mutate):
+        steps = self._effects([e.callee, *e.args], mutate)
         if mutate and self.havoc:
             steps.append(_forget(self.havoc))
         return _then(steps, self.full(e.ctype)), bool(steps)
 
-    def _lower_access(self, e, mutate, regs):
-        steps = self._effects(_eval_children(e), mutate, regs)
+    def _lower_access(self, e, mutate):
+        steps = self._effects(_eval_children(e), mutate)
         return _then(steps, self.full(e.ctype)), bool(steps)
 
-    def _lower_comma(self, e, mutate, regs):
+    def _lower_comma(self, e, mutate):
         # AST-level queries only (lowered items never contain these).
-        self._lower(e.left, False, regs)
-        return self._lower(e.right, False, regs)[0], False
+        return self._lower(e.right, False)[0], False
 
-    def _lower_conditional(self, e, mutate, regs):
-        then = self._lower(e.then, False, regs)[0]
-        other = self._lower(e.other, False, regs)[0]
+    def _lower_conditional(self, e, mutate):
+        then = self._lower(e.then, False)[0]
+        other = self._lower(e.other, False)[0]
         full = self.full(e.ctype)
 
         def join(env):
@@ -888,8 +888,6 @@ def interval_analysis(cfg: Cfg, model: IntegerModel = DEFAULT_MODEL) -> Interval
     }
     ev = _AbstractEval(model, cfg.addr_taken, havoc)
     result = IntervalResult(model, _evaluator=ev, _cfg=cfg)
-    symmap: dict[int, Symbol] = {}
-    bounds: dict[int, Interval] = {}
 
     # The lowered blocks live as long as the analysis: kept for the whole
     # run, closures would outweigh the states they replace.
@@ -903,18 +901,10 @@ def interval_analysis(cfg: Cfg, model: IntegerModel = DEFAULT_MODEL) -> Interval
         if code.run is not None:
             env = dict(entry)
             code.run(env)
-        symmap.update(code.regs)
-        if not bounds.keys() >= env.keys():
-            for uid in env.keys() - bounds.keys():
-                sym = symmap.get(uid)
-                if sym is not None:
-                    full = ev.full(sym.type)
-                    if full is not None:
-                        bounds[uid] = full
         return code.edges(env)
 
     def widen(old: Env, new: Env) -> Env:
-        out = _widen_env(old, new, bounds)
+        out = _widen_env(old, new, ev.bounds)
         if out != new:
             result.widenings += 1
         return out

@@ -25,7 +25,7 @@ class LivenessResult:
 
 
 def _tracked(sym: Symbol | None) -> bool:
-    return sym is not None and (sym.is_local_object or sym.is_param or sym.is_temp)
+    return sym is not None and sym.is_local_object
 
 
 def liveness(cfg: Cfg) -> LivenessResult:

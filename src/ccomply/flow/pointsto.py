@@ -1,21 +1,22 @@
 """Flow-sensitive intraprocedural points-to sets for local pointers.
 
 Targets are named objects, string-literal ids, or the absorbing
-`unknown` top element. Direct assignments update strongly; joins take
-set union (with unknown absorbing); calls and stores through pointers
-havoc every address-taken pointer.
+`unknown` top element. The transfer reads each item's cached effect
+events: a plain copy into a pointer variable updates it strongly; joins
+take set union (with unknown absorbing); calls and stores through
+pointers, other than `++`/`--`, havoc every address-taken pointer.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
 
-from ccomply.flow.cfg import Cfg, DeclItem
+from ccomply.flow.cfg import Cfg
+from ccomply.flow.effects import Event
 from ccomply.flow.solver import solve, state_at
 from ccomply.parsing.astnodes import (
-    AddrOf, Assign, Binary, Call, Cast, Comma, CompoundAssign, Conditional,
-    Constant, Deref, Expr, Identifier, IncDec, Index, InitList, Member,
-    Sizeof, StringLiteral, Unary,
+    AddrOf, Assign, Binary, Call, Cast, Comma, Conditional, Deref, Expr,
+    Identifier, IncDec, Index, Member, StringLiteral,
 )
 from ccomply.sema.symbols import SymKind, Symbol
 from ccomply.sema.typesys import TK
@@ -74,7 +75,7 @@ def _is_pointer_var(sym: Symbol | None) -> bool:
         sym is not None
         and sym.kind is SymKind.OBJECT
         and sym.type.kind is TK.POINTER
-        and (sym.is_local_object or sym.is_param or sym.is_temp)
+        and sym.is_local_object
     )
 
 
@@ -94,19 +95,31 @@ class PointsToResult:
         if entry is None:
             return {}
         items = self._cfg.block(bid).items
-        steps = [(i, partial(_apply_item, self._evaluator, item)) for i, item in enumerate(items)]
+        steps = [(i, partial(self._evaluator.apply, item.events)) for i, item in enumerate(items)]
         return state_at(entry, steps, idx, len(items))
 
     def points_to(self, expr: Expr, env: PtEnv) -> PointsToSet:
         assert self._evaluator is not None
-        return self._evaluator.eval(expr, dict(env), mutate=False)
+        return self._evaluator.eval(expr, env)
 
 
 class _PtEval:
     def __init__(self, addr_taken: set[int]):
         self.addr_taken = addr_taken
 
-    def eval(self, e: Expr, env: PtEnv, mutate: bool = True) -> PointsToSet:
+    def apply(self, events: list[Event], env: PtEnv) -> None:
+        """Apply one item's (or terminator's) effect events to `env`."""
+        for ev in events:
+            kind = ev.kind
+            if kind == "write":
+                if ev.value is not None and _is_pointer_var(ev.sym):
+                    env[ev.sym.uid] = self.eval(ev.value, env)  # strong update
+            elif kind == "call" or (kind == "deref_store" and not isinstance(ev.node, IncDec)):
+                # `++`/`--` through a pointer keeps the pointer within its object.
+                self.havoc(env)
+
+    def eval(self, e: Expr, env: PtEnv) -> PointsToSet:
+        """The targets of `e`'s value; never changes `env`."""
         if isinstance(e, Identifier) and isinstance(e.symbol, Symbol):
             sym = e.symbol
             if sym.type.kind is TK.ARRAY:
@@ -120,9 +133,9 @@ class _PtEval:
             preview = e.value if len(e.value) <= 24 else e.value[:21] + "..."
             return PointsToSet(frozenset({Target("lit", e.literal_id, preview)}))
         if isinstance(e, AddrOf):
-            return self._address_of(e.operand, env, mutate)
+            return self._address_of(e.operand, env)
         if isinstance(e, Cast):
-            inner = self.eval(e.operand, env, mutate)
+            inner = self.eval(e.operand, env)
             operand_t = e.operand.ctype
             if operand_t is not None and operand_t.kind in (TK.POINTER, TK.ARRAY, TK.FUNCTION):
                 return inner
@@ -132,122 +145,41 @@ class _PtEval:
             lt = e.left.ctype
             rt = e.right.ctype
             if lt is not None and lt.kind in (TK.POINTER, TK.ARRAY):
-                return self.eval(e.left, env, mutate)
+                return self.eval(e.left, env)
             if rt is not None and rt.kind in (TK.POINTER, TK.ARRAY):
-                return self.eval(e.right, env, mutate)
+                return self.eval(e.right, env)
             return UNKNOWN_SET
         if isinstance(e, Assign):
-            value_set = self.eval(e.value, env, mutate)
-            self.store(e.target, value_set, env, mutate)
-            return value_set
-        if isinstance(e, Call):
-            if mutate:
-                self.havoc(env)
-            return UNKNOWN_SET
-        if isinstance(e, (Deref, Index, Member)):
+            return self.eval(e.value, env)
+        if isinstance(e, (Call, Deref, Index, Member)):
             return UNKNOWN_SET  # loads through memory are not tracked
         if isinstance(e, Comma):
-            self.eval(e.left, env, mutate)
-            return self.eval(e.right, env, mutate)
+            return self.eval(e.right, env)
         if isinstance(e, Conditional):
-            a = self.eval(e.then, env, False)
-            b = self.eval(e.other, env, False)
-            return a.union(b)
+            return self.eval(e.then, env).union(self.eval(e.other, env))
         return UNKNOWN_SET
 
-    def _address_of(self, operand: Expr, env: PtEnv, mutate: bool) -> PointsToSet:
+    def _address_of(self, operand: Expr, env: PtEnv) -> PointsToSet:
         if isinstance(operand, Identifier) and isinstance(operand.symbol, Symbol):
             sym = operand.symbol
             return PointsToSet(frozenset({Target("obj", sym.uid, sym.name)}))
         if isinstance(operand, Index):
             base_t = operand.base.ctype
             if base_t is not None and base_t.kind is TK.ARRAY:
-                return self._address_of(operand.base, env, mutate)
-            return self.eval(operand.base, env, mutate)
+                return self._address_of(operand.base, env)
+            return self.eval(operand.base, env)
         if isinstance(operand, Member):
             if operand.arrow:
-                return self.eval(operand.base, env, mutate)
-            return self._address_of(operand.base, env, mutate)
+                return self.eval(operand.base, env)
+            return self._address_of(operand.base, env)
         if isinstance(operand, Deref):
-            return self.eval(operand.operand, env, mutate)
+            return self.eval(operand.operand, env)
         return UNKNOWN_SET
-
-    def store(self, target: Expr, value: PointsToSet, env: PtEnv, mutate: bool) -> None:
-        if not mutate:
-            return
-        if isinstance(target, Identifier) and _is_pointer_var(target.symbol):
-            env[target.symbol.uid] = value  # strong update
-            return
-        if isinstance(target, (Deref, Index)) or (isinstance(target, Member) and target.arrow):
-            self.havoc(env)
-            return
-        if isinstance(target, Cast):
-            self.store(target.operand, value, env, mutate)
 
     def havoc(self, env: PtEnv) -> None:
         for uid in list(env):
             if uid in self.addr_taken:
                 env[uid] = UNKNOWN_SET
-
-
-def _walk_stores(e: Expr, ev: _PtEval, env: PtEnv) -> None:
-    """Apply all points-to effects of one lowered expression."""
-    if isinstance(e, Assign):
-        _walk_stores(e.value, ev, env)
-        value_t = e.value.ctype
-        target = e.target
-        if isinstance(target, Identifier) and _is_pointer_var(target.symbol):
-            env[target.symbol.uid] = ev.eval(e.value, env, mutate=False)
-        else:
-            ev.store(target, UNKNOWN_SET, env, mutate=True)
-        return
-    if isinstance(e, CompoundAssign):
-        _walk_stores(e.value, ev, env)
-        target = e.target
-        if isinstance(target, Identifier) and _is_pointer_var(target.symbol):
-            # p += n keeps pointing within the same object.
-            return
-        if isinstance(target, (Deref, Index)) or (isinstance(target, Member) and target.arrow):
-            ev.havoc(env)
-        return
-    if isinstance(e, IncDec):
-        return
-    if isinstance(e, Call):
-        _walk_stores(e.callee, ev, env)
-        for a in e.args:
-            _walk_stores(a, ev, env)
-        ev.havoc(env)
-        return
-    if isinstance(e, (Identifier, Constant, StringLiteral, Sizeof)):
-        return
-    if isinstance(e, Unary):
-        _walk_stores(e.operand, ev, env)
-        return
-    if isinstance(e, Binary):
-        _walk_stores(e.left, ev, env)
-        _walk_stores(e.right, ev, env)
-        return
-    if isinstance(e, Cast):
-        _walk_stores(e.operand, ev, env)
-        return
-    if isinstance(e, (Deref, AddrOf)):
-        _walk_stores(e.operand, ev, env)
-        return
-    if isinstance(e, Index):
-        _walk_stores(e.base, ev, env)
-        _walk_stores(e.index, ev, env)
-        return
-    if isinstance(e, Member):
-        _walk_stores(e.base, ev, env)
-        return
-    if isinstance(e, InitList):
-        for el in e.elements:
-            _walk_stores(el, ev, env)
-        return
-    if isinstance(e, Comma):
-        _walk_stores(e.left, ev, env)
-        _walk_stores(e.right, ev, env)
-        return
 
 
 def _join_env(a: PtEnv, b: PtEnv) -> PtEnv:
@@ -259,18 +191,6 @@ def _join_env(a: PtEnv, b: PtEnv) -> PtEnv:
     return out
 
 
-def _apply_item(ev: _PtEval, item, env: PtEnv) -> None:
-    """Apply one CFG item's points-to effects to `env`."""
-    if isinstance(item, DeclItem):
-        sym = item.symbol
-        if item.init is not None:
-            _walk_stores(item.init, ev, env)
-            if _is_pointer_var(sym) and not isinstance(item.init, InitList):
-                env[sym.uid] = ev.eval(item.init, env, mutate=False)
-    else:
-        _walk_stores(item.expr, ev, env)
-
-
 def local_points_to(cfg: Cfg) -> PointsToResult:
     ev = _PtEval(cfg.addr_taken)
     result = PointsToResult(_evaluator=ev, _cfg=cfg)
@@ -279,9 +199,8 @@ def local_points_to(cfg: Cfg) -> PointsToResult:
         b = cfg.block(bid)
         env = dict(entry)
         for item in b.items:
-            _apply_item(ev, item, env)
-        if b.term_expr is not None:
-            _walk_stores(b.term_expr, ev, env)
+            ev.apply(item.events, env)
+        ev.apply(b.term_events, env)
         return [(target, env) for target, _kind in b.succs]
 
     result.in_states, result.iterations = solve(

@@ -275,7 +275,7 @@ def _is_escaped(key: tuple, facts: TUFacts) -> bool:
             return True
     for sym in facts.table.symbols:
         if sym.uid == uid:
-            return not (sym.is_local_object or sym.is_param or sym.is_temp)
+            return not sym.is_local_object
     return True
 
 

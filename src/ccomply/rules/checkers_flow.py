@@ -244,8 +244,7 @@ def check_dead_code(facts: TUFacts, index: NodeIndex) -> list[Finding]:
             if any(ev.kind in ("call", "volatile", "deref_store") for ev in events):
                 continue
             writes = [ev for ev in events if ev.kind == "write"]
-            if any(ev.sym is None or not (ev.sym.is_local_object or ev.sym.is_param or ev.sym.is_temp)
-                   for ev in writes):
+            if any(ev.sym is None or not ev.sym.is_local_object for ev in writes):
                 continue  # stores to globals or escaped objects may be observed
             if not writes:
                 out.append(Finding(

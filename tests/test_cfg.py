@@ -2,7 +2,7 @@ import pytest
 
 from ccomply.errors import SemaError
 from ccomply.flow.cfg import EdgeKind, EvalItem, TBranch, TJump, TSwitch
-from ccomply.parsing import Call, Identifier
+from ccomply.parsing import Call, Identifier, walk
 from flow_helpers import analyze_fn
 
 
@@ -70,6 +70,31 @@ def test_conditional_operator_lowered_with_temp():
         and e.target.name.startswith("$t")
     ]
     assert len(temp_writes) == 2  # one per branch
+
+
+def _temps(cfg):
+    return {
+        id(e.symbol): e.symbol for _, _, item in cfg.points() if isinstance(item, EvalItem)
+        for e in walk(item.expr) if isinstance(e, Identifier) and e.symbol.is_temp
+    }.values()
+
+
+def test_each_temporary_has_its_own_negative_uid():
+    cfg, _, _, _ = analyze_fn(
+        "int f(int a, int b, int c) { int x = (a && b) + (c ? a : b) + (a || c); "
+        "return (b ? x : c) + (x && a); }"
+    )
+    uids = [t.uid for t in _temps(cfg)]
+    assert len(uids) >= 5
+    assert len(set(uids)) == len(uids)
+    assert all(uid < 0 for uid in uids)
+
+
+def test_parameters_and_temporaries_are_local_objects():
+    cfg, fn, _, _ = analyze_fn("int f(int a, char *p) { return a ? *p : 0; }")
+    syms = [p.symbol for p in fn.params] + list(_temps(cfg))
+    assert len(syms) == 3
+    assert all(sym.is_local_object for sym in syms)
 
 
 def test_switch_edges_and_implicit_default_fallthrough():

@@ -13,6 +13,13 @@ def single(findings):
     assert len(findings) == 1, [f.message for f in findings]
     return findings[0]
 
+# Two temporaries in one expression: x is in [400, 601], so x > 500 can go
+# either way.
+TWO_TEMPS = (
+    "void f(int c, int a, int b) { int x = (c ? 600 : 400) + (a && b); "
+    "if (x > 500) { use(1); } use(x); }"
+)
+
 
 class TestShiftRange:
     def test_uint32_shift_by_32_is_definite_undefined(self):
@@ -120,6 +127,9 @@ class TestUnreachable:
         assert run_rule(
             "void f(int a) { if (a) { use(1); } else { use(2); } use(3); }", "R2.1"
         ) == []
+
+    def test_temporaries_keep_their_own_ranges(self):
+        assert run_rule(TWO_TEMPS, "R2.1") == []
 
 
 class TestDeadCode:
@@ -354,6 +364,9 @@ class TestLoopRules:
             "void f(uint8_t u) { if (u < 10) { use(1); } }", "R14.3"
         ) == []
 
+    def test_temporaries_keep_their_own_ranges(self):
+        assert run_rule(TWO_TEMPS, "R14.3") == []
+
 
 class TestLiteralWrite:
     def test_direct_literal_write(self):
@@ -379,6 +392,46 @@ class TestLiteralWrite:
     def test_deref_store_to_literal(self):
         f = single(run_rule('void f(void) { char *p = "abc"; *p = \'x\'; }', "R1.3"))
         assert f.certainty is Certainty.DEFINITE
+
+    def test_each_pointer_temporary_keeps_its_targets(self):
+        f = single(run_rule(
+            "void f(int c, int d) { char buf[4]; char buf2[4]; "
+            '*(c ? "lit" : buf) = *(d ? buf : buf2); usec(buf[0]); }',
+            "R1.3",
+        ))
+        assert f.certainty is Certainty.CAUTION
+
+    def test_assignment_inside_store_target_applies(self):
+        found = run_rule(
+            "void f(void) { char buf[4]; char *p = buf; "
+            "*(p = \"lit\") = 'x'; *p = 'y'; usec(buf[0]); }",
+            "R1.3",
+        )
+        assert [f.certainty for f in found] == [Certainty.DEFINITE] * 2
+
+    def test_increment_through_pointer_keeps_targets(self):
+        f = single(run_rule(
+            "void f(char **pp, int *n) { char *p = \"lit\"; char **q = &p; "
+            "(*pp)++; (*n)++; *p = 'x'; usep(n); usec(**q); }",
+            "R1.3",
+        ))
+        assert f.certainty is Certainty.DEFINITE
+
+    def test_local_array_element_store_keeps_targets(self):
+        f = single(run_rule(
+            "void f(int i) { int a[4]; char *p; char **q = &p; p = \"lit\"; "
+            "a[i] = 1; *p = 'x'; use(a[0]); usec(**q); }",
+            "R1.3",
+        ))
+        assert f.certainty is Certainty.DEFINITE
+
+    def test_call_inside_increment_operand_havocs(self):
+        # get() may write through the escaped address of p.
+        assert run_rule(
+            "void f(void) { int a[4]; char *p; char **q = &p; p = \"lit\"; "
+            "a[get()]++; *p = 'x'; use(a[0]); usec(**q); }",
+            "R1.3",
+        ) == []
 
 
 class TestRecursion:

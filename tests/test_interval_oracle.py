@@ -70,8 +70,8 @@ SNIPPETS = [
     "void f(int x) { if (x * 0 == 0) { use(1); } else { use(2); } }",
     "void f(void) { while (1) { get(); } use(1); }",
     "void f(int a) { if (a) { use(1); } else { use(2); } use(3); }",
-    # Temporaries of different types share uid -1 across a widened loop;
-    # its widening bound is the type of the temporary registered first.
+    # Temporaries of different types across a widened loop; each has its
+    # own uid, so each is widened to the range of its own type.
     "void f(int n, int a, int b) { long k = 0; long t = (a && b); int i; for (i = 0; i < n; i++) "
     "{ t = t + (a ? k : 0L); k = k + 1; } use((int)t); }",
     "void f(int n, uint8_t c) { int s = 0; int i; for (i = 0; i < n; i++) "
