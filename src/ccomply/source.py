@@ -55,17 +55,31 @@ class SourceManager:
     """Owns all loaded files; ids are dense and unique per run.
 
     A loaded path is never reloaded, so a file's text, and therefore its
-    tokens, are fixed for the manager's lifetime. `lexed` holds the tokens
-    of every file reached through `#include`, keyed by file id; the
-    preprocessor fills it, so each header is lexed once per run. Tokens
-    there are shared by every translation unit that includes the file and
-    must not be mutated.
+    tokens, are fixed for the manager's lifetime. The preprocessor keeps
+    here, for every file reached through `#include` and keyed by file id,
+    what the file's text alone decides, so that it is worked out once per
+    run however many translation units include the file:
+
+    - `lexed`: the file's tokens;
+    - `directive_lines`: (index of the '#', index past the last token) of
+      each directive line, so a unit jumps over directives and skipped
+      groups without scanning their tokens;
+    - `defines`: the `MacroDef` parsed from a `#define` line, keyed by the
+      index of its '#', filled when a unit first reaches the line in an
+      active group. A line that fails to parse has no entry.
+
+    Conditionals, `#undef`, `#include`, `#error`, `#pragma` and the
+    redefinition check still run per unit, against its own macros. The
+    tokens and definitions here are shared by every unit and must not be
+    mutated.
     """
 
     def __init__(self) -> None:
         self._files: list[SourceFile] = []
         self._by_path: dict[str, int] = {}
         self.lexed: dict[int, list] = {}
+        self.directive_lines: dict[int, list[tuple[int, int]]] = {}
+        self.defines: dict[int, dict[int, object]] = {}
 
     def add_virtual(self, path: str, contents: str) -> SourceFile:
         """Register in-memory contents under a display path."""

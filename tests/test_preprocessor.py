@@ -380,3 +380,74 @@ class TestCondition:
     def test_long_chain_keeps_division_by_zero_error(self):
         with pytest.raises(PreprocessError, match="division by zero"):
             self.evaluate("+".join(["1"] * 2999) + " / 0")
+
+
+class TestIncludedFileCache:
+    """What a SourceManager keeps of an included file (directive lines and
+    parsed definitions) never carries one unit's macros into another."""
+
+    @staticmethod
+    def run_units(tmp_path, files, units):
+        """Preprocess `units` in order through one manager; each unit's
+        lexemes, or the PreprocessError it raised."""
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        mgr = SourceManager()
+        results = []
+        for name in units:
+            try:
+                toks, _, _ = preprocess(mgr.load(str(tmp_path / name)), [], [], mgr)
+            except PreprocessError as exc:
+                results.append(exc)
+            else:
+                results.append(lexemes(toks))
+        return mgr, results
+
+    def test_conditional_definition_follows_each_unit(self, tmp_path):
+        files = {
+            "cfg.h": "#ifdef CFG\n#define W 1\n#else\n#define W 2\n#endif\n",
+            "on.c": '#define CFG\n#include "cfg.h"\nint a = W;\n',
+            "off.c": '#include "cfg.h"\nint b = W;\n',
+        }
+        _, results = self.run_units(tmp_path, files, ["on.c", "off.c", "on.c", "off.c"])
+        assert results == [
+            ["int", "a", "=", "1", ";"], ["int", "b", "=", "2", ";"],
+        ] * 2
+
+    def test_conflicting_definition_before_include_is_reported(self, tmp_path):
+        files = {
+            "lim.h": "#define LIMIT 10\nint h;\n",
+            "a.c": '#include "lim.h"\nint a = LIMIT;\n',
+            "b.c": '#define LIMIT 20\n#include "lim.h"\nint b = LIMIT;\n',
+        }
+        mgr, (first, second) = self.run_units(tmp_path, files, ["a.c", "b.c"])
+        assert first == ["int", "h", ";", "int", "a", "=", "10", ";"]
+        assert isinstance(second, PreprocessError)
+        assert second.message == "macro 'LIMIT' redefined with a different body"
+        loc = second.loc
+        assert (os.path.basename(mgr.path_of(loc.file)), loc.line, loc.column) == ("lim.h", 1, 9)
+
+    def test_malformed_definition_raises_only_where_reached(self, tmp_path):
+        files = {
+            "bad.h": "#ifdef STRICT\n#define BAD(x,\n#endif\nint h;\n",
+            "lax.c": '#include "bad.h"\nint a;\n',
+            "strict.c": '#define STRICT\n#include "bad.h"\nint b;\n',
+        }
+        _, results = self.run_units(tmp_path, files, ["lax.c", "strict.c", "strict.c", "lax.c"])
+        assert results[0] == results[3] == ["int", "h", ";", "int", "a", ";"]
+        for exc in results[1:3]:
+            assert isinstance(exc, PreprocessError)
+            assert exc.message == "unterminated macro parameter list"
+            assert (exc.loc.line, exc.loc.column) == (2, 9)
+
+    def test_text_after_nested_skipped_groups(self, tmp_path):
+        nest = (
+            "#if 0\n#if 1\nint a;\n#else\nint b;\n#endif\nint z;\n"
+            "#ifdef X\nint c;\n#endif\n"
+            "#elif 1\nint d;\n#if 0\nint e;\n#elif 1\n#ifndef X\nint f;\n#endif\n#endif\nint g;\n"
+            "#else\nint h;\n#endif\nint i;\n"
+        )
+        files = {"nest.h": nest, "one.c": '#include "nest.h"\n', "two.c": nest + '#include "nest.h"\n'}
+        _, results = self.run_units(tmp_path, files, ["one.c", "two.c"])
+        once = ["int", "d", ";", "int", "f", ";", "int", "g", ";", "int", "i", ";"]
+        assert results == [once, once * 2]
