@@ -200,6 +200,26 @@ def _reject(group: str, ch: str, origin: Location) -> None:
         raise LexError(f"unexpected character {ch!r}", origin)
 
 
+# C99 6.4.4.1: a hexadecimal, octal or decimal digit sequence, then an
+# optional suffix of `u` and `l`/`ll` in either order (`ll` in one case).
+_INT_CONSTANT = re.compile(
+    r"(?:0[xX](?P<hex>[0-9a-fA-F]+)|(?P<oct>0[0-7]*)|(?P<dec>[1-9][0-9]*))"
+    r"(?:[uU](?:ll|LL|[lL])?|(?:ll|LL|[lL])[uU]?)?"
+)
+
+
+def int_constant_value(text: str) -> int | None:
+    """The value of the integer constant `text`, or None if it is not one."""
+    m = _INT_CONSTANT.fullmatch(text)
+    if m is None:
+        return None
+    if m["hex"] is not None:
+        return int(m["hex"], 16)
+    if m["oct"] is not None:
+        return int(m["oct"], 8)
+    return int(m["dec"])
+
+
 def render_tokens(tokens: list[PPToken]) -> str:
     """Join lexemes into token-equivalent text (single-space separators)."""
     return " ".join(t.lexeme for t in tokens)

@@ -8,10 +8,11 @@ nearest token and an expected-token hint.
 """
 from __future__ import annotations
 
+import re
 from typing import Optional
 
 from ccomply.errors import ParseError, UnsupportedConstructError
-from ccomply.frontend.lexer import PPToken, TokenKind
+from ccomply.frontend.lexer import PPToken, TokenKind, int_constant_value
 from ccomply.frontend.preprocessor import PAREN_NESTING_LIMIT
 from ccomply.parsing.astnodes import (
     AddrOf, Assign, Binary, Break, Call, Cast, Comma, CompoundAssign,
@@ -960,20 +961,20 @@ def _is_void_param(p: SynParam) -> bool:
     return p.syntype.base.specs == ("void",) and not p.syntype.derivs
 
 
+# C99 6.4.4.2 decimal floating constants; hexadecimal ones are not supported.
+_FLOAT_CONSTANT = re.compile(
+    r"(?:(?:[0-9]*\.[0-9]+|[0-9]+\.)(?:[eE][+-]?[0-9]+)?|[0-9]+[eE][+-]?[0-9]+)[fFlL]?"
+)
+
+
 def _parse_number(tok: PPToken) -> tuple[int | float, bool]:
     text = tok.lexeme
-    intpart = text.rstrip("uUlL")
-    try:
-        if len(intpart) > 1 and intpart[0] == "0" and intpart[1] in "01234567":
-            return int(intpart, 8), False
-        return int(intpart, 0), False
-    except ValueError:
-        pass
-    floatpart = text.rstrip("fFlL")
-    try:
-        return float(floatpart), True
-    except ValueError:
-        raise ParseError(f"invalid numeric constant {text!r}", tok.report_site) from None
+    value = int_constant_value(text)
+    if value is not None:
+        return value, False
+    if _FLOAT_CONSTANT.fullmatch(text):
+        return float(text.rstrip("fFlL")), True
+    raise ParseError(f"invalid numeric constant {text!r}", tok.report_site)
 
 
 def parse(tokens: list[PPToken], path: str = "<tu>") -> TranslationUnitAst:

@@ -1,20 +1,14 @@
-"""Guideline registry, findings, policies, and the rule checkers."""
+"""Guideline registry, findings, and the rule checkers."""
 from ccomply.rules.context import FunctionFacts, TUFacts, compute_tu_facts
-from ccomply.rules.engine import run_rules, validate_enabled
-from ccomply.rules.findings import (
-    BehaviorClass, Certainty, DontKnowPolicy, Evidence, Finding, PolicyMode,
-    apply_dont_know_policy,
-)
+from ccomply.rules.engine import IMPLEMENTED, run_rules
+from ccomply.rules.findings import BehaviorClass, Certainty, Evidence, Finding
 from ccomply.rules.registry import (
-    IMPLEMENTED, REGISTRY, Category, Decidability, GuidelineMeta, Kind, Scope,
-    all_ids,
+    REGISTRY, Category, Decidability, GuidelineMeta, Kind, Scope,
 )
 
 __all__ = [
     "FunctionFacts", "TUFacts", "compute_tu_facts",
-    "run_rules", "validate_enabled",
-    "BehaviorClass", "Certainty", "DontKnowPolicy", "Evidence", "Finding",
-    "PolicyMode", "apply_dont_know_policy",
-    "IMPLEMENTED", "REGISTRY", "Category", "Decidability", "GuidelineMeta",
-    "Kind", "Scope", "all_ids",
+    "IMPLEMENTED", "run_rules",
+    "BehaviorClass", "Certainty", "Evidence", "Finding",
+    "REGISTRY", "Category", "Decidability", "GuidelineMeta", "Kind", "Scope",
 ]

@@ -10,7 +10,7 @@ from ccomply.flow import (
 )
 from ccomply.parsing.astnodes import FunctionDef, TranslationUnitAst
 from ccomply.sema.symbols import SymbolTable
-from ccomply.sema.typesys import DEFAULT_MODEL, IntegerModel
+from ccomply.sema.typesys import IntegerModel
 from ccomply.source import SourceManager
 
 
@@ -34,7 +34,7 @@ class FunctionFacts:
     """
 
     fn: FunctionDef
-    model: IntegerModel = DEFAULT_MODEL
+    model: IntegerModel
 
     @cached_property
     def cfg(self) -> Cfg:
@@ -67,16 +67,21 @@ class TUFacts:
     table: SymbolTable
     path: str
     functions: list[FunctionFacts] = field(default_factory=list)
-    model: IntegerModel = DEFAULT_MODEL
     manager: SourceManager | None = None
+
+    @property
+    def model(self) -> IntegerModel:
+        return self.table.model
 
 
 def compute_tu_facts(
     tu: TranslationUnitAst,
     table: SymbolTable,
     manager: SourceManager | None = None,
-    model: IntegerModel = DEFAULT_MODEL,
 ) -> TUFacts:
-    """List the TU's functions; their facts are computed when first read."""
-    functions = [FunctionFacts(d, model) for d in tu.decls if isinstance(d, FunctionDef)]
-    return TUFacts(tu, table, tu.path, functions, model, manager)
+    """List the TU's functions; their facts are computed when first read.
+
+    Every fact uses the integer model the TU was resolved under.
+    """
+    functions = [FunctionFacts(d, table.model) for d in tu.decls if isinstance(d, FunctionDef)]
+    return TUFacts(tu, table, tu.path, functions, manager)

@@ -7,7 +7,7 @@ from ccomply.parsing.astnodes import NodeIndex
 from ccomply.rules import checkers_ast, checkers_flow, checkers_system
 from ccomply.rules.context import TUFacts
 from ccomply.rules.findings import Evidence, Finding
-from ccomply.rules.registry import REGISTRY, Scope
+from ccomply.rules.registry import REGISTRY
 from ccomply.source import SourceManager, format_location
 
 # Guideline id -> per-TU checker, called as checker(facts, index) with the
@@ -33,26 +33,28 @@ SYSTEM_CHECKERS = {
 }
 
 
-def validate_enabled(enabled: set[str], system_mode: bool) -> None:
-    unknown = sorted(g for g in enabled if g not in REGISTRY)
+# The guidelines this tool checks: exactly the keys of the two tables above.
+IMPLEMENTED = frozenset(PER_TU_CHECKERS | SYSTEM_CHECKERS)
+
+
+def _reject_unchecked(enabled: set[str]) -> None:
+    """Raise ConfigError naming every enabled id that has no checker.
+
+    An id without a checker is either a MISRA guideline this tool does not
+    check or no guideline id at all; silently skipping it would report a
+    clean run for guidelines that were never checked.
+    """
+    unchecked = sorted(set(enabled) - IMPLEMENTED)
+    if not unchecked:
+        return
+    guidelines = [g for g in unchecked if g in REGISTRY]
+    unknown = [g for g in unchecked if g not in REGISTRY]
+    parts = []
+    if guidelines:
+        parts.append("MISRA guideline(s) this tool does not check: " + ", ".join(guidelines))
     if unknown:
-        raise ConfigError(f"unknown guideline id(s): {', '.join(unknown)}")
-    unimplemented = sorted(g for g in enabled if not REGISTRY[g].implemented)
-    if unimplemented:
-        raise ConfigError(
-            "guideline(s) enabled but not implemented by this tool: "
-            + ", ".join(unimplemented)
-        )
-    if not system_mode:
-        system_scoped = sorted(
-            g for g in enabled if REGISTRY[g].scope is Scope.SYSTEM
-        )
-        if system_scoped:
-            raise ConfigError(
-                "system-scope guideline(s) require --system (single-TU "
-                "checking cannot find these violations): "
-                + ", ".join(system_scoped)
-            )
+        parts.append("not a MISRA C:2012 guideline id: " + ", ".join(unknown))
+    raise ConfigError("; ".join(parts))
 
 
 def run_rules(
@@ -63,9 +65,12 @@ def run_rules(
 ) -> list[Finding]:
     """Run every enabled checker; returns findings in deterministic order.
 
-    Each unit's NodeIndex is built once and shared by its checkers; it is
-    not kept past this call, since callers keep every unit's facts alive.
+    Every id in `enabled` must have a checker (ConfigError otherwise), and
+    system-scope checkers need `call_graph`. Each unit's NodeIndex is built
+    once and shared by its checkers; it is not kept past this call, since
+    callers keep every unit's facts alive.
     """
+    _reject_unchecked(enabled)
     findings: list[Finding] = []
     checkers = [PER_TU_CHECKERS[gid] for gid in sorted(enabled) if gid in PER_TU_CHECKERS]
     if checkers:

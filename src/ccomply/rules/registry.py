@@ -2,9 +2,9 @@
 
 173 entries: 17 directives and 156 rules. Categories follow the
 published classification (as amended); decidability and scope follow
-the appendix analysis columns. `implemented` is true for exactly the
-14 rules this tool has a checker for (13 per translation unit and the
-system-scope R17.2).
+the appendix analysis columns. Which guidelines this tool checks is the
+key set of the checker tables in `rules.engine`; `run_rules` reads this
+registry only to tell an unchecked guideline from an id that names none.
 """
 from __future__ import annotations
 
@@ -21,11 +21,6 @@ class Category(Enum):
     MANDATORY = "mandatory"
     REQUIRED = "required"
     ADVISORY = "advisory"
-    DISAPPLIED = "disapplied"  # effective-only category, never in the registry
-
-    @property
-    def strictness(self) -> int:
-        return {"advisory": 0, "required": 1, "mandatory": 2, "disapplied": -1}[self.value]
 
 
 class Decidability(Enum):
@@ -46,7 +41,6 @@ class GuidelineMeta:
     decidability: Decidability | None  # directives carry no decidability
     scope: Scope
     summary: str
-    implemented: bool = False
 
     def __post_init__(self):
         if self.kind is Kind.DIRECTIVE:
@@ -237,11 +231,6 @@ _RULES = [
     ("R22.10", "R", False, True, "errno is tested only after errno-setting functions"),
 ]
 
-IMPLEMENTED = frozenset({
-    "R1.3", "R2.1", "R2.2", "R8.13", "R9.1", "R11.4", "R12.2",
-    "R13.1", "R13.2", "R13.5", "R14.1", "R14.2", "R14.3", "R17.2",
-})
-
 _CATEGORY = {"M": Category.MANDATORY, "R": Category.REQUIRED, "A": Category.ADVISORY}
 
 
@@ -249,27 +238,15 @@ def _build() -> dict[str, GuidelineMeta]:
     registry: dict[str, GuidelineMeta] = {}
     for gid, cat, summary in _DIRECTIVES:
         registry[gid] = GuidelineMeta(
-            gid, Kind.DIRECTIVE, _CATEGORY[cat], None, Scope.SYSTEM, summary,
-            implemented=gid in IMPLEMENTED,
+            gid, Kind.DIRECTIVE, _CATEGORY[cat], None, Scope.SYSTEM, summary
         )
     for gid, cat, decidable, system, summary in _RULES:
         registry[gid] = GuidelineMeta(
             gid, Kind.RULE, _CATEGORY[cat],
             Decidability.DECIDABLE if decidable else Decidability.UNDECIDABLE,
-            Scope.SYSTEM if system else Scope.SINGLE,
-            summary, implemented=gid in IMPLEMENTED,
+            Scope.SYSTEM if system else Scope.SINGLE, summary,
         )
     return registry
 
 
 REGISTRY: dict[str, GuidelineMeta] = _build()
-
-
-def all_ids() -> list[str]:
-    return sorted(REGISTRY, key=_sort_key)
-
-
-def _sort_key(gid: str) -> tuple:
-    kind = 0 if gid.startswith("D") else 1
-    major, minor = gid[1:].split(".")
-    return (kind, int(major), int(minor))

@@ -66,7 +66,7 @@ def _builtin_span() -> Span:
 class Resolver:
     def __init__(self, model: IntegerModel = DEFAULT_MODEL, path: str = "<tu>"):
         self.model = model
-        self.table = SymbolTable(path)
+        self.table = SymbolTable(path, model)
         self.literal_count = 0
         self.current_function: FunctionDef | None = None
         self._install_builtins()

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from ccomply.errors import SemaError
-from ccomply.sema.typesys import TypeDesc, same_type
+from ccomply.sema.typesys import DEFAULT_MODEL, IntegerModel, TypeDesc, same_type
 from ccomply.source import Span
 
 
@@ -72,8 +72,11 @@ class Scope:
 
 
 class SymbolTable:
-    def __init__(self, tu_path: str = "<tu>"):
+    """One TU's scopes and symbols, and the integer model they were typed under."""
+
+    def __init__(self, tu_path: str = "<tu>", model: IntegerModel = DEFAULT_MODEL):
         self.tu_path = tu_path
+        self.model = model
         self.scopes: list[Scope] = [Scope(0, None)]
         self._stack: list[int] = [0]
         self.symbols: list[Symbol] = []
@@ -156,9 +159,6 @@ class LinkedProgram:
 
     functions: dict[str, list[Symbol]] = field(default_factory=dict)
     objects: dict[str, list[Symbol]] = field(default_factory=dict)
-
-    def function_ids(self) -> list[str]:
-        return sorted(self.functions)
 
 
 def link_units(tables: list[SymbolTable]) -> LinkedProgram:

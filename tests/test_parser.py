@@ -399,3 +399,32 @@ def test_macro_expanded_node_span_points_to_invocation():
     init = tu.decls[0].entries[0].init
     assert init.span.start.line == 2  # invocation site, not the #define line
     assert init.span.via and init.span.via[0].macro == "ONE"
+
+
+class TestIntegerConstants:
+    """C99 6.4.4.1 integer constants; anything else is a floating constant or an error."""
+
+    def value(self, text):
+        return first_stmt(f"x = {text};").expr.value
+
+    @pytest.mark.parametrize("text, value", [
+        ("0", 0), ("010", 8), ("0x10", 16), ("0XfF", 255), ("7u", 7), ("7UL", 7),
+        ("7lu", 7), ("7ull", 7), ("7LLU", 7), ("7uLL", 7), ("017L", 15),
+    ])
+    def test_valid_forms(self, text, value):
+        e = self.value(text)
+        assert not e.is_float and e.value == value
+
+    @pytest.mark.parametrize("text", [
+        "08", "1uu", "1lul", "1lL", "1Ll", "0x", "0b1", "0o7", "1_000", "1.0fl",
+    ])
+    def test_invalid_forms_are_errors(self, text):
+        with pytest.raises(ParseError, match="invalid numeric constant"):
+            self.value(text)
+
+    @pytest.mark.parametrize("text, value", [
+        ("08.5", 8.5), ("1e5", 1e5), ("1.", 1.0), (".5", 0.5), ("2.5e-1f", 0.25),
+    ])
+    def test_floating_constants_still_parse(self, text, value):
+        e = self.value(text)
+        assert e.is_float and e.value == value

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from ccomply.errors import PreprocessError, UnsupportedConstructError
+from ccomply.errors import LexError, PreprocessError, UnsupportedConstructError
 from ccomply.frontend import evaluate_pp_condition, lex, macro_from_define_flag, preprocess
 from ccomply.source import SourceManager
 from support import lexemes, make_manager, pp_text
@@ -451,3 +451,44 @@ class TestIncludedFileCache:
         _, results = self.run_units(tmp_path, files, ["one.c", "two.c"])
         once = ["int", "d", ";", "int", "f", ";", "int", "g", ";", "int", "i", ";"]
         assert results == [once, once * 2]
+
+
+class TestIfIntegerConstants:
+    """`#if` decodes integer constants as the parser does (C99 6.4.4.1)."""
+
+    def test_octal_hex_and_suffixed_constants(self):
+        toks, _, _, _ = pp_text("#if 010 == 8 && 0x10 == 16 && 7lu == 7 && 3LLu == 3\nint a;\n#endif\n")
+        assert lexemes(toks) == ["int", "a", ";"]
+
+    @pytest.mark.parametrize("text", ["08", "1uu", "1lul", "0b1", "0o7", "1_000", "1.5"])
+    def test_invalid_constant_is_error(self, text):
+        with pytest.raises(PreprocessError, match="invalid integer constant") as exc:
+            pp_text(f"#if {text}\nint a;\n#endif\n")
+        assert (exc.value.loc.line, exc.value.loc.column) == (1, 5)
+
+
+def test_operator_pragma_is_destringized():
+    _, _, pragmas, _ = pp_text('_Pragma("message(\\"hi\\")")\n#pragma message("hi")\n')
+    assert len(pragmas) == 2
+    assert pragmas[0].text == pragmas[1].text == 'message ( "hi" )'
+    _, _, pragmas, _ = pp_text(r'_Pragma("dir(\"a\\\\b\")")' + "\n")
+    assert pragmas[0].text == r'dir ( "a\\b" )'
+
+
+def test_operator_pragma_lex_error_is_reported_at_the_operator():
+    with pytest.raises(LexError, match="unterminated string literal") as exc:
+        pp_text('int a;\n  _Pragma("\\"")\n')
+    assert (exc.value.loc.line, exc.value.loc.column) == (2, 3)
+
+
+def test_angle_include_keeps_blanks_in_the_header_name(tmp_path):
+    (tmp_path / "ab.h").write_text("int x;\n")
+    (tmp_path / "main.c").write_text("#include <a b.h>\n")
+    mgr = SourceManager()
+    entry = mgr.load(str(tmp_path / "main.c"))
+    with pytest.raises(PreprocessError, match="not found: <a b.h>"):
+        preprocess(entry, [str(tmp_path)], [], mgr)
+    (tmp_path / "main.c").write_text("#include <ab.h>\n")
+    mgr = SourceManager()
+    toks, _, _ = preprocess(mgr.load(str(tmp_path / "main.c")), [str(tmp_path)], [], mgr)
+    assert lexemes(toks) == ["int", "x", ";"]

@@ -1,0 +1,37 @@
+"""The package's public names, and what `src/` may import."""
+import ast
+import importlib
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "ccomply"
+PACKAGES = ["ccomply.rules", "ccomply.flow", "ccomply.sema", "ccomply.frontend", "ccomply.parsing"]
+# Reference implementations kept only as test oracles.
+ORACLES = {"lexer_oracle", "interval_oracle", "preprocessor_oracle"}
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_every_exported_name_exists(package):
+    module = importlib.import_module(package)
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert not missing
+    assert len(set(module.__all__)) == len(module.__all__)
+
+
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+def test_no_source_module_imports_a_test_oracle():
+    offenders = [
+        f"{path.relative_to(SRC)}: {name}"
+        for path in sorted(SRC.rglob("*.py"))
+        for name in _imported_modules(ast.parse(path.read_text()))
+        if ORACLES & set(name.split("."))
+    ]
+    assert offenders == []
