@@ -3,14 +3,17 @@
 Function identities are canonical ids from linkage unification, so a
 call to an external-linkage function in another translation unit lands
 on one shared node. Calls through pointer expressions are collected as
-indirect call sites rather than edges.
+indirect call sites rather than edges. A call under `sizeof` is never
+evaluated, so it is neither.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from ccomply.parsing.astnodes import (
-    AddrOf, Call, FunctionDef, Identifier, TranslationUnitAst, walk,
+    AddrOf, Call, CompoundStmt, Expr, FunctionDef, Identifier, Node,
+    TranslationUnitAst, children, operands,
 )
 from ccomply.sema.symbols import SymKind, Symbol, SymbolTable
 from ccomply.source import Span
@@ -35,6 +38,22 @@ def _callee_symbol(callee) -> Symbol | None:
     return None
 
 
+def _evaluated_calls(body: CompoundStmt) -> Iterator[Call]:
+    """The calls in a function body that can be evaluated, in pre-order.
+
+    Statements are entered through `children` and expressions through
+    `operands`, so a call under `sizeof` is not one.
+    """
+    stack: list[Node] = [body]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Call):
+            yield node
+        kids = operands(node) if isinstance(node, Expr) else children(node)
+        kids.reverse()
+        stack.extend(kids)
+
+
 def build_call_graph(units: list[tuple[TranslationUnitAst, SymbolTable]]) -> CallGraph:
     graph = CallGraph()
     for tu, table in units:
@@ -52,9 +71,7 @@ def build_call_graph(units: list[tuple[TranslationUnitAst, SymbolTable]]) -> Cal
             caller = decl.symbol.canonical_id()
             graph.nodes.add(caller)
             graph.def_spans.setdefault(caller, decl.span)
-            for node in walk(decl.body):
-                if not isinstance(node, Call):
-                    continue
+            for node in _evaluated_calls(decl.body):
                 target = _callee_symbol(node.callee)
                 if target is not None:
                     callee = target.canonical_id()

@@ -6,22 +6,28 @@ for value contexts), so every item in a basic block is a straight-line
 expression. Branches whose condition is a syntactic constant get only
 the taken edge; the untaken side records why it was orphaned so the
 unreachable-code checker can cite the condition.
+
+Lowering never mutates an AST node. An item's expression (and a
+terminator's) is the AST's own node unless one of its descendants was
+lowered to a temporary; then only the nodes on the path from it to that
+temporary are new, and every other subtree is shared with the AST.
+Operands are lowered in the order `astnodes.operands` gives, so the
+operand of `sizeof` is never lowered.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
+from operator import is_not
 
 from ccomply.errors import SemaError
 from ccomply.flow import effects
 from ccomply.flow.effects import Event
 from ccomply.parsing.astnodes import (
-    AddrOf, Assign, Binary, Break, Call, Cast, Comma, CompoundAssign,
-    CompoundStmt, Conditional, Constant, Continue, DeclEntry, Declaration,
-    Deref, DoWhile, Expr, ExprStmt, For, FunctionDef, Goto, Identifier, If,
-    IncDec, Index, InitList, Label, Member, Node, Return, Sizeof,
-    StringLiteral, Switch, Unary, While,
+    Assign, Binary, Break, Comma, CompoundStmt, Conditional, Constant, Continue,
+    DeclEntry, Declaration, DoWhile, Expr, ExprStmt, For, FunctionDef, Goto,
+    Identifier, If, Label, Node, Return, Switch, Unary, While, operand_fields,
 )
 from ccomply.sema.consteval import const_eval
 from ccomply.sema.symbols import Linkage, Storage, SymKind, Symbol
@@ -251,10 +257,8 @@ class CfgBuilder:
                 if entry.symbol is None or entry.symbol.kind is not SymKind.OBJECT:
                     continue
                 init = entry.init
-                if init is not None and not isinstance(init, InitList):
+                if init is not None:
                     init, cur = self._expr(init, cur)
-                elif isinstance(init, InitList):
-                    init, cur = self._init_list(init, cur)
                 cur.items.append(DeclItem(entry.symbol, init, entry, node))
                 cur.note_span(entry.span)
             return cur
@@ -437,17 +441,6 @@ class CfgBuilder:
         cur.note_span(expr.span)
         return cur
 
-    def _init_list(self, init: InitList, cur: Block) -> tuple[InitList, Block]:
-        elements = []
-        for e in init.elements:
-            if isinstance(e, InitList):
-                low, cur = self._init_list(e, cur)
-            else:
-                low, cur = self._expr(e, cur)
-            elements.append(low)
-        clone = replace(init, elements=elements)
-        return clone, cur
-
     def _expr(self, e: Expr, cur: Block) -> tuple[Expr, Block]:
         """Lower an expression for value; returns a branch-free tree."""
         if isinstance(e, Binary) and e.op in ("&&", "||"):
@@ -484,51 +477,24 @@ class CfgBuilder:
             cur.items.append(EvalItem(left, e))
             return self._expr(e.right, cur)
 
-        # Structural recursion for everything else.
-        if isinstance(e, Assign):
-            target, cur = self._expr(e.target, cur)
-            value, cur = self._expr(e.value, cur)
-            return replace(e, target=target, value=value), cur
-        if isinstance(e, CompoundAssign):
-            target, cur = self._expr(e.target, cur)
-            value, cur = self._expr(e.value, cur)
-            return replace(e, target=target, value=value), cur
-        if isinstance(e, Unary):
-            operand, cur = self._expr(e.operand, cur)
-            return replace(e, operand=operand), cur
-        if isinstance(e, Binary):
-            left, cur = self._expr(e.left, cur)
-            right, cur = self._expr(e.right, cur)
-            return replace(e, left=left, right=right), cur
-        if isinstance(e, IncDec):
-            operand, cur = self._expr(e.operand, cur)
-            return replace(e, operand=operand), cur
-        if isinstance(e, Call):
-            callee, cur = self._expr(e.callee, cur)
-            args = []
-            for a in e.args:
-                low, cur = self._expr(a, cur)
-                args.append(low)
-            return replace(e, callee=callee, args=args), cur
-        if isinstance(e, Index):
-            base, cur = self._expr(e.base, cur)
-            index, cur = self._expr(e.index, cur)
-            return replace(e, base=base, index=index), cur
-        if isinstance(e, Member):
-            base, cur = self._expr(e.base, cur)
-            return replace(e, base=base), cur
-        if isinstance(e, Deref):
-            operand, cur = self._expr(e.operand, cur)
-            return replace(e, operand=operand), cur
-        if isinstance(e, AddrOf):
-            operand, cur = self._expr(e.operand, cur)
-            return replace(e, operand=operand), cur
-        if isinstance(e, Cast):
-            operand, cur = self._expr(e.operand, cur)
-            return replace(e, operand=operand), cur
-        if isinstance(e, (Identifier, Constant, StringLiteral, Sizeof, InitList)):
-            return e, cur
-        raise SemaError(f"cannot lower expression {type(e).__name__}")
+        # Everything else: lower the operands in order. The node is rebuilt
+        # only when an operand was lowered to a temporary, so a branch-free
+        # expression comes back as the AST's own node.
+        lowered: dict[str, Expr | list[Expr]] = {}
+        for name in operand_fields(e):
+            value = getattr(e, name)
+            if type(value) is list:
+                items = []
+                for x in value:
+                    low, cur = self._expr(x, cur)
+                    items.append(low)
+                if any(map(is_not, items, value)):
+                    lowered[name] = items
+            else:
+                low, cur = self._expr(value, cur)
+                if low is not value:
+                    lowered[name] = low
+        return (replace(e, **lowered) if lowered else e), cur
 
     def _cond(self, e: Expr, true_t: int, false_t: int, cur: Block, node: Node) -> None:
         """Lower a boolean context; always terminates `cur`'s chain."""

@@ -11,9 +11,8 @@ from itertools import chain
 from typing import Iterator
 
 from ccomply.parsing.astnodes import (
-    AddrOf, Assign, Binary, Call, Cast, Comma, CompoundAssign, Conditional,
-    Constant, Deref, Expr, Identifier, IncDec, Index, InitList, Member,
-    Sizeof, StringLiteral, Unary,
+    AddrOf, Assign, Call, Cast, CompoundAssign, Deref, Expr, Identifier,
+    IncDec, Index, Member, operands,
 )
 from ccomply.sema.symbols import SymKind, Symbol
 from ccomply.sema.typesys import TK
@@ -51,15 +50,18 @@ def is_volatile_access(e: Expr) -> bool:
 
 
 def walk_effects(e: Expr) -> Iterator[Event]:
-    """Yield events for one branch-free expression tree, in order."""
+    """Yield events for one branch-free expression tree, in order.
+
+    Stores, `&`, `*`, `[]`, `.` and `->` have their own events. Every other
+    class yields its operands' events in the order `astnodes.operands`
+    gives, so nothing under `sizeof` or in a cast's type name counts.
+    """
     if isinstance(e, Identifier):
         sym = _sym_of(e)
         if sym is not None and sym.kind in (SymKind.OBJECT,):
             if "volatile" in sym.quals:
                 yield Event("volatile", sym=sym, node=e)
             yield Event("read", sym=sym, node=e)
-        return
-    if isinstance(e, (Constant, StringLiteral, Sizeof)):
         return
     if isinstance(e, Assign):
         yield from walk_effects(e.value)
@@ -100,37 +102,13 @@ def walk_effects(e: Expr) -> Iterator[Event]:
         if e.arrow:
             yield Event("deref_read", pointer=e.base, node=e)
         return
-    if isinstance(e, Call):
-        yield from walk_effects(e.callee)
-        for a in e.args:
-            yield from walk_effects(a)
+    # Every other class only evaluates its operands, in order; a call then
+    # happens. Lowered items hold no comma or conditional, but AST-level
+    # callers pass them.
+    for x in operands(e):
+        yield from walk_effects(x)
+    if type(e) is Call:
         yield Event("call", node=e)
-        return
-    if isinstance(e, Unary):
-        yield from walk_effects(e.operand)
-        return
-    if isinstance(e, Binary):
-        yield from walk_effects(e.left)
-        yield from walk_effects(e.right)
-        return
-    if isinstance(e, Cast):
-        yield from walk_effects(e.operand)
-        return
-    if isinstance(e, (Comma, Conditional)):
-        # Only reachable for non-lowered trees (AST-level callers).
-        if isinstance(e, Comma):
-            yield from walk_effects(e.left)
-            yield from walk_effects(e.right)
-        else:
-            yield from walk_effects(e.cond)
-            yield from walk_effects(e.then)
-            yield from walk_effects(e.other)
-        return
-    if isinstance(e, InitList):
-        for el in e.elements:
-            yield from walk_effects(el)
-        return
-    return
 
 
 def _store_events(target: Expr, value: Expr | None, node: Expr) -> Iterator[Event]:

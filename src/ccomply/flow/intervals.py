@@ -47,7 +47,7 @@ from ccomply.flow.solver import solve, state_at
 from ccomply.parsing.astnodes import (
     AddrOf, Assign, Binary, Call, Cast, Comma, CompoundAssign, Conditional,
     Constant, Deref, Expr, Identifier, IncDec, Index, InitList, Member,
-    Sizeof, StringLiteral, Unary,
+    Sizeof, StringLiteral, Unary, operands,
 )
 from ccomply.sema.consteval import const_eval
 from ccomply.sema.symbols import SymKind, Symbol
@@ -487,7 +487,7 @@ class _AbstractEval:
             return assign
         # Store through memory: evaluate subexpressions, then forget
         # whatever the pointer may alias.
-        steps = self._effects(_eval_children(target), mutate)
+        steps = self._effects(operands(target), mutate)
         if mutate and self.addr_taken:
             steps.append(_forget(self.addr_taken))
         if not steps:
@@ -541,13 +541,13 @@ class _AbstractEval:
         return (lambda env: _converted(inner(env), full)), changes
 
     def _lower_call(self, e, mutate):
-        steps = self._effects([e.callee, *e.args], mutate)
+        steps = self._effects(operands(e), mutate)
         if mutate and self.havoc:
             steps.append(_forget(self.havoc))
         return _then(steps, self.full(e.ctype)), bool(steps)
 
     def _lower_access(self, e, mutate):
-        steps = self._effects(_eval_children(e), mutate)
+        steps = self._effects(operands(e), mutate)
         return _then(steps, self.full(e.ctype)), bool(steps)
 
     def _lower_comma(self, e, mutate):
@@ -770,16 +770,6 @@ def _with(env: Env, uid: int, iv: Interval) -> Env:
     out = dict(env)
     out[uid] = iv
     return out
-
-
-def _eval_children(e: Expr) -> list[Expr]:
-    if isinstance(e, Deref):
-        return [e.operand]
-    if isinstance(e, Index):
-        return [e.base, e.index]
-    if isinstance(e, Member):
-        return [e.base]
-    return []
 
 
 def _strip_casts(e: Expr) -> Expr:

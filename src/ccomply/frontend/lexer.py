@@ -220,6 +220,42 @@ def int_constant_value(text: str) -> int | None:
     return int(m["dec"])
 
 
+# C99 6.4.4.4: one character of a literal's body is a source character or an
+# escape sequence: up to three octal digits, `x` and every hexadecimal digit
+# that follows, or one more character, which must be a simple escape.
+_LITERAL_CHAR = re.compile(r"\\(?:([0-7]{1,3})|x([0-9a-fA-F]+)|(.))|(.)", re.DOTALL)
+_SIMPLE_ESCAPES = {
+    "'": 39, '"': 34, "?": 63, "\\": 92,
+    "a": 7, "b": 8, "f": 12, "n": 10, "r": 13, "t": 9, "v": 11,
+}
+
+
+def literal_units(lexeme: str) -> list[int] | None:
+    """The code units of a character constant or string literal, or None.
+
+    `lexeme` includes its quotes. None means an escape sequence in it is
+    malformed: `\\x` without a hexadecimal digit, a character that is not
+    a simple escape (C99 6.4.4.4 footnote 64), or an octal or hexadecimal
+    value that does not fit an unsigned char (6.4.4.4p9).
+    """
+    units: list[int] = []
+    for m in _LITERAL_CHAR.finditer(lexeme, 1, len(lexeme) - 1):
+        octal, hexa, simple, plain = m.groups()
+        if plain is not None:
+            units.append(ord(plain))
+        elif simple is not None:
+            unit = _SIMPLE_ESCAPES.get(simple)
+            if unit is None:
+                return None
+            units.append(unit)
+        else:
+            unit = int(octal, 8) if octal is not None else int(hexa, 16)
+            if unit > 0xFF:
+                return None
+            units.append(unit)
+    return units
+
+
 def render_tokens(tokens: list[PPToken]) -> str:
     """Join lexemes into token-equivalent text (single-space separators)."""
     return " ".join(t.lexeme for t in tokens)

@@ -31,7 +31,9 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from ccomply.errors import LexError, PreprocessError, UnsupportedConstructError
-from ccomply.frontend.lexer import PPToken, TokenKind, int_constant_value, lex, render_tokens
+from ccomply.frontend.lexer import (
+    PPToken, TokenKind, int_constant_value, lex, literal_units, render_tokens,
+)
 from ccomply.source import ExpansionFrame, Location, SourceFile, SourceManager
 
 INCLUDE_DEPTH_LIMIT = 64
@@ -688,28 +690,16 @@ def _pp_int_value(tok: PPToken) -> int:
     return _wrap64(value)
 
 
-_ESCAPES = {"n": 10, "t": 9, "r": 13, "0": 0, "\\": 92, "'": 39, '"': 34,
-            "a": 7, "b": 8, "f": 12, "v": 11, "?": 63}
-
-
 def _char_value(tok: PPToken) -> int:
-    body = tok.lexeme[1:-1]
-    if body.startswith("\\"):
-        esc = body[1:]
-        if not esc:
-            raise PreprocessError(f"invalid character constant {tok.lexeme!r}", tok.origin)
-        if esc[0] == "x":
-            return _wrap64(int(esc[1:], 16))
-        if esc[0] in "01234567":
-            return _wrap64(int(esc, 8))
-        if esc[0] in _ESCAPES and len(esc) == 1:
-            return _ESCAPES[esc[0]]
-        raise PreprocessError(f"unknown escape in {tok.lexeme!r}", tok.origin)
-    if len(body) != 1:
+    # C99 6.10.1p4 lets `#if` give a character constant a non-negative value.
+    units = literal_units(tok.lexeme)
+    if units is None:
         raise PreprocessError(
-            f"multi-character constant {tok.lexeme!r} not supported", tok.origin
-        )
-    return ord(body)
+            f"malformed escape sequence in {tok.lexeme} in #if expression", tok.origin)
+    if len(units) != 1:
+        raise UnsupportedConstructError(
+            f"multi-character constant {tok.lexeme} in #if expression", tok.origin)
+    return units[0]
 
 
 def _c_quotient(a: int, b: int) -> int:

@@ -4,6 +4,12 @@ Nodes use identity equality (they serve as map keys in the analyses);
 `structural_equal` provides the span-insensitive comparison used by the
 unparse/reparse round-trip checks. Sema fills the `ctype`/`symbol`
 attributes in place after parsing.
+
+`children` gives every syntactic child of a node. `operands` gives only the
+subexpressions that evaluating an expression evaluates: it leaves out a
+cast's type name and the operand of `sizeof`. Walkers that follow
+evaluation (CFG lowering, effect events, intervals, side-effect and
+evaluation-order checks, the call graph) read `operands`.
 """
 from __future__ import annotations
 
@@ -19,7 +25,8 @@ __all__ = [
     "Goto", "Label", "Break", "Continue", "Return", "ExprStmt", "Identifier",
     "Constant", "StringLiteral", "Unary", "Binary", "Assign", "CompoundAssign",
     "IncDec", "Call", "Index", "Member", "Deref", "AddrOf", "Cast", "Conditional",
-    "Comma", "Sizeof", "InitList", "children", "walk", "NodeIndex", "structural_equal",
+    "Comma", "Sizeof", "InitList", "children", "operands", "operand_fields", "walk",
+    "NodeIndex", "structural_equal",
 ]
 
 
@@ -380,6 +387,38 @@ def _collect_base(b: SynBase, out: list[Node]) -> None:
         for _, e in b.enumerators:
             if e is not None:
                 out.append(e)
+
+
+# Per expression class: the fields whose subexpressions evaluating the
+# expression evaluates, in field order. This is `children` minus a cast's
+# type name and everything under `sizeof`, whose operand C99 6.5.3.4p2 does
+# not evaluate. Every walker that follows evaluation reads this one table.
+_OPERAND_FIELDS: dict[type, tuple[str, ...]] = {
+    Identifier: (), Constant: (), StringLiteral: (), Sizeof: (),
+    Unary: ("operand",), IncDec: ("operand",), Deref: ("operand",),
+    AddrOf: ("operand",), Cast: ("operand",),
+    Binary: ("left", "right"), Comma: ("left", "right"),
+    Assign: ("target", "value"), CompoundAssign: ("target", "value"),
+    Call: ("callee", "args"), Index: ("base", "index"), Member: ("base",),
+    Conditional: ("cond", "then", "other"), InitList: ("elements",),
+}
+
+
+def operand_fields(e: Expr) -> tuple[str, ...]:
+    """The names of the fields of `e` that its evaluation evaluates."""
+    return _OPERAND_FIELDS[type(e)]
+
+
+def operands(e: Expr) -> list[Expr]:
+    """The subexpressions evaluating `e` evaluates, in field order."""
+    out: list[Expr] = []
+    for name in _OPERAND_FIELDS[type(e)]:
+        value = getattr(e, name)
+        if type(value) is list:
+            out.extend(value)
+        else:
+            out.append(value)
+    return out
 
 
 def walk(node: Node) -> Iterator[Node]:

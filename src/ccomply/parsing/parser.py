@@ -12,7 +12,7 @@ import re
 from typing import Optional
 
 from ccomply.errors import ParseError, UnsupportedConstructError
-from ccomply.frontend.lexer import PPToken, TokenKind, int_constant_value
+from ccomply.frontend.lexer import PPToken, TokenKind, int_constant_value, literal_units
 from ccomply.frontend.preprocessor import PAREN_NESTING_LIMIT
 from ccomply.parsing.astnodes import (
     AddrOf, Assign, Binary, Break, Call, Cast, Comma, CompoundAssign,
@@ -66,48 +66,11 @@ _BINARY_PREC = {op: level for level, ops in enumerate(_BINARY_LEVELS) for op in 
 BLOCK_NESTING_LIMIT = 127
 _BLOCK_KEYWORDS = frozenset({"if", "switch", "while", "do", "for"})
 
-_ESCAPES = {
-    "n": "\n", "t": "\t", "r": "\r", "a": "\a", "b": "\b", "f": "\f",
-    "v": "\v", "\\": "\\", "'": "'", '"': '"', "?": "?", "0": "\0",
-}
-
-
-def decode_string(lexeme: str) -> str:
-    body = lexeme[1:-1]
-    out: list[str] = []
-    i = 0
-    while i < len(body):
-        ch = body[i]
-        if ch != "\\":
-            out.append(ch)
-            i += 1
-            continue
-        i += 1
-        esc = body[i]
-        if esc == "x":
-            j = i + 1
-            while j < len(body) and body[j] in "0123456789abcdefABCDEF":
-                j += 1
-            out.append(chr(int(body[i + 1:j], 16) & 0xFF))
-            i = j
-        elif esc in "01234567":
-            j = i
-            while j < len(body) and j < i + 3 and body[j] in "01234567":
-                j += 1
-            out.append(chr(int(body[i:j], 8) & 0xFF))
-            i = j
-        else:
-            out.append(_ESCAPES.get(esc, esc))
-            i += 1
-    return "".join(out)
-
-
-def char_const_value(lexeme: str) -> int:
-    text = decode_string(lexeme)
-    if len(text) != 1:
-        raise ValueError(f"multi-character constant {lexeme}")
-    v = ord(text)
-    return v - 256 if v > 127 else v  # plain char is signed in the model
+def _literal_units(t: PPToken) -> list[int]:
+    units = literal_units(t.lexeme)
+    if units is None:
+        raise ParseError(f"malformed escape sequence in {t.lexeme}", t.report_site)
+    return units
 
 
 class _Scope:
@@ -939,10 +902,11 @@ class Parser:
             return self._finish(Constant(t.lexeme, value, is_float), start)
         if t.kind is TokenKind.CHAR_CONST:
             self.pop()
-            try:
-                value = char_const_value(t.lexeme)
-            except ValueError as exc:
-                raise UnsupportedConstructError(str(exc), t.report_site) from None
+            units = _literal_units(t)
+            if len(units) != 1:
+                raise UnsupportedConstructError(
+                    f"multi-character constant {t.lexeme}", t.report_site)
+            value = units[0] - 256 if units[0] > 127 else units[0]  # plain char is signed
             return self._finish(Constant(t.lexeme, value, False), start)
         if t.kind is TokenKind.STRING:
             parts = [self.pop()]
@@ -952,7 +916,7 @@ class Parser:
                     parts.append(self.pop())
                 else:
                     break
-            value = "".join(decode_string(p.lexeme) for p in parts)
+            value = "".join(chr(u) for p in parts for u in _literal_units(p))
             return self._finish(StringLiteral(value), start)
         raise ParseError(f"unexpected token {t.lexeme!r}", t.report_site)
 

@@ -2,18 +2,20 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 from ccomply.flow.effects import is_volatile_access, walk_effects
 from ccomply.parsing.astnodes import (
     AddrOf, Assign, Binary, Call, Cast, Comma, CompoundAssign, Conditional,
-    Constant, Declaration, Deref, DoWhile, Expr, ExprStmt, For, FunctionDef,
-    Identifier, If, IncDec, Index, InitList, Member, Node, NodeIndex, Return,
-    Sizeof, StringLiteral, Switch, Unary, While, children, for_clauses, walk,
+    Declaration, Deref, DoWhile, Expr, ExprStmt, For, FunctionDef, Identifier,
+    If, IncDec, Index, InitList, Member, Node, NodeIndex, Return, Sizeof,
+    Switch, Unary, While, children, for_clauses, operands, walk,
 )
-from ccomply.rules.context import TUFacts
+from ccomply.rules.context import FunctionFacts, TUFacts
 from ccomply.rules.findings import BehaviorClass, Certainty, Evidence, Finding
 from ccomply.sema.consteval import const_eval
-from ccomply.sema.symbols import Linkage, SymKind, Symbol
+from ccomply.sema.symbols import SymKind, Symbol
 from ccomply.sema.typesys import TK, TypeDesc, is_integer, is_object_pointer, rvalue_type
 
 
@@ -75,7 +77,10 @@ def check_int_pointer_conversion(facts: TUFacts, index: NodeIndex) -> list[Findi
 
 
 def _has_side_effect(e: Expr) -> bool:
-    for node in walk(e):
+    """Does evaluating `e` store, call, or access a volatile object?"""
+    stack = [e]
+    while stack:
+        node = stack.pop()
         if isinstance(node, (Assign, CompoundAssign, IncDec, Call)):
             return True
         if isinstance(node, Identifier):
@@ -84,6 +89,7 @@ def _has_side_effect(e: Expr) -> bool:
                 return True
         if isinstance(node, (Deref, Index, Member)) and is_volatile_access(node):
             return True
+        stack.extend(operands(node))
     return False
 
 
@@ -119,6 +125,9 @@ def check_logical_operand_side_effects(facts: TUFacts, index: NodeIndex) -> list
 
 _WORLD = ("world", -1)
 
+# Says whether the variable an access key names may be reached through a pointer.
+_Escaped = Callable[[tuple], bool]
+
 
 @dataclass(frozen=True)
 class _Access:
@@ -129,30 +138,17 @@ class _Access:
     name: str
 
 
-def _accesses(e: Expr, facts: TUFacts, conflicts: list) -> list[_Access]:
+def _accesses(e: Expr, escaped: _Escaped, conflicts: list) -> list[_Access]:
     """Collect accesses of a subtree, checking unsequenced sibling groups."""
-
-    def var_key(sym: Symbol) -> tuple:
-        return ("var", sym.uid)
-
-    def cross(groups: list[list[_Access]], node: Expr) -> None:
-        for i in range(len(groups)):
-            for j in range(i + 1, len(groups)):
-                for a in groups[i]:
-                    for b in groups[j]:
-                        _check_pair(a, b, node, facts, conflicts)
-
     if isinstance(e, Identifier):
         sym = e.symbol
         if isinstance(sym, Symbol) and sym.kind is SymKind.OBJECT:
             volatile = "volatile" in sym.quals
-            return [_Access(volatile, var_key(sym), False, e.span, sym.name)]
-        return []
-    if isinstance(e, (Constant, StringLiteral, Sizeof)):
+            return [_Access(volatile, ("var", sym.uid), False, e.span, sym.name)]
         return []
     if isinstance(e, (Assign, CompoundAssign)):
-        value_acc = _accesses(e.value, facts, conflicts)
-        target_reads, target_write = _lvalue_accesses(e.target, facts, conflicts)
+        value_acc = _accesses(e.value, escaped, conflicts)
+        target_reads, target_write = _lvalue_accesses(e.target, escaped, conflicts)
         if isinstance(e, CompoundAssign) and target_write is not None:
             target_reads = target_reads + [_Access(False, target_write.key,
                                                    target_write.deref,
@@ -166,92 +162,80 @@ def _accesses(e: Expr, facts: TUFacts, conflicts: list) -> list[_Access]:
             for other in value_acc + target_reads:
                 if other.write or (target_write.deref and other.deref
                                    and other.key != target_write.key):
-                    _check_pair(target_write, other, e, facts, conflicts)
-        cross([value_acc, target_reads], e)
+                    _check_pair(target_write, other, e, escaped, conflicts)
+        _cross([value_acc, target_reads], e, escaped, conflicts)
         result = value_acc + target_reads
         if target_write is not None:
             result.append(target_write)
         return result
     if isinstance(e, IncDec):
-        reads, write = _lvalue_accesses(e.operand, facts, conflicts)
+        reads, write = _lvalue_accesses(e.operand, escaped, conflicts)
         out = reads[:]
         if write is not None:
             out.append(write)
             out.append(_Access(False, write.key, write.deref, write.span, write.name))
         return out
-    if isinstance(e, Call):
-        groups = [_accesses(e.callee, facts, conflicts)]
-        for a in e.args:
-            groups.append(_accesses(a, facts, conflicts))
-        cross(groups, e)
-        flat = [x for g in groups for x in g]
-        flat.append(_Access(True, _WORLD, False, e.span, "<call>"))
-        return flat
-    if isinstance(e, Binary):
-        left = _accesses(e.left, facts, conflicts)
-        right = _accesses(e.right, facts, conflicts)
-        if e.op in ("&&", "||"):
-            return left + right  # sequence point between the operands
-        cross([left, right], e)
-        return left + right
-    if isinstance(e, Comma):
-        return _accesses(e.left, facts, conflicts) + _accesses(e.right, facts, conflicts)
-    if isinstance(e, Conditional):
-        acc = _accesses(e.cond, facts, conflicts)
-        acc += _accesses(e.then, facts, conflicts)
-        acc += _accesses(e.other, facts, conflicts)
-        return acc
-    if isinstance(e, (Unary, Cast)):
-        return _accesses(e.operand, facts, conflicts)
-    if isinstance(e, AddrOf):
-        return _accesses(e.operand, facts, conflicts)
     if isinstance(e, Deref):
-        inner = _accesses(e.operand, facts, conflicts)
+        inner = _accesses(e.operand, escaped, conflicts)
         return inner + [_Access(False, _deref_key(e.operand), True, e.span,
                                 _expr_name(e.operand))]
     if isinstance(e, Index):
-        base = _accesses(e.base, facts, conflicts)
-        index = _accesses(e.index, facts, conflicts)
-        cross([base, index], e)
+        base = _accesses(e.base, escaped, conflicts)
+        index = _accesses(e.index, escaped, conflicts)
+        _cross([base, index], e, escaped, conflicts)
         acc = base + index
         acc.append(_Access(False, _deref_key(e.base), True, e.span, _expr_name(e.base)))
         return acc
     if isinstance(e, Member):
-        inner = _accesses(e.base, facts, conflicts)
+        inner = _accesses(e.base, escaped, conflicts)
         if e.arrow:
             inner = inner + [_Access(False, _deref_key(e.base), True, e.span,
                                      _expr_name(e.base))]
         return inner
-    if isinstance(e, InitList):
-        groups = [_accesses(el, facts, conflicts) for el in e.elements]
-        cross(groups, e)
-        return [x for g in groups for x in g]
-    return []
+    # Every other class: the operands' accesses. The operands of a call, of
+    # an initializer list and of a binary operator other than && and || are
+    # unsequenced against each other.
+    groups = [_accesses(x, escaped, conflicts) for x in operands(e)]
+    cls = type(e)
+    if cls is Call or cls is InitList or (cls is Binary and e.op not in ("&&", "||")):
+        _cross(groups, e, escaped, conflicts)
+    flat = [x for g in groups for x in g]
+    if cls is Call:
+        flat.append(_Access(True, _WORLD, False, e.span, "<call>"))
+    return flat
 
 
-def _lvalue_accesses(target: Expr, facts, conflicts) -> tuple[list[_Access], _Access | None]:
+def _cross(groups: list[list[_Access]], node: Expr, escaped: _Escaped, conflicts: list) -> None:
+    for i in range(len(groups)):
+        for j in range(i + 1, len(groups)):
+            for a in groups[i]:
+                for b in groups[j]:
+                    _check_pair(a, b, node, escaped, conflicts)
+
+
+def _lvalue_accesses(target: Expr, escaped, conflicts) -> tuple[list[_Access], _Access | None]:
     """(address-computation accesses, the store access)."""
     if isinstance(target, Identifier) and isinstance(target.symbol, Symbol):
         sym = target.symbol
         return [], _Access(True, ("var", sym.uid), False, target.span, sym.name)
     if isinstance(target, Deref):
-        reads = _accesses(target.operand, facts, conflicts)
+        reads = _accesses(target.operand, escaped, conflicts)
         return reads, _Access(True, _deref_key(target.operand), True, target.span,
                               _expr_name(target.operand))
     if isinstance(target, Index):
-        reads = _accesses(target.base, facts, conflicts) + _accesses(target.index, facts, conflicts)
+        reads = _accesses(target.base, escaped, conflicts) + _accesses(target.index, escaped, conflicts)
         return reads, _Access(True, _deref_key(target.base), True, target.span,
                               _expr_name(target.base))
     if isinstance(target, Member):
         if target.arrow:
-            reads = _accesses(target.base, facts, conflicts)
+            reads = _accesses(target.base, escaped, conflicts)
             return reads, _Access(True, _deref_key(target.base), True, target.span,
                                   _expr_name(target.base))
-        reads, write = _lvalue_accesses(target.base, facts, conflicts)
+        reads, write = _lvalue_accesses(target.base, escaped, conflicts)
         return reads, write
     if isinstance(target, Cast):
-        return _lvalue_accesses(target.operand, facts, conflicts)
-    return _accesses(target, facts, conflicts), None
+        return _lvalue_accesses(target.operand, escaped, conflicts)
+    return _accesses(target, escaped, conflicts), None
 
 
 def _deref_key(pointer: Expr) -> tuple:
@@ -266,20 +250,20 @@ def _expr_name(e: Expr) -> str:
     return "*<expr>"
 
 
-def _is_escaped(key: tuple, facts: TUFacts) -> bool:
+def _is_escaped(key: tuple, fn: FunctionFacts, symbols: list[Symbol]) -> bool:
+    """May the variable `key` names be reached through a pointer in `fn`?
+
+    Only a local's own function can take its address, so only `fn`'s
+    address-taken set is read, and only for a local.
+    """
     if key[0] != "var":
         return True
     uid = key[1]
-    for fn in facts.functions:
-        if uid in fn.addr_taken:
-            return True
-    for sym in facts.table.symbols:
-        if sym.uid == uid:
-            return not sym.is_local_object
-    return True
+    return not symbols[uid].is_local_object or uid in fn.addr_taken
 
 
-def _check_pair(a: _Access, b: _Access, node: Expr, facts: TUFacts, conflicts: list) -> None:
+def _check_pair(a: _Access, b: _Access, node: Expr, escaped: _Escaped,
+                conflicts: list) -> None:
     if not (a.write or b.write):
         return
     if a.key == _WORLD or b.key == _WORLD:
@@ -297,7 +281,7 @@ def _check_pair(a: _Access, b: _Access, node: Expr, facts: TUFacts, conflicts: l
     # channel owns every aliasing question, so these never escalate
     # past caution.
     involved_var = a if not a.deref else (b if not b.deref else None)
-    if involved_var is not None and not _is_escaped(involved_var.key, facts):
+    if involved_var is not None and not escaped(involved_var.key):
         return  # a never-escaping local cannot alias a dereference
     conflicts.append((
         "caution", node,
@@ -327,12 +311,12 @@ def _full_expressions(body: list[Node]) -> list[Expr]:
 
 def check_evaluation_order(facts: TUFacts, index: NodeIndex) -> list[Finding]:
     out: list[Finding] = []
-    for decl in facts.tu.decls:
-        if not isinstance(decl, FunctionDef):
-            continue
-        for full in _full_expressions(index.subtree(decl.body)):
+    symbols = facts.table.symbols
+    for fn in facts.functions:
+        escaped = partial(_is_escaped, fn=fn, symbols=symbols)
+        for full in _full_expressions(index.subtree(fn.fn.body)):
             conflicts: list = []
-            _accesses(full, facts, conflicts)
+            _accesses(full, escaped, conflicts)
             seen: set[tuple] = set()
             for level, node, message in conflicts:
                 key = (level, message)

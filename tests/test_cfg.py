@@ -1,7 +1,7 @@
 import pytest
 
 from ccomply.errors import SemaError
-from ccomply.flow.cfg import EdgeKind, EvalItem, TBranch, TJump, TSwitch
+from ccomply.flow.cfg import EdgeKind, EvalItem, TBranch, TJump, TReturn, TSwitch
 from ccomply.parsing import Call, Identifier, walk
 from flow_helpers import analyze_fn
 
@@ -162,3 +162,53 @@ def test_entry_has_no_preds_every_block_owned():
     assert cfg.block(cfg.entry).preds == []
     for b, i, item in cfg.points():
         assert cfg.blocks[b.id] is b
+
+
+def _eval_items(cfg):
+    return [item for _, _, item in cfg.points() if isinstance(item, EvalItem)]
+
+
+def test_branch_free_statement_item_is_the_ast_expression():
+    cfg, fn, _, _ = analyze_fn("void f(int a, int *p) { *p = a + 1; use(a); }")
+    stmts = fn.body.items
+    items = _eval_items(cfg)
+    assert [item.stmt for item in items] == stmts
+    assert all(item.expr is stmt.expr for item, stmt in zip(items, stmts))
+
+
+def test_declaration_and_terminator_expressions_are_shared():
+    cfg, fn, _, _ = analyze_fn(
+        "int f(int a) { int x = a * 2; int v[2] = { a, x }; if (x > a) { return v[0]; } return x; }"
+    )
+    decl_x, decl_v, if_stmt, ret = fn.body.items
+    decls = [item for _, _, item in cfg.points() if not isinstance(item, EvalItem)]
+    assert decls[0].init is decl_x.entries[0].init
+    assert decls[1].init is decl_v.entries[0].init
+    [branch] = [b.term for b in cfg.blocks if isinstance(b.term, TBranch)]
+    assert branch.cond is if_stmt.cond
+    returns = [b.term.value for b in cfg.blocks if isinstance(b.term, TReturn)]
+    assert any(v is ret.value for v in returns)
+
+
+def test_only_nodes_above_a_temporary_are_new():
+    cfg, fn, _, _ = analyze_fn("void f(int a, int b, int c) { int x; x = (a && b) + c; use(x); }")
+    stmt = fn.body.items[1]
+    ast_assign = stmt.expr
+    ast_sum = ast_assign.value
+    [item] = [item for item in _eval_items(cfg) if item.stmt is stmt]
+    assign = item.expr
+    assert assign is not ast_assign and type(assign) is type(ast_assign)
+    assert assign.target is ast_assign.target
+    total = assign.value
+    assert total is not ast_sum and total.op == "+"
+    assert total.left.name.startswith("$t")
+    assert total.right is ast_sum.right
+    # The AST itself is untouched.
+    assert ast_sum.left.op == "&&"
+
+
+def test_sizeof_operand_is_not_lowered():
+    cfg, fn, _, _ = analyze_fn("void f(int a, int b) { use((int)sizeof(a && b)); }")
+    [item] = _eval_items(cfg)
+    assert item.expr is fn.body.items[0].expr
+    assert len([b for b in cfg.blocks if b.reachable]) == 2

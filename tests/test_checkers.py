@@ -614,3 +614,56 @@ class TestNodeIndexLifetime:
         assert run_rules(units, enabled)
         assert len(built) == len(units)
         assert all(ref() is None for ref in built)
+
+
+class TestSizeofOperandIsNotEvaluated:
+    """C99 6.5.3.4p2: the operand of sizeof is not evaluated.
+
+    A side effect or call written under sizeof never happens, so R13.1,
+    R13.5 and R17.2 have nothing to report. MISRA's R13.6, which forbids
+    side effects in sizeof operands, is not checked by this tool.
+    """
+
+    @pytest.mark.parametrize("init", ["sizeof(x++)", "sizeof(get())"])
+    def test_initializer_side_effect_under_sizeof_clean(self, init):
+        assert run_rule(f"void f(int x) {{ int n = {init}; use(n); use(x); }}", "R13.1") == []
+
+    def test_initializer_side_effect_outside_sizeof_still_definite(self):
+        f = single(run_rule("void f(int x) { int n = x++; use(n); use(x); }", "R13.1"))
+        assert f.certainty is Certainty.DEFINITE
+
+    def test_logical_rhs_side_effect_under_sizeof_clean(self):
+        assert run_rule(
+            "void f(int a, int b) { if (a && sizeof(b++)) { use(a); } use(b); }", "R13.5"
+        ) == []
+
+    def test_call_under_sizeof_is_not_recursion(self):
+        assert run_rule("int f(void) { return (int)sizeof(f()); }", "R17.2") == []
+
+    def test_pointer_call_under_sizeof_is_not_a_call_site(self):
+        assert run_rule(
+            "extern int h(void);\n"
+            "int f(void) { int (*fp)(void) = h; return (int)sizeof(fp()); }\n",
+            "R17.2",
+        ) == []
+
+    def test_call_beside_sizeof_still_counts(self):
+        f = single(run_rule("int f(void) { return (int)sizeof(int) + f(); }", "R17.2"))
+        assert f.certainty is Certainty.DEFINITE
+
+
+class TestEscapeQueryReadsOneFunction:
+    def test_deref_pair_builds_only_its_own_functions_cfg(self):
+        _, facts = run_rule_full(
+            "void f(int *p) { *p = 1; }\n"
+            "void h(int *q, int x) { use((*q = 2) + x); }\n",
+            "R13.2",
+        )
+        built = [fn.fn.name for fn in facts.functions if "cfg" in vars(fn)]
+        assert built == ["h"]
+
+    def test_escaped_local_still_caution(self):
+        f = single(run_rule(
+            "void f(int *p, int x) { usep(&x); use((*p = 1) + x); }", "R13.2"
+        ))
+        assert f.certainty is Certainty.CAUTION

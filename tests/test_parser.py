@@ -428,3 +428,94 @@ class TestIntegerConstants:
     def test_floating_constants_still_parse(self, text, value):
         e = self.value(text)
         assert e.is_float and e.value == value
+
+
+class TestCharacterConstants:
+    """C99 6.4.4.4 escape sequences, decoded by `lexer.literal_units`."""
+
+    def value(self, text):
+        return first_stmt(f"x = {text};").expr.value.value
+
+    @pytest.mark.parametrize("text, value", [
+        ("'A'", 65), (r"'\n'", 10), (r"'\0'", 0), (r"'\''", 39), (r"'\"'", 34),
+        ("'\"'", 34), (r"'\?'", 63), (r"'\\'", 92), (r"'\a'", 7), (r"'\v'", 11),
+        (r"'\101'", 65), (r"'\x41'", 65), (r"'\x7f'", 127),
+        # Plain char is signed in the model.
+        (r"'\377'", -1), (r"'\xFF'", -1), (r"'\200'", -128),
+    ])
+    def test_well_formed_values(self, text, value):
+        assert self.value(text) == value
+
+    @pytest.mark.parametrize("text", [r"'\x'", r"'\q'", r"'\xG'", r"'\x100'", r"'\400'"])
+    def test_malformed_escape_is_parse_error_at_the_literal(self, text):
+        with pytest.raises(ParseError) as info:
+            first_stmt(f"x = {text};")
+        assert type(info.value) is ParseError
+        assert text in info.value.message
+        assert (info.value.loc.line, info.value.loc.column) == (2, 5)
+
+    def test_malformed_escape_in_string_is_parse_error(self):
+        with pytest.raises(ParseError) as info:
+            parse_text('char *s = "\\x";\n')
+        assert type(info.value) is ParseError
+        assert '"\\x"' in info.value.message
+        assert (info.value.loc.line, info.value.loc.column) == (1, 11)
+
+    @pytest.mark.parametrize("text", [r"'\1234'", r"'\0x'", "'ab'"])
+    def test_multi_character_constant_is_unsupported(self, text):
+        with pytest.raises(UnsupportedConstructError, match="multi-character constant"):
+            first_stmt(f"x = {text};")
+
+    def test_octal_escape_takes_at_most_three_digits(self):
+        assert first_stmt(r's = "\1234\0123";').expr.value.value == "S4\n3"
+
+    def test_hex_escape_takes_every_hex_digit(self):
+        assert first_stmt(r's = "\x4g\x041";').expr.value.value == "\x04gA"
+
+
+class TestOperandTable:
+    """`operands` is `children` minus cast type names and sizeof operands."""
+
+    SAMPLES = CORPUS_SAMPLES + [
+        "void z(int a, int *p) { int n = sizeof(a++) + sizeof(int[4]); "
+        "p = (int *)(long)p; use((char)sizeof(*p) + n, (unsigned)a); }\n",
+        "struct T { int v[2]; };\n"
+        "void w(struct T *t, int i) { int b[3] = { i, (int)t->v[i], sizeof t->v }; "
+        "t->v[i ? 0 : 1] += (i, b[2]); i = -~!i; use(&b[0] - &b[1]); }\n",
+    ]
+
+    @staticmethod
+    def expected(node):
+        from ccomply.parsing import Cast, Sizeof, children
+
+        if isinstance(node, Sizeof):
+            return []
+        if isinstance(node, Cast):
+            return [node.operand]
+        return children(node)
+
+    def test_operands_match_children_on_every_corpus_expression(self):
+        from ccomply.parsing import Cast, Expr, Sizeof, operand_fields, operands, walk
+
+        seen: set[type] = set()
+        for text in self.SAMPLES:
+            for node in walk(parse_text(text)):
+                if not isinstance(node, Expr):
+                    continue
+                got, want = operands(node), self.expected(node)
+                assert len(got) == len(want) and all(a is b for a, b in zip(got, want)), node
+                flat = []
+                for name in operand_fields(node):
+                    value = getattr(node, name)
+                    flat.extend(value if isinstance(value, list) else [value])
+                assert len(flat) == len(got) and all(a is b for a, b in zip(flat, got))
+                seen.add(type(node))
+        assert {Cast, Sizeof} <= seen
+        assert len(seen) == 18, seen
+
+    def test_every_expression_class_has_an_entry(self):
+        from ccomply.parsing import Expr, astnodes
+
+        classes = {c for c in vars(astnodes).values()
+                   if isinstance(c, type) and issubclass(c, Expr) and c is not Expr}
+        assert set(astnodes._OPERAND_FIELDS) == classes

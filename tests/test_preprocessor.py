@@ -492,3 +492,39 @@ def test_angle_include_keeps_blanks_in_the_header_name(tmp_path):
     mgr = SourceManager()
     toks, _, _ = preprocess(mgr.load(str(tmp_path / "main.c")), [str(tmp_path)], [], mgr)
     assert lexemes(toks) == ["int", "x", ";"]
+
+
+class TestCharConstantsInIf:
+    """`#if` decodes character constants with the parser's escape decoder."""
+
+    def evaluate(self, text):
+        mgr, f = make_manager({"c.h": text})
+        return evaluate_pp_condition(lex(f))
+
+    @pytest.mark.parametrize("text, value", [
+        ("'A'", 65), (r"'\n'", 10), (r"'\0'", 0), (r"'\?'", 63), (r"'\a'", 7),
+        (r"'\101'", 65), (r"'\x41'", 65),
+        # C99 6.10.1p4: the value need not match the one in code; it stays
+        # non-negative here.
+        (r"'\377'", 255), (r"'\xFF'", 255),
+    ])
+    def test_well_formed_values(self, text, value):
+        assert self.evaluate(text) == value
+
+    @pytest.mark.parametrize("text", [r"'\x'", r"'\xZZ'", r"'\q'", r"'\x100'"])
+    def test_malformed_escape_is_preprocess_error_at_the_literal(self, text):
+        with pytest.raises(PreprocessError) as info:
+            self.evaluate("1 + " + text)
+        assert text in info.value.message
+        assert (info.value.loc.line, info.value.loc.column) == (1, 5)
+
+    @pytest.mark.parametrize("text", [r"'\1234'", r"'\0x'", "'ab'"])
+    def test_multi_character_constant_is_unsupported(self, text):
+        with pytest.raises(UnsupportedConstructError, match="multi-character constant"):
+            self.evaluate(text)
+
+    def test_octal_escape_takes_at_most_three_digits(self):
+        toks, _, _, _ = pp_text("#if '\\123' == 83\nint a;\n#endif\n")
+        assert lexemes(toks) == ["int", "a", ";"]
+        with pytest.raises(UnsupportedConstructError):
+            pp_text("#if '\\1234' == 668\nint a;\n#endif\n")
