@@ -14,7 +14,7 @@ evaluation-order checks, the call graph) read `operands`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Any, Iterator, Optional
+from typing import Any, Container, Iterator, Optional
 
 from ccomply.source import Span
 
@@ -26,7 +26,7 @@ __all__ = [
     "Constant", "StringLiteral", "Unary", "Binary", "Assign", "CompoundAssign",
     "IncDec", "Call", "Index", "Member", "Deref", "AddrOf", "Cast", "Conditional",
     "Comma", "Sizeof", "InitList", "children", "operands", "operand_fields", "walk",
-    "NodeIndex", "structural_equal",
+    "walk_operands", "NodeIndex", "structural_equal", "QUALIFIER_SETS", "qualifier_set",
 ]
 
 
@@ -51,6 +51,24 @@ class Stmt(Node):
 
 # ---- syntactic types (pre-sema) -------------------------------------------
 
+# The four `const`/`volatile` qualifier sets, keyed by (const, volatile).
+# The parser and sema take every qualifier set from here, so a tree holds
+# four sets however many declarations it has.
+QUALIFIER_SETS: dict[tuple[bool, bool], frozenset[str]] = {
+    (False, False): frozenset(),
+    (True, False): frozenset({"const"}),
+    (False, True): frozenset({"volatile"}),
+    (True, True): frozenset({"const", "volatile"}),
+}
+
+
+def qualifier_set(words: Container[str]) -> frozenset[str]:
+    """The shared set of the `const` and `volatile` among `words`.
+
+    `restrict` is dropped: no checker reads it, and sema never kept it.
+    """
+    return QUALIFIER_SETS["const" in words, "volatile" in words]
+
 
 @dataclass(eq=False)
 class SynBase:
@@ -62,13 +80,13 @@ class SynBase:
     tag: str | None = None
     members: list["RecordMember"] | None = None     # struct/union definition
     enumerators: list[tuple[str, Optional["Expr"]]] | None = None
-    quals: frozenset[str] = frozenset()
+    quals: frozenset[str] = QUALIFIER_SETS[False, False]
     storage: str | None = None           # 'typedef' | 'static' | 'extern' | 'auto'
 
 
 @dataclass(eq=False)
 class SynPtr:
-    quals: frozenset[str] = frozenset()
+    quals: frozenset[str] = QUALIFIER_SETS[False, False]
 
 
 @dataclass(eq=False)
@@ -419,6 +437,17 @@ def operands(e: Expr) -> list[Expr]:
         else:
             out.append(value)
     return out
+
+
+def walk_operands(e: Expr) -> Iterator[Expr]:
+    """Pre-order traversal of `e` and of the subexpressions its evaluation evaluates."""
+    stack = [e]
+    while stack:
+        n = stack.pop()
+        yield n
+        kids = operands(n)
+        kids.reverse()
+        stack.extend(kids)
 
 
 def walk(node: Node) -> Iterator[Node]:

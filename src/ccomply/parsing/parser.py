@@ -20,7 +20,7 @@ from ccomply.parsing.astnodes import (
     Deref, DoWhile, Expr, ExprStmt, For, FunctionDef, Goto, Identifier, If,
     IncDec, Index, InitList, Label, Member, Node, RecordMember, Return,
     Sizeof, Stmt, StringLiteral, Switch, SynArr, SynBase, SynFunc, SynParam,
-    SynPtr, SynType, TranslationUnitAst, Unary, While,
+    SynPtr, SynType, TranslationUnitAst, Unary, While, qualifier_set,
 )
 from ccomply.source import Location, Span
 
@@ -338,13 +338,13 @@ class Parser:
                 start_tok.report_site,
             )
         if record is not None:
-            record.quals = frozenset(quals)
+            record.quals = qualifier_set(quals)
             record.storage = storage
             return record
         return SynBase(
             specs=tuple(specs),
             typedef_name=typedef_name,
-            quals=frozenset(quals),
+            quals=qualifier_set(quals),
             storage=storage,
         )
 
@@ -425,7 +425,7 @@ class Parser:
             quals: set[str] = set()
             while self.at_kw("const", "volatile", "restrict"):
                 quals.add(self.pop().lexeme)
-            ptrs.append(SynPtr(frozenset(quals)))
+            ptrs.append(SynPtr(qualifier_set(quals)))
         name, inner = self._parse_direct_declarator()
         derivs = inner + list(reversed(ptrs))
         return name, derivs, self.span_from(start)
@@ -474,7 +474,7 @@ class Parser:
             quals: set[str] = set()
             while self.at_kw("const", "volatile", "restrict"):
                 quals.add(self.pop().lexeme)
-            ptrs.append(SynPtr(frozenset(quals)))
+            ptrs.append(SynPtr(qualifier_set(quals)))
         name, inner = self._parse_direct_declarator()
         return name, inner + list(reversed(ptrs))
 

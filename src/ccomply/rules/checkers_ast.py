@@ -10,7 +10,7 @@ from ccomply.parsing.astnodes import (
     AddrOf, Assign, Binary, Call, Cast, Comma, CompoundAssign, Conditional,
     Declaration, Deref, DoWhile, Expr, ExprStmt, For, FunctionDef, Identifier,
     If, IncDec, Index, InitList, Member, Node, NodeIndex, Return, Sizeof,
-    Switch, Unary, While, children, for_clauses, operands, walk,
+    Switch, Unary, While, children, for_clauses, operands, walk, walk_operands,
 )
 from ccomply.rules.context import FunctionFacts, TUFacts
 from ccomply.rules.findings import BehaviorClass, Certainty, Evidence, Finding
@@ -22,7 +22,9 @@ from ccomply.sema.typesys import TK, TypeDesc, is_integer, is_object_pointer, rv
 # ---- R11.4: no integer <-> object-pointer conversion ---------------------------
 
 
-def check_int_pointer_conversion(facts: TUFacts, index: NodeIndex) -> list[Finding]:
+def check_int_pointer_conversion(
+    facts: TUFacts, index: NodeIndex, functions: list[FunctionFacts],
+) -> list[Finding]:
     out: list[Finding] = []
 
     def site(dst: TypeDesc | None, src_expr: Expr, node: Expr, what: str) -> None:
@@ -78,9 +80,7 @@ def check_int_pointer_conversion(facts: TUFacts, index: NodeIndex) -> list[Findi
 
 def _has_side_effect(e: Expr) -> bool:
     """Does evaluating `e` store, call, or access a volatile object?"""
-    stack = [e]
-    while stack:
-        node = stack.pop()
+    for node in walk_operands(e):
         if isinstance(node, (Assign, CompoundAssign, IncDec, Call)):
             return True
         if isinstance(node, Identifier):
@@ -89,11 +89,12 @@ def _has_side_effect(e: Expr) -> bool:
                 return True
         if isinstance(node, (Deref, Index, Member)) and is_volatile_access(node):
             return True
-        stack.extend(operands(node))
     return False
 
 
-def check_initializer_side_effects(facts: TUFacts, index: NodeIndex) -> list[Finding]:
+def check_initializer_side_effects(
+    facts: TUFacts, index: NodeIndex, functions: list[FunctionFacts],
+) -> list[Finding]:
     out: list[Finding] = []
     for node in index.of(Declaration):
         for entry in node.entries:
@@ -107,10 +108,12 @@ def check_initializer_side_effects(facts: TUFacts, index: NodeIndex) -> list[Fin
     return out
 
 
-def check_logical_operand_side_effects(facts: TUFacts, index: NodeIndex) -> list[Finding]:
+def check_logical_operand_side_effects(
+    facts: TUFacts, index: NodeIndex, functions: list[FunctionFacts],
+) -> list[Finding]:
     out: list[Finding] = []
     for node in index.of(Binary):
-        if node.op in ("&&", "||"):
+        if node.op in ("&&", "||") and not _under_sizeof(node, index.parents):
             if _has_side_effect(node.right):
                 out.append(Finding(
                     "R13.5", node.right.span, Certainty.DEFINITE,
@@ -119,6 +122,16 @@ def check_logical_operand_side_effects(facts: TUFacts, index: NodeIndex) -> list
                                        "this operand is conditionally evaluated"),),
                 ))
     return out
+
+
+def _under_sizeof(node: Node, parents: dict[int, Node]) -> bool:
+    """Is `node` inside the operand of a `sizeof`, which C99 6.5.3.4p2 never evaluates?"""
+    parent = parents.get(id(node))
+    while parent is not None:
+        if isinstance(parent, Sizeof):
+            return True
+        parent = parents.get(id(parent))
+    return False
 
 
 # ---- R13.2: no reliance on unspecified evaluation order --------------------------
@@ -309,10 +322,12 @@ def _full_expressions(body: list[Node]) -> list[Expr]:
     return out
 
 
-def check_evaluation_order(facts: TUFacts, index: NodeIndex) -> list[Finding]:
+def check_evaluation_order(
+    facts: TUFacts, index: NodeIndex, functions: list[FunctionFacts],
+) -> list[Finding]:
     out: list[Finding] = []
     symbols = facts.table.symbols
-    for fn in facts.functions:
+    for fn in functions:
         escaped = partial(_is_escaped, fn=fn, symbols=symbols)
         for full in _full_expressions(index.subtree(fn.fn.body)):
             conflicts: list = []
@@ -336,7 +351,9 @@ def check_evaluation_order(facts: TUFacts, index: NodeIndex) -> list[Finding]:
 # ---- R8.13: pointer to const where possible ---------------------------------------
 
 
-def check_const_pointer(facts: TUFacts, index: NodeIndex) -> list[Finding]:
+def check_const_pointer(
+    facts: TUFacts, index: NodeIndex, functions: list[FunctionFacts],
+) -> list[Finding]:
     out: list[Finding] = []
     parents = index.parents
     for decl in facts.tu.decls:
@@ -510,7 +527,9 @@ def _loop_counter(node: For) -> Symbol | None:
     return None
 
 
-def check_float_loop_counter(facts: TUFacts, index: NodeIndex) -> list[Finding]:
+def check_float_loop_counter(
+    facts: TUFacts, index: NodeIndex, functions: list[FunctionFacts],
+) -> list[Finding]:
     out: list[Finding] = []
     for node in index.of(For):
         counter = _loop_counter(node)
@@ -532,7 +551,9 @@ def check_float_loop_counter(facts: TUFacts, index: NodeIndex) -> list[Finding]:
     return out
 
 
-def check_for_loop_shape(facts: TUFacts, index: NodeIndex) -> list[Finding]:
+def check_for_loop_shape(
+    facts: TUFacts, index: NodeIndex, functions: list[FunctionFacts],
+) -> list[Finding]:
     out: list[Finding] = []
     for node in index.of(For):
         problem = _for_shape_problem(node)

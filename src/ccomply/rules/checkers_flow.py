@@ -5,7 +5,7 @@ from ccomply.flow.assign import AssignState
 from ccomply.flow.cfg import Cfg, DeclItem, EvalItem, TBranch, TReturn, TSwitch
 from ccomply.parsing.astnodes import (
     Binary, CompoundAssign, Constant, DoWhile, Expr, ExprStmt, For, If, NodeIndex,
-    While, walk,
+    While, walk_operands,
 )
 from ccomply.rules.context import FunctionFacts, TUFacts
 from ccomply.rules.findings import BehaviorClass, Certainty, Evidence, Finding
@@ -29,11 +29,13 @@ def _point_exprs(cfg: Cfg):
 # ---- R12.2: shift amount within the promoted width --------------------------
 
 
-def check_shift_range(facts: TUFacts, index: NodeIndex) -> list[Finding]:
+def check_shift_range(
+    facts: TUFacts, index: NodeIndex, functions: list[FunctionFacts],
+) -> list[Finding]:
     out: list[Finding] = []
-    for fn in facts.functions:
+    for fn in functions:
         for bid, idx, expr, _ in _point_exprs(fn.cfg):
-            for node in walk(expr):
+            for node in walk_operands(expr):
                 shift = _shift_parts(node)
                 if shift is None:
                     continue
@@ -94,9 +96,11 @@ def _range_text(lo: int, hi: int) -> str:
 # ---- R9.1: no read of unset automatic storage --------------------------------
 
 
-def check_uninitialized_read(facts: TUFacts, index: NodeIndex) -> list[Finding]:
+def check_uninitialized_read(
+    facts: TUFacts, index: NodeIndex, functions: list[FunctionFacts],
+) -> list[Finding]:
     out: list[Finding] = []
-    for fn in facts.functions:
+    for fn in functions:
         for ev in fn.assign.reads:
             if ev.sym.is_temp or ev.sym.is_param:
                 continue
@@ -130,9 +134,11 @@ def check_uninitialized_read(facts: TUFacts, index: NodeIndex) -> list[Finding]:
 # ---- R2.1: no unreachable code ------------------------------------------------
 
 
-def check_unreachable(facts: TUFacts, index: NodeIndex) -> list[Finding]:
+def check_unreachable(
+    facts: TUFacts, index: NodeIndex, functions: list[FunctionFacts],
+) -> list[Finding]:
     out: list[Finding] = []
-    for fn in facts.functions:
+    for fn in functions:
         cfg = fn.cfg
         graph_unreachable = {b.id for b in cfg.blocks if not b.reachable and b.id != cfg.exit}
         interval_unreachable = _interval_unreachable(fn) - graph_unreachable
@@ -234,9 +240,11 @@ def _region_reason(cfg: Cfg, region: set[int], fn: FunctionFacts):
 # ---- R2.2: no dead code ---------------------------------------------------------
 
 
-def check_dead_code(facts: TUFacts, index: NodeIndex) -> list[Finding]:
+def check_dead_code(
+    facts: TUFacts, index: NodeIndex, functions: list[FunctionFacts],
+) -> list[Finding]:
     out: list[Finding] = []
-    for fn in facts.functions:
+    for fn in functions:
         for b, idx, item in fn.cfg.points():
             if not isinstance(item, EvalItem) or not isinstance(item.stmt, ExprStmt):
                 continue
@@ -270,9 +278,11 @@ def check_dead_code(facts: TUFacts, index: NodeIndex) -> list[Finding]:
 # ---- R14.3: no invariant controlling expressions ---------------------------------
 
 
-def check_invariant_condition(facts: TUFacts, index: NodeIndex) -> list[Finding]:
+def check_invariant_condition(
+    facts: TUFacts, index: NodeIndex, functions: list[FunctionFacts],
+) -> list[Finding]:
     out: list[Finding] = []
-    for fn in facts.functions:
+    for fn in functions:
         for stmt in index.subtree(fn.fn.body):
             cond = None
             if isinstance(stmt, (If, While, DoWhile)):
@@ -305,9 +315,11 @@ def check_invariant_condition(facts: TUFacts, index: NodeIndex) -> list[Finding]
 # ---- R1.3 (string-literal-write instance): no writes through literals -------------
 
 
-def check_literal_write(facts: TUFacts, index: NodeIndex) -> list[Finding]:
+def check_literal_write(
+    facts: TUFacts, index: NodeIndex, functions: list[FunctionFacts],
+) -> list[Finding]:
     out: list[Finding] = []
-    for fn in facts.functions:
+    for fn in functions:
         for bid, idx, expr, events in _point_exprs(fn.cfg):
             stores = [ev for ev in events if ev.kind == "deref_store" and ev.pointer is not None]
             if not stores:

@@ -1,7 +1,7 @@
 """Fact bundles handed to the rule checkers."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from ccomply.flow import (
@@ -21,10 +21,14 @@ class FunctionFacts:
     `cfg` lowers the function; `assign`, `intervals`, `live` and `points`
     run definite assignment, interval analysis, liveness and points-to over
     it; `addr_taken` is the CFG's address-taken locals. Nothing runs until a
-    checker reads it, and each runs at most once. A run of AST-scope
-    guidelines only builds the CFG and `addr_taken`, and only of the
-    functions R13.2 asks about when it weighs a dereference against a
-    variable.
+    checker reads it, and each runs at most once per `run_rules` call. A run
+    of AST-scope guidelines only builds the CFG and `addr_taken`, and only
+    of the functions R13.2 asks about when it weighs a dereference against
+    a variable.
+
+    `run_rules` builds these next to the unit's `NodeIndex` and drops them
+    when the unit's checkers return, so no CFG or analysis state outlives
+    the call: callers keep every unit's `TUFacts` for the whole run.
 
     `intervals` and `points` keep one state per reached block; `env_at`
     replays the state at a program point when a checker asks for it. R12.2
@@ -63,10 +67,17 @@ class FunctionFacts:
 
 @dataclass
 class TUFacts:
+    """What a translation unit's checkers start from, kept for the whole run.
+
+    It holds the resolved tree and its symbol table only. The per-function
+    facts are built by each `run_rules` call (`function_facts`) and dropped
+    when it returns, so keeping every unit's `TUFacts` keeps no CFG or
+    analysis state alive.
+    """
+
     tu: TranslationUnitAst
     table: SymbolTable
     path: str
-    functions: list[FunctionFacts] = field(default_factory=list)
     manager: SourceManager | None = None
 
     @property
@@ -79,9 +90,15 @@ def compute_tu_facts(
     table: SymbolTable,
     manager: SourceManager | None = None,
 ) -> TUFacts:
-    """List the TU's functions; their facts are computed when first read.
+    """Bundle a resolved TU for `run_rules`; no fact is computed here.
 
-    Every fact uses the integer model the TU was resolved under.
+    Each `run_rules` call computes the function facts its checkers read,
+    under the integer model the TU was resolved under, and drops them when
+    it returns.
     """
-    functions = [FunctionFacts(d, table.model) for d in tu.decls if isinstance(d, FunctionDef)]
-    return TUFacts(tu, table, tu.path, functions, manager)
+    return TUFacts(tu, table, tu.path, manager)
+
+
+def function_facts(unit: TUFacts) -> list[FunctionFacts]:
+    """One `FunctionFacts`, none of it computed yet, per function the unit defines."""
+    return [FunctionFacts(d, unit.model) for d in unit.tu.decls if isinstance(d, FunctionDef)]

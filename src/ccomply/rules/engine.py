@@ -5,13 +5,13 @@ from ccomply.errors import ConfigError
 from ccomply.flow.callgraph import CallGraph
 from ccomply.parsing.astnodes import NodeIndex
 from ccomply.rules import checkers_ast, checkers_flow, checkers_system
-from ccomply.rules.context import TUFacts
+from ccomply.rules.context import TUFacts, function_facts
 from ccomply.rules.findings import Evidence, Finding
 from ccomply.rules.registry import REGISTRY
 from ccomply.source import SourceManager, format_location
 
-# Guideline id -> per-TU checker, called as checker(facts, index) with the
-# TU's NodeIndex.
+# Guideline id -> per-TU checker, called as checker(facts, index, functions)
+# with the TU's NodeIndex and the `FunctionFacts` of its functions.
 PER_TU_CHECKERS = {
     "R1.3": checkers_flow.check_literal_write,
     "R2.1": checkers_flow.check_unreachable,
@@ -66,9 +66,12 @@ def run_rules(
     """Run every enabled checker; returns findings in deterministic order.
 
     Every id in `enabled` must have a checker (ConfigError otherwise), and
-    system-scope checkers need `call_graph`. Each unit's NodeIndex is built
-    once and shared by its checkers; it is not kept past this call, since
-    callers keep every unit's facts alive.
+    system-scope checkers need `call_graph`. Each unit's NodeIndex and its
+    functions' `FunctionFacts` are built once and shared by its checkers,
+    so each fact is computed at most once per call and only if a checker
+    reads it. Both are dropped as soon as the unit's checkers return:
+    callers keep every unit's `TUFacts` alive, and a CFG or analysis state
+    kept with them would only grow the heap that every collection walks.
     """
     _reject_unchecked(enabled)
     findings: list[Finding] = []
@@ -76,8 +79,9 @@ def run_rules(
     if checkers:
         for unit in units:
             index = NodeIndex(unit.tu)
+            functions = function_facts(unit)
             for checker in checkers:
-                findings.extend(checker(unit, index))
+                findings.extend(checker(unit, index, functions))
     system_enabled = sorted(set(enabled) & set(SYSTEM_CHECKERS))
     if system_enabled:
         if call_graph is None:

@@ -15,7 +15,7 @@ from ccomply.parsing.astnodes import (
     Deref, DoWhile, Expr, ExprStmt, For, FunctionDef, Goto, Identifier, If,
     IncDec, Index, InitList, Label, Member, Node, Return, Sizeof,
     StringLiteral, Switch, SynArr, SynBase, SynFunc, SynPtr, SynType,
-    TranslationUnitAst, Unary, While,
+    TranslationUnitAst, Unary, While, qualifier_set,
 )
 from ccomply.sema.consteval import const_eval
 from ccomply.sema.symbols import Linkage, Storage, SymKind, Symbol, SymbolTable
@@ -670,7 +670,7 @@ def _adjust_param(t: TypeDesc) -> TypeDesc:
 
 
 def _with_quals(t: TypeDesc, quals: frozenset) -> TypeDesc:
-    merged = frozenset(q for q in (t.quals | quals) if q in ("const", "volatile"))
+    merged = qualifier_set(t.quals | quals)
     clone = TypeDesc(
         kind=t.kind, width=t.width, pointee=t.pointee, quals=merged,
         elem=t.elem, length=t.length, ret=t.ret, params=t.params,

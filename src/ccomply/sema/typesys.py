@@ -82,10 +82,19 @@ FLOAT_T = TypeDesc(TK.FLOAT, width=32)
 DOUBLE_T = TypeDesc(TK.DOUBLE, width=64)
 
 
+# One shared TypeDesc per (width, signedness). Nothing mutates a TypeDesc
+# after it is built, so every integer type of a run is one of these eight.
+_INTS = {
+    (width, signed): TypeDesc(TK.INT if signed else TK.UINT, width=width)
+    for width in _WIDTHS for signed in (True, False)
+}
+
+
 def make_int(width: int, signed: bool) -> TypeDesc:
-    if width not in _WIDTHS:
+    t = _INTS.get((width, signed))
+    if t is None:
         raise SemaError(f"integer width {width} outside the supported set {_WIDTHS}")
-    return TypeDesc(TK.INT if signed else TK.UINT, width=width)
+    return t
 
 
 def make_pointer(pointee: TypeDesc, quals: frozenset = frozenset()) -> TypeDesc:

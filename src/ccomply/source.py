@@ -2,12 +2,17 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Location:
-    """A physical position in a loaded source file (1-based line/column)."""
+class Location(NamedTuple):
+    """A physical position in a loaded source file (1-based line/column).
+
+    The lexer builds one per token, so it is a named tuple rather than a
+    frozen dataclass, whose constructor sets each field through
+    `object.__setattr__` and costs about twice as much.
+    """
 
     file: int
     line: int

@@ -5,7 +5,7 @@ import pytest
 
 from ccomply.errors import UnsupportedConstructError
 from ccomply.parsing.parser import BLOCK_NESTING_LIMIT, PAREN_NESTING_LIMIT
-from ccomply.rules import IMPLEMENTED, BehaviorClass, Certainty, engine, run_rules
+from ccomply.rules import IMPLEMENTED, BehaviorClass, Certainty, context, engine, run_rules
 from rule_helpers import PRELUDE, kinds_of, run_rule, run_rule_full
 
 
@@ -467,28 +467,57 @@ class TestRecursion:
         ) == []
 
 
+@pytest.fixture
+def flow_calls(monkeypatch):
+    """Every call `run_rules` makes to a flow entry point, as (entry point, function).
+
+    The facts of a call are dropped when it returns, so what a call
+    computed is seen by counting calls to the names `ccomply.rules.context`
+    binds.
+    """
+    calls = []
+    for name in ("build_cfg", "definite_assignment", "interval_analysis",
+                 "liveness", "local_points_to"):
+        def counted(target, *args, _name=name, _real=getattr(context, name)):
+            fn = target if _name == "build_cfg" else target.fn
+            calls.append((_name, fn.name))
+            return _real(target, *args)
+
+        monkeypatch.setattr(context, name, counted)
+    return calls
+
+
 class TestFactsOnDemand:
     AST_RULES = {"R8.13", "R11.4", "R13.1", "R13.2", "R13.5", "R14.1", "R14.2"}
-    ANALYSES = {"assign", "intervals", "live", "points"}
     TEXT = (
         "int g;\n"
         "void f(int *p, int x) { int i; for (i = 0; i < x; i++) { use((*p = 1) + x); } }\n"
         "void h(int *q) { use((*q = 2) + g); }\n"
     )
 
-    def test_ast_rules_run_no_flow_analysis(self):
+    def test_ast_rules_run_no_flow_analysis(self, flow_calls):
         _, facts = run_rule_full(self.TEXT, "R13.2")
+        flow_calls.clear()
         run_rules([facts], self.AST_RULES)
-        assert facts.functions
-        for fn in facts.functions:
-            assert not self.ANALYSES & vars(fn).keys()
         # R13.2 weighed a dereference against a local, which needs the CFG.
-        assert any("cfg" in vars(fn) for fn in facts.functions)
+        assert flow_calls
+        assert {name for name, _ in flow_calls} == {"build_cfg"}
+        assert len(set(flow_calls)) == len(flow_calls)
 
-    def test_flow_rule_computes_only_what_it_reads(self):
-        _, facts = run_rule_full(self.TEXT, "R9.1")
-        for fn in facts.functions:
-            assert self.ANALYSES & vars(fn).keys() == {"assign"}
+    def test_flow_rule_computes_only_what_it_reads(self, flow_calls):
+        run_rule_full(self.TEXT, "R9.1")
+        assert sorted(flow_calls) == [
+            ("build_cfg", "f"), ("build_cfg", "h"),
+            ("definite_assignment", "f"), ("definite_assignment", "h"),
+        ]
+
+    def test_each_fact_is_computed_once_per_call(self, flow_calls):
+        _, facts = run_rule_full(self.TEXT, "R13.2")
+        for _ in range(2):
+            flow_calls.clear()
+            run_rules([facts], set(engine.PER_TU_CHECKERS))
+            assert ("build_cfg", "f") in flow_calls and ("interval_analysis", "h") in flow_calls
+            assert len(set(flow_calls)) == len(flow_calls)
 
 
 def _nest(depth, inner, wrap):
@@ -637,6 +666,28 @@ class TestSizeofOperandIsNotEvaluated:
             "void f(int a, int b) { if (a && sizeof(b++)) { use(a); } use(b); }", "R13.5"
         ) == []
 
+    def test_logical_operator_under_sizeof_clean(self):
+        assert run_rule(
+            "void f(int a, int b) { int n = sizeof(a && b++); use(n); }", "R13.5"
+        ) == []
+
+    def test_logical_operator_beside_sizeof_still_definite(self):
+        f = single(run_rule(
+            "void f(int a, int b) { int n = sizeof(a) + (a && b++); use(n); }", "R13.5"
+        ))
+        assert f.certainty is Certainty.DEFINITE
+
+    def test_shift_under_sizeof_clean(self):
+        assert run_rule(
+            "void f(int x) { int n = (int)sizeof(x << 40); use(n); }", "R12.2"
+        ) == []
+
+    def test_shift_beside_sizeof_still_definite(self):
+        f = single(run_rule(
+            "void f(int x) { int n = (int)sizeof(x) + (x << 40); use(n); }", "R12.2"
+        ))
+        assert f.certainty is Certainty.DEFINITE
+
     def test_call_under_sizeof_is_not_recursion(self):
         assert run_rule("int f(void) { return (int)sizeof(f()); }", "R17.2") == []
 
@@ -653,14 +704,13 @@ class TestSizeofOperandIsNotEvaluated:
 
 
 class TestEscapeQueryReadsOneFunction:
-    def test_deref_pair_builds_only_its_own_functions_cfg(self):
-        _, facts = run_rule_full(
+    def test_deref_pair_builds_only_its_own_functions_cfg(self, flow_calls):
+        run_rule_full(
             "void f(int *p) { *p = 1; }\n"
             "void h(int *q, int x) { use((*q = 2) + x); }\n",
             "R13.2",
         )
-        built = [fn.fn.name for fn in facts.functions if "cfg" in vars(fn)]
-        assert built == ["h"]
+        assert flow_calls == [("build_cfg", "h")]
 
     def test_escaped_local_still_caution(self):
         f = single(run_rule(

@@ -5,7 +5,8 @@ from ccomply.errors import ConfigError
 from ccomply.frontend import preprocess
 from ccomply.parsing import parse
 from ccomply.rules import (
-    IMPLEMENTED, REGISTRY, Certainty, Kind, Scope, compute_tu_facts, engine, run_rules,
+    IMPLEMENTED, REGISTRY, Certainty, Kind, Scope, compute_tu_facts, context, engine,
+    run_rules,
 )
 from ccomply.sema import IntegerModel, resolve
 from ccomply.sema.typesys import DEFAULT_MODEL
@@ -53,13 +54,23 @@ class TestEnabledSet:
 
 class TestIntegerModel:
     SHIFT = "int f(int x) { return x << 20; }\n"
+    BRANCH = "int g(int x) { if (x > 0) { return 1; } return 0; }\n"
 
-    def test_model_given_to_resolve_reaches_the_checkers(self):
+    def test_model_given_to_resolve_reaches_the_checkers(self, monkeypatch):
         model = IntegerModel(int_bits=16, long_bits=32, long_long_bits=64)
-        facts, mgr = facts_of(self.SHIFT, model)
+        facts, mgr = facts_of(self.SHIFT + self.BRANCH, model)
         assert facts.model is model
-        assert all(fn.model is model for fn in facts.functions)
-        (finding,) = run_rules([facts], {"R12.2"}, manager=mgr)
+        # Every analysis that takes a model gets the TU's, during the call.
+        seen = []
+        for name in ("build_cfg", "interval_analysis"):
+            def recorded(target, analysis_model, _name=name, _real=getattr(context, name)):
+                seen.append((_name, analysis_model))
+                return _real(target, analysis_model)
+
+            monkeypatch.setattr(context, name, recorded)
+        (finding,) = run_rules([facts], {"R12.2", "R14.3"}, manager=mgr)
+        assert {name for name, _ in seen} == {"build_cfg", "interval_analysis"}
+        assert all(m is model for _, m in seen)
         assert finding.certainty is Certainty.DEFINITE
         assert "outside the legal range [0, 15]" in finding.message
 

@@ -2,6 +2,7 @@ import pytest
 
 from ccomply.errors import LexError, UnsupportedConstructError
 from ccomply.frontend import TokenKind, lex
+from ccomply.source import Location, Span
 from support import lex_text, lexemes
 
 
@@ -136,3 +137,30 @@ def test_lexing_is_deterministic():
     b = lex_text(text)
     assert lexemes(a) == lexemes(b)
     assert [t.origin for t in a] == [t.origin for t in b]
+
+
+class TestLocation:
+    """`Location` is an immutable value: fields, keywords, equality, hash and key."""
+
+    def test_keyword_and_positional_construction_agree(self):
+        loc = Location(file=2, line=7, column=3)
+        assert loc == Location(2, 7, 3)
+        assert (loc.file, loc.line, loc.column) == (2, 7, 3)
+        assert loc.key() == (2, 7, 3) and type(loc.key()) is tuple
+
+    def test_equal_values_hash_alike_and_differ_by_any_field(self):
+        loc = Location(0, 1, 1)
+        assert hash(loc) == hash(Location(0, 1, 1))
+        assert {loc, Location(0, 1, 1)} == {loc}
+        assert loc != Location(1, 1, 1) and loc != Location(0, 2, 1) and loc != Location(0, 1, 2)
+        assert Span(loc, loc) == Span(Location(0, 1, 1), Location(0, 1, 1))
+
+    def test_fields_cannot_be_reassigned(self):
+        loc = Location(0, 1, 1)
+        with pytest.raises(AttributeError):
+            loc.line = 2
+
+    def test_every_token_origin_is_a_location(self):
+        toks = lex_text("int x;\n  x = 1;")
+        assert [t.origin.key() for t in toks][-4:] == [(0, 2, 3), (0, 2, 5), (0, 2, 7), (0, 2, 8)]
+        assert all(type(t.origin) is Location for t in toks)

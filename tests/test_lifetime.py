@@ -1,0 +1,130 @@
+"""What a pass keeps alive: no per-function fact outlives `run_rules`.
+
+Callers keep every unit's `TUFacts` for the whole run, so whatever they
+reach stays in the heap that every cyclic collection walks. `run_rules`
+builds each unit's `FunctionFacts` next to its `NodeIndex` and drops both
+when the unit's checkers return; reference counting must free them, so
+the chain makes no cyclic garbage at all. If a change puts a cycle into
+the CFG, the analyses or the facts, these tests name the types involved.
+"""
+from __future__ import annotations
+
+import collections
+import gc
+import os
+import sys
+
+import pytest
+
+from ccomply.builtins import BUILTIN_MACRO_SPECS
+from ccomply.flow import Cfg, build_call_graph
+from ccomply.frontend import macro_from_define_flag, preprocess
+from ccomply.parsing import parse
+from ccomply.rules import IMPLEMENTED, FunctionFacts, compute_tu_facts, engine, run_rules
+from ccomply.sema import resolve
+from ccomply.source import SourceManager
+from rule_helpers import PRELUDE
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+from gen import generate  # noqa: E402  (the generator imports nothing from ccomply)
+
+PER_TU = set(engine.PER_TU_CHECKERS)
+PROJECT_TUS = 8  # of the generated project's 100 units
+
+# One snippet per shape the checkers read facts for: every per-TU guideline
+# finds something here, and R17.2 sees direct and indirect recursion.
+SNIPPETS = {
+    "shifts.c": "void f(unsigned n) { uint32_t i = 1; i = i << 32; "
+                "if (n <= 40u) { useu(i << n); } useu(i); }\n",
+    "unset.c": "void f(int c) { int x; int y; if (c) { x = 1; } use(x); usep(&y); use(y); }\n",
+    "reach.c": "int f(int x) { return x; use(x); }\n"
+               "void g(void) { int i = 0; if (i > 5) { use(i); } }\n",
+    "dead.c": "void f(int a) { int t; a + 1; t = a; }\n",
+    "literal.c": "void f(int c) { char b[2]; char *p = \"ab\"; if (c) { p = b; } *p = 'x'; }\n",
+    "order.c": "void f(int *p, int x, int i) { int a[2] = { i++, i }; use((*p = 1) + x); "
+               "use(i++ + i); if (x && get()) { use(a[0]); } }\n",
+    "ast.c": "void f(int *p, float x) { float y; int *q = (int *)4096; "
+             "for (y = 0.0f; y < x; y += 1.0f) { use(*p); } usep(q); }\n",
+    "loops.c": "void f(int n) { int i; for (i = 0; i < n; i++) { i = i + 2; } }\n",
+    "rec.c": "int fact(int n) { return n > 1 ? n * fact(n - 1) : 1; }\n"
+             "int a(int n); int b(int n) { return a(n); } int a(int n) { return b(n); }\n"
+             "void call(void (*fp)(void)) { fp(); }\n",
+}
+
+
+def _chain(manager: SourceManager, paths: list[str], builtins) -> tuple[list, list]:
+    """preprocess -> parse -> resolve -> per-TU rules over `paths`, then R17.2."""
+    units, kept, findings = [], [], []
+    for path in paths:
+        tokens, _, _ = preprocess(manager.load(path), [], builtins, manager)
+        tu = parse(tokens, path)
+        table = resolve(tu)
+        facts = compute_tu_facts(tu, table, manager)
+        findings += run_rules([facts], PER_TU, manager=manager)
+        units.append((tu, table))
+        kept.append(facts)
+    graph = build_call_graph(units)
+    findings += run_rules([], {"R17.2"}, call_graph=graph, manager=manager)
+    # One call over every kept unit, as the chain check of the benchmark makes.
+    assert run_rules(kept, set(IMPLEMENTED), call_graph=graph, manager=manager)
+    return kept, findings
+
+
+def _run_snippets_and_project(workdir: str):
+    """The chain over every snippet, then over the first units of a generated project."""
+    for name, text in SNIPPETS.items():
+        with open(os.path.join(workdir, name), "w", encoding="utf-8") as fh:
+            fh.write(PRELUDE + text)
+    project = generate("project_all_rules", 5)
+    for path, text in project.files.items():
+        full = os.path.join(workdir, path)
+        os.makedirs(os.path.dirname(full), exist_ok=True)
+        with open(full, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    cwd = os.getcwd()
+    os.chdir(workdir)  # the project's #include paths are relative to its root
+    try:
+        snippets = _chain(SourceManager(), list(SNIPPETS), [])
+        manager = SourceManager()
+        builtins = [macro_from_define_flag(spec, manager) for spec in BUILTIN_MACRO_SPECS]
+        project_run = _chain(manager, project.tus[:PROJECT_TUS], builtins)
+    finally:
+        os.chdir(cwd)
+    return snippets, project_run
+
+
+@pytest.fixture
+def automatic_gc_off():
+    """Collect, then switch automatic collection off; restore it afterwards."""
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+
+
+def test_every_snippet_exercises_its_checker(tmp_path, automatic_gc_off):
+    (_, findings), (_, project_findings) = _run_snippets_and_project(str(tmp_path))
+    assert {f.guideline for f in findings} == set(IMPLEMENTED)
+    assert project_findings
+
+
+def test_no_cfg_or_function_facts_outlive_run_rules(tmp_path, automatic_gc_off):
+    kept = _run_snippets_and_project(str(tmp_path))
+    assert kept  # every unit's TUFacts is still alive here
+    alive = collections.Counter(
+        type(o).__name__ for o in gc.get_objects() if isinstance(o, (Cfg, FunctionFacts))
+    )
+    assert alive == {}
+
+
+def test_chain_makes_no_cyclic_garbage(tmp_path, automatic_gc_off):
+    _run_snippets_and_project(str(tmp_path))
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    unreachable = gc.collect()
+    assert unreachable == 0, sorted({type(o).__name__ for o in gc.garbage})

@@ -2,7 +2,8 @@ import pytest
 
 from ccomply.errors import SemaError, UnsupportedConstructError
 from ccomply.parsing import (
-    Assign, Binary, Declaration, ExprStmt, FunctionDef, Return, parse, walk,
+    QUALIFIER_SETS, Assign, Binary, Declaration, ExprStmt, FunctionDef, Return, SynPtr,
+    parse, walk,
 )
 from ccomply.sema import (
     TK, ConstValue, IntegerModel, Linkage, Storage, SymKind, const_eval,
@@ -304,3 +305,70 @@ class TestIntegerModel:
         tu, table = analyze("struct S { char c; int i; char d; };\nstruct S s;\n")
         s = table.file_scope.names["s"]
         assert sizeof_type(s.type, DEFAULT_MODEL) == 12
+
+
+class TestInterning:
+    """Integer types and qualifier sets are shared values; records and enums are not."""
+
+    def test_make_int_returns_one_value_per_width_and_signedness(self):
+        values = {}
+        for width in (8, 16, 32, 64):
+            for signed in (True, False):
+                t = make_int(width, signed)
+                assert t is make_int(width, signed)
+                assert t.kind is (TK.INT if signed else TK.UINT) and t.width == width
+                values[width, signed] = t
+        assert len({id(t) for t in values.values()}) == 8
+
+    @pytest.mark.parametrize("width", [0, 1, 12, 24, 128])
+    def test_make_int_rejects_unsupported_width(self, width):
+        with pytest.raises(SemaError, match="outside the supported set"):
+            make_int(width, True)
+
+    def test_resolved_integer_types_are_shared(self):
+        _, table = analyze("int a; signed b; unsigned int c; uint32_t d;\n")
+        names = table.file_scope.names
+        assert names["a"].type is names["b"].type is make_int(32, True)
+        assert names["c"].type is names["d"].type is make_int(32, False)
+
+    def test_qualifier_sets_come_from_the_shared_table(self):
+        tu, table = analyze(
+            "const volatile int * const restrict p;\n"
+            "volatile struct S { const int m; } s;\n"
+            "int * q;\n"
+        )
+        shared = [QUALIFIER_SETS[key] for key in QUALIFIER_SETS]
+
+        def is_shared(quals):
+            return any(quals is q for q in shared)
+
+        syntax = [e.syntype for d in tu.decls for e in d.entries]
+        syntax += [m.syntype for m in syntax[1].base.members]
+        for st in syntax:
+            assert is_shared(st.base.quals)
+            assert all(is_shared(d.quals) for d in st.derivs if isinstance(d, SynPtr))
+        p, s = table.file_scope.names["p"], table.file_scope.names["s"]
+        assert p.type.quals is QUALIFIER_SETS[True, False]  # restrict is dropped
+        assert p.type.pointee.quals is QUALIFIER_SETS[True, True]
+        assert s.type.record.members[0][1].quals is QUALIFIER_SETS[True, False]
+
+    def test_same_type_answers_are_unchanged(self):
+        _, table = analyze(
+            "struct A { int x; }; struct B { int x; };\n"
+            "enum E { E0 }; enum F { F0 };\n"
+            "int i1; int i2; unsigned u; long l; long long ll;\n"
+            "struct A a1; struct A a2; struct B b;\n"
+            "enum E e; enum F f;\n"
+            "int *p1; int *p2; const int *pc; int * const cp; int arr[2];\n"
+        )
+        t = {name: sym.type for name, sym in table.file_scope.names.items()}
+        # same_type holds exactly within each group. It compares a pointer's
+        # own qualifiers but not those of an integer pointee.
+        groups = [["i1", "i2"], ["u"], ["l", "ll"], ["a1", "a2"], ["b"], ["e"], ["f"],
+                  ["p1", "p2", "pc"], ["cp"], ["arr"]]
+        assert t["a1"] is t["a2"] and t["a1"] is not t["b"]
+        assert t["a1"].record is not t["b"].record and t["e"].enum is not t["f"].enum
+        group_of = {name: i for i, names in enumerate(groups) for name in names}
+        for x in group_of:
+            for y in group_of:
+                assert same_type(t[x], t[y]) is (group_of[x] == group_of[y]), (x, y)
