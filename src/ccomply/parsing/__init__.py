@@ -2,6 +2,5 @@
 from ccomply.parsing.astnodes import *  # noqa: F401,F403
 from ccomply.parsing.astnodes import __all__ as _ast_all
 from ccomply.parsing.parser import parse
-from ccomply.parsing.unparse import unparse
 
-__all__ = list(_ast_all) + ["parse", "unparse"]
+__all__ = list(_ast_all) + ["parse"]

@@ -2,7 +2,7 @@
 
 Nodes use identity equality (they serve as map keys in the analyses);
 `structural_equal` provides the span-insensitive comparison used by the
-unparse/reparse round-trip checks. Sema fills the `ctype`/`symbol`
+parser's unparse/reparse round-trip tests. Sema fills the `ctype`/`symbol`
 attributes in place after parsing.
 
 `children` gives every syntactic child of a node. `operands` gives only the

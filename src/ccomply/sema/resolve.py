@@ -67,6 +67,7 @@ class Resolver:
     def __init__(self, model: IntegerModel = DEFAULT_MODEL, path: str = "<tu>"):
         self.model = model
         self.table = SymbolTable(path, model)
+        self._named_types = _named_types(model)
         self.literal_count = 0
         self.current_function: FunctionDef | None = None
         self._install_builtins()
@@ -104,10 +105,10 @@ class Resolver:
 
     def syn_base_type(self, base: SynBase) -> TypeDesc:
         if base.record_kind in ("struct", "union"):
-            return self._record_type(base)
-        if base.record_kind == "enum":
-            return self._enum_type(base)
-        if base.typedef_name is not None:
+            t = self._record_type(base)
+        elif base.record_kind == "enum":
+            t = self._enum_type(base)
+        elif base.typedef_name is not None:
             sym = self.table.lookup(base.typedef_name)
             if sym is None or sym.kind is not SymKind.TYPEDEF:
                 raise SemaError(f"unknown type name {base.typedef_name!r}")
@@ -117,28 +118,10 @@ class Resolver:
             name = _SPEC_COMBOS.get(key)
             if name is None:
                 raise SemaError(f"invalid type specifier combination {' '.join(base.specs)!r}")
-            t = self._named_type(name)
+            t = self._named_types[name]
         if base.quals:
             t = _with_quals(t, base.quals)
         return t
-
-    def _named_type(self, name: str) -> TypeDesc:
-        m = self.model
-        table = {
-            "void": VOID_T, "bool": BOOL_T, "float": FLOAT_T, "double": DOUBLE_T,
-            "char": make_int(m.char_bits, m.char_signed),
-            "schar": make_int(m.char_bits, True),
-            "uchar": make_int(m.char_bits, False),
-            "short": make_int(m.short_bits, True),
-            "ushort": make_int(m.short_bits, False),
-            "int": make_int(m.int_bits, True),
-            "uint": make_int(m.int_bits, False),
-            "long": make_int(m.long_bits, True),
-            "ulong": make_int(m.long_bits, False),
-            "llong": make_int(m.long_long_bits, True),
-            "ullong": make_int(m.long_long_bits, False),
-        }
-        return table[name]
 
     def _record_type(self, base: SynBase) -> TypeDesc:
         if base.members is None:
@@ -499,7 +482,8 @@ class Resolver:
                 )
             for name, mt, quals in base_t.record.members:
                 if name == e.name:
-                    return mt
+                    # C99 6.5.2.3p3-4: the member has the object's qualifiers.
+                    return _qualified_member(mt, base_t.quals) if base_t.quals else mt
             raise SemaError(
                 f"no member named {e.name!r} in "
                 f"{base_t.record.kind} {base_t.record.tag or '<anon>'}",
@@ -667,6 +651,34 @@ def _adjust_param(t: TypeDesc) -> TypeDesc:
     if t.kind is TK.FUNCTION:
         return make_pointer(t)
     return t
+
+
+def _named_types(m: IntegerModel) -> dict[str, TypeDesc]:
+    """The type of each `_SPEC_COMBOS` name under integer model `m`."""
+    return {
+        "void": VOID_T, "bool": BOOL_T, "float": FLOAT_T, "double": DOUBLE_T,
+        "char": make_int(m.char_bits, m.char_signed),
+        "schar": make_int(m.char_bits, True),
+        "uchar": make_int(m.char_bits, False),
+        "short": make_int(m.short_bits, True),
+        "ushort": make_int(m.short_bits, False),
+        "int": make_int(m.int_bits, True),
+        "uint": make_int(m.int_bits, False),
+        "long": make_int(m.long_bits, True),
+        "ulong": make_int(m.long_bits, False),
+        "llong": make_int(m.long_long_bits, True),
+        "ullong": make_int(m.long_long_bits, False),
+    }
+
+
+def _qualified_member(t: TypeDesc, quals: frozenset) -> TypeDesc:
+    """Member type `t` read through an object qualified with `quals`.
+
+    An array member's elements take the qualifiers (C99 6.7.3p8).
+    """
+    if t.kind is TK.ARRAY and t.elem is not None:
+        return make_array(_qualified_member(t.elem, quals), t.length)
+    return _with_quals(t, quals)
 
 
 def _with_quals(t: TypeDesc, quals: frozenset) -> TypeDesc:

@@ -22,26 +22,31 @@ class Location(NamedTuple):
         return (self.file, self.line, self.column)
 
 
-@dataclass(frozen=True)
-class ExpansionFrame:
+class ExpansionFrame(NamedTuple):
     """One step of macro expansion: which macro, invoked where.
 
     The site is always a physical location: for a nested expansion the
     inner macro's name token physically appears in the outer macro's
     definition, so walking any chain ends in real source text.
+
+    The preprocessor builds one per macro invocation, so it is a named
+    tuple rather than a frozen dataclass, for the reason `Location` gives.
     """
 
     macro: str
     site: Location
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     """Source extent of a token run or AST node.
 
     `start`/`end` are reporting positions: for macro-produced text they
     point at the outermost invocation site, with the expansion chain
     kept in `via` so reports can show the full trail.
+
+    The parser builds one per AST node and per declarator, so it is a
+    named tuple rather than a frozen dataclass, for the reason `Location`
+    gives.
     """
 
     start: Location

@@ -159,6 +159,26 @@ class TestDeadCode:
     def test_global_store_never_flagged(self):
         assert run_rule("int g;\nvoid f(void) { g = 1; g = 2; }", "R2.2") == []
 
+    @pytest.mark.parametrize("text", [
+        "volatile struct S { int m; } s;\nvoid f(void) { s.m; }",
+        "struct S { int m; };\nvolatile struct S s;\nvoid f(void) { s.m; }",
+        "struct S { int m; };\nvolatile struct S *p;\nvoid f(void) { p->m; }",
+        "struct S { int a[2]; };\nvolatile struct S s;\nvoid f(void) { s.a[1]; }",
+        "typedef volatile struct S { int m; } VS;\nVS s;\nvoid f(void) { s.m; }",
+        "volatile enum E { A, B } e;\nvoid f(void) { e; }",
+        "volatile int v;\nvoid f(void) { v; }",
+    ])
+    def test_volatile_object_read_never_flagged(self, text):
+        # Reading a volatile object is a side effect (C99 5.1.2.3p2),
+        # also through a member of a volatile struct (6.5.2.3p3).
+        assert run_rule(text, "R2.2") == []
+
+    def test_member_read_of_plain_struct_flagged(self):
+        f = single(run_rule(
+            "struct S { int m; };\nstruct S s;\nvoid f(void) { s.m; }", "R2.2"
+        ))
+        assert f.certainty is Certainty.DEFINITE
+
     def test_live_store_clean(self):
         assert run_rule("void f(void) { int x; x = 1; use(x); }", "R2.2") == []
 
@@ -167,6 +187,17 @@ class TestConstPointer:
     def test_read_only_param_flagged(self):
         f = single(run_rule("void f(int *p) { use(*p); }", "R8.13"))
         assert "p" in f.message and f.certainty is Certainty.DEFINITE
+
+    def test_pointer_to_const_struct_not_flagged(self):
+        assert run_rule(
+            "struct S { int m; };\nvoid f(const struct S *p) { use(p->m); }", "R8.13"
+        ) == []
+
+    def test_read_only_struct_pointer_flagged(self):
+        f = single(run_rule(
+            "struct S { int m; };\nvoid f(struct S *p) { use(p->m); }", "R8.13"
+        ))
+        assert f.certainty is Certainty.DEFINITE
 
     def test_written_through_param_clean(self):
         assert run_rule("void f(int *p) { *p = 1; }", "R8.13") == []

@@ -2,7 +2,7 @@ import pytest
 
 from ccomply.errors import LexError, UnsupportedConstructError
 from ccomply.frontend import TokenKind, lex
-from ccomply.source import Location, Span
+from ccomply.source import ExpansionFrame, Location, Span
 from support import lex_text, lexemes
 
 
@@ -140,7 +140,8 @@ def test_lexing_is_deterministic():
 
 
 class TestLocation:
-    """`Location` is an immutable value: fields, keywords, equality, hash and key."""
+    """`Location`, `Span` and `ExpansionFrame` are immutable values: fields,
+    keywords, defaults, equality, hash and repr."""
 
     def test_keyword_and_positional_construction_agree(self):
         loc = Location(file=2, line=7, column=3)
@@ -159,6 +160,19 @@ class TestLocation:
         loc = Location(0, 1, 1)
         with pytest.raises(AttributeError):
             loc.line = 2
+
+    def test_span_and_frame_are_values_too(self):
+        loc, other = Location(0, 1, 1), Location(0, 2, 5)
+        frame = ExpansionFrame(macro="M", site=other)
+        assert frame == ExpansionFrame("M", other) and hash(frame) == hash(ExpansionFrame("M", other))
+        assert repr(frame) == f"ExpansionFrame(macro='M', site={other!r})"
+        span = Span(start=loc, end=other)
+        assert span.via == () and span == Span(loc, other, ())
+        assert span != Span(loc, other, (frame,)) and span != Span(other, other)
+        assert hash(Span(loc, other, (frame,))) == hash(Span(loc, other, via=(frame,)))
+        assert repr(span) == f"Span(start={loc!r}, end={other!r}, via=())"
+        with pytest.raises(AttributeError):
+            span.via = (frame,)
 
     def test_every_token_origin_is_a_location(self):
         toks = lex_text("int x;\n  x = 1;")

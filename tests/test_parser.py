@@ -5,9 +5,10 @@ from ccomply.parsing import (
     Assign, Binary, Comma, CompoundStmt, Conditional, Constant, Declaration,
     DoWhile, ExprStmt, For, FunctionDef, Identifier, If, IncDec, Label,
     Return, StringLiteral, SynArr, SynFunc, SynPtr, While,
-    for_clauses, parse, structural_equal, unparse,
+    for_clauses, parse, structural_equal,
 )
 from support import pp_text
+from unparse import unparse
 
 
 def parse_text(text: str, path: str = "t.c"):

@@ -307,6 +307,36 @@ class TestIntegerModel:
         assert sizeof_type(s.type, DEFAULT_MODEL) == 12
 
 
+class TestQualifiedRecords:
+    """Qualifiers on a struct, union or enum object, and on its members."""
+
+    @pytest.mark.parametrize("text", [
+        "volatile struct S { int m; } s;\n",
+        "struct S { int m; };\nvolatile struct S s;\n",
+        "union U { int m; };\nconst volatile union U s;\n",
+        "volatile enum E { A } s;\n",
+    ])
+    def test_object_keeps_its_qualifiers(self, text):
+        _, table = analyze(text)
+        s = table.file_scope.names["s"]
+        assert "volatile" in s.type.quals and "volatile" in s.quals
+
+    def test_tag_type_stays_unqualified(self):
+        _, table = analyze("volatile struct S { int m; } s;\nstruct S t;\n")
+        s, t = table.file_scope.names["s"], table.file_scope.names["t"]
+        assert t.type.quals == frozenset() and same_type(s.type, t.type)
+
+    def test_member_takes_the_object_qualifiers(self):
+        prelude = ("struct S { int m; const int c; int a[2]; };\n"
+                   "const volatile struct S s;\nstruct S *p;\nvolatile struct S *vp;\n")
+        assert first_expr("s.m;", prelude).ctype.quals == {"const", "volatile"}
+        assert first_expr("s.c;", prelude).ctype.quals == {"const", "volatile"}
+        assert first_expr("s.a[0];", prelude).ctype.quals == {"const", "volatile"}
+        assert first_expr("vp->m;", prelude).ctype.quals == {"volatile"}
+        assert first_expr("p->m;", prelude).ctype.quals == frozenset()
+        assert first_expr("p->c;", prelude).ctype.quals == {"const"}
+
+
 class TestInterning:
     """Integer types and qualifier sets are shared values; records and enums are not."""
 

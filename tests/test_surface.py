@@ -7,8 +7,8 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "ccomply"
 PACKAGES = ["ccomply.rules", "ccomply.flow", "ccomply.sema", "ccomply.frontend", "ccomply.parsing"]
-# Reference implementations kept only as test oracles.
-ORACLES = {"lexer_oracle", "interval_oracle", "preprocessor_oracle"}
+# Reference implementations and helpers kept only for tests.
+ORACLES = {"lexer_oracle", "interval_oracle", "preprocessor_oracle", "parser_oracle", "unparse"}
 
 
 @pytest.mark.parametrize("package", PACKAGES)

@@ -1,4 +1,4 @@
-"""Emit compilable subset C from an AST.
+"""Emit compilable subset C from an AST, for the parser's round-trip tests.
 
 Output is canonical rather than pretty: subexpressions are fully
 parenthesized and bodies keep their original block structure, except
