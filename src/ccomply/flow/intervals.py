@@ -16,8 +16,11 @@ folds, type ranges (cached per type for the CFG's model), which variables
 are tracked, volatile or havocable, store targets, which subexpressions
 can change the environment at all (an item that cannot is dropped), and
 the narrowing plan of each `TBranch` and `TSwitch`. Per visit only the
-interval arithmetic runs: the kernel behind `_AbstractEval._arith`, and
-`_compare`.
+interval arithmetic runs: the range operators behind `_AbstractEval._arith`
+(`/` and `%` take C's truncating quotient and remainder from `sema.intarith`),
+and `_compare`. A comparison, and the narrowing it drives, first converts
+both operand ranges to their common type (C99 6.5.8p3, 6.5.9p4); a branch
+refines a variable only when that conversion keeps the variable's value.
 
 The result keeps one state per reached block, not one per program point.
 `IntervalResult.env_at(bid, idx)` lowers the block's items again and
@@ -50,9 +53,10 @@ from ccomply.parsing.astnodes import (
     Sizeof, StringLiteral, Unary, operands,
 )
 from ccomply.sema.consteval import const_eval
+from ccomply.sema.intarith import truncating_divmod
 from ccomply.sema.symbols import SymKind, Symbol
 from ccomply.sema.typesys import (
-    DEFAULT_MODEL, IntegerModel, TypeDesc, is_integer, type_range,
+    DEFAULT_MODEL, IntegerModel, TypeDesc, is_integer, type_range, usual_arith_conversion,
 )
 
 
@@ -116,6 +120,10 @@ def _converted(iv: Interval | None, full: Interval | None) -> Interval | None:
     return iv
 
 
+def _converting(value: ValueFn, full: Interval) -> ValueFn:
+    return lambda env: _converted(value(env), full)
+
+
 def _tracked(sym: Symbol | None) -> bool:
     return (
         sym is not None
@@ -170,12 +178,6 @@ class IntervalResult:
         assert self._evaluator is not None
         return self._evaluator.lower_truth(expr)(env)
 
-    def var_interval(self, env: Env, sym: Symbol) -> Interval | None:
-        if not _tracked(sym):
-            return None
-        iv = env.get(sym.uid)
-        return iv if iv is not None else _type_interval(sym.type, self.model)
-
 
 class _BlockCode:
     """One block's lowered transfer.
@@ -198,7 +200,7 @@ class _BlockCode:
 
 
 class _AbstractEval:
-    """Lowers one CFG's expressions to closures; holds the arithmetic kernel.
+    """Lowers one CFG's expressions to closures; holds the range arithmetic.
 
     `havoc` is the set of uids a call may change (by default the
     address-taken ones), and `bounds` maps the uid of each tracked variable
@@ -230,12 +232,19 @@ class _AbstractEval:
             full = self.bounds[sym.uid] = self.full(sym.type)
         return full
 
+    def _common_range(self, e: Binary) -> Interval | None:
+        """The range of the common type of integer comparison `e`, else None."""
+        lt, rt = e.left.ctype, e.right.ctype
+        if lt is None or rt is None or not (is_integer(lt) and is_integer(rt)):
+            return None
+        return self.full(usual_arith_conversion(lt, rt, self.model))
+
     def _width(self, t: TypeDesc | None) -> int:
         return t.width if t is not None and is_integer(t) else self.model.int_bits
 
     def _arith(self, op: str, a: Interval | None, b: Interval | None,
                t: TypeDesc | None) -> Interval | None:
-        """`a op b` in type `t`: the one arithmetic kernel."""
+        """`a op b` over ranges, in type `t`."""
         full = self.full(t)
         if a is None or b is None:
             return full
@@ -337,11 +346,14 @@ class _AbstractEval:
             env[uid] = _converted(value(env), full)
         return declare
 
-    def _narrowable(self, e: Expr) -> tuple[int, Interval, bool] | None:
-        """(uid, type range, volatile) of a variable a branch may refine."""
+    def _narrowable(self, e: Expr, common: Interval | None = None):
+        """(uid, type range, volatile) of a variable a branch may refine: one
+        whose value survives conversion to the compared type, of range `common`."""
         sym = e.symbol if type(e) is Identifier else None
         if isinstance(sym, Symbol) and _tracked(sym) and not _havocable(sym):
-            return sym.uid, self._range(sym), "volatile" in sym.quals
+            full = self._range(sym)
+            if common is None or common.lo <= full.lo and full.hi <= common.hi:
+                return sym.uid, full, "volatile" in sym.quals
         return None
 
     def _narrowing(self, cond: Expr):
@@ -353,7 +365,10 @@ class _AbstractEval:
         if type(cond) is Binary and cond.op in _NEGATE:
             op, neg = cond.op, _NEGATE[cond.op]
             left, right = self.lower_value(cond.left), self.lower_value(cond.right)
-            lvar, rvar = self._narrowable(cond.left), self._narrowable(cond.right)
+            common = self._common_range(cond)
+            if common is not None:
+                left, right = _converting(left, common), _converting(right, common)
+            lvar, rvar = self._narrowable(cond.left, common), self._narrowable(cond.right, common)
 
             def compare(env):
                 lv, rv = left(env), right(env)
@@ -519,6 +534,10 @@ class _AbstractEval:
         right, rchanges = self._lower(e.right, mutate)
         changes = lchanges or rchanges
         if op in _NEGATE:
+            common = self._common_range(e)
+            if common is not None:
+                left, right = _converting(left, common), _converting(right, common)
+
             def compare(env):
                 truth = _compare(op, left(env), right(env))
                 return BOOL if truth is None else (ONE if truth else ZERO)
@@ -632,7 +651,7 @@ def _not(iv: Interval | None) -> Interval:
     return BOOL
 
 
-# -- the arithmetic kernel: (a, b, range of the result type, its width) ---------
+# -- range operators: (a, b, range of the result type, its width) ---------------
 
 
 def _add(a, b, full, width):
@@ -651,7 +670,7 @@ def _mul(a, b, full, width):
 def _div(a, b, full, width):
     if b.contains(0):
         return full
-    corners = [_c_div(x, y) for x in (a.lo, a.hi) for y in (b.lo, b.hi)]
+    corners = [truncating_divmod(x, y)[0] for x in (a.lo, a.hi) for y in (b.lo, b.hi)]
     return _clamp(min(corners), max(corners), full)
 
 
@@ -660,7 +679,7 @@ def _mod(a, b, full, width):
         return full
     sa, sb = a.singleton(), b.singleton()
     if sa is not None and sb is not None:
-        r = _c_mod(sa, sb)
+        r = truncating_divmod(sa, sb)[1]
         return _clamp(r, r, full)
     m = max(abs(b.lo), abs(b.hi)) - 1
     return _clamp(-m if a.lo < 0 else 0, m if a.hi > 0 else 0, full)
@@ -833,15 +852,6 @@ def _next_pow2_mask(v: int) -> int:
     while m <= v:
         m <<= 1
     return m - 1
-
-
-def _c_div(a: int, b: int) -> int:
-    q = abs(a) // abs(b)
-    return q if (a < 0) == (b < 0) else -q
-
-
-def _c_mod(a: int, b: int) -> int:
-    return a - _c_div(a, b) * b
 
 
 def _join_env(a: Env, b: Env) -> Env:

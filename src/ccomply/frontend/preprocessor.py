@@ -24,7 +24,6 @@ own shares the expansion's chain and hide set objects, never a copy.
 """
 from __future__ import annotations
 
-import operator
 import os
 import re
 from collections import deque
@@ -33,6 +32,10 @@ from dataclasses import dataclass, field
 from ccomply.errors import LexError, PreprocessError, UnsupportedConstructError
 from ccomply.frontend.lexer import (
     PPToken, TokenKind, int_constant_value, lex, literal_units, render_tokens,
+)
+from ccomply.sema.intarith import IntResult, binary, result_type, unary, unary_type
+from ccomply.sema.typesys import (
+    IntegerModel, TypeDesc, convert_int, int_constant_type, make_int, usual_arith_conversion,
 )
 from ccomply.source import ExpansionFrame, Location, SourceFile, SourceManager
 
@@ -594,14 +597,10 @@ def macro_from_define_flag(spec: str, manager: SourceManager) -> MacroDef:
 
 # ---- #if expression evaluation ------------------------------------------
 
-_U64 = 1 << 64
-_S64_MAX = (1 << 63) - 1
-
-
-def _wrap64(v: int) -> int:
-    v %= _U64
-    return v - _U64 if v > _S64_MAX else v
-
+# C99 6.10.1p4: every integer type acts as `intmax_t` or `uintmax_t`, so
+# after promotion an operand is one of the two.
+PP_MODEL = IntegerModel(int_bits=64, long_bits=64, long_long_bits=64)
+_INTMAX = make_int(PP_MODEL.int_bits, True)
 
 _PP_BINOPS: dict[str, int] = {
     "||": 1, "&&": 2, "|": 3, "^": 4, "&": 5,
@@ -611,6 +610,9 @@ _PP_BINOPS: dict[str, int] = {
 
 
 class _CondParser:
+    """Parses a `#if` expression into tuples that end with their static type:
+    ("num", value, t), ("u-", x, t), (op, x, y, t) and ("?:", c, x, y, t)."""
+
     def __init__(self, tokens: list[PPToken], at: Location | None):
         self.toks = tokens
         self.i = 0
@@ -637,7 +639,7 @@ class _CondParser:
             if not colon.is_punct(":"):
                 raise PreprocessError("expected ':' in #if conditional", colon.origin)
             other = self.parse()
-            return ("?:", node, then, other)
+            return ("?:", node, then, other, usual_arith_conversion(then[-1], other[-1], PP_MODEL))
         return node
 
     def parse_binary(self, min_prec: int):
@@ -651,12 +653,13 @@ class _CondParser:
                 return left
             self.pop()
             right = self.parse_binary(prec + 1)
-            left = (t.lexeme, left, right)
+            left = (t.lexeme, left, right, result_type(t.lexeme, left[-1], right[-1], PP_MODEL))
 
     def parse_unary(self):
         t = self.pop()
         if t.kind is TokenKind.PUNCT and t.lexeme in ("!", "~", "+", "-"):
-            return ("u" + t.lexeme, self.parse_unary())
+            operand = self.parse_unary()
+            return ("u" + t.lexeme, operand, unary_type(t.lexeme, operand[-1], PP_MODEL))
         if t.is_punct("("):
             self.paren_depth += 1
             if self.paren_depth > PAREN_NESTING_LIMIT:
@@ -671,23 +674,26 @@ class _CondParser:
             self.paren_depth -= 1
             return inner
         if t.kind is TokenKind.NUMBER:
-            return ("num", _pp_int_value(t))
+            return _pp_int_constant(t)
         if t.kind is TokenKind.CHAR_CONST:
-            return ("num", _char_value(t))
+            return ("num", _char_value(t), _INTMAX)
         if t.kind is TokenKind.IDENT:
-            return ("num", 0)  # undefined identifiers evaluate to 0
+            return ("num", 0, _INTMAX)  # undefined identifiers evaluate to 0
         raise PreprocessError(
             f"non-constant residue {t.lexeme!r} in #if expression", t.origin
         )
 
 
-def _pp_int_value(tok: PPToken) -> int:
+def _pp_int_constant(tok: PPToken) -> tuple:
     value = int_constant_value(tok.lexeme)
     if value is None:
         raise PreprocessError(
             f"invalid integer constant {tok.lexeme!r} in #if expression", tok.origin
         )
-    return _wrap64(value)
+    t = int_constant_type(tok.lexeme, value, PP_MODEL)
+    if t is None:
+        raise PreprocessError(f"integer constant {tok.lexeme!r} in #if fits no type", tok.origin)
+    return ("num", value, t)
 
 
 def _char_value(tok: PPToken) -> int:
@@ -702,32 +708,8 @@ def _char_value(tok: PPToken) -> int:
     return units[0]
 
 
-def _c_quotient(a: int, b: int) -> int:
-    """C99 6.5.5: integer division truncates toward zero."""
-    q = abs(a) // abs(b)
-    return q if (a < 0) == (b < 0) else -q
-
-
-_UNARY_OPS = {
-    "u!": lambda v: 0 if v else 1,
-    "u~": lambda v: _wrap64(~v),
-    "u+": lambda v: v,
-    "u-": lambda v: _wrap64(-v),
-}
-# Results before the 64-bit wraparound that `_eval_cond` applies.
-_BINARY_OPS = {
-    "+": operator.add, "-": operator.sub, "*": operator.mul,
-    "/": _c_quotient, "%": lambda a, b: a - _c_quotient(a, b) * b,
-    "<<": lambda a, b: a << min(b, 64) if b >= 0 else 0,
-    ">>": lambda a, b: a >> min(b, 64) if b >= 0 else 0,
-    "&": operator.and_, "|": operator.or_, "^": operator.xor,
-    "==": lambda a, b: int(a == b), "!=": lambda a, b: int(a != b),
-    "<": lambda a, b: int(a < b), ">": lambda a, b: int(a > b),
-    "<=": lambda a, b: int(a <= b), ">=": lambda a, b: int(a >= b),
-}
-
-
-def _eval_cond(node, at: Location | None) -> int:
+def _eval_cond(node, at: Location | None) -> tuple[int, TypeDesc]:
+    """(value, type); `&&`, `||` and `?:` evaluate only what decides the result."""
     # `_CondParser.parse_binary` builds a chain `a op b op c ...` as a
     # left-deep tree, so walk each chain's left spine with a loop and
     # recurse only into right operands and other node kinds.
@@ -737,22 +719,24 @@ def _eval_cond(node, at: Location | None) -> int:
         node = node[1]
     op = node[0]
     if op == "num":
-        value = node[1]
+        value = node[1], node[2]
     elif op == "?:":
-        value = _eval_cond(node[2] if _eval_cond(node[1], at) else node[3], at)
+        picked = _eval_cond(node[2] if _eval_cond(node[1], at)[0] else node[3], at)
+        value = convert_int(picked[0], node[4], PP_MODEL)[0], node[4]
     else:
-        value = _UNARY_OPS[op](_eval_cond(node[1], at))
-    for op, _, right in reversed(spine):
-        if op == "&&":
-            value = 1 if value and _eval_cond(right, at) else 0
-        elif op == "||":
-            value = 1 if value or _eval_cond(right, at) else 0
+        value = _checked(unary(op[1], _eval_cond(node[1], at), PP_MODEL), at)
+    for op, _, right, _ in reversed(spine):
+        if op in ("&&", "||") and (value[0] != 0) == (op == "||"):
+            value = int(op == "||"), _INTMAX  # the left operand decides
         else:
-            b = _eval_cond(right, at)
-            if b == 0 and op in ("/", "%"):
-                raise PreprocessError("division by zero in #if expression", at)
-            value = _wrap64(_BINARY_OPS[op](value, b))
+            value = _checked(binary(op, value, _eval_cond(right, at), PP_MODEL), at)
     return value
+
+
+def _checked(result: IntResult, at: Location | None) -> tuple[int, TypeDesc]:
+    if result.value is None:
+        raise PreprocessError(f"{result.flaw} in #if expression", at)
+    return result.value, result.type
 
 
 def evaluate_pp_condition(
@@ -760,9 +744,12 @@ def evaluate_pp_condition(
     macros: dict[str, MacroDef] | None = None,
     at: Location | None = None,
 ) -> int:
-    """Evaluate a #if controlling expression with 64-bit signed wraparound.
+    """Evaluate a #if controlling expression in `intmax_t`/`uintmax_t` (C99 6.10.1p4).
 
-    The token list must already be macro-expanded with `defined`
+    Constants take their C99 6.4.4.1 types under `PP_MODEL` and the integer
+    kernel (`sema.intarith`) computes each operator. Signed overflow wraps;
+    division by zero, a shift out of range and a constant that fits no type
+    raise. The token list must already be macro-expanded with `defined`
     resolved; any remaining identifier evaluates to 0.
     """
     del macros  # identifiers left after expansion are 0 by definition
@@ -775,4 +762,4 @@ def evaluate_pp_condition(
         raise PreprocessError(
             f"non-constant residue {leftover.lexeme!r} in #if expression", leftover.origin
         )
-    return _eval_cond(node, at)
+    return _eval_cond(node, at)[0]

@@ -1,12 +1,22 @@
-"""Semantic analysis: types, symbols, name resolution, constant evaluation."""
-from ccomply.sema.consteval import ConstValue, const_eval
-from ccomply.sema.resolve import Resolver, resolve
+"""Semantic analysis: types, symbols, name resolution, constant evaluation.
+
+`const_eval` and `resolve` walk the AST, so they load on first use: the
+preprocessor imports `intarith`, and the parser imports the preprocessor.
+`resolve` lives in `resolver`, so no submodule import can rebind the name.
+"""
+import importlib
+
 from ccomply.sema.symbols import Linkage, Scope, Storage, SymKind, Symbol, SymbolTable, link_units
 from ccomply.sema.typesys import (
     TK, IntegerModel, TypeDesc, integer_promote, is_arithmetic, is_integer,
     is_object_pointer, is_pointer, promoted_width, rvalue_type, same_type,
     sizeof_type, type_range, usual_arith_conversion,
 )
+
+_LAZY = {
+    "ConstValue": "consteval", "const_eval": "consteval",
+    "Resolver": "resolver", "resolve": "resolver",
+}
 
 __all__ = [
     "ConstValue", "const_eval", "Resolver", "resolve",
@@ -16,3 +26,11 @@ __all__ = [
     "rvalue_type", "same_type", "sizeof_type", "type_range",
     "usual_arith_conversion",
 ]
+
+
+def __getattr__(name: str):
+    home = _LAZY.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{home}"), name)
+    return value

@@ -1,27 +1,27 @@
 """Strict constant-expression evaluation over typed AST nodes.
 
 Evaluation is total: anything outside the constant subset yields
-not-constant rather than an error. Signed overflow wraps to the fixed
-two's-complement model and tags the node as undefined behavior;
-division or shift out of range also degrades to not-constant with the
-same tag.
+not-constant rather than an error. The integer kernel (`intarith`)
+computes every operator under the given `IntegerModel`. Each flaw it
+reports tags the node as undefined behavior: signed overflow keeps the
+wrapped value; division by zero or a shift out of range is not constant.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ccomply.parsing.astnodes import (
     Binary, Cast, Conditional, Constant, Expr, Identifier, Sizeof, Unary,
 )
+from ccomply.sema.intarith import IntResult, binary, unary
 from ccomply.sema.symbols import SymKind
 from ccomply.sema.typesys import (
-    DEFAULT_MODEL, TK, IntegerModel, TypeDesc, convert_int, effective_int,
-    integer_promote, is_integer, make_int, sizeof_type, usual_arith_conversion,
+    DEFAULT_MODEL, IntegerModel, TypeDesc, convert_int, is_integer, make_int,
+    sizeof_type, usual_arith_conversion,
 )
 
 
-@dataclass(frozen=True)
-class ConstValue:
+class ConstValue(NamedTuple):
     value: int | None
     type: TypeDesc | None
 
@@ -31,11 +31,6 @@ class ConstValue:
 
 
 NOT_CONSTANT = ConstValue(None, None)
-
-
-def _tag(node: Expr, behavior: str) -> None:
-    if node.behavior is None:
-        node.behavior = behavior
 
 
 def const_eval(expr: Expr, model: IntegerModel = DEFAULT_MODEL) -> ConstValue:
@@ -67,16 +62,7 @@ def const_eval(expr: Expr, model: IntegerModel = DEFAULT_MODEL) -> ConstValue:
         inner = const_eval(expr.operand, model)
         if not inner.is_constant:
             return NOT_CONSTANT
-        if expr.op == "!":
-            return ConstValue(0 if inner.value else 1, make_int(model.int_bits, True))
-        promoted = integer_promote(inner.type, model)
-        if expr.op == "+":
-            return ConstValue(*_convert(inner.value, promoted, model, expr))
-        if expr.op == "-":
-            return ConstValue(*_convert(-inner.value, promoted, model, expr))
-        if expr.op == "~":
-            return ConstValue(*_convert(~inner.value, promoted, model, expr))
-        return NOT_CONSTANT
+        return _result(expr, unary(expr.op, inner, model))
 
     if isinstance(expr, Cast):
         if expr.ctype is None or not is_integer(expr.ctype):
@@ -84,8 +70,7 @@ def const_eval(expr: Expr, model: IntegerModel = DEFAULT_MODEL) -> ConstValue:
         inner = const_eval(expr.operand, model)
         if not inner.is_constant:
             return NOT_CONSTANT
-        value, overflowed = convert_int(inner.value, expr.ctype, model)
-        return ConstValue(value, expr.ctype)
+        return ConstValue(convert_int(inner.value, expr.ctype, model)[0], expr.ctype)
 
     if isinstance(expr, Conditional):
         cond = const_eval(expr.cond, model)
@@ -96,87 +81,19 @@ def const_eval(expr: Expr, model: IntegerModel = DEFAULT_MODEL) -> ConstValue:
             return NOT_CONSTANT
         picked = then if cond.value else other
         result_type = usual_arith_conversion(then.type, other.type, model)
-        return ConstValue(*_convert(picked.value, result_type, model, expr))
+        return ConstValue(convert_int(picked.value, result_type, model)[0], result_type)
 
     if isinstance(expr, Binary):
-        return _binary(expr, model)
+        left = const_eval(expr.left, model)
+        right = const_eval(expr.right, model)
+        if not (left.is_constant and right.is_constant):
+            return NOT_CONSTANT
+        return _result(expr, binary(expr.op, left, right, model))
 
     return NOT_CONSTANT
 
 
-def _convert(raw: int, target: TypeDesc, model: IntegerModel, node: Expr) -> tuple[int, TypeDesc]:
-    value, overflowed = convert_int(raw, target, model)
-    if overflowed and target.kind is TK.INT:
-        _tag(node, "undefined")
-    return value, target
-
-
-def _binary(expr: Binary, model: IntegerModel) -> ConstValue:
-    op = expr.op
-    left = const_eval(expr.left, model)
-    right = const_eval(expr.right, model)
-    if not (left.is_constant and right.is_constant):
-        return NOT_CONSTANT
-    int_t = make_int(model.int_bits, True)
-
-    if op in ("&&", "||"):
-        a, b = left.value != 0, right.value != 0
-        value = (a and b) if op == "&&" else (a or b)
-        return ConstValue(int(value), int_t)
-    if op in ("==", "!=", "<", ">", "<=", ">="):
-        table = {
-            "==": left.value == right.value, "!=": left.value != right.value,
-            "<": left.value < right.value, ">": left.value > right.value,
-            "<=": left.value <= right.value, ">=": left.value >= right.value,
-        }
-        return ConstValue(int(table[op]), int_t)
-
-    if op in ("<<", ">>"):
-        result_type = integer_promote(left.type, model)
-        width, signed = effective_int(result_type, model)
-        shift = right.value
-        if shift < 0 or shift >= width:
-            _tag(expr, "undefined")
-            return NOT_CONSTANT
-        if op == "<<":
-            if signed and left.value < 0:
-                _tag(expr, "undefined")
-                return NOT_CONSTANT
-            return ConstValue(*_convert(left.value << shift, result_type, model, expr))
-        return ConstValue(*_convert(left.value >> shift, result_type, model, expr))
-
-    result_type = usual_arith_conversion(left.type, right.type, model)
-    a, _ = convert_int(left.value, result_type, model)
-    b, _ = convert_int(right.value, result_type, model)
-    if op in ("/", "%"):
-        if b == 0:
-            _tag(expr, "undefined")
-            return NOT_CONSTANT
-        q = abs(a) // abs(b)
-        if (a < 0) != (b < 0):
-            q = -q
-        raw = q if op == "/" else a - q * b
-    elif op == "+":
-        raw = a + b
-    elif op == "-":
-        raw = a - b
-    elif op == "*":
-        raw = a * b
-    elif op == "&":
-        raw = _bitop(a, b, result_type, model, lambda x, y: x & y)
-    elif op == "|":
-        raw = _bitop(a, b, result_type, model, lambda x, y: x | y)
-    elif op == "^":
-        raw = _bitop(a, b, result_type, model, lambda x, y: x ^ y)
-    else:
-        return NOT_CONSTANT
-    return ConstValue(*_convert(raw, result_type, model, expr))
-
-
-def _bitop(a: int, b: int, t: TypeDesc, model: IntegerModel, fn) -> int:
-    width, signed = effective_int(t, model)
-    mask = (1 << width) - 1
-    raw = fn(a & mask, b & mask)
-    if signed and raw >= 1 << (width - 1):
-        raw -= 1 << width
-    return raw
+def _result(node: Expr, result: IntResult) -> ConstValue:
+    if result.flaw is not None and node.behavior is None:
+        node.behavior = "undefined"
+    return NOT_CONSTANT if result.value is None else ConstValue(result.value, result.type)

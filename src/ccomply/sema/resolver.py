@@ -18,14 +18,22 @@ from ccomply.parsing.astnodes import (
     TranslationUnitAst, Unary, While, qualifier_set,
 )
 from ccomply.sema.consteval import const_eval
+from ccomply.sema.intarith import result_type, unary_type
 from ccomply.sema.symbols import Linkage, Storage, SymKind, Symbol, SymbolTable
 from ccomply.sema.typesys import (
     BOOL_T, DEFAULT_MODEL, DOUBLE_T, FLOAT_T, TK, VOID_T, EnumInfo,
-    IntegerModel, RecordInfo, TypeDesc, is_arithmetic, is_integer, is_pointer,
-    is_scalar, make_array, make_function, make_int, make_pointer, rvalue_type,
-    same_type, type_range, usual_arith_conversion,
+    IntegerModel, RecordInfo, TypeDesc, int_constant_type, is_arithmetic, is_integer,
+    is_pointer, is_scalar, make_array, make_function, make_int, make_pointer,
+    rvalue_type, same_type, usual_arith_conversion,
 )
 from ccomply.source import Span
+
+# What a binary operator other than a comparison requires of both operands.
+_OPERANDS = {
+    **dict.fromkeys(("&&", "||"), ("scalar", is_scalar)),
+    **dict.fromkeys(("<<", ">>", "&", "|", "^", "%"), ("integers", is_integer)),
+    **dict.fromkeys(("+", "-", "*", "/"), ("arithmetic", is_arithmetic)),
+}
 
 _SPEC_COMBOS = {
     ("void",): "void",
@@ -388,7 +396,10 @@ class Resolver:
                 return FLOAT_T if e.text[-1] in "fF" else DOUBLE_T
             if e.text.startswith("'"):
                 return make_int(model.int_bits, True)
-            return self._int_const_type(e)
+            t = int_constant_type(e.text, e.value, model)
+            self._require(t is not None, e,
+                          f"integer constant {e.text!r} does not fit any supported type")
+            return t
 
         if isinstance(e, StringLiteral):
             e.literal_id = self.literal_count
@@ -403,11 +414,7 @@ class Resolver:
             self._require(is_arithmetic(op_t), e, f"operand of unary {e.op} must be arithmetic")
             if e.op == "~":
                 self._require(is_integer(op_t), e, "operand of ~ must be an integer")
-            if is_integer(op_t):
-                from ccomply.sema.typesys import integer_promote
-
-                return integer_promote(op_t, model)
-            return op_t
+            return unary_type(e.op, op_t, model) if is_integer(op_t) else op_t
 
         if isinstance(e, Binary):
             return self._type_binary(e)
@@ -541,23 +548,6 @@ class Resolver:
         op = e.op
         left_t = self._rvalue(e.left)
         right_t = self._rvalue(e.right)
-
-        if op in ("&&", "||"):
-            self._require(is_scalar(left_t) and is_scalar(right_t), e,
-                          f"operands of {op} must be scalar")
-            return make_int(model.int_bits, True)
-        if op in ("==", "!=", "<", ">", "<=", ">="):
-            return make_int(model.int_bits, True)
-        if op in ("<<", ">>"):
-            self._require(is_integer(left_t) and is_integer(right_t), e,
-                          f"operands of {op} must be integers")
-            from ccomply.sema.typesys import integer_promote
-
-            return integer_promote(left_t, model)
-        if op in ("&", "|", "^", "%"):
-            self._require(is_integer(left_t) and is_integer(right_t), e,
-                          f"operands of {op} must be integers")
-            return usual_arith_conversion(left_t, right_t, model)
         if op in ("+", "-"):
             if is_pointer(left_t) and is_integer(right_t):
                 return left_t
@@ -565,63 +555,15 @@ class Resolver:
                 return right_t
             if op == "-" and is_pointer(left_t) and is_pointer(right_t):
                 return make_int(model.pointer_bits, True)
-            self._require(is_arithmetic(left_t) and is_arithmetic(right_t), e,
-                          f"invalid operands of {op}")
-            return usual_arith_conversion(left_t, right_t, model)
-        if op in ("*", "/"):
-            self._require(is_arithmetic(left_t) and is_arithmetic(right_t), e,
-                          f"operands of {op} must be arithmetic")
-            return usual_arith_conversion(left_t, right_t, model)
-        raise SemaError(f"unknown binary operator {op!r}")
+        rule = _OPERANDS.get(op)
+        if rule is not None:
+            what, test = rule
+            self._require(test(left_t) and test(right_t), e, f"operands of {op} must be {what}")
+        elif op not in ("==", "!=", "<", ">", "<=", ">="):
+            raise SemaError(f"unknown binary operator {op!r}")
+        return result_type(op, left_t, right_t, model)
 
     # -- helpers ---------------------------------------------------------------------
-
-    def _int_const_type(self, e: Constant) -> TypeDesc:
-        model = self.model
-        text = e.text
-        value = e.value
-        suffix = ""
-        body = text
-        while body and body[-1] in "uUlL":
-            suffix = body[-1].lower() + suffix
-            body = body[:-1]
-        unsigned = "u" in suffix
-        long_count = suffix.count("l")
-        is_decimal = not (body.startswith("0x") or body.startswith("0X")
-                          or (len(body) > 1 and body[0] == "0"))
-
-        candidates: list[TypeDesc] = []
-
-        def add(width: int, signed: bool) -> None:
-            candidates.append(make_int(width, signed))
-
-        if unsigned:
-            widths = [model.int_bits, model.long_bits, model.long_long_bits]
-            start = 0 if long_count == 0 else (1 if long_count == 1 else 2)
-            for w in widths[start:]:
-                add(w, False)
-        elif is_decimal:
-            widths = [model.int_bits, model.long_bits, model.long_long_bits]
-            start = 0 if long_count == 0 else (1 if long_count == 1 else 2)
-            for w in widths[start:]:
-                add(w, True)
-        else:
-            pairs = [
-                (model.int_bits, True), (model.int_bits, False),
-                (model.long_bits, True), (model.long_bits, False),
-                (model.long_long_bits, True), (model.long_long_bits, False),
-            ]
-            start = 0 if long_count == 0 else (2 if long_count == 1 else 4)
-            for w, s in pairs[start:]:
-                add(w, s)
-        for t in candidates:
-            lo, hi = type_range(t, model)
-            if lo <= value <= hi:
-                return t
-        raise SemaError(
-            f"integer constant {text!r} does not fit any supported type",
-            e.span.start if e.span else None,
-        )
 
     def _require(self, cond: bool, e: Expr, message: str) -> None:
         if not cond:

@@ -264,6 +264,21 @@ def usual_arith_conversion(a: TypeDesc, b: TypeDesc, model: IntegerModel) -> Typ
     return make_int(max(wa, wb), False)
 
 
+def int_constant_type(text: str, value: int, model: IntegerModel) -> TypeDesc | None:
+    """The type of integer constant `text`, whose value is `value`: the first
+    type of its C99 6.4.4.1p5 list that can represent it, or None."""
+    body = text.rstrip("uUlL")
+    suffix = text[len(body):].lower()
+    decimal = body == "0" or body[0] != "0"
+    signs = (False,) if "u" in suffix else (True,) if decimal else (True, False)
+    for width in (model.int_bits, model.long_bits, model.long_long_bits)[suffix.count("l"):]:
+        for t in (make_int(width, signed) for signed in signs):
+            lo, hi = type_range(t, model)
+            if lo <= value <= hi:
+                return t
+    return None
+
+
 def convert_int(value: int, target: TypeDesc, model: IntegerModel) -> tuple[int, bool]:
     """Convert a mathematical integer into `target`; flags signed wrap."""
     width, signed = effective_int(target, model)

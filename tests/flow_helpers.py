@@ -3,8 +3,9 @@ from __future__ import annotations
 
 from ccomply.flow import build_cfg
 from ccomply.flow.cfg import Cfg, EvalItem
+from ccomply.flow.intervals import Interval
 from ccomply.parsing import Call, FunctionDef, Identifier, parse
-from ccomply.sema import resolve
+from ccomply.sema import SymKind, is_integer, resolve, type_range
 from support import pp_text
 
 PRELUDE = (
@@ -39,3 +40,13 @@ def sym_named(table, name: str):
     matches = [s for s in table.symbols if s.name == name]
     assert matches, f"no symbol {name!r}"
     return matches[-1]
+
+
+def var_interval(res, env, sym):
+    """`sym`'s interval in `env`, a state of interval result `res`: its type
+    range where the state does not bound it; None for a variable the analysis
+    does not track."""
+    if sym.kind is not SymKind.OBJECT or not is_integer(sym.type):
+        return None
+    iv = env.get(sym.uid)
+    return iv if iv is not None else Interval(*type_range(sym.type, res.model))

@@ -13,7 +13,7 @@ from ccomply.flow.cfg import DeclItem, EvalItem
 from ccomply.flow.solver import solve
 from ccomply.parsing import Assign, Call, FunctionDef, Identifier, parse, walk
 from ccomply.sema import link_units, resolve
-from flow_helpers import PRELUDE, analyze_fn, probe_points, sym_named
+from flow_helpers import PRELUDE, analyze_fn, probe_points, sym_named, var_interval
 from support import pp_text
 
 
@@ -91,7 +91,7 @@ class TestIntervals:
         bid, idx, _ = points[probe_index]
         env = res.env_at(bid, idx)
         sym = sym_named(table, var)
-        return res.var_interval(env, sym), res
+        return var_interval(res, env, sym), res
 
     def test_constant_assignment(self):
         iv, _ = self.env_at_probe("void f(void) { int x; x = 5; probe(x); }", "x")

@@ -5,8 +5,9 @@ from ccomply.parsing import (
     Assign, Binary, Comma, CompoundStmt, Conditional, Constant, Declaration,
     DoWhile, ExprStmt, For, FunctionDef, Identifier, If, IncDec, Label,
     Return, StringLiteral, SynArr, SynFunc, SynPtr, While,
-    for_clauses, parse, structural_equal,
+    for_clauses, parse,
 )
+from structural import structural_equal
 from support import pp_text
 from unparse import unparse
 

@@ -1,14 +1,20 @@
 """The package's public names, and what `src/` may import."""
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "ccomply"
 PACKAGES = ["ccomply.rules", "ccomply.flow", "ccomply.sema", "ccomply.frontend", "ccomply.parsing"]
 # Reference implementations and helpers kept only for tests.
-ORACLES = {"lexer_oracle", "interval_oracle", "preprocessor_oracle", "parser_oracle", "unparse"}
+ORACLES = {
+    "lexer_oracle", "interval_oracle", "preprocessor_oracle", "parser_oracle", "unparse",
+    "structural", "flow_helpers",
+}
 
 
 @pytest.mark.parametrize("package", PACKAGES)
@@ -35,3 +41,26 @@ def test_no_source_module_imports_a_test_oracle():
         if ORACLES & set(name.split("."))
     ]
     assert offenders == []
+
+
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
+    path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+
+
+def test_frontend_imports_without_a_cycle():
+    # The preprocessor imports the integer kernel from `sema`, and the parser
+    # imports the preprocessor.
+    done = _fresh_python("import ccomply.frontend")
+    assert done.returncode == 0, done.stderr
+
+
+def test_integer_kernel_loads_no_parser_or_flow_module():
+    done = _fresh_python(
+        "import sys, ccomply.sema.intarith\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('ccomply.parsing', 'ccomply.flow'))))"
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
