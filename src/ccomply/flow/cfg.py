@@ -164,6 +164,15 @@ class Cfg:
                 out.append((b.id, target, kind))
         return out
 
+    @property
+    def has_open_branch(self) -> bool:
+        """Whether a reachable block ends in a branch whose condition did not
+        fold to a constant: interval analysis can refute no other edge."""
+        return any(
+            b.reachable and isinstance(b.term, TBranch) and b.term.const_value is None
+            for b in self.blocks
+        )
+
     @cached_property
     def addr_taken(self) -> frozenset[int]:
         """`addr_taken_syms` of this graph, computed once."""

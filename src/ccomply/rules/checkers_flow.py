@@ -140,14 +140,16 @@ def check_unreachable(
     out: list[Finding] = []
     for fn in functions:
         cfg = fn.cfg
+        # Without an open branch there is no dead edge, and the analysis is skipped.
+        dead = fn.intervals.dead_edges if cfg.has_open_branch else set()
         graph_unreachable = {b.id for b in cfg.blocks if not b.reachable and b.id != cfg.exit}
-        interval_unreachable = _interval_unreachable(fn) - graph_unreachable
+        interval_unreachable = _interval_unreachable(cfg, dead) - graph_unreachable
         for region in _regions(cfg, graph_unreachable | interval_unreachable):
             span, block = _region_anchor(cfg, region)
             if span is None:
                 continue
             evidence = []
-            reason = _region_reason(cfg, region, fn)
+            reason = _region_reason(cfg, region, dead)
             if reason is not None:
                 cond, value = reason
                 evidence.append(Evidence(
@@ -164,9 +166,7 @@ def check_unreachable(
     return out
 
 
-def _interval_unreachable(fn: FunctionFacts) -> set[int]:
-    cfg = fn.cfg
-    dead = fn.intervals.dead_edges
+def _interval_unreachable(cfg: Cfg, dead: set[tuple[int, int]]) -> set[int]:
     if not dead:
         return set()
     seen: set[int] = set()
@@ -222,12 +222,12 @@ def _region_anchor(cfg: Cfg, region: set[int]) -> tuple[Span | None, int | None]
     return best[1], best[2]
 
 
-def _region_reason(cfg: Cfg, region: set[int], fn: FunctionFacts):
+def _region_reason(cfg: Cfg, region: set[int], dead: set[tuple[int, int]]):
     for bid in sorted(region):
         reason = cfg.block(bid).unlinked_reason
         if reason is not None:
             return reason
-    for (src, dst) in sorted(fn.intervals.dead_edges):
+    for (src, dst) in sorted(dead):
         if dst in region and src not in region:
             term = cfg.block(src).term
             if isinstance(term, TBranch):

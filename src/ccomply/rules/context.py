@@ -34,7 +34,9 @@ class FunctionFacts:
     replays the state at a program point when a checker asks for it. R12.2
     asks only at shifts whose right operand is not constant and R1.3 only
     at stores through a pointer, so points-to runs only on functions that
-    store through a pointer.
+    store through a pointer. R2.1 reads `intervals` only of a function whose
+    CFG has an open branch (`Cfg.has_open_branch`): interval analysis finds
+    dead edges nowhere else.
     """
 
     fn: FunctionDef

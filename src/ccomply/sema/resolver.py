@@ -28,11 +28,41 @@ from ccomply.sema.typesys import (
 )
 from ccomply.source import Span
 
-# What a binary operator other than a comparison requires of both operands.
+
+def _both(test):
+    return lambda lt, rt, e, model: test(lt) and test(rt)
+
+
+def _relational(lt: TypeDesc, rt: TypeDesc, e: Binary, model: IntegerModel) -> bool:
+    """C99 6.5.8p2: two real operands (every arithmetic type here) or two pointers."""
+    return (is_arithmetic(lt) and is_arithmetic(rt)) or (is_pointer(lt) and is_pointer(rt))
+
+
+def _equality(lt: TypeDesc, rt: TypeDesc, e: Binary, model: IntegerModel) -> bool:
+    """C99 6.5.9p2: two arithmetic operands, two pointers, or a pointer and a
+    null pointer constant."""
+    return (_relational(lt, rt, e, model)
+            or (is_pointer(lt) and _null_pointer_constant(e.right, rt, model))
+            or (is_pointer(rt) and _null_pointer_constant(e.left, lt, model)))
+
+
+def _null_pointer_constant(operand: Expr, t: TypeDesc, model: IntegerModel) -> bool:
+    """An integer constant expression of value 0 (C99 6.3.2.3p3); the form
+    cast to `void *` has pointer type already."""
+    return is_integer(t) and const_eval(operand, model).value == 0
+
+
+# What a binary operator requires of its operands: a test over both types
+# after lvalue conversion, the operator node and the integer model. Whether
+# two pointers' types are compatible, as C99 6.5.8p2 and 6.5.9p2 also
+# require, is not checked.
 _OPERANDS = {
-    **dict.fromkeys(("&&", "||"), ("scalar", is_scalar)),
-    **dict.fromkeys(("<<", ">>", "&", "|", "^", "%"), ("integers", is_integer)),
-    **dict.fromkeys(("+", "-", "*", "/"), ("arithmetic", is_arithmetic)),
+    **dict.fromkeys(("&&", "||"), ("scalar", _both(is_scalar))),
+    **dict.fromkeys(("<<", ">>", "&", "|", "^", "%"), ("integers", _both(is_integer))),
+    **dict.fromkeys(("+", "-", "*", "/"), ("arithmetic", _both(is_arithmetic))),
+    **dict.fromkeys(("<", ">", "<=", ">="), ("arithmetic or pointers", _relational)),
+    **dict.fromkeys(("==", "!="), (
+        "arithmetic, pointers, or a pointer and a null pointer constant", _equality)),
 }
 
 _SPEC_COMBOS = {
@@ -158,8 +188,12 @@ class Resolver:
             t = TypeDesc(TK.RECORD, record=info)
             if base.tag is not None:
                 self.table.declare_tag(base.tag, t)
+        shared: tuple[SynBase, TypeDesc] | None = None
         for member in base.members:
-            mt = self.syn_type(member.syntype)
+            # The declarators of one member declaration share its base type.
+            if shared is None or shared[0] is not member.syntype.base:
+                shared = (member.syntype.base, self.syn_base_type(member.syntype.base))
+            mt = self.syn_type(member.syntype, shared[1])
             info.members.append((member.name, mt, mt.quals))
         info.complete = True
         return t
@@ -196,8 +230,9 @@ class Resolver:
             next_value += 1
         return t
 
-    def syn_type(self, syntype: SynType) -> TypeDesc:
-        t = self.syn_base_type(syntype.base)
+    def syn_type(self, syntype: SynType, base: TypeDesc | None = None) -> TypeDesc:
+        """The type `syntype` names; `base` is its base type, when already resolved."""
+        t = self.syn_base_type(syntype.base) if base is None else base
         for deriv in reversed(syntype.derivs):
             if isinstance(deriv, SynPtr):
                 # Each TypeDesc carries its own qualifiers: the pointee's
@@ -231,16 +266,15 @@ class Resolver:
     # -- declarations -----------------------------------------------------------
 
     def _declaration(self, decl: Declaration) -> None:
-        if not decl.entries:
-            self.syn_base_type(decl.base)  # register tags / enum constants
-            return
+        # Defines the declaration's tag and enumerators once for all its declarators.
+        base_t = self.syn_base_type(decl.base)
         for entry in decl.entries:
-            entry.symbol = self._declare_entry(entry, decl.base)
+            entry.symbol = self._declare_entry(entry, decl.base, base_t)
             if entry.init is not None:
                 self._resolve_initializer(entry.init)
 
-    def _declare_entry(self, entry: DeclEntry, base: SynBase) -> Symbol:
-        t = self.syn_type(entry.syntype)
+    def _declare_entry(self, entry: DeclEntry, base: SynBase, base_t: TypeDesc) -> Symbol:
+        t = self.syn_type(entry.syntype, base_t)
         storage_kw = base.storage
         at_file_scope = self.table.current.id == 0
 
@@ -556,11 +590,10 @@ class Resolver:
             if op == "-" and is_pointer(left_t) and is_pointer(right_t):
                 return make_int(model.pointer_bits, True)
         rule = _OPERANDS.get(op)
-        if rule is not None:
-            what, test = rule
-            self._require(test(left_t) and test(right_t), e, f"operands of {op} must be {what}")
-        elif op not in ("==", "!=", "<", ">", "<=", ">="):
+        if rule is None:
             raise SemaError(f"unknown binary operator {op!r}")
+        what, test = rule
+        self._require(test(left_t, right_t, e, model), e, f"operands of {op} must be {what}")
         return result_type(op, left_t, right_t, model)
 
     # -- helpers ---------------------------------------------------------------------

@@ -547,8 +547,24 @@ class TestFactsOnDemand:
         for _ in range(2):
             flow_calls.clear()
             run_rules([facts], set(engine.PER_TU_CHECKERS))
-            assert ("build_cfg", "f") in flow_calls and ("interval_analysis", "h") in flow_calls
+            assert ("build_cfg", "f") in flow_calls and ("interval_analysis", "f") in flow_calls
             assert len(set(flow_calls)) == len(flow_calls)
+
+    @pytest.mark.parametrize("body", [
+        "use(x + 1);",
+        "if (0) { use(1); } use(2);",
+        "return; use(1);",
+        "while (1) { get(); } use(1);",
+    ])
+    def test_function_without_an_open_branch_runs_no_interval_analysis(
+            self, flow_calls, body):
+        run_rule_full(f"void f(int x) {{ {body} }}", "R2.1")
+        assert ("build_cfg", "f") in flow_calls
+        assert ("interval_analysis", "f") not in flow_calls
+
+    def test_an_open_branch_runs_interval_analysis_once(self, flow_calls):
+        run_rule_full("void f(int x) { if (x) { use(1); } use(2); }", "R2.1")
+        assert flow_calls.count(("interval_analysis", "f")) == 1
 
 
 def _nest(depth, inner, wrap):

@@ -402,3 +402,85 @@ class TestInterning:
         for x in group_of:
             for y in group_of:
                 assert same_type(t[x], t[y]) is (group_of[x] == group_of[y]), (x, y)
+
+
+class TestSeveralDeclarators:
+    """A tagged definition with several declarators defines its tag and
+    enumerators once."""
+
+    @pytest.mark.parametrize("text", [
+        "struct S { int m; } a, b;",
+        "struct S { int m; } a[2], *p;",
+        "void f(void) { struct S { int m; } a, b; a.m = b.m; }",
+        "typedef struct S { int m; } T, *TP;",
+    ])
+    def test_record_declarators_share_one_type(self, text):
+        tu, table = analyze(text)
+        objects = [s for s in table.symbols if s.kind in (SymKind.OBJECT, SymKind.TYPEDEF)
+                   and s.name in ("a", "b", "p", "T", "TP")]
+        assert objects
+        records = set()
+        for sym in objects:
+            t = sym.type
+            while t.kind in (TK.ARRAY, TK.POINTER):
+                t = t.elem if t.kind is TK.ARRAY else t.pointee
+            records.add(id(t.record))
+        assert len(records) == 1
+
+    def test_member_declarators_share_one_type(self):
+        _, table = analyze("struct O { struct I { int x; } a, b[2]; } o;")
+        o = [s for s in table.symbols if s.name == "o"][0]
+        (_, a, _), (_, b, _) = o.type.record.members
+        assert a is b.elem
+
+    def test_anonymous_record_declarators_share_one_type(self):
+        _, table = analyze("struct { int m; } a, b;")
+        a, b = (s for s in table.symbols if s.name in ("a", "b"))
+        assert a.type is b.type
+
+    def test_enum_declarators_declare_each_enumerator_once(self):
+        _, table = analyze("enum E { X, Y = 4 } e1, e2;")
+        consts = sorted((s.name, s.enum_value) for s in table.symbols
+                        if s.kind is SymKind.ENUM_CONST)
+        assert consts == [("X", 0), ("Y", 4)]
+        e1, e2 = (s for s in table.symbols if s.name in ("e1", "e2"))
+        assert e1.type is e2.type
+
+    @pytest.mark.parametrize("text, message", [
+        ("struct S { int m; } a; struct S { int m; } b;", "redefinition of struct 'S'"),
+        ("enum E { X } e1; enum F { X } e2;", "redeclaration of 'X'"),
+        ("struct O { struct I { int x; } a; struct I { int x; } b; } o;",
+         "redefinition of struct 'I'"),
+    ])
+    def test_second_definition_in_one_scope_is_error(self, text, message):
+        with pytest.raises(SemaError, match=message):
+            analyze(text)
+
+
+class TestComparisonOperands:
+    PRELUDE = "extern void use(int);\nstruct S { int m; } s;\n"
+
+    @pytest.mark.parametrize("expr", [
+        "s < 1", "1 > s", "s == s", "s != 0",
+        "p == 5", "5 != p", "p < 0", "p >= 1.0", "p == 0.0", "p == x * 0",
+        "f == 1",
+    ])
+    def test_invalid_operands_rejected_at_the_operator(self, expr):
+        text = f"{self.PRELUDE}void f(int *p, int *q, int x) {{\n  use({expr});\n}}\n"
+        with pytest.raises(SemaError, match="operands of") as info:
+            analyze(text)
+        assert (info.value.loc.line, info.value.loc.column) == (4, 7)
+
+    @pytest.mark.parametrize("expr", [
+        "p == 0", "0 != p", "p == (void *)0", "p == q", "p < q", "p >= q",
+        "1 < 2.0", "x == 2.0", "p == 1 - 1", "p != (char)0", "p == (0)",
+        "s.m < x", "p == g", "g != 0", "f == f",
+    ])
+    def test_valid_operands_accepted(self, expr):
+        text = (f"{self.PRELUDE}int *g;\n"
+                f"void f(int *p, int *q, int x) {{ use({expr}); }}\n")
+        tu, _ = analyze(text)
+        fn = [d for d in tu.decls if isinstance(d, FunctionDef)][0]
+        cmp = [n for n in walk(fn.body) if isinstance(n, Binary)
+               and n.op in ("==", "!=", "<", ">", "<=", ">=")][0]
+        assert cmp.ctype.kind is TK.INT and cmp.ctype.width == 32
