@@ -1,7 +1,16 @@
 """AST node definitions for the supported C99 subset.
 
 Nodes use identity equality (they serve as map keys in the analyses).
-Sema fills the `ctype`/`symbol` attributes in place after parsing.
+Sema fills the `ctype`/`symbol` attributes in place after parsing. Every
+class is slotted: callers keep each unit's tree for the whole run, so a
+node costs its fields and no per-instance dict.
+
+The leaf syntactic types are shared values: the parser gives every
+declaration with the same specifiers, typedef name, qualifiers and storage
+class and no struct, union or enum body one `SynBase`, every `*` with the
+same qualifiers one `SynPtr` (`SYN_PTRS`), and every declarator whose
+derivations are all pointers one `SynType` per base. These three classes
+are frozen; nothing may mutate a syntactic type after it is built.
 
 `children` gives every syntactic child of a node. `operands` gives only the
 subexpressions that evaluating an expression evaluates: it leaves out a
@@ -24,25 +33,25 @@ __all__ = [
     "Constant", "StringLiteral", "Unary", "Binary", "Assign", "CompoundAssign",
     "IncDec", "Call", "Index", "Member", "Deref", "AddrOf", "Cast", "Conditional",
     "Comma", "Sizeof", "InitList", "children", "operands", "operand_fields", "walk",
-    "walk_operands", "NodeIndex", "QUALIFIER_SETS", "qualifier_set",
+    "walk_operands", "NodeIndex", "QUALIFIER_SETS", "SYN_PTRS", "qualifier_set",
 ]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Node:
     span: Span = field(kw_only=True, default=None)  # type: ignore[assignment]
     first_tok: int = field(kw_only=True, default=-1)
     last_tok: int = field(kw_only=True, default=-1)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Expr(Node):
     # Filled by sema.
     ctype: Any = field(kw_only=True, default=None, repr=False)
     behavior: Optional[str] = field(kw_only=True, default=None, repr=False)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Stmt(Node):
     pass
 
@@ -68,7 +77,7 @@ def qualifier_set(words: Container[str]) -> frozenset[str]:
     return QUALIFIER_SETS["const" in words, "volatile" in words]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True, slots=True)
 class SynBase:
     """Base type specifier: keyword multiset, typedef name, or tag type."""
 
@@ -82,29 +91,33 @@ class SynBase:
     storage: str | None = None           # 'typedef' | 'static' | 'extern' | 'auto'
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True, slots=True)
 class SynPtr:
     quals: frozenset[str] = QUALIFIER_SETS[False, False]
 
 
-@dataclass(eq=False)
+# One `SynPtr` per qualifier set, shared by every pointer declarator.
+SYN_PTRS: dict[frozenset[str], SynPtr] = {q: SynPtr(q) for q in QUALIFIER_SETS.values()}
+
+
+@dataclass(eq=False, slots=True)
 class SynArr:
     size: Optional["Expr"] = None
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class SynFunc:
     params: list["SynParam"] | None = None   # None = unspecified ()
     variadic: bool = False
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True, slots=True)
 class SynType:
     base: SynBase
     derivs: tuple[Any, ...] = ()  # outermost first: (SynPtr, SynArr, ...)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class SynParam:
     syntype: SynType
     name: str | None
@@ -112,7 +125,7 @@ class SynParam:
     symbol: Any = None  # filled by sema
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class RecordMember:
     syntype: SynType
     name: str
@@ -122,7 +135,7 @@ class RecordMember:
 # ---- declarations -----------------------------------------------------------
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class DeclEntry:
     name: str
     syntype: SynType
@@ -131,13 +144,13 @@ class DeclEntry:
     symbol: Any = None  # filled by sema
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Declaration(Stmt):
     entries: list[DeclEntry]
     base: SynBase  # carries tag/enum definitions even with no declarators
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class FunctionDef(Node):
     name: str
     syntype: SynType
@@ -146,7 +159,7 @@ class FunctionDef(Node):
     symbol: Any = field(default=None, repr=False)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class TranslationUnitAst(Node):
     decls: list[Node]  # Declaration | FunctionDef
     path: str = ""
@@ -155,37 +168,37 @@ class TranslationUnitAst(Node):
 # ---- statements -------------------------------------------------------------
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class CompoundStmt(Stmt):
     items: list[Node]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class If(Stmt):
     cond: Expr
     then: Stmt
     els: Optional[Stmt]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Switch(Stmt):
     cond: Expr
     body: Stmt
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class While(Stmt):
     cond: Expr
     body: Stmt
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class DoWhile(Stmt):
     body: Stmt
     cond: Expr
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class For(Stmt):
     init: Optional[Node]  # Declaration or Expr
     cond: Optional[Expr]
@@ -193,12 +206,12 @@ class For(Stmt):
     body: Stmt
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Goto(Stmt):
     label: str
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Label(Stmt):
     kind: str  # 'named' | 'case' | 'default'
     name: str | None
@@ -206,22 +219,22 @@ class Label(Stmt):
     stmt: Stmt
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Break(Stmt):
     pass
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Continue(Stmt):
     pass
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Return(Stmt):
     value: Optional[Expr]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class ExprStmt(Stmt):
     expr: Optional[Expr]  # None = empty statement ';'
 
@@ -229,114 +242,114 @@ class ExprStmt(Stmt):
 # ---- expressions ------------------------------------------------------------
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Identifier(Expr):
     name: str
     symbol: Any = field(default=None, repr=False)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Constant(Expr):
     text: str
     value: Any = None      # int | float, set by parser
     is_float: bool = False
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class StringLiteral(Expr):
     value: str             # decoded contents
     literal_id: int = -1   # per-TU id, set by sema
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Unary(Expr):
     op: str  # + - ~ !
     operand: Expr
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Binary(Expr):
     op: str  # * / % + - << >> < > <= >= == != & ^ | && ||
     left: Expr
     right: Expr
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Assign(Expr):
     target: Expr
     value: Expr
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class CompoundAssign(Expr):
     op: str  # base operator, e.g. '+' for '+='
     target: Expr
     value: Expr
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class IncDec(Expr):
     op: str        # '++' | '--'
     prefix: bool
     operand: Expr
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Call(Expr):
     callee: Expr
     args: list[Expr]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Index(Expr):
     base: Expr
     index: Expr
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Member(Expr):
     base: Expr
     name: str
     arrow: bool
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Deref(Expr):
     operand: Expr
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class AddrOf(Expr):
     operand: Expr
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Cast(Expr):
     type_name: SynType
     operand: Expr
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Conditional(Expr):
     cond: Expr
     then: Expr
     other: Expr
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Comma(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Sizeof(Expr):
     type_name: Optional[SynType]
     operand: Optional[Expr]
     type_name_type: Any = field(default=None, repr=False)  # resolved TypeDesc
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class InitList(Expr):
     elements: list[Expr]
 

@@ -14,7 +14,7 @@ from ccomply.parsing.astnodes import (
     CompoundStmt, Conditional, Constant, Continue, DeclEntry, Declaration,
     Deref, DoWhile, Expr, ExprStmt, For, FunctionDef, Goto, Identifier, If,
     IncDec, Index, InitList, Label, Member, Node, Return, Sizeof,
-    StringLiteral, Switch, SynArr, SynBase, SynFunc, SynPtr, SynType,
+    StringLiteral, Switch, SynArr, SynBase, SynFunc, SynParam, SynPtr, SynType,
     TranslationUnitAst, Unary, While, qualifier_set,
 )
 from ccomply.sema.consteval import const_eval
@@ -22,9 +22,8 @@ from ccomply.sema.intarith import result_type, unary_type
 from ccomply.sema.symbols import Linkage, Storage, SymKind, Symbol, SymbolTable
 from ccomply.sema.typesys import (
     BOOL_T, DEFAULT_MODEL, DOUBLE_T, FLOAT_T, TK, VOID_T, EnumInfo,
-    IntegerModel, RecordInfo, TypeDesc, int_constant_type, is_arithmetic, is_integer,
-    is_pointer, is_scalar, make_array, make_function, make_int, make_pointer,
-    rvalue_type, same_type, usual_arith_conversion,
+    IntegerModel, RecordInfo, TypeDesc, TypeTable, int_constant_type, is_arithmetic,
+    is_integer, is_pointer, is_scalar, make_int, same_type, usual_arith_conversion,
 )
 from ccomply.source import Span
 
@@ -105,6 +104,7 @@ class Resolver:
     def __init__(self, model: IntegerModel = DEFAULT_MODEL, path: str = "<tu>"):
         self.model = model
         self.table = SymbolTable(path, model)
+        self.types = TypeTable()
         self._named_types = _named_types(model)
         self.literal_count = 0
         self.current_function: FunctionDef | None = None
@@ -158,7 +158,7 @@ class Resolver:
                 raise SemaError(f"invalid type specifier combination {' '.join(base.specs)!r}")
             t = self._named_types[name]
         if base.quals:
-            t = _with_quals(t, base.quals)
+            t = self._qualify(t, base.quals)
         return t
 
     def _record_type(self, base: SynBase) -> TypeDesc:
@@ -233,13 +233,18 @@ class Resolver:
     def syn_type(self, syntype: SynType, base: TypeDesc | None = None) -> TypeDesc:
         """The type `syntype` names; `base` is its base type, when already resolved."""
         t = self.syn_base_type(syntype.base) if base is None else base
-        for deriv in reversed(syntype.derivs):
+        return self._derive(t, syntype.derivs)
+
+    def _derive(self, t: TypeDesc, derivs) -> TypeDesc:
+        """`t` under the declarator derivations `derivs`, outermost first."""
+        types = self.types
+        for deriv in reversed(derivs):
             if isinstance(deriv, SynPtr):
                 # Each TypeDesc carries its own qualifiers: the pointee's
                 # live on the pointee, `* const` lands on the pointer itself.
-                t = make_pointer(t)
+                t = types.pointer(t)
                 if deriv.quals:
-                    t = _with_quals(t, deriv.quals)
+                    t = self._qualify(t, deriv.quals)
             elif isinstance(deriv, SynArr):
                 length: int | None = None
                 if deriv.size is not None:
@@ -253,15 +258,17 @@ class Resolver:
                     if cv.value < 0:
                         raise SemaError(f"array length must be non-negative, got {cv.value}")
                     length = cv.value
-                t = make_array(t, length)
+                t = types.array(t, length)
             elif isinstance(deriv, SynFunc):
                 params: tuple[TypeDesc, ...] | None = None
                 if deriv.params is not None:
-                    params = tuple(
-                        _adjust_param(self.syn_type(p.syntype)) for p in deriv.params
-                    )
-                t = make_function(t, params, deriv.variadic)
+                    params = tuple(self._param_type(p) for p in deriv.params)
+                t = types.function(t, params, deriv.variadic)
         return t
+
+    def _param_type(self, p: SynParam) -> TypeDesc:
+        """A parameter's type, adjusted as C99 6.7.5.3p7-8 says."""
+        return self.types.rvalue(self.syn_type(p.syntype))
 
     # -- declarations -----------------------------------------------------------
 
@@ -315,20 +322,25 @@ class Resolver:
             self.type_expr(init)
 
     def _function_def(self, fn: FunctionDef) -> None:
-        t = self.syn_type(fn.syntype)
-        if t.kind is not TK.FUNCTION:
-            raise SemaError(f"{fn.name!r} is not a function type", fn.span.start)
+        # The parser puts the parameter list outermost: derivs[0] is a SynFunc.
+        func, *inner = fn.syntype.derivs
+        ret = self._derive(self.syn_base_type(fn.syntype.base), inner)
+        # Each parameter's type is resolved once, in the function's scope
+        # (C99 6.2.1p4): its tags and enumeration constants are the body's.
+        self.table.push()
+        param_types = [self._param_type(p) for p in fn.params]
+        t = self.types.function(
+            ret, None if func.params is None else tuple(param_types), func.variadic,
+        )
         linkage = Linkage.INTERNAL if fn.syntype.base.storage == "static" else Linkage.EXTERNAL
         sym = self.table.declare(Symbol(
             fn.name, SymKind.FUNCTION, t, 0, Storage.EXTERN, linkage, fn.span,
             defined=True,
-        ))
+        ), self.table.file_scope)
         sym.defined = True
         fn.symbol = sym
         self.current_function = fn
-        self.table.push()
-        for p in fn.params:
-            pt = _adjust_param(self.syn_type(p.syntype))
+        for p, pt in zip(fn.params, param_types):
             p.symbol = self.table.declare(Symbol(
                 p.name, SymKind.OBJECT, pt, 0, Storage.AUTO, Linkage.NONE,
                 p.span, quals=pt.quals, is_param=True, defined=True,
@@ -405,7 +417,7 @@ class Resolver:
         return t
 
     def _rvalue(self, e: Expr) -> TypeDesc:
-        return rvalue_type(self.type_expr(e))
+        return self.types.rvalue(self.type_expr(e))
 
     def _type_expr(self, e: Expr) -> TypeDesc:
         model = self.model
@@ -438,7 +450,7 @@ class Resolver:
         if isinstance(e, StringLiteral):
             e.literal_id = self.literal_count
             self.literal_count += 1
-            return make_array(make_int(model.char_bits, model.char_signed), len(e.value) + 1)
+            return self.types.array(make_int(model.char_bits, model.char_signed), len(e.value) + 1)
 
         if isinstance(e, Unary):
             op_t = self._rvalue(e.operand)
@@ -457,19 +469,20 @@ class Resolver:
             target_t = self.type_expr(e.target)
             self._require_lvalue(e.target)
             self.type_expr(e.value)
-            return rvalue_type(target_t)
+            return self.types.rvalue(target_t)
 
         if isinstance(e, CompoundAssign):
             target_t = self.type_expr(e.target)
             self._require_lvalue(e.target)
             self.type_expr(e.value)
-            return rvalue_type(target_t)
+            return self.types.rvalue(target_t)
 
         if isinstance(e, IncDec):
             t = self.type_expr(e.operand)
             self._require_lvalue(e.operand)
-            self._require(is_scalar(rvalue_type(t)), e, "++/-- requires a scalar operand")
-            return rvalue_type(t)
+            t = self.types.rvalue(t)
+            self._require(is_scalar(t), e, "++/-- requires a scalar operand")
+            return t
 
         if isinstance(e, Call):
             callee_t = self.type_expr(e.callee)
@@ -507,7 +520,7 @@ class Resolver:
         if isinstance(e, Member):
             base_t = self.type_expr(e.base)
             if e.arrow:
-                base_t = rvalue_type(base_t)
+                base_t = self.types.rvalue(base_t)
                 if not is_pointer(base_t) or base_t.pointee is None:
                     raise SemaError("'->' requires a pointer to a record",
                                     e.span.start if e.span else None)
@@ -524,7 +537,7 @@ class Resolver:
             for name, mt, quals in base_t.record.members:
                 if name == e.name:
                     # C99 6.5.2.3p3-4: the member has the object's qualifiers.
-                    return _qualified_member(mt, base_t.quals) if base_t.quals else mt
+                    return self._qualified_member(mt, base_t.quals) if base_t.quals else mt
             raise SemaError(
                 f"no member named {e.name!r} in "
                 f"{base_t.record.kind} {base_t.record.tag or '<anon>'}",
@@ -541,7 +554,7 @@ class Resolver:
         if isinstance(e, AddrOf):
             t = self.type_expr(e.operand)
             self._require_lvalue(e.operand, allow_function=True)
-            return make_pointer(t)
+            return self.types.pointer(t)
 
         if isinstance(e, Cast):
             target = self.syn_type(e.type_name)
@@ -598,6 +611,19 @@ class Resolver:
 
     # -- helpers ---------------------------------------------------------------------
 
+    def _qualify(self, t: TypeDesc, quals: frozenset) -> TypeDesc:
+        """`t` with `quals` added to its own qualifiers."""
+        return self.types.qualified(t, qualifier_set(t.quals | quals))
+
+    def _qualified_member(self, t: TypeDesc, quals: frozenset) -> TypeDesc:
+        """Member type `t` read through an object qualified with `quals`.
+
+        An array member's elements take the qualifiers (C99 6.7.3p8).
+        """
+        if t.kind is TK.ARRAY and t.elem is not None:
+            return self.types.array(self._qualified_member(t.elem, quals), t.length)
+        return self._qualify(t, quals)
+
     def _require(self, cond: bool, e: Expr, message: str) -> None:
         if not cond:
             raise SemaError(message, e.span.start if e.span else None)
@@ -620,14 +646,6 @@ class Resolver:
         )
 
 
-def _adjust_param(t: TypeDesc) -> TypeDesc:
-    if t.kind is TK.ARRAY:
-        return make_pointer(t.elem)
-    if t.kind is TK.FUNCTION:
-        return make_pointer(t)
-    return t
-
-
 def _named_types(m: IntegerModel) -> dict[str, TypeDesc]:
     """The type of each `_SPEC_COMBOS` name under integer model `m`."""
     return {
@@ -644,26 +662,6 @@ def _named_types(m: IntegerModel) -> dict[str, TypeDesc]:
         "llong": make_int(m.long_long_bits, True),
         "ullong": make_int(m.long_long_bits, False),
     }
-
-
-def _qualified_member(t: TypeDesc, quals: frozenset) -> TypeDesc:
-    """Member type `t` read through an object qualified with `quals`.
-
-    An array member's elements take the qualifiers (C99 6.7.3p8).
-    """
-    if t.kind is TK.ARRAY and t.elem is not None:
-        return make_array(_qualified_member(t.elem, quals), t.length)
-    return _with_quals(t, quals)
-
-
-def _with_quals(t: TypeDesc, quals: frozenset) -> TypeDesc:
-    merged = qualifier_set(t.quals | quals)
-    clone = TypeDesc(
-        kind=t.kind, width=t.width, pointee=t.pointee, quals=merged,
-        elem=t.elem, length=t.length, ret=t.ret, params=t.params,
-        variadic=t.variadic, record=t.record, enum=t.enum,
-    )
-    return clone
 
 
 def resolve(tu: TranslationUnitAst, model: IntegerModel = DEFAULT_MODEL) -> SymbolTable:

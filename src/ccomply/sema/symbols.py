@@ -29,7 +29,7 @@ class Linkage(Enum):
     EXTERNAL = "external"
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Symbol:
     name: str
     kind: SymKind
@@ -63,7 +63,7 @@ class Symbol:
         return f"{self.tu_path}::scope{self.scope_id}::{self.name}#{self.uid}"
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Scope:
     id: int
     parent: int | None
@@ -102,16 +102,19 @@ class SymbolTable:
 
     # -- declaration and lookup --------------------------------------------
 
-    def declare(self, sym: Symbol) -> Symbol:
+    def declare(self, sym: Symbol, scope: Scope | None = None) -> Symbol:
+        """Declare `sym` in `scope`, by default the current one."""
+        if scope is None:
+            scope = self.current
         sym.uid = len(self.symbols)
         sym.tu_path = self.tu_path
-        sym.scope_id = self.current.id
-        existing = self.current.names.get(sym.name)
+        sym.scope_id = scope.id
+        existing = scope.names.get(sym.name)
         if existing is not None:
             merged = self._merge(existing, sym)
             if merged is not None:
                 return merged
-        self.current.names[sym.name] = sym
+        scope.names[sym.name] = sym
         self.symbols.append(sym)
         return sym
 

@@ -27,10 +27,17 @@ class TK(Enum):
     ENUM = "enum"
 
 
+# Kinds as module globals: reading `TK.X` goes through the enum metaclass,
+# and a frozenset test calls `Enum.__hash__`, which is written in Python.
+_INT, _UINT, _BOOL, _ENUM = TK.INT, TK.UINT, TK.BOOL, TK.ENUM
+_FLOAT, _DOUBLE = TK.FLOAT, TK.DOUBLE
+_POINTER, _ARRAY, _FUNCTION = TK.POINTER, TK.ARRAY, TK.FUNCTION
+
 _WIDTHS = (8, 16, 32, 64)
+_NO_QUALS: frozenset = frozenset()
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class RecordInfo:
     kind: str                   # 'struct' | 'union'
     tag: str | None
@@ -38,18 +45,18 @@ class RecordInfo:
     complete: bool = False
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class EnumInfo:
     tag: str | None
     constants: dict[str, int] = field(default_factory=dict)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True, slots=True)
 class TypeDesc:
     kind: TK
     width: int = 0                      # INT/UINT/BOOL/FLOAT/DOUBLE
     pointee: "TypeDesc | None" = None
-    quals: frozenset = frozenset()      # qualifiers of this type itself
+    quals: frozenset = _NO_QUALS        # qualifiers of this type itself
     elem: "TypeDesc | None" = None
     length: int | None = None
     ret: "TypeDesc | None" = None
@@ -83,7 +90,9 @@ DOUBLE_T = TypeDesc(TK.DOUBLE, width=64)
 
 
 # One shared TypeDesc per (width, signedness). Nothing mutates a TypeDesc
-# after it is built, so every integer type of a run is one of these eight.
+# after it is built (the class is frozen), so every integer type of a run is
+# one of these eight. Derived and qualified types are shared the same way,
+# but per translation unit: see `TypeTable`.
 _INTS = {
     (width, signed): TypeDesc(TK.INT if signed else TK.UINT, width=width)
     for width in _WIDTHS for signed in (True, False)
@@ -97,18 +106,66 @@ def make_int(width: int, signed: bool) -> TypeDesc:
     return t
 
 
-def make_pointer(pointee: TypeDesc, quals: frozenset = frozenset()) -> TypeDesc:
+def make_pointer(pointee: TypeDesc, quals: frozenset = _NO_QUALS) -> TypeDesc:
+    """A new, unshared pointer type; the resolver takes its pointers from a `TypeTable`."""
     return TypeDesc(TK.POINTER, pointee=pointee, quals=quals)
 
 
-def make_array(elem: TypeDesc, length: int | None) -> TypeDesc:
-    if length is not None and length < 0:
-        raise SemaError(f"array length must be non-negative, got {length}")
-    return TypeDesc(TK.ARRAY, elem=elem, length=length)
+class TypeTable:
+    """One shared `TypeDesc` per pointer, array, function and qualified type
+    of one translation unit.
 
+    Two requests get one object when every field agrees, component types,
+    records and enums compared by identity: a unit's `volatile uint32_t`
+    declarations share one type, and so do all its `int *`. The resolver
+    owns the table, so it lives as long as one unit's resolution and no
+    table grows from one unit to the next. Integer types come from
+    `make_int`; each record and enum definition has its own type.
+    """
 
-def make_function(ret: TypeDesc, params: tuple[TypeDesc, ...] | None, variadic: bool = False) -> TypeDesc:
-    return TypeDesc(TK.FUNCTION, ret=ret, params=params, variadic=variadic)
+    __slots__ = ("_shapes",)
+
+    def __init__(self) -> None:
+        self._shapes: dict[tuple, TypeDesc] = {}
+
+    def _shared(self, kind: TK, width: int = 0, pointee: TypeDesc | None = None,
+                quals: frozenset = _NO_QUALS, elem: TypeDesc | None = None,
+                length: int | None = None, ret: TypeDesc | None = None,
+                params: tuple[TypeDesc, ...] | None = None, variadic: bool = False,
+                record: RecordInfo | None = None, enum: EnumInfo | None = None) -> TypeDesc:
+        shape = (kind, width, pointee, quals, elem, length, ret, params, variadic, record, enum)
+        t = self._shapes.get(shape)
+        if t is None:
+            t = self._shapes[shape] = TypeDesc(*shape)
+        return t
+
+    def pointer(self, pointee: TypeDesc) -> TypeDesc:
+        return self._shared(_POINTER, pointee=pointee)
+
+    def array(self, elem: TypeDesc, length: int | None) -> TypeDesc:
+        if length is not None and length < 0:
+            raise SemaError(f"array length must be non-negative, got {length}")
+        return self._shared(_ARRAY, elem=elem, length=length)
+
+    def function(self, ret: TypeDesc, params: tuple[TypeDesc, ...] | None,
+                 variadic: bool) -> TypeDesc:
+        return self._shared(_FUNCTION, ret=ret, params=params, variadic=variadic)
+
+    def qualified(self, t: TypeDesc, quals: frozenset) -> TypeDesc:
+        """`t` with the qualifier set `quals` in place of its own."""
+        if quals == t.quals:
+            return t
+        return self._shared(t.kind, t.width, t.pointee, quals, t.elem, t.length,
+                            t.ret, t.params, t.variadic, t.record, t.enum)
+
+    def rvalue(self, t: TypeDesc | None) -> TypeDesc | None:
+        """`rvalue_type(t)`, with the pointer a decay gives taken from this table."""
+        if t is not None:
+            if t.kind is _ARRAY:
+                return self.pointer(t.elem)
+            if t.kind is _FUNCTION:
+                return self.pointer(t)
+        return t
 
 
 @dataclass(frozen=True)
@@ -139,16 +196,14 @@ DEFAULT_MODEL = IntegerModel()
 # ---- predicates -------------------------------------------------------------
 
 
-_INTEGER_KINDS = frozenset((TK.BOOL, TK.INT, TK.UINT, TK.ENUM))
-_FLOATING_KINDS = frozenset((TK.FLOAT, TK.DOUBLE))
-
-
 def is_integer(t: TypeDesc) -> bool:
-    return t.kind in _INTEGER_KINDS
+    k = t.kind
+    return k is _INT or k is _UINT or k is _BOOL or k is _ENUM
 
 
 def is_floating(t: TypeDesc) -> bool:
-    return t.kind in _FLOATING_KINDS
+    k = t.kind
+    return k is _DOUBLE or k is _FLOAT
 
 
 def is_arithmetic(t: TypeDesc) -> bool:

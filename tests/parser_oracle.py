@@ -17,7 +17,7 @@ nearest token and an expected-token hint.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from ccomply.errors import ParseError, UnsupportedConstructError
@@ -357,9 +357,8 @@ class Parser:
                 start_tok.report_site,
             )
         if record is not None:
-            record.quals = qualifier_set(quals)
-            record.storage = storage
-            return record
+            # Syntactic types are frozen: copy the record with its qualifiers and storage.
+            return replace(record, quals=qualifier_set(quals), storage=storage)
         return SynBase(
             specs=tuple(specs),
             typedef_name=typedef_name,

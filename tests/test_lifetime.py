@@ -6,10 +6,20 @@ builds each unit's `FunctionFacts` next to its `NodeIndex` and drops both
 when the unit's checkers return; reference counting must free them, so
 the chain makes no cyclic garbage at all. If a change puts a cycle into
 the CFG, the analyses or the facts, these tests name the types involved.
+What is kept is compact: the units of a header-heavy project share their
+syntactic and derived types, so their number stays under a bound.
+
+Run as a script for a census of what a whole benchmark pass keeps: live
+tracked objects by type, cyclic collections and their CPU seconds by
+generation, and peak RSS, with automatic collection on as in the
+benchmark:
+
+    PYTHONPATH=src:tests:perfbench python3 tests/test_lifetime.py --census header_heavy --seed 3
 """
 from __future__ import annotations
 
 import collections
+import contextlib
 import gc
 import os
 import sys
@@ -26,10 +36,15 @@ from ccomply.source import SourceManager
 from rule_helpers import PRELUDE
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
-from gen import generate  # noqa: E402  (the generator imports nothing from ccomply)
+from gen import WORKLOADS, generate  # noqa: E402  (the generator imports nothing from ccomply)
 
 PER_TU = set(engine.PER_TU_CHECKERS)
 PROJECT_TUS = 8  # of the generated project's 100 units
+# Bounds on the shared syntactic and type objects that the chain over
+# PROJECT_TUS units of header_heavy (seed 5) leaves alive: twice the 73
+# SynBase, 425 SynType and 119 TypeDesc measured. With one of each per
+# declaration there are 1,123, 1,123 and 962.
+SHARED_BOUNDS = {"SynBase": 146, "SynType": 850, "TypeDesc": 238}
 
 # One snippet per shape the checkers read facts for: every per-TU guideline
 # finds something here, and R17.2 sees direct and indirect recursion.
@@ -52,22 +67,55 @@ SNIPPETS = {
 }
 
 
-def _chain(manager: SourceManager, paths: list[str], builtins) -> tuple[list, list]:
-    """preprocess -> parse -> resolve -> per-TU rules over `paths`, then R17.2."""
+def _pass(manager: SourceManager, paths: list[str], builtins, rules) -> tuple[list, list, object]:
+    """One benchmark pass over `paths`: preprocess -> parse -> resolve ->
+    per-TU rules, keeping every unit, then the call graph and R17.2."""
     units, kept, findings = [], [], []
     for path in paths:
         tokens, _, _ = preprocess(manager.load(path), [], builtins, manager)
         tu = parse(tokens, path)
         table = resolve(tu)
         facts = compute_tu_facts(tu, table, manager)
-        findings += run_rules([facts], PER_TU, manager=manager)
+        findings += run_rules([facts], PER_TU & rules, manager=manager)
         units.append((tu, table))
         kept.append(facts)
     graph = build_call_graph(units)
-    findings += run_rules([], {"R17.2"}, call_graph=graph, manager=manager)
+    findings += run_rules([], {"R17.2"} & rules, call_graph=graph, manager=manager)
+    return kept, findings, graph
+
+
+def _chain(manager: SourceManager, paths: list[str], builtins) -> tuple[list, list]:
+    """`_pass` over `paths` with every guideline, then its chain check."""
+    kept, findings, graph = _pass(manager, paths, builtins, set(IMPLEMENTED))
     # One call over every kept unit, as the chain check of the benchmark makes.
     assert run_rules(kept, set(IMPLEMENTED), call_graph=graph, manager=manager)
     return kept, findings
+
+
+def _write_project(workload: str, seed: int, workdir: str):
+    """Generate a workload's project into `workdir` and return it."""
+    project = generate(workload, seed)
+    for path, text in project.files.items():
+        full = os.path.join(workdir, path)
+        os.makedirs(os.path.dirname(full), exist_ok=True)
+        with open(full, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    return project
+
+
+@contextlib.contextmanager
+def _cwd(workdir: str):
+    """Run the body in `workdir`: a project's #include paths are relative to its root."""
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        yield
+    finally:
+        os.chdir(cwd)
+
+
+def _builtins(manager: SourceManager) -> list:
+    return [macro_from_define_flag(spec, manager) for spec in BUILTIN_MACRO_SPECS]
 
 
 def _run_snippets_and_project(workdir: str):
@@ -75,22 +123,19 @@ def _run_snippets_and_project(workdir: str):
     for name, text in SNIPPETS.items():
         with open(os.path.join(workdir, name), "w", encoding="utf-8") as fh:
             fh.write(PRELUDE + text)
-    project = generate("project_all_rules", 5)
-    for path, text in project.files.items():
-        full = os.path.join(workdir, path)
-        os.makedirs(os.path.dirname(full), exist_ok=True)
-        with open(full, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    cwd = os.getcwd()
-    os.chdir(workdir)  # the project's #include paths are relative to its root
-    try:
+    project = _write_project("project_all_rules", 5, workdir)
+    with _cwd(workdir):
         snippets = _chain(SourceManager(), list(SNIPPETS), [])
         manager = SourceManager()
-        builtins = [macro_from_define_flag(spec, manager) for spec in BUILTIN_MACRO_SPECS]
-        project_run = _chain(manager, project.tus[:PROJECT_TUS], builtins)
-    finally:
-        os.chdir(cwd)
+        project_run = _chain(manager, project.tus[:PROJECT_TUS], _builtins(manager))
     return snippets, project_run
+
+
+def _live(names) -> collections.Counter:
+    """Live tracked objects whose class is named in `names`, by class name."""
+    return collections.Counter(
+        type(o).__name__ for o in gc.get_objects() if type(o).__name__ in names
+    )
 
 
 @pytest.fixture
@@ -128,3 +173,71 @@ def test_chain_makes_no_cyclic_garbage(tmp_path, automatic_gc_off):
     gc.set_debug(gc.DEBUG_SAVEALL)
     unreachable = gc.collect()
     assert unreachable == 0, sorted({type(o).__name__ for o in gc.garbage})
+
+
+def test_kept_units_share_their_types(tmp_path, automatic_gc_off):
+    before = _live(SHARED_BOUNDS)
+    project = _write_project("header_heavy", 5, str(tmp_path))
+    with _cwd(str(tmp_path)):
+        manager = SourceManager()
+        kept, _ = _chain(manager, project.tus[:PROJECT_TUS], _builtins(manager))
+    grown = _live(SHARED_BOUNDS) - before
+    assert kept
+    over = {name: grown[name] for name, bound in SHARED_BOUNDS.items() if grown[name] > bound}
+    assert over == {}, grown
+
+
+def census(workload: str, seed: int, top: int = 25) -> dict:
+    """What a whole pass over `workload` keeps, and what collecting it costs."""
+    import resource
+    import tempfile
+    import time
+
+    collections_by_gen = [0, 0, 0]
+    seconds_by_gen = [0.0, 0.0, 0.0]
+    started = [0.0]
+
+    def clock(phase: str, info: dict) -> None:
+        if phase == "start":
+            started[0] = time.process_time()
+        else:
+            collections_by_gen[info["generation"]] += 1
+            seconds_by_gen[info["generation"]] += time.process_time() - started[0]
+
+    rules = set(WORKLOADS[workload].rules)
+    with tempfile.TemporaryDirectory() as workdir:
+        project = _write_project(workload, seed, workdir)
+        gc.callbacks.append(clock)
+        try:
+            with _cwd(workdir):
+                manager = SourceManager()
+                kept, _, _ = _pass(manager, project.tus, _builtins(manager), rules)
+        finally:
+            gc.callbacks.remove(clock)
+        live = collections.Counter(type(o).__name__ for o in gc.get_objects())
+    return {
+        "workload": workload, "seed": seed, "units": len(project.tus), "kept_units": len(kept),
+        "live_tracked_objects": sum(live.values()),
+        "live_by_type": dict(live.most_common(top)),
+        "collections_by_generation": collections_by_gen,
+        "gc_s_by_generation": [round(s, 4) for s in seconds_by_gen],
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 2),
+    }
+
+
+def main(argv: list[str]) -> int:
+    """Print the census of one workload's pass as one JSON object."""
+    import argparse
+    import json
+
+    ap = argparse.ArgumentParser(description=main.__doc__)
+    ap.add_argument("--census", required=True, choices=sorted(WORKLOADS), metavar="WORKLOAD")
+    ap.add_argument("--seed", type=int, default=3)
+    ap.add_argument("--top", type=int, default=25, help="how many types to list")
+    args = ap.parse_args(argv)
+    print(json.dumps(census(args.census, args.seed, args.top)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -1,16 +1,20 @@
+from dataclasses import FrozenInstanceError, fields, is_dataclass
+
 import pytest
 
 from ccomply.errors import SemaError, UnsupportedConstructError
 from ccomply.parsing import (
-    QUALIFIER_SETS, Assign, Binary, Declaration, ExprStmt, FunctionDef, Return, SynPtr,
-    parse, walk,
+    QUALIFIER_SETS, Assign, Binary, Declaration, ExprStmt, FunctionDef, Identifier,
+    Return, SynBase, SynPtr, SynType, astnodes, parse, walk,
 )
 from ccomply.sema import (
-    TK, ConstValue, IntegerModel, Linkage, Storage, SymKind, const_eval,
+    TK, ConstValue, IntegerModel, Linkage, Scope, Storage, Symbol, SymKind, const_eval,
     integer_promote, is_object_pointer, link_units, promoted_width, resolve,
     same_type, type_range,
 )
-from ccomply.sema.typesys import DEFAULT_MODEL, make_int, make_pointer, sizeof_type
+from ccomply.sema.typesys import (
+    DEFAULT_MODEL, EnumInfo, RecordInfo, TypeDesc, make_int, make_pointer, sizeof_type,
+)
 from support import pp_text
 
 
@@ -402,6 +406,94 @@ class TestInterning:
         for x in group_of:
             for y in group_of:
                 assert same_type(t[x], t[y]) is (group_of[x] == group_of[y]), (x, y)
+
+
+class TestCompactTrees:
+    """The trees callers keep are compact: no per-instance dicts, and one
+    object per leaf syntactic type and per derived type of a unit."""
+
+    def test_no_instance_has_a_dict(self):
+        classes = [c for c in vars(astnodes).values() if isinstance(c, type) and is_dataclass(c)]
+        assert {Identifier, SynBase, SynType, FunctionDef} <= set(classes)
+        classes += [Symbol, Scope, TypeDesc, RecordInfo, EnumInfo]
+        assert [c.__name__ for c in classes if c.__dictoffset__] == []
+
+    def test_register_declarations_share_one_base_syntype_and_type(self):
+        tu, _ = analyze("extern volatile uint32_t a;\nextern volatile uint32_t b;\n")
+        a, b = (d.entries[0] for d in tu.decls)
+        assert tu.decls[0].base is tu.decls[1].base is a.syntype.base
+        assert a.syntype is b.syntype
+        assert a.symbol.type is b.symbol.type
+        assert a.symbol.type.quals is QUALIFIER_SETS[False, True]
+
+    def test_pointer_declarations_and_expressions_share_the_pointer_type(self):
+        tu, table = analyze(
+            "int *p;\nint *q;\nint a[2];\n"
+            "void f(void) { p = a; q = &a[0]; }\n"
+        )
+        p, q = table.file_scope.names["p"], table.file_scope.names["q"]
+        assert p.type is q.type
+        assert tu.decls[0].entries[0].syntype is tu.decls[1].entries[0].syntype
+        decay, addr = (s.expr for s in tu.decls[3].body.items)
+        assert decay.ctype is addr.value.ctype is p.type
+
+    def test_struct_definitions_never_share_a_base(self):
+        tu, table = analyze(
+            "struct { int m; } a;\nstruct { int m; } b;\n"
+            "struct S { int m; } c;\nstruct T { int m; } d;\n"
+            "struct S *p;\nstruct S *q;\n"
+        )
+        bases = [d.base for d in tu.decls]
+        assert len({id(b) for b in bases[:4]}) == 4
+        assert bases[4] is bases[5]  # a reference to a tag defines no body
+        names = table.file_scope.names
+        assert names["a"].type is not names["b"].type
+        assert names["p"].type is names["q"].type
+
+    def test_shared_classes_are_frozen(self):
+        tu, _ = analyze("const int *p;\n")
+        entry = tu.decls[0].entries[0]
+        for obj in (entry.syntype, entry.syntype.base, entry.syntype.derivs[0],
+                    entry.symbol.type, entry.symbol.type.pointee):
+            name = fields(obj)[0].name
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, name, getattr(obj, name))
+
+    def test_each_unit_builds_its_own_derived_types(self):
+        _, first = analyze("int *p;\n")
+        _, second = analyze("int *p;\n")
+        assert first.file_scope.names["p"].type is not second.file_scope.names["p"].type
+
+
+class TestFunctionDefinitionParameters:
+    """A definition's parameter types are resolved once, in the function's
+    scope (C99 6.2.1p4), and its function type is built from them."""
+
+    def test_parameter_record_is_defined_once(self):
+        tu, table = analyze("void f(struct P { int x; } a) { a.x = 1; }\n")
+        fn = tu.decls[0]
+        assert fn.symbol.type.params[0] is fn.params[0].symbol.type
+        assert fn.symbol.type.params[0].record is fn.params[0].symbol.type.record
+        assert "P" not in table.file_scope.tags
+
+    def test_parameter_enumerators_are_declared_once(self):
+        tu, table = analyze("void f(enum E { A } e) { e = A; }\n")
+        fn = tu.decls[0]
+        consts = [s for s in table.symbols if s.kind is SymKind.ENUM_CONST]
+        assert [s.name for s in consts] == ["A"]
+        assert consts[0].scope_id == fn.params[0].symbol.scope_id != 0
+        assert fn.symbol.type.params[0] is fn.params[0].symbol.type
+
+    def test_parameter_tag_hides_a_file_scope_tag(self):
+        tu, table = analyze("struct P { int y; };\nvoid f(struct P { int x; } a) { a.x = 1; }\n")
+        outer = table.file_scope.tags["P"].record
+        assert tu.decls[1].params[0].symbol.type.record is not outer
+
+    def test_adjusted_parameter_types_are_the_function_type_parameters(self):
+        tu, _ = analyze("void f(int a[3], void g(void), const char *s) { }\n")
+        fn = tu.decls[0]
+        assert [p.symbol.type.kind for p in fn.params] == [TK.POINTER] * 3
+        assert all(t is p.symbol.type for t, p in zip(fn.symbol.type.params, fn.params))
 
 
 class TestSeveralDeclarators:
