@@ -5,13 +5,28 @@ MaybeUnassigned < AssignedByAlias < DefinitelyAssigned with pointwise
 minimum at joins. Taking a variable's address raises it to
 AssignedByAlias; so do calls and stores through pointers for
 address-taken variables (an alias may have assigned them).
+
+This is a gen/kill problem, solved on bit vectors (Kildall, POPL 1973;
+Aho, Lam, Sethi & Ullman, *Compilers*, §9.2). A state is a Python int
+used as a bit set. The n-th uid the graph mentions owns bits 2n ("may
+not be assigned directly") and 2n+1 ("may be unassigned"):
+
+    DefinitelyAssigned 00    AssignedByAlias 01    MaybeUnassigned 11
+
+So the minimum at a join is `|`, and a variable whose bits are all clear,
+as every variable is in the entry state, is DefinitelyAssigned. Every
+event is an update `state & ~kill | gen`, and a block's updates compose
+into one such pair, computed on the solver's first visit to the block.
+Each visit applies only that pair. One last pass over the stable in-states
+replays the blocks' updates to collect the reads.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from enum import IntEnum
 
-from ccomply.flow.cfg import Cfg, DeclItem
+from ccomply.flow.cfg import Block, Cfg, DeclItem
 from ccomply.flow.solver import solve
 from ccomply.parsing.astnodes import Identifier
 from ccomply.sema.symbols import Symbol
@@ -21,6 +36,11 @@ class AssignState(IntEnum):
     MAYBE_UNASSIGNED = 0
     ASSIGNED_BY_ALIAS = 1
     DEFINITELY_ASSIGNED = 2
+
+
+# A variable's state by the value of its two bits.
+_STATE_OF = (AssignState.DEFINITELY_ASSIGNED, AssignState.ASSIGNED_BY_ALIAS,
+             None, AssignState.MAYBE_UNASSIGNED)
 
 
 @dataclass(frozen=True)
@@ -45,63 +65,82 @@ def _tracked(sym: Symbol | None) -> bool:
     return sym is not None and sym.is_local_object
 
 
-def _join(a: dict[int, AssignState], b: dict[int, AssignState]) -> dict[int, AssignState]:
-    out = dict(a)
-    for uid, state in b.items():
-        if uid in out:
-            out[uid] = min(out[uid], state)
-        else:
-            out[uid] = state
-    return out
-
-
 def definite_assignment(cfg: Cfg) -> DefAssignResult:
     result = DefAssignResult()
-    addr_taken = cfg.addr_taken
+    shifts: dict[int, int] = {}  # uid -> 2n, the position of its low bit
 
-    def transfer_events(events, state: dict[int, AssignState], collect: bool, bid: int, idx: int) -> None:
-        for ev in events:
-            sym = ev.sym
-            if ev.kind == "read" and _tracked(sym):
-                current = state.get(sym.uid, AssignState.DEFINITELY_ASSIGNED)
-                if collect:
-                    result.reads.append(ReadEvent(ev.node, sym, current, bid, idx))
-            elif ev.kind == "write" and _tracked(sym):
-                state[sym.uid] = AssignState.DEFINITELY_ASSIGNED
-            elif ev.kind == "addrof" and _tracked(sym):
-                state[sym.uid] = max(
-                    state.get(sym.uid, AssignState.DEFINITELY_ASSIGNED),
-                    AssignState.ASSIGNED_BY_ALIAS,
-                )
-            elif ev.kind in ("call", "deref_store"):
-                for uid in addr_taken:
-                    if uid in state:
-                        state[uid] = max(state[uid], AssignState.ASSIGNED_BY_ALIAS)
+    def shift(uid: int) -> int:
+        s = shifts.get(uid)
+        if s is None:
+            s = shifts[uid] = 2 * len(shifts)
+        return s
 
-    def transfer_block(bid: int, entry: dict[int, AssignState], collect: bool) -> dict[int, AssignState]:
-        b = cfg.block(bid)
-        state = dict(entry)
+    # A call or a store through a pointer raises every address-taken local
+    # to AssignedByAlias at most: it clears their "may be unassigned" bits.
+    escaped = 0
+    for uid in sorted(cfg.addr_taken):
+        escaped |= 2 << shift(uid)
+
+    def updates(b: Block) -> list[tuple[int, object, int, int]]:
+        """`(item index, read event or None, kill, gen)` for block `b`, in order.
+
+        A read changes nothing: its kill and gen are 0.
+        """
+        out = []
+
+        def events(evs, idx: int) -> None:
+            for ev in evs:
+                kind = ev.kind
+                if kind == "call" or kind == "deref_store":
+                    out.append((idx, None, escaped, 0))
+                elif _tracked(ev.sym):
+                    if kind == "read":
+                        shift(ev.sym.uid)
+                        out.append((idx, ev, 0, 0))
+                    elif kind == "write":
+                        out.append((idx, None, 3 << shift(ev.sym.uid), 0))
+                    elif kind == "addrof":
+                        out.append((idx, None, 2 << shift(ev.sym.uid), 0))
+
         for idx, item in enumerate(b.items):
             # A declaration's events end with the store of its initializer.
-            transfer_events(item.events, state, collect, bid, idx)
+            events(item.events, idx)
             if isinstance(item, DeclItem):
+                both = 3 << shift(item.symbol.uid)
                 if item.init is not None:
-                    state[item.symbol.uid] = AssignState.DEFINITELY_ASSIGNED
+                    out.append((idx, None, both, 0))
                 else:
-                    state[item.symbol.uid] = AssignState.MAYBE_UNASSIGNED
+                    out.append((idx, None, both, both))
                     result.decl_spans[item.symbol.uid] = item.entry.span
-        transfer_events(b.term_events, state, collect, bid, len(b.items))
-        return state
+        events(b.term_events, len(b.items))
+        return out
 
-    def transfer(bid: int, entry: dict[int, AssignState]):
-        state = transfer_block(bid, entry, False)
-        return [(target, state) for target, _kind in cfg.block(bid).succs]
+    compiled: dict[int, tuple[list, int, int]] = {}  # bid -> (updates, kill, gen)
+
+    def transfer(bid: int, state: int):
+        block = compiled.get(bid)
+        if block is None:
+            b = cfg.block(bid)
+            steps = updates(b)
+            kill = gen = 0
+            for _idx, _read, k, g in steps:
+                kill |= k
+                gen = gen & ~k | g
+            block = compiled[bid] = (steps, kill, gen)
+        out = state & ~block[1] | block[2]
+        return [(target, out) for target, _kind in cfg.block(bid).succs]
 
     in_states, result.iterations = solve(
-        cfg, {cfg.entry: {}}, transfer, _join,
+        cfg, {cfg.entry: 0}, transfer, operator.or_,
         budget=12 * len(cfg.blocks) + 128, analysis="definite assignment",
     )
     # Final collection pass over the stabilized states.
-    for bid, entry_state in in_states.items():
-        transfer_block(bid, entry_state, True)
+    reads = result.reads
+    for bid, state in in_states.items():
+        for idx, read, kill, gen in compiled[bid][0]:
+            if read is None:
+                state = state & ~kill | gen
+            else:
+                code = state >> shifts[read.sym.uid] & 3
+                reads.append(ReadEvent(read.node, read.sym, _STATE_OF[code], bid, idx))
     return result

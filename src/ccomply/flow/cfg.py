@@ -29,7 +29,6 @@ from ccomply.parsing.astnodes import (
     DeclEntry, Declaration, DoWhile, Expr, ExprStmt, For, FunctionDef, Goto,
     Identifier, If, Label, Node, Return, Switch, Unary, While, operand_fields,
 )
-from ccomply.sema.consteval import const_eval
 from ccomply.sema.symbols import Linkage, Storage, SymKind, Symbol
 from ccomply.sema.typesys import DEFAULT_MODEL, IntegerModel, make_int
 from ccomply.source import Span
@@ -388,11 +387,11 @@ class CfgBuilder:
                 if not self.switches:
                     raise SemaError("'case' label outside switch",
                                     node.span.start if node.span else None)
-                cv = const_eval(node.case_expr, self.model)
-                if not cv.is_constant:
+                value = node.case_expr.const_value
+                if value is None:
                     raise SemaError("case label requires a constant",
                                     node.span.start if node.span else None)
-                self.switches[-1].cases.append((cv.value, target.id))
+                self.switches[-1].cases.append((value, target.id))
             else:
                 if not self.switches:
                     raise SemaError("'default' label outside switch",
@@ -460,7 +459,7 @@ class CfgBuilder:
             self._cond(e, true_b.id, false_b.id, cur, e)
             for blk, value in ((true_b, 1), (false_b, 0)):
                 const = Constant(str(value), value, False, span=e.span)
-                const.ctype = temp.type
+                const.ctype, const.const_value = temp.type, value
                 assign = Assign(self.temp_ref(temp, e.span), const, span=e.span)
                 assign.ctype = temp.type
                 blk.items.append(EvalItem(assign, e))
@@ -534,9 +533,8 @@ class CfgBuilder:
             self._cond(e.other, true_t, false_t, else_b, node)
             return
         lowered, cur = self._expr(e, cur)
-        cv = const_eval(lowered, self.model)
-        const_value = cv.value if cv.is_constant else None
-        cur.term = TBranch(lowered, true_t, false_t, node, const_value)
+        # A condition rebuilt around a temporary has no recorded value.
+        cur.term = TBranch(lowered, true_t, false_t, node, lowered.const_value)
 
 
 def _materialize_edges(cfg: Cfg) -> None:

@@ -11,11 +11,13 @@ compilation, Boucher & Feeley, CC 1996). The first time the solver visits
 a block, `_AbstractEval.lower_block` lowers its items, its terminator
 expression and its branch condition into closures over an environment;
 the analysis keeps them until it returns. Everything that does not depend
-on the abstract state is resolved then, once per node: `const_eval`
-folds, type ranges (cached per type for the CFG's model), which variables
-are tracked, volatile or havocable, store targets, which subexpressions
-can change the environment at all (an item that cannot is dropped), and
-the narrowing plan of each `TBranch` and `TSwitch`. Per visit only the
+on the abstract state is resolved then, once per node: constant folding,
+which reads the value the resolver recorded on the node (`const_value`;
+a node lowering rebuilt around a temporary has none), type ranges (cached
+per type for the CFG's model), which variables are tracked, volatile or
+havocable, store targets, which subexpressions can change the environment
+at all (an item that cannot is dropped), and the narrowing plan of each
+`TBranch` and `TSwitch`. Per visit only the
 interval arithmetic runs: the range operators behind `_AbstractEval._arith`
 (`/` and `%` take C's truncating quotient and remainder from `sema.intarith`),
 and `_compare`. A comparison, and the narrowing it drives, first converts
@@ -52,7 +54,6 @@ from ccomply.parsing.astnodes import (
     Constant, Deref, Expr, Identifier, IncDec, Index, InitList, Member,
     Sizeof, StringLiteral, Unary, operands,
 )
-from ccomply.sema.consteval import const_eval
 from ccomply.sema.intarith import truncating_divmod
 from ccomply.sema.symbols import SymKind, Symbol
 from ccomply.sema.typesys import (
@@ -409,9 +410,9 @@ class _AbstractEval:
     # -- expressions -------------------------------------------------------------
 
     def _lower(self, e: Expr, mutate: bool) -> tuple[ValueFn, bool]:
-        cv = const_eval(e, self.model)
-        if cv.is_constant:
-            return _const(Interval(cv.value, cv.value)), False
+        value = e.const_value
+        if value is not None:
+            return _const(Interval(value, value)), False
         return _LOWER.get(type(e), _AbstractEval._lower_opaque)(self, e, mutate)
 
     def _effects(self, exprs, mutate: bool) -> list[ValueFn]:

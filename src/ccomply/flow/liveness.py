@@ -4,83 +4,160 @@ A variable is live at a point iff some path reaches a read before any
 write. Calls read every address-taken local (a saved pointer may be
 used inside the callee), dereference reads do the same, and volatile
 locals are always live, so dead-store reasoning stays sound.
+
+This is a gen/kill problem, solved on bit vectors (Kildall, POPL 1973;
+Aho, Lam, Sethi & Ullman, *Compilers*, §9.2). A live set is a Python int
+used as a bit set: the n-th uid the graph mentions owns bit n, and the
+join is `|`. Each item's backward transfer is one update
+`live & ~kill | gen`; a block's transfer composes its terminator's and its
+items' updates into one pair, computed once. The result keeps only the
+live-out set of each reachable block. `is_live_after` replays a block's
+updates backward from its live-out when asked about a point in it, as
+`env_at` does for intervals, and keeps the replay of the last block asked.
+`live_in` is decoded into uid sets when first read.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from functools import cached_property
 
-from ccomply.flow.cfg import Cfg, DeclItem
+from ccomply.flow.cfg import Block, Cfg, DeclItem, Item
 from ccomply.flow.solver import solve
 from ccomply.sema.symbols import Symbol
 
-
-@dataclass
-class LivenessResult:
-    live_after: dict[tuple[int, int], frozenset[int]] = field(default_factory=dict)
-    live_in: dict[int, frozenset[int]] = field(default_factory=dict)
-    iterations: int = 0
-
-    def is_live_after(self, bid: int, idx: int, uid: int) -> bool:
-        return uid in self.live_after.get((bid, idx), frozenset())
+# Events that may read every address-taken local.
+_READS_ESCAPED = frozenset({"call", "deref_read", "deref_store"})
 
 
 def _tracked(sym: Symbol | None) -> bool:
     return sym is not None and sym.is_local_object
 
 
-def liveness(cfg: Cfg) -> LivenessResult:
-    result = LivenessResult()
-    addr_taken = cfg.addr_taken
-    volatile_locals = frozenset(
-        item.symbol.uid
-        for _, _, item in cfg.points()
-        if isinstance(item, DeclItem) and "volatile" in item.symbol.quals
-    )
-    always_live = addr_taken | volatile_locals
+class _Updates:
+    """The uid numbering of one graph and the backward update of each item."""
 
-    def backward_events(events, live: set[int]) -> None:
+    def __init__(self, cfg: Cfg) -> None:
+        self.bits: dict[int, int] = {}  # uid -> 1 << n
+        self.escaped = 0
+        for uid in sorted(cfg.addr_taken):
+            self.escaped |= self.bit(uid)
+        self.volatile = 0
+        for _, _, item in cfg.points():
+            if isinstance(item, DeclItem) and "volatile" in item.symbol.quals:
+                self.volatile |= self.bit(item.symbol.uid)
+
+    def bit(self, uid: int) -> int:
+        b = self.bits.get(uid)
+        if b is None:
+            b = self.bits[uid] = 1 << len(self.bits)
+        return b
+
+    def events(self, events, kill: int = 0, gen: int = 0) -> tuple[int, int]:
+        """`(kill, gen)` after the update `(kill, gen)` and then `events`, last first."""
         for ev in reversed(events):
-            sym = ev.sym
-            if ev.kind == "write" and _tracked(sym):
-                if sym.uid not in volatile_locals:
-                    live.discard(sym.uid)
-            elif ev.kind == "read" and _tracked(sym):
-                live.add(sym.uid)
-            elif ev.kind in ("call", "deref_read", "deref_store"):
-                live.update(addr_taken)
+            kind = ev.kind
+            if kind in _READS_ESCAPED:
+                gen |= self.escaped
+            elif kind == "read" and _tracked(ev.sym):
+                gen |= self.bit(ev.sym.uid)
+            elif kind == "write" and _tracked(ev.sym):
+                k = self.bit(ev.sym.uid) & ~self.volatile
+                kill |= k
+                gen &= ~k
+        return kill, gen
 
-    def transfer_block(bid: int, out: frozenset[int], after: list | None = None) -> frozenset[int]:
-        """Live-in of a block from its live-out; fills `after` per item."""
+    def item(self, item: Item) -> tuple[int, int]:
+        """The live set before `item` is `live & ~kill | gen` of the set after it."""
+        kill = 0
+        if isinstance(item, DeclItem):
+            kill = self.bit(item.symbol.uid) & ~self.volatile
+        # A declaration's events end with the store of its initializer.
+        return self.events(item.events, kill)
+
+    def uids(self, live: int) -> frozenset[int]:
+        return frozenset(uid for uid, b in self.bits.items() if live & b)
+
+
+class LivenessResult:
+    """Each reachable block's live-out set, and per-point queries over it.
+
+    `iterations` counts the solver's block visits. `live_in` maps each
+    reachable block to the uids live on entry to it. `is_live_after(bid,
+    idx, uid)` says whether `uid` is live right after item `idx` of block
+    `bid`; it is False in a block the analysis did not reach and at an
+    index outside the block's items.
+    """
+
+    def __init__(self, cfg: Cfg, updates: _Updates, live_out: dict[int, int],
+                 summaries: dict[int, tuple[int, int]], iterations: int) -> None:
+        self.iterations = iterations
+        self._cfg = cfg
+        self._updates = updates
+        self._live_out = live_out
+        self._summaries = summaries  # bid -> the block's (kill, gen)
+        self._replayed: tuple[int, list[int]] = (-1, [])  # (bid, live after each item)
+
+    @cached_property
+    def live_in(self) -> dict[int, frozenset[int]]:
+        volatile, uids = self._updates.volatile, self._updates.uids
+        out = {}
+        for bid in sorted(self._live_out):
+            kill, gen = self._summaries[bid]
+            out[bid] = uids((self._live_out[bid] | volatile) & ~kill | gen)
+        return out
+
+    def is_live_after(self, bid: int, idx: int, uid: int) -> bool:
+        live = self._live_out.get(bid)
+        b = self._updates.bits.get(uid)
+        if live is None or b is None:
+            return False
+        replayed_bid, after = self._replayed
+        if replayed_bid != bid:
+            after = self._replay(self._cfg.block(bid), live)
+            self._replayed = (bid, after)
+        return 0 <= idx < len(after) and bool(after[idx] & b)
+
+    def _replay(self, block: Block, live_out: int) -> list[int]:
+        """The live set after each item of `block`, from its live-out set."""
+        updates = self._updates
+        kill, gen = updates.events(block.term_events)
+        live = (live_out | updates.volatile) & ~kill | gen
+        after = [0] * len(block.items)
+        for idx in range(len(block.items) - 1, -1, -1):
+            after[idx] = live
+            kill, gen = updates.item(block.items[idx])
+            live = live & ~kill | gen
+        return after
+
+
+def liveness(cfg: Cfg) -> LivenessResult:
+    updates = _Updates(cfg)
+    always_live = updates.escaped | updates.volatile
+    order = [b.id for b in cfg.blocks if b.reachable]
+    # Each block's transfer and the reachable blocks it feeds.
+    summaries: dict[int, tuple[int, int]] = {}
+    feeds: dict[int, list[int]] = {}
+    for bid in order:
         b = cfg.block(bid)
-        live = set(out) | volatile_locals
-        backward_events(b.term_events, live)
+        kill, gen = updates.events(b.term_events)
         for item in reversed(b.items):
-            if after is not None:
-                after.append(frozenset(live))
-            if isinstance(item, DeclItem) and item.symbol.uid not in volatile_locals:
-                live.discard(item.symbol.uid)
-            # A declaration's events end with the store of its initializer.
-            backward_events(item.events, live)
-        return frozenset(live)
+            k, g = updates.item(item)
+            kill |= k
+            gen = gen & ~k | g
+        summaries[bid] = kill, gen
+        feeds[bid] = [p for p in b.preds if cfg.block(p).reachable]
+    volatile = updates.volatile
 
-    def transfer(bid: int, out: frozenset[int]):
-        live_in = transfer_block(bid, out)
-        return [(p, live_in) for p in cfg.block(bid).preds if cfg.block(p).reachable]
+    def transfer(bid: int, out: int):
+        kill, gen = summaries[bid]
+        live_in = (out | volatile) & ~kill | gen
+        return [(p, live_in) for p in feeds[bid]]
 
     # States are live-out sets. Every reachable block is a seed, in reverse
     # id order; the exit keeps what may be read after the function returns.
-    order = [b.id for b in cfg.blocks if b.reachable]
-    seeds = {bid: always_live if bid == cfg.exit else frozenset() for bid in reversed(order)}
-    live_out, result.iterations = solve(
-        cfg, seeds, transfer, frozenset.union,
+    seeds = {bid: always_live if bid == cfg.exit else 0 for bid in reversed(order)}
+    live_out, iterations = solve(
+        cfg, seeds, transfer, operator.or_,
         budget=(len(order) + 1) * (len(order) + 8) * 4 + 64, analysis="liveness",
     )
-
-    # Record per-item live-after sets from the stabilized solution.
-    for bid in order:
-        after: list[frozenset[int]] = []
-        result.live_in[bid] = transfer_block(bid, live_out[bid], after)
-        after.reverse()
-        for idx, live_set in enumerate(after):
-            result.live_after[(bid, idx)] = live_set
-    return result
+    return LivenessResult(cfg, updates, live_out, summaries, iterations)

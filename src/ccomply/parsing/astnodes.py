@@ -1,9 +1,9 @@
 """AST node definitions for the supported C99 subset.
 
 Nodes use identity equality (they serve as map keys in the analyses).
-Sema fills the `ctype`/`symbol` attributes in place after parsing. Every
-class is slotted: callers keep each unit's tree for the whole run, so a
-node costs its fields and no per-instance dict.
+Sema fills the `ctype`/`symbol`/`const_value` attributes in place after
+parsing. Every class is slotted: callers keep each unit's tree for the
+whole run, so a node costs its fields and no per-instance dict.
 
 The leaf syntactic types are shared values: the parser gives every
 declaration with the same specifiers, typedef name, qualifiers and storage
@@ -49,6 +49,10 @@ class Expr(Node):
     # Filled by sema.
     ctype: Any = field(kw_only=True, default=None, repr=False)
     behavior: Optional[str] = field(kw_only=True, default=None, repr=False)
+    # The C99 6.6 integer-constant value sema recorded, else None. It is no
+    # `__init__` argument, so `dataclasses.replace` and every node built
+    # after sema start without one.
+    const_value: Optional[int] = field(init=False, default=None, repr=False)
 
 
 @dataclass(eq=False, slots=True)
@@ -363,7 +367,7 @@ def for_clauses(node: "For") -> tuple[Optional[Node], Optional["Expr"], Optional
 
 # ---- generic traversal ------------------------------------------------------
 
-_SKIP_FIELDS = {"span", "first_tok", "last_tok", "ctype", "symbol", "behavior"}
+_SKIP_FIELDS = {"span", "first_tok", "last_tok", "ctype", "symbol", "behavior", "const_value"}
 
 # Per node class: the names of the fields `children` reads, in field order.
 _CHILD_FIELDS: dict[type, tuple[str, ...]] = {}

@@ -326,6 +326,8 @@ class Parser:
                 break
             word = t.lexeme
             if word in _TYPE_SPECS:
+                if record is not None:
+                    self._reject_second_type_specifier(t)
                 specs.append(word)
                 self.i += 1
                 continue
@@ -350,11 +352,10 @@ class Parser:
                 raise UnsupportedConstructError(
                     f"{word} types are not supported", t.report_site
                 )
-            if word in ("struct", "union"):
-                record = self._parse_record(word)
-                continue
-            if word == "enum":
-                record = self._parse_enum()
+            if word in ("struct", "union", "enum"):
+                if specs or typedef_name is not None or record is not None:
+                    self._reject_second_type_specifier(t)
+                record = self._parse_enum() if word == "enum" else self._parse_record(word)
                 continue
             if (
                 word not in KEYWORDS
@@ -379,7 +380,6 @@ class Parser:
         if record is None:
             key = (tuple(specs), typedef_name, None, None, None, None, qualset, storage)
         else:
-            # A struct, union or enum specifier drops the other type specifiers.
             kind, tag, body = record
             members, enumerators = (None, body) if kind == "enum" else (body, None)
             key = ((), None, kind, tag, members, enumerators, qualset, storage)
@@ -389,6 +389,15 @@ class Parser:
         if base is None:
             base = self._bases[key] = SynBase(*key)
         return base
+
+    @staticmethod
+    def _reject_second_type_specifier(t) -> None:
+        """C99 6.7.2p2: a struct, union or enum specifier is a declaration's
+        only type specifier."""
+        raise ParseError(
+            f"{t.lexeme!r} cannot be combined with a struct, union or enum specifier",
+            t.report_site,
+        )
 
     def _syntype(self, base: SynBase, derivs: list) -> SynType:
         """`base` under `derivs`, shared when every derivation is a pointer."""

@@ -14,7 +14,6 @@ from ccomply.parsing.astnodes import (
 )
 from ccomply.rules.context import FunctionFacts, TUFacts
 from ccomply.rules.findings import BehaviorClass, Certainty, Evidence, Finding
-from ccomply.sema.consteval import const_eval
 from ccomply.sema.symbols import SymKind, Symbol
 from ccomply.sema.typesys import TK, TypeDesc, is_integer, is_object_pointer, rvalue_type
 
@@ -35,10 +34,8 @@ def check_int_pointer_conversion(
         ptr_to_int = is_object_pointer(src) and is_integer(dst)
         if not (int_to_ptr or ptr_to_int):
             return
-        if int_to_ptr:
-            cv = const_eval(src_expr, facts.model)
-            if cv.is_constant and cv.value == 0:
-                return  # null pointer constant
+        if int_to_ptr and src_expr.const_value == 0:
+            return  # null pointer constant
         direction = "integer to object pointer" if int_to_ptr else "object pointer to integer"
         out.append(Finding(
             "R11.4", node.span, Certainty.DEFINITE,

@@ -9,7 +9,6 @@ from ccomply.parsing.astnodes import (
 )
 from ccomply.rules.context import FunctionFacts, TUFacts
 from ccomply.rules.findings import BehaviorClass, Certainty, Evidence, Finding
-from ccomply.sema.consteval import const_eval
 from ccomply.sema.typesys import is_integer, promoted_width, rvalue_type
 from ccomply.source import Span
 
@@ -45,9 +44,8 @@ def check_shift_range(
                     continue
                 width = promoted_width(left_t, facts.model)
                 legal_lo, legal_hi = 0, width - 1
-                cv = const_eval(right, facts.model)
-                if cv.is_constant:
-                    lo = hi = cv.value
+                if right.const_value is not None:
+                    lo = hi = right.const_value
                 else:
                     iv = fn.intervals.eval_expr(right, fn.intervals.env_at(bid, idx))
                     if iv is None:

@@ -30,8 +30,16 @@ class FunctionFacts:
     when the unit's checkers return, so no CFG or analysis state outlives
     the call: callers keep every unit's `TUFacts` for the whole run.
 
-    `intervals` and `points` keep one state per reached block; `env_at`
-    replays the state at a program point when a checker asks for it. R12.2
+    `assign` and `live` are gen/kill problems on bit vectors: a state is a
+    Python int used as a bit set over the CFG's uids, numbered in order of
+    first mention. Liveness gives uid n bit n. Definite assignment gives it
+    two bits, 2n ("may not be assigned directly") and 2n+1 ("may be
+    unassigned"): 00 is DefinitelyAssigned, 01 AssignedByAlias and 11
+    MaybeUnassigned, so both joins are `|`.
+
+    `intervals`, `points` and `live` keep one state per reached block;
+    `env_at` and `is_live_after` replay the state at a program point when a
+    checker asks for it. R2.2 asks liveness only after its stores. R12.2
     asks only at shifts whose right operand is not constant and R1.3 only
     at stores through a pointer, so points-to runs only on functions that
     store through a pointer. R2.1 reads `intervals` only of a function whose

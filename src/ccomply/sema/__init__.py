@@ -1,8 +1,9 @@
 """Semantic analysis: types, symbols, name resolution, constant evaluation.
 
-`const_eval` and `resolve` walk the AST, so they load on first use: the
-preprocessor imports `intarith`, and the parser imports the preprocessor.
-`resolve` lives in `resolver`, so no submodule import can rebind the name.
+`resolve` walks the AST and records each expression's constant value,
+which `const_eval` reads; both live in `resolver`, so they load on first
+use: the preprocessor imports `intarith`, and the parser imports the
+preprocessor. No submodule import can rebind `resolve`.
 """
 import importlib
 
@@ -14,7 +15,7 @@ from ccomply.sema.typesys import (
 )
 
 _LAZY = {
-    "ConstValue": "consteval", "const_eval": "consteval",
+    "ConstValue": "resolver", "const_eval": "resolver",
     "Resolver": "resolver", "resolve": "resolver",
 }
 

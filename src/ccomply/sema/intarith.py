@@ -1,11 +1,11 @@
 """C integer operator semantics over (value, type) pairs.
 
-The one kernel behind `const_eval` and `#if`. An operand is a value and its
-integer type, the value in the type's range. Operators apply the integer
-promotions (C99 6.3.1.1p2) and, except shifts, the usual arithmetic
-conversions (6.3.1.8p1), comparisons included (6.5.8p3, 6.5.9p4). A result
-wraps to the two's-complement width of its type; `/` truncates toward zero
-(6.5.5p6).
+The one kernel behind the constant values the resolver records and `#if`.
+An operand is a value and its integer type, the value in the type's range.
+Operators apply the integer promotions (C99 6.3.1.1p2) and, except shifts,
+the usual arithmetic conversions (6.3.1.8p1), comparisons included
+(6.5.8p3, 6.5.9p4). A result wraps to the two's-complement width of its
+type; `/` truncates toward zero (6.5.5p6).
 A shift has the promoted left operand's type; a count that is negative or not
 less than its width is out of range, and a signed left shift of a negative
 value, or whose product does not fit, overflows (6.5.7p3-4). `#if` runs the

@@ -1,12 +1,24 @@
-"""Name resolution and expression typing.
+"""Name resolution, expression typing and constant evaluation.
 
 Binds every identifier to a symbol, annotates every expression with a
-TypeDesc under the configured integer model, evaluates declaration
-constants, and assigns per-TU string literal ids. The stdint/stddef
-integer typedefs (uint32_t and friends) are predefined so bare
-fixed-width code analyzes without headers.
+TypeDesc under the configured integer model, and assigns per-TU string
+literal ids. The stdint/stddef integer typedefs (uint32_t and friends) are
+predefined so bare fixed-width code analyzes without headers.
+
+It is also the one constant evaluator. As it types an expression it
+records the expression's C99 6.6 integer-constant value in `const_value`,
+computed bottom-up from its operands' recorded values by the integer kernel
+(`intarith`) under the resolver's model. Evaluation is strict: an
+expression is constant only when every operand is, `?:` included, and
+anything outside the constant subset is not constant rather than an error.
+Each flaw the kernel reports tags the node's `behavior` as undefined:
+signed overflow keeps the wrapped value; division by zero or a shift out of
+range is not constant. A node built after resolution (a lowered copy, a
+synthesized operator) has no recorded value, so it reads as not constant.
 """
 from __future__ import annotations
+
+from typing import NamedTuple
 
 from ccomply.errors import SemaError, UnsupportedConstructError
 from ccomply.parsing.astnodes import (
@@ -17,13 +29,13 @@ from ccomply.parsing.astnodes import (
     StringLiteral, Switch, SynArr, SynBase, SynFunc, SynParam, SynPtr, SynType,
     TranslationUnitAst, Unary, While, qualifier_set,
 )
-from ccomply.sema.consteval import const_eval
-from ccomply.sema.intarith import result_type, unary_type
+from ccomply.sema.intarith import IntResult, binary, result_type, unary, unary_type
 from ccomply.sema.symbols import Linkage, Storage, SymKind, Symbol, SymbolTable
 from ccomply.sema.typesys import (
     BOOL_T, DEFAULT_MODEL, DOUBLE_T, FLOAT_T, TK, VOID_T, EnumInfo,
-    IntegerModel, RecordInfo, TypeDesc, TypeTable, int_constant_type, is_arithmetic,
-    is_integer, is_pointer, is_scalar, make_int, same_type, usual_arith_conversion,
+    IntegerModel, RecordInfo, TypeDesc, TypeTable, convert_int, int_constant_type,
+    is_arithmetic, is_integer, is_pointer, is_scalar, make_int, sizeof_type,
+    usual_arith_conversion,
 )
 from ccomply.source import Span
 
@@ -41,14 +53,14 @@ def _equality(lt: TypeDesc, rt: TypeDesc, e: Binary, model: IntegerModel) -> boo
     """C99 6.5.9p2: two arithmetic operands, two pointers, or a pointer and a
     null pointer constant."""
     return (_relational(lt, rt, e, model)
-            or (is_pointer(lt) and _null_pointer_constant(e.right, rt, model))
-            or (is_pointer(rt) and _null_pointer_constant(e.left, lt, model)))
+            or (is_pointer(lt) and _null_pointer_constant(e.right, rt))
+            or (is_pointer(rt) and _null_pointer_constant(e.left, lt)))
 
 
-def _null_pointer_constant(operand: Expr, t: TypeDesc, model: IntegerModel) -> bool:
+def _null_pointer_constant(operand: Expr, t: TypeDesc) -> bool:
     """An integer constant expression of value 0 (C99 6.3.2.3p3); the form
     cast to `void *` has pointer type already."""
-    return is_integer(t) and const_eval(operand, model).value == 0
+    return is_integer(t) and operand.const_value == 0
 
 
 # What a binary operator requires of its operands: a test over both types
@@ -217,10 +229,9 @@ class Resolver:
         for name, value_expr in base.enumerators:
             if value_expr is not None:
                 self.type_expr(value_expr)
-                cv = const_eval(value_expr, self.model)
-                if not cv.is_constant:
+                if value_expr.const_value is None:
                     raise SemaError(f"enumerator {name!r} requires a constant value")
-                next_value = cv.value
+                next_value = value_expr.const_value
             info.constants[name] = next_value
             self.table.declare(Symbol(
                 name, SymKind.ENUM_CONST, make_int(32, True), 0,
@@ -249,15 +260,14 @@ class Resolver:
                 length: int | None = None
                 if deriv.size is not None:
                     self.type_expr(deriv.size)
-                    cv = const_eval(deriv.size, self.model)
-                    if not cv.is_constant:
+                    length = deriv.size.const_value
+                    if length is None:
                         raise UnsupportedConstructError(
                             "variable-length arrays are not supported",
                             deriv.size.span.start if deriv.size.span else None,
                         )
-                    if cv.value < 0:
-                        raise SemaError(f"array length must be non-negative, got {cv.value}")
-                    length = cv.value
+                    if length < 0:
+                        raise SemaError(f"array length must be non-negative, got {length}")
                 t = types.array(t, length)
             elif isinstance(deriv, SynFunc):
                 params: tuple[TypeDesc, ...] | None = None
@@ -397,8 +407,7 @@ class Resolver:
         elif isinstance(node, Label):
             if node.case_expr is not None:
                 self.type_expr(node.case_expr)
-                cv = const_eval(node.case_expr, self.model)
-                if not cv.is_constant:
+                if node.case_expr.const_value is None:
                     raise SemaError(
                         "case label requires a constant expression",
                         node.span.start,
@@ -435,11 +444,14 @@ class Resolver:
                     e.span.start if e.span else None,
                 )
             e.symbol = sym
+            if sym.kind is SymKind.ENUM_CONST:
+                e.const_value = sym.enum_value
             return sym.type
 
         if isinstance(e, Constant):
             if e.is_float:
                 return FLOAT_T if e.text[-1] in "fF" else DOUBLE_T
+            e.const_value = e.value
             if e.text.startswith("'"):
                 return make_int(model.int_bits, True)
             t = int_constant_type(e.text, e.value, model)
@@ -456,11 +468,16 @@ class Resolver:
             op_t = self._rvalue(e.operand)
             if e.op == "!":
                 self._require(is_scalar(op_t), e, "operand of ! must be scalar")
-                return make_int(model.int_bits, True)
-            self._require(is_arithmetic(op_t), e, f"operand of unary {e.op} must be arithmetic")
-            if e.op == "~":
-                self._require(is_integer(op_t), e, "operand of ~ must be an integer")
-            return unary_type(e.op, op_t, model) if is_integer(op_t) else op_t
+                t = make_int(model.int_bits, True)
+            else:
+                self._require(is_arithmetic(op_t), e,
+                              f"operand of unary {e.op} must be arithmetic")
+                if e.op == "~":
+                    self._require(is_integer(op_t), e, "operand of ~ must be an integer")
+                t = unary_type(e.op, op_t, model) if is_integer(op_t) else op_t
+            if e.operand.const_value is not None:
+                self._fold(e, unary(e.op, (e.operand.const_value, op_t), model))
+            return t
 
         if isinstance(e, Binary):
             return self._type_binary(e)
@@ -559,6 +576,8 @@ class Resolver:
         if isinstance(e, Cast):
             target = self.syn_type(e.type_name)
             self.type_expr(e.operand)
+            if e.operand.const_value is not None and is_integer(target):
+                e.const_value = convert_int(e.operand.const_value, target, model)[0]
             return target
 
         if isinstance(e, Conditional):
@@ -567,7 +586,12 @@ class Resolver:
             then_t = self._rvalue(e.then)
             other_t = self._rvalue(e.other)
             if is_arithmetic(then_t) and is_arithmetic(other_t):
-                return usual_arith_conversion(then_t, other_t, model)
+                t = usual_arith_conversion(then_t, other_t, model)
+                # Strict, as everywhere: the operand not taken must be constant too.
+                cond, then, other = e.cond.const_value, e.then.const_value, e.other.const_value
+                if cond is not None and then is not None and other is not None:
+                    e.const_value = convert_int(then if cond else other, t, model)[0]
+                return t
             if then_t.kind is TK.VOID or other_t.kind is TK.VOID:
                 return VOID_T
             return then_t
@@ -578,9 +602,13 @@ class Resolver:
 
         if isinstance(e, Sizeof):
             if e.type_name is not None:
-                e.type_name_type = self.syn_type(e.type_name)
+                target = e.type_name_type = self.syn_type(e.type_name)
             else:
-                self.type_expr(e.operand)
+                target = self.type_expr(e.operand)
+            try:
+                e.const_value = sizeof_type(target, model)
+            except SemaError:
+                pass  # an incomplete or function type: not constant
             return make_int(model.pointer_bits, False)
 
         if isinstance(e, InitList):
@@ -607,9 +635,19 @@ class Resolver:
             raise SemaError(f"unknown binary operator {op!r}")
         what, test = rule
         self._require(test(left_t, right_t, e, model), e, f"operands of {op} must be {what}")
+        left, right = e.left.const_value, e.right.const_value
+        if left is not None and right is not None:
+            self._fold(e, binary(op, (left, left_t), (right, right_t), model))
         return result_type(op, left_t, right_t, model)
 
     # -- helpers ---------------------------------------------------------------------
+
+    @staticmethod
+    def _fold(e: Expr, result: IntResult) -> None:
+        """Record a kernel result on `e`: its value, and a flaw as undefined behavior."""
+        if result.flaw is not None:
+            e.behavior = "undefined"
+        e.const_value = result.value
 
     def _qualify(self, t: TypeDesc, quals: frozenset) -> TypeDesc:
         """`t` with `quals` added to its own qualifiers."""
@@ -662,6 +700,21 @@ def _named_types(m: IntegerModel) -> dict[str, TypeDesc]:
         "llong": make_int(m.long_long_bits, True),
         "ullong": make_int(m.long_long_bits, False),
     }
+
+
+class ConstValue(NamedTuple):
+    value: int | None
+    type: TypeDesc | None
+
+    @property
+    def is_constant(self) -> bool:
+        return self.value is not None
+
+
+def const_eval(expr: Expr) -> ConstValue:
+    """The integer-constant value the resolver recorded for `expr`, with its type."""
+    value = expr.const_value
+    return ConstValue(value, None if value is None else expr.ctype)
 
 
 def resolve(tu: TranslationUnitAst, model: IntegerModel = DEFAULT_MODEL) -> SymbolTable:

@@ -1,4 +1,9 @@
-"""Strict constant-expression evaluation over typed AST nodes.
+"""The recursive constant evaluator the resolver replaced: a test oracle.
+
+`const_eval` as it stood before the resolver recorded each expression's
+C99 6.6 value while typing it. `test_dataflow_oracle` compares the recorded
+value and `behavior` tag of every expression with what this gives, and
+`interval_oracle` folds with it. Nothing under `src/` imports it.
 
 Evaluation is total: anything outside the constant subset yields
 not-constant rather than an error. The integer kernel (`intarith`)

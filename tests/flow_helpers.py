@@ -1,12 +1,21 @@
 """Helpers for driving the flow analyses in tests."""
 from __future__ import annotations
 
+import os
+import sys
+
+from ccomply.builtins import BUILTIN_MACRO_SPECS
 from ccomply.flow import build_cfg
 from ccomply.flow.cfg import Cfg, EvalItem
 from ccomply.flow.intervals import Interval
+from ccomply.frontend import macro_from_define_flag, preprocess
 from ccomply.parsing import Call, FunctionDef, Identifier, parse
 from ccomply.sema import SymKind, is_integer, resolve, type_range
+from ccomply.source import SourceManager
 from support import pp_text
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+from gen import generate  # noqa: E402  (the generator imports nothing from ccomply)
 
 PRELUDE = (
     "extern void probe(int);\n"
@@ -50,3 +59,25 @@ def var_interval(res, env, sym):
         return None
     iv = env.get(sym.uid)
     return iv if iv is not None else Interval(*type_range(sym.type, res.model))
+
+
+def workload_units(workload: str, seed: int, workdir: str, tus: int | None = None):
+    """The resolved tree of each of a generated workload's first `tus` TUs.
+
+    The project is written under `workdir` and preprocessed with the
+    builtin macros, as the benchmark does.
+    """
+    project = generate(workload, seed)
+    for path, text in project.files.items():
+        full = os.path.join(workdir, path)
+        os.makedirs(os.path.dirname(full), exist_ok=True)
+        with open(full, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    manager = SourceManager()
+    builtins = [macro_from_define_flag(spec, manager) for spec in BUILTIN_MACRO_SPECS]
+    for path in project.tus[:tus]:
+        full = os.path.join(workdir, path)
+        tokens, _, _ = preprocess(manager.load(full), [], builtins, manager)
+        tu = parse(tokens, full)
+        resolve(tu)
+        yield tu

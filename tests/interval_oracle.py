@@ -19,11 +19,12 @@ from ccomply.parsing.astnodes import (
     Constant, Deref, Expr, Identifier, IncDec, Index, InitList, Member,
     Sizeof, StringLiteral, Unary,
 )
-from ccomply.sema.consteval import const_eval
 from ccomply.sema.symbols import SymKind, Symbol
 from ccomply.sema.typesys import (
     DEFAULT_MODEL, IntegerModel, TypeDesc, is_integer, type_range,
 )
+
+from consteval_oracle import const_eval
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,12 @@
 field (spans, token indices and expansion trails included), or raise the
 same exception class with the same message and location, on every input
 (see `test_parser_oracle.py`). The code below is the earlier parser
-verbatim, except that it builds spans of the frozen dataclass `Span`
-defined here, the type the earlier `ccomply.source` had, so a comparison
-reads both trees' spans by field. Nothing under `src/` imports it.
+verbatim, except in two places. It builds spans of the frozen dataclass
+`Span` defined here, the type the earlier `ccomply.source` had, so a
+comparison reads both trees' spans by field. And its declaration
+specifiers reject a second type specifier next to a struct, union or enum
+specifier (C99 6.7.2p2) with the parser's message, a constraint the
+parser learned after this copy was taken. Nothing under `src/` imports it.
 
 Typedef names are tracked in a parse-time scope stack (the classic
 lexer-feedback approach) so `T * x;` parses as a declaration exactly
@@ -95,6 +98,13 @@ def _literal_units(t: PPToken) -> list[int]:
 class _Scope:
     def __init__(self) -> None:
         self.names: dict[str, str] = {}  # name -> 'typedef' | 'ordinary'
+
+
+def _reject_second_type_specifier(t: PPToken) -> None:
+    raise ParseError(
+        f"{t.lexeme!r} cannot be combined with a struct, union or enum specifier",
+        t.report_site,
+    )
 
 
 class Parser:
@@ -328,9 +338,14 @@ class Parser:
                 self.pop()
                 continue
             if word in _TYPE_SPECS:
+                if record is not None:
+                    _reject_second_type_specifier(t)
                 specs.append(word)
                 self.pop()
                 continue
+            if word in ("struct", "union", "enum"):
+                if specs or typedef_name is not None or record is not None:
+                    _reject_second_type_specifier(t)
             if word in ("struct", "union"):
                 record = self._parse_record(word)
                 continue

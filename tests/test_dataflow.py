@@ -12,7 +12,7 @@ from ccomply.flow import effects
 from ccomply.flow.cfg import DeclItem, EvalItem
 from ccomply.flow.solver import solve
 from ccomply.parsing import Assign, Call, FunctionDef, Identifier, parse, walk
-from ccomply.sema import link_units, resolve
+from ccomply.sema import resolve
 from flow_helpers import PRELUDE, analyze_fn, probe_points, sym_named, var_interval
 from support import pp_text
 

@@ -229,7 +229,7 @@ def c_outcome(text: str):
         operand = c_operand(text, PP_MODEL)
     except SemaError:
         return None  # a constant that fits no type
-    return const_eval(operand, PP_MODEL).value
+    return const_eval(operand).value
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

@@ -13,27 +13,17 @@ Run as a script to compare every function of whole workloads:
 """
 from __future__ import annotations
 
-import os
 import sys
 
 import pytest
 
 import interval_oracle
-from ccomply.builtins import BUILTIN_MACRO_SPECS
 from ccomply.flow import build_cfg, interval_analysis
 from ccomply.flow.cfg import DeclItem
 from ccomply.flow.intervals import Interval
-from ccomply.frontend import macro_from_define_flag, preprocess
-from ccomply.parsing import (
-    Binary, CompoundAssign, DoWhile, For, FunctionDef, If, While, parse, walk,
-)
-from ccomply.sema import resolve
-from ccomply.source import SourceManager
-from flow_helpers import analyze_fn
+from ccomply.parsing import Binary, CompoundAssign, DoWhile, For, FunctionDef, If, While, walk
+from flow_helpers import analyze_fn, workload_units
 from rule_helpers import PRELUDE
-
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
-from gen import generate  # noqa: E402  (the generator imports nothing from ccomply)
 
 SNIPPETS = [
     # The interval tests (test_dataflow.TestIntervals).
@@ -175,19 +165,7 @@ def _point_exprs(cfg):
 
 def workload_functions(workload: str, seed: int, workdir: str, tus: int | None = None):
     """(CFG, FunctionDef) of every function in the workload's first `tus` TUs."""
-    project = generate(workload, seed)
-    for path, text in project.files.items():
-        full = os.path.join(workdir, path)
-        os.makedirs(os.path.dirname(full), exist_ok=True)
-        with open(full, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    manager = SourceManager()
-    builtins = [macro_from_define_flag(spec, manager) for spec in BUILTIN_MACRO_SPECS]
-    for path in project.tus[:tus]:
-        full = os.path.join(workdir, path)
-        tokens, _, _ = preprocess(manager.load(full), [], builtins, manager)
-        tu = parse(tokens, full)
-        resolve(tu)
+    for tu in workload_units(workload, seed, workdir, tus):
         for fn in tu.decls:
             if isinstance(fn, FunctionDef):
                 yield build_cfg(fn), fn

@@ -7,7 +7,8 @@ when the unit's checkers return; reference counting must free them, so
 the chain makes no cyclic garbage at all. If a change puts a cycle into
 the CFG, the analyses or the facts, these tests name the types involved.
 What is kept is compact: the units of a header-heavy project share their
-syntactic and derived types, so their number stays under a bound.
+syntactic and derived types, so their number stays under a bound, and
+a recorded constant value is a plain int on its node.
 
 Run as a script for a census of what a whole benchmark pass keeps: live
 tracked objects by type, cyclic collections and their CPU seconds by
@@ -45,6 +46,11 @@ PROJECT_TUS = 8  # of the generated project's 100 units
 # SynBase, 425 SynType and 119 TypeDesc measured. With one of each per
 # declaration there are 1,123, 1,123 and 962.
 SHARED_BOUNDS = {"SynBase": 146, "SynType": 850, "TypeDesc": 238}
+# Bound on the tracked objects the chain over the snippets and PROJECT_TUS
+# units of project_all_rules (seed 5) leaves alive. 15,465 were measured;
+# the kept trees hold 401 expressions with a constant value, so one object
+# per recorded constant would break it.
+LIVE_BOUND = 15_700
 
 # One snippet per shape the checkers read facts for: every per-TU guideline
 # finds something here, and R17.2 sees direct and indirect recursion.
@@ -173,6 +179,18 @@ def test_chain_makes_no_cyclic_garbage(tmp_path, automatic_gc_off):
     gc.set_debug(gc.DEBUG_SAVEALL)
     unreachable = gc.collect()
     assert unreachable == 0, sorted({type(o).__name__ for o in gc.garbage})
+
+
+def test_recorded_constants_keep_no_objects(tmp_path, automatic_gc_off):
+    value_types = {"ConstValue", "IntResult"}
+    values_before, before = _live(value_types), len(gc.get_objects())
+    kept = _run_snippets_and_project(str(tmp_path))
+    gc.collect()
+    grown = len(gc.get_objects()) - before
+    assert kept
+    # Each constant is a plain int on its node: no per-node value object.
+    assert _live(value_types) - values_before == collections.Counter()
+    assert grown <= LIVE_BOUND, grown
 
 
 def test_kept_units_share_their_types(tmp_path, automatic_gc_off):

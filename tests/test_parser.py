@@ -521,3 +521,25 @@ class TestOperandTable:
         classes = {c for c in vars(astnodes).values()
                    if isinstance(c, type) and issubclass(c, Expr) and c is not Expr}
         assert set(astnodes._OPERAND_FIELDS) == classes
+
+
+class TestStructSpecifierCombinations:
+    """C99 6.7.2p2: a struct, union or enum specifier is the only type specifier."""
+
+    @pytest.mark.parametrize("text", [
+        "struct S { int m; } int x;\n",
+        "long struct S { int m; } x;\n",
+        "unsigned enum E { A } e;\n",
+    ])
+    def test_second_type_specifier_is_rejected(self, text):
+        with pytest.raises(ParseError, match="struct, union or enum"):
+            parse_text(text)
+
+    @pytest.mark.parametrize("text", [
+        "struct S { int m; };\nconst volatile struct S s;\n",
+        "struct S { int m; };\nstatic struct S s;\n",
+        "typedef struct S T;\n",
+    ])
+    def test_qualifiers_and_storage_classes_still_combine(self, text):
+        tu = parse_text(text)
+        assert tu.decls[-1].base.record_kind == "struct"
