@@ -3,6 +3,15 @@
 CFG lowering guarantees item expressions are branch-free, so every
 event in the stream happens exactly once when the item executes. The
 canonical order is left-to-right, value before store.
+
+`designate` is the one answer to "which object does this lvalue name, and
+through which pointer?". `.`, casts and subscripts of arrays part an
+object: each names a piece of the object its operand names, so the walk
+goes on down to that object. `*`, `->` and subscripts of pointers (`p[i]`
+and `i[p]` alike) go through a pointer: the lvalue names whatever the
+pointer expression points at, and the walk stops at that expression.
+Reads, stores and `&` here, the points-to address of `&`, and the
+side-effect test of R13.1 and R13.5 all read this one decomposition.
 """
 from __future__ import annotations
 
@@ -27,10 +36,57 @@ class Event:
     pointer: Expr | None = None    # for deref events: the pointer expression
 
 
-def _sym_of(e: Expr) -> Symbol | None:
+def sym_of(e: Expr | None) -> Symbol | None:
+    """The symbol `e` names, if it is an identifier."""
     if isinstance(e, Identifier) and isinstance(e.symbol, Symbol):
         return e.symbol
     return None
+
+
+def designate(e: Expr) -> tuple[Expr | None, Expr | None, list[Expr], bool]:
+    """What the lvalue `e` names: `(object, pointer, operands, indexed)`.
+
+    Exactly one of `object` and `pointer` is set. `object` is the
+    expression that names the whole object `e` is part of: an identifier,
+    or a call or literal. `pointer` is the pointer expression `e` goes
+    through. `operands` are the expressions computing the address
+    evaluates, in source order: the index of every array subscript and,
+    through a pointer, the pointer expression and the other operand of
+    its subscript. `indexed` says whether an array subscript was walked.
+    """
+    ops: list[Expr] = []  # gathered outside in
+    indexed = False
+    obj = pointer = None
+    while pointer is None:
+        cls = type(e)
+        if cls is Cast:
+            e = e.operand
+        elif cls is Member:
+            if e.arrow:
+                pointer = e.base
+                ops.append(pointer)
+            else:
+                e = e.base
+        elif cls is Deref:
+            pointer = e.operand
+            ops.append(pointer)
+        elif cls is Index:
+            base, index = e.base, e.index
+            if index.ctype is not None and index.ctype.kind in (TK.POINTER, TK.ARRAY):
+                base, index = index, base  # `i[p]` is `p[i]`
+            if base.ctype is not None and base.ctype.kind is TK.ARRAY:
+                ops.append(index)
+                indexed = True
+                e = base
+            else:
+                pointer = base
+                ops.append(e.index)
+                ops.append(e.base)
+        else:
+            obj = e
+            break
+    ops.reverse()
+    return obj, pointer, ops, indexed
 
 
 def is_volatile_access(e: Expr) -> bool:
@@ -56,139 +112,82 @@ def walk_effects(e: Expr) -> Iterator[Event]:
     class yields its operands' events in the order `astnodes.operands`
     gives, so nothing under `sizeof` or in a cast's type name counts.
     """
-    if isinstance(e, Identifier):
-        sym = _sym_of(e)
-        if sym is not None and sym.kind in (SymKind.OBJECT,):
+    cls = type(e)
+    if cls is Identifier:
+        sym = sym_of(e)
+        if sym is not None and sym.kind is SymKind.OBJECT:
             if "volatile" in sym.quals:
                 yield Event("volatile", sym=sym, node=e)
             yield Event("read", sym=sym, node=e)
         return
-    if isinstance(e, Assign):
+    if cls is Assign:
         yield from walk_effects(e.value)
         yield from _store_events(e.target, e.value, e)
         return
-    if isinstance(e, CompoundAssign):
+    if cls is CompoundAssign:
         yield from walk_effects(e.value)
         yield from walk_effects(e.target)  # read-modify-write reads the target
         yield from _store_events(e.target, None, e)
         return
-    if isinstance(e, IncDec):
+    if cls is IncDec:
         yield from walk_effects(e.operand)
         yield from _store_events(e.operand, None, e)
         return
-    if isinstance(e, AddrOf):
-        yield from _address_events(e.operand)
+    if cls is AddrOf:
+        # Forming an address reads the pointer and the indices it goes
+        # through, but never the object it names (C99 6.5.3.2).
+        obj, _, ops, _ = designate(e.operand)
+        yield from _address(obj, ops, False)
+        sym = sym_of(obj)
+        if sym is not None:
+            if sym.kind is SymKind.OBJECT:
+                yield Event("addrof", sym=sym, node=obj)
+        elif obj is not None:
+            yield from walk_effects(obj)
         return
-    if isinstance(e, Deref):
-        yield from walk_effects(e.operand)
+    if cls is Deref or cls is Index or cls is Member:
+        obj, pointer, ops, _ = designate(e)
+        yield from _address(obj, ops, obj is not None)
         if is_volatile_access(e):
             yield Event("volatile", node=e)
-        yield Event("deref_read", pointer=e.operand, node=e)
-        return
-    if isinstance(e, Index):
-        yield from walk_effects(e.base)
-        yield from walk_effects(e.index)
-        base_t = e.base.ctype
-        if base_t is not None and base_t.kind in (TK.POINTER, TK.ARRAY):
-            if is_volatile_access(e):
-                yield Event("volatile", node=e)
-            if base_t.kind is TK.POINTER:
-                yield Event("deref_read", pointer=e.base, node=e)
-        return
-    if isinstance(e, Member):
-        yield from walk_effects(e.base)
-        if is_volatile_access(e):
-            yield Event("volatile", node=e)
-        if e.arrow:
-            yield Event("deref_read", pointer=e.base, node=e)
+        if pointer is not None:
+            yield Event("deref_read", pointer=pointer, node=e)
         return
     # Every other class only evaluates its operands, in order; a call then
     # happens. Lowered items hold no comma or conditional, but AST-level
     # callers pass them.
     for x in operands(e):
         yield from walk_effects(x)
-    if type(e) is Call:
+    if cls is Call:
         yield Event("call", node=e)
 
 
+def _address(obj: Expr | None, ops: list[Expr], read_root: bool) -> Iterator[Event]:
+    """The events of computing a designated address.
+
+    The root's when `read_root`, then the operands', in order.
+    """
+    if read_root:
+        yield from walk_effects(obj)
+    for x in ops:
+        yield from walk_effects(x)
+
+
 def _store_events(target: Expr, value: Expr | None, node: Expr) -> Iterator[Event]:
-    if isinstance(target, Identifier):
-        sym = _sym_of(target)
-        if sym is not None:
-            if "volatile" in sym.quals:
-                yield Event("volatile", sym=sym, node=node)
-            yield Event("write", sym=sym, value=value, node=node)
-        return
-    if isinstance(target, Deref):
-        yield from walk_effects(target.operand)
-        if is_volatile_access(target):
-            yield Event("volatile", node=node)
-        yield Event("deref_store", pointer=target.operand, value=value, node=node)
-        return
-    if isinstance(target, Index):
-        yield from walk_effects(target.base)
-        yield from walk_effects(target.index)
-        base_t = target.base.ctype
-        if is_volatile_access(target):
-            yield Event("volatile", node=node)
-        if base_t is not None and base_t.kind is TK.POINTER:
-            yield Event("deref_store", pointer=target.base, value=value, node=node)
-        elif isinstance(target.base, Identifier):
-            sym = _sym_of(target.base)
-            if sym is not None:
-                # Storing into an element keeps the array partially assigned;
-                # model as a write for definite assignment of arrays.
-                yield Event("write", sym=sym, value=None, node=node)
-        return
-    if isinstance(target, Member):
-        if target.arrow:
-            yield from walk_effects(target.base)
-            if is_volatile_access(target):
-                yield Event("volatile", node=node)
-            yield Event("deref_store", pointer=target.base, value=value, node=node)
-        else:
-            if is_volatile_access(target):
-                yield Event("volatile", node=node)
-            root = _member_root(target)
-            if root is not None:
-                yield Event("write", sym=root, value=None, node=node)
-        return
-    if isinstance(target, Cast):
-        yield from _store_events(target.operand, value, node)
-        return
-    yield from walk_effects(target)
+    """The events of storing into `target`: its address, then one store.
 
-
-def _member_root(e: Expr) -> Symbol | None:
-    while isinstance(e, Member) and not e.arrow:
-        e = e.base
-    return _sym_of(e)
-
-
-def _address_events(operand: Expr) -> Iterator[Event]:
-    if isinstance(operand, Identifier):
-        sym = _sym_of(operand)
-        if sym is not None and sym.kind is SymKind.OBJECT:
-            yield Event("addrof", sym=sym, node=operand)
-        return
-    if isinstance(operand, Index):
-        yield from walk_effects(operand.index)
-        base_t = operand.base.ctype
-        if base_t is not None and base_t.kind is TK.ARRAY:
-            yield from _address_events(operand.base)
-        else:
-            yield from walk_effects(operand.base)
-        return
-    if isinstance(operand, Member):
-        if operand.arrow:
-            yield from walk_effects(operand.base)
-        else:
-            yield from _address_events(operand.base)
-        return
-    if isinstance(operand, Deref):
-        yield from walk_effects(operand.operand)
-        return
-    yield from walk_effects(operand)
+    A store into an array element reads the array first and then writes
+    it as a whole, so the array stays assigned once any element is. A
+    store into a member writes the whole object without reading it.
+    """
+    obj, pointer, ops, indexed = designate(target)
+    yield from _address(obj, ops, obj is not None and (indexed or type(obj) is not Identifier))
+    if is_volatile_access(target):
+        yield Event("volatile", node=node)
+    if pointer is not None:
+        yield Event("deref_store", pointer=pointer, value=value, node=node)
+    else:
+        yield Event("write", sym=sym_of(obj), value=value if obj is target else None, node=node)
 
 
 def addr_taken_syms(cfg) -> frozenset[int]:

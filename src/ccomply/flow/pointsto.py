@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from ccomply.flow.cfg import Cfg
-from ccomply.flow.effects import Event
+from ccomply.flow.effects import Event, designate, sym_of
 from ccomply.flow.solver import solve, state_at
 from ccomply.parsing.astnodes import (
     AddrOf, Assign, Binary, Call, Cast, Comma, Conditional, Deref, Expr,
@@ -133,7 +133,13 @@ class _PtEval:
             preview = e.value if len(e.value) <= 24 else e.value[:21] + "..."
             return PointsToSet(frozenset({Target("lit", e.literal_id, preview)}))
         if isinstance(e, AddrOf):
-            return self._address_of(e.operand, env)
+            obj, pointer, _, _ = designate(e.operand)
+            if pointer is not None:
+                return self.eval(pointer, env)
+            sym = sym_of(obj)
+            if sym is not None:
+                return PointsToSet(frozenset({Target("obj", sym.uid, sym.name)}))
+            return UNKNOWN_SET
         if isinstance(e, Cast):
             inner = self.eval(e.operand, env)
             operand_t = e.operand.ctype
@@ -157,23 +163,6 @@ class _PtEval:
             return self.eval(e.right, env)
         if isinstance(e, Conditional):
             return self.eval(e.then, env).union(self.eval(e.other, env))
-        return UNKNOWN_SET
-
-    def _address_of(self, operand: Expr, env: PtEnv) -> PointsToSet:
-        if isinstance(operand, Identifier) and isinstance(operand.symbol, Symbol):
-            sym = operand.symbol
-            return PointsToSet(frozenset({Target("obj", sym.uid, sym.name)}))
-        if isinstance(operand, Index):
-            base_t = operand.base.ctype
-            if base_t is not None and base_t.kind is TK.ARRAY:
-                return self._address_of(operand.base, env)
-            return self.eval(operand.base, env)
-        if isinstance(operand, Member):
-            if operand.arrow:
-                return self.eval(operand.base, env)
-            return self._address_of(operand.base, env)
-        if isinstance(operand, Deref):
-            return self.eval(operand.operand, env)
         return UNKNOWN_SET
 
     def havoc(self, env: PtEnv) -> None:

@@ -40,8 +40,6 @@ __all__ = [
 @dataclass(eq=False, slots=True)
 class Node:
     span: Span = field(kw_only=True, default=None)  # type: ignore[assignment]
-    first_tok: int = field(kw_only=True, default=-1)
-    last_tok: int = field(kw_only=True, default=-1)
 
 
 @dataclass(eq=False, slots=True)
@@ -367,7 +365,7 @@ def for_clauses(node: "For") -> tuple[Optional[Node], Optional["Expr"], Optional
 
 # ---- generic traversal ------------------------------------------------------
 
-_SKIP_FIELDS = {"span", "first_tok", "last_tok", "ctype", "symbol", "behavior", "const_value"}
+_SKIP_FIELDS = {"span", "ctype", "symbol", "behavior", "const_value"}
 
 # Per node class: the names of the fields `children` reads, in field order.
 _CHILD_FIELDS: dict[type, tuple[str, ...]] = {}

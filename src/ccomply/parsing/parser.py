@@ -188,8 +188,6 @@ class Parser:
             ))
         else:
             node.span = self.span_from(start_index)
-        node.first_tok = start_index
-        node.last_tok = end_index
         return node
 
     # ---- scopes ---------------------------------------------------------
@@ -230,10 +228,7 @@ class Parser:
         decls: list[Node] = []
         while self._pad[self.i] is not None:
             decls.append(self.parse_external_declaration())
-        tu = TranslationUnitAst(decls, path=self.path, span=self.span_from(0))
-        tu.first_tok = 0
-        tu.last_tok = len(self.toks) - 1
-        return tu
+        return TranslationUnitAst(decls, path=self.path, span=self.span_from(0))
 
     def parse_external_declaration(self) -> Node:
         start = self.i

@@ -5,12 +5,12 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
-from ccomply.flow.effects import is_volatile_access, walk_effects
+from ccomply.flow.effects import walk_effects
 from ccomply.parsing.astnodes import (
     AddrOf, Assign, Binary, Call, Cast, Comma, CompoundAssign, Conditional,
     Declaration, Deref, DoWhile, Expr, ExprStmt, For, FunctionDef, Identifier,
     If, IncDec, Index, InitList, Member, Node, NodeIndex, Return, Sizeof,
-    Switch, Unary, While, children, for_clauses, operands, walk, walk_operands,
+    Switch, Unary, While, children, for_clauses, operands, walk,
 )
 from ccomply.rules.context import FunctionFacts, TUFacts
 from ccomply.rules.findings import BehaviorClass, Certainty, Evidence, Finding
@@ -75,18 +75,12 @@ def check_int_pointer_conversion(
 # ---- side-effect predicate shared by R13.1 / R13.5 ------------------------------
 
 
+_SIDE_EFFECTS = frozenset({"write", "deref_store", "call", "volatile"})
+
+
 def _has_side_effect(e: Expr) -> bool:
     """Does evaluating `e` store, call, or access a volatile object?"""
-    for node in walk_operands(e):
-        if isinstance(node, (Assign, CompoundAssign, IncDec, Call)):
-            return True
-        if isinstance(node, Identifier):
-            sym = node.symbol
-            if sym is not None and "volatile" in getattr(sym, "quals", frozenset()):
-                return True
-        if isinstance(node, (Deref, Index, Member)) and is_volatile_access(node):
-            return True
-    return False
+    return any(ev.kind in _SIDE_EFFECTS for ev in walk_effects(e))
 
 
 def check_initializer_side_effects(

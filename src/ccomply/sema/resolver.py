@@ -266,9 +266,7 @@ class Resolver:
                             "variable-length arrays are not supported",
                             deriv.size.span.start if deriv.size.span else None,
                         )
-                    if length < 0:
-                        raise SemaError(f"array length must be non-negative, got {length}")
-                t = types.array(t, length)
+                t = types.array(t, length)  # raises on a negative length
             elif isinstance(deriv, SynFunc):
                 params: tuple[TypeDesc, ...] | None = None
                 if deriv.params is not None:
@@ -286,9 +284,15 @@ class Resolver:
         # Defines the declaration's tag and enumerators once for all its declarators.
         base_t = self.syn_base_type(decl.base)
         for entry in decl.entries:
-            entry.symbol = self._declare_entry(entry, decl.base, base_t)
+            entry.symbol = sym = self._declare_entry(entry, decl.base, base_t)
             if entry.init is not None:
                 self._resolve_initializer(entry.init)
+                t = sym.type
+                if t.kind is TK.ARRAY and t.length is None:
+                    # C99 6.7.8p22: the initializer completes an array of unknown size.
+                    length = self._initializer_length(t.elem, entry.init)
+                    if length is not None:
+                        sym.type = self.types.qualified(self.types.array(t.elem, length), t.quals)
 
     def _declare_entry(self, entry: DeclEntry, base: SynBase, base_t: TypeDesc) -> Symbol:
         t = self.syn_type(entry.syntype, base_t)
@@ -330,6 +334,40 @@ class Resolver:
                 self._resolve_initializer(element)
         else:
             self.type_expr(init)
+
+    def _initializer_length(self, elem: TypeDesc, init: Expr) -> int | None:
+        """How many `elem`s `init` gives an array declared without a size."""
+        if not isinstance(init, InitList):
+            return len(init.value) + 1 if isinstance(init, StringLiteral) else None
+        items = init.elements
+        if len(items) == 1 and isinstance(items[0], StringLiteral) and is_integer(elem):
+            return len(items[0].value) + 1  # `char s[] = {"abc"}` (C99 6.7.8p14)
+        n = i = 0
+        while i < len(items):
+            i, n = self._elided_fill(elem, items, i), n + 1
+        return n
+
+    def _elided_fill(self, t: TypeDesc, items: list[Expr], i: int) -> int:
+        """The index past the items that initialize one `t` from `items[i]` on.
+
+        An aggregate whose braces are left out takes one item per scalar
+        (C99 6.7.8p20); a braced list, a string for a char array or a value
+        of the record's own type initializes it whole.
+        """
+        item, members = items[i], []
+        if isinstance(item, InitList):
+            return i + 1
+        if t.kind is TK.ARRAY and not (isinstance(item, StringLiteral) and is_integer(t.elem)):
+            members = [t.elem] * (t.length or 0)
+        elif t.kind is TK.RECORD and item.ctype.record is not t.record:
+            members = [mt for _, mt, _ in t.record.members]
+            if t.record.kind == "union":
+                members = members[:1]  # only the first member is initialized
+        end = i + 1
+        for mt in members:
+            if i < len(items):
+                i = end = self._elided_fill(mt, items, i)
+        return end
 
     def _function_def(self, fn: FunctionDef) -> None:
         # The parser puts the parameter list outermost: derivs[0] is a SynFunc.
@@ -607,8 +645,9 @@ class Resolver:
                 target = self.type_expr(e.operand)
             try:
                 e.const_value = sizeof_type(target, model)
-            except SemaError:
-                pass  # an incomplete or function type: not constant
+            except SemaError as err:
+                # C99 6.5.3.4p1: no `sizeof` of an incomplete or function type.
+                raise SemaError(err.message, e.span.start if e.span else None) from None
             return make_int(model.pointer_bits, False)
 
         if isinstance(e, InitList):

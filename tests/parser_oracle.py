@@ -175,8 +175,6 @@ class Parser:
 
     def _finish(self, node: Node, start_index: int) -> Node:
         node.span = self.span_from(start_index)
-        node.first_tok = start_index
-        node.last_tok = max(start_index, self.i - 1)
         return node
 
     # ---- scopes ---------------------------------------------------------
@@ -219,10 +217,7 @@ class Parser:
         decls: list[Node] = []
         while self.peek() is not None:
             decls.append(self.parse_external_declaration())
-        tu = TranslationUnitAst(decls, path=self.path, span=self.span_from(0))
-        tu.first_tok = 0
-        tu.last_tok = len(self.toks) - 1
-        return tu
+        return TranslationUnitAst(decls, path=self.path, span=self.span_from(0))
 
     def parse_external_declaration(self) -> Node:
         start = self.i

@@ -321,7 +321,7 @@ def _reference_children(node):
                 if e is not None:
                     out.append(e)
 
-    skip = {"span", "first_tok", "last_tok", "ctype", "symbol", "behavior"}
+    skip = {"span", "ctype", "symbol", "behavior"}
     for f in fields(node):
         if f.name not in skip:
             collect(getattr(node, f.name))
@@ -375,18 +375,6 @@ def test_parse_is_deterministic():
     text = CORPUS_SAMPLES[2]
     a, b = parse_text(text), parse_text(text)
     assert structural_equal(a, b)
-
-
-def test_every_token_covered_by_tu_range():
-    text = "int x;\nvoid f(void) { g(1, 2); }\n"
-    toks, _, _, _ = pp_text(text)
-    tu = parse(toks, "t.c")
-    assert tu.first_tok == 0
-    assert tu.last_tok == len(toks) - 1
-    covered = set()
-    for d in tu.decls:
-        covered.update(range(d.first_tok, d.last_tok + 1))
-    assert covered == set(range(len(toks)))
 
 
 def test_trailing_garbage_is_error():

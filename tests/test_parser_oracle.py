@@ -3,9 +3,8 @@
 The new parser reads a padded token list and takes a fast path for
 operands that begin with an identifier or a number; the oracle is the
 earlier parser verbatim. On every token stream both must give the same
-tree, field for field (spans, `first_tok`, `last_tok` and the expansion
-trail `via` included), or raise the same exception class with the same
-message and location.
+tree, field for field (spans and the expansion trail `via` included), or
+raise the same exception class with the same message and location.
 
 One divergence is allowed, in one direction only: where the oracle runs
 out of Python stack (`RecursionError`), the new parser may parse the input

@@ -1,10 +1,11 @@
+import re
 from dataclasses import FrozenInstanceError, fields, is_dataclass
 
 import pytest
 
 from ccomply.errors import SemaError, UnsupportedConstructError
 from ccomply.parsing import (
-    QUALIFIER_SETS, Assign, Binary, Declaration, ExprStmt, FunctionDef, Identifier,
+    QUALIFIER_SETS, Assign, Binary, Call, Declaration, ExprStmt, FunctionDef, Identifier,
     Return, SynBase, SynPtr, SynType, astnodes, parse, walk,
 )
 from ccomply.sema import (
@@ -576,3 +577,50 @@ class TestComparisonOperands:
         cmp = [n for n in walk(fn.body) if isinstance(n, Binary)
                and n.op in ("==", "!=", "<", ">", "<=", ">=")][0]
         assert cmp.ctype.kind is TK.INT and cmp.ctype.width == 32
+
+
+class TestSizeofOperand:
+    """C99 6.5.3.4p1: `sizeof` takes no incomplete or function type."""
+
+    PRELUDE = "extern void use(unsigned long);\n"
+
+    @pytest.mark.parametrize("decls, expr, message", [
+        ("", "sizeof(void)", "sizeof(void) is not defined"),
+        ("extern int a[];\n", "sizeof a", "sizeof an incomplete array type"),
+        ("struct S;\n", "sizeof(struct S)", "sizeof an incomplete record type"),
+        ("extern int g(void);\n", "sizeof g", "sizeof not defined for"),
+    ])
+    def test_rejected_at_the_sizeof(self, decls, expr, message):
+        text = f"{self.PRELUDE}{decls}void f(void) {{\n  use({expr});\n}}\n"
+        with pytest.raises(SemaError, match=re.escape(message)) as info:
+            analyze(text)
+        assert (info.value.loc.line, info.value.loc.column) == (decls.count("\n") + 3, 7)
+
+    def test_record_completed_later_is_rejected_before_and_folds_after(self):
+        early = "struct S;\nunsigned long n = sizeof(struct S);\nstruct S { int m; };\n"
+        with pytest.raises(SemaError, match="incomplete record type"):
+            analyze(early)
+        tu, _ = analyze("struct S;\nstruct S { int m; };\nunsigned long n = sizeof(struct S);\n")
+        assert tu.decls[-1].entries[0].init.const_value == 4
+
+    @pytest.mark.parametrize("decl, expr, value", [
+        ("int a[] = {1, 2, 3};", "sizeof a / sizeof a[0]", 3),
+        ('char s[] = "abc";', "sizeof s", 4),
+        ('char s[] = {"ab"};', "sizeof s", 3),
+        ('char *s[] = {"ab"};', "sizeof s / sizeof s[0]", 1),
+        ('char s[][4] = {"ab", "cd"};', "sizeof s", 8),
+        ("int m[][2] = {{1, 2}, {3, 4}, {5, 6}};", "sizeof m / sizeof m[0]", 3),
+        ("int m[][2] = {1, 2, 3};", "sizeof m / sizeof m[0]", 2),
+        ("struct P { int x; int y; };\nstruct P p[] = {1, 2, 3, 4, {5}};", "sizeof p / sizeof p[0]", 3),
+        ("struct P { int x; int y; };\nstruct P p[] = {1, 2, 3, {4}};", "sizeof p / sizeof p[0]", 2),
+        ("struct P { int x; int y; };\nstruct P q = {1, 2};\nstruct P p[] = {q, q};",
+         "sizeof p / sizeof p[0]", 2),
+        ("union U { int i; char c; };\nunion U u[] = {1, 2};", "sizeof u / sizeof u[0]", 2),
+    ])
+    def test_initializer_completes_an_array_of_unknown_size(self, decl, expr, value):
+        # C99 6.7.8p22: the initializer gives the array its length.
+        tu, _ = analyze(f"{decl}\nunsigned long n = {expr};\n")
+        assert tu.decls[-1].entries[0].init.const_value == value
+        local, _ = analyze(f"extern void use(unsigned long);\nvoid f(void) {{\n{decl}\nuse({expr});\n}}\n")
+        call = [n for n in walk(local.decls[-1].body) if isinstance(n, Call)][0]
+        assert call.args[0].const_value == value
