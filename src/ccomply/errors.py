@@ -1,7 +1,10 @@
 """Error types shared across the analysis pipeline."""
 from __future__ import annotations
 
-from ccomply.source import Location
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from ccomply.source import Location
 
 
 class CcomplyError(Exception):

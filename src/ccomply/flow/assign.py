@@ -28,7 +28,7 @@ from enum import IntEnum
 
 from ccomply.flow.cfg import Block, Cfg, DeclItem
 from ccomply.flow.solver import solve
-from ccomply.parsing.astnodes import Identifier
+from ccomply.parsing.astnodes import DeclEntry, Identifier
 from ccomply.sema.symbols import Symbol
 
 
@@ -55,7 +55,8 @@ class ReadEvent:
 @dataclass
 class DefAssignResult:
     reads: list[ReadEvent] = field(default_factory=list)
-    decl_spans: dict[int, object] = field(default_factory=dict)
+    # uid -> the declarator of each local declared without an initializer.
+    decl_entries: dict[int, DeclEntry] = field(default_factory=dict)
     iterations: int = 0
 
 
@@ -111,7 +112,7 @@ def definite_assignment(cfg: Cfg) -> DefAssignResult:
                     out.append((idx, None, both, 0))
                 else:
                     out.append((idx, None, both, both))
-                    result.decl_spans[item.symbol.uid] = item.entry.span
+                    result.decl_entries[item.symbol.uid] = item.entry
         events(b.term_events, len(b.items))
         return out
 

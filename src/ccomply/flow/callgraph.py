@@ -16,15 +16,17 @@ from ccomply.parsing.astnodes import (
     TranslationUnitAst, children, operands,
 )
 from ccomply.sema.symbols import SymKind, Symbol, SymbolTable
-from ccomply.source import Span
+from ccomply.source import Extent
 
 
 @dataclass
 class CallGraph:
     nodes: set[str] = field(default_factory=set)
     direct_edges: set[tuple[str, str]] = field(default_factory=set)
-    indirect_call_sites: list[tuple[str, Span]] = field(default_factory=list)
-    def_spans: dict[str, Span] = field(default_factory=dict)
+    # (caller, the call) for every call through a pointer expression.
+    indirect_call_sites: list[tuple[str, Call]] = field(default_factory=list)
+    # Where each defined function is reported: its symbol or its definition.
+    definitions: dict[str, Extent] = field(default_factory=dict)
     display: dict[str, str] = field(default_factory=dict)
 
 
@@ -62,15 +64,15 @@ def build_call_graph(units: list[tuple[TranslationUnitAst, SymbolTable]]) -> Cal
                 cid = sym.canonical_id()
                 graph.nodes.add(cid)
                 graph.display.setdefault(cid, sym.name)
-                if sym.defined and cid not in graph.def_spans:
-                    graph.def_spans[cid] = sym.def_span
+                if sym.defined and cid not in graph.definitions:
+                    graph.definitions[cid] = sym
     for tu, table in units:
         for decl in tu.decls:
             if not isinstance(decl, FunctionDef):
                 continue
             caller = decl.symbol.canonical_id()
             graph.nodes.add(caller)
-            graph.def_spans.setdefault(caller, decl.span)
+            graph.definitions.setdefault(caller, decl)
             for node in _evaluated_calls(decl.body):
                 target = _callee_symbol(node.callee)
                 if target is not None:
@@ -79,7 +81,7 @@ def build_call_graph(units: list[tuple[TranslationUnitAst, SymbolTable]]) -> Cal
                     graph.display.setdefault(callee, target.name)
                     graph.direct_edges.add((caller, callee))
                 else:
-                    graph.indirect_call_sites.append((caller, node.span))
+                    graph.indirect_call_sites.append((caller, node))
     return graph
 
 

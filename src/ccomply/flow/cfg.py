@@ -27,11 +27,11 @@ from ccomply.flow.effects import Event
 from ccomply.parsing.astnodes import (
     Assign, Binary, Break, Comma, CompoundStmt, Conditional, Constant, Continue,
     DeclEntry, Declaration, DoWhile, Expr, ExprStmt, For, FunctionDef, Goto,
-    Identifier, If, Label, Node, Return, Switch, Unary, While, operand_fields,
+    Identifier, If, Label, Node, Return, Switch, Unary, While, operand_fields, placed,
 )
 from ccomply.sema.symbols import Linkage, Storage, SymKind, Symbol
 from ccomply.sema.typesys import DEFAULT_MODEL, IntegerModel, make_int
-from ccomply.source import Span
+from ccomply.source import Extent
 
 
 class EdgeKind(Enum):
@@ -108,16 +108,18 @@ class Block:
     id: int
     items: list[Item] = field(default_factory=list)
     term: TBranch | TSwitch | TJump | TReturn | None = None
-    span_hint: Span | None = None
+    # The first statement, declarator or expression lowered into the block
+    # that has a source extent; R2.1 reports unreachable code there.
+    anchor: Extent | None = None
     is_loop_head: bool = False
     unlinked_reason: tuple[Expr, int] | None = None  # (condition, folded value)
     preds: list[int] = field(default_factory=list)
     succs: list[tuple[int, EdgeKind]] = field(default_factory=list)
     reachable: bool = True
 
-    def note_span(self, span: Span | None) -> None:
-        if self.span_hint is None and span is not None:
-            self.span_hint = span
+    def note(self, holder: Extent) -> None:
+        if self.anchor is None and holder.start is not None:
+            self.anchor = holder
 
     @property
     def term_expr(self) -> Expr | None:
@@ -216,14 +218,15 @@ class CfgBuilder:
         # never a symbol-table uid (those are >= 0).
         name = f"$t{self.temp_count}"
         self.temp_count += 1
-        span = self.fn.span
+        fn = self.fn
         return Symbol(
             name, SymKind.OBJECT, ctype or make_int(self.model.int_bits, True),
-            0, Storage.AUTO, Linkage.NONE, span, is_temp=True, uid=-self.temp_count,
+            0, Storage.AUTO, Linkage.NONE, fn.start, fn.end, fn.via,
+            is_temp=True, uid=-self.temp_count,
         )
 
-    def temp_ref(self, temp: Symbol, span: Span) -> Identifier:
-        ref = Identifier(temp.name, span=span)
+    def temp_ref(self, temp: Symbol, at: Expr) -> Identifier:
+        ref = placed(Identifier(temp.name), at)
         ref.symbol = temp
         ref.ctype = temp.type
         return ref
@@ -240,7 +243,7 @@ class CfgBuilder:
             if target is None:
                 raise SemaError(
                     f"goto to undefined label {name!r}",
-                    node.span.start if node.span else None,
+                    node.loc,
                 )
             block.term = TJump(target, EdgeKind.JUMP)
         cfg = Cfg(self.fn, self.blocks, entry.id, self.exit_id)
@@ -253,7 +256,7 @@ class CfgBuilder:
         """Lower one statement; returns the open block or None after a jump."""
         if cur is None:
             cur = self.new_block()  # unreachable continuation after a jump
-        cur.note_span(node.span)
+        cur.note(node)
 
         if isinstance(node, CompoundStmt):
             for item in node.items:
@@ -268,7 +271,7 @@ class CfgBuilder:
                 if init is not None:
                     init, cur = self._expr(init, cur)
                 cur.items.append(DeclItem(entry.symbol, init, entry, node))
-                cur.note_span(entry.span)
+                cur.note(entry)
             return cur
 
         if isinstance(node, ExprStmt):
@@ -293,7 +296,7 @@ class CfgBuilder:
         if isinstance(node, While):
             head = self.new_block()
             head.is_loop_head = True
-            head.note_span(node.cond.span)
+            head.note(node.cond)
             cur.term = TJump(head.id, EdgeKind.FALLTHROUGH)
             body_b = self.new_block()
             after = self.new_block()
@@ -320,7 +323,7 @@ class CfgBuilder:
             self.loops.pop()
             if end_body is not None:
                 end_body.term = TJump(cond_b.id, EdgeKind.FALLTHROUGH)
-            cond_b.note_span(node.cond.span)
+            cond_b.note(node.cond)
             self._cond(node.cond, body_b.id, after.id, cond_b, node)
             return after
 
@@ -331,7 +334,7 @@ class CfgBuilder:
                 cur = self._expr_statement(node.init, node, cur)
             head = self.new_block()
             head.is_loop_head = True
-            head.note_span(node.cond.span if node.cond is not None else node.span)
+            head.note(node.cond if node.cond is not None else node)
             cur.term = TJump(head.id, EdgeKind.FALLTHROUGH)
             body_b = self.new_block()
             step_b = self.new_block()
@@ -374,28 +377,24 @@ class CfgBuilder:
 
         if isinstance(node, Label):
             target = self.new_block()
-            target.note_span(node.span)
+            target.note(node)
             if cur is not None:
                 cur.term = TJump(target.id, EdgeKind.FALLTHROUGH)
             if node.kind == "named":
                 if node.name in self.labels:
-                    raise SemaError(f"duplicate label {node.name!r}",
-                                    node.span.start if node.span else None)
+                    raise SemaError(f"duplicate label {node.name!r}", node.loc)
                 self.labels[node.name] = target.id
                 target.is_loop_head = True  # goto may form a loop through here
             elif node.kind == "case":
                 if not self.switches:
-                    raise SemaError("'case' label outside switch",
-                                    node.span.start if node.span else None)
+                    raise SemaError("'case' label outside switch", node.loc)
                 value = node.case_expr.const_value
                 if value is None:
-                    raise SemaError("case label requires a constant",
-                                    node.span.start if node.span else None)
+                    raise SemaError("case label requires a constant", node.loc)
                 self.switches[-1].cases.append((value, target.id))
             else:
                 if not self.switches:
-                    raise SemaError("'default' label outside switch",
-                                    node.span.start if node.span else None)
+                    raise SemaError("'default' label outside switch", node.loc)
                 self.switches[-1].default_target = target.id
             return self._stmt(node.stmt, target)
 
@@ -405,15 +404,13 @@ class CfgBuilder:
 
         if isinstance(node, Break):
             if not self.breakables:
-                raise SemaError("'break' outside loop or switch",
-                                node.span.start if node.span else None)
+                raise SemaError("'break' outside loop or switch", node.loc)
             cur.term = TJump(self.breakables[-1], EdgeKind.JUMP)
             return None
 
         if isinstance(node, Continue):
             if not self.loops:
-                raise SemaError("'continue' outside loop",
-                                node.span.start if node.span else None)
+                raise SemaError("'continue' outside loop", node.loc)
             cur.term = TJump(self.loops[-1].continue_target, EdgeKind.JUMP)
             return None
 
@@ -446,7 +443,7 @@ class CfgBuilder:
             return join
         lowered, cur = self._expr(expr, cur)
         cur.items.append(EvalItem(lowered, stmt))
-        cur.note_span(expr.span)
+        cur.note(expr)
         return cur
 
     def _expr(self, e: Expr, cur: Block) -> tuple[Expr, Block]:
@@ -458,13 +455,13 @@ class CfgBuilder:
             join = self.new_block()
             self._cond(e, true_b.id, false_b.id, cur, e)
             for blk, value in ((true_b, 1), (false_b, 0)):
-                const = Constant(str(value), value, False, span=e.span)
+                const = placed(Constant(str(value), value, False), e)
                 const.ctype, const.const_value = temp.type, value
-                assign = Assign(self.temp_ref(temp, e.span), const, span=e.span)
+                assign = placed(Assign(self.temp_ref(temp, e), const), e)
                 assign.ctype = temp.type
                 blk.items.append(EvalItem(assign, e))
                 blk.term = TJump(join.id, EdgeKind.FALLTHROUGH)
-            return self.temp_ref(temp, e.span), join
+            return self.temp_ref(temp, e), join
 
         if isinstance(e, Conditional):
             temp = self.new_temp(e.ctype)
@@ -474,11 +471,11 @@ class CfgBuilder:
             self._cond(e.cond, then_b.id, else_b.id, cur, e)
             for blk, branch in ((then_b, e.then), (else_b, e.other)):
                 value, end = self._expr(branch, blk)
-                assign = Assign(self.temp_ref(temp, branch.span), value, span=branch.span)
+                assign = placed(Assign(self.temp_ref(temp, branch), value), branch)
                 assign.ctype = temp.type
                 end.items.append(EvalItem(assign, e))
                 end.term = TJump(join.id, EdgeKind.FALLTHROUGH)
-            return self.temp_ref(temp, e.span), join
+            return self.temp_ref(temp, e), join
 
         if isinstance(e, Comma):
             left, cur = self._expr(e.left, cur)
@@ -506,7 +503,7 @@ class CfgBuilder:
 
     def _cond(self, e: Expr, true_t: int, false_t: int, cur: Block, node: Node) -> None:
         """Lower a boolean context; always terminates `cur`'s chain."""
-        cur.note_span(e.span)
+        cur.note(e)
         if isinstance(e, Binary) and e.op == "&&":
             mid = self.new_block()
             self._cond(e.left, mid.id, false_t, cur, node)

@@ -52,7 +52,7 @@ from ccomply.flow.solver import solve, state_at
 from ccomply.parsing.astnodes import (
     AddrOf, Assign, Binary, Call, Cast, Comma, CompoundAssign, Conditional,
     Constant, Deref, Expr, Identifier, IncDec, Index, InitList, Member,
-    Sizeof, StringLiteral, Unary, operands,
+    Sizeof, StringLiteral, Unary, operands, placed,
 )
 from ccomply.sema.intarith import truncating_divmod
 from ccomply.sema.symbols import SymKind, Symbol
@@ -455,7 +455,7 @@ class _AbstractEval:
         return assign, True
 
     def _lower_compound_assign(self, e, mutate):
-        synth = Binary(e.op, e.target, e.value, span=e.span)
+        synth = placed(Binary(e.op, e.target, e.value), e)
         synth.ctype = e.ctype
         value, changes = self._lower(synth, mutate)
         full = self.full(e.ctype)

@@ -62,7 +62,7 @@ def solve(
             raise FlowError(
                 f"{analysis} did not stabilise within {budget} block visits "
                 f"in function '{fn.name}'",
-                fn.span.start if fn.span else None,
+                fn.loc,
             )
         for target, out in transfer(bid, states[bid]):
             if out is None:

@@ -1,8 +1,9 @@
 """Preprocessing-token lexer for 8-bit C99 source.
 
-Tokens keep their physical (line, column) origin: positions always refer
-to the real text. Comments count as whitespace. Trigraphs, digraphs, and
-wide literals are outside the subset and raise UnsupportedConstructError.
+Tokens keep their physical (line, column) origin, packed into one int
+(`source.pack`): positions always refer to the real text. Comments count
+as whitespace. Trigraphs, digraphs, and wide literals are outside the
+subset and raise UnsupportedConstructError.
 
 A backslash-newline splice joins the text of an identifier, a pp-number,
 a string literal or a character constant; it is dropped from the lexeme.
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from ccomply.errors import LexError, UnsupportedConstructError
-from ccomply.source import ExpansionFrame, Location, SourceFile
+from ccomply.source import ExpansionFrame, Location, SourceFile, pack, unpack
 
 
 class TokenKind(Enum):
@@ -40,20 +41,29 @@ class PPToken:
     Nothing sets a field after construction, because a token may be
     shared: the tokens of an included file serve every translation unit
     that includes it, and macro bodies are shared by every expansion.
+    `pos` is the packed physical position; `origin` decodes it.
     """
 
     kind: TokenKind
     lexeme: str
-    origin: Location
+    pos: int
     chain: tuple[ExpansionFrame, ...] = ()
     at_bol: bool = False
     ws_before: bool = True
     no_expand: frozenset[str] = frozenset()
 
     @property
-    def report_site(self) -> Location:
+    def origin(self) -> Location:
+        return unpack(self.pos)
+
+    @property
+    def report_pos(self) -> int:
         """Where a human should look: outermost invocation for macro text."""
-        return self.chain[0].site if self.chain else self.origin
+        return self.chain[0].pos if self.chain else self.pos
+
+    @property
+    def report_site(self) -> Location:
+        return unpack(self.report_pos)
 
     def is_punct(self, lexeme: str) -> bool:
         return self.kind is TokenKind.PUNCT and self.lexeme == lexeme
@@ -141,7 +151,7 @@ def lex(source: SourceFile) -> list[PPToken]:
         kind = token_kinds.get(group)
         if kind is not None:
             lexeme = m.group()
-            origin = Location(file, line, pos - line_start + 1)
+            origin = pack(file, line, pos - line_start + 1)
             if "\\\n" in lexeme:
                 line += lexeme.count("\n")
                 line_start = text.rindex("\n", pos, nxt) + 1
@@ -149,9 +159,9 @@ def lex(source: SourceFile) -> list[PPToken]:
             # Only an identifier can be `L`, only a character constant `''`.
             if lexeme == "L" and text[nxt:nxt + 1] in ("'", '"'):
                 raise UnsupportedConstructError(
-                    "wide character/string literals are not supported", origin)
+                    "wide character/string literals are not supported", unpack(origin))
             if lexeme == "''":
-                raise LexError("empty character constant", origin)
+                raise LexError("empty character constant", unpack(origin))
             append(PPToken(kind, lexeme, origin, (), at_bol, ws_before))
             at_bol = ws_before = False
         elif group == "ws" or group == "line_comment":
@@ -171,7 +181,7 @@ def lex(source: SourceFile) -> list[PPToken]:
             line_start = nxt
         else:
             ch = text[pos]
-            origin = Location(file, line, pos - line_start + 1)
+            origin = pack(file, line, pos - line_start + 1)
             _reject(group, ch, origin)
             append(PPToken(TokenKind.OTHER, ch, origin, (), at_bol, ws_before))
             at_bol = ws_before = False
@@ -179,25 +189,25 @@ def lex(source: SourceFile) -> list[PPToken]:
     return tokens
 
 
-def _reject(group: str, ch: str, origin: Location) -> None:
+def _reject(group: str, ch: str, origin: int) -> None:
     """Raise the error that a match of `group` at `ch` means, if any.
 
     Only a character that no other alternative takes may lex as OTHER.
     """
     if group == "open_comment":
-        raise LexError("unterminated block comment", origin)
+        raise LexError("unterminated block comment", unpack(origin))
     if group == "trigraph":
-        raise UnsupportedConstructError("trigraph sequences are not supported", origin)
+        raise UnsupportedConstructError("trigraph sequences are not supported", unpack(origin))
     if group == "digraph":
-        raise UnsupportedConstructError("digraph sequences are not supported", origin)
+        raise UnsupportedConstructError("digraph sequences are not supported", unpack(origin))
     if ch == '"':
-        raise LexError("unterminated string literal", origin)
+        raise LexError("unterminated string literal", unpack(origin))
     if ch == "'":
-        raise LexError("unterminated character constant", origin)
+        raise LexError("unterminated character constant", unpack(origin))
     if not 0x20 <= ord(ch) < 0x80:  # blanks and newlines never get here
-        raise LexError(f"invalid byte 0x{ord(ch):02x} in source", origin)
+        raise LexError(f"invalid byte 0x{ord(ch):02x} in source", unpack(origin))
     if ch in "\\@`$":
-        raise LexError(f"unexpected character {ch!r}", origin)
+        raise LexError(f"unexpected character {ch!r}", unpack(origin))
 
 
 # C99 6.4.4.1: a hexadecimal, octal or decimal digit sequence, then an

@@ -37,7 +37,7 @@ from ccomply.sema.intarith import IntResult, binary, result_type, unary, unary_t
 from ccomply.sema.typesys import (
     IntegerModel, TypeDesc, convert_int, int_constant_type, make_int, usual_arith_conversion,
 )
-from ccomply.source import ExpansionFrame, Location, SourceFile, SourceManager
+from ccomply.source import ExpansionFrame, Location, SourceFile, SourceManager, pack, unpack
 
 INCLUDE_DEPTH_LIMIT = 64
 
@@ -58,12 +58,16 @@ class MacroDef:
     name: str
     body: tuple[PPToken, ...]
     params: tuple[str, ...] | None = None  # None = object-like
-    def_site: Location | None = None
+    def_pos: int | None = None  # packed position of the macro's name
     # The hide set of a top-level expansion: {name}.
     hide: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "hide", frozenset((self.name,)))
+
+    @property
+    def def_site(self) -> Location | None:
+        return None if self.def_pos is None else unpack(self.def_pos)
 
     @property
     def function_like(self) -> bool:
@@ -77,8 +81,12 @@ class MacroDef:
 
 @dataclass(frozen=True)
 class PragmaRecord:
-    loc: Location
+    pos: int  # packed position of the `#pragma` or `_Pragma`
     text: str
+
+    @property
+    def loc(self) -> Location:
+        return unpack(self.pos)
 
 
 class SourceMap:
@@ -177,7 +185,7 @@ class _CondFrame:
     active: bool  # implies parent_active, so the top frame decides activity
     taken: bool
     saw_else: bool = False
-    site: Location | None = None
+    site: int | None = None  # packed position of the opening directive
 
 
 class _Preprocessor:
@@ -200,15 +208,16 @@ class _Preprocessor:
         lines: list[tuple[int, int]],
         defines: dict[int, MacroDef],
         depth: int,
-        site: Location | None,
+        site: int | None,
     ) -> None:
         """Preprocess one file; `lines` are its `_directive_lines` and
         `defines` holds the definitions parsed from its `#define` lines,
-        keyed by the index of the '#'."""
+        keyed by the index of the '#'. `site` is the packed position of
+        the `#include` that reached it."""
         if depth > INCLUDE_DEPTH_LIMIT:
             raise PreprocessError(
                 f"include depth exceeded ({INCLUDE_DEPTH_LIMIT}) while including {source.path}",
-                site,
+                unpack(site),
             )
         stream = _Stream(tokens)
         conds: list[_CondFrame] = []
@@ -220,7 +229,7 @@ class _Preprocessor:
         if self.active:
             self._text(stream, len(tokens))
         if conds:
-            raise PreprocessError("unmatched conditional at end of file", conds[-1].site)
+            raise PreprocessError("unmatched conditional at end of file", unpack(conds[-1].site))
 
     def _text(self, stream: _Stream, limit: int) -> None:
         """Expand the text up to the directive at `limit` into the output."""
@@ -268,10 +277,10 @@ class _Preprocessor:
 
         if name in ("if", "ifdef", "ifndef"):
             if not self.active:
-                conds.append(_CondFrame(False, False, True, site=head.origin))
+                conds.append(_CondFrame(False, False, True, site=head.pos))
                 return
             value = self._conditional_value(name, rest, head)
-            conds.append(_CondFrame(True, value, value, site=head.origin))
+            conds.append(_CondFrame(True, value, value, site=head.pos))
             self.active = value
             return
         if name == "elif":
@@ -317,7 +326,7 @@ class _Preprocessor:
         if name == "error":
             raise PreprocessError(f"#error {render_tokens(rest)}".rstrip(), head.origin)
         if name == "pragma":
-            self.pragmas.append(PragmaRecord(head.origin, render_tokens(rest)))
+            self.pragmas.append(PragmaRecord(head.pos, render_tokens(rest)))
             return
         if name == "line":
             raise UnsupportedConstructError("#line is not supported", head.origin)
@@ -354,7 +363,7 @@ class _Preprocessor:
                     if j >= len(tokens) or not tokens[j].is_punct(")"):
                         raise PreprocessError("missing ')' after 'defined ('", t.origin)
                 value = "1" if name in self.macros else "0"
-                out.append(PPToken(TokenKind.NUMBER, value, t.origin, chain=t.chain))
+                out.append(PPToken(TokenKind.NUMBER, value, t.pos, chain=t.chain))
                 i = j + 1
                 continue
             out.append(t)
@@ -406,7 +415,7 @@ class _Preprocessor:
                 raise UnsupportedConstructError(
                     "stringize/paste operators in macro bodies are not supported", t.origin
                 )
-        return MacroDef(name_tok.lexeme, body, params, name_tok.origin)
+        return MacroDef(name_tok.lexeme, body, params, name_tok.pos)
 
     def _define(self, macro: MacroDef) -> None:
         existing = self.macros.get(macro.name)
@@ -432,7 +441,7 @@ class _Preprocessor:
             manager.defines[included.id] = {}
         self.process_file(
             included, tokens, manager.directive_lines[included.id],
-            manager.defines[included.id], depth + 1, head.origin,
+            manager.defines[included.id], depth + 1, head.pos,
         )
 
     def _include_name(self, rest: list[PPToken], head: PPToken) -> tuple[str, bool]:
@@ -483,10 +492,10 @@ class _Preprocessor:
             body = macro.body
         # A body token with no chain of its own takes `outer` itself, and
         # one with an empty hide set takes `hide` itself.
-        outer = tok.chain + (ExpansionFrame(macro.name, tok.origin),)
+        outer = tok.chain + (ExpansionFrame(macro.name, tok.pos),)
         hide = tok.no_expand | macro.hide if tok.no_expand else macro.hide
         stream.push_front([
-            PPToken(t.kind, t.lexeme, t.origin, outer + t.chain if t.chain else outer,
+            PPToken(t.kind, t.lexeme, t.pos, outer + t.chain if t.chain else outer,
                     False, t.ws_before, t.no_expand | hide if t.no_expand else hide)
             for t in body
         ])
@@ -568,7 +577,7 @@ class _Preprocessor:
             tokens = lex(SourceFile(tok.origin.file, "_Pragma", text))
         except (LexError, UnsupportedConstructError) as exc:
             raise type(exc)(exc.message, tok.origin) from None
-        self.pragmas.append(PragmaRecord(tok.origin, render_tokens(tokens)))
+        self.pragmas.append(PragmaRecord(tok.pos, render_tokens(tokens)))
 
 
 def preprocess(
@@ -592,7 +601,7 @@ def macro_from_define_flag(spec: str, manager: SourceManager) -> MacroDef:
     name = name.strip()
     virt = manager.add_virtual(f"<define:{name}>", body_text)
     body = tuple(lex(virt))
-    return MacroDef(name, body, None, Location(virt.id, 1, 1))
+    return MacroDef(name, body, None, pack(virt.id, 1, 1))
 
 
 # ---- #if expression evaluation ------------------------------------------

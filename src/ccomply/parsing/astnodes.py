@@ -5,6 +5,13 @@ Sema fills the `ctype`/`symbol`/`const_value` attributes in place after
 parsing. Every class is slotted: callers keep each unit's tree for the
 whole run, so a node costs its fields and no per-instance dict.
 
+A node's source extent is stored inline, as are a declarator's
+(`DeclEntry`, `SynParam`, `RecordMember`): three fields, `start` and `end`
+(packed positions, see `ccomply.source`) and `via` (the expansion chain,
+the shared `()` outside macros). `span` and `loc` decode them when a
+finding or an error reports them; nothing else decodes them. A node built
+after parsing copies the extent of the node it stands for (`placed`).
+
 The leaf syntactic types are shared values: the parser gives every
 declaration with the same specifiers, typedef name, qualifiers and storage
 class and no struct, union or enum body one `SynBase`, every `*` with the
@@ -23,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Any, Container, Iterator, Optional
 
-from ccomply.source import Span
+from ccomply.source import ExpansionFrame, Extent
 
 __all__ = [
     "Node", "Expr", "Stmt", "SynBase", "SynPtr", "SynArr", "SynFunc", "SynType",
@@ -33,13 +40,16 @@ __all__ = [
     "Constant", "StringLiteral", "Unary", "Binary", "Assign", "CompoundAssign",
     "IncDec", "Call", "Index", "Member", "Deref", "AddrOf", "Cast", "Conditional",
     "Comma", "Sizeof", "InitList", "children", "operands", "operand_fields", "walk",
-    "walk_operands", "NodeIndex", "QUALIFIER_SETS", "SYN_PTRS", "qualifier_set",
+    "walk_operands", "placed", "NodeIndex", "QUALIFIER_SETS", "SYN_PTRS", "qualifier_set",
 ]
 
 
 @dataclass(eq=False, slots=True)
-class Node:
-    span: Span = field(kw_only=True, default=None)  # type: ignore[assignment]
+class Node(Extent):
+    # Set by the parser; a node built without them has no span.
+    start: Optional[int] = field(kw_only=True, default=None)
+    end: Optional[int] = field(kw_only=True, default=None)
+    via: tuple[ExpansionFrame, ...] = field(kw_only=True, default=())
 
 
 @dataclass(eq=False, slots=True)
@@ -120,29 +130,35 @@ class SynType:
 
 
 @dataclass(eq=False, slots=True)
-class SynParam:
+class SynParam(Extent):
     syntype: SynType
     name: str | None
-    span: Span
+    start: int
+    end: int
+    via: tuple[ExpansionFrame, ...]
     symbol: Any = None  # filled by sema
 
 
 @dataclass(eq=False, slots=True)
-class RecordMember:
+class RecordMember(Extent):
     syntype: SynType
     name: str
-    span: Span
+    start: int
+    end: int
+    via: tuple[ExpansionFrame, ...]
 
 
 # ---- declarations -----------------------------------------------------------
 
 
 @dataclass(eq=False, slots=True)
-class DeclEntry:
+class DeclEntry(Extent):
     name: str
     syntype: SynType
     init: Optional[Expr]
-    span: Span
+    start: int
+    end: int
+    via: tuple[ExpansionFrame, ...]
     symbol: Any = None  # filled by sema
 
 
@@ -356,6 +372,12 @@ class InitList(Expr):
     elements: list[Expr]
 
 
+def placed(node: Node, like: Extent) -> Node:
+    """`node`, given the extent of `like`: for a node built after parsing."""
+    node.start, node.end, node.via = like.start, like.end, like.via
+    return node
+
+
 def for_clauses(node: "For") -> tuple[Optional[Node], Optional["Expr"], Optional["Expr"]]:
     """The three for-loop clauses; absent clauses are returned as None."""
     if not isinstance(node, For):
@@ -365,7 +387,7 @@ def for_clauses(node: "For") -> tuple[Optional[Node], Optional["Expr"], Optional
 
 # ---- generic traversal ------------------------------------------------------
 
-_SKIP_FIELDS = {"span", "ctype", "symbol", "behavior", "const_value"}
+_SKIP_FIELDS = {"start", "end", "via", "ctype", "symbol", "behavior", "const_value"}
 
 # Per node class: the names of the fields `children` reads, in field order.
 _CHILD_FIELDS: dict[type, tuple[str, ...]] = {}

@@ -11,7 +11,7 @@ entries appended, so `_pad[i + k]` for k <= 2 never leaves the list and
 `None` means end of input; `peek(k)` is exactly that read. No method moves
 `i` past the last token: it advances only over a token it has just read
 as not `None`. The hot loops read `_pad[i]` themselves rather than call
-`peek`, and nodes take their spans from the token list directly.
+`peek`, and nodes take their extents from the token list directly.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ from ccomply.parsing.astnodes import (
     Sizeof, Stmt, StringLiteral, Switch, SynArr, SynBase, SynFunc, SynParam,
     SynPtr, SynType, TranslationUnitAst, Unary, While, qualifier_set,
 )
-from ccomply.source import Location, Span
+from ccomply.source import ExpansionFrame, Location, pack, unpack
 
 KEYWORDS = {
     "auto", "break", "case", "char", "const", "continue", "default", "do",
@@ -50,9 +50,6 @@ _TYPE_START = frozenset(_TYPE_SPECS | _QUALS | {"struct", "union", "enum"})
 # Words that begin a declaration, apart from typedef names.
 _DECL_START = frozenset(_TYPE_START | _STORAGE | {"inline"})
 
-# Builds a `Span` from a tuple of its three fields without the Python-level
-# `__new__` a named tuple class has: the parser makes one per node.
-_new_span = tuple.__new__
 _IDENT = TokenKind.IDENT
 _PUNCT = TokenKind.PUNCT
 _NUMBER = TokenKind.NUMBER
@@ -152,42 +149,34 @@ class Parser:
     def _last_loc(self) -> Location | None:
         return self.toks[-1].report_site if self.toks else None
 
-    def span_from(self, start_index: int) -> Span:
-        """From token `start_index` to the last token read, clamped to the input."""
+    def extent_from(self, start_index: int) -> tuple[int, int, tuple[ExpansionFrame, ...]]:
+        """(start, end, via) from token `start_index` to the last token read,
+        clamped to the input; the positions are packed reporting positions."""
         toks = self.toks
         end_index = self.i - 1
         if end_index < start_index:
             end_index = start_index
         if start_index >= len(toks):
             if not toks:
-                loc = Location(0, 1, 1)
-                return Span(loc, loc)
+                pos = pack(0, 1, 1)
+                return pos, pos, ()
             start_index = end_index = len(toks) - 1
-        first = toks[start_index]
-        last = toks[end_index]
-        via = first.chain
-        return _new_span(Span, (
-            via[0].site if via else first.origin,
-            last.chain[0].site if last.chain else last.origin,
-            via,
-        ))
+        return toks[start_index].report_pos, toks[end_index].report_pos, toks[start_index].chain
 
     def _finish(self, node: Node, start_index: int) -> Node:
         toks = self.toks
         end_index = self.i - 1
         if end_index < start_index:
             end_index = start_index
-        if end_index < len(toks):  # `span_from` without clamping, inline
+        if end_index < len(toks):  # `extent_from` without clamping, inline
             first = toks[start_index]
             last = toks[end_index]
             via = first.chain
-            node.span = _new_span(Span, (
-                via[0].site if via else first.origin,
-                last.chain[0].site if last.chain else last.origin,
-                via,
-            ))
+            node.start = via[0].pos if via else first.pos
+            node.end = last.chain[0].pos if last.chain else last.pos
+            node.via = via
         else:
-            node.span = self.span_from(start_index)
+            node.start, node.end, node.via = self.extent_from(start_index)
         return node
 
     # ---- scopes ---------------------------------------------------------
@@ -228,7 +217,8 @@ class Parser:
         decls: list[Node] = []
         while self._pad[self.i] is not None:
             decls.append(self.parse_external_declaration())
-        return TranslationUnitAst(decls, path=self.path, span=self.span_from(0))
+        start, end, via = self.extent_from(0)
+        return TranslationUnitAst(decls, path=self.path, start=start, end=end, via=via)
 
     def parse_external_declaration(self) -> Node:
         start = self.i
@@ -239,7 +229,7 @@ class Parser:
         if self.at_punct(";"):
             self.pop()  # bare struct/union/enum declaration
             return self._finish(Declaration([], base), start)
-        name, derivs, name_span = self.parse_declarator(base)
+        name, derivs, name_extent = self.parse_declarator(base)
         if derivs and isinstance(derivs[0], SynFunc) and self.at_punct("{"):
             return self._parse_function_def(base, name, derivs, start)
         if (
@@ -251,7 +241,7 @@ class Parser:
             raise UnsupportedConstructError(
                 "K&R-style function definitions are not supported", self._here()
             )
-        return self._parse_declaration_tail(base, name, derivs, name_span, start)
+        return self._parse_declaration_tail(base, name, derivs, name_extent, start)
 
     def starts_declaration_ahead(self) -> bool:
         t = self.peek()
@@ -267,7 +257,7 @@ class Parser:
         for p in params:
             if p.name is None and not _is_void_param(p):
                 raise ParseError(
-                    f"unnamed parameter in definition of {name!r}", p.span.start
+                    f"unnamed parameter in definition of {name!r}", p.loc
                 )
         self.declare_name(name, is_typedef=False)
         self.push_scope()
@@ -281,23 +271,23 @@ class Parser:
         return self._finish(node, start)
 
     def _parse_declaration_tail(
-        self, base: SynBase, name: str | None, derivs: list, name_span: Span, start: int
+        self, base: SynBase, name: str | None, derivs: list, name_extent: tuple, start: int
     ) -> Declaration:
         entries: list[DeclEntry] = []
         is_typedef = base.storage == "typedef"
         while True:
             if name is None:
-                raise ParseError("declarator requires a name", name_span.start)
+                raise ParseError("declarator requires a name", unpack(name_extent[0]))
             init = None
             if self.at_punct("="):
                 self.i += 1
                 init = self.parse_initializer()
-            entries.append(DeclEntry(name, self._syntype(base, derivs), init, name_span))
+            entries.append(DeclEntry(name, self._syntype(base, derivs), init, *name_extent))
             self.declare_name(name, is_typedef)
             if not self.at_punct(","):
                 break
             self.i += 1
-            name, derivs, name_span = self.parse_declarator(base)
+            name, derivs, name_extent = self.parse_declarator(base)
         self.expect_punct(";")
         return self._finish(Declaration(entries, base), start)
 
@@ -428,18 +418,18 @@ class Parser:
         out: list[RecordMember] = []
         while True:
             start = self.i
-            name, derivs, sp = self.parse_declarator(base)
+            name, derivs, extent = self.parse_declarator(base)
             if self.at_punct(":"):
                 raise UnsupportedConstructError(
                     "bit-fields are not supported", self._here()
                 )
             if name is None:
-                raise ParseError("member declarator requires a name", sp.start)
+                raise ParseError("member declarator requires a name", unpack(extent[0]))
             if derivs and isinstance(derivs[0], SynArr) and derivs[0].size is None:
                 raise UnsupportedConstructError(
-                    "flexible array members are not supported", sp.start
+                    "flexible array members are not supported", unpack(extent[0])
                 )
-            out.append(RecordMember(self._syntype(base, derivs), name, sp))
+            out.append(RecordMember(self._syntype(base, derivs), name, *extent))
             if self.at_punct(","):
                 self.pop()
                 continue
@@ -475,12 +465,13 @@ class Parser:
 
     # ---- declarators ------------------------------------------------------
 
-    def parse_declarator(self, base: SynBase) -> tuple[str | None, list, Span]:
+    def parse_declarator(self, base: SynBase) -> tuple[str | None, list, tuple]:
+        """(name, derivations, extent): the extent is `extent_from`'s."""
         start = self.i
         ptrs = self._parse_pointers()
         name, derivs = self._parse_direct_declarator()
         derivs += ptrs
-        return name, derivs, self.span_from(start)
+        return name, derivs, self.extent_from(start)
 
     def _parse_direct_declarator(self) -> tuple[str | None, list]:
         name: str | None = None
@@ -578,8 +569,8 @@ class Parser:
                 variadic = True
                 break
             base = self.parse_decl_specifiers(allow_storage=False)
-            name, derivs, sp = self.parse_declarator(base)
-            params.append(SynParam(self._syntype(base, derivs), name, sp))
+            name, derivs, extent = self.parse_declarator(base)
+            params.append(SynParam(self._syntype(base, derivs), name, *extent))
             if self.at_punct(","):
                 self.pop()
                 continue
@@ -589,9 +580,9 @@ class Parser:
 
     def parse_type_name(self) -> SynType:
         base = self.parse_decl_specifiers(allow_storage=False)
-        name, derivs, sp = self.parse_declarator(base)
+        name, derivs, extent = self.parse_declarator(base)
         if name is not None:
-            raise ParseError("type name must be abstract", sp.start)
+            raise ParseError("type name must be abstract", unpack(extent[0]))
         return self._syntype(base, derivs)
 
     def parse_initializer(self) -> Expr:

@@ -138,7 +138,6 @@ class _Access:
     write: bool
     key: tuple
     deref: bool
-    span: object
     name: str
 
 
@@ -148,7 +147,7 @@ def _accesses(e: Expr, escaped: _Escaped, conflicts: list) -> list[_Access]:
         sym = e.symbol
         if isinstance(sym, Symbol) and sym.kind is SymKind.OBJECT:
             volatile = "volatile" in sym.quals
-            return [_Access(volatile, ("var", sym.uid), False, e.span, sym.name)]
+            return [_Access(volatile, ("var", sym.uid), False, sym.name)]
         return []
     if isinstance(e, (Assign, CompoundAssign)):
         value_acc = _accesses(e.value, escaped, conflicts)
@@ -156,7 +155,6 @@ def _accesses(e: Expr, escaped: _Escaped, conflicts: list) -> list[_Access]:
         if isinstance(e, CompoundAssign) and target_write is not None:
             target_reads = target_reads + [_Access(False, target_write.key,
                                                    target_write.deref,
-                                                   target_write.span,
                                                    target_write.name)]
         # The updating store is exempt from conflicts with reads of the same
         # key that feed the stored value, but two writes of one object always
@@ -177,24 +175,22 @@ def _accesses(e: Expr, escaped: _Escaped, conflicts: list) -> list[_Access]:
         out = reads[:]
         if write is not None:
             out.append(write)
-            out.append(_Access(False, write.key, write.deref, write.span, write.name))
+            out.append(_Access(False, write.key, write.deref, write.name))
         return out
     if isinstance(e, Deref):
         inner = _accesses(e.operand, escaped, conflicts)
-        return inner + [_Access(False, _deref_key(e.operand), True, e.span,
-                                _expr_name(e.operand))]
+        return inner + [_Access(False, _deref_key(e.operand), True, _expr_name(e.operand))]
     if isinstance(e, Index):
         base = _accesses(e.base, escaped, conflicts)
         index = _accesses(e.index, escaped, conflicts)
         _cross([base, index], e, escaped, conflicts)
         acc = base + index
-        acc.append(_Access(False, _deref_key(e.base), True, e.span, _expr_name(e.base)))
+        acc.append(_Access(False, _deref_key(e.base), True, _expr_name(e.base)))
         return acc
     if isinstance(e, Member):
         inner = _accesses(e.base, escaped, conflicts)
         if e.arrow:
-            inner = inner + [_Access(False, _deref_key(e.base), True, e.span,
-                                     _expr_name(e.base))]
+            inner = inner + [_Access(False, _deref_key(e.base), True, _expr_name(e.base))]
         return inner
     # Every other class: the operands' accesses. The operands of a call, of
     # an initializer list and of a binary operator other than && and || are
@@ -205,7 +201,7 @@ def _accesses(e: Expr, escaped: _Escaped, conflicts: list) -> list[_Access]:
         _cross(groups, e, escaped, conflicts)
     flat = [x for g in groups for x in g]
     if cls is Call:
-        flat.append(_Access(True, _WORLD, False, e.span, "<call>"))
+        flat.append(_Access(True, _WORLD, False, "<call>"))
     return flat
 
 
@@ -221,19 +217,18 @@ def _lvalue_accesses(target: Expr, escaped, conflicts) -> tuple[list[_Access], _
     """(address-computation accesses, the store access)."""
     if isinstance(target, Identifier) and isinstance(target.symbol, Symbol):
         sym = target.symbol
-        return [], _Access(True, ("var", sym.uid), False, target.span, sym.name)
+        return [], _Access(True, ("var", sym.uid), False, sym.name)
     if isinstance(target, Deref):
         reads = _accesses(target.operand, escaped, conflicts)
-        return reads, _Access(True, _deref_key(target.operand), True, target.span,
+        return reads, _Access(True, _deref_key(target.operand), True,
                               _expr_name(target.operand))
     if isinstance(target, Index):
         reads = _accesses(target.base, escaped, conflicts) + _accesses(target.index, escaped, conflicts)
-        return reads, _Access(True, _deref_key(target.base), True, target.span,
-                              _expr_name(target.base))
+        return reads, _Access(True, _deref_key(target.base), True, _expr_name(target.base))
     if isinstance(target, Member):
         if target.arrow:
             reads = _accesses(target.base, escaped, conflicts)
-            return reads, _Access(True, _deref_key(target.base), True, target.span,
+            return reads, _Access(True, _deref_key(target.base), True,
                                   _expr_name(target.base))
         reads, write = _lvalue_accesses(target.base, escaped, conflicts)
         return reads, write

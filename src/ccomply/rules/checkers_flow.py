@@ -104,8 +104,9 @@ def check_uninitialized_read(
                 continue
             if ev.state is AssignState.DEFINITELY_ASSIGNED:
                 continue
-            decl_span = fn.assign.decl_spans.get(ev.sym.uid)
-            evidence = [Evidence(decl_span, f"'{ev.sym.name}' is declared here without an initializer")]
+            entry = fn.assign.decl_entries.get(ev.sym.uid)
+            evidence = [Evidence(entry and entry.span,
+                                 f"'{ev.sym.name}' is declared here without an initializer")]
             if ev.state is AssignState.MAYBE_UNASSIGNED:
                 out.append(Finding(
                     "R9.1", ev.node.span, Certainty.DEFINITE,
@@ -210,11 +211,12 @@ def _region_anchor(cfg: Cfg, region: set[int]) -> tuple[Span | None, int | None]
         b = cfg.block(bid)
         if not b.items and not isinstance(b.term, (TReturn, TBranch, TSwitch)):
             continue
-        if b.span_hint is None:
+        if b.anchor is None:
             continue
-        key = (b.span_hint.start.line, b.span_hint.start.column)
+        span = b.anchor.span
+        key = (span.start.line, span.start.column)
         if best is None or key < best[0]:
-            best = (key, b.span_hint, bid)
+            best = (key, span, bid)
     if best is None:
         return None, None
     return best[1], best[2]

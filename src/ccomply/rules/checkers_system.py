@@ -19,22 +19,22 @@ def check_recursion(graph: CallGraph) -> list[Finding]:
             f"{graph.display.get(a, a)} calls {graph.display.get(b, b)}" for a, b in edges
         )
         for member in members:
-            span = graph.def_spans.get(member)
-            if span is None:
+            definition = graph.definitions.get(member)
+            if definition is None:
                 continue
             name = graph.display.get(member, member)
             out.append(Finding(
-                "R17.2", span, Certainty.DEFINITE,
+                "R17.2", definition.span, Certainty.DEFINITE,
                 f"'{name}' takes part in direct or indirect recursion",
                 evidence=(
                     Evidence(None, cycle_text),
                     Evidence(None, edge_text),
                 ),
             ))
-    for caller, span in graph.indirect_call_sites:
+    for caller, call in graph.indirect_call_sites:
         name = graph.display.get(caller, caller)
         out.append(Finding(
-            "R17.2", span, Certainty.CAUTION,
+            "R17.2", call.span, Certainty.CAUTION,
             "call through a function pointer is potentially recursive",
             evidence=(
                 Evidence(None,

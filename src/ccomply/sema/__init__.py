@@ -1,9 +1,9 @@
 """Semantic analysis: types, symbols, name resolution, constant evaluation.
 
-`resolve` walks the AST and records each expression's constant value,
-which `const_eval` reads; both live in `resolver`, so they load on first
-use: the preprocessor imports `intarith`, and the parser imports the
-preprocessor. No submodule import can rebind `resolve`.
+`resolve` walks the AST and records each expression's constant value in
+its `const_value`. It lives in `resolver`, which loads on first use: the
+preprocessor imports `intarith`, and the parser imports the preprocessor.
+No submodule import can rebind `resolve`.
 """
 import importlib
 
@@ -14,13 +14,10 @@ from ccomply.sema.typesys import (
     sizeof_type, type_range, usual_arith_conversion,
 )
 
-_LAZY = {
-    "ConstValue": "resolver", "const_eval": "resolver",
-    "Resolver": "resolver", "resolve": "resolver",
-}
+_LAZY = {"Resolver": "resolver", "resolve": "resolver"}
 
 __all__ = [
-    "ConstValue", "const_eval", "Resolver", "resolve",
+    "Resolver", "resolve",
     "Linkage", "Scope", "Storage", "SymKind", "Symbol", "SymbolTable", "link_units",
     "TK", "IntegerModel", "TypeDesc", "integer_promote", "is_arithmetic",
     "is_integer", "is_object_pointer", "is_pointer", "promoted_width",

@@ -18,8 +18,6 @@ synthesized operator) has no recorded value, so it reads as not constant.
 """
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from ccomply.errors import SemaError, UnsupportedConstructError
 from ccomply.parsing.astnodes import (
     AddrOf, Assign, Binary, Break, Call, Cast, Comma, CompoundAssign,
@@ -37,7 +35,7 @@ from ccomply.sema.typesys import (
     is_arithmetic, is_integer, is_pointer, is_scalar, make_int, sizeof_type,
     usual_arith_conversion,
 )
-from ccomply.source import Span
+from ccomply.source import pack
 
 
 def _both(test):
@@ -105,11 +103,9 @@ _BUILTIN_TYPEDEFS = {
 }
 
 
-def _builtin_span() -> Span:
-    from ccomply.source import Location
-
-    loc = Location(-1, 1, 1)
-    return Span(loc, loc)
+# Where builtin typedefs and enumeration constants are declared: line 1,
+# column 1 of the builtin file, -1.
+_BUILTIN_POS = pack(-1, 1, 1)
 
 
 class Resolver:
@@ -125,18 +121,18 @@ class Resolver:
     # -- builtins -----------------------------------------------------------
 
     def _install_builtins(self) -> None:
-        span = _builtin_span()
         for name, (width, signed) in _BUILTIN_TYPEDEFS.items():
-            self._declare_builtin_typedef(name, make_int(width, signed), span)
+            self._declare_builtin_typedef(name, make_int(width, signed))
         ptr_bits = self.model.pointer_bits
-        self._declare_builtin_typedef("intptr_t", make_int(ptr_bits, True), span)
-        self._declare_builtin_typedef("uintptr_t", make_int(ptr_bits, False), span)
-        self._declare_builtin_typedef("size_t", make_int(ptr_bits, False), span)
-        self._declare_builtin_typedef("ptrdiff_t", make_int(ptr_bits, True), span)
+        self._declare_builtin_typedef("intptr_t", make_int(ptr_bits, True))
+        self._declare_builtin_typedef("uintptr_t", make_int(ptr_bits, False))
+        self._declare_builtin_typedef("size_t", make_int(ptr_bits, False))
+        self._declare_builtin_typedef("ptrdiff_t", make_int(ptr_bits, True))
 
-    def _declare_builtin_typedef(self, name: str, t: TypeDesc, span: Span) -> None:
+    def _declare_builtin_typedef(self, name: str, t: TypeDesc) -> None:
         self.table.declare(Symbol(
-            name, SymKind.TYPEDEF, t, 0, Storage.STATIC, Linkage.NONE, span,
+            name, SymKind.TYPEDEF, t, 0, Storage.STATIC, Linkage.NONE,
+            _BUILTIN_POS, _BUILTIN_POS, (),
         ))
 
     # -- entry point ----------------------------------------------------------
@@ -235,7 +231,7 @@ class Resolver:
             info.constants[name] = next_value
             self.table.declare(Symbol(
                 name, SymKind.ENUM_CONST, make_int(32, True), 0,
-                Storage.STATIC, Linkage.NONE, _builtin_span(),
+                Storage.STATIC, Linkage.NONE, _BUILTIN_POS, _BUILTIN_POS, (),
                 enum_value=next_value,
             ))
             next_value += 1
@@ -264,7 +260,7 @@ class Resolver:
                     if length is None:
                         raise UnsupportedConstructError(
                             "variable-length arrays are not supported",
-                            deriv.size.span.start if deriv.size.span else None,
+                            deriv.size.loc,
                         )
                 t = types.array(t, length)  # raises on a negative length
             elif isinstance(deriv, SynFunc):
@@ -302,13 +298,13 @@ class Resolver:
         if storage_kw == "typedef":
             return self.table.declare(Symbol(
                 entry.name, SymKind.TYPEDEF, t, 0, Storage.STATIC, Linkage.NONE,
-                entry.span, quals=t.quals,
+                entry.start, entry.end, entry.via, quals=t.quals,
             ))
         if t.kind is TK.FUNCTION:
             linkage = Linkage.INTERNAL if storage_kw == "static" else Linkage.EXTERNAL
             return self.table.declare(Symbol(
                 entry.name, SymKind.FUNCTION, t, 0, Storage.EXTERN, linkage,
-                entry.span,
+                entry.start, entry.end, entry.via,
             ))
         if at_file_scope:
             storage = Storage.EXTERN if storage_kw == "extern" else Storage.STATIC
@@ -320,10 +316,10 @@ class Resolver:
         else:
             storage, linkage = Storage.AUTO, Linkage.NONE
         if t.kind is TK.VOID:
-            raise SemaError(f"variable {entry.name!r} declared void", entry.span.start)
+            raise SemaError(f"variable {entry.name!r} declared void", entry.loc)
         sym = Symbol(
-            entry.name, SymKind.OBJECT, t, 0, storage, linkage, entry.span,
-            quals=t.quals, defined=entry.init is not None,
+            entry.name, SymKind.OBJECT, t, 0, storage, linkage,
+            entry.start, entry.end, entry.via, quals=t.quals, defined=entry.init is not None,
         )
         return self.table.declare(sym)
 
@@ -382,8 +378,8 @@ class Resolver:
         )
         linkage = Linkage.INTERNAL if fn.syntype.base.storage == "static" else Linkage.EXTERNAL
         sym = self.table.declare(Symbol(
-            fn.name, SymKind.FUNCTION, t, 0, Storage.EXTERN, linkage, fn.span,
-            defined=True,
+            fn.name, SymKind.FUNCTION, t, 0, Storage.EXTERN, linkage,
+            fn.start, fn.end, fn.via, defined=True,
         ), self.table.file_scope)
         sym.defined = True
         fn.symbol = sym
@@ -391,7 +387,7 @@ class Resolver:
         for p, pt in zip(fn.params, param_types):
             p.symbol = self.table.declare(Symbol(
                 p.name, SymKind.OBJECT, pt, 0, Storage.AUTO, Linkage.NONE,
-                p.span, quals=pt.quals, is_param=True, defined=True,
+                p.start, p.end, p.via, quals=pt.quals, is_param=True, defined=True,
             ))
         self._stmt(fn.body, push=False)
         self.table.pop()
@@ -448,7 +444,7 @@ class Resolver:
                 if node.case_expr.const_value is None:
                     raise SemaError(
                         "case label requires a constant expression",
-                        node.span.start,
+                        node.loc,
                     )
             self._stmt(node.stmt)
         elif isinstance(node, (Goto, Break, Continue)):
@@ -474,12 +470,12 @@ class Resolver:
             if sym is None:
                 raise SemaError(
                     f"use of undeclared identifier {e.name!r}",
-                    e.span.start if e.span else None,
+                    e.loc,
                 )
             if sym.kind is SymKind.TYPEDEF:
                 raise SemaError(
                     f"unexpected type name {e.name!r} in expression",
-                    e.span.start if e.span else None,
+                    e.loc,
                 )
             e.symbol = sym
             if sym.kind is SymKind.ENUM_CONST:
@@ -547,7 +543,7 @@ class Resolver:
             if ft.kind is not TK.FUNCTION:
                 raise SemaError(
                     "called object is not a function or function pointer",
-                    e.span.start if e.span else None,
+                    e.loc,
                 )
             for a in e.args:
                 self.type_expr(a)
@@ -556,7 +552,7 @@ class Resolver:
                 if got < n or (got > n and not ft.variadic):
                     raise SemaError(
                         f"call expects {n}{'+' if ft.variadic else ''} argument(s), got {got}",
-                        e.span.start if e.span else None,
+                        e.loc,
                     )
             return ft.ret if ft.ret is not None else VOID_T
 
@@ -569,7 +565,7 @@ class Resolver:
                 return index_t.pointee
             raise SemaError(
                 "subscripted value is not a pointer or array",
-                e.span.start if e.span else None,
+                e.loc,
             )
 
         if isinstance(e, Member):
@@ -577,17 +573,15 @@ class Resolver:
             if e.arrow:
                 base_t = self.types.rvalue(base_t)
                 if not is_pointer(base_t) or base_t.pointee is None:
-                    raise SemaError("'->' requires a pointer to a record",
-                                    e.span.start if e.span else None)
+                    raise SemaError("'->' requires a pointer to a record", e.loc)
                 base_t = base_t.pointee
             if base_t.kind is not TK.RECORD or base_t.record is None:
-                raise SemaError("member access requires a struct or union",
-                                e.span.start if e.span else None)
+                raise SemaError("member access requires a struct or union", e.loc)
             if not base_t.record.complete:
                 raise SemaError(
                     f"member access into incomplete type "
                     f"{base_t.record.kind} {base_t.record.tag or '<anon>'}",
-                    e.span.start if e.span else None,
+                    e.loc,
                 )
             for name, mt, quals in base_t.record.members:
                 if name == e.name:
@@ -596,14 +590,13 @@ class Resolver:
             raise SemaError(
                 f"no member named {e.name!r} in "
                 f"{base_t.record.kind} {base_t.record.tag or '<anon>'}",
-                e.span.start if e.span else None,
+                e.loc,
             )
 
         if isinstance(e, Deref):
             t = self._rvalue(e.operand)
             if not is_pointer(t) or t.pointee is None:
-                raise SemaError("cannot dereference a non-pointer",
-                                e.span.start if e.span else None)
+                raise SemaError("cannot dereference a non-pointer", e.loc)
             return t.pointee
 
         if isinstance(e, AddrOf):
@@ -647,7 +640,7 @@ class Resolver:
                 e.const_value = sizeof_type(target, model)
             except SemaError as err:
                 # C99 6.5.3.4p1: no `sizeof` of an incomplete or function type.
-                raise SemaError(err.message, e.span.start if e.span else None) from None
+                raise SemaError(err.message, e.loc) from None
             return make_int(model.pointer_bits, False)
 
         if isinstance(e, InitList):
@@ -703,23 +696,21 @@ class Resolver:
 
     def _require(self, cond: bool, e: Expr, message: str) -> None:
         if not cond:
-            raise SemaError(message, e.span.start if e.span else None)
+            raise SemaError(message, e.loc)
 
     def _require_lvalue(self, e: Expr, allow_function: bool = False) -> None:
         if isinstance(e, Identifier):
             sym = e.symbol
             if sym is not None and sym.kind is SymKind.ENUM_CONST:
-                raise SemaError(f"{e.name!r} is not assignable",
-                                e.span.start if e.span else None)
+                raise SemaError(f"{e.name!r} is not assignable", e.loc)
             if sym is not None and sym.kind is SymKind.FUNCTION and not allow_function:
-                raise SemaError(f"function {e.name!r} is not assignable",
-                                e.span.start if e.span else None)
+                raise SemaError(f"function {e.name!r} is not assignable", e.loc)
             return
         if isinstance(e, (Deref, Index, Member, StringLiteral)):
             return
         raise SemaError(
             f"expression is not an lvalue ({type(e).__name__})",
-            e.span.start if e.span else None,
+            e.loc,
         )
 
 
@@ -739,21 +730,6 @@ def _named_types(m: IntegerModel) -> dict[str, TypeDesc]:
         "llong": make_int(m.long_long_bits, True),
         "ullong": make_int(m.long_long_bits, False),
     }
-
-
-class ConstValue(NamedTuple):
-    value: int | None
-    type: TypeDesc | None
-
-    @property
-    def is_constant(self) -> bool:
-        return self.value is not None
-
-
-def const_eval(expr: Expr) -> ConstValue:
-    """The integer-constant value the resolver recorded for `expr`, with its type."""
-    value = expr.const_value
-    return ConstValue(value, None if value is None else expr.ctype)
 
 
 def resolve(tu: TranslationUnitAst, model: IntegerModel = DEFAULT_MODEL) -> SymbolTable:

@@ -5,8 +5,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from ccomply.errors import SemaError
-from ccomply.sema.typesys import DEFAULT_MODEL, IntegerModel, TypeDesc, same_type
-from ccomply.source import Span
+from ccomply.sema.typesys import DEFAULT_MODEL, TK, IntegerModel, TypeDesc, same_type
+from ccomply.source import ExpansionFrame, Extent, Span
 
 
 class SymKind(Enum):
@@ -30,14 +30,19 @@ class Linkage(Enum):
 
 
 @dataclass(eq=False, slots=True)
-class Symbol:
+class Symbol(Extent):
+    """A declared name. Its extent (see `source.Extent`) is that of the
+    declarator that first declared it; `def_span` decodes it."""
+
     name: str
     kind: SymKind
     type: TypeDesc
     scope_id: int
     storage: Storage
     linkage: Linkage
-    def_span: Span
+    start: int
+    end: int
+    via: tuple[ExpansionFrame, ...]
     quals: frozenset = frozenset()
     is_param: bool = False
     enum_value: int | None = None
@@ -45,6 +50,10 @@ class Symbol:
     tu_path: str = ""
     defined: bool = False  # function has a body / object has an initializer
     is_temp: bool = False  # synthetic temporary introduced by CFG lowering
+
+    @property
+    def def_span(self) -> Span:
+        return self.span
 
     @property
     def is_local_object(self) -> bool:
@@ -119,17 +128,25 @@ class SymbolTable:
         return sym
 
     def _merge(self, old: Symbol, new: Symbol) -> Symbol | None:
-        """Allow compatible redeclarations; reject conflicts."""
-        if old.kind is not new.kind or not same_type(old.type, new.type):
+        """Allow compatible redeclarations; reject conflicts.
+
+        A file-scope object declared once as an array of unknown size and
+        once with a size (C99 6.7.5.2p6) takes the sized type, which is
+        the composite type of the two (6.2.7p3).
+        """
+        completes = old.kind is SymKind.OBJECT and _sizes_an_array(old.type, new.type)
+        if old.kind is not new.kind or not (completes or same_type(old.type, new.type)):
             raise SemaError(
-                f"conflicting redeclaration of {new.name!r}", new.def_span.start
+                f"conflicting redeclaration of {new.name!r}", new.loc
             )
         if old.kind in (SymKind.FUNCTION, SymKind.OBJECT) and old.scope_id == 0:
             old.defined = old.defined or new.defined
+            if completes and old.type.length is None:
+                old.type = new.type
             return old
         if old.kind is SymKind.TYPEDEF:
             return old
-        raise SemaError(f"redeclaration of {new.name!r}", new.def_span.start)
+        raise SemaError(f"redeclaration of {new.name!r}", new.loc)
 
     def lookup(self, name: str) -> Symbol | None:
         sid: int | None = self._stack[-1]
@@ -156,6 +173,15 @@ class SymbolTable:
         return self.current.tags.get(tag)
 
 
+def _sizes_an_array(a: TypeDesc, b: TypeDesc) -> bool:
+    """Whether `a` and `b` are arrays of one element type, and exactly one has a size."""
+    return (
+        a.kind is TK.ARRAY and b.kind is TK.ARRAY
+        and (a.length is None) != (b.length is None)
+        and same_type(a.elem, b.elem)
+    )
+
+
 @dataclass
 class LinkedProgram:
     """External-linkage unification across translation units."""
@@ -179,6 +205,6 @@ def link_units(tables: list[SymbolTable]) -> LinkedProgram:
             if not same_type(first.type, other.type):
                 raise SemaError(
                     f"conflicting types for external symbol {name!r}",
-                    other.def_span.start,
+                    other.loc,
                 )
     return prog

@@ -1,18 +1,42 @@
-"""Source files, physical locations, and macro-expansion provenance."""
+"""Source files, physical positions, and macro-expansion provenance.
+
+A position is stored as one plain `int`, packed from (file id, line,
+column) by `pack` and decoded into a `Location` by `unpack`:
+
+    ((file + 1) << 42) | (line << 20) | column
+
+- `column` takes 20 bits: 0 .. `COLUMN_MAX` (1,048,575);
+- `line` takes 22 bits: 0 .. `LINE_MAX` (4,194,303);
+- `file + 1` takes 18 bits, so file ids run from -1 (the builtin
+  declarations' file) to `FILE_ID_MAX` (262,142).
+
+Packed values are below 2**60, and comparing two of them compares their
+(file, line, column) tuples. `pack` raises a `LexError` for a field out of
+range rather than let it spill into its neighbour. This module is the only
+one that knows the format: no other module shifts or masks position bits.
+
+Tokens, expansion frames, tree nodes and symbols keep packed positions: an
+int is not tracked by the cyclic collector, and a node shares the int of
+its token. `Location`, `Span` and `ExpansionFrame.site` are built only
+when a finding, its evidence or an error reports a position.
+"""
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
+
+from ccomply.errors import LexError
+
+_LINE_SHIFT = 20
+_FILE_SHIFT = 42
+COLUMN_MAX = (1 << _LINE_SHIFT) - 1
+LINE_MAX = (1 << (_FILE_SHIFT - _LINE_SHIFT)) - 1
+FILE_ID_MAX = (1 << 18) - 2  # file + 1 fills the top 18 bits
 
 
 class Location(NamedTuple):
-    """A physical position in a loaded source file (1-based line/column).
-
-    The lexer builds one per token, so it is a named tuple rather than a
-    frozen dataclass, whose constructor sets each field through
-    `object.__setattr__` and costs about twice as much.
-    """
+    """A physical position in a loaded source file (1-based line/column)."""
 
     file: int
     line: int
@@ -22,36 +46,78 @@ class Location(NamedTuple):
         return (self.file, self.line, self.column)
 
 
+def pack(file: int, line: int, column: int) -> int:
+    """The packed position of (file, line, column); see the module docstring."""
+    if 0 <= column <= COLUMN_MAX and 0 <= line <= LINE_MAX and -1 <= file <= FILE_ID_MAX:
+        return ((file + 1) << _FILE_SHIFT) | (line << _LINE_SHIFT) | column
+    raise LexError(
+        f"source position (file {file}, line {line}, column {column}) is out of range: "
+        f"file ids reach {FILE_ID_MAX}, lines {LINE_MAX} and columns {COLUMN_MAX}"
+    )
+
+
+def unpack(pos: int) -> Location:
+    """The `Location` a packed position stands for."""
+    return Location((pos >> _FILE_SHIFT) - 1, (pos >> _LINE_SHIFT) & LINE_MAX, pos & COLUMN_MAX)
+
+
 class ExpansionFrame(NamedTuple):
     """One step of macro expansion: which macro, invoked where.
 
-    The site is always a physical location: for a nested expansion the
-    inner macro's name token physically appears in the outer macro's
-    definition, so walking any chain ends in real source text.
-
-    The preprocessor builds one per macro invocation, so it is a named
-    tuple rather than a frozen dataclass, for the reason `Location` gives.
+    `pos` is the packed position of the invocation, and `site` its
+    `Location`. The site is always a physical location: for a nested
+    expansion the inner macro's name token physically appears in the outer
+    macro's definition, so walking any chain ends in real source text.
     """
 
     macro: str
-    site: Location
+    pos: int
+
+    @property
+    def site(self) -> Location:
+        return unpack(self.pos)
 
 
 class Span(NamedTuple):
-    """Source extent of a token run or AST node.
+    """Source extent of a token run or AST node, as reported.
 
     `start`/`end` are reporting positions: for macro-produced text they
     point at the outermost invocation site, with the expansion chain
     kept in `via` so reports can show the full trail.
-
-    The parser builds one per AST node and per declarator, so it is a
-    named tuple rather than a frozen dataclass, for the reason `Location`
-    gives.
     """
 
     start: Location
     end: Location
     via: tuple[ExpansionFrame, ...] = ()
+
+
+class Extent:
+    """Base of every holder that keeps a source extent inline.
+
+    A subclass declares three fields: `start` and `end`, the packed
+    reporting positions of its first and last token, and `via`, the
+    expansion chain of its first token (the shared `()` when there is
+    none). `span` and `loc` decode them; a holder whose `start` is None
+    has neither.
+    """
+
+    __slots__ = ()
+    start: Optional[int]
+    end: Optional[int]
+    via: tuple[ExpansionFrame, ...]
+
+    @property
+    def span(self) -> Optional[Span]:
+        start = self.start
+        if start is None:
+            return None
+        return Span(unpack(start), unpack(self.end), self.via)
+
+    @property
+    def loc(self) -> Optional[Location]:
+        """The decoded start, where an error reports the holder."""
+        start = self.start
+        return None if start is None else unpack(start)
 
 
 @dataclass(frozen=True)

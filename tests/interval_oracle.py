@@ -17,7 +17,7 @@ from ccomply.flow.solver import solve
 from ccomply.parsing.astnodes import (
     AddrOf, Assign, Binary, Call, Cast, Comma, CompoundAssign, Conditional,
     Constant, Deref, Expr, Identifier, IncDec, Index, InitList, Member,
-    Sizeof, StringLiteral, Unary,
+    Sizeof, StringLiteral, Unary, placed,
 )
 from ccomply.sema.symbols import SymKind, Symbol
 from ccomply.sema.typesys import (
@@ -161,7 +161,7 @@ class _AbstractEval:
             return self._converted(value, e.ctype)
 
         if isinstance(e, CompoundAssign):
-            synth = Binary(e.op, e.target, e.value, span=e.span)
+            synth = placed(Binary(e.op, e.target, e.value), e)
             synth.ctype = e.ctype
             value = self._eval(synth, env, mutate, symmap)
             value = self._converted(value, e.ctype)

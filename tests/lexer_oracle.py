@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from ccomply.errors import LexError, UnsupportedConstructError
 from ccomply.frontend.lexer import PPToken, TokenKind
-from ccomply.source import Location, SourceFile
+from ccomply.source import Location, SourceFile, pack
 
 
 # Longest-match punctuator table ('#' included for directive detection;
@@ -136,18 +136,18 @@ def _lex_token(sc: _Scanner) -> PPToken:
         name = _lex_spliced_run(sc, _IDENT_CONT)
         if name == "L" and sc.peek() in ("'", '"'):
             raise UnsupportedConstructError("wide character/string literals are not supported", start)
-        return PPToken(TokenKind.IDENT, name, start)
+        return PPToken(TokenKind.IDENT, name, pack(*start))
 
     if ch in _DIGITS or (ch == "." and sc.peek(1) in _DIGITS):
-        return PPToken(TokenKind.NUMBER, _lex_pp_number(sc), start)
+        return PPToken(TokenKind.NUMBER, _lex_pp_number(sc), pack(*start))
 
     if ch == '"':
-        return PPToken(TokenKind.STRING, _lex_quoted(sc, '"', "string literal"), start)
+        return PPToken(TokenKind.STRING, _lex_quoted(sc, '"', "string literal"), pack(*start))
     if ch == "'":
         lex = _lex_quoted(sc, "'", "character constant")
         if lex == "''":
             raise LexError("empty character constant", start)
-        return PPToken(TokenKind.CHAR_CONST, lex, start)
+        return PPToken(TokenKind.CHAR_CONST, lex, pack(*start))
 
     two = ch + sc.peek(1)
     if two in _DIGRAPHS:
@@ -157,21 +157,21 @@ def _lex_token(sc: _Scanner) -> PPToken:
     for p in _PUNCT3:
         if three == p:
             sc.advance(), sc.advance(), sc.advance()
-            return PPToken(TokenKind.PUNCT, p, start)
+            return PPToken(TokenKind.PUNCT, p, pack(*start))
     for p in _PUNCT2:
         if two == p:
             sc.advance(), sc.advance()
-            return PPToken(TokenKind.PUNCT, p, start)
+            return PPToken(TokenKind.PUNCT, p, pack(*start))
     if ch in _PUNCT1:
         sc.advance()
-        return PPToken(TokenKind.PUNCT, ch, start)
+        return PPToken(TokenKind.PUNCT, ch, pack(*start))
 
     if ord(ch) >= 0x80 or (ord(ch) < 0x20 and ch not in "\t\n\f\v"):
         raise LexError(f"invalid byte 0x{ord(ch):02x} in source", start)
     if ch in "\\@`$":
         raise LexError(f"unexpected character {ch!r}", start)
     sc.advance()
-    return PPToken(TokenKind.OTHER, ch, start)
+    return PPToken(TokenKind.OTHER, ch, pack(*start))
 
 
 def _lex_spliced_run(sc: _Scanner, allowed: set[str]) -> str:

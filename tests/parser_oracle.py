@@ -5,8 +5,9 @@ field (spans, token indices and expansion trails included), or raise the
 same exception class with the same message and location, on every input
 (see `test_parser_oracle.py`). The code below is the earlier parser
 verbatim, except in two places. It builds spans of the frozen dataclass
-`Span` defined here, the type the earlier `ccomply.source` had, so a
-comparison reads both trees' spans by field. And its declaration
+`Span` defined here, the type the earlier `ccomply.source` had, from the
+tokens' decoded positions, and packs them into the tree's inline extents
+(`_extent`). And its declaration
 specifiers reject a second type specifier next to a struct, union or enum
 specifier (C99 6.7.2p2) with the parser's message, a constraint the
 parser learned after this copy was taken. Nothing under `src/` imports it.
@@ -34,7 +35,7 @@ from ccomply.parsing.astnodes import (
     Sizeof, Stmt, StringLiteral, Switch, SynArr, SynBase, SynFunc, SynParam,
     SynPtr, SynType, TranslationUnitAst, Unary, While, qualifier_set,
 )
-from ccomply.source import ExpansionFrame, Location
+from ccomply.source import ExpansionFrame, Location, pack
 
 
 @dataclass(frozen=True)
@@ -44,6 +45,11 @@ class Span:
     start: Location
     end: Location
     via: tuple[ExpansionFrame, ...] = ()
+
+
+def _extent(span: Span) -> tuple[int, int, tuple[ExpansionFrame, ...]]:
+    """The inline (start, end, via) fields a tree node keeps for `span`."""
+    return pack(*span.start), pack(*span.end), span.via
 
 
 KEYWORDS = {
@@ -174,7 +180,7 @@ class Parser:
         return Span(first.report_site, last.report_site, via=first.chain)
 
     def _finish(self, node: Node, start_index: int) -> Node:
-        node.span = self.span_from(start_index)
+        node.start, node.end, node.via = _extent(self.span_from(start_index))
         return node
 
     # ---- scopes ---------------------------------------------------------
@@ -217,7 +223,7 @@ class Parser:
         decls: list[Node] = []
         while self.peek() is not None:
             decls.append(self.parse_external_declaration())
-        return TranslationUnitAst(decls, path=self.path, span=self.span_from(0))
+        return self._finish(TranslationUnitAst(decls, path=self.path), 0)
 
     def parse_external_declaration(self) -> Node:
         start = self.i
@@ -285,7 +291,7 @@ class Parser:
             if self.at_punct("="):
                 self.pop()
                 init = self.parse_initializer()
-            entries.append(DeclEntry(nm, SynType(base, tuple(dv)), init, sp))
+            entries.append(DeclEntry(nm, SynType(base, tuple(dv)), init, *_extent(sp)))
             self.declare_name(nm, is_typedef=(base.storage == "typedef"))
 
         add_entry(name, derivs, name_span)
@@ -409,7 +415,7 @@ class Parser:
                 raise UnsupportedConstructError(
                     "flexible array members are not supported", sp.start
                 )
-            out.append(RecordMember(SynType(base, tuple(derivs)), name, sp))
+            out.append(RecordMember(SynType(base, tuple(derivs)), name, *_extent(sp)))
             if self.at_punct(","):
                 self.pop()
                 continue
@@ -549,7 +555,7 @@ class Parser:
             start = self.i
             base = self.parse_decl_specifiers(allow_storage=False)
             name, derivs, sp = self.parse_declarator(base)
-            params.append(SynParam(SynType(base, tuple(derivs)), name, sp))
+            params.append(SynParam(SynType(base, tuple(derivs)), name, *_extent(sp)))
             if self.at_punct(","):
                 self.pop()
                 continue

@@ -281,7 +281,7 @@ class _Preprocessor:
                     if j >= len(tokens) or not tokens[j].is_punct(")"):
                         raise PreprocessError("missing ')' after 'defined ('", t.origin)
                 value = "1" if name in self.macros else "0"
-                out.append(PPToken(TokenKind.NUMBER, value, t.origin, chain=t.chain))
+                out.append(PPToken(TokenKind.NUMBER, value, t.pos, chain=t.chain))
                 i = j + 1
                 continue
             out.append(t)
@@ -393,10 +393,10 @@ class _Preprocessor:
             body = self._substitute(macro, expanded_args)
         else:
             body = macro.body
-        outer = tok.chain + (ExpansionFrame(macro.name, tok.origin),)
+        outer = tok.chain + (ExpansionFrame(macro.name, tok.pos),)
         hide = tok.no_expand | {macro.name}
         stream.push_front([
-            PPToken(t.kind, t.lexeme, t.origin, chain=outer + t.chain, at_bol=False,
+            PPToken(t.kind, t.lexeme, t.pos, chain=outer + t.chain, at_bol=False,
                     ws_before=t.ws_before, no_expand=t.no_expand | hide)
             for t in body
         ])

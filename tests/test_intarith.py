@@ -1,4 +1,4 @@
-"""The integer kernel (`sema.intarith`) and its two users, `#if` and `const_eval`.
+"""The integer kernel (`sema.intarith`) and its two users, `#if` and the resolver's `const_value`.
 
 Both apply the integer promotions and the usual arithmetic conversions
 before they compute or compare (C99 6.3.1.1, 6.3.1.8, 6.5.8p3, 6.5.9p4),
@@ -8,7 +8,7 @@ analysis converts compared ranges the same way.
 Two derandomized properties pin the kernel:
 - on signed operands, with every shift count in range, `#if` agrees with
   `preprocessor_oracle`, which computes everything as signed 64-bit;
-- `#if E` and `const_eval` of the same `E`, resolved as C under `PP_MODEL`,
+- `#if E` and the `const_value` of the same `E`, resolved as C under `PP_MODEL`,
   give the same value or both give none.
 """
 from __future__ import annotations
@@ -22,7 +22,7 @@ from ccomply.errors import AnalysisError, PreprocessError, SemaError
 from ccomply.frontend import evaluate_pp_condition, lex
 from ccomply.frontend.preprocessor import PP_MODEL
 from ccomply.parsing import Call, ExprStmt, FunctionDef, parse
-from ccomply.sema import TK, const_eval, resolve
+from ccomply.sema import TK, resolve
 from ccomply.sema.intarith import binary, unary
 from ccomply.sema.typesys import DEFAULT_MODEL, make_int
 from rule_helpers import kinds_of, run_rule
@@ -99,13 +99,13 @@ def test_if_group_selection_uses_unsigned_comparison():
     ("(unsigned char)200 > -1", 1), ("-1L < 1u", 1),
 ])
 def test_const_eval_converts_compared_operands(text, value):
-    cv = const_eval(c_operand(text))
-    assert cv.is_constant and cv.value == value and cv.type.kind is TK.INT
+    operand = c_operand(text)
+    assert operand.const_value == value and operand.ctype.kind is TK.INT
 
 
 def test_const_eval_negative_left_shift_is_overflow():
     arg = c_operand("-1 << 1")
-    assert const_eval(arg).value == -2
+    assert arg.const_value == -2
     assert arg.behavior == "undefined"
 
 
@@ -214,7 +214,7 @@ def test_if_matches_signed_oracle_on_signed_operands(text):
     assert got == pp_outcome(preprocessor_oracle.evaluate_pp_condition, text), text
 
 
-# -- property: `#if` against `const_eval` under the same model -------------------
+# -- property: `#if` against `const_value` under the same model -----------------
 
 ANY_CONSTANT = _suffixed(
     st.one_of(st.integers(0, 70), st.integers(0, UINTMAX_MAX),
@@ -224,12 +224,12 @@ ANY_CONSTANT = _suffixed(
 
 
 def c_outcome(text: str):
-    """What `const_eval` gives for `text` resolved as C under `PP_MODEL`."""
+    """The `const_value` of `text` resolved as C under `PP_MODEL`."""
     try:
         operand = c_operand(text, PP_MODEL)
     except SemaError:
         return None  # a constant that fits no type
-    return const_eval(operand).value
+    return operand.const_value
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

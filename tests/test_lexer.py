@@ -2,7 +2,7 @@ import pytest
 
 from ccomply.errors import LexError, UnsupportedConstructError
 from ccomply.frontend import TokenKind, lex
-from ccomply.source import ExpansionFrame, Location, Span
+from ccomply.source import ExpansionFrame, Location, Span, pack
 from support import lex_text, lexemes
 
 
@@ -163,9 +163,11 @@ class TestLocation:
 
     def test_span_and_frame_are_values_too(self):
         loc, other = Location(0, 1, 1), Location(0, 2, 5)
-        frame = ExpansionFrame(macro="M", site=other)
-        assert frame == ExpansionFrame("M", other) and hash(frame) == hash(ExpansionFrame("M", other))
-        assert repr(frame) == f"ExpansionFrame(macro='M', site={other!r})"
+        frame = ExpansionFrame(macro="M", pos=pack(0, 2, 5))
+        assert frame.site == other
+        assert frame == ExpansionFrame("M", pack(0, 2, 5))
+        assert hash(frame) == hash(ExpansionFrame("M", pack(0, 2, 5)))
+        assert repr(frame) == f"ExpansionFrame(macro='M', pos={pack(0, 2, 5)!r})"
         span = Span(start=loc, end=other)
         assert span.via == () and span == Span(loc, other, ())
         assert span != Span(loc, other, (frame,)) and span != Span(other, other)

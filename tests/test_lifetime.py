@@ -7,13 +7,17 @@ when the unit's checkers return; reference counting must free them, so
 the chain makes no cyclic garbage at all. If a change puts a cycle into
 the CFG, the analyses or the facts, these tests name the types involved.
 What is kept is compact: the units of a header-heavy project share their
-syntactic and derived types, so their number stays under a bound, and
-a recorded constant value is a plain int on its node.
+syntactic and derived types, so their number stays under a bound, a
+recorded constant value is a plain int on its node, and a source position
+is a plain packed int: no kept tree or symbol table reaches a `Span` or a
+`Location`.
 
 Run as a script for a census of what a whole benchmark pass keeps: live
-tracked objects by type, cyclic collections and their CPU seconds by
-generation, and peak RSS, with automatic collection on as in the
-benchmark:
+tracked objects by type, each with its count and its bytes by
+`sys.getsizeof` (the object alone, not what it refers to; untracked
+objects such as ints and strings are not counted), cyclic collections and
+their CPU seconds by generation, and peak RSS, with automatic collection on
+as in the benchmark:
 
     PYTHONPATH=src:tests:perfbench python3 tests/test_lifetime.py --census header_heavy --seed 3
 """
@@ -33,7 +37,7 @@ from ccomply.frontend import macro_from_define_flag, preprocess
 from ccomply.parsing import parse
 from ccomply.rules import IMPLEMENTED, FunctionFacts, compute_tu_facts, engine, run_rules
 from ccomply.sema import resolve
-from ccomply.source import SourceManager
+from ccomply.source import Extent, Location, SourceManager, Span
 from rule_helpers import PRELUDE
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
@@ -193,6 +197,41 @@ def test_recorded_constants_keep_no_objects(tmp_path, automatic_gc_off):
     assert grown <= LIVE_BOUND, grown
 
 
+def _reachable(roots: list) -> list:
+    """Every container and `ccomply` object reachable from `roots`.
+
+    The walk follows `gc.get_referents` into lists, tuples, dicts and sets
+    and into instances of `ccomply` classes only, so it stays inside the
+    kept data and never enters classes, modules or functions.
+    """
+    seen: set[int] = set()
+    out: list = []
+    stack = list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        out.append(obj)
+        for ref in gc.get_referents(obj):
+            if isinstance(ref, (list, tuple, dict, set, frozenset)) or (
+                    type(ref).__module__.startswith("ccomply.") and not isinstance(ref, type)):
+                stack.append(ref)
+    return out
+
+
+def test_kept_trees_and_symbols_hold_no_position_objects(tmp_path, automatic_gc_off):
+    (snippets, _), (project, _) = _run_snippets_and_project(str(tmp_path))
+    reached = _reachable([root for facts in snippets + project for root in (facts.tu, facts.table)])
+    holders = [o for o in reached if isinstance(o, Extent)]
+    kinds = collections.Counter(type(o).__name__ for o in holders)
+    assert {"Identifier", "DeclEntry", "SynParam", "Symbol"} <= set(kinds)
+    # Every extent is two packed ints and a chain of packed frames.
+    assert all(type(h.start) is int and type(h.end) is int and type(h.via) is tuple
+               for h in holders)
+    assert [o for o in reached if isinstance(o, (Span, Location))] == []
+
+
 def test_kept_units_share_their_types(tmp_path, automatic_gc_off):
     before = _live(SHARED_BOUNDS)
     project = _write_project("header_heavy", 5, str(tmp_path))
@@ -232,11 +271,16 @@ def census(workload: str, seed: int, top: int = 25) -> dict:
                 kept, _, _ = _pass(manager, project.tus, _builtins(manager), rules)
         finally:
             gc.callbacks.remove(clock)
-        live = collections.Counter(type(o).__name__ for o in gc.get_objects())
+        live: collections.Counter = collections.Counter()
+        size: collections.Counter = collections.Counter()
+        for o in gc.get_objects():
+            live[type(o).__name__] += 1
+            size[type(o).__name__] += sys.getsizeof(o)
     return {
         "workload": workload, "seed": seed, "units": len(project.tus), "kept_units": len(kept),
         "live_tracked_objects": sum(live.values()),
-        "live_by_type": dict(live.most_common(top)),
+        "live_tracked_bytes": sum(size.values()),
+        "live_by_type": {name: {"count": n, "bytes": size[name]} for name, n in live.most_common(top)},
         "collections_by_generation": collections_by_gen,
         "gc_s_by_generation": [round(s, 4) for s in seconds_by_gen],
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 2),

@@ -33,13 +33,13 @@ from ccomply.builtins import BUILTIN_MACRO_SPECS
 from ccomply.errors import AnalysisError
 from ccomply.frontend import macro_from_define_flag, preprocess
 from ccomply.parsing import parse
-from ccomply.source import SourceManager, Span
+from ccomply.source import Extent, SourceManager, Span
 from support import pp_text
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
 from gen import WORKLOADS, generate  # noqa: E402  (the generator imports nothing from ccomply)
 
-_SPAN_TYPES = (Span, parser_oracle.Span)
+_EXTENT_FIELDS = frozenset({"start", "end", "via"})
 _FIELD_NAMES: dict[type, tuple[str, ...]] = {}
 
 
@@ -47,23 +47,24 @@ def flatten(root) -> list:
     """Every field of a tree, in pre-order, as one flat list.
 
     Each dataclass (node or syntactic type) contributes its class and field
-    names, each list or tuple its length, each span its three fields, and
-    each other value its type and itself, so two lists are equal exactly
-    when the trees are. The walk uses a stack, so a deep tree needs no
-    deep recursion.
+    names, a holder of an inline extent its decoded `span` in place of the
+    three extent fields, each list or tuple its length, and each other value
+    its type and itself, so two lists are equal exactly when the trees are.
+    The walk uses a stack, so a deep tree needs no deep recursion.
     """
     out: list = []
     stack = [root]
     while stack:
         v = stack.pop()
-        if isinstance(v, _SPAN_TYPES):
-            out.append(("Span", v.start, v.end, v.via))
-        elif is_dataclass(v):
+        if is_dataclass(v):
             cls = type(v)
             names = _FIELD_NAMES.get(cls)
             if names is None:
-                names = _FIELD_NAMES[cls] = tuple(f.name for f in fields(cls))
+                names = _FIELD_NAMES[cls] = tuple(
+                    f.name for f in fields(cls) if f.name not in _EXTENT_FIELDS)
             out.append((cls.__name__,) + names)
+            if isinstance(v, Extent):
+                out.append(("Span", v.span))
             stack.extend(getattr(v, name) for name in reversed(names))
         elif type(v) is list or type(v) is tuple:
             out.append((type(v).__name__, len(v)))

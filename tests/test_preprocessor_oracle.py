@@ -120,7 +120,8 @@ def outcome(preprocess_fn, entry, predefined, manager):
     except AnalysisError as exc:
         return ("error", type(exc), exc.message, exc.loc)
     return ("tokens", [
-        (t.kind, t.lexeme, t.origin, t.chain, t.at_bol, t.ws_before, t.no_expand)
+        (t.kind, t.lexeme, t.origin, tuple((f.macro, f.site) for f in t.chain),
+         t.at_bol, t.ws_before, t.no_expand)
         for t in tokens
     ], [(p.loc, p.text) for p in pragmas])
 

@@ -9,7 +9,7 @@ from ccomply.parsing import (
     Return, SynBase, SynPtr, SynType, astnodes, parse, walk,
 )
 from ccomply.sema import (
-    TK, ConstValue, IntegerModel, Linkage, Scope, Storage, Symbol, SymKind, const_eval,
+    TK, IntegerModel, Linkage, Scope, Storage, Symbol, SymKind,
     integer_promote, is_object_pointer, link_units, promoted_width, resolve,
     same_type, type_range,
 )
@@ -202,70 +202,65 @@ class TestPromotedWidth:
 
 
 class TestConstEval:
+    """The C99 6.6 value the resolver records in `const_value`."""
+
     def evaluate(self, expr_text: str, prelude: str = "extern void sink(int);\n"):
         e = first_expr(f"sink({expr_text});", prelude=prelude + "extern void sink(int);")
-        return const_eval(e.args[0])
+        return e.args[0]
 
     def test_masked_shift_is_zero(self):
-        cv = self.evaluate("32 & 0x1F")
-        assert cv.is_constant and cv.value == 0
+        arg = self.evaluate("32 & 0x1F")
+        assert arg.const_value == 0
 
     def test_strict_conditional(self):
         e = first_expr("sink(1 ? 2 : x);",
                        prelude="extern void sink(int);\nextern int x;")
-        cv = const_eval(e.args[0])
-        assert not cv.is_constant
+        assert e.args[0].const_value is None
 
     def test_unary_minus(self):
-        cv = self.evaluate("-(1)")
-        assert cv.is_constant and cv.value == -1
-        assert cv.type.kind is TK.INT
+        arg = self.evaluate("-(1)")
+        assert arg.const_value == -1
+        assert arg.ctype.kind is TK.INT
 
     def test_signed_overflow_wraps_and_tags_undefined(self):
         e = first_expr("sink(2147483647 + 1);", prelude="extern void sink(int);")
         arg = e.args[0]
-        cv = const_eval(arg)
-        assert cv.value == -(1 << 31)
+        assert arg.const_value == -(1 << 31)
         assert arg.behavior == "undefined"
 
     def test_unsigned_wraparound_is_silent(self):
         e = first_expr("sink(4294967295u + 1u);", prelude="extern void sink(unsigned int);")
         arg = e.args[0]
-        cv = const_eval(arg)
-        assert cv.value == 0 and cv.type.kind is TK.UINT
+        assert arg.const_value == 0 and arg.ctype.kind is TK.UINT
         assert arg.behavior is None
 
     def test_division_by_zero_not_constant_and_tagged(self):
         e = first_expr("sink(1 / 0);", prelude="extern void sink(int);")
         arg = e.args[0]
-        cv = const_eval(arg)
-        assert not cv.is_constant
+        assert arg.const_value is None
         assert arg.behavior == "undefined"
 
     def test_call_and_volatile_are_not_constant(self):
         e = first_expr("sink(g() + 1);",
                        prelude="extern void sink(int);\nextern int g(void);")
-        assert not const_eval(e.args[0]).is_constant
+        assert e.args[0].const_value is None
         e = first_expr("sink(v + 0);",
                        prelude="extern void sink(int);\nextern volatile int vv;\nextern int v;")
-        assert const_eval(e.args[0]).is_constant is False  # plain ident, still strict
+        assert e.args[0].const_value is None  # plain ident, still strict
 
     def test_enum_constant_folds(self):
         e = first_expr("sink(B + 1);",
                        prelude="enum E { A = 2, B };\nextern void sink(int);")
-        cv = const_eval(e.args[0])
-        assert cv.value == 4
+        assert e.args[0].const_value == 4
 
     def test_sizeof_folds(self):
         e = first_expr("sink(sizeof(uint16_t));", prelude="extern void sink(int);")
-        cv = const_eval(e.args[0])
-        assert cv.value == 2
+        assert e.args[0].const_value == 2
 
     def test_shift_out_of_range_not_constant(self):
         e = first_expr("sink(1 << 40);", prelude="extern void sink(int);")
         arg = e.args[0]
-        cv = const_eval(arg)
-        assert not cv.is_constant and arg.behavior == "undefined"
+        assert arg.const_value is None and arg.behavior == "undefined"
 
     def test_agrees_with_bigint_oracle(self):
         # Independent oracle: evaluate with unbounded integers, then apply
@@ -280,9 +275,9 @@ class TestConstEval:
             ("6 & 3 | 8 ^ 1", 6 & 3 | 8 ^ 1),
         ]
         for text, expected in cases:
-            cv = self.evaluate(text)
-            assert cv.is_constant, text
-            assert cv.value == expected, text
+            value = self.evaluate(text).const_value
+            assert value is not None, text
+            assert value == expected, text
 
 
 class TestIntegerModel:
@@ -624,3 +619,43 @@ class TestSizeofOperand:
         local, _ = analyze(f"extern void use(unsigned long);\nvoid f(void) {{\n{decl}\nuse({expr});\n}}\n")
         call = [n for n in walk(local.decls[-1].body) if isinstance(n, Call)][0]
         assert call.args[0].const_value == value
+
+
+class TestArrayRedeclaration:
+    """C99 6.7.5.2p6: an array of unknown size is compatible with one of known
+    size, and a redeclaration takes their composite type (6.2.7p3)."""
+
+    @pytest.mark.parametrize("decls", [
+        "extern int a[];\nint a[3];\n",
+        "int a[3];\nextern int a[];\n",
+        "extern int a[];\nextern int a[3];\nextern int a[];\n",
+    ])
+    def test_sized_and_unsized_declarations_merge_to_the_sized_type(self, decls):
+        tu, table = analyze(decls + "unsigned long n = sizeof a;\n")
+        a = table.file_scope.names["a"]
+        assert a.type.kind is TK.ARRAY and a.type.length == 3 and a.type.elem.kind is TK.INT
+        assert tu.decls[-1].entries[0].init.const_value == 12
+        assert [e.symbol for d in tu.decls[:-1] for e in d.entries] == [a] * (len(tu.decls) - 1)
+
+    def test_the_first_declaration_keeps_reporting_the_symbol(self):
+        _, table = analyze("extern int a[];\nint a[3];\n")
+        assert table.file_scope.names["a"].def_span.start.line == 1
+
+    def test_multidimensional_outer_bound_merges(self):
+        _, table = analyze("extern int m[][2];\nint m[4][2];\n")
+        m = table.file_scope.names["m"].type
+        assert m.length == 4 and m.elem.length == 2
+
+    def test_an_initializer_still_completes_the_merged_array(self):
+        _, table = analyze("extern int a[];\nint a[] = {1, 2};\n")
+        assert table.file_scope.names["a"].type.length == 2
+
+    @pytest.mark.parametrize("decls", [
+        "int a[2];\nint a[3];\n",
+        "extern int a[];\nchar a[3];\n",
+        "extern int m[][2];\nint m[4][3];\n",
+        "extern int a[];\nint a;\n",
+    ])
+    def test_incompatible_redeclarations_still_raise(self, decls):
+        with pytest.raises(SemaError, match="conflicting redeclaration of '[am]'"):
+            analyze(decls)
