@@ -10,8 +10,10 @@ object: each names a piece of the object its operand names, so the walk
 goes on down to that object. `*`, `->` and subscripts of pointers (`p[i]`
 and `i[p]` alike) go through a pointer: the lvalue names whatever the
 pointer expression points at, and the walk stops at that expression.
-Reads, stores and `&` here, the points-to address of `&`, and the
-side-effect test of R13.1 and R13.5 all read this one decomposition.
+Reads, stores and `&` here, the points-to address of `&`, the
+side-effect test of R13.1 and R13.5, the access keys of R13.2 and the
+writes through a pointer that R8.13 looks for all read this one
+decomposition.
 """
 from __future__ import annotations
 

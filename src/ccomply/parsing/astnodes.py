@@ -497,22 +497,19 @@ def walk(node: Node) -> Iterator[Node]:
 class NodeIndex:
     """Every node below a translation unit's declarations, from one pre-order walk.
 
-    `nodes` lists them in pre-order, `by_class` maps each node class to its
-    nodes in pre-order, and `parents` maps `id(node)` to the node's parent;
-    top-level declarations have no entry. `subtree` gives the pre-order
-    nodes of a top-level declaration or of a function's body as a slice of
-    `nodes`.
+    `nodes` lists them in pre-order and `by_class` maps each node class to
+    its nodes in pre-order. `subtree` gives the pre-order nodes of a
+    top-level declaration or of a function's body as a slice of `nodes`.
+    There is no parent map: checkers read the tree top-down.
 
-    The index costs a dict entry and a list slot per node, so a caller
-    builds one for a batch of queries and drops it, rather than keeping it
-    with the tree.
+    The index costs two list slots per node, so a caller builds one for a
+    batch of queries and drops it, rather than keeping it with the tree.
     """
 
-    __slots__ = ("nodes", "by_class", "parents", "_bounds", "__weakref__")
+    __slots__ = ("nodes", "by_class", "_bounds", "__weakref__")
 
     def __init__(self, tu: TranslationUnitAst) -> None:
         nodes: list[Node] = []
-        parents: dict[int, Node] = {}
         bounds: dict[int, tuple[int, int]] = {}
         for decl in tu.decls:
             start = len(nodes)
@@ -521,8 +518,6 @@ class NodeIndex:
                 n = stack.pop()
                 nodes.append(n)
                 kids = children(n)
-                for kid in kids:
-                    parents[id(kid)] = n
                 kids.reverse()
                 stack.extend(kids)
             end = len(nodes)
@@ -538,7 +533,6 @@ class NodeIndex:
             group.append(n)
         self.nodes = nodes
         self.by_class = by_class
-        self.parents = parents
         self._bounds = bounds
 
     def of(self, cls: type) -> list[Node]:

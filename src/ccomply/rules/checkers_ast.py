@@ -1,16 +1,15 @@
 """Syntax-driven checkers: R11.4, R13.1, R13.5, R13.2, R8.13, R14.1, R14.2."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
-from ccomply.flow.effects import walk_effects
+from ccomply.flow.effects import designate, sym_of, walk_effects
 from ccomply.parsing.astnodes import (
     AddrOf, Assign, Binary, Call, Cast, Comma, CompoundAssign, Conditional,
     Declaration, Deref, DoWhile, Expr, ExprStmt, For, FunctionDef, Identifier,
     If, IncDec, Index, InitList, Member, Node, NodeIndex, Return, Sizeof,
-    Switch, Unary, While, children, for_clauses, operands, walk,
+    Switch, While, children, for_clauses, operands, walk,
 )
 from ccomply.rules.context import FunctionFacts, TUFacts
 from ccomply.rules.findings import BehaviorClass, Certainty, Evidence, Finding
@@ -79,13 +78,23 @@ _SIDE_EFFECTS = frozenset({"write", "deref_store", "call", "volatile"})
 
 
 def _has_side_effect(e: Expr) -> bool:
-    """Does evaluating `e` store, call, or access a volatile object?"""
+    """Does evaluating `e` store, call, or access a volatile object?
+
+    Every call counts as a persistent side effect, a call to a body-less
+    `extern` function included: only a summary of a callee's body could
+    show that it has none (ROADMAP item 3).
+    """
     return any(ev.kind in _SIDE_EFFECTS for ev in walk_effects(e))
 
 
 def check_initializer_side_effects(
     facts: TUFacts, index: NodeIndex, functions: list[FunctionFacts],
 ) -> list[Finding]:
+    """R13.1: an initializer contains no persistent side effect.
+
+    MISRA C:2012 words the rule for initializer lists; this checker also
+    flags scalar initializers (`int x = i++;`), a deliberate superset.
+    """
     out: list[Finding] = []
     for node in index.of(Declaration):
         for entry in node.entries:
@@ -103,8 +112,10 @@ def check_logical_operand_side_effects(
     facts: TUFacts, index: NodeIndex, functions: list[FunctionFacts],
 ) -> list[Finding]:
     out: list[Finding] = []
+    # C99 6.5.3.4p2: the operand of sizeof is never evaluated.
+    unevaluated = {id(n) for s in index.of(Sizeof) for n in walk(s)}
     for node in index.of(Binary):
-        if node.op in ("&&", "||") and not _under_sizeof(node, index.parents):
+        if node.op in ("&&", "||") and id(node) not in unevaluated:
             if _has_side_effect(node.right):
                 out.append(Finding(
                     "R13.5", node.right.span, Certainty.DEFINITE,
@@ -115,16 +126,6 @@ def check_logical_operand_side_effects(
     return out
 
 
-def _under_sizeof(node: Node, parents: dict[int, Node]) -> bool:
-    """Is `node` inside the operand of a `sizeof`, which C99 6.5.3.4p2 never evaluates?"""
-    parent = parents.get(id(node))
-    while parent is not None:
-        if isinstance(parent, Sizeof):
-            return True
-        parent = parents.get(id(parent))
-    return False
-
-
 # ---- R13.2: no reliance on unspecified evaluation order --------------------------
 
 _WORLD = ("world", -1)
@@ -133,8 +134,7 @@ _WORLD = ("world", -1)
 _Escaped = Callable[[tuple], bool]
 
 
-@dataclass(frozen=True)
-class _Access:
+class _Access(NamedTuple):
     write: bool
     key: tuple
     deref: bool
@@ -143,60 +143,48 @@ class _Access:
 
 def _accesses(e: Expr, escaped: _Escaped, conflicts: list) -> list[_Access]:
     """Collect accesses of a subtree, checking unsequenced sibling groups."""
-    if isinstance(e, Identifier):
+    cls = type(e)
+    if cls is Identifier:
         sym = e.symbol
         if isinstance(sym, Symbol) and sym.kind is SymKind.OBJECT:
             volatile = "volatile" in sym.quals
             return [_Access(volatile, ("var", sym.uid), False, sym.name)]
         return []
-    if isinstance(e, (Assign, CompoundAssign)):
+    if cls is Assign or cls is CompoundAssign:
         value_acc = _accesses(e.value, escaped, conflicts)
-        target_reads, target_write = _lvalue_accesses(e.target, escaped, conflicts)
-        if isinstance(e, CompoundAssign) and target_write is not None:
-            target_reads = target_reads + [_Access(False, target_write.key,
-                                                   target_write.deref,
-                                                   target_write.name)]
-        # The updating store is exempt from conflicts with reads of the same
-        # key that feed the stored value, but two writes of one object always
-        # conflict, and a store through one pointer may alias a read through
-        # another.
-        if target_write is not None:
+        target_reads, named = _lvalue(e.target, "store", escaped, conflicts)
+        if named is not None:
+            target_write = _Access(True, named.key, named.deref, named.name)
+            if cls is CompoundAssign:
+                target_reads.append(named)
+            # The updating store is exempt from conflicts with reads of the
+            # same key that feed the stored value, but two writes of one
+            # object always conflict, and a store through one pointer may
+            # alias a read through another.
             for other in value_acc + target_reads:
-                if other.write or (target_write.deref and other.deref
-                                   and other.key != target_write.key):
+                if other.write or (named.deref and other.deref and other.key != named.key):
                     _check_pair(target_write, other, e, escaped, conflicts)
         _cross([value_acc, target_reads], e, escaped, conflicts)
         result = value_acc + target_reads
-        if target_write is not None:
+        if named is not None:
             result.append(target_write)
         return result
-    if isinstance(e, IncDec):
-        reads, write = _lvalue_accesses(e.operand, escaped, conflicts)
-        out = reads[:]
-        if write is not None:
-            out.append(write)
-            out.append(_Access(False, write.key, write.deref, write.name))
+    if cls is IncDec:
+        out, named = _lvalue(e.operand, "store", escaped, conflicts)
+        if named is not None:
+            out += [_Access(True, named.key, named.deref, named.name), named]
         return out
-    if isinstance(e, Deref):
-        inner = _accesses(e.operand, escaped, conflicts)
-        return inner + [_Access(False, _deref_key(e.operand), True, _expr_name(e.operand))]
-    if isinstance(e, Index):
-        base = _accesses(e.base, escaped, conflicts)
-        index = _accesses(e.index, escaped, conflicts)
-        _cross([base, index], e, escaped, conflicts)
-        acc = base + index
-        acc.append(_Access(False, _deref_key(e.base), True, _expr_name(e.base)))
-        return acc
-    if isinstance(e, Member):
-        inner = _accesses(e.base, escaped, conflicts)
-        if e.arrow:
-            inner = inner + [_Access(False, _deref_key(e.base), True, _expr_name(e.base))]
-        return inner
+    if cls is AddrOf:
+        return _lvalue(e.operand, "address", escaped, conflicts)[0]
+    if cls is Deref or cls is Index or cls is Member:
+        out, named = _lvalue(e, "read", escaped, conflicts)
+        if named is not None and named.deref:
+            out.append(named)  # a named object's read is its root's read
+        return out
     # Every other class: the operands' accesses. The operands of a call, of
     # an initializer list and of a binary operator other than && and || are
     # unsequenced against each other.
     groups = [_accesses(x, escaped, conflicts) for x in operands(e)]
-    cls = type(e)
     if cls is Call or cls is InitList or (cls is Binary and e.op not in ("&&", "||")):
         _cross(groups, e, escaped, conflicts)
     flat = [x for g in groups for x in g]
@@ -213,40 +201,31 @@ def _cross(groups: list[list[_Access]], node: Expr, escaped: _Escaped, conflicts
                     _check_pair(a, b, node, escaped, conflicts)
 
 
-def _lvalue_accesses(target: Expr, escaped, conflicts) -> tuple[list[_Access], _Access | None]:
-    """(address-computation accesses, the store access)."""
-    if isinstance(target, Identifier) and isinstance(target.symbol, Symbol):
-        sym = target.symbol
-        return [], _Access(True, ("var", sym.uid), False, sym.name)
-    if isinstance(target, Deref):
-        reads = _accesses(target.operand, escaped, conflicts)
-        return reads, _Access(True, _deref_key(target.operand), True,
-                              _expr_name(target.operand))
-    if isinstance(target, Index):
-        reads = _accesses(target.base, escaped, conflicts) + _accesses(target.index, escaped, conflicts)
-        return reads, _Access(True, _deref_key(target.base), True, _expr_name(target.base))
-    if isinstance(target, Member):
-        if target.arrow:
-            reads = _accesses(target.base, escaped, conflicts)
-            return reads, _Access(True, _deref_key(target.base), True,
-                                  _expr_name(target.base))
-        reads, write = _lvalue_accesses(target.base, escaped, conflicts)
-        return reads, write
-    if isinstance(target, Cast):
-        return _lvalue_accesses(target.operand, escaped, conflicts)
-    return _accesses(target, escaped, conflicts), None
+def _lvalue(e: Expr, use: str, escaped: _Escaped,
+            conflicts: list) -> tuple[list[_Access], _Access | None]:
+    """The accesses computing the address of the lvalue `e`, and a read of what it names.
 
-
-def _deref_key(pointer: Expr) -> tuple:
-    if isinstance(pointer, Identifier) and isinstance(pointer.symbol, Symbol):
-        return ("deref", pointer.symbol.uid)
-    return ("deref", None)
-
-
-def _expr_name(e: Expr) -> str:
-    if isinstance(e, Identifier):
-        return f"*{e.name}"
-    return "*<expr>"
+    `use` is "read", "store" or "address" (`&e`). The address operands of
+    `designate` are unsequenced against each other; the root object is
+    read where `walk_effects` reads it. Through a pointer the key is
+    `("deref", pointer uid or None)`, an array element's is
+    `("deref", root uid or None)`, any other part of a named object's is
+    `("var", uid)`, and a call or literal root names nothing.
+    """
+    obj, pointer, ops, indexed = designate(e)
+    groups = [_accesses(x, escaped, conflicts) for x in ops]
+    if obj is not None and (use == "read" or type(obj) is not Identifier
+                            or (use == "store" and indexed)):
+        groups.insert(0, _accesses(obj, escaped, conflicts))
+    _cross(groups, e, escaped, conflicts)
+    address = [x for g in groups for x in g]
+    if pointer is not None or indexed:
+        sym = sym_of(obj if pointer is None else pointer)
+        return address, _Access(False, ("deref", sym.uid if sym else None), True, "")
+    sym = sym_of(obj)
+    if sym is None:
+        return address, None
+    return address, _Access(False, ("var", sym.uid), False, sym.name)
 
 
 def _is_escaped(key: tuple, fn: FunctionFacts, symbols: list[Symbol]) -> bool:
@@ -340,8 +319,24 @@ def check_evaluation_order(
 def check_const_pointer(
     facts: TUFacts, index: NodeIndex, functions: list[FunctionFacts],
 ) -> list[Finding]:
+    """R8.13: a pointer parameter or local whose pointee is never modified
+    through it could point to a const-qualified type.
+
+    One top-down pass over each body spoils a candidate (it is written
+    through, or escapes) when
+    - a store, `++`/`--`, compound assignment or `&` goes through the
+      pointer `designate` finds for its lvalue, and that pointer's value
+      comes from the candidate (see `_roots`);
+    - its value flows into a sink whose type is not a pointer to const:
+      an assignment to another object, an initializer, an argument, a
+      return value, or an initializer-list element (always spoiled, as the
+      element's type is not tracked);
+    - its value is cast to a non-pointer type; or
+    - its own address is taken (`&p`).
+    Uses as conditions, in comparisons, under `*` for a read, or stores
+    into the pointer itself spoil nothing.
+    """
     out: list[Finding] = []
-    parents = index.parents
     for decl in facts.tu.decls:
         if not isinstance(decl, FunctionDef):
             continue
@@ -350,18 +345,12 @@ def check_const_pointer(
         if not candidates:
             continue
         ret_t = decl.symbol.type.ret if decl.symbol is not None else None
-        verdicts = {sym.uid: "const-ok" for sym in candidates}
-        by_uid = {sym.uid: sym for sym in candidates}
+        spoiled: set[Symbol] = set()
         for node in body:
-            if not isinstance(node, Identifier) or not isinstance(node.symbol, Symbol):
-                continue
-            uid = node.symbol.uid
-            if uid not in verdicts or verdicts[uid] != "const-ok":
-                continue
-            verdicts[uid] = _classify_use(node, parents, ret_t)
-        for uid, verdict in verdicts.items():
-            if verdict == "const-ok":
-                sym = by_uid[uid]
+            if type(node) in _SPOILERS:
+                _spoil(node, ret_t, spoiled)
+        for sym in candidates:
+            if sym not in spoiled:
                 out.append(Finding(
                     "R8.13", sym.def_span, Certainty.DEFINITE,
                     f"'{sym.name}' is never used to modify its pointee and could "
@@ -390,98 +379,92 @@ def _const_candidates(fn: FunctionDef, body: list[Node]) -> list[Symbol]:
     ]
 
 
-def _classify_use(node: Expr, parents: dict[int, Node], fn_ret: TypeDesc | None) -> str:
-    """'const-ok', 'writes', or 'havoc' for one use of a candidate pointer."""
-    parent = parents.get(id(node))
-    child: Expr = node
-    while isinstance(parent, Cast):
-        target_t = parent.ctype
-        if target_t is None or target_t.kind is not TK.POINTER:
-            return "havoc"  # cast away from pointer land
-        if target_t.pointee is not None and "const" in target_t.pointee.quals:
-            return "const-ok"
-        child = parent
-        parent = parents.get(id(parent))
-    if parent is None:
-        return "const-ok"
-    if (
-        isinstance(parent, Deref)
-        or (isinstance(parent, Index) and parent.base is child)
-        or (isinstance(parent, Member) and parent.arrow and parent.base is child)
-    ):
-        return _classify_access(parent, parents)
-    if isinstance(parent, AddrOf):
-        return "havoc"
-    if isinstance(parent, Call):
-        if child in parent.args:
-            position = parent.args.index(child)
-            callee_t = parent.callee.ctype
-            ft = callee_t.pointee if callee_t is not None and callee_t.kind is TK.POINTER else callee_t
-            if ft is None or ft.kind is not TK.FUNCTION or ft.params is None:
-                return "havoc"
-            if position >= len(ft.params):
-                return "havoc"  # variadic tail
-            pt = ft.params[position]
-            if pt.kind is TK.POINTER and pt.pointee is not None and "const" in pt.pointee.quals:
-                return "const-ok"
-            if pt.kind is TK.POINTER:
-                return "writes"
-            return "havoc"
-        return "const-ok"  # callee position
-    if isinstance(parent, Assign):
-        if parent.target is child:
-            return "const-ok"  # reassigning the pointer itself
-        return _sink_verdict(parent.target.ctype)
-    if isinstance(parent, Declaration):
-        # `child` is a direct child of the declaration, so it lies within
-        # an initializer only if it is that initializer.
-        for entry in parent.entries:
-            if entry.init is child:
-                sink = entry.symbol.type if entry.symbol is not None else None
-                return _sink_verdict(sink)
-        return "const-ok"  # array-size or enum position: value-only use
-    if isinstance(parent, Return):
-        return _sink_verdict(fn_ret)
-    if isinstance(parent, (CompoundAssign, IncDec)):
-        return "const-ok"  # pointer arithmetic on the pointer itself
-    if isinstance(parent, InitList):
-        return "havoc"  # stored into an aggregate; tracking stops
-    if isinstance(parent, (Binary, Unary, Member, Index, Comma, Conditional,
-                           ExprStmt, Sizeof)):
-        return "const-ok"
-    return "havoc"
+_SPOILERS = frozenset({Assign, CompoundAssign, IncDec, AddrOf, Declaration, Call, Return,
+                       InitList, Cast})
 
 
-def _classify_access(access: Expr, parents: dict[int, Node]) -> str:
-    """Classify a `*p` / `p[i]` / `p->m` lvalue built on the candidate."""
-    while True:
-        grand = parents.get(id(access))
-        if isinstance(grand, Member) and not grand.arrow and grand.base is access:
-            access = grand
-            continue
-        if isinstance(grand, Index) and grand.base is access:
-            access = grand
-            continue
-        break
-    if isinstance(grand, Assign) and grand.target is access:
-        return "writes"
-    if isinstance(grand, CompoundAssign) and grand.target is access:
-        return "writes"
-    if isinstance(grand, IncDec) and grand.operand is access:
-        return "writes"
-    if isinstance(grand, AddrOf):
-        return "havoc"  # a fresh pointer into the pointee escapes
-    return "const-ok"
+def _spoil(node: Node, ret_t: TypeDesc | None, spoiled: set[Symbol]) -> None:
+    """Add to `spoiled` the variables whose pointee `node` may modify or let escape."""
+    cls = type(node)
+    if cls is Assign or cls is CompoundAssign or cls is IncDec or cls is AddrOf:
+        lvalue = node.operand if cls is IncDec or cls is AddrOf else node.target
+        obj, pointer, _, _ = designate(lvalue)
+        if pointer is not None:
+            spoiled.update(_roots(pointer))
+        elif cls is AddrOf:
+            spoiled.add(sym_of(obj))  # `&p`: the pointer itself escapes
+        if cls is Assign:
+            target = sym_of(node.target)
+            _sink(node.value, node.target.ctype, spoiled, keep=target)
+    elif cls is Declaration:
+        for entry in node.entries:
+            if entry.init is not None and type(entry.init) is not InitList:
+                _sink(entry.init, entry.symbol.type if entry.symbol else None, spoiled)
+    elif cls is Call:
+        callee_t = node.callee.ctype
+        ft = callee_t.pointee if callee_t is not None and callee_t.kind is TK.POINTER else callee_t
+        params = ft.params if ft is not None and ft.kind is TK.FUNCTION else None
+        for i, arg in enumerate(node.args):
+            # No prototype or the variadic tail: the callee is unknown.
+            _sink(arg, params[i] if params is not None and i < len(params) else None, spoiled)
+    elif cls is Return and node.value is not None:
+        _sink(node.value, ret_t, spoiled)
+    elif cls is InitList:
+        for element in node.elements:
+            _sink(element, None, spoiled)
+    elif cls is Cast and (node.ctype is None or node.ctype.kind is not TK.POINTER):
+        _sink(node.operand, None, spoiled)
 
 
-def _sink_verdict(sink: TypeDesc | None) -> str:
-    if sink is None:
-        return "havoc"
-    if sink.kind is TK.POINTER:
-        if sink.pointee is not None and "const" in sink.pointee.quals:
-            return "const-ok"
-        return "writes"
-    return "havoc"
+def _sink(value: Expr, sink: TypeDesc | None, spoiled: set[Symbol],
+          keep: Symbol | None = None) -> None:
+    """`value` flows into an object of type `sink`: unless that is a pointer
+    to const, the variables it may come from, other than `keep`, are spoiled."""
+    if not _points_to_const(sink):
+        spoiled.update(sym for sym in _roots(value) if sym is not keep)
+
+
+def _points_to_const(t: TypeDesc | None) -> bool:
+    return t is not None and t.kind is TK.POINTER and t.pointee is not None \
+        and "const" in t.pointee.quals
+
+
+def _roots(e: Expr) -> list[Symbol]:
+    """The variables whose pointer value `e` may be, pointee still writable.
+
+    Looks through pointer `+`/`-`, `++`/`--`, `+=`/`-=`, casts to a pointer
+    to non-const, both arms of `?:`, the right operand of `,`, and an array
+    that decays to a pointer into what another pointer points at.
+    """
+    out: list[Symbol] = []
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        cls = type(e)
+        if cls is Identifier:
+            if isinstance(e.symbol, Symbol):
+                out.append(e.symbol)
+        elif cls is Cast:
+            if e.ctype is not None and e.ctype.kind is TK.POINTER and not _points_to_const(e.ctype):
+                stack.append(e.operand)
+        elif cls is Binary:
+            if e.op in ("+", "-") and e.ctype is not None and e.ctype.kind is TK.POINTER:
+                stack += (e.left, e.right)
+        elif cls is IncDec:
+            stack.append(e.operand)
+        elif cls is CompoundAssign:
+            stack.append(e.target)
+        elif cls is Conditional:
+            stack += (e.then, e.other)
+        elif cls is Comma:
+            stack.append(e.right)
+        elif (cls is Deref or cls is Index or cls is Member) and e.ctype is not None \
+                and e.ctype.kind is TK.ARRAY:
+            # An array decays to a pointer into what it designates (C99 6.3.2.1p3).
+            pointer = designate(e)[1]
+            if pointer is not None:
+                stack.append(pointer)
+    return out
 
 
 # ---- R14.1 / R14.2: loop counter discipline -----------------------------------------

@@ -130,16 +130,20 @@ class SymbolTable:
     def _merge(self, old: Symbol, new: Symbol) -> Symbol | None:
         """Allow compatible redeclarations; reject conflicts.
 
-        A file-scope object declared once as an array of unknown size and
-        once with a size (C99 6.7.5.2p6) takes the sized type, which is
-        the composite type of the two (6.2.7p3).
+        A function or object may be declared again at file scope, or in a
+        block when both declarations have linkage (`extern`); C99 6.7p3
+        forbids a second declaration only of a name with no linkage. An
+        object declared once as an array of unknown size and once with a
+        size (6.7.5.2p6) takes the sized type, which is the composite type
+        of the two (6.2.7p3).
         """
         completes = old.kind is SymKind.OBJECT and _sizes_an_array(old.type, new.type)
         if old.kind is not new.kind or not (completes or same_type(old.type, new.type)):
             raise SemaError(
                 f"conflicting redeclaration of {new.name!r}", new.loc
             )
-        if old.kind in (SymKind.FUNCTION, SymKind.OBJECT) and old.scope_id == 0:
+        linked = old.linkage is not Linkage.NONE and new.linkage is not Linkage.NONE
+        if old.kind in (SymKind.FUNCTION, SymKind.OBJECT) and (old.scope_id == 0 or linked):
             old.defined = old.defined or new.defined
             if completes and old.type.length is None:
                 old.type = new.type

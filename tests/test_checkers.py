@@ -233,6 +233,38 @@ class TestConstPointer:
             "void f(int *p) { int *q; q = p; *q = 1; }", "R8.13"
         ) == []
 
+    # Stores through a pointer computed from `p`, and values of `p` that flow
+    # into a pointer to non-const, modify or may modify `p`'s pointee.
+    @pytest.mark.parametrize("body", [
+        "0[p] = 1;",
+        "*p++ = 1;",
+        "*(p + 1) = 1;",
+        "*(p += 1) = 0;",
+        "usep(p + 1);",
+        "int *q; q = p++; *q = 1;",
+        "int *q = p + 1; *q = 2;",
+        "int *q = c ? p : 0; *q = 1;",
+        "int *q = (0, p); *q = 1;",
+    ])
+    def test_writes_through_a_derived_pointer_clean(self, body):
+        assert run_rule(f"void f(int *p, int c) {{ {body} }}", "R8.13") == []
+
+    def test_decayed_array_member_passed_to_nonconst_clean(self):
+        assert run_rule(
+            "struct S { int v[2]; };\nvoid f(struct S *p) { usep(p->v); }", "R8.13"
+        ) == []
+
+    @pytest.mark.parametrize("text, name", [
+        ("void f(int *p) { if (p) { use(*p); } }", "p"),
+        ("void f(int *p) { for (; p; p = 0) { use(*p); } }", "p"),
+        ("void f(int **pp) { (*pp)[0] = 1; }", "pp"),
+        ("void f(int *p) { p = p + 1; use(*p); }", "p"),
+        ("void f(int *p) { usecp((const int *)p); }", "p"),
+    ])
+    def test_pointer_only_tested_or_read_through_flagged(self, text, name):
+        f = single(run_rule(text, "R8.13"))
+        assert f.certainty is Certainty.DEFINITE and f"'{name}'" in f.message
+
 
 class TestIntPointerConversion:
     def test_cast_int_to_pointer(self):
@@ -333,6 +365,35 @@ class TestEvaluationOrder:
         assert run_rule(
             "void f(int *p, int x) { use((*p = 1) + x); }", "R13.2"
         ) == []
+
+    # One store and the reads that compute its own address, or an address
+    # taken beside a store to the object, are not unsequenced accesses.
+    @pytest.mark.parametrize("text", [
+        "struct S { int v[2]; };\nvoid f(struct S *p) { p->v[0] = 1; }",
+        "int g[2][2];\nvoid f(void) { g[1][1] = 3; }",
+        "void f(void) { int a[2][2]; a[0][1] = 1; use(a[0][1]); }",
+        "extern void take(int *, int);\nvoid f(void) { int x; take(&x, x = 1); use(x); }",
+        "struct S { int m; };\nextern void take(int *, int);\n"
+        "void f(void) { struct S s; take(&s.m, s.m = 1); use(s.m); }",
+    ])
+    def test_store_and_its_own_address_clean(self, text):
+        assert run_rule(text, "R13.2") == []
+
+    @pytest.mark.parametrize("text", [
+        "void f(int *p) { int a[2]; a[0] = 0; p = a; a[1] = *p; use(a[1]); }",
+        "struct S { int v[2]; };\nvoid f(struct S *p, struct S *q) { p->v[0] = q->v[1]; }",
+        "void f(void) { int a[2], b[2]; b[1] = 0; a[0] = b[1]; use(a[0]); }",
+        "struct S { int v[2]; };\n"
+        "void f(void) { struct S s, t; t.v[1] = 0; s.v[0] = t.v[1]; use(s.v[0]); }",
+    ])
+    def test_element_stores_against_other_reads_are_caution(self, text):
+        assert single(run_rule(text, "R13.2")).certainty is Certainty.CAUTION
+
+    def test_store_address_operands_are_unsequenced(self):
+        f = single(run_rule(
+            "void f(int i) { int a[4][4]; a[i][i++] = 0; use(a[0][0]); }", "R13.2"
+        ))
+        assert f.certainty is Certainty.DEFINITE and "'i'" in f.message
 
 
 class TestLoopRules:

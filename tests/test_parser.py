@@ -341,7 +341,7 @@ def test_children_match_reflection_on_every_corpus_node():
 
 
 def test_node_index_matches_walk_on_every_corpus_tu():
-    from ccomply.parsing import FunctionDef, NodeIndex, children, walk
+    from ccomply.parsing import FunctionDef, NodeIndex, walk
 
     for text in CORPUS_SAMPLES:
         tu = parse_text(text)
@@ -363,12 +363,6 @@ def test_node_index_matches_walk_on_every_corpus_tu():
             got = index.of(cls)
             assert len(got) == len(group) and all(a is b for a, b in zip(got, group)), cls
         assert sum(len(g) for g in index.by_class.values()) == len(want)
-        edges = 0
-        for n in want:
-            for child in children(n):
-                assert index.parents[id(child)] is n
-                edges += 1
-        assert edges == len(index.parents) == len(want) - len(tu.decls)
 
 
 def test_parse_is_deterministic():

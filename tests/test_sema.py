@@ -659,3 +659,25 @@ class TestArrayRedeclaration:
     def test_incompatible_redeclarations_still_raise(self, decls):
         with pytest.raises(SemaError, match="conflicting redeclaration of '[am]'"):
             analyze(decls)
+
+
+class TestBlockScopeRedeclaration:
+    """C99 6.7p3 forbids declaring a name twice in one scope only when it
+    has no linkage: two block-scope `extern` declarations name one object."""
+
+    def test_two_extern_declarations_in_a_block_merge(self):
+        tu, table = analyze("extern void use(int);\n"
+                            "void f(void) { extern int x; extern int x; use(x); }\n")
+        body = tu.decls[-1].body
+        first, second = (e.symbol for d in body.items[:2] for e in d.entries)
+        assert first is second and first.linkage is Linkage.EXTERNAL
+        call = [n for n in walk(body) if isinstance(n, Call)][0]
+        assert call.args[0].symbol is first
+
+    def test_two_declarations_without_linkage_still_raise(self):
+        with pytest.raises(SemaError, match="^redeclaration of 'x'"):
+            analyze("void f(void) { int x; int x; }\n")
+
+    def test_incompatible_extern_declarations_still_raise(self):
+        with pytest.raises(SemaError, match="conflicting redeclaration of 'x'"):
+            analyze("void f(void) { extern int x; extern float x; }\n")

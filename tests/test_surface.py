@@ -64,3 +64,15 @@ def test_integer_kernel_loads_no_parser_or_flow_module():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_no_checker_decides_an_lvalue_shape_or_climbs_the_tree():
+    # `effects.designate` decides what an lvalue names, and checkers read
+    # the tree top-down.
+    offenders = [
+        f"{path.relative_to(SRC)}:{n}"
+        for path in sorted((SRC / "rules").rglob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if ".arrow" in line or ".parents" in line
+    ]
+    assert offenders == []
