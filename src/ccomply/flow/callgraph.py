@@ -61,22 +61,23 @@ def build_call_graph(units: list[tuple[TranslationUnitAst, SymbolTable]]) -> Cal
     for tu, table in units:
         for sym in table.file_scope.names.values():
             if sym.kind is SymKind.FUNCTION:
-                cid = sym.canonical_id()
+                cid = sym.canonical_id(table.tu_path)
                 graph.nodes.add(cid)
                 graph.display.setdefault(cid, sym.name)
-                if sym.defined and cid not in graph.definitions:
+                if table.defines(sym) and cid not in graph.definitions:
                     graph.definitions[cid] = sym
     for tu, table in units:
+        path = table.tu_path
         for decl in tu.decls:
             if not isinstance(decl, FunctionDef):
                 continue
-            caller = decl.symbol.canonical_id()
+            caller = decl.symbol.canonical_id(path)
             graph.nodes.add(caller)
             graph.definitions.setdefault(caller, decl)
             for node in _evaluated_calls(decl.body):
                 target = _callee_symbol(node.callee)
                 if target is not None:
-                    callee = target.canonical_id()
+                    callee = target.canonical_id(path)
                     graph.nodes.add(callee)
                     graph.display.setdefault(callee, target.name)
                     graph.direct_edges.add((caller, callee))

@@ -21,6 +21,12 @@ redefinition has the same body, and expansion. Cached tokens and
 definitions are shared by every unit and must not be mutated. Expansion
 makes new tokens; one whose body token had no chain or hide set of its
 own shares the expansion's chain and hide set objects, never a copy.
+
+The same idea reaches past this stage. The returned `UnitTokens` say how
+many tokens came from the included text the unit starts with, and carry
+the run's table of header prefixes, so that `parse` and `resolve` work out
+the declarations of a header prefix that many units share once per run
+(see `parsing.prefix`).
 """
 from __future__ import annotations
 
@@ -132,6 +138,20 @@ class SourceMap:
             )
 
 
+class UnitTokens(list):
+    """The token stream of one translation unit, as `preprocess` returns it.
+
+    A list of `PPToken`s that also carries what `parse` needs to share a
+    header prefix with earlier units of the run (see `parsing.prefix`):
+
+    - `prefixes`: the run's table of prefixes, `SourceManager.prefixes`;
+    - `included`: how many tokens the stream starts with that came from
+      `#include`d files before any text of the main file.
+    """
+
+    __slots__ = ("prefixes", "included")
+
+
 class _Stream:
     """A cursor over a token list that is never copied or changed, with
     the tokens of expansions waiting in front of it."""
@@ -194,6 +214,8 @@ class _Preprocessor:
         self.manager = manager
         self.macros: dict[str, MacroDef] = {}
         self.out: list[PPToken] = []
+        # How many tokens `out` starts with that came from included files.
+        self.included = 0
         self.pragmas: list[PragmaRecord] = []
         # Whether the innermost conditional group of the current file is
         # active; a file is only processed from an active `#include`.
@@ -439,10 +461,14 @@ class _Preprocessor:
             manager.lexed[included.id] = tokens
             manager.directive_lines[included.id] = _directive_lines(tokens)
             manager.defines[included.id] = {}
+        # Whether the main file has produced no token of its own yet.
+        leading = depth == 0 and len(self.out) == self.included
         self.process_file(
             included, tokens, manager.directive_lines[included.id],
             manager.defines[included.id], depth + 1, head.pos,
         )
+        if leading:
+            self.included = len(self.out)
 
     def _include_name(self, rest: list[PPToken], head: PPToken) -> tuple[str, bool]:
         for attempt in range(2):
@@ -585,14 +611,17 @@ def preprocess(
     include_paths: list[str],
     predefined: list[MacroDef],
     manager: SourceManager,
-) -> tuple[list[PPToken], SourceMap, list[PragmaRecord]]:
+) -> tuple[UnitTokens, SourceMap, list[PragmaRecord]]:
     """Run the tracked preprocessor over one translation unit."""
     pp = _Preprocessor(include_paths, manager)
     for m in predefined:
         pp.macros[m.name] = m
     tokens = lex(entry)
     pp.process_file(entry, tokens, _directive_lines(tokens), {}, depth=0, site=None)
-    return pp.out, SourceMap(pp.out), pp.pragmas
+    out = UnitTokens(pp.out)
+    out.prefixes = manager.prefixes
+    out.included = pp.included
+    return out, SourceMap(out), pp.pragmas
 
 
 def macro_from_define_flag(spec: str, manager: SourceManager) -> MacroDef:

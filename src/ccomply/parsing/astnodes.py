@@ -2,8 +2,10 @@
 
 Nodes use identity equality (they serve as map keys in the analyses).
 Sema fills the `ctype`/`symbol`/`const_value` attributes in place after
-parsing. Every class is slotted: callers keep each unit's tree for the
-whole run, so a node costs its fields and no per-instance dict.
+parsing. Units of one run that start with the same header prefix share
+the prefix's nodes (see `parsing.prefix`), which sema fills once. Every
+class is slotted: callers keep each unit's tree for the whole run, so a
+node costs its fields and no per-instance dict.
 
 A node's source extent is stored inline, as are a declarator's
 (`DeclEntry`, `SynParam`, `RecordMember`): three fields, `start` and `end`
@@ -177,8 +179,21 @@ class FunctionDef(Node):
     symbol: Any = field(default=None, repr=False)
 
 
+class _Unit(Node):
+    """Holds a unit's `prefix`: the kept header prefix whose declarations
+    `decls` starts with, shared with other units of the run
+    (`parsing.prefix.Prefix`), else None. It is run state, not syntax, so it
+    is a slot and no dataclass field: `children`, `fields` and tree
+    comparisons leave it out."""
+
+    __slots__ = ("prefix",)
+
+    def __post_init__(self) -> None:
+        self.prefix = None
+
+
 @dataclass(eq=False, slots=True)
-class TranslationUnitAst(Node):
+class TranslationUnitAst(_Unit):
     decls: list[Node]  # Declaration | FunctionDef
     path: str = ""
 

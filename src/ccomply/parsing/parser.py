@@ -29,6 +29,7 @@ from ccomply.parsing.astnodes import (
     Sizeof, Stmt, StringLiteral, Switch, SynArr, SynBase, SynFunc, SynParam,
     SynPtr, SynType, TranslationUnitAst, Unary, While, qualifier_set,
 )
+from ccomply.parsing.prefix import find_prefix, keep_prefix
 from ccomply.source import ExpansionFrame, Location, pack, unpack
 
 KEYWORDS = {
@@ -94,8 +95,11 @@ class Parser:
     def __init__(self, tokens: list[PPToken], path: str = "<tu>"):
         from ccomply.builtins import BUILTIN_TYPEDEF_NAMES
 
-        self.toks = tokens
-        self._pad: list[PPToken | None] = tokens + [None, None, None]
+        # The tokens as `preprocess` returned them carry the run's prefix
+        # table; the parser reads an exact list, which indexes faster.
+        self.unit = tokens
+        self.toks = list(tokens)
+        self._pad: list[PPToken | None] = self.toks + [None, None, None]
         self.i = 0
         self.path = path
         self.paren_depth = 0
@@ -214,11 +218,26 @@ class Parser:
     # ---- top level ------------------------------------------------------
 
     def parse_translation_unit(self) -> TranslationUnitAst:
+        """The unit's tree; a unit that starts with a kept header prefix
+        takes its declarations and parses on from the state after them."""
+        prefix, key = find_prefix(self.unit)
         decls: list[Node] = []
+        if prefix is not None:
+            decls += prefix.decls
+            self.i = len(prefix.tokens)
+            self.scopes = [dict(prefix.typedefs)]
+            self._bases = dict(prefix.bases)
+            self._syntypes = dict(prefix.syntypes)
+        keep_at = -1 if key is None else len(key)
         while self._pad[self.i] is not None:
             decls.append(self.parse_external_declaration())
+            if self.i == keep_at:
+                prefix = keep_prefix(self.unit, key, decls, self.scopes[0], self._bases,
+                                     self._syntypes)
         start, end, via = self.extent_from(0)
-        return TranslationUnitAst(decls, path=self.path, start=start, end=end, via=via)
+        tu = TranslationUnitAst(decls, path=self.path, start=start, end=end, via=via)
+        tu.prefix = prefix
+        return tu
 
     def parse_external_declaration(self) -> Node:
         start = self.i
@@ -1004,5 +1023,9 @@ def _parse_number(tok: PPToken) -> tuple[int | float, bool]:
 
 
 def parse(tokens: list[PPToken], path: str = "<tu>") -> TranslationUnitAst:
-    """Parse a preprocessed token stream into a translation unit AST."""
+    """Parse a preprocessed token stream into a translation unit AST.
+
+    `UnitTokens` from `preprocess` share a repeated header prefix with the
+    run's earlier units (see `parsing.prefix`); a plain list shares nothing.
+    """
     return Parser(tokens, path).parse_translation_unit()

@@ -329,8 +329,9 @@ def check_const_pointer(
       comes from the candidate (see `_roots`);
     - its value flows into a sink whose type is not a pointer to const:
       an assignment to another object, an initializer, an argument, a
-      return value, or an initializer-list element (always spoiled, as the
-      element's type is not tracked);
+      return value, or the element or member an initializer-list value
+      initializes (every value of a list with elided braces is spoiled, as
+      which element it meets is not tracked);
     - its value is cast to a non-pointer type; or
     - its own address is taken (`&p`).
     Uses as conditions, in comparisons, under `*` for a read, or stores
@@ -379,8 +380,7 @@ def _const_candidates(fn: FunctionDef, body: list[Node]) -> list[Symbol]:
     ]
 
 
-_SPOILERS = frozenset({Assign, CompoundAssign, IncDec, AddrOf, Declaration, Call, Return,
-                       InitList, Cast})
+_SPOILERS = frozenset({Assign, CompoundAssign, IncDec, AddrOf, Declaration, Call, Return, Cast})
 
 
 def _spoil(node: Node, ret_t: TypeDesc | None, spoiled: set[Symbol]) -> None:
@@ -398,8 +398,8 @@ def _spoil(node: Node, ret_t: TypeDesc | None, spoiled: set[Symbol]) -> None:
             _sink(node.value, node.target.ctype, spoiled, keep=target)
     elif cls is Declaration:
         for entry in node.entries:
-            if entry.init is not None and type(entry.init) is not InitList:
-                _sink(entry.init, entry.symbol.type if entry.symbol else None, spoiled)
+            if entry.init is not None:
+                _sink_init(entry.init, entry.symbol.type if entry.symbol else None, spoiled)
     elif cls is Call:
         callee_t = node.callee.ctype
         ft = callee_t.pointee if callee_t is not None and callee_t.kind is TK.POINTER else callee_t
@@ -409,9 +409,6 @@ def _spoil(node: Node, ret_t: TypeDesc | None, spoiled: set[Symbol]) -> None:
             _sink(arg, params[i] if params is not None and i < len(params) else None, spoiled)
     elif cls is Return and node.value is not None:
         _sink(node.value, ret_t, spoiled)
-    elif cls is InitList:
-        for element in node.elements:
-            _sink(element, None, spoiled)
     elif cls is Cast and (node.ctype is None or node.ctype.kind is not TK.POINTER):
         _sink(node.operand, None, spoiled)
 
@@ -422,6 +419,31 @@ def _sink(value: Expr, sink: TypeDesc | None, spoiled: set[Symbol],
     to const, the variables it may come from, other than `keep`, are spoiled."""
     if not _points_to_const(sink):
         spoiled.update(sym for sym in _roots(value) if sym is not keep)
+
+
+def _sink_init(init: Expr, t: TypeDesc | None, spoiled: set[Symbol]) -> None:
+    """`init` initializes an object of type `t`: each value of a braced list
+    flows into the element or member it initializes (C99 6.7.8p17), the i-th
+    element of an array or the i-th member of a struct, the first of a
+    union. A list whose braces are elided somewhere, or that initializes
+    another type, sinks every value into an unknown type."""
+    if type(init) is not InitList:
+        _sink(init, t, spoiled)
+        return
+    targets: list[TypeDesc | None] = []
+    if t is not None and t.kind is TK.ARRAY:
+        targets = [t.elem] * len(init.elements)
+    elif t is not None and t.kind is TK.RECORD:
+        targets = [mt for _, mt, _ in t.record.members]
+        if t.record.kind == "union":
+            targets = targets[:1]
+    targets += [None] * (len(init.elements) - len(targets))
+    if any(type(element) is not InitList and target is not None
+           and target.kind in (TK.ARRAY, TK.RECORD)
+           for element, target in zip(init.elements, targets)):
+        targets = [None] * len(init.elements)  # elided braces
+    for element, target in zip(init.elements, targets):
+        _sink_init(element, target, spoiled)
 
 
 def _points_to_const(t: TypeDesc | None) -> bool:

@@ -83,6 +83,11 @@ class TUFacts:
     facts are built by each `run_rules` call (`function_facts`) and dropped
     when it returns, so keeping every unit's `TUFacts` keeps no CFG or
     analysis state alive.
+
+    Units that start with the same header prefix share the prefix's nodes,
+    symbols and types (see `parsing.prefix`): a checker reads a node of one
+    unit that other units' trees hold too, and writes nothing into it. Which
+    symbols the unit defines is its table's (`SymbolTable.defines`).
     """
 
     tu: TranslationUnitAst

@@ -27,6 +27,7 @@ from ccomply.parsing.astnodes import (
     StringLiteral, Switch, SynArr, SynBase, SynFunc, SynParam, SynPtr, SynType,
     TranslationUnitAst, Unary, While, qualifier_set,
 )
+from ccomply.parsing.parser import parse
 from ccomply.sema.intarith import IntResult, binary, result_type, unary, unary_type
 from ccomply.sema.symbols import Linkage, Storage, SymKind, Symbol, SymbolTable
 from ccomply.sema.typesys import (
@@ -109,14 +110,23 @@ _BUILTIN_POS = pack(-1, 1, 1)
 
 
 class Resolver:
-    def __init__(self, model: IntegerModel = DEFAULT_MODEL, path: str = "<tu>"):
+    """Resolves one unit's declarations in order, starting from the builtin
+    typedefs or from `start`, a `state()` kept where a header prefix ends."""
+
+    def __init__(self, model: IntegerModel = DEFAULT_MODEL, path: str = "<tu>",
+                 start: tuple[SymbolTable, TypeTable, int] | None = None):
         self.model = model
-        self.table = SymbolTable(path, model)
-        self.types = TypeTable()
         self._named_types = _named_types(model)
-        self.literal_count = 0
         self.current_function: FunctionDef | None = None
-        self._install_builtins()
+        if start is None:
+            self.table = SymbolTable(path, model)
+            self.types = TypeTable()
+            self.literal_count = 0
+            self._install_builtins()
+        else:
+            table, types, self.literal_count = start
+            self.table = table.fork(path)
+            self.types = types.copy()
 
     # -- builtins -----------------------------------------------------------
 
@@ -137,8 +147,9 @@ class Resolver:
 
     # -- entry point ----------------------------------------------------------
 
-    def resolve(self, tu: TranslationUnitAst) -> SymbolTable:
-        for decl in tu.decls:
+    def resolve(self, decls: list[Node]) -> SymbolTable:
+        """Resolve top-level declarations `decls`, in order, into the table."""
+        for decl in decls:
             if isinstance(decl, FunctionDef):
                 self._function_def(decl)
             elif isinstance(decl, Declaration):
@@ -146,6 +157,20 @@ class Resolver:
             else:
                 raise SemaError(f"unexpected top-level node {type(decl).__name__}")
         return self.table
+
+    def state(self) -> tuple[SymbolTable, TypeTable, int] | None:
+        """A copy of the file-scope state to start later units from, or None
+        when a later declaration could complete one of its types in place: a
+        struct or union tag left incomplete, or an object of incomplete
+        array type."""
+        scope = self.table.file_scope
+        for t in scope.tags.values():
+            if t.kind is TK.RECORD and not t.record.complete:
+                return None
+        for sym in scope.names.values():
+            if sym.kind is SymKind.OBJECT and sym.type.kind is TK.ARRAY and sym.type.length is None:
+                return None
+        return self.table.fork(self.table.tu_path), self.types.copy(), self.literal_count
 
     # -- types from syntax -----------------------------------------------------
 
@@ -319,9 +344,9 @@ class Resolver:
             raise SemaError(f"variable {entry.name!r} declared void", entry.loc)
         sym = Symbol(
             entry.name, SymKind.OBJECT, t, 0, storage, linkage,
-            entry.start, entry.end, entry.via, quals=t.quals, defined=entry.init is not None,
+            entry.start, entry.end, entry.via, quals=t.quals,
         )
-        return self.table.declare(sym)
+        return self.table.declare(sym, defined=entry.init is not None)
 
     def _resolve_initializer(self, init: Expr) -> None:
         if isinstance(init, InitList):
@@ -379,16 +404,15 @@ class Resolver:
         linkage = Linkage.INTERNAL if fn.syntype.base.storage == "static" else Linkage.EXTERNAL
         sym = self.table.declare(Symbol(
             fn.name, SymKind.FUNCTION, t, 0, Storage.EXTERN, linkage,
-            fn.start, fn.end, fn.via, defined=True,
-        ), self.table.file_scope)
-        sym.defined = True
+            fn.start, fn.end, fn.via,
+        ), self.table.file_scope, defined=True)
         fn.symbol = sym
         self.current_function = fn
         for p, pt in zip(fn.params, param_types):
             p.symbol = self.table.declare(Symbol(
                 p.name, SymKind.OBJECT, pt, 0, Storage.AUTO, Linkage.NONE,
-                p.start, p.end, p.via, quals=pt.quals, is_param=True, defined=True,
-            ))
+                p.start, p.end, p.via, quals=pt.quals, is_param=True,
+            ), defined=True)
         self._stmt(fn.body, push=False)
         self.table.pop()
         self.current_function = None
@@ -733,5 +757,30 @@ def _named_types(m: IntegerModel) -> dict[str, TypeDesc]:
 
 
 def resolve(tu: TranslationUnitAst, model: IntegerModel = DEFAULT_MODEL) -> SymbolTable:
-    """Bind names and compute types for one translation unit (in place)."""
-    return Resolver(model, tu.path).resolve(tu)
+    """Bind names and compute types for one translation unit (in place).
+
+    A unit that starts with a kept header prefix (`tu.prefix`, see
+    `parsing.prefix`) starts from the state kept after the prefix under
+    `model` and resolves only its own declarations. Without kept state, the
+    first resolution annotates the prefix's shared declarations and keeps
+    the state after them; any other resolves a fresh parse of the prefix,
+    so that no unit writes into nodes another unit reads.
+    """
+    prefix = tu.prefix
+    if prefix is None:
+        return Resolver(model, tu.path).resolve(tu.decls)
+    n = len(prefix.decls)
+    kept = prefix.resolved.get(model)
+    if kept is not None:
+        decls, start = kept
+        tu.decls[:n] = decls
+        return Resolver(model, tu.path, start).resolve(tu.decls[n:])
+    if prefix.claimed:
+        tu.decls[:n] = parse(prefix.tokens, tu.path).decls
+    prefix.claimed = True
+    resolver = Resolver(model, tu.path)
+    resolver.resolve(tu.decls[:n])
+    start = resolver.state()
+    if start is not None:
+        prefix.resolved[model] = (tu.decls[:n], start)
+    return resolver.resolve(tu.decls[n:])

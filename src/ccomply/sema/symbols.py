@@ -32,7 +32,15 @@ class Linkage(Enum):
 @dataclass(eq=False, slots=True)
 class Symbol(Extent):
     """A declared name. Its extent (see `source.Extent`) is that of the
-    declarator that first declared it; `def_span` decodes it."""
+    declarator that first declared it; `def_span` decodes it.
+
+    Units that start with the same header prefix share the prefix's symbols
+    (see `parsing.prefix`), so what one unit learns later about a symbol,
+    such as that it defines the function, goes into that unit's
+    `SymbolTable`. The one write into a declared symbol, a later declaration
+    completing an array of unknown size (`_merge`), is why a prefix that
+    declares such an array keeps no resolver state.
+    """
 
     name: str
     kind: SymKind
@@ -47,8 +55,6 @@ class Symbol(Extent):
     is_param: bool = False
     enum_value: int | None = None
     uid: int = -1
-    tu_path: str = ""
-    defined: bool = False  # function has a body / object has an initializer
     is_temp: bool = False  # synthetic temporary introduced by CFG lowering
 
     @property
@@ -63,13 +69,14 @@ class Symbol(Extent):
             and self.linkage is Linkage.NONE
         )
 
-    def canonical_id(self) -> str:
-        """Stable cross-TU identity for linkage-based unification."""
+    def canonical_id(self, tu_path: str) -> str:
+        """Stable cross-TU identity for linkage-based unification; `tu_path`
+        is the path of the unit whose table holds the symbol."""
         if self.linkage is Linkage.EXTERNAL:
             return self.name
         if self.linkage is Linkage.INTERNAL:
-            return f"{self.tu_path}::{self.name}"
-        return f"{self.tu_path}::scope{self.scope_id}::{self.name}#{self.uid}"
+            return f"{tu_path}::{self.name}"
+        return f"{tu_path}::scope{self.scope_id}::{self.name}#{self.uid}"
 
 
 @dataclass(eq=False, slots=True)
@@ -81,7 +88,14 @@ class Scope:
 
 
 class SymbolTable:
-    """One TU's scopes and symbols, and the integer model they were typed under."""
+    """One TU's scopes and symbols, and the integer model they were typed under.
+
+    `defined` is the set of the uids of the symbols the unit defines (a
+    function with a body, an object with an initializer, a parameter) as a
+    bit set: bit n is set when the unit defines the symbol of uid n. An
+    int costs a few words per table where a `set` costs kilobytes, and a
+    fork shares it. `defines` reads it.
+    """
 
     def __init__(self, tu_path: str = "<tu>", model: IntegerModel = DEFAULT_MODEL):
         self.tu_path = tu_path
@@ -89,6 +103,28 @@ class SymbolTable:
         self.scopes: list[Scope] = [Scope(0, None)]
         self._stack: list[int] = [0]
         self.symbols: list[Symbol] = []
+        self.defined = 0
+
+    def fork(self, tu_path: str) -> "SymbolTable":
+        """A table for unit `tu_path` that starts where this one stands.
+
+        Only at file scope. The copy has its own file scope and symbol
+        list, and `defined` is an int, so what the copy declares next does
+        not reach this table. It shares the symbols and the closed block
+        scopes, which no later declaration changes.
+        """
+        if len(self._stack) != 1:
+            raise ValueError("a symbol table forks only at file scope")
+        table = SymbolTable(tu_path, self.model)
+        top = self.scopes[0]
+        table.scopes = [Scope(0, None, dict(top.names), dict(top.tags)), *self.scopes[1:]]
+        table.symbols = list(self.symbols)
+        table.defined = self.defined
+        return table
+
+    def defines(self, sym: Symbol) -> bool:
+        """Whether this unit defines `sym`."""
+        return self.defined >> sym.uid & 1 == 1
 
     # -- scope management --------------------------------------------------
 
@@ -111,23 +147,25 @@ class SymbolTable:
 
     # -- declaration and lookup --------------------------------------------
 
-    def declare(self, sym: Symbol, scope: Scope | None = None) -> Symbol:
-        """Declare `sym` in `scope`, by default the current one."""
+    def declare(self, sym: Symbol, scope: Scope | None = None, defined: bool = False) -> Symbol:
+        """Declare `sym` in `scope`, by default the current one; `defined`
+        says that this declaration defines it. Returns the symbol the name
+        denotes: `sym`, or an earlier declaration it merges into."""
         if scope is None:
             scope = self.current
         sym.uid = len(self.symbols)
-        sym.tu_path = self.tu_path
         sym.scope_id = scope.id
         existing = scope.names.get(sym.name)
         if existing is not None:
-            merged = self._merge(existing, sym)
-            if merged is not None:
-                return merged
-        scope.names[sym.name] = sym
-        self.symbols.append(sym)
+            sym = self._merge(existing, sym)
+        else:
+            scope.names[sym.name] = sym
+            self.symbols.append(sym)
+        if defined:
+            self.defined |= 1 << sym.uid
         return sym
 
-    def _merge(self, old: Symbol, new: Symbol) -> Symbol | None:
+    def _merge(self, old: Symbol, new: Symbol) -> Symbol:
         """Allow compatible redeclarations; reject conflicts.
 
         A function or object may be declared again at file scope, or in a
@@ -144,7 +182,6 @@ class SymbolTable:
             )
         linked = old.linkage is not Linkage.NONE and new.linkage is not Linkage.NONE
         if old.kind in (SymKind.FUNCTION, SymKind.OBJECT) and (old.scope_id == 0 or linked):
-            old.defined = old.defined or new.defined
             if completes and old.type.length is None:
                 old.type = new.type
             return old
@@ -200,9 +237,9 @@ def link_units(tables: list[SymbolTable]) -> LinkedProgram:
     for table in tables:
         for sym in table.file_scope.names.values():
             if sym.kind is SymKind.FUNCTION:
-                prog.functions.setdefault(sym.canonical_id(), []).append(sym)
+                prog.functions.setdefault(sym.canonical_id(table.tu_path), []).append(sym)
             elif sym.kind is SymKind.OBJECT:
-                prog.objects.setdefault(sym.canonical_id(), []).append(sym)
+                prog.objects.setdefault(sym.canonical_id(table.tu_path), []).append(sym)
     for name, syms in list(prog.objects.items()) + list(prog.functions.items()):
         first = syms[0]
         for other in syms[1:]:

@@ -119,14 +119,22 @@ class TypeTable:
     records and enums compared by identity: a unit's `volatile uint32_t`
     declarations share one type, and so do all its `int *`. The resolver
     owns the table, so it lives as long as one unit's resolution and no
-    table grows from one unit to the next. Integer types come from
-    `make_int`; each record and enum definition has its own type.
+    table grows from one unit to the next; a unit that starts with a kept
+    header prefix starts from a `copy` of the table kept after the prefix,
+    and so shares the prefix's types. Integer types come from `make_int`;
+    each record and enum definition has its own type.
     """
 
     __slots__ = ("_shapes",)
 
     def __init__(self) -> None:
         self._shapes: dict[tuple, TypeDesc] = {}
+
+    def copy(self) -> "TypeTable":
+        """A table that starts with this one's types and grows on its own."""
+        table = TypeTable()
+        table._shapes = dict(self._shapes)
+        return table
 
     def _shared(self, kind: TK, width: int = 0, pointee: TypeDesc | None = None,
                 quals: frozenset = _NO_QUALS, elem: TypeDesc | None = None,

@@ -148,6 +148,12 @@ class SourceManager:
     redefinition check still run per unit, against its own macros. The
     tokens and definitions here are shared by every unit and must not be
     mutated.
+
+    `prefixes` is the run's table of header prefixes: the declarations,
+    parser state and resolver state of the included text that units start
+    with, kept so that units starting with the same text parse and resolve
+    it once. `parsing.prefix` owns its entries; the preprocessor hands the
+    table on with each unit's tokens.
     """
 
     def __init__(self) -> None:
@@ -156,6 +162,7 @@ class SourceManager:
         self.lexed: dict[int, list] = {}
         self.directive_lines: dict[int, list[tuple[int, int]]] = {}
         self.defines: dict[int, dict[int, object]] = {}
+        self.prefixes: dict[int, object] = {}
 
     def add_virtual(self, path: str, contents: str) -> SourceFile:
         """Register in-memory contents under a display path."""

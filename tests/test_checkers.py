@@ -254,6 +254,27 @@ class TestConstPointer:
             "struct S { int v[2]; };\nvoid f(struct S *p) { usep(p->v); }", "R8.13"
         ) == []
 
+    # An initializer-list value flows into the element or member it
+    # initializes; with elided braces every value is spoiled.
+    @pytest.mark.parametrize("text", [
+        "void f(int *p) { const int *a[1] = { p }; use(*a[0]); }",
+        "struct S { const int *m; };\nvoid f(int *p) { struct S s = { p }; use(*s.m); }",
+        "struct S { int n; const int *m; };\n"
+        "void f(int *p) { struct S s[1] = { { 1, p } }; use(*s[0].m); }",
+    ])
+    def test_value_initializing_a_pointer_to_const_flagged(self, text):
+        f = single(run_rule(text, "R8.13"))
+        assert f.certainty is Certainty.DEFINITE and "'p'" in f.message
+
+    @pytest.mark.parametrize("text", [
+        "void f(int *p) { int *a[1] = { p }; *a[0] = 1; }",
+        "struct S { int *m; };\nvoid f(int *p) { struct S s = { p }; *s.m = 1; }",
+        "struct S { const int *m[2]; };\nvoid f(int *p) { struct S s = { p, p }; use(*s.m[0]); }",
+        "union U { int *w; const int *r; };\nvoid f(int *p) { union U u = { p }; *u.w = 1; }",
+    ])
+    def test_value_initializing_a_pointer_to_non_const_clean(self, text):
+        assert run_rule(text, "R8.13") == []
+
     @pytest.mark.parametrize("text, name", [
         ("void f(int *p) { if (p) { use(*p); } }", "p"),
         ("void f(int *p) { for (; p; p = 0) { use(*p); } }", "p"),

@@ -7,17 +7,19 @@ when the unit's checkers return; reference counting must free them, so
 the chain makes no cyclic garbage at all. If a change puts a cycle into
 the CFG, the analyses or the facts, these tests name the types involved.
 What is kept is compact: the units of a header-heavy project share their
-syntactic and derived types, so their number stays under a bound, a
-recorded constant value is a plain int on its node, and a source position
-is a plain packed int: no kept tree or symbol table reaches a `Span` or a
-`Location`.
+syntactic and derived types, so their number stays under a bound, and the
+declarations of the header prefix they start with, which are kept once per
+distinct prefix and not once per unit; a recorded constant value is a
+plain int on its node, and a source position is a plain packed int: no
+kept tree or symbol table reaches a `Span` or a `Location`.
 
 Run as a script for a census of what a whole benchmark pass keeps: live
 tracked objects by type, each with its count and its bytes by
 `sys.getsizeof` (the object alone, not what it refers to; untracked
 objects such as ints and strings are not counted), cyclic collections and
 their CPU seconds by generation, and peak RSS, with automatic collection on
-as in the benchmark:
+as in the benchmark, and how many header prefixes the run kept and how
+many units share one:
 
     PYTHONPATH=src:tests:perfbench python3 tests/test_lifetime.py --census header_heavy --seed 3
 """
@@ -34,7 +36,7 @@ import pytest
 from ccomply.builtins import BUILTIN_MACRO_SPECS
 from ccomply.flow import Cfg, build_call_graph
 from ccomply.frontend import macro_from_define_flag, preprocess
-from ccomply.parsing import parse
+from ccomply.parsing import Declaration, parse, walk
 from ccomply.rules import IMPLEMENTED, FunctionFacts, compute_tu_facts, engine, run_rules
 from ccomply.sema import resolve
 from ccomply.source import Extent, Location, SourceManager, Span
@@ -244,6 +246,29 @@ def test_kept_units_share_their_types(tmp_path, automatic_gc_off):
     assert over == {}, grown
 
 
+def _declarations(decls) -> int:
+    """How many `Declaration` nodes `decls` and their subtrees hold."""
+    return sum(isinstance(node, Declaration) for decl in decls for node in walk(decl))
+
+
+def test_header_declarations_are_kept_once_per_prefix(tmp_path, automatic_gc_off):
+    before = _live({"Declaration"})
+    project = _write_project("header_heavy", 5, str(tmp_path))
+    with _cwd(str(tmp_path)):
+        manager = SourceManager()
+        kept, _ = _chain(manager, project.tus[:PROJECT_TUS], _builtins(manager))
+    gc.collect()
+    grown = (_live({"Declaration"}) - before)["Declaration"]
+    prefixes = [p for p in manager.prefixes.values() if p is not None]
+    # The first unit parses regs.h alone; every later one shares the copy
+    # the second unit parsed.
+    assert len(prefixes) == 1 and kept[0].tu.prefix is None
+    assert all(facts.tu.prefix is prefixes[0] for facts in kept[1:])
+    own = sum(_declarations(facts.tu.decls[len(facts.tu.prefix.decls) if facts.tu.prefix else 0:])
+              for facts in kept)
+    assert grown == own + _declarations(prefixes[0].decls)
+
+
 def census(workload: str, seed: int, top: int = 25) -> dict:
     """What a whole pass over `workload` keeps, and what collecting it costs."""
     import resource
@@ -271,6 +296,7 @@ def census(workload: str, seed: int, top: int = 25) -> dict:
                 kept, _, _ = _pass(manager, project.tus, _builtins(manager), rules)
         finally:
             gc.callbacks.remove(clock)
+        prefixes = [p for p in manager.prefixes.values() if p is not None]
         live: collections.Counter = collections.Counter()
         size: collections.Counter = collections.Counter()
         for o in gc.get_objects():
@@ -278,6 +304,8 @@ def census(workload: str, seed: int, top: int = 25) -> dict:
             size[type(o).__name__] += sys.getsizeof(o)
     return {
         "workload": workload, "seed": seed, "units": len(project.tus), "kept_units": len(kept),
+        "prefix_entries": len(prefixes),
+        "prefix_units": sum(facts.tu.prefix is not None for facts in kept),
         "live_tracked_objects": sum(live.values()),
         "live_tracked_bytes": sum(size.values()),
         "live_by_type": {name: {"count": n, "bytes": size[name]} for name, n in live.most_common(top)},

@@ -1,0 +1,469 @@
+"""Header prefixes shared by the units of one run (`parsing.prefix`).
+
+Units that start with the same included text share its parsed and
+resolved declarations. Sharing must not show: each case runs its units
+through one shared `SourceManager` and through a fresh manager per unit,
+and wants the same findings, trees and tables, which is what "matches a
+fresh parse" means here. Each fresh manager first loads the files in the
+order the shared run loaded them, so file ids, and with them the packed
+positions, agree.
+
+Run as a script to compare whole workloads the same way, every finding
+with its decoded span and evidence, every node's type, constant value and
+symbol, and every table's symbols in uid order with whether the unit
+defines them:
+
+    PYTHONPATH=src:tests:perfbench python3 tests/test_prefix.py --seeds 1 2 3
+"""
+from __future__ import annotations
+
+import contextlib
+import gc
+import os
+import sys
+from dataclasses import dataclass, fields
+
+import pytest
+
+from ccomply.builtins import BUILTIN_MACRO_SPECS
+from ccomply.errors import AnalysisError
+from ccomply.flow import build_call_graph
+from ccomply.frontend import macro_from_define_flag, preprocess
+from ccomply.parsing import Declaration, Expr, FunctionDef, Node, children, parse, walk
+from ccomply.parsing.prefix import _TOKEN_KEY, find_prefix
+from ccomply.rules import IMPLEMENTED, compute_tu_facts, engine, run_rules
+from ccomply.sema import IntegerModel, Symbol, TypeDesc, resolve
+from ccomply.sema.typesys import DEFAULT_MODEL
+from ccomply.source import SourceManager
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+from gen import WORKLOADS, generate  # noqa: E402  (the generator imports nothing from ccomply)
+
+SYSTEM = set(IMPLEMENTED) - set(engine.PER_TU_CHECKERS)
+WORKLOAD_TUS = 10  # units of each workload the tier-1 comparison runs
+SMALL_LONG = IntegerModel(long_bits=32, pointer_bits=32)
+
+
+@dataclass
+class Run:
+    """The outcome of every unit of one run, and of its whole-program stage;
+    `manager` is the run's last manager."""
+
+    outcomes: list
+    system: tuple
+    tus: list
+    tables: list
+    manager: SourceManager
+
+
+@contextlib.contextmanager
+def _cwd(workdir: str):
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        yield
+    finally:
+        os.chdir(cwd)
+
+
+def _write(workdir: str, files: dict[str, str]) -> None:
+    for path, text in files.items():
+        full = os.path.join(workdir, path)
+        os.makedirs(os.path.dirname(full), exist_ok=True)
+        with open(full, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
+def _type(t: TypeDesc | None, shallow: bool = False):
+    """A type as plain values; a record's members only at the top."""
+    if t is None:
+        return None
+    record = None
+    if t.record is not None:
+        record = (t.record.kind, t.record.tag, t.record.complete)
+        if not shallow:
+            record += tuple((name, _type(mt, True)) for name, mt, _ in t.record.members)
+    enum = None if t.enum is None else (t.enum.tag, tuple(sorted(t.enum.constants.items())))
+    return (t.kind.name, t.width, sorted(t.quals), _type(t.pointee, True), _type(t.elem, True),
+            t.length, _type(t.ret, True),
+            None if t.params is None else tuple(_type(p, True) for p in t.params),
+            t.variadic, record, enum)
+
+
+def _sym(s) -> tuple | None:
+    if not isinstance(s, Symbol):
+        return None
+    return (s.name, s.uid, s.kind.value, s.linkage.value, s.storage.value, s.scope_id,
+            _type(s.type), s.start, s.end, s.via, sorted(s.quals), s.is_param, s.enum_value)
+
+
+_PLAIN = (str, int, float, bool, type(None))
+
+
+def _tree(tu) -> list:
+    """Every node of `tu` in pre-order: its class, plain fields, child
+    count, type, constant value and symbols."""
+    rows = []
+    for node in walk(tu):
+        row = [type(node).__name__, len(children(node)), node.via]
+        row += [(f.name, getattr(node, f.name)) for f in fields(node)
+                if isinstance(getattr(node, f.name), _PLAIN)]
+        if isinstance(node, Expr):
+            row.append(_type(node.ctype))
+        row.append(_sym(getattr(node, "symbol", None)))
+        if isinstance(node, Declaration):
+            row.append([(e.name, e.start, _sym(e.symbol)) for e in node.entries])
+        if isinstance(node, FunctionDef):
+            row.append([(p.name, p.start, _sym(p.symbol)) for p in node.params])
+        rows.append(row)
+    return rows
+
+
+def _table(table) -> list:
+    scopes = [(s.id, s.parent, sorted((n, sym.uid) for n, sym in s.names.items()),
+               sorted((tag, _type(t)) for tag, t in s.tags.items())) for s in table.scopes]
+    return [table.tu_path, [(_sym(s), table.defines(s)) for s in table.symbols], scopes]
+
+
+def _findings(findings) -> list:
+    return [(f.path, f.span, f.guideline, f.certainty.value, f.behavior_class, f.message,
+             tuple((e.span, e.note) for e in f.evidence)) for f in findings]
+
+
+def _graph(graph) -> tuple:
+    return (sorted(graph.nodes), sorted(graph.direct_edges),
+            sorted((cid, d.start, d.end) for cid, d in graph.definitions.items()),
+            sorted(graph.display.items()),
+            [(caller, call.start) for caller, call in graph.indirect_call_sites])
+
+
+def run(workdir: str, units, shared: bool, rules=IMPLEMENTED, order=()) -> Run:
+    """Run `units`, (path, with builtin macros, integer model) each, through
+    the stage chain with one manager, or with a fresh one per unit that
+    first loads the files of `order`."""
+    outcomes, tus, tables, ok = [], [], [], []
+    per_tu = set(rules) & set(engine.PER_TU_CHECKERS)
+    with _cwd(workdir):
+        manager = SourceManager()
+        builtins = [macro_from_define_flag(spec, manager) for spec in BUILTIN_MACRO_SPECS]
+        for path, with_builtins, model in units:
+            if not shared:
+                manager = SourceManager()
+                builtins = [macro_from_define_flag(spec, manager) for spec in BUILTIN_MACRO_SPECS]
+                for name in order:
+                    manager.load(name)
+            stage, tu, table = "preprocess", None, None
+            try:
+                tokens, _, _ = preprocess(manager.load(path), [], builtins if with_builtins else [],
+                                          manager)
+                stage = "parse"
+                tu = parse(tokens, path)
+                stage = "resolve"
+                table = resolve(tu, model)
+                stage = "rules"
+                facts = compute_tu_facts(tu, table, manager)
+                found = run_rules([facts], per_tu, manager=manager)
+            except AnalysisError as exc:
+                outcomes.append(("error", stage, type(exc).__name__, exc.stage, exc.message,
+                                 exc.loc))
+                tus.append(None)
+                tables.append(None)
+                continue
+            outcomes.append(("ok", _tree(tu), _table(table), _findings(found)))
+            tus.append(tu)
+            tables.append(table)
+            ok.append((tu, table))
+        graph = build_call_graph(ok)
+        found = run_rules([], set(rules) & SYSTEM, call_graph=graph, manager=manager)
+    return Run(outcomes, (_graph(graph), _findings(found)), tus, tables, manager)
+
+
+def compare(workdir: str, units, rules=IMPLEMENTED) -> tuple[Run, list[str]]:
+    """The shared run, and where it differs from a fresh manager per unit."""
+    shared = run(workdir, units, True, rules)
+    order = [shared.manager.path_of(i) for i in range(len(shared.manager))
+             if not shared.manager.path_of(i).startswith("<define:")]
+    fresh = run(workdir, units, False, rules, order)
+    diffs = [f"{path}: {_first_difference(a, b)}"
+             for (path, _, _), a, b in zip(units, shared.outcomes, fresh.outcomes) if a != b]
+    if shared.system != fresh.system:
+        diffs.append(f"<system>: {_first_difference(shared.system, fresh.system)}")
+    return shared, diffs
+
+
+def _first_difference(a, b) -> str:
+    """Where two outcomes first differ, for a readable failure."""
+    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
+        for i, (x, y) in enumerate(zip(a, b)):
+            if x != y:
+                return f"[{i}] " + _first_difference(x, y)
+        return f"lengths {len(a)} != {len(b)}"
+    return f"{a!r} != {b!r}"
+
+
+def _units(paths, with_builtins: bool = True, model: IntegerModel = DEFAULT_MODEL):
+    return [(path, with_builtins, model) for path in paths]
+
+
+def _shares(run_: Run, i: int, j: int) -> bool:
+    """Whether units i and j of a run start with the same declaration objects."""
+    a, b = run_.tus[i], run_.tus[j]
+    return a.prefix is not None and a.prefix is b.prefix and a.decls[0] is b.decls[0]
+
+
+# ---- cases --------------------------------------------------------------------
+
+PROTOS = "extern void use(int v);\n"
+
+
+def test_same_header_after_defines_in_each_main_file_is_never_shared(tmp_path):
+    # The expanded tokens come from each unit's own `#define`, so no two
+    # units' prefix tokens have the same positions.
+    files = {f"u{i}.c": "#define N 4\n#include \"h.h\"\nint g(void) { return v[0]; }\n"
+             for i in range(4)}
+    _write(str(tmp_path), {"h.h": "extern int v[N];\n", **files})
+    shared, diffs = compare(str(tmp_path), _units(files))
+    assert diffs == []
+    assert [tu.prefix for tu in shared.tus] == [None] * 4
+
+
+@pytest.mark.parametrize("variant", ["defines", "builtins"])
+def test_same_header_in_another_context_gives_another_tree(tmp_path, variant):
+    if variant == "defines":
+        header = "extern int v[N];\nint get_v(void);\n"
+        lengths = [4, 8, 4, 8, 4]
+        files = {f"u{i}.c": f"#include \"n{n}.h\"\n#include \"h.h\"\n"
+                            f"int get_v(void) {{ return (int)sizeof v; }}\n"
+                 for i, n in enumerate(lengths)}
+        units = _units(files)
+        files.update({"n4.h": "#define N 4\n", "n8.h": "#define N 8\n"})
+    else:
+        header = "#ifdef NULL\nextern int with_null;\n#else\nextern long no_null;\n#endif\n"
+        files = {f"u{i}.c": "#include \"h.h\"\nint f(void) { return 0; }\n" for i in range(5)}
+        units = [(path, i % 2 == 0, DEFAULT_MODEL) for i, path in enumerate(files)]
+    _write(str(tmp_path), {"h.h": header, **files})
+    shared, diffs = compare(str(tmp_path), units)
+    assert diffs == []
+    if variant == "defines":
+        got = [t.file_scope.names["v"].type.length for t in shared.tables]
+        assert got == lengths
+    else:
+        got = [t.file_scope.names for t in shared.tables]
+        assert ["with_null" in names for names in got] == [True, False, True, False, True]
+        assert ["no_null" in names for names in got] == [False, True, False, True, False]
+    # The third and fifth units repeat the first's context; the second and
+    # fourth start another prefix.
+    assert _shares(shared, 2, 4) and not _shares(shared, 1, 2)
+    assert shared.tus[0].decls[0] is not shared.tus[2].decls[0]
+
+
+def test_static_header_function_is_one_call_graph_node_per_unit(tmp_path):
+    header = "static int helper(int x) { return x + 1; }\nint api(int x);\n"
+    files = {f"u{i}.c": f"#include \"h.h\"\nint api{i}(int x) {{ return helper(x); }}\n"
+             for i in range(4)}
+    _write(str(tmp_path), {"h.h": header, **files})
+    shared, diffs = compare(str(tmp_path), _units(files))
+    assert diffs == []
+    assert _shares(shared, 1, 3)
+    graph = build_call_graph(list(zip(shared.tus, shared.tables)))
+    helpers = sorted(n for n in graph.nodes if n.endswith("::helper"))
+    assert helpers == [f"u{i}.c::helper" for i in range(4)]
+    assert {(f"api{i}", f"u{i}.c::helper") for i in range(4)} <= graph.direct_edges
+
+
+def test_prototype_defined_in_one_unit_and_called_in_another(tmp_path):
+    header = PROTOS + "void ping(int n);\nvoid pong(int n);\n"
+    files = {
+        "a.c": "#include \"h.h\"\nvoid ping(int n) { if (n > 0) { pong(n - 1); } }\n",
+        "b.c": "#include \"h.h\"\nvoid caller(void) { ping(3); }\n",
+        "c.c": "#include \"h.h\"\nvoid pong(int n) { if (n > 0) { ping(n - 1); } }\n",
+        "d.c": "#include \"h.h\"\nvoid other(void) { pong(2); use(1); }\n",
+    }
+    _write(str(tmp_path), {"h.h": header, **files})
+    shared, diffs = compare(str(tmp_path), _units(files))
+    assert diffs == []
+    assert _shares(shared, 1, 2) and _shares(shared, 1, 3)
+    ping = [t.file_scope.names["ping"] for t in shared.tables]
+    # One symbol shared by the last three units, defined only where its body is.
+    assert ping[1] is ping[2] is ping[3]
+    assert [t.defines(p) for p, t in zip(ping, shared.tables)] == [True, False, False, False]
+    graph, findings = shared.system
+    assert sorted(f[5].split("'")[1] for f in findings) == ["ping", "pong"]
+    assert ("ping", "pong") in graph[1] and ("pong", "ping") in graph[1]
+
+
+@pytest.mark.parametrize("completing", [0, 1, 3])
+@pytest.mark.parametrize("declared, used, completed", [
+    ("struct S;\n", "sizeof(struct S)", "struct S { int m; };\n"),
+    ("extern int a[];\n", "sizeof a", "int a[3];\n"),
+])
+def test_incomplete_header_types_stay_incomplete_in_other_units(
+        tmp_path, declared, used, completed, completing):
+    body = f"unsigned long f(void) {{ return {used}; }}\n"
+    files = {f"u{i}.c": f"#include \"h.h\"\n{completed if i == completing else ''}{body}"
+             for i in range(4)}
+    _write(str(tmp_path), {"h.h": PROTOS + declared, **files})
+    shared, diffs = compare(str(tmp_path), _units(files))
+    assert diffs == []
+    for i, outcome in enumerate(shared.outcomes):
+        if i == completing:
+            assert outcome[0] == "ok"
+        else:
+            assert outcome[:4] == ("error", "resolve", "SemaError", "sema"), outcome
+            assert "incomplete" in outcome[4]
+
+
+def test_integer_models_do_not_share_resolver_state(tmp_path):
+    header = "extern long big;\nint width[sizeof(long)];\nenum { K = (int)sizeof(void *) };\n"
+    files = {f"u{i}.c": "#include \"h.h\"\nint f(void) { return K + width[0]; }\n"
+             for i in range(6)}
+    _write(str(tmp_path), {"h.h": header, **files})
+    models = [DEFAULT_MODEL, SMALL_LONG, DEFAULT_MODEL, SMALL_LONG, SMALL_LONG, DEFAULT_MODEL]
+    units = [(path, True, model) for path, model in zip(files, models)]
+    shared, diffs = compare(str(tmp_path), units)
+    assert diffs == []
+    lengths = [t.file_scope.names["width"].type.length for t in shared.tables]
+    assert lengths == [8 if m is DEFAULT_MODEL else 4 for m in models]
+    prefix = shared.tus[1].prefix
+    assert set(prefix.resolved) == {DEFAULT_MODEL, SMALL_LONG}
+    # Each model's units share that model's declarations, never the other's.
+    assert shared.tus[2].decls[0] is shared.tus[5].decls[0]
+    assert shared.tus[3].decls[0] is shared.tus[4].decls[0]
+    assert shared.tus[2].decls[0] is not shared.tus[3].decls[0]
+
+
+@pytest.mark.parametrize("error", [("int broken = ;\n", "parse"), ("int bad = nowhere;\n", "resolve")])
+def test_header_error_fails_every_unit_alike(tmp_path, error):
+    text, stage = error
+    files = {f"u{i}.c": "#include \"h.h\"\nint ok(void) { return 1; }\n" for i in range(4)}
+    _write(str(tmp_path), {"h.h": PROTOS + text, **files})
+    shared, diffs = compare(str(tmp_path), _units(files))
+    assert diffs == []
+    assert len({o for o in shared.outcomes}) == 1
+    assert shared.outcomes[0][:2] == ("error", stage) and shared.outcomes[0][5].line == 2
+
+
+def test_names_and_types_a_unit_declares_stay_its_own(tmp_path):
+    own = "unsigned short **own;\n"
+    files = {
+        "u0.c": "#include \"h.h\"\nint f(void) { return 0; }\n",
+        "u1.c": "#include \"h.h\"\nint f(void) { return 1; }\n",
+        "u2.c": "#include \"h.h\"\ntypedef int T;\n" + own + "T x;\n",
+        "u3.c": "#include \"h.h\"\n" + own + "int g(void) { return (T) - 1; }\n",
+        "u4.c": "#include \"h.h\"\n" + own + "int T;\n",
+    }
+    _write(str(tmp_path), {"h.h": PROTOS + "extern int *base;\n", **files})
+    shared, diffs = compare(str(tmp_path), _units(files))
+    assert diffs == []
+    assert shared.outcomes[3][:2] == ("error", "resolve") and "undeclared" in shared.outcomes[3][4]
+    two, four = shared.tables[2].file_scope.names, shared.tables[4].file_scope.names
+    assert two["base"].type is four["base"].type  # the prefix's types are shared
+    assert two["own"].type is not four["own"].type  # each unit derives its own
+    bases = [shared.tus[i].decls[-2].base for i in (2, 4)]
+    assert bases[0].specs == ("unsigned", "short") and bases[0] is not bases[1]
+
+
+def test_declaration_running_from_header_into_main_file(tmp_path):
+    files = {f"u{i}.c": "#include \"h.h\"\n= 3;\nint g(void) { return x + y; }\n"
+             for i in range(3)}
+    _write(str(tmp_path), {"h.h": "extern int y;\nint x\n", **files})
+    shared, diffs = compare(str(tmp_path), _units(files))
+    assert diffs == []
+    assert [tu.prefix for tu in shared.tus] == [None, None, None]
+    assert [o[0] for o in shared.outcomes] == ["ok"] * 3
+
+
+def test_a_digest_collision_is_no_match(tmp_path):
+    """A kept entry found under another prefix's digest is not taken."""
+    _write(str(tmp_path), {"a.h": "extern int a;\n", "b.h": "extern int b;\n",
+                           "a.c": "#include \"a.h\"\n", "b.c": "#include \"b.h\"\n"})
+    with _cwd(str(tmp_path)):
+        manager = SourceManager()
+        streams = [preprocess(manager.load(path), [], [], manager)[0]
+                   for path in ("a.c", "a.c", "b.c")]
+    parse(streams[0], "a.c")
+    kept = parse(streams[1], "a.c").prefix
+    assert kept is not None
+    other = streams[2]
+    manager.prefixes[hash(tuple(map(_TOKEN_KEY, other[:other.included])))] = kept
+    assert find_prefix(other) == (None, None)
+
+
+def _reachable(roots) -> list:
+    """Every tree node, symbol and type reachable from `roots`."""
+    seen: set[int] = set()
+    out, stack = [], list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (str, int, float, type(None))):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, (Node, Symbol, TypeDesc)):
+            out.append(obj)
+        if isinstance(obj, (list, tuple, dict, set, frozenset)) or (
+                type(obj).__module__.startswith("ccomply.") and not isinstance(obj, type)):
+            stack.extend(gc.get_referents(obj))
+    return out
+
+
+def test_separate_managers_share_nothing(tmp_path):
+    header = PROTOS + "typedef struct { int m; } rec_t;\nextern rec_t *head;\nint *spot(void);\n"
+    files = {f"u{i}.c": "#include \"h.h\"\nint f(void) { return head->m + *spot(); }\n"
+             for i in range(3)}
+    _write(str(tmp_path), {"h.h": header, **files})
+    first = run(str(tmp_path), _units(files), True)
+    second = run(str(tmp_path), _units(files), True)
+    assert _shares(first, 1, 2) and _shares(second, 1, 2)
+    # Unqualified integer, void, bool and floating types are process-wide values.
+    reach = [{id(o) for o in _reachable(r.tus + r.tables)
+              if not (isinstance(o, TypeDesc) and o.kind.name in
+                      ("INT", "UINT", "VOID", "BOOL", "FLOAT", "DOUBLE") and not o.quals)}
+             for r in (first, second)]
+    assert reach[0] and reach[0].isdisjoint(reach[1])
+
+
+# ---- whole workloads ---------------------------------------------------------------
+
+
+def workload_diffs(workload: str, seed: int, workdir: str, tus: int | None = None):
+    """(units compared, units sharing a prefix, differences) over a workload's first `tus` units."""
+    project = generate(workload, seed)
+    _write(workdir, project.files)
+    units = _units(project.tus[:tus])
+    shared, diffs = compare(workdir, units, WORKLOADS[workload].rules)
+    sharing = sum(tu is not None and tu.prefix is not None for tu in shared.tus)
+    return len(units), sharing, diffs
+
+
+@pytest.mark.parametrize("workload", ["header_heavy", "project_all_rules"])
+def test_workload_units_match_a_fresh_parse(workload, tmp_path):
+    units, sharing, diffs = workload_diffs(workload, 1, str(tmp_path), WORKLOAD_TUS)
+    assert units == WORKLOAD_TUS and diffs == []
+    if workload == "header_heavy":
+        assert sharing == WORKLOAD_TUS - 1
+
+
+def main(argv: list[str]) -> int:
+    """Compare every unit of every workload at the given seeds, shared against fresh."""
+    import argparse
+    import json
+    import tempfile
+
+    ap = argparse.ArgumentParser(description=main.__doc__)
+    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
+    args = ap.parse_args(argv)
+    report = {}
+    for workload in sorted(WORKLOADS):
+        for seed in args.seeds:
+            with tempfile.TemporaryDirectory() as workdir:
+                units, sharing, diffs = workload_diffs(workload, seed, workdir)
+            report[f"{workload}:{seed}"] = {
+                "units": units, "sharing_a_prefix": sharing, "differences": len(diffs),
+                "first": diffs[:3],
+            }
+    print(json.dumps(report))
+    return 0 if all(r["differences"] == 0 for r in report.values()) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
