@@ -16,7 +16,6 @@ from ccomply.parsing.astnodes import (
     TranslationUnitAst, children, operands,
 )
 from ccomply.sema.symbols import SymKind, Symbol, SymbolTable
-from ccomply.source import Extent
 
 
 @dataclass
@@ -25,8 +24,8 @@ class CallGraph:
     direct_edges: set[tuple[str, str]] = field(default_factory=set)
     # (caller, the call) for every call through a pointer expression.
     indirect_call_sites: list[tuple[str, Call]] = field(default_factory=list)
-    # Where each defined function is reported: its symbol or its definition.
-    definitions: dict[str, Extent] = field(default_factory=dict)
+    # Where each defined function is reported: its first definition.
+    definitions: dict[str, FunctionDef] = field(default_factory=dict)
     display: dict[str, str] = field(default_factory=dict)
 
 
@@ -64,8 +63,6 @@ def build_call_graph(units: list[tuple[TranslationUnitAst, SymbolTable]]) -> Cal
                 cid = sym.canonical_id(table.tu_path)
                 graph.nodes.add(cid)
                 graph.display.setdefault(cid, sym.name)
-                if table.defines(sym) and cid not in graph.definitions:
-                    graph.definitions[cid] = sym
     for tu, table in units:
         path = table.tu_path
         for decl in tu.decls:

@@ -14,19 +14,33 @@ the `SourceManager` for every file reached through `#include`: its tokens,
 the extent of each directive line, and the `MacroDef` parsed from each
 `#define` line the first time a translation unit reaches it in an active
 group (a line that fails to parse is not kept, so each unit that reaches
-it raises again). Everything that depends on the macros defined so far
-runs per translation unit against that unit's own macro table:
-conditionals, `#undef`, `#include`, `#error`, `#pragma`, the check that a
-redefinition has the same body, and expansion. Cached tokens and
-definitions are shared by every unit and must not be mutated. Expansion
-makes new tokens; one whose body token had no chain or hide set of its
-own shares the expansion's chain and hide set objects, never a copy.
+it raises again). Cached tokens and definitions are shared by every unit
+and must not be mutated. Expansion makes new tokens; one whose body token
+had no chain or hide set of its own shares the expansion's chain and hide
+set objects, never a copy.
+
+What processing an included file produced also depends on the macros
+defined before it, so the manager keeps it per file as a few
+`IncludeEntry`s (its memo): the output tokens, the net change to the macro
+table, the pragma records, the files it included and how deep they went,
+and its *read set*, each macro name its conditionals, `defined`,
+expansions, computed includes and redefinition checks looked up before the
+file itself wrote the name, with the `MacroDef` found or None. A later
+`#include` of the file replays an entry instead of processing the file
+when every name in its read set still denotes the same object, the include
+paths are the same and the include depth still fits; this is the
+verifying trace of Mokhov, Mitchell and Peyton Jones, "Build systems a la
+carte" (ICFP 2018). A file whose processing raised keeps no entry, so each
+unit that reaches it raises again. What a nested include read and wrote is
+recorded into every enclosing file's entry. The files themselves are
+assumed not to change during a run, as the manager assumes for loaded
+files.
 
 The same idea reaches past this stage. The returned `UnitTokens` say how
-many tokens came from the included text the unit starts with, and carry
-the run's table of header prefixes, so that `parse` and `resolve` work out
-the declarations of a header prefix that many units share once per run
-(see `parsing.prefix`).
+many tokens came from the included text the unit starts with and which
+entries produced them, and carry the run's table of header prefixes, so
+that `parse` and `resolve` work out the declarations of a header prefix
+that many units share once per run (see `parsing.prefix`).
 """
 from __future__ import annotations
 
@@ -34,6 +48,7 @@ import os
 import re
 from collections import deque
 from dataclasses import dataclass, field
+from operator import is_
 
 from ccomply.errors import LexError, PreprocessError, UnsupportedConstructError
 from ccomply.frontend.lexer import (
@@ -46,6 +61,10 @@ from ccomply.sema.typesys import (
 from ccomply.source import ExpansionFrame, Location, SourceFile, SourceManager, pack, unpack
 
 INCLUDE_DEPTH_LIMIT = 64
+
+# How many entries the memo keeps per included file, most recently used
+# first: a file that reads a macro each unit defines anew keeps no more.
+MEMO_ENTRIES = 4
 
 # Parentheses open inside one expression, in `#if` here and in the parser.
 # C99 5.2.4.1 requires 63 levels of parenthesized expressions; deeper
@@ -138,6 +157,56 @@ class SourceMap:
             )
 
 
+# In a read set being recorded: the file wrote this name before reading it.
+_WRITTEN = object()
+
+
+class IncludeEntry:
+    """What processing one `#include`d file produced, and the macros it read.
+
+    Kept in the file's memo (`SourceManager.memo`) and shared by every unit
+    that replays it; nothing changes an entry once it is kept.
+    """
+
+    __slots__ = ("serial", "paths", "reads", "writes", "tokens", "pragmas", "loads", "height")
+
+    def __init__(self, paths: tuple[str, ...]) -> None:
+        # Unique in the run's manager; set when the entry is kept.
+        self.serial = -1
+        # The include paths the file was processed under.
+        self.paths = paths
+        # Macro name -> the definition it denoted, or None, for each name
+        # read before the file wrote it (`_WRITTEN` while recording).
+        self.reads: dict[str, object] = {}
+        # Macro name -> its definition after the file, or None if undefined.
+        self.writes: dict[str, MacroDef | None] = {}
+        self.tokens: list[PPToken] = []
+        self.pragmas: list[PragmaRecord] = []
+        # The path of every file it included, nested ones too, in order.
+        self.loads: list[str] = []
+        # How many include levels below the file its processing reached.
+        self.height = 0
+
+    def fits(self, macros: dict[str, MacroDef], paths: tuple[str, ...], depth: int) -> bool:
+        """Whether processing the file at include depth `depth` under `macros`
+        and `paths` would give this entry."""
+        reads = self.reads
+        return (depth + self.height <= INCLUDE_DEPTH_LIMIT and self.paths == paths
+                and all(map(is_, map(macros.get, reads), reads.values())))
+
+    def absorb(self, inner: "IncludeEntry") -> None:
+        """Record into this entry, while its file is processed, what an
+        include of another file did."""
+        reads = self.reads
+        for name, macro in inner.reads.items():
+            reads.setdefault(name, macro)
+        for name in inner.writes:
+            reads.setdefault(name, _WRITTEN)
+        self.writes.update(inner.writes)
+        self.loads += inner.loads
+        self.height = max(self.height, inner.height + 1)
+
+
 class UnitTokens(list):
     """The token stream of one translation unit, as `preprocess` returns it.
 
@@ -146,10 +215,12 @@ class UnitTokens(list):
 
     - `prefixes`: the run's table of prefixes, `SourceManager.prefixes`;
     - `included`: how many tokens the stream starts with that came from
-      `#include`d files before any text of the main file.
+      `#include`d files before any text of the main file;
+    - `key`: the serials of the `IncludeEntry`s whose tokens those are, in
+      order; units with the same key start with the same token objects.
     """
 
-    __slots__ = ("prefixes", "included")
+    __slots__ = ("prefixes", "included", "key")
 
 
 class _Stream:
@@ -210,12 +281,16 @@ class _CondFrame:
 
 class _Preprocessor:
     def __init__(self, include_paths: list[str], manager: SourceManager):
-        self.include_paths = list(include_paths)
+        self.include_paths = tuple(include_paths)
         self.manager = manager
         self.macros: dict[str, MacroDef] = {}
         self.out: list[PPToken] = []
-        # How many tokens `out` starts with that came from included files.
+        # How many tokens `out` starts with that came from included files,
+        # and the serials of the memo entries that gave them.
         self.included = 0
+        self.key: list[int] = []
+        # The entry of the innermost included file being processed, if any.
+        self.trace: IncludeEntry | None = None
         self.pragmas: list[PragmaRecord] = []
         # Whether the innermost conditional group of the current file is
         # active; a file is only processed from an active `#include`.
@@ -256,6 +331,7 @@ class _Preprocessor:
     def _text(self, stream: _Stream, limit: int) -> None:
         """Expand the text up to the directive at `limit` into the output."""
         tokens, front, out, macros = stream.tokens, stream.front, self.out, self.macros
+        reads = None if self.trace is None else self.trace.reads
         while True:
             if front:
                 tok = front.popleft()
@@ -265,8 +341,11 @@ class _Preprocessor:
             else:
                 return
             if tok.kind is _IDENT:
-                if tok.lexeme in macros and self._maybe_expand(stream, tok):
-                    continue
+                if tok.lexeme in macros:
+                    if self._maybe_expand(stream, tok):
+                        continue
+                elif reads is not None:
+                    reads.setdefault(tok.lexeme, None)
                 if tok.lexeme == "_Pragma":
                     self._consume_operator_pragma(stream, tok)
                     continue
@@ -340,7 +419,7 @@ class _Preprocessor:
         if name == "undef":
             if not rest or rest[0].kind is not TokenKind.IDENT:
                 raise PreprocessError("#undef requires a macro name", head.origin)
-            self.macros.pop(rest[0].lexeme, None)
+            self._write(rest[0].lexeme, None)
             return
         if name == "include":
             self._include(rest, head, depth, source)
@@ -358,7 +437,7 @@ class _Preprocessor:
         if kind in ("ifdef", "ifndef"):
             if not rest or rest[0].kind is not TokenKind.IDENT:
                 raise PreprocessError(f"#{kind} requires a macro name", head.origin)
-            defined = rest[0].lexeme in self.macros
+            defined = self._lookup(rest[0].lexeme) is not None
             return defined if kind == "ifdef" else not defined
         if not rest:
             raise PreprocessError("#if with no controlling expression", head.origin)
@@ -384,7 +463,7 @@ class _Preprocessor:
                     j += 1
                     if j >= len(tokens) or not tokens[j].is_punct(")"):
                         raise PreprocessError("missing ')' after 'defined ('", t.origin)
-                value = "1" if name in self.macros else "0"
+                value = "0" if self._lookup(name) is None else "1"
                 out.append(PPToken(TokenKind.NUMBER, value, t.pos, chain=t.chain))
                 i = j + 1
                 continue
@@ -440,12 +519,30 @@ class _Preprocessor:
         return MacroDef(name_tok.lexeme, body, params, name_tok.pos)
 
     def _define(self, macro: MacroDef) -> None:
-        existing = self.macros.get(macro.name)
+        existing = self._lookup(macro.name)
         if existing is not None and existing is not macro and not existing.same_definition(macro):
             raise PreprocessError(
                 f"macro {macro.name!r} redefined with a different body", macro.def_site
             )
-        self.macros[macro.name] = macro
+        self._write(macro.name, macro)
+
+    def _lookup(self, name: str) -> MacroDef | None:
+        """The macro `name` denotes, noted in the read set being recorded."""
+        macro = self.macros.get(name)
+        if self.trace is not None:
+            self.trace.reads.setdefault(name, macro)
+        return macro
+
+    def _write(self, name: str, macro: MacroDef | None) -> None:
+        """Define `name` as `macro`, or undefine it if `macro` is None."""
+        if macro is None:
+            self.macros.pop(name, None)
+        else:
+            self.macros[name] = macro
+        trace = self.trace
+        if trace is not None:
+            trace.reads.setdefault(name, _WRITTEN)
+            trace.writes[name] = macro
 
     def _include(self, rest: list[PPToken], head: PPToken, depth: int, source: SourceFile) -> None:
         name, angled = self._include_name(rest, head)
@@ -453,22 +550,68 @@ class _Preprocessor:
         if path is None:
             form = f"<{name}>" if angled else f'"{name}"'
             raise PreprocessError(f"include file not found: {form}", head.origin)
-        manager = self.manager
-        included = manager.load(path)
-        tokens = manager.lexed.get(included.id)
-        if tokens is None:
-            tokens = lex(included)
-            manager.lexed[included.id] = tokens
-            manager.directive_lines[included.id] = _directive_lines(tokens)
-            manager.defines[included.id] = {}
+        included = self.manager.load(path)
         # Whether the main file has produced no token of its own yet.
         leading = depth == 0 and len(self.out) == self.included
-        self.process_file(
-            included, tokens, manager.directive_lines[included.id],
-            manager.defines[included.id], depth + 1, head.pos,
-        )
-        if leading:
+        entry = self._replay(included, depth + 1) or self._record(included, depth + 1, head.pos)
+        trace = self.trace
+        if trace is not None:
+            trace.loads.append(path)
+            trace.absorb(entry)
+        if leading and entry.tokens:
             self.included = len(self.out)
+            self.key.append(entry.serial)
+
+    def _replay(self, source: SourceFile, depth: int) -> IncludeEntry | None:
+        """Replay a kept entry of `source` that fits, if there is one."""
+        manager = self.manager
+        entries = manager.memo.get(source.id, ())
+        macros = self.macros
+        for i, entry in enumerate(entries):
+            if entry.fits(macros, self.include_paths, depth):
+                break
+        else:
+            return None
+        if i:
+            entries.insert(0, entries.pop(i))
+        self.out += entry.tokens
+        self.pragmas += entry.pragmas
+        for name, macro in entry.writes.items():
+            if macro is None:
+                macros.pop(name, None)
+            else:
+                macros[name] = macro
+        for path in entry.loads:
+            manager.load(path)
+        manager.memo_hits += 1
+        return entry
+
+    def _record(self, source: SourceFile, depth: int, site: int) -> IncludeEntry:
+        """Process `source` at include depth `depth` and keep what it produced."""
+        manager = self.manager
+        tokens = manager.lexed.get(source.id)
+        if tokens is None:
+            tokens = lex(source)
+            manager.lexed[source.id] = tokens
+            manager.directive_lines[source.id] = _directive_lines(tokens)
+            manager.defines[source.id] = {}
+        entry = IncludeEntry(self.include_paths)
+        outer, self.trace = self.trace, entry
+        out, pragmas = len(self.out), len(self.pragmas)
+        self.process_file(
+            source, tokens, manager.directive_lines[source.id], manager.defines[source.id],
+            depth, site,
+        )
+        self.trace = outer
+        entry.reads = {name: m for name, m in entry.reads.items() if m is not _WRITTEN}
+        entry.tokens = self.out[out:]
+        entry.pragmas = self.pragmas[pragmas:]
+        entry.serial = manager.memo_made
+        manager.memo_made += 1
+        entries = manager.memo.setdefault(source.id, [])
+        entries.insert(0, entry)
+        del entries[MEMO_ENTRIES:]
+        return entry
 
     def _include_name(self, rest: list[PPToken], head: PPToken) -> tuple[str, bool]:
         for attempt in range(2):
@@ -504,7 +647,7 @@ class _Preprocessor:
     def _maybe_expand(self, stream: _Stream, tok: PPToken) -> bool:
         if tok.kind is not _IDENT or tok.lexeme in tok.no_expand:
             return False
-        macro = self.macros.get(tok.lexeme)
+        macro = self._lookup(tok.lexeme)
         if macro is None:
             return False
         if macro.function_like:
@@ -621,6 +764,7 @@ def preprocess(
     out = UnitTokens(pp.out)
     out.prefixes = manager.prefixes
     out.included = pp.included
+    out.key = tuple(pp.key)
     return out, SourceMap(out), pp.pragmas
 
 

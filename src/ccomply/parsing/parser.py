@@ -228,7 +228,7 @@ class Parser:
             self.scopes = [dict(prefix.typedefs)]
             self._bases = dict(prefix.bases)
             self._syntypes = dict(prefix.syntypes)
-        keep_at = -1 if key is None else len(key)
+        keep_at = -1 if key is None else self.unit.included
         while self._pad[self.i] is not None:
             decls.append(self.parse_external_declaration())
             if self.i == keep_at:

@@ -8,14 +8,19 @@ no declaration ends there, the unit has none. Clang's precompiled headers
 rest on the same rule.
 
 The run keeps one `Prefix` per distinct prefix in `SourceManager.prefixes`,
-keyed by the digest of the prefix's tokens: each token's kind, lexeme,
-packed position and expansion chain, which is all the parser reads of a
-token. So a different `#define` before the `#include`, a different set of
-builtin macros or another file gives another key. The table travels with
-the tokens `preprocess` returns (`UnitTokens.prefixes`); there is no other
-cache, and a plain list of tokens shares nothing.
+keyed by `UnitTokens.key`: the serials of the preprocessor's memo entries
+(`frontend.preprocessor.IncludeEntry`) whose output tokens make up the
+included text. An entry is replayed only under the macros it read, and its
+tokens are the same objects in every unit that replays it, so one key names
+one exact token sequence, positions and expansion chains included: a
+different `#define` before the `#include` that the header reads, a
+different set of builtin macros or another file gives another key. Every
+unit's leading included text comes whole from entries, so no prefix needs
+a token hash. The table travels with the tokens
+`preprocess` returns (`UnitTokens.prefixes`); there is no other cache, and
+a plain list of tokens shares nothing.
 
-The first unit that starts with a prefix records only its digest, so a
+The first unit that starts with a prefix records only its key, so a
 prefix that no second unit repeats keeps nothing. The second unit parses
 as usual and, where its prefix ends, keeps an entry: its declarations and
 a copy of the parser's state after them (the typedef-name scope and the
@@ -42,12 +47,9 @@ as without sharing.
 """
 from __future__ import annotations
 
-from itertools import islice
-from operator import attrgetter, is_
+from operator import is_
 from typing import Any
 
-# What the parser reads of a token; the kind by its value, which hashes in C.
-_TOKEN_KEY = attrgetter("kind._value_", "lexeme", "pos", "chain")
 _UNSEEN = object()
 
 
@@ -58,7 +60,7 @@ class Prefix:
 
     def __init__(self, tokens: list, decls: list, typedefs: dict, bases: dict,
                  syntypes: dict) -> None:
-        # The prefix's tokens; a unit matches when they give its key.
+        # The prefix's tokens; a unit matches when they are its own.
         self.tokens = tokens
         self.decls = list(decls)
         # Copies of the parser's state where the prefix ends.
@@ -73,31 +75,30 @@ class Prefix:
 
 def find_prefix(tokens: list) -> tuple[Prefix | None, tuple | None]:
     """(the kept prefix `tokens` start with, or None; the key of a prefix
-    the parse of `tokens` is to keep where the prefix ends, or None)."""
-    table = getattr(tokens, "prefixes", None)
-    n = getattr(tokens, "included", 0)
-    if table is None or n == 0:
+    the parse of `tokens` is to keep where the included text ends, or None)."""
+    key = getattr(tokens, "key", None)
+    if not key:
         return None, None
-    key = tuple(map(_TOKEN_KEY, islice(tokens, n)))
-    digest = hash(key)
-    entry = table.get(digest, _UNSEEN)
+    table = tokens.prefixes
+    entry = table.get(key, _UNSEEN)
     if entry is _UNSEEN:
-        table[digest] = None
+        table[key] = None
         return None, None
     if entry is None:
         return None, key
-    # Tokens straight from an included file are the run's shared objects, so
-    # a prefix without expansions matches by identity alone.
+    # Under its own key a prefix's tokens are the unit's token objects; an
+    # identity test per token keeps an entry filed under another key from
+    # being taken.
     kept = entry.tokens
-    if len(kept) == n and (all(map(is_, kept, tokens)) or key == tuple(map(_TOKEN_KEY, kept))):
+    if len(kept) == tokens.included and all(map(is_, kept, tokens)):
         return entry, None
     return None, None
 
 
 def keep_prefix(tokens: list, key: tuple, decls: list, typedefs: dict, bases: dict,
                 syntypes: dict) -> Prefix:
-    """Keep in the run's table the prefix of `tokens` whose key is `key`:
+    """Keep in the run's table, under `key`, the prefix of `tokens`:
     `decls` and the parser's state after them."""
-    prefix = Prefix(tokens[:len(key)], decls, typedefs, bases, syntypes)
-    tokens.prefixes[hash(key)] = prefix
+    prefix = Prefix(tokens[:tokens.included], decls, typedefs, bases, syntypes)
+    tokens.prefixes[key] = prefix
     return prefix

@@ -144,15 +144,23 @@ class SourceManager:
       index of its '#', filled when a unit first reaches the line in an
       active group. A line that fails to parse has no entry.
 
-    Conditionals, `#undef`, `#include`, `#error`, `#pragma` and the
-    redefinition check still run per unit, against its own macros. The
-    tokens and definitions here are shared by every unit and must not be
-    mutated.
+    What processing an included file produced depends also on the macros
+    defined before it. `memo` keeps it per file id, as a list of at most
+    `MEMO_ENTRIES` `IncludeEntry`s, most recently used first: each holds the
+    file's output tokens, its net change to the macro table, its pragma
+    records, the files it included and its read set, the macro names it
+    looked up with the definition each denoted. An `#include` replays an
+    entry when every name in its read set still denotes the same object,
+    and otherwise processes the file and keeps a new entry. `memo_made` counts
+    the entries kept, and numbers them; `memo_hits` counts the replays. The
+    tokens, definitions and entries here are shared by every unit and must
+    not be mutated.
 
     `prefixes` is the run's table of header prefixes: the declarations,
     parser state and resolver state of the included text that units start
     with, kept so that units starting with the same text parse and resolve
-    it once. `parsing.prefix` owns its entries; the preprocessor hands the
+    it once. It is keyed by the serials of the memo entries that produced
+    that text. `parsing.prefix` owns its entries; the preprocessor hands the
     table on with each unit's tokens.
     """
 
@@ -162,7 +170,10 @@ class SourceManager:
         self.lexed: dict[int, list] = {}
         self.directive_lines: dict[int, list[tuple[int, int]]] = {}
         self.defines: dict[int, dict[int, object]] = {}
-        self.prefixes: dict[int, object] = {}
+        self.memo: dict[int, list] = {}
+        self.memo_made = 0
+        self.memo_hits = 0
+        self.prefixes: dict[tuple[int, ...], object] = {}
 
     def add_virtual(self, path: str, contents: str) -> SourceFile:
         """Register in-memory contents under a display path."""

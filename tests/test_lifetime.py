@@ -18,8 +18,9 @@ tracked objects by type, each with its count and its bytes by
 `sys.getsizeof` (the object alone, not what it refers to; untracked
 objects such as ints and strings are not counted), cyclic collections and
 their CPU seconds by generation, and peak RSS, with automatic collection on
-as in the benchmark, and how many header prefixes the run kept and how
-many units share one:
+as in the benchmark, how many header prefixes the run kept and how many
+units share one, and how many include memo entries the run keeps, made and
+replayed:
 
     PYTHONPATH=src:tests:perfbench python3 tests/test_lifetime.py --census header_heavy --seed 3
 """
@@ -36,6 +37,7 @@ import pytest
 from ccomply.builtins import BUILTIN_MACRO_SPECS
 from ccomply.flow import Cfg, build_call_graph
 from ccomply.frontend import macro_from_define_flag, preprocess
+from ccomply.frontend.preprocessor import MEMO_ENTRIES
 from ccomply.parsing import Declaration, parse, walk
 from ccomply.rules import IMPLEMENTED, FunctionFacts, compute_tu_facts, engine, run_rules
 from ccomply.sema import resolve
@@ -269,6 +271,24 @@ def test_header_declarations_are_kept_once_per_prefix(tmp_path, automatic_gc_off
     assert grown == own + _declarations(prefixes[0].decls)
 
 
+def test_include_memo_keeps_a_few_entries_per_file(tmp_path, automatic_gc_off):
+    # Each unit defines the macro the header reads anew, so no unit replays
+    # an entry and each keeps one; the file keeps only the newest few.
+    before = _live({"IncludeEntry"})
+    (tmp_path / "h.h").write_text("extern int v[N];\n")
+    for i in range(100):
+        (tmp_path / f"u{i}.c").write_text(f"#define N {i + 1}\n#include \"h.h\"\n")
+    manager = SourceManager()
+    for i in range(100):
+        preprocess(manager.load(str(tmp_path / f"u{i}.c")), [], [], manager)
+    (entries,) = manager.memo.values()
+    assert manager.memo_made == 100 and manager.memo_hits == 0
+    assert len(entries) == MEMO_ENTRIES
+    assert (_live({"IncludeEntry"}) - before)["IncludeEntry"] == MEMO_ENTRIES
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    assert gc.collect() == 0, sorted({type(o).__name__ for o in gc.garbage})
+
+
 def census(workload: str, seed: int, top: int = 25) -> dict:
     """What a whole pass over `workload` keeps, and what collecting it costs."""
     import resource
@@ -306,6 +326,9 @@ def census(workload: str, seed: int, top: int = 25) -> dict:
         "workload": workload, "seed": seed, "units": len(project.tus), "kept_units": len(kept),
         "prefix_entries": len(prefixes),
         "prefix_units": sum(facts.tu.prefix is not None for facts in kept),
+        "memo_entries": sum(map(len, manager.memo.values())),
+        "memo_made": manager.memo_made,
+        "memo_hits": manager.memo_hits,
         "live_tracked_objects": sum(live.values()),
         "live_tracked_bytes": sum(size.values()),
         "live_by_type": {name: {"count": n, "bytes": size[name]} for name, n in live.most_common(top)},

@@ -1,12 +1,14 @@
 """Header prefixes shared by the units of one run (`parsing.prefix`).
 
 Units that start with the same included text share its parsed and
-resolved declarations. Sharing must not show: each case runs its units
+resolved declarations, and units that include a file under the macros it
+read before share what preprocessing it produced (the include memo of
+`frontend.preprocessor`). Sharing must not show: each case runs its units
 through one shared `SourceManager` and through a fresh manager per unit,
-and wants the same findings, trees and tables, which is what "matches a
-fresh parse" means here. Each fresh manager first loads the files in the
-order the shared run loaded them, so file ids, and with them the packed
-positions, agree.
+and wants the same findings, trees, tables and pragma records, which is
+what "matches a fresh parse" means here. Each fresh manager first loads
+the files in the order the shared run loaded them, so file ids, and with
+them the packed positions, agree.
 
 Run as a script to compare whole workloads the same way, every finding
 with its decoded span and evidence, every node's type, constant value and
@@ -29,8 +31,9 @@ from ccomply.builtins import BUILTIN_MACRO_SPECS
 from ccomply.errors import AnalysisError
 from ccomply.flow import build_call_graph
 from ccomply.frontend import macro_from_define_flag, preprocess
+from ccomply.frontend.preprocessor import INCLUDE_DEPTH_LIMIT
 from ccomply.parsing import Declaration, Expr, FunctionDef, Node, children, parse, walk
-from ccomply.parsing.prefix import _TOKEN_KEY, find_prefix
+from ccomply.parsing.prefix import find_prefix
 from ccomply.rules import IMPLEMENTED, compute_tu_facts, engine, run_rules
 from ccomply.sema import IntegerModel, Symbol, TypeDesc, resolve
 from ccomply.sema.typesys import DEFAULT_MODEL
@@ -154,8 +157,8 @@ def run(workdir: str, units, shared: bool, rules=IMPLEMENTED, order=()) -> Run:
                     manager.load(name)
             stage, tu, table = "preprocess", None, None
             try:
-                tokens, _, _ = preprocess(manager.load(path), [], builtins if with_builtins else [],
-                                          manager)
+                tokens, _, pragmas = preprocess(manager.load(path), [],
+                                                builtins if with_builtins else [], manager)
                 stage = "parse"
                 tu = parse(tokens, path)
                 stage = "resolve"
@@ -169,7 +172,8 @@ def run(workdir: str, units, shared: bool, rules=IMPLEMENTED, order=()) -> Run:
                 tus.append(None)
                 tables.append(None)
                 continue
-            outcomes.append(("ok", _tree(tu), _table(table), _findings(found)))
+            outcomes.append(("ok", _tree(tu), _table(table), _findings(found),
+                             [(p.pos, p.text) for p in pragmas]))
             tus.append(tu)
             tables.append(table)
             ok.append((tu, table))
@@ -292,6 +296,23 @@ def test_prototype_defined_in_one_unit_and_called_in_another(tmp_path):
     assert ("ping", "pong") in graph[1] and ("pong", "ping") in graph[1]
 
 
+def test_recursion_is_reported_at_the_definitions(tmp_path):
+    # The functions are prototyped in the header their callers share; each
+    # finding points at the body, not at the prototype.
+    header = PROTOS + "void ping(int n);\nvoid pong(int n);\n"
+    files = {
+        "a.c": "#include \"h.h\"\nvoid ping(int n) { if (n > 0) { pong(n - 1); } }\n",
+        "b.c": "#include \"h.h\"\nvoid caller(void) { ping(3); }\n",
+        "c.c": "#include \"h.h\"\n\nvoid pong(int n) { if (n > 0) { ping(n - 1); } }\n",
+    }
+    _write(str(tmp_path), {"h.h": header, **files})
+    shared, diffs = compare(str(tmp_path), _units(files))
+    assert diffs == []
+    _, findings = shared.system
+    assert sorted((f[5].split("'")[1], f[0], f[1].start.line, f[1].start.column)
+                  for f in findings) == [("ping", "a.c", 2, 1), ("pong", "c.c", 3, 1)]
+
+
 @pytest.mark.parametrize("completing", [0, 1, 3])
 @pytest.mark.parametrize("declared, used, completed", [
     ("struct S;\n", "sizeof(struct S)", "struct S { int m; };\n"),
@@ -374,7 +395,7 @@ def test_declaration_running_from_header_into_main_file(tmp_path):
 
 
 def test_a_digest_collision_is_no_match(tmp_path):
-    """A kept entry found under another prefix's digest is not taken."""
+    """A kept entry found under another prefix's key is not taken."""
     _write(str(tmp_path), {"a.h": "extern int a;\n", "b.h": "extern int b;\n",
                            "a.c": "#include \"a.h\"\n", "b.c": "#include \"b.h\"\n"})
     with _cwd(str(tmp_path)):
@@ -385,8 +406,133 @@ def test_a_digest_collision_is_no_match(tmp_path):
     kept = parse(streams[1], "a.c").prefix
     assert kept is not None
     other = streams[2]
-    manager.prefixes[hash(tuple(map(_TOKEN_KEY, other[:other.included])))] = kept
+    assert other.key != streams[0].key and len(other) == len(streams[0])
+    manager.prefixes[other.key] = kept
     assert find_prefix(other) == (None, None)
+
+
+# ---- the include memo ----------------------------------------------------------
+
+
+def _entries(run_: Run, name: str) -> list:
+    """The memo entries the run's manager keeps for the file named `name`."""
+    manager = run_.manager
+    (file_id,) = [i for i in range(len(manager)) if os.path.basename(manager.path_of(i)) == name]
+    return manager.memo.get(file_id, [])
+
+
+@pytest.mark.parametrize("defined, entries, hits", [("N", 3, 0), ("OTHER", 1, 2)])
+def test_a_define_before_the_header_misses_only_if_the_header_reads_it(
+        tmp_path, defined, entries, hits):
+    header = "#ifndef N\n#define N 4\n#endif\nextern int v[N];\n"
+    files = {f"u{i}.c": f"#define {defined} {i + 2}\n#include \"h.h\"\n"
+                        f"int g(void) {{ return v[0]; }}\n" for i in range(3)}
+    _write(str(tmp_path), {"h.h": header, **files})
+    shared, diffs = compare(str(tmp_path), _units(files))
+    assert diffs == []
+    lengths = [t.file_scope.names["v"].type.length for t in shared.tables]
+    assert lengths == ([2, 3, 4] if defined == "N" else [4, 4, 4])
+    assert len(_entries(shared, "h.h")) == entries and shared.manager.memo_hits == hits
+
+
+def test_an_identifier_in_header_text_is_a_read_of_it(tmp_path):
+    # `size` is no macro in the first unit and one in the second.
+    files = {"u0.c": "#include \"h.h\"\n",
+             "u1.c": "#include \"alias.h\"\n#include \"h.h\"\n",
+             "u2.c": "#include \"h.h\"\n"}
+    _write(str(tmp_path), {"h.h": "extern int size;\n", "alias.h": "#define size length\n",
+                           **files})
+    shared, diffs = compare(str(tmp_path), _units(files))
+    assert diffs == []
+    assert [sorted(set(t.file_scope.names) & {"size", "length"}) for t in shared.tables] == [
+        ["size"], ["length"], ["size"]]
+    assert shared.manager.memo_hits == 1
+
+
+def test_a_nested_header_s_reads_and_writes_are_its_includer_s(tmp_path):
+    files = {f"u{i}.c": f"#include \"n{(4, 8)[i % 2]}.h\"\n#include \"h.h\"\n"
+                        "int w = FROM_G;\n" for i in range(4)}
+    _write(str(tmp_path), {"n4.h": "#define N 4\n", "n8.h": "#define N 8\n",
+                           "h.h": "#include \"g.h\"\n",
+                           "g.h": "extern int v[N];\n#define FROM_G 1\n", **files})
+    shared, diffs = compare(str(tmp_path), _units(files))
+    assert diffs == []
+    assert [t.file_scope.names["v"].type.length for t in shared.tables] == [4, 8, 4, 8]
+    # The last two units replay n4.h or n8.h and then h.h, which reads N
+    # only through g.h and defines FROM_G only through it.
+    assert len(_entries(shared, "h.h")) == 2 and shared.manager.memo_hits == 4
+
+
+def test_undef_in_a_header_is_replayed(tmp_path):
+    files = {f"u{i}.c": "#include \"cfg.h\"\n#include \"h.h\"\n#define LIMIT 5\n"
+                        "#ifdef KEEP\nint good = LIMIT;\n#endif\n" for i in range(3)}
+    _write(str(tmp_path), {"cfg.h": "#define LIMIT 3\n#define KEEP 1\n",
+                           "h.h": "#undef LIMIT\nextern int k;\n", **files})
+    shared, diffs = compare(str(tmp_path), _units(files))
+    assert diffs == []
+    # Without the #undef the main file's #define would redefine LIMIT.
+    assert [o[0] for o in shared.outcomes] == ["ok"] * 3
+    assert all("good" in t.file_scope.names for t in shared.tables)
+    assert shared.manager.memo_hits == 4  # cfg.h and h.h in the last two units
+
+
+def test_header_pragmas_reach_every_unit(tmp_path):
+    header = "#pragma pack(1)\nextern int p;\n_Pragma(\"weak sym\") extern int q;\n"
+    files = {f"u{i}.c": "#include \"h.h\"\n#pragma own\nint g(void) { return p + q; }\n"
+             for i in range(3)}
+    _write(str(tmp_path), {"h.h": header, **files})
+    shared, diffs = compare(str(tmp_path), _units(files))
+    assert diffs == []
+    assert [[text for _, text in o[4]] for o in shared.outcomes] == [
+        ["pack ( 1 )", "weak sym", "own"]] * 3
+    assert shared.manager.memo_hits == 2
+
+
+def test_computed_include_follows_each_unit_s_macro(tmp_path):
+    files = {f"u{i}.c": f"#include \"h{'ab'[i % 2]}.h\"\n#include \"h.h\"\n"
+                        "int g(void) { return 0; }\n" for i in range(4)}
+    _write(str(tmp_path), {"ha.h": "#define HDR \"a.h\"\n", "hb.h": "#define HDR \"b.h\"\n",
+                           "h.h": "#include HDR\n", "a.h": "extern int a;\n",
+                           "b.h": "extern int b;\n", **files})
+    shared, diffs = compare(str(tmp_path), _units(files))
+    assert diffs == []
+    assert [sorted(set(t.file_scope.names) & {"a", "b"}) for t in shared.tables] == [
+        ["a"], ["b"], ["a"], ["b"]]
+    # The third and fourth units replay the entries the first two kept, so
+    # their keys repeat and each keeps its own prefix.
+    assert len(_entries(shared, "h.h")) == 2
+    prefixes = [tu.prefix for tu in shared.tus]
+    assert prefixes[:2] == [None, None] and None not in prefixes[2:]
+    assert prefixes[2] is not prefixes[3]
+
+
+@pytest.mark.parametrize("fault", ["#error stop here\n", "#define F(x\n"])
+def test_a_header_that_raises_raises_in_every_unit(tmp_path, fault):
+    files = {f"u{i}.c": "#include \"h.h\"\nint g(void) { return 0; }\n" for i in range(3)}
+    _write(str(tmp_path), {"h.h": "extern int h;\n#include \"g.h\"\n",
+                           "g.h": "extern int g0;\n" + fault, **files})
+    shared, diffs = compare(str(tmp_path), _units(files))
+    assert diffs == []
+    assert len(set(shared.outcomes)) == 1 and shared.outcomes[0][:2] == ("error", "preprocess")
+    assert _entries(shared, "h.h") == _entries(shared, "g.h") == []
+
+
+def test_a_header_chain_that_fits_from_one_site_raises_from_a_deeper_one(tmp_path):
+    levels = INCLUDE_DEPTH_LIMIT - 4
+    chain = {f"c{k}.h": f"#include \"c{k + 1}.h\"\n" for k in range(1, levels)}
+    chain[f"c{levels}.h"] = "extern int deep;\n"
+    chain.update({f"d{k}.h": f"#include \"d{k + 1}.h\"\n" for k in range(1, 5)})
+    chain["d5.h"] = "#include \"c1.h\"\n"
+    files = {f"u{i}.c": f"#include \"{'cd'[i % 2]}1.h\"\nint g(void) {{ return deep; }}\n"
+             for i in range(4)}
+    _write(str(tmp_path), {**chain, **files})
+    shared, diffs = compare(str(tmp_path), _units(files))
+    assert diffs == []
+    assert [o[0] for o in shared.outcomes] == ["ok", "error"] * 2
+    assert "include depth exceeded" in shared.outcomes[1][4]
+    # The third unit replays the chain the first one kept; the second and
+    # fourth reach it five levels deeper and process it again.
+    assert len(_entries(shared, "c1.h")) == 1 and shared.manager.memo_hits == 1
 
 
 def _reachable(roots) -> list:

@@ -453,6 +453,39 @@ class TestIncludedFileCache:
         assert results == [once, once * 2]
 
 
+    def test_include_paths_decide_what_a_replayed_header_includes(self, tmp_path):
+        for name, text in {"h.h": "#include <x.h>\n", "u.c": '#include "h.h"\n',
+                           "a/x.h": "int a;\n", "b/x.h": "int b;\n"}.items():
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_text(text)
+        mgr = SourceManager()
+        unit = mgr.load(str(tmp_path / "u.c"))
+        results = [lexemes(preprocess(unit, [str(tmp_path / d)], [], mgr)[0]) for d in "aba"]
+        assert results == [["int", "a", ";"], ["int", "b", ";"], ["int", "a", ";"]]
+        assert mgr.memo_hits == 1  # h.h in the third unit
+
+
+    def test_a_replayed_header_loads_the_files_it_included(self, tmp_path):
+        class Recording(SourceManager):
+            def __init__(self):
+                super().__init__()
+                self.loads = []
+
+            def load(self, path):
+                self.loads.append(os.path.basename(path))
+                return super().load(path)
+
+        files = {"h.h": '#include "g.h"\n', "g.h": "int g;\n",
+                 "u.c": '#include "h.h"\n#include "g.h"\n'}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        mgr = Recording()
+        for _ in range(3):
+            preprocess(mgr.load(str(tmp_path / "u.c")), [], [], mgr)
+        assert mgr.loads == ["u.c", "h.h", "g.h", "g.h"] * 3
+        assert mgr.memo_hits == 5  # the second g.h of each unit, and h.h from the second on
+
+
 class TestIfIntegerConstants:
     """`#if` decodes integer constants as the parser does (C99 6.4.4.1)."""
 

@@ -1,8 +1,9 @@
 """`preprocess` against the preprocessor it replaced (`preprocessor_oracle`).
 
 The new preprocessor keeps, per included file and for the whole run,
-the extent of each directive line and the definitions parsed from its
-`#define` lines; the oracle works everything out again in every
+the extent of each directive line, the definitions parsed from its
+`#define` lines and a memo of what processing the file produced under the
+macros it read; the oracle works everything out again in every
 translation unit. On every input both must give each unit the same
 tokens, field for field, and the same pragmas, or raise the same
 exception class with the same message and location. Each side runs the
@@ -159,6 +160,32 @@ def test_units_sharing_headers_match_oracle(header, second_header, units):
         for k, (_, _, chosen) in enumerate(units):
             path = os.path.join(workdir, f"u{k}.c")
             chosen = sorted(chosen)
+            assert new.run(path, chosen) == old.run(path, chosen), files
+
+
+# A macro context: a header included before `h.h`, and the command-line
+# macros chosen.
+CONTEXT = st.tuples(GROUP, st.sets(st.integers(0, len(PREDEFINED) - 1)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(GROUP, _group(LINES), st.tuples(CONTEXT, CONTEXT), st.lists(GROUP, min_size=4, max_size=6))
+def test_units_alternating_two_contexts_match_oracle(header, second_header, contexts, afters):
+    """Units alternate two contexts before `#include "h.h"`, so from the
+    third unit on one may replay what `h.h` produced two units before,
+    under the other context's entry."""
+    with tempfile.TemporaryDirectory() as workdir:
+        files = {"h.h": header, "g.h": second_header, "c0.h": contexts[0][0],
+                 "c1.h": contexts[1][0]}
+        for k, after in enumerate(afters):
+            files[f"u{k}.c"] = f'#include "c{k % 2}.h"\n#include "h.h"\n' + after
+        for name, text in files.items():
+            with open(os.path.join(workdir, name), "w", encoding="ascii") as fh:
+                fh.write(text)
+        new, old = sides(PREDEFINED)
+        for k in range(len(afters)):
+            path = os.path.join(workdir, f"u{k}.c")
+            chosen = sorted(contexts[k % 2][1])
             assert new.run(path, chosen) == old.run(path, chosen), files
 
 
