@@ -2,7 +2,9 @@
 
 CFG lowering guarantees item expressions are branch-free, so every
 event in the stream happens exactly once when the item executes. The
-canonical order is left-to-right, value before store.
+canonical order is left-to-right, value before store. `op=`, `++` and
+`--` compute their target's address once, in their read of the target
+(C99 6.5.16.2p3, 6.5.2.4p2), so their store adds only its own event.
 
 `designate` is the one answer to "which object does this lvalue name, and
 through which pointer?". `.`, casts and subscripts of arrays part an
@@ -124,16 +126,18 @@ def walk_effects(e: Expr) -> Iterator[Event]:
         return
     if cls is Assign:
         yield from walk_effects(e.value)
-        yield from _store_events(e.target, e.value, e)
+        obj, _, ops, indexed = designate(e.target)
+        yield from _address(obj, ops, obj is not None and (indexed or type(obj) is not Identifier))
+        yield from _store(e.target, e.value, e)
         return
     if cls is CompoundAssign:
         yield from walk_effects(e.value)
         yield from walk_effects(e.target)  # read-modify-write reads the target
-        yield from _store_events(e.target, None, e)
+        yield from _store(e.target, None, e)
         return
     if cls is IncDec:
         yield from walk_effects(e.operand)
-        yield from _store_events(e.operand, None, e)
+        yield from _store(e.operand, None, e)
         return
     if cls is AddrOf:
         # Forming an address reads the pointer and the indices it goes
@@ -175,15 +179,15 @@ def _address(obj: Expr | None, ops: list[Expr], read_root: bool) -> Iterator[Eve
         yield from walk_effects(x)
 
 
-def _store_events(target: Expr, value: Expr | None, node: Expr) -> Iterator[Event]:
-    """The events of storing into `target`: its address, then one store.
+def _store(target: Expr, value: Expr | None, node: Expr) -> Iterator[Event]:
+    """The events of storing into `target` once its address is computed.
 
-    A store into an array element reads the array first and then writes
-    it as a whole, so the array stays assigned once any element is. A
-    store into a member writes the whole object without reading it.
+    A store into an array element reads the array first (in the address of
+    `=`, or in the read of `op=` and `++`) and then writes it as a whole, so
+    the array stays assigned once any element is. A store into a member
+    writes the whole object without reading it.
     """
-    obj, pointer, ops, indexed = designate(target)
-    yield from _address(obj, ops, obj is not None and (indexed or type(obj) is not Identifier))
+    obj, pointer, _, _ = designate(target)
     if is_volatile_access(target):
         yield Event("volatile", node=node)
     if pointer is not None:

@@ -14,10 +14,10 @@ the analysis keeps them until it returns. Everything that does not depend
 on the abstract state is resolved then, once per node: constant folding,
 which reads the value the resolver recorded on the node (`const_value`;
 a node lowering rebuilt around a temporary has none), type ranges (cached
-per type for the CFG's model), which variables are tracked, volatile or
-havocable, store targets, which subexpressions can change the environment
-at all (an item that cannot is dropped), and the narrowing plan of each
-`TBranch` and `TSwitch`. Per visit only the
+per type for the CFG's model), which variables are tracked or volatile,
+store targets, which subexpressions can change the environment at all (an
+item that cannot is dropped), and the narrowing plan of each `TBranch` and
+`TSwitch`. Per visit only the
 interval arithmetic runs: the range operators behind `_AbstractEval._arith`
 (`/` and `%` take C's truncating quotient and remainder from `sema.intarith`),
 and `_compare`. A comparison, and the narrowing it drives, first converts
@@ -35,12 +35,13 @@ closures take more memory than the per-point states they replace.
 `||`, `?:` and `,` included, on each call, and never change the
 environment they are given.
 
-A variable's widening bound is its type range, which lowering records
-(`_AbstractEval.bounds`) the first time it meets the variable; a uid
-names one symbol, CFG temporaries included. A call forgets the
-address-taken locals and the tracked static locals the function declares
-(`havoc`): no other variable can be in the state and have its address
-escape.
+The state tracks the local automatic integer objects, CFG temporaries
+included (`Symbol.is_local_object`, as in the other analyses); a static
+local is initialised once, before startup (C99 6.2.4p3), so it stays at
+its type range. A variable's widening bound is its type range, which
+lowering records (`_AbstractEval.bounds`). A call, and a store that
+`effects.designate` finds goes through a pointer, forget the
+address-taken locals (`Cfg.addr_taken`).
 """
 from __future__ import annotations
 
@@ -48,6 +49,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ccomply.flow.cfg import Block, Cfg, DeclItem, TBranch, TSwitch
+from ccomply.flow.effects import designate, sym_of
 from ccomply.flow.solver import solve, state_at
 from ccomply.parsing.astnodes import (
     AddrOf, Assign, Binary, Call, Cast, Comma, CompoundAssign, Conditional,
@@ -55,7 +57,7 @@ from ccomply.parsing.astnodes import (
     Sizeof, StringLiteral, Unary, operands, placed,
 )
 from ccomply.sema.intarith import truncating_divmod
-from ccomply.sema.symbols import SymKind, Symbol
+from ccomply.sema.symbols import Symbol
 from ccomply.sema.typesys import (
     DEFAULT_MODEL, IntegerModel, TypeDesc, is_integer, type_range, usual_arith_conversion,
 )
@@ -125,16 +127,8 @@ def _converting(value: ValueFn, full: Interval) -> ValueFn:
     return lambda env: _converted(value(env), full)
 
 
-def _tracked(sym: Symbol | None) -> bool:
-    return (
-        sym is not None
-        and sym.kind is SymKind.OBJECT
-        and is_integer(sym.type)
-    )
-
-
-def _havocable(sym: Symbol) -> bool:
-    return not sym.is_local_object
+def _tracked(sym) -> bool:
+    return isinstance(sym, Symbol) and sym.is_local_object and is_integer(sym.type)
 
 
 @dataclass
@@ -203,18 +197,17 @@ class _BlockCode:
 class _AbstractEval:
     """Lowers one CFG's expressions to closures; holds the range arithmetic.
 
-    `havoc` is the set of uids a call may change (by default the
-    address-taken ones), and `bounds` maps the uid of each tracked variable
-    lowering has met to its type range, the variable's widening bound. Each
-    `_lower_*` method takes an expression and whether its stores and calls
-    update the environment (`mutate`), and returns `(value function, whether
-    that function can change the environment)`.
+    `addr_taken` is the set of uids a call or a store through memory may
+    change, and `bounds` maps the uid of each tracked variable lowering has
+    met to its type range, the variable's widening bound. Each `_lower_*`
+    method takes an expression and whether its stores and calls update the
+    environment (`mutate`), and returns `(value function, whether that
+    function can change the environment)`.
     """
 
-    def __init__(self, model: IntegerModel, addr_taken, havoc=None):
+    def __init__(self, model: IntegerModel, addr_taken):
         self.model = model
         self.addr_taken = addr_taken
-        self.havoc = addr_taken if havoc is None else havoc
         self.bounds: dict[int, Interval] = {}
         self._full: dict[TypeDesc | None, Interval | None] = {}
 
@@ -336,8 +329,8 @@ class _AbstractEval:
             fn, changes = self._lower(item.expr, True)
             return fn if changes else None
         sym, init = item.symbol, item.init
-        if init is None or isinstance(init, InitList):
-            return None  # an initializer list is not evaluated
+        if init is None:
+            return None
         value, changes = self._lower(init, True)
         if not _tracked(sym):
             return value if changes else None
@@ -351,7 +344,7 @@ class _AbstractEval:
         """(uid, type range, volatile) of a variable a branch may refine: one
         whose value survives conversion to the compared type, of range `common`."""
         sym = e.symbol if type(e) is Identifier else None
-        if isinstance(sym, Symbol) and _tracked(sym) and not _havocable(sym):
+        if _tracked(sym):
             full = self._range(sym)
             if common is None or common.lo <= full.lo and full.hi <= common.hi:
                 return sym.uid, full, "volatile" in sym.quals
@@ -429,10 +422,8 @@ class _AbstractEval:
 
     def _lower_identifier(self, e, mutate):
         sym = e.symbol
-        if not isinstance(sym, Symbol):
-            return _const(self.full(e.ctype)), False
         if not _tracked(sym):
-            return _const(None), False
+            return _const(self.full(e.ctype)), False
         uid, full = sym.uid, self._range(sym)
         if "volatile" in sym.quals:
             return _const(full), False
@@ -443,6 +434,9 @@ class _AbstractEval:
 
     def _lower_assign(self, e, mutate):
         value, changes = self._lower(e.value, mutate)
+        address = self._effects(operands(e.target), mutate)  # `op=` and `++` read it
+        if address:
+            value, changes = _before(value, address), True
         store = self._store(e.target, mutate)
         full = self.full(e.ctype)
         if store is None:
@@ -485,31 +479,25 @@ class _AbstractEval:
         return step, changes or store is not None
 
     def _store(self, target: Expr, mutate: bool):
-        """store(env, value) for an assignment to `target`, or None if it
-        cannot change the state."""
-        if type(target) is Identifier and isinstance(target.symbol, Symbol):
-            sym = target.symbol
-            if not _tracked(sym):
-                return None
-            uid = sym.uid
-            if _havocable(sym):
-                return (lambda env, v: env.pop(uid, None)) if mutate else None
-            if not mutate:
-                return None
-            full = self._range(sym)
-
-            def assign(env, v):
-                env[uid] = _converted(v, full)
-            return assign
-        # Store through memory: evaluate subexpressions, then forget
-        # whatever the pointer may alias.
-        steps = self._effects(operands(target), mutate)
-        if mutate and self.addr_taken:
-            steps.append(_forget(self.addr_taken))
-        if not steps:
+        """store(env, value) for a store into `target` once its address is
+        computed, or None if it cannot change the state."""
+        if not mutate:
             return None
-        run = _sequence(steps)
-        return lambda env, v: run(env)
+        obj, pointer, _, _ = designate(target)
+        if pointer is not None:
+            # Through memory: forget whatever the pointer may alias.
+            if not self.addr_taken:
+                return None
+            forget = _forget(self.addr_taken)
+            return lambda env, v: forget(env)
+        sym = sym_of(obj)
+        if not _tracked(sym):
+            return None  # a store into an untracked object or a part of one
+        uid, full = sym.uid, self._range(sym)
+
+        def assign(env, v):
+            env[uid] = _converted(v, full)
+        return assign
 
     def _lower_unary(self, e, mutate):
         inner, changes = self._lower(e.operand, mutate)
@@ -562,11 +550,11 @@ class _AbstractEval:
 
     def _lower_call(self, e, mutate):
         steps = self._effects(operands(e), mutate)
-        if mutate and self.havoc:
-            steps.append(_forget(self.havoc))
+        if mutate and self.addr_taken:
+            steps.append(_forget(self.addr_taken))
         return _then(steps, self.full(e.ctype)), bool(steps)
 
-    def _lower_access(self, e, mutate):
+    def _lower_operands(self, e, mutate):
         steps = self._effects(operands(e), mutate)
         return _then(steps, self.full(e.ctype)), bool(steps)
 
@@ -597,14 +585,14 @@ _LOWER = {
     Binary: _AbstractEval._lower_binary,
     Cast: _AbstractEval._lower_cast,
     Call: _AbstractEval._lower_call,
-    Deref: _AbstractEval._lower_access,
-    Index: _AbstractEval._lower_access,
-    Member: _AbstractEval._lower_access,
+    Deref: _AbstractEval._lower_operands,
+    Index: _AbstractEval._lower_operands,
+    Member: _AbstractEval._lower_operands,
+    AddrOf: _AbstractEval._lower_operands,
+    InitList: _AbstractEval._lower_operands,
     Comma: _AbstractEval._lower_comma,
     Conditional: _AbstractEval._lower_conditional,
     StringLiteral: _AbstractEval._lower_opaque,
-    InitList: _AbstractEval._lower_opaque,
-    AddrOf: _AbstractEval._lower_opaque,
     Sizeof: _AbstractEval._lower_opaque,
 }
 
@@ -621,6 +609,17 @@ def _sequence(steps: list[ValueFn]) -> Callable[[Env], None]:
         for step in steps:
             step(env)
     return run
+
+
+def _before(value: ValueFn, steps: list[ValueFn]) -> ValueFn:
+    """`value`'s result, computed before `steps` are applied."""
+    run = _sequence(steps)
+
+    def first(env):
+        v = value(env)
+        run(env)
+        return v
+    return first
 
 
 def _then(steps: list[ValueFn], value) -> ValueFn:
@@ -881,13 +880,7 @@ def _widen_env(old: Env, new: Env, bounds: dict[int, Interval]) -> Env:
 
 
 def interval_analysis(cfg: Cfg, model: IntegerModel = DEFAULT_MODEL) -> IntervalResult:
-    # A call may change the address-taken locals and any tracked static
-    # local, the only havocable variables a declaration puts in the state.
-    havoc = cfg.addr_taken | {
-        item.symbol.uid for b in cfg.blocks for item in b.items
-        if isinstance(item, DeclItem) and _tracked(item.symbol) and _havocable(item.symbol)
-    }
-    ev = _AbstractEval(model, cfg.addr_taken, havoc)
+    ev = _AbstractEval(model, cfg.addr_taken)
     result = IntervalResult(model, _evaluator=ev, _cfg=cfg)
 
     # The lowered blocks live as long as the analysis: kept for the whole

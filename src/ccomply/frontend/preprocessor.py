@@ -443,7 +443,7 @@ class _Preprocessor:
             raise PreprocessError("#if with no controlling expression", head.origin)
         resolved = self._resolve_defined(rest)
         expanded = self._expand_isolated(resolved)
-        return evaluate_pp_condition(expanded, self.macros, at=head.origin) != 0
+        return evaluate_pp_condition(expanded, at=head.origin) != 0
 
     def _resolve_defined(self, tokens: list[PPToken]) -> list[PPToken]:
         out: list[PPToken] = []
@@ -921,11 +921,7 @@ def _checked(result: IntResult, at: Location | None) -> tuple[int, TypeDesc]:
     return result.value, result.type
 
 
-def evaluate_pp_condition(
-    tokens: list[PPToken],
-    macros: dict[str, MacroDef] | None = None,
-    at: Location | None = None,
-) -> int:
+def evaluate_pp_condition(tokens: list[PPToken], at: Location | None = None) -> int:
     """Evaluate a #if controlling expression in `intmax_t`/`uintmax_t` (C99 6.10.1p4).
 
     Constants take their C99 6.4.4.1 types under `PP_MODEL` and the integer
@@ -934,7 +930,6 @@ def evaluate_pp_condition(
     raise. The token list must already be macro-expanded with `defined`
     resolved; any remaining identifier evaluates to 0.
     """
-    del macros  # identifiers left after expansion are 0 by definition
     if not tokens:
         raise PreprocessError("#if with no controlling expression", at)
     parser = _CondParser(tokens, at)

@@ -6,7 +6,19 @@ terminator states, dead edges, condition blocks, block visits and
 widenings, and the same `eval_expr` and `truth_of` answers (see
 `test_interval_oracle.py`). The code is the evaluator as it was before the
 lowering, unchanged but for `IntervalResult.widenings`, which counts the
-`_widen_env` calls that moved a bound. Nothing under `src/` imports it.
+`_widen_env` calls that moved a bound, and for four evaluation rules that
+follow C99 as `ccomply.flow.effects` states it:
+- only local automatic integer objects are tracked; any other variable,
+  a static local included, is always at its type range (C99 6.2.4p3), and
+  a call forgets only the address-taken locals;
+- a store forgets the address-taken locals only when its target goes
+  through a pointer (`_through_pointer`, its own test);
+- the operand of `&` and the elements of an initializer list are
+  evaluated (C99 6.5.3.2p3, 6.7.8p23);
+- `op=`, `++` and `--` compute their target's address once, in their read
+  of the target (C99 6.5.16.2p3, 6.5.2.4p2); only `=` evaluates the
+  address of its target apart from the store.
+Nothing under `src/` imports it.
 """
 from __future__ import annotations
 
@@ -19,9 +31,9 @@ from ccomply.parsing.astnodes import (
     Constant, Deref, Expr, Identifier, IncDec, Index, InitList, Member,
     Sizeof, StringLiteral, Unary, placed,
 )
-from ccomply.sema.symbols import SymKind, Symbol
+from ccomply.sema.symbols import Symbol
 from ccomply.sema.typesys import (
-    DEFAULT_MODEL, IntegerModel, TypeDesc, is_integer, type_range,
+    DEFAULT_MODEL, TK, IntegerModel, TypeDesc, is_integer, type_range,
 )
 
 from consteval_oracle import const_eval
@@ -72,16 +84,8 @@ def _clamp(lo: int, hi: int, t: TypeDesc | None, model: IntegerModel) -> Interva
     return Interval(lo, hi)
 
 
-def _tracked(sym: Symbol | None) -> bool:
-    return (
-        sym is not None
-        and sym.kind is SymKind.OBJECT
-        and is_integer(sym.type)
-    )
-
-
-def _havocable(sym: Symbol) -> bool:
-    return not (sym.is_local_object or sym.is_temp or sym.is_param)
+def _tracked(sym) -> bool:
+    return isinstance(sym, Symbol) and sym.is_local_object and is_integer(sym.type)
 
 
 @dataclass
@@ -144,9 +148,8 @@ class _AbstractEval:
 
         if isinstance(e, Identifier):
             sym = e.symbol
-            if isinstance(sym, Symbol):
-                if _tracked(sym):
-                    symmap[sym.uid] = sym
+            if _tracked(sym):
+                symmap[sym.uid] = sym
                 return self.var(env, sym)
             return _type_interval(e.ctype, model)
 
@@ -157,6 +160,8 @@ class _AbstractEval:
 
         if isinstance(e, Assign):
             value = self._eval(e.value, env, mutate, symmap)
+            for child in _eval_children(e.target):  # the target's address
+                self._eval(child, env, mutate, symmap)
             self._eval_store(e.target, value, e.value, env, mutate, symmap)
             return self._converted(value, e.ctype)
 
@@ -211,8 +216,7 @@ class _AbstractEval:
                 self._eval(a, env, mutate, symmap)
             if mutate:
                 for uid in list(env):
-                    sym = symmap.get(uid)
-                    if uid in self.addr_taken or (sym is not None and _havocable(sym)):
+                    if uid in self.addr_taken:
                         del env[uid]
             return _type_interval(e.ctype, model)
 
@@ -221,7 +225,16 @@ class _AbstractEval:
                 self._eval(child, env, mutate, symmap)
             return _type_interval(e.ctype, model)
 
-        if isinstance(e, (StringLiteral, InitList, AddrOf, Sizeof)):
+        if isinstance(e, AddrOf):
+            self._eval(e.operand, env, mutate, symmap)
+            return _type_interval(e.ctype, model)
+
+        if isinstance(e, InitList):
+            for element in e.elements:
+                self._eval(element, env, mutate, symmap)
+            return _type_interval(e.ctype, model)
+
+        if isinstance(e, (StringLiteral, Sizeof)):
             return _type_interval(e.ctype, model)
 
         if isinstance(e, (Comma, Conditional)):
@@ -239,9 +252,10 @@ class _AbstractEval:
 
     def _eval_store(self, target: Expr, value: Interval | None, value_expr, env: Env,
                     mutate: bool, symmap: dict[int, Symbol]) -> None:
-        if isinstance(target, Identifier) and isinstance(target.symbol, Symbol):
+        """Store `value` into `target`, whose address is already computed."""
+        if isinstance(target, Identifier):
             sym = target.symbol
-            if _tracked(sym) and not _havocable(sym):
+            if _tracked(sym):
                 symmap[sym.uid] = sym
                 if mutate:
                     converted = self._converted(value, sym.type)
@@ -249,14 +263,10 @@ class _AbstractEval:
                         env[sym.uid] = converted
                     else:
                         env.pop(sym.uid, None)
-            elif mutate and _tracked(sym):
-                env.pop(sym.uid, None)
             return
-        # Store through memory: evaluate subexpressions, then havoc
-        # whatever the pointer may alias.
-        for child in _eval_children(target):
-            self._eval(child, env, mutate, symmap)
-        if mutate:
+        # Store through memory: havoc whatever the pointer may alias. A
+        # store into a part of a named object reaches no other object.
+        if mutate and _through_pointer(target):
             for uid in list(env):
                 if uid in self.addr_taken:
                     del env[uid]
@@ -382,7 +392,7 @@ class _AbstractEval:
         if isinstance(target, Identifier) and isinstance(target.symbol, Symbol):
             sym = target.symbol
             iv = self.var(env, sym)
-            if iv is None or not _tracked(sym) or _havocable(sym):
+            if iv is None or not _tracked(sym):
                 return True
             if taken:
                 if iv.singleton() == 0:
@@ -411,9 +421,7 @@ class _AbstractEval:
             target = _strip_casts(var_side)
             if (
                 isinstance(target, Identifier)
-                and isinstance(target.symbol, Symbol)
                 and _tracked(target.symbol)
-                and not _havocable(target.symbol)
                 and target is var_side  # do not narrow through value-changing casts
                 and other_iv is not None
             ):
@@ -429,6 +437,23 @@ class _AbstractEval:
                     return False
                 env[sym.uid] = refined
         return True
+
+
+def _through_pointer(e: Expr) -> bool:
+    """Does the lvalue `e` go through a pointer? `*` and `->` do, and so
+    does a subscript neither of whose operands is an array (`p[i]`, `i[p]`)."""
+    while True:
+        if isinstance(e, Deref) or isinstance(e, Member) and e.arrow:
+            return True
+        if isinstance(e, Member):
+            e = e.base
+        elif isinstance(e, Index):
+            arrays = [x for x in (e.base, e.index) if x.ctype is not None and x.ctype.kind is TK.ARRAY]
+            if not arrays:
+                return True
+            e = arrays[0]
+        else:
+            return False
 
 
 def _eval_children(e: Expr) -> list[Expr]:
@@ -550,15 +575,13 @@ def interval_analysis(cfg: Cfg, model: IntegerModel = DEFAULT_MODEL) -> Interval
                 pre[(b.id, idx)] = dict(env)
             if isinstance(item, DeclItem):
                 sym = item.symbol
-                if item.init is not None and not isinstance(item.init, InitList):
+                if item.init is not None:
                     value = ev.eval(item.init, env, mutate=True, symmap=symmap)
                     if _tracked(sym):
                         symmap[sym.uid] = sym
                         converted = ev._converted(value, sym.type)
                         if converted is not None:
                             env[sym.uid] = converted
-                elif isinstance(item.init, InitList):
-                    ev.eval(item.init, env, mutate=True, symmap=symmap)
             else:
                 ev.eval(item.expr, env, mutate=True, symmap=symmap)
         if pre is not None:
@@ -590,12 +613,7 @@ def interval_analysis(cfg: Cfg, model: IntegerModel = DEFAULT_MODEL) -> Interval
             scrutinee = _strip_casts(term.expr)
             for value, target in term.cases:
                 out_env = dict(env)
-                if (
-                    isinstance(scrutinee, Identifier)
-                    and isinstance(scrutinee.symbol, Symbol)
-                    and _tracked(scrutinee.symbol)
-                    and not _havocable(scrutinee.symbol)
-                ):
+                if isinstance(scrutinee, Identifier) and _tracked(scrutinee.symbol):
                     current = ev.var(out_env, scrutinee.symbol)
                     refined = current.meet(Interval(value, value)) if current else None
                     if refined is None:

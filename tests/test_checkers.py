@@ -846,3 +846,58 @@ class TestEscapeQueryReadsOneFunction:
             "void f(int *p, int x) { usep(&x); use((*p = 1) + x); }", "R13.2"
         ))
         assert f.certainty is Certainty.CAUTION
+
+
+# One evaluation model: the interval analysis tracks the objects, forgets on
+# the stores and evaluates the operands that `flow/effects` says. Each row is
+# (rule, source, [(certainty, message)]).
+STATIC_CALLS = "void k(void) { static int calls = 0; if (calls > 0) { use(calls); } calls = 1; }"
+B_K_INCREMENT = (
+    "void f(void) { int k = 0; int b[2] = { 0, 0 }; b[k++]++; use(b[0]); "
+    "if (k == 1) { use(1); } }"
+)
+MEMBER_AND_ELEMENT_STORES = (
+    "struct S { int m; };\n"
+    "void f(void) { struct S s; int t[2]; int x; int *p = &x; x = 1; s.m = 2; t[0] = 2; "
+    "if (x == 1) { use(1); } usep(p); use(s.m + t[0]); }"
+)
+ALWAYS_TRUE = [("definite", "controlling expression is invariant: always true")]
+ALWAYS_FALSE = [("definite", "controlling expression is invariant: always false")]
+EVALUATION_SHAPES = [
+    # A static local is initialised once, before startup (C99 6.2.4p3), so
+    # its declaration does not set it on each call: it is not tracked.
+    ("R14.3", "void f(void) { static int n = 0; if (n == 0) { use(1); } n = 5; }", []),
+    ("R14.3", STATIC_CALLS, []),
+    ("R2.1", STATIC_CALLS, []),
+    ("R12.2", "void h(void) { static unsigned k = 40u; useu(1u << k); k = 3u; }", [(
+        "caution",
+        "right-hand operand of << may reach in [0, 4294967295], escaping the legal range [0, 31]",
+    )]),
+    # The elements of an initializer list (C99 6.7.8p23) and the operand of
+    # `&` (6.5.3.2p3) are evaluated.
+    ("R14.3", "void f(void) { int x = 0; int a[1] = { x++ }; use(a[0]); "
+              "if (x == 0) { use(1); } }", ALWAYS_FALSE),
+    ("R14.3", "struct P { int m; };\nvoid f(void) { int z = 0; struct P s = { z = 3 }; "
+              "use(s.m); if (z == 0) { use(1); } }", ALWAYS_FALSE),
+    ("R14.3", "void f(void) { int i = 0; int a[2]; int *p = &a[i++]; usep(p); "
+              "if (i == 0) { use(1); } }", ALWAYS_FALSE),
+    # `op=` and `++` compute their target's address once (C99 6.5.16.2p3,
+    # 6.5.2.4p2).
+    ("R14.3", "void f(void) { int i = 0; int a[2] = { 0, 0 }; a[i++] += 1; use(a[0]); "
+              "if (i == 2) { use(1); } }", ALWAYS_FALSE),
+    ("R14.3", B_K_INCREMENT, ALWAYS_TRUE),
+    ("R2.1", B_K_INCREMENT, []),
+    ("R9.1", "void f(void) { int k; int b[2] = { 0, 0 }; b[k]++; use(b[0]); }",
+     [("definite", "'k' is read before it is set on some path")]),
+    # A store into a member or element of a named object reaches no other
+    # object; one through a pointer, and a call, may reach `x`.
+    ("R14.3", MEMBER_AND_ELEMENT_STORES, ALWAYS_TRUE),
+    ("R14.3", MEMBER_AND_ELEMENT_STORES.replace("s.m = 2; t[0] = 2;", "*q = 2;")
+              .replace("f(void)", "f(int *q)"), []),
+    ("R14.3", MEMBER_AND_ELEMENT_STORES.replace("s.m = 2; t[0] = 2;", "get();"), []),
+]
+
+
+@pytest.mark.parametrize("rule, text, expected", EVALUATION_SHAPES)
+def test_intervals_read_the_evaluation_rules_of_effects(rule, text, expected):
+    assert [(f.certainty.value, f.message) for f in run_rule(text, rule)] == expected

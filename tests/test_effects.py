@@ -96,6 +96,11 @@ def _events(expr) -> list:
     return list(walk_effects(expr))
 
 
+def _stores(expr) -> int:
+    """How many `=`, `op=`, `++` and `--` evaluating `expr` evaluates."""
+    return sum(isinstance(n, (Assign, CompoundAssign, IncDec)) for n in walk_operands(expr))
+
+
 @pytest.mark.parametrize("lvalue, store, root, targets", SHAPES, ids=[s[0] for s in SHAPES])
 def test_shape(lvalue, store, root, targets):
     fn = _function(f"{SHAPE_PRELUDE}void f(void) {{\n{SHAPE_LOCALS}{lvalue} = 1;\n&{lvalue};\n}}\n")
@@ -236,7 +241,7 @@ ROOTS = {
     "gv": S, "pp": ptr(S), "ip": ptr(INT), "vp": ptr(S),
 }
 FIELDS = {S: {"m": INT, "v": arr(INT), "n": ptr(S), "u": U}, U: {"k": INT, "w": arr(INT)}}
-INDICES = ("0", "1", "i")
+INDICES = ("0", "1", "i", "i++")
 
 
 @st.composite
@@ -279,11 +284,10 @@ def test_every_store_of_a_random_lvalue_has_one_store_event(lvalue):
     stmts = [f"{text} = {value};", f"{text} += 1;", f"{text}++;", f"--{text};", f"&{text};"]
     fn = _function(f"{PROPERTY_PRELUDE}void f({PROPERTY_PARAMS}) {{\n{PROPERTY_LOCALS}"
                    + "\n".join(stmts) + "\n}\n")
-    *stores, addr = (s.expr for s in fn.body.items[-len(stmts):])
-    for expr in stores:
-        assert len([ev for ev in _events(expr) if ev.kind in STORES]) == 1, text
-    events = _events(addr)
-    assert [ev for ev in events if ev.kind in STORES] == []
+    exprs = [s.expr for s in fn.body.items[-len(stmts):]]
+    for expr in exprs:
+        assert len([ev for ev in _events(expr) if ev.kind in STORES]) == _stores(expr), text
+    events = _events(exprs[-1])
     if named is not None:
         # The address of a part of a named object reads only constant indices and `i`.
         assert [ev.sym.name for ev in events if ev.kind == "addrof"] == [named], text
@@ -309,8 +313,7 @@ def store_mismatches(fn: FunctionDef) -> list[str]:
     streams += [(b.term_expr, b.term_events, False) for b in cfg.blocks]
     out = []
     for expr, events, declares in streams:
-        want = declares + (0 if expr is None else sum(
-            isinstance(n, (Assign, CompoundAssign, IncDec)) for n in walk_operands(expr)))
+        want = declares + (0 if expr is None else _stores(expr))
         got = sum(ev.kind in STORES for ev in events)
         if got != want:
             out.append(f"{fn.name}: {got} store events for {want} stores")

@@ -68,7 +68,8 @@ SNIPPETS = [
     "{ s = s + (c ? 300 : (uint8_t)i) + (i && n); } use(s); }",
     "void f(long n) { long k = 0; while (k < n || n > 7) "
     "{ k = k + (n > 3 ? (unsigned char)k : 9L); } use((int)k); }",
-    # Calls forget static locals and address-taken locals, not other locals.
+    # Calls forget address-taken locals, not other locals; a static local
+    # is never tracked.
     "void f(int n) { static int calls = 0; int x = 3; int *p = &n; "
     "while (calls < n) { calls = calls + 1; get(); x = x + *p; } use(x + calls); }",
     "void f(void) { static int calls = 0; get(); if (calls > 0) { use(calls); } }",
@@ -92,6 +93,30 @@ SNIPPETS = [
     "void f(int a, unsigned b) { int r = 0; int i; for (i = -3; i < 9; i += 2) "
     "{ r = r + a / (i | 1) + (a % 7) - (int)(b & 12u) + (~i ^ 5) - -i; "
     "r += b >> 3; r -= i--; i++; } use(r); }",
+    # Static locals are initialised once, before startup.
+    "void f(void) { static int n = 0; if (n == 0) { use(1); } n = 5; }",
+    "void f(void) { static int calls = 0; if (calls > 0) { use(calls); } calls = 1; }",
+    "void f(void) { static unsigned k = 40u; useu(1u << k); k = 3u; }",
+    # Initializer lists and the operand of `&` are evaluated.
+    "void f(void) { int x = 0; int a[1] = { x++ }; use(a[0]); if (x == 0) { use(1); } }",
+    "struct P { int m; };\nvoid f(void) { int z = 0; struct P s = { z = 3 }; use(s.m); "
+    "if (z == 0) { use(1); } }",
+    "void f(void) { int i = 0; int a[2]; int *p = &a[i++]; usep(p); if (i == 0) { use(1); } }",
+    # `op=` and `++` compute their target's address once.
+    "void f(void) { int i = 0; int a[2] = { 0, 0 }; a[i++] += 1; use(a[0]); "
+    "if (i == 2) { use(1); } }",
+    "void f(void) { int k = 0; int b[2] = { 0, 0 }; b[k++]++; use(b[0]); if (k == 1) { use(1); } }",
+    "void f(void) { int k; int b[2] = { 0, 0 }; b[k]++; use(b[0]); }",
+    # Only a store through a pointer (`*q`, `i[q]`) or a call forgets `x`.
+    "struct S { int m; };\nvoid f(void) { struct S s; int t[2]; int x; int *p = &x; x = 1; "
+    "s.m = 2; t[0] = 2; if (x == 1) { use(1); } usep(p); use(s.m + t[0]); }",
+    "struct S { int m; };\nvoid f(int *q) { struct S s; int t[2]; int x; int *p = &x; x = 1; "
+    "*q = 2; if (x == 1) { use(1); } usep(p); use(s.m + t[0]); }",
+    "void f(int *q, int i) { int x; int *p = &x; x = 1; i[q] = 2; if (x == 1) { use(1); } usep(p); }",
+    "void f(int i) { int t[2]; int x; int *p = &x; x = 1; i[t] = 2; if (x == 1) { use(1); } "
+    "usep(p); use(t[0]); }",
+    "struct S { int m; };\nvoid f(void) { struct S s; int t[2]; int x; int *p = &x; x = 1; "
+    "get(); if (x == 1) { use(1); } usep(p); use(s.m + t[0]); }",
     # AST-level && || ?: and , in controlling expressions.
     "void f(int a, int b) { while (a < 10 && (b = a, b > 2)) { a++; } "
     "if (a ? b : a + 1) { use(a); } if (a > 3 || b < 0) { use(b); } "
