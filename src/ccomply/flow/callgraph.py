@@ -5,16 +5,17 @@ call to an external-linkage function in another translation unit lands
 on one shared node. Calls through pointer expressions are collected as
 indirect call sites rather than edges. A call under `sizeof` is never
 evaluated, so it is neither.
+
+The graph walks no function body: it reads the call sites the resolver
+recorded in each definition's `calls` as it typed them. So it costs one
+step per call, and it is the same whichever per-unit guidelines ran and
+whether or not their node index is still alive.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
-from ccomply.parsing.astnodes import (
-    AddrOf, Call, CompoundStmt, Expr, FunctionDef, Identifier, Node,
-    TranslationUnitAst, children, operands,
-)
+from ccomply.parsing.astnodes import AddrOf, Call, FunctionDef, Identifier, TranslationUnitAst
 from ccomply.sema.symbols import SymKind, Symbol, SymbolTable
 
 
@@ -39,22 +40,6 @@ def _callee_symbol(callee) -> Symbol | None:
     return None
 
 
-def _evaluated_calls(body: CompoundStmt) -> Iterator[Call]:
-    """The calls in a function body that can be evaluated, in pre-order.
-
-    Statements are entered through `children` and expressions through
-    `operands`, so a call under `sizeof` is not one.
-    """
-    stack: list[Node] = [body]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Call):
-            yield node
-        kids = operands(node) if isinstance(node, Expr) else children(node)
-        kids.reverse()
-        stack.extend(kids)
-
-
 def build_call_graph(units: list[tuple[TranslationUnitAst, SymbolTable]]) -> CallGraph:
     graph = CallGraph()
     for tu, table in units:
@@ -71,7 +56,7 @@ def build_call_graph(units: list[tuple[TranslationUnitAst, SymbolTable]]) -> Cal
             caller = decl.symbol.canonical_id(path)
             graph.nodes.add(caller)
             graph.definitions.setdefault(caller, decl)
-            for node in _evaluated_calls(decl.body):
+            for node in decl.calls:
                 target = _callee_symbol(node.callee)
                 if target is not None:
                     callee = target.canonical_id(path)

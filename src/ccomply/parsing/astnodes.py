@@ -21,15 +21,17 @@ same qualifiers one `SynPtr` (`SYN_PTRS`), and every declarator whose
 derivations are all pointers one `SynType` per base. These three classes
 are frozen; nothing may mutate a syntactic type after it is built.
 
-`children` gives every syntactic child of a node. `operands` gives only the
-subexpressions that evaluating an expression evaluates: it leaves out a
-cast's type name and the operand of `sizeof`. Walkers that follow
-evaluation (CFG lowering, effect events, intervals, side-effect and
-evaluation-order checks, the call graph) read `operands`.
+`children` gives every syntactic child of a node. It reads only the fields
+that can hold one, as one per-class table (`_CHILD_FIELDS`) gives them.
+`operands` gives only the subexpressions that evaluating an expression
+evaluates: it leaves out a cast's type name and the operand of `sizeof`.
+Walkers that follow evaluation (CFG lowering, effect events, intervals,
+side-effect and evaluation-order checks) read `operands`; the call sites a
+function can evaluate are recorded by sema, in `FunctionDef.calls`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any, Container, Iterator, Optional
 
 from ccomply.source import ExpansionFrame, Extent
@@ -177,6 +179,9 @@ class FunctionDef(Node):
     params: list[SynParam]
     body: "CompoundStmt"
     symbol: Any = field(default=None, repr=False)
+    # Filled by sema: the calls the body can evaluate, in pre-order; a call
+    # under `sizeof` is none (C99 6.5.3.4p2). The shared `()` when there are none.
+    calls: tuple["Call", ...] = field(init=False, default=(), repr=False)
 
 
 class _Unit(Node):
@@ -402,39 +407,82 @@ def for_clauses(node: "For") -> tuple[Optional[Node], Optional["Expr"], Optional
 
 # ---- generic traversal ------------------------------------------------------
 
-_SKIP_FIELDS = {"start", "end", "via", "ctype", "symbol", "behavior", "const_value"}
+# Per expression class: the fields whose subexpressions evaluating the
+# expression evaluates, in field order; each holds an expression or a list
+# of them. This is `children` minus a cast's type name and everything under
+# `sizeof`, whose operand C99 6.5.3.4p2 does not evaluate. Every walker that
+# follows evaluation reads this one table.
+_OPERAND_FIELDS: dict[type, tuple[str, ...]] = {
+    Identifier: (), Constant: (), StringLiteral: (), Sizeof: (),
+    Unary: ("operand",), IncDec: ("operand",), Deref: ("operand",),
+    AddrOf: ("operand",), Cast: ("operand",),
+    Binary: ("left", "right"), Comma: ("left", "right"),
+    Assign: ("target", "value"), CompoundAssign: ("target", "value"),
+    Call: ("callee", "args"), Index: ("base", "index"), Member: ("base",),
+    Conditional: ("cond", "then", "other"), InitList: ("elements",),
+}
 
-# Per node class: the names of the fields `children` reads, in field order.
-_CHILD_FIELDS: dict[type, tuple[str, ...]] = {}
+# The shapes of a field that can hold a node: a node, a node or None, a list
+# of nodes, declarators (`DeclEntry`: their initializers), a syntactic type
+# or None (`SynType`: array sizes, and the members, enumerators and
+# parameters it declares) and a `SynBase` (its members and enumerators).
+_NODE, _OPTIONAL, _NODES, _ENTRIES, _SYNTYPE, _BASE = range(6)
+
+# Row of an expression whose children are its operands (`_OPERAND_FIELDS`).
+_OPERANDS = None
+
+# Per node class: (shape, name) of each field that can hold a node, in field
+# order; `children` reads nothing else. A cast's type name and what `sizeof`
+# is applied to are the children that are no operands.
+_CHILD_FIELDS: dict[type, Optional[tuple[tuple[int, str], ...]]] = {
+    TranslationUnitAst: ((_NODES, "decls"),),
+    Declaration: ((_ENTRIES, "entries"), (_BASE, "base")),
+    FunctionDef: ((_SYNTYPE, "syntype"), (_NODE, "body")),
+    CompoundStmt: ((_NODES, "items"),),
+    If: ((_NODE, "cond"), (_NODE, "then"), (_OPTIONAL, "els")),
+    Switch: ((_NODE, "cond"), (_NODE, "body")),
+    While: ((_NODE, "cond"), (_NODE, "body")),
+    DoWhile: ((_NODE, "body"), (_NODE, "cond")),
+    For: ((_OPTIONAL, "init"), (_OPTIONAL, "cond"), (_OPTIONAL, "step"), (_NODE, "body")),
+    Label: ((_OPTIONAL, "case_expr"), (_NODE, "stmt")),
+    Return: ((_OPTIONAL, "value"),),
+    ExprStmt: ((_OPTIONAL, "expr"),),
+    Goto: (), Break: (), Continue: (),
+    Cast: ((_SYNTYPE, "type_name"), (_NODE, "operand")),
+    Sizeof: ((_SYNTYPE, "type_name"), (_OPTIONAL, "operand")),
+    Identifier: _OPERANDS, Constant: _OPERANDS, StringLiteral: _OPERANDS,
+    Unary: _OPERANDS, IncDec: _OPERANDS, Deref: _OPERANDS, AddrOf: _OPERANDS,
+    Binary: _OPERANDS, Comma: _OPERANDS, Assign: _OPERANDS,
+    CompoundAssign: _OPERANDS, Call: _OPERANDS, Index: _OPERANDS,
+    Member: _OPERANDS, Conditional: _OPERANDS, InitList: _OPERANDS,
+}
 
 
 def children(node: Node) -> list[Node]:
     """Direct child nodes, in source order."""
-    cls = type(node)
-    names = _CHILD_FIELDS.get(cls)
-    if names is None:
-        names = _CHILD_FIELDS[cls] = tuple(
-            f.name for f in fields(cls) if f.name not in _SKIP_FIELDS
-        )
+    row = _CHILD_FIELDS[type(node)]
+    if row is _OPERANDS:
+        return operands(node)
     out: list[Node] = []
-    for name in names:
-        _collect(getattr(node, name), out)
+    for shape, name in row:
+        value = getattr(node, name)
+        if shape == _NODE:
+            out.append(value)
+        elif shape == _NODES:
+            out += value
+        elif value is None:
+            pass
+        elif shape == _OPTIONAL:
+            out.append(value)
+        elif shape == _ENTRIES:
+            for entry in value:
+                if entry.init is not None:
+                    out.append(entry.init)
+        elif shape == _SYNTYPE:
+            _collect_syntype(value, out)
+        elif value.members or value.enumerators:
+            _collect_base(value, out)
     return out
-
-
-def _collect(value: Any, out: list[Node]) -> None:
-    if isinstance(value, Node):
-        out.append(value)
-    elif isinstance(value, list):
-        for v in value:
-            _collect(v, out)
-    elif isinstance(value, DeclEntry):
-        if value.init is not None:
-            out.append(value.init)
-    elif isinstance(value, SynType):
-        _collect_syntype(value, out)
-    elif isinstance(value, SynBase):
-        _collect_base(value, out)
 
 
 def _collect_syntype(st: SynType, out: list[Node]) -> None:
@@ -455,21 +503,6 @@ def _collect_base(b: SynBase, out: list[Node]) -> None:
         for _, e in b.enumerators:
             if e is not None:
                 out.append(e)
-
-
-# Per expression class: the fields whose subexpressions evaluating the
-# expression evaluates, in field order. This is `children` minus a cast's
-# type name and everything under `sizeof`, whose operand C99 6.5.3.4p2 does
-# not evaluate. Every walker that follows evaluation reads this one table.
-_OPERAND_FIELDS: dict[type, tuple[str, ...]] = {
-    Identifier: (), Constant: (), StringLiteral: (), Sizeof: (),
-    Unary: ("operand",), IncDec: ("operand",), Deref: ("operand",),
-    AddrOf: ("operand",), Cast: ("operand",),
-    Binary: ("left", "right"), Comma: ("left", "right"),
-    Assign: ("target", "value"), CompoundAssign: ("target", "value"),
-    Call: ("callee", "args"), Index: ("base", "index"), Member: ("base",),
-    Conditional: ("cond", "then", "other"), InitList: ("elements",),
-}
 
 
 def operand_fields(e: Expr) -> tuple[str, ...]:
@@ -519,6 +552,9 @@ class NodeIndex:
 
     The index costs two list slots per node, so a caller builds one for a
     batch of queries and drops it, rather than keeping it with the tree.
+    Only the per-unit checkers read one: the call graph reads the call sites
+    sema recorded (`FunctionDef.calls`), so nothing needs the index after
+    `run_rules` returns.
     """
 
     __slots__ = ("nodes", "by_class", "_bounds", "__weakref__")
@@ -533,8 +569,9 @@ class NodeIndex:
                 n = stack.pop()
                 nodes.append(n)
                 kids = children(n)
-                kids.reverse()
-                stack.extend(kids)
+                if kids:
+                    kids.reverse()
+                    stack += kids
             end = len(nodes)
             bounds[id(decl)] = (start, end)
             if isinstance(decl, FunctionDef):
@@ -542,10 +579,11 @@ class NodeIndex:
                 bounds[id(decl.body)] = (nodes.index(decl.body, start, end), end)
         by_class: dict[type, list[Node]] = {}
         for n in nodes:
-            group = by_class.get(type(n))
-            if group is None:
-                group = by_class[type(n)] = []
-            group.append(n)
+            cls = type(n)
+            if cls in by_class:
+                by_class[cls].append(n)
+            else:
+                by_class[cls] = [n]
         self.nodes = nodes
         self.by_class = by_class
         self._bounds = bounds

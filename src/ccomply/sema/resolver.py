@@ -15,6 +15,13 @@ Each flaw the kernel reports tags the node's `behavior` as undefined:
 signed overflow keeps the wrapped value; division by zero or a shift out of
 range is not constant. A node built after resolution (a lowered copy, a
 synthesized operator) has no recorded value, so it reads as not constant.
+
+It also records each function's call sites, as it types them: a function
+definition's `calls` lists the calls its body can evaluate, in pre-order.
+A call typed under `sizeof` is dropped, since C99 6.5.3.4p2 does not
+evaluate the operand. Outside function bodies a call can stand only in an
+initializer or under `sizeof`: everywhere else an integer constant is
+required, and no call is one.
 """
 from __future__ import annotations
 
@@ -118,6 +125,9 @@ class Resolver:
         self.model = model
         self._named_types = _named_types(model)
         self.current_function: FunctionDef | None = None
+        # The calls typed so far, in pre-order, none under `sizeof`: the
+        # current function body's, or at file scope an initializer's.
+        self._calls: list[Call] = []
         if start is None:
             self.table = SymbolTable(path, model)
             self.types = TypeTable()
@@ -307,7 +317,15 @@ class Resolver:
         for entry in decl.entries:
             entry.symbol = sym = self._declare_entry(entry, decl.base, base_t)
             if entry.init is not None:
+                first = len(self._calls)
                 self._resolve_initializer(entry.init)
+                if len(self._calls) > first and sym.storage is not Storage.AUTO:
+                    # C99 6.7.8p4: an object of static storage duration takes
+                    # constant initializers, and a call is none (6.6p3).
+                    raise SemaError(
+                        f"initializer of static object {entry.name!r} is not constant",
+                        self._calls[first].loc,
+                    )
                 t = sym.type
                 if t.kind is TK.ARRAY and t.length is None:
                     # C99 6.7.8p22: the initializer completes an array of unknown size.
@@ -414,6 +432,8 @@ class Resolver:
                 p.start, p.end, p.via, quals=pt.quals, is_param=True,
             ), defined=True)
         self._stmt(fn.body, push=False)
+        fn.calls = tuple(self._calls)
+        self._calls.clear()
         self.table.pop()
         self.current_function = None
 
@@ -560,6 +580,7 @@ class Resolver:
             return t
 
         if isinstance(e, Call):
+            self._calls.append(e)
             callee_t = self.type_expr(e.callee)
             ft = callee_t
             if ft.kind is TK.POINTER and ft.pointee is not None:
@@ -659,7 +680,9 @@ class Resolver:
             if e.type_name is not None:
                 target = e.type_name_type = self.syn_type(e.type_name)
             else:
+                first = len(self._calls)
                 target = self.type_expr(e.operand)
+                del self._calls[first:]
             try:
                 e.const_value = sizeof_type(target, model)
             except SemaError as err:
@@ -730,7 +753,11 @@ class Resolver:
             if sym is not None and sym.kind is SymKind.FUNCTION and not allow_function:
                 raise SemaError(f"function {e.name!r} is not assignable", e.loc)
             return
-        if isinstance(e, (Deref, Index, Member, StringLiteral)):
+        base = e
+        while isinstance(base, Member) and not base.arrow:
+            # C99 6.5.2.3p3: `x.m` is an lvalue only when `x` is one.
+            base = base.base
+        if isinstance(base, (Identifier, Deref, Index, Member, StringLiteral)):
             return
         raise SemaError(
             f"expression is not an lvalue ({type(e).__name__})",

@@ -9,7 +9,7 @@ from ccomply.flow import build_cfg
 from ccomply.flow.cfg import Cfg, EvalItem
 from ccomply.flow.intervals import Interval
 from ccomply.frontend import macro_from_define_flag, preprocess
-from ccomply.parsing import Call, FunctionDef, Identifier, parse
+from ccomply.parsing import Call, Expr, FunctionDef, Identifier, Node, children, operands, parse
 from ccomply.sema import SymKind, is_integer, resolve, type_range
 from ccomply.source import SourceManager
 from support import pp_text
@@ -42,6 +42,25 @@ def probe_points(cfg: Cfg, callee: str = "probe"):
             target = item.expr.callee
             if isinstance(target, Identifier) and target.name == callee:
                 out.append((b.id, i, item.expr))
+    return out
+
+
+def _evaluated_calls(body: Node) -> list[Call]:
+    """The calls in a function body that can be evaluated, in pre-order: the
+    oracle for the call sites sema records in `FunctionDef.calls`.
+
+    Statements are entered through `children` and expressions through
+    `operands`, so a call under `sizeof` is not one.
+    """
+    out: list[Call] = []
+    stack: list[Node] = [body]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Call):
+            out.append(node)
+        kids = operands(node) if isinstance(node, Expr) else children(node)
+        kids.reverse()
+        stack.extend(kids)
     return out
 
 

@@ -148,7 +148,8 @@ def test_reversed_subscript_store_reads_an_array_root_first():
 
 
 def test_store_into_a_member_of_a_call_result_evaluates_the_call():
-    fn = _function("struct S { int m; };\nstruct S mk(void);\nvoid f(void) { mk().m = 1; }\n")
+    # `mk().m` is no lvalue (C99 6.5.2.3p3); an element of its array member is one.
+    fn = _function("struct S { int a[2]; };\nstruct S mk(void);\nvoid f(void) { mk().a[0] = 1; }\n")
     assert [(e.kind, e.sym) for e in _events(fn.body.items[-1].expr)] == [("call", None), ("write", None)]
 
 

@@ -340,6 +340,68 @@ def test_children_match_reflection_on_every_corpus_node():
     assert visited > 100
 
 
+class TestChildTable:
+    """`children` reads one row per node class: the fields that can hold a node."""
+
+    # Every node class, with its fields filled in every shape a row reads.
+    TEXT = (
+        "enum E { A = 1, B };\n"
+        "struct S { int m[2 + 1]; enum { C = 3 } e; };\n"
+        "typedef int T[4];\n"
+        "int g(int v[sizeof(struct S)], int (*h)(int w[5]));\n"
+        "void f(int n, int *p, int r[9]) {\n"
+        "  int a[3] = { 1, n, 3 }, b = 2;\n"
+        "  for (int i = 0; i < n; i++) { if (i) continue; else break; }\n"
+        "  for (;;) { }\n"
+        "  while (n) { n -= 1; }\n"
+        "  do { p[0]++; } while (!n);\n"
+        "  switch (n) { case 1: n = -n; break; default: ; }\n"
+        "  n = (int)(long)sizeof(int[6]) + sizeof n + sizeof(n, b);\n"
+        "  n = n ? *p : ((struct S *)p)->m[0] + (*(struct S *)p).e;\n"
+        "  p = &a[0]; use(\"s\", (void (*)(int [7]))0);\n"
+        "  goto out;\n"
+        "out:\n"
+        "  return;\n"
+        "}\n"
+    )
+
+    @staticmethod
+    def node_classes():
+        from ccomply.parsing import Expr, Node, Stmt, astnodes
+
+        abstract = {Node, Expr, Stmt, astnodes._Unit}
+        return {c for c in vars(astnodes).values()
+                if isinstance(c, type) and issubclass(c, Node) and c not in abstract}
+
+    def test_every_node_class_has_a_row(self):
+        from ccomply.parsing import astnodes
+
+        assert set(astnodes._CHILD_FIELDS) == self.node_classes()
+
+    def test_children_match_reflection_on_every_node_class(self):
+        from ccomply.parsing import children, walk
+
+        seen = set()
+        for node in walk(parse_text(self.TEXT)):
+            got, want = children(node), _reference_children(node)
+            assert len(got) == len(want) and all(a is b for a, b in zip(got, want)), node
+            seen.add(type(node))
+        assert seen == self.node_classes()
+
+    def test_rows_read_sizes_values_and_initializers(self):
+        from ccomply.parsing import children
+
+        enum, record, typedef, proto, fn = parse_text(self.TEXT).decls
+        assert [c.value for c in children(enum)] == [1]
+        assert [type(c).__name__ for c in children(record)] == ["Binary", "Constant"]
+        # A declarator's own derivations are no children; its initializer is.
+        assert children(typedef) == children(proto) == []
+        assert len(children(fn)) == 2 and children(fn)[0].value == 9
+        assert children(fn)[1] is fn.body
+        decl = fn.body.items[0]
+        assert [type(c).__name__ for c in children(decl)] == ["InitList", "Constant"]
+
+
 def test_node_index_matches_walk_on_every_corpus_tu():
     from ccomply.parsing import FunctionDef, NodeIndex, walk
 

@@ -681,3 +681,58 @@ class TestBlockScopeRedeclaration:
     def test_incompatible_extern_declarations_still_raise(self):
         with pytest.raises(SemaError, match="conflicting redeclaration of 'x'"):
             analyze("void f(void) { extern int x; extern float x; }\n")
+
+
+class TestMemberOfNonLvalue:
+    """C99 6.5.2.3p3: `x.m` is an lvalue only when `x` is one."""
+
+    PRELUDE = ("struct S { int m; int a[2]; };\nstruct S mk(void);\n"
+               "struct S s, t, arr[2];\nstruct S *p;\n")
+
+    @pytest.mark.parametrize("stmt", [
+        "mk().m = 1;",
+        "int *q = &mk().m;",
+        "(c ? s : t).m = 1;",
+    ])
+    def test_rejected(self, stmt):
+        with pytest.raises(SemaError, match=r"not an lvalue \(Member\)") as info:
+            analyze(f"{self.PRELUDE}void f(int c) {{\n  {stmt}\n}}\n")
+        assert info.value.loc.line == 6
+
+    @pytest.mark.parametrize("stmt", [
+        "mk().a[0] = 1;",
+        "s.m = 1;",
+        "p->m = 1;",
+        "arr[0].m = 1;",
+        "int *q = &s.a[1];",
+    ])
+    def test_accepted(self, stmt):
+        analyze(f"{self.PRELUDE}void f(int c) {{\n  {stmt}\n}}\n")
+
+
+class TestStaticInitializerCall:
+    """C99 6.7.8p4: an object of static storage duration takes constant
+    initializers, and a call is none (6.6p3)."""
+
+    PRELUDE = "int g(void);\nint v;\n"
+
+    @pytest.mark.parametrize("decl, column", [
+        ("int x = g();", 9),
+        ("static int x = 1 + g();", 20),
+        ("int x[2] = { 1, g() };", 17),
+        ("void f(void) { static int x = g(); }", 31),
+        ("void f(void) { static int x[2][1] = { { 0 }, { g() } }; }", 48),
+    ])
+    def test_rejected_at_the_call(self, decl, column):
+        with pytest.raises(SemaError, match="initializer of static object 'x' is not constant") as info:
+            analyze(f"{self.PRELUDE}{decl}\n")
+        assert (info.value.loc.line, info.value.loc.column) == (3, column)
+
+    @pytest.mark.parametrize("decl", [
+        "static int n = sizeof(g());",
+        "void f(void) { static unsigned long n = sizeof g(); }",
+        "void f(void) { int z = g(); int a[2] = { g(), z }; }",
+        "int *p = &v;",
+    ])
+    def test_accepted(self, decl):
+        analyze(f"{self.PRELUDE}{decl}\n")
