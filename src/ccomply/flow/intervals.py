@@ -17,7 +17,10 @@ a node lowering rebuilt around a temporary has none), type ranges (cached
 per type for the CFG's model), which variables are tracked or volatile,
 store targets, which subexpressions can change the environment at all (an
 item that cannot is dropped), and the narrowing plan of each `TBranch` and
-`TSwitch`. Per visit only the
+`TSwitch`. Only a store or a call can change the environment, so an item or
+a terminator expression whose `Expr.kinds` shows neither is dropped without
+being lowered at all; an item rebuilt around a temporary has every bit set
+and is lowered. Per visit only the
 interval arithmetic runs: the range operators behind `_AbstractEval._arith`
 (`/` and `%` take C's truncating quotient and remainder from `sema.intarith`),
 and `_compare`. A comparison, and the narrowing it drives, first converts
@@ -52,9 +55,9 @@ from ccomply.flow.cfg import Block, Cfg, DeclItem, TBranch, TSwitch
 from ccomply.flow.effects import designate, sym_of
 from ccomply.flow.solver import solve, state_at
 from ccomply.parsing.astnodes import (
-    AddrOf, Assign, Binary, Call, Cast, Comma, CompoundAssign, Conditional,
-    Constant, Deref, Expr, Identifier, IncDec, Index, InitList, Member,
-    Sizeof, StringLiteral, Unary, operands, placed,
+    KIND_CALL, KIND_STORE, AddrOf, Assign, Binary, Call, Cast, Comma,
+    CompoundAssign, Conditional, Constant, Deref, Expr, Identifier, IncDec,
+    Index, InitList, Member, Sizeof, StringLiteral, Unary, operands, placed,
 )
 from ccomply.sema.intarith import truncating_divmod
 from ccomply.sema.symbols import Symbol
@@ -125,6 +128,10 @@ def _converted(iv: Interval | None, full: Interval | None) -> Interval | None:
 
 def _converting(value: ValueFn, full: Interval) -> ValueFn:
     return lambda env: _converted(value(env), full)
+
+
+# The `Expr.kinds` bits of the nodes that can change the environment.
+_MUTATORS = KIND_STORE | KIND_CALL
 
 
 def _tracked(sym) -> bool:
@@ -297,7 +304,7 @@ class _AbstractEval:
     def lower_block(self, b: Block) -> _BlockCode:
         steps = self.lower_items(b)
         run_all = [step for _, step in steps]
-        if b.term_expr is not None:
+        if b.term_expr is not None and b.term_expr.kinds & _MUTATORS:
             fn, changes = self._lower(b.term_expr, True)
             if changes:
                 run_all.append(fn)
@@ -326,13 +333,18 @@ class _AbstractEval:
 
     def _lower_item(self, item) -> ValueFn | None:
         if not isinstance(item, DeclItem):
+            if not item.expr.kinds & _MUTATORS:
+                return None
             fn, changes = self._lower(item.expr, True)
             return fn if changes else None
         sym, init = item.symbol, item.init
         if init is None:
             return None
+        tracked = _tracked(sym)
+        if not (tracked or init.kinds & _MUTATORS):
+            return None
         value, changes = self._lower(init, True)
-        if not _tracked(sym):
+        if not tracked:
             return value if changes else None
         uid, full = sym.uid, self._range(sym)
 

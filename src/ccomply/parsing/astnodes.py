@@ -28,11 +28,23 @@ evaluates: it leaves out a cast's type name and the operand of `sizeof`.
 Walkers that follow evaluation (CFG lowering, effect events, intervals,
 side-effect and evaluation-order checks) read `operands`; the call sites a
 function can evaluate are recorded by sema, in `FunctionDef.calls`.
+
+Sema also records what each expression's subtree contains, as the bit mask
+`Expr.kinds` (the `KIND_*` bits): stores, calls, `&`, volatile operands,
+casts, `sizeof`, `&&`/`||`, and whether it holds two or more calls. The
+mask covers every node of the `children` subtree, so it is a superset of
+what evaluating the expression does, and a walker that finds a bit absent
+may skip the subtree exactly. A node sema never typed (a CFG temporary, or
+one built by `placed` or `dataclasses.replace`) keeps `KIND_ALL`, which no
+walker skips. `NodeIndex` descends only into expressions that hold a node
+it keeps; R13.2 (`checkers_ast.check_evaluation_order`), `_has_side_effect`
+(R13.1, R13.5), R14.1/R14.2's clause writes and the interval lowering of
+CFG items skip the subtrees whose mask shows they cannot matter.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Container, Iterator, Optional
+from typing import Any, ClassVar, Container, Iterator, Optional
 
 from ccomply.source import ExpansionFrame, Extent
 
@@ -45,7 +57,21 @@ __all__ = [
     "IncDec", "Call", "Index", "Member", "Deref", "AddrOf", "Cast", "Conditional",
     "Comma", "Sizeof", "InitList", "children", "operands", "operand_fields", "walk",
     "walk_operands", "placed", "NodeIndex", "QUALIFIER_SETS", "SYN_PTRS", "qualifier_set",
+    "KIND_STORE", "KIND_CALL", "KIND_ADDR", "KIND_VOLATILE", "KIND_CAST", "KIND_SIZEOF",
+    "KIND_LOGIC", "KIND_MULTICALL", "KIND_ALL",
 ]
+
+# The bits of `Expr.kinds`: what some node of the expression's subtree is.
+KIND_STORE = 1        # `=`, `op=`, `++` or `--`
+KIND_CALL = 2         # a call
+KIND_ADDR = 4         # `&`
+KIND_VOLATILE = 8     # a volatile access: a volatile object, or `*`, `[]`, `.`, `->` of one
+KIND_CAST = 16        # a cast
+KIND_SIZEOF = 32      # `sizeof`
+KIND_LOGIC = 64       # `&&` or `||`
+KIND_MULTICALL = 128  # the subtree holds two or more calls
+# The mask of a node sema never typed: every bit, so nothing skips it.
+KIND_ALL = -1
 
 
 @dataclass(eq=False, slots=True)
@@ -65,11 +91,17 @@ class Expr(Node):
     # `__init__` argument, so `dataclasses.replace` and every node built
     # after sema start without one.
     const_value: Optional[int] = field(init=False, default=None, repr=False)
+    # What the subtree holds, as `KIND_*` bits; sema records it, and it is
+    # no `__init__` argument either. Every mask fits in 8 bits, so it is one
+    # of the interpreter's shared small ints, never an object of its own.
+    kinds: int = field(init=False, default=KIND_ALL, repr=False)
 
 
 @dataclass(eq=False, slots=True)
 class Stmt(Node):
-    pass
+    # A statement or declaration is never skipped: walkers that test a
+    # child's `kinds` read every bit here.
+    kinds: ClassVar[int] = KIND_ALL
 
 
 # ---- syntactic types (pre-sema) -------------------------------------------
@@ -542,36 +574,49 @@ def walk(node: Node) -> Iterator[Node]:
         stack.extend(reversed(children(n)))
 
 
+# The expression classes `NodeIndex` keeps, and the bits that show one in
+# a subtree. `Binary` is kept only for `&&` and `||`.
+_KEPT_EXPRS = frozenset({Assign, CompoundAssign, IncDec, Call, AddrOf, Cast, Sizeof, Binary})
+_KEPT_KINDS = KIND_STORE | KIND_CALL | KIND_ADDR | KIND_CAST | KIND_SIZEOF | KIND_LOGIC
+# Per node class: whether `NodeIndex` keeps its nodes. Every statement,
+# declaration and function definition is kept.
+_KEEPS = {cls: not issubclass(cls, Expr) or cls in _KEPT_EXPRS for cls in _CHILD_FIELDS}
+
+
 class NodeIndex:
-    """Every node below a translation unit's declarations, from one pre-order walk.
+    """The nodes checkers look up below a unit's declarations, from one pre-order walk.
 
-    `nodes` lists them in pre-order and `by_class` maps each node class to
-    its nodes in pre-order. `subtree` gives the pre-order nodes of a
-    top-level declaration or of a function's body as a slice of `nodes`.
-    There is no parent map: checkers read the tree top-down.
+    It keeps every statement and declaration, the top-level declarations
+    and function definitions, and the expressions of the classes in
+    `_KEPT_EXPRS`: stores, calls, `&`, casts, `sizeof`, and the binaries
+    `&&` and `||`. It descends into an expression child only when the
+    child's `kinds` shows such a node in its subtree, so a subtree of
+    operands and arithmetic costs one mask test.
 
-    The index costs two list slots per node, so a caller builds one for a
-    batch of queries and drops it, rather than keeping it with the tree.
-    Only the per-unit checkers read one: the call graph reads the call sites
-    sema recorded (`FunctionDef.calls`), so nothing needs the index after
-    `run_rules` returns.
+    `nodes` lists the kept nodes in pre-order and `by_class` maps each
+    class to its kept nodes in pre-order; `of` raises for a class the index
+    does not keep, so no checker can read an empty list for a class it
+    never sees. `subtree` gives the kept nodes of a top-level declaration
+    or of a function's body as a slice of `nodes`. `unevaluated` holds the
+    kept nodes under a `sizeof`, whose operand is not evaluated (C99
+    6.5.3.4p2). There is no parent map: checkers read the tree top-down.
+
+    The index costs two list slots per kept node, so a caller builds one
+    for a batch of queries and drops it, rather than keeping it with the
+    tree. Only the per-unit checkers read one: the call graph reads the
+    call sites sema recorded (`FunctionDef.calls`), so nothing needs the
+    index after `run_rules` returns.
     """
 
-    __slots__ = ("nodes", "by_class", "_bounds", "__weakref__")
+    __slots__ = ("nodes", "by_class", "unevaluated", "_bounds", "__weakref__")
 
     def __init__(self, tu: TranslationUnitAst) -> None:
         nodes: list[Node] = []
+        unevaluated: set[Node] = set()
         bounds: dict[int, tuple[int, int]] = {}
         for decl in tu.decls:
             start = len(nodes)
-            stack = [decl]
-            while stack:
-                n = stack.pop()
-                nodes.append(n)
-                kids = children(n)
-                if kids:
-                    kids.reverse()
-                    stack += kids
+            _gather(decl, nodes, unevaluated)
             end = len(nodes)
             bounds[id(decl)] = (start, end)
             if isinstance(decl, FunctionDef):
@@ -586,13 +631,36 @@ class NodeIndex:
                 by_class[cls] = [n]
         self.nodes = nodes
         self.by_class = by_class
+        self.unevaluated = unevaluated
         self._bounds = bounds
 
     def of(self, cls: type) -> list[Node]:
-        """The nodes whose class is exactly `cls`, in pre-order."""
+        """The kept nodes whose class is exactly `cls`, in pre-order."""
+        if not _KEEPS.get(cls, False):
+            raise TypeError(f"NodeIndex keeps no {cls.__name__} nodes")
         return self.by_class.get(cls, [])
 
     def subtree(self, root: Node) -> list[Node]:
-        """Pre-order nodes of a top-level declaration or a function body."""
+        """Kept pre-order nodes of a top-level declaration or a function body."""
         start, end = self._bounds[id(root)]
         return self.nodes[start:end]
+
+
+def _gather(root: Node, nodes: list[Node], unevaluated: set[Node]) -> None:
+    """Append the kept nodes of `root`'s subtree to `nodes`, in pre-order, and
+    add those under a `sizeof` to `unevaluated`."""
+    stack = [root]
+    while stack:
+        n = stack.pop()
+        cls = type(n)
+        if _KEEPS[cls] and (cls is not Binary or n.op in ("&&", "||")):
+            nodes.append(n)
+        kids = [k for k in children(n) if k.kinds & _KEPT_KINDS]
+        if cls is Sizeof:
+            first = len(nodes)
+            for kid in kids:
+                _gather(kid, nodes, unevaluated)
+            unevaluated.update(nodes[first:])
+        elif kids:
+            kids.reverse()
+            stack += kids

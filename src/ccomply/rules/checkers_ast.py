@@ -6,10 +6,11 @@ from typing import Callable, NamedTuple
 
 from ccomply.flow.effects import designate, sym_of, walk_effects
 from ccomply.parsing.astnodes import (
-    AddrOf, Assign, Binary, Call, Cast, Comma, CompoundAssign, Conditional,
+    KIND_ADDR, KIND_CALL, KIND_MULTICALL, KIND_STORE, KIND_VOLATILE, AddrOf,
+    Assign, Binary, Call, Cast, Comma, CompoundAssign, Conditional,
     Declaration, Deref, DoWhile, Expr, ExprStmt, For, FunctionDef, Identifier,
-    If, IncDec, Index, InitList, Member, Node, NodeIndex, Return, Sizeof,
-    Switch, While, children, for_clauses, operands, walk,
+    If, IncDec, Index, InitList, Member, Node, NodeIndex, Return, Switch,
+    While, children, for_clauses, operands,
 )
 from ccomply.rules.context import FunctionFacts, TUFacts
 from ccomply.rules.findings import BehaviorClass, Certainty, Evidence, Finding
@@ -48,19 +49,20 @@ def check_int_pointer_conversion(
         if isinstance(decl, FunctionDef) and decl.symbol is not None:
             ret_t = decl.symbol.type.ret
         for node in index.subtree(decl):
-            if isinstance(node, Cast):
+            cls = type(node)
+            if cls is Cast:
                 site(node.ctype, node.operand, node, "cast")
-            elif isinstance(node, Assign):
+            elif cls is Assign:
                 site(node.target.ctype, node.value, node, "assignment")
-            elif isinstance(node, Call):
+            elif cls is Call:
                 callee_t = node.callee.ctype
                 ft = callee_t.pointee if callee_t is not None and callee_t.kind is TK.POINTER else callee_t
                 if ft is not None and ft.kind is TK.FUNCTION and ft.params is not None:
                     for param_t, arg in zip(ft.params, node.args):
                         site(param_t, arg, arg, "argument passing")
-            elif isinstance(node, Return) and node.value is not None and ret_t is not None:
+            elif cls is Return and node.value is not None and ret_t is not None:
                 site(ret_t, node.value, node, "return")
-            elif isinstance(node, Declaration):
+            elif cls is Declaration:
                 for entry in node.entries:
                     if (
                         entry.init is not None
@@ -75,15 +77,21 @@ def check_int_pointer_conversion(
 
 
 _SIDE_EFFECTS = frozenset({"write", "deref_store", "call", "volatile"})
+# The `Expr.kinds` bits of the nodes that yield those events.
+_SIDE_EFFECT_KINDS = KIND_STORE | KIND_CALL | KIND_VOLATILE
 
 
 def _has_side_effect(e: Expr) -> bool:
     """Does evaluating `e` store, call, or access a volatile object?
 
-    Every call counts as a persistent side effect, a call to a body-less
-    `extern` function included: only a summary of a callee's body could
-    show that it has none (ROADMAP item 3).
+    A subtree whose `kinds` shows no store, call or volatile operand has
+    none, and its events are not walked; otherwise `walk_effects` decides,
+    so nothing under `sizeof` counts. Every call counts as a persistent
+    side effect, a call to a body-less `extern` function included: only a
+    summary of a callee's body could show that it has none (ROADMAP item 3).
     """
+    if not e.kinds & _SIDE_EFFECT_KINDS:
+        return False
     return any(ev.kind in _SIDE_EFFECTS for ev in walk_effects(e))
 
 
@@ -112,10 +120,10 @@ def check_logical_operand_side_effects(
     facts: TUFacts, index: NodeIndex, functions: list[FunctionFacts],
 ) -> list[Finding]:
     out: list[Finding] = []
-    # C99 6.5.3.4p2: the operand of sizeof is never evaluated.
-    unevaluated = {id(n) for s in index.of(Sizeof) for n in walk(s)}
+    # `of(Binary)` holds only `&&` and `||`; C99 6.5.3.4p2: the operand of
+    # sizeof is never evaluated.
     for node in index.of(Binary):
-        if node.op in ("&&", "||") and id(node) not in unevaluated:
+        if node not in index.unevaluated:
             if _has_side_effect(node.right):
                 out.append(Finding(
                     "R13.5", node.right.span, Certainty.DEFINITE,
@@ -270,21 +278,45 @@ def _check_pair(a: _Access, b: _Access, node: Expr, escaped: _Escaped,
 def _full_expressions(body: list[Node]) -> list[Expr]:
     out: list[Expr] = []
     for node in body:
-        if isinstance(node, ExprStmt) and node.expr is not None:
-            out.append(node.expr)
-        elif isinstance(node, (If, While, DoWhile, Switch)):
+        cls = type(node)
+        if cls is ExprStmt:
+            if node.expr is not None:
+                out.append(node.expr)
+        elif cls is If or cls is While or cls is DoWhile or cls is Switch:
             out.append(node.cond)
-        elif isinstance(node, For):
+        elif cls is For:
             for clause in for_clauses(node):
                 if clause is not None and isinstance(clause, Expr):
                     out.append(clause)
-        elif isinstance(node, Return) and node.value is not None:
-            out.append(node.value)
-        elif isinstance(node, Declaration):
+        elif cls is Return:
+            if node.value is not None:
+                out.append(node.value)
+        elif cls is Declaration:
             for entry in node.entries:
                 if entry.init is not None:
                     out.append(entry.init)
     return out
+
+
+def _cannot_conflict(e: Expr) -> bool:
+    """Does `e`'s `kinds` show that `_accesses` finds no conflict in it?
+
+    A conflict needs a write (`_check_pair`): a store, a volatile read, or
+    the `_WORLD` access of a call, which conflicts only with another call.
+    So with no volatile operand and fewer than two calls there is none when
+    `e` has no store, or when its one store is `e` itself into a plain
+    identifier: that store is exempt from the reads of its own value.
+    """
+    kinds = e.kinds
+    if kinds & (KIND_VOLATILE | KIND_MULTICALL):
+        return False
+    if not kinds & KIND_STORE:
+        return True
+    cls = type(e)
+    if cls is IncDec:
+        return type(e.operand) is Identifier
+    return ((cls is Assign or cls is CompoundAssign) and type(e.target) is Identifier
+            and not e.value.kinds & KIND_STORE)
 
 
 def check_evaluation_order(
@@ -295,6 +327,8 @@ def check_evaluation_order(
     for fn in functions:
         escaped = partial(_is_escaped, fn=fn, symbols=symbols)
         for full in _full_expressions(index.subtree(fn.fn.body)):
+            if _cannot_conflict(full):
+                continue
             conflicts: list = []
             _accesses(full, escaped, conflicts)
             seen: set[tuple] = set()
@@ -493,7 +527,7 @@ def _roots(e: Expr) -> list[Symbol]:
 
 
 def _clause_writes(expr: Expr | None) -> set[Symbol]:
-    if expr is None:
+    if expr is None or not expr.kinds & KIND_STORE:
         return set()
     return {
         ev.sym for ev in walk_effects(expr)
@@ -588,12 +622,18 @@ def _for_shape_problem(node: For) -> str | None:
 
 
 def _clause_writes_body(node: For) -> set[Symbol]:
+    """The variables the loop body stores into or takes the address of.
+
+    Only statements are walked; the effects of a statement's expression are
+    walked only when its `kinds` shows a store or an `&`.
+    """
     written: set[Symbol] = set()
-    for stmt in walk(node.body):
-        if isinstance(stmt, Expr):
-            continue
-        for child in children(stmt):
-            if isinstance(child, Expr):
+    stack: list[Node] = [node.body]
+    while stack:
+        for child in children(stack.pop()):
+            if not isinstance(child, Expr):
+                stack.append(child)
+            elif child.kinds & (KIND_STORE | KIND_ADDR):
                 for ev in walk_effects(child):
                     if ev.kind in ("write", "addrof") and ev.sym is not None:
                         written.add(ev.sym)

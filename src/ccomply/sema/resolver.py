@@ -22,15 +22,26 @@ A call typed under `sizeof` is dropped, since C99 6.5.3.4p2 does not
 evaluate the operand. Outside function bodies a call can stand only in an
 initializer or under `sizeof`: everywhere else an integer constant is
 required, and no call is one.
+
+And it records what each expression's subtree holds, as the `KIND_*` bits
+of `Expr.kinds` (see `parsing.astnodes`). `type_expr` keeps one
+accumulator: each node starts it at 0, its branch of `_type_expr` adds the
+node's own bits while typing its children adds theirs, and the node's mask
+is what the accumulator holds at its end, which then joins its parent's.
+So no node's operands are walked twice, and a `sizeof` operand or a cast's
+type name counts like any child. A call's bit is added before its operands
+are typed: two or more calls meet in one accumulator, by nesting or as
+siblings, and that sets `KIND_MULTICALL`.
 """
 from __future__ import annotations
 
 from ccomply.errors import SemaError, UnsupportedConstructError
 from ccomply.parsing.astnodes import (
-    AddrOf, Assign, Binary, Break, Call, Cast, Comma, CompoundAssign,
-    CompoundStmt, Conditional, Constant, Continue, DeclEntry, Declaration,
-    Deref, DoWhile, Expr, ExprStmt, For, FunctionDef, Goto, Identifier, If,
-    IncDec, Index, InitList, Label, Member, Node, Return, Sizeof,
+    KIND_ADDR, KIND_CALL, KIND_CAST, KIND_LOGIC, KIND_MULTICALL, KIND_SIZEOF,
+    KIND_STORE, KIND_VOLATILE, AddrOf, Assign, Binary, Break, Call, Cast,
+    Comma, CompoundAssign, CompoundStmt, Conditional, Constant, Continue,
+    DeclEntry, Declaration, Deref, DoWhile, Expr, ExprStmt, For, FunctionDef,
+    Goto, Identifier, If, IncDec, Index, InitList, Label, Member, Node, Return, Sizeof,
     StringLiteral, Switch, SynArr, SynBase, SynFunc, SynParam, SynPtr, SynType,
     TranslationUnitAst, Unary, While, qualifier_set,
 )
@@ -128,6 +139,8 @@ class Resolver:
         # The calls typed so far, in pre-order, none under `sizeof`: the
         # current function body's, or at file scope an initializer's.
         self._calls: list[Call] = []
+        # The `KIND_*` bits of the expression being typed, so far.
+        self._kinds = 0
         if start is None:
             self.table = SymbolTable(path, model)
             self.types = TypeTable()
@@ -317,8 +330,13 @@ class Resolver:
         for entry in decl.entries:
             entry.symbol = sym = self._declare_entry(entry, decl.base, base_t)
             if entry.init is not None:
+                if decl.base.storage == "extern" and self.table.current.id != 0:
+                    # C99 6.7.8p5: a block-scope identifier with linkage
+                    # takes no initializer.
+                    raise SemaError(
+                        f"{entry.name!r} has both 'extern' and initializer", entry.loc)
                 first = len(self._calls)
-                self._resolve_initializer(entry.init)
+                self.type_expr(entry.init)
                 if len(self._calls) > first and sym.storage is not Storage.AUTO:
                     # C99 6.7.8p4: an object of static storage duration takes
                     # constant initializers, and a call is none (6.6p3).
@@ -365,14 +383,6 @@ class Resolver:
             entry.start, entry.end, entry.via, quals=t.quals,
         )
         return self.table.declare(sym, defined=entry.init is not None)
-
-    def _resolve_initializer(self, init: Expr) -> None:
-        if isinstance(init, InitList):
-            init.ctype = VOID_T
-            for element in init.elements:
-                self._resolve_initializer(element)
-        else:
-            self.type_expr(init)
 
     def _initializer_length(self, elem: TypeDesc, init: Expr) -> int | None:
         """How many `elem`s `init` gives an array declared without a size."""
@@ -499,8 +509,13 @@ class Resolver:
     # -- expressions ------------------------------------------------------------------
 
     def type_expr(self, e: Expr) -> TypeDesc:
-        t = self._type_expr(e)
-        e.ctype = t
+        outer = self._kinds
+        self._kinds = 0
+        t = e.ctype = self._type_expr(e)
+        kinds = e.kinds = self._kinds
+        if outer & kinds & KIND_CALL:
+            outer |= KIND_MULTICALL
+        self._kinds = outer | kinds
         return t
 
     def _rvalue(self, e: Expr) -> TypeDesc:
@@ -508,8 +523,9 @@ class Resolver:
 
     def _type_expr(self, e: Expr) -> TypeDesc:
         model = self.model
+        cls = type(e)
 
-        if isinstance(e, Identifier):
+        if cls is Identifier:
             sym = self.table.lookup(e.name)
             if sym is None:
                 raise SemaError(
@@ -522,11 +538,13 @@ class Resolver:
                     e.loc,
                 )
             e.symbol = sym
+            if "volatile" in sym.quals:
+                self._kinds |= KIND_VOLATILE
             if sym.kind is SymKind.ENUM_CONST:
                 e.const_value = sym.enum_value
             return sym.type
 
-        if isinstance(e, Constant):
+        if cls is Constant:
             if e.is_float:
                 return FLOAT_T if e.text[-1] in "fF" else DOUBLE_T
             e.const_value = e.value
@@ -537,12 +555,12 @@ class Resolver:
                           f"integer constant {e.text!r} does not fit any supported type")
             return t
 
-        if isinstance(e, StringLiteral):
+        if cls is StringLiteral:
             e.literal_id = self.literal_count
             self.literal_count += 1
             return self.types.array(make_int(model.char_bits, model.char_signed), len(e.value) + 1)
 
-        if isinstance(e, Unary):
+        if cls is Unary:
             op_t = self._rvalue(e.operand)
             if e.op == "!":
                 self._require(is_scalar(op_t), e, "operand of ! must be scalar")
@@ -557,30 +575,34 @@ class Resolver:
                 self._fold(e, unary(e.op, (e.operand.const_value, op_t), model))
             return t
 
-        if isinstance(e, Binary):
+        if cls is Binary:
             return self._type_binary(e)
 
-        if isinstance(e, Assign):
+        if cls is Assign:
+            self._kinds |= KIND_STORE
             target_t = self.type_expr(e.target)
             self._require_lvalue(e.target)
             self.type_expr(e.value)
             return self.types.rvalue(target_t)
 
-        if isinstance(e, CompoundAssign):
+        if cls is CompoundAssign:
+            self._kinds |= KIND_STORE
             target_t = self.type_expr(e.target)
             self._require_lvalue(e.target)
             self.type_expr(e.value)
             return self.types.rvalue(target_t)
 
-        if isinstance(e, IncDec):
+        if cls is IncDec:
+            self._kinds |= KIND_STORE
             t = self.type_expr(e.operand)
             self._require_lvalue(e.operand)
             t = self.types.rvalue(t)
             self._require(is_scalar(t), e, "++/-- requires a scalar operand")
             return t
 
-        if isinstance(e, Call):
+        if cls is Call:
             self._calls.append(e)
+            self._kinds |= KIND_CALL  # before the operands, so a call in them meets it
             callee_t = self.type_expr(e.callee)
             ft = callee_t
             if ft.kind is TK.POINTER and ft.pointee is not None:
@@ -601,19 +623,19 @@ class Resolver:
                     )
             return ft.ret if ft.ret is not None else VOID_T
 
-        if isinstance(e, Index):
+        if cls is Index:
             base_t = self._rvalue(e.base)
             index_t = self._rvalue(e.index)
             if is_pointer(base_t) and is_integer(index_t):
-                return base_t.pointee
+                return self._designated(base_t.pointee)
             if is_pointer(index_t) and is_integer(base_t):
-                return index_t.pointee
+                return self._designated(index_t.pointee)
             raise SemaError(
                 "subscripted value is not a pointer or array",
                 e.loc,
             )
 
-        if isinstance(e, Member):
+        if cls is Member:
             base_t = self.type_expr(e.base)
             if e.arrow:
                 base_t = self.types.rvalue(base_t)
@@ -631,32 +653,35 @@ class Resolver:
             for name, mt, quals in base_t.record.members:
                 if name == e.name:
                     # C99 6.5.2.3p3-4: the member has the object's qualifiers.
-                    return self._qualified_member(mt, base_t.quals) if base_t.quals else mt
+                    return self._designated(
+                        self._qualified_member(mt, base_t.quals) if base_t.quals else mt)
             raise SemaError(
                 f"no member named {e.name!r} in "
                 f"{base_t.record.kind} {base_t.record.tag or '<anon>'}",
                 e.loc,
             )
 
-        if isinstance(e, Deref):
+        if cls is Deref:
             t = self._rvalue(e.operand)
             if not is_pointer(t) or t.pointee is None:
                 raise SemaError("cannot dereference a non-pointer", e.loc)
-            return t.pointee
+            return self._designated(t.pointee)
 
-        if isinstance(e, AddrOf):
+        if cls is AddrOf:
+            self._kinds |= KIND_ADDR
             t = self.type_expr(e.operand)
             self._require_lvalue(e.operand, allow_function=True)
             return self.types.pointer(t)
 
-        if isinstance(e, Cast):
+        if cls is Cast:
+            self._kinds |= KIND_CAST
             target = self.syn_type(e.type_name)
             self.type_expr(e.operand)
             if e.operand.const_value is not None and is_integer(target):
                 e.const_value = convert_int(e.operand.const_value, target, model)[0]
             return target
 
-        if isinstance(e, Conditional):
+        if cls is Conditional:
             cond_t = self._rvalue(e.cond)
             self._require(is_scalar(cond_t), e, "condition must be scalar")
             then_t = self._rvalue(e.then)
@@ -672,11 +697,12 @@ class Resolver:
                 return VOID_T
             return then_t
 
-        if isinstance(e, Comma):
+        if cls is Comma:
             self.type_expr(e.left)
             return self._rvalue(e.right)
 
-        if isinstance(e, Sizeof):
+        if cls is Sizeof:
+            self._kinds |= KIND_SIZEOF
             if e.type_name is not None:
                 target = e.type_name_type = self.syn_type(e.type_name)
             else:
@@ -690,9 +716,9 @@ class Resolver:
                 raise SemaError(err.message, e.loc) from None
             return make_int(model.pointer_bits, False)
 
-        if isinstance(e, InitList):
+        if cls is InitList:
             for element in e.elements:
-                self._resolve_initializer(element)
+                self.type_expr(element)
             return VOID_T
 
         raise SemaError(f"cannot type expression {type(e).__name__}")
@@ -700,6 +726,8 @@ class Resolver:
     def _type_binary(self, e: Binary) -> TypeDesc:
         model = self.model
         op = e.op
+        if op == "&&" or op == "||":
+            self._kinds |= KIND_LOGIC
         left_t = self._rvalue(e.left)
         right_t = self._rvalue(e.right)
         if op in ("+", "-"):
@@ -727,6 +755,13 @@ class Resolver:
         if result.flaw is not None:
             e.behavior = "undefined"
         e.const_value = result.value
+
+    def _designated(self, t: TypeDesc) -> TypeDesc:
+        """`t`, the type of a `*`, `[]`, `.` or `->` lvalue; a volatile one
+        sets `KIND_VOLATILE`, as an access to it is volatile."""
+        if "volatile" in t.quals:
+            self._kinds |= KIND_VOLATILE
+        return t
 
     def _qualify(self, t: TypeDesc, quals: frozenset) -> TypeDesc:
         """`t` with `quals` added to its own qualifiers."""

@@ -436,6 +436,17 @@ class TestLoopRules:
         ))
         assert "body" in f.message
 
+    @pytest.mark.parametrize("body", [
+        "usep(&i);",
+        "if (n > 0) { int *p = &i; usep(p); }",
+        "while (n > 0) { use(n); i += 2; }",
+    ])
+    def test_body_takes_or_writes_counter_in_nested_statements(self, body):
+        f = single(run_rule(
+            f"void f(int n) {{ int i; for (i = 0; i < n; ++i) {{ {body} }} }}", "R14.2"
+        ))
+        assert "body modifies the counter 'i'" in f.message
+
     def test_comma_init_flagged(self):
         f = single(run_rule(
             "void f(int n) { int i; int j; for (i = 0, j = 0; i < n; ++i) { use(j); } }",

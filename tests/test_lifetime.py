@@ -9,8 +9,9 @@ the CFG, the analyses or the facts, these tests name the types involved.
 What is kept is compact: the units of a header-heavy project share their
 syntactic and derived types, so their number stays under a bound, and the
 declarations of the header prefix they start with, which are kept once per
-distinct prefix and not once per unit; a recorded constant value is a
-plain int on its node, and a source position is a plain packed int: no
+distinct prefix and not once per unit; a recorded constant value and the
+mask of what an expression holds are plain ints on its node, and a source
+position is a plain packed int: no
 kept tree or symbol table reaches a `Span` or a `Location`.
 
 Run as a script for a census of what a whole benchmark pass keeps: live
@@ -38,7 +39,7 @@ from ccomply.builtins import BUILTIN_MACRO_SPECS
 from ccomply.flow import Cfg, build_call_graph
 from ccomply.frontend import macro_from_define_flag, preprocess
 from ccomply.frontend.preprocessor import MEMO_ENTRIES
-from ccomply.parsing import Declaration, parse, walk
+from ccomply.parsing import Declaration, Expr, parse, walk
 from ccomply.rules import IMPLEMENTED, FunctionFacts, compute_tu_facts, engine, run_rules
 from ccomply.sema import resolve
 from ccomply.source import Extent, Location, SourceManager, Span
@@ -222,6 +223,18 @@ def _reachable(roots: list) -> list:
                     type(ref).__module__.startswith("ccomply.") and not isinstance(ref, type)):
                 stack.append(ref)
     return out
+
+
+def test_recorded_kinds_keep_no_objects(tmp_path, automatic_gc_off):
+    (snippets, _), (project, _) = _run_snippets_and_project(str(tmp_path))
+    exprs = [n for facts in snippets + project for decl in facts.tu.decls
+             for n in walk(decl) if isinstance(n, Expr)]
+    assert exprs
+    # Sema recorded a mask on every expression of the kept trees: none is
+    # left at KIND_ALL, and each fits the eight `KIND_*` bits.
+    assert all(type(e.kinds) is int and 0 <= e.kinds < 256 for e in exprs)
+    # Equal masks are one object, the interpreter's shared small int.
+    assert len({id(e.kinds) for e in exprs}) == len({e.kinds for e in exprs})
 
 
 def test_kept_trees_and_symbols_hold_no_position_objects(tmp_path, automatic_gc_off):

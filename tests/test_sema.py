@@ -736,3 +736,27 @@ class TestStaticInitializerCall:
     ])
     def test_accepted(self, decl):
         analyze(f"{self.PRELUDE}{decl}\n")
+
+
+class TestBlockScopeExternInitializer:
+    """C99 6.7.8p5: a block-scope declaration of an identifier with linkage
+    has no initializer; gcc -std=c99 -pedantic-errors rejects both shapes."""
+
+    PRELUDE = "int g(void);\n"
+
+    @pytest.mark.parametrize("decl", [
+        "void f(void) { extern int x = 1; }",
+        "void f(void) { extern int x = g(); }",
+    ])
+    def test_rejected_at_the_declarator(self, decl):
+        with pytest.raises(SemaError, match="'x' has both 'extern' and initializer") as info:
+            analyze(f"{self.PRELUDE}{decl}\n")
+        assert (info.value.loc.line, info.value.loc.column) == (2, 27)
+
+    @pytest.mark.parametrize("decl", [
+        "extern int x = 1;",
+        "void f(void) { extern int x; int y = x; }",
+        "void f(void) { static int x = 1; }",
+    ])
+    def test_accepted(self, decl):
+        analyze(f"{self.PRELUDE}{decl}\n")
