@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from ccomply.errors import LexError, UnsupportedConstructError
-from ccomply.source import ExpansionFrame, Location, SourceFile, pack, unpack
+from ccomply.source import ExpansionFrame, Location, SourceFile, line_base, pack, unpack
 
 
 class TokenKind(Enum):
@@ -77,45 +77,58 @@ class PPToken:
         return self.kind is other.kind and self.lexeme == other.lexeme
 
 
-# Punctuators, the longest first. '#' is for directive detection; '##' lexes
-# as one token so that macro definitions can reject pasting.
-_PUNCT_MULTI = (
-    "<<=", ">>=", "...",
-    "->", "++", "--", "<<", ">>", "<=", ">=", "==", "!=", "&&", "||",
-    "*=", "/=", "%=", "+=", "-=", "&=", "^=", "|=", "##",
-)
-_PUNCT_SINGLE = "[](){}.&*+-~!/%<>^|?:;=,#"
 # In a literal a backslash takes the next character: an escaped one, or the
 # newline of a splice (`.` matches it under DOTALL).
 _QUOTED = r"[^{q}\\\n]*(?:\\.[^{q}\\\n]*)*{q}"
-# One alternative per kind of text, tried in order at each position. A
+# What may follow the first character of a pp-number.
+_NUMBER_TAIL = r"(?:\\\n|[eEpP][+-]|[A-Za-z0-9_.])*"
+# One branch per shape of text, tried in order at each position. A
 # backslash-newline splice may sit inside an identifier, a pp-number or a
 # literal, and is dropped from its lexeme; anywhere else it stands alone.
-# Numbers precede punctuators so that `.5` is a number. `other` takes any
+# Numbers precede punctuators so that `.5` is a number, comments precede
+# `/` (a block comment without its `*/` matches as just `/*`), and
+# trigraphs and digraphs precede the punctuators they start with.
+# The punctuators are grouped by first character, each group matching its
+# longest punctuator ('#' is for directive detection; '##' lexes as one
+# token so that macro definitions can reject pasting). `other` takes any
 # one character, so the pattern matches at every position; `_reject`
 # decides what that character means.
-_MASTER = re.compile(
-    "|".join(
-        f"(?P<{name}>{pattern})"
-        for name, pattern in (
-            ("ws", r"[ \t\f\v]+"),
-            ("newline", r"\n[ \t\f\v]*"),
-            ("splice", r"(?:\\\n)+"),
-            ("ident", r"[A-Za-z_][A-Za-z0-9_]*(?:\\\n[A-Za-z0-9_]*)*"),
-            ("number", r"(?:[0-9]|\.[0-9])(?:\\\n|[eEpP][+-]|[A-Za-z0-9_.])*"),
-            ("line_comment", r"//[^\n]*"),
-            ("block_comment", r"/\*.*?\*/"),
-            ("open_comment", r"/\*"),
-            ("trigraph", r"\?\?[='()!<>\-/]"),
-            ("digraph", r"<%|%>|<:|:>|%:"),
-            ("punct", "|".join(map(re.escape, _PUNCT_MULTI)) + f"|[{re.escape(_PUNCT_SINGLE)}]"),
-            ("string", '"' + _QUOTED.format(q='"')),
-            ("char", "'" + _QUOTED.format(q="'")),
-            ("other", r"."),
-        )
-    ),
-    re.DOTALL,
+#
+# Every branch starts with a literal or a character class: `sre` tests such
+# a first op against the current character and skips the branch without
+# entering it, while a group or a repeat as the first op makes it enter
+# every branch at every position. So `+` is spelled `[c][c]*`, and a branch
+# is named not by a named group around it but by an empty group after it:
+# `m.lastindex` is that group's number, which indexes `_NAMES` and `_KINDS`.
+# With more than 24 groups a match object outgrows CPython's small-object
+# allocator (512 bytes), which costs memory, so the comments share a branch.
+_BRANCHES = (
+    ("ws", r"[ \t\f\v][ \t\f\v]*"),
+    ("newline", r"\n[ \t\f\v]*"),
+    ("splice", r"\\\n(?:\\\n)*"),
+    ("ident", r"[A-Za-z_][A-Za-z0-9_]*(?:\\\n[A-Za-z0-9_]*)*"),
+    ("number", r"[0-9]" + _NUMBER_TAIL),
+    ("number", r"\.[0-9]" + _NUMBER_TAIL),
+    ("comment", r"/(?:/[^\n]*|\*(?:.*?\*/)?)"),
+    ("trigraph", r"\?\?[='()!<>\-/]"),
+    ("digraph", r"<[%:]"),
+    ("digraph", r"%[>:]"),
+    ("digraph", r":>"),
+    ("punct", r"<<?=?"),
+    ("punct", r">>?=?"),
+    ("punct", r"-[->=]?"),
+    ("punct", r"\+[+=]?"),
+    ("punct", r"&[&=]?"),
+    ("punct", r"\|[|=]?"),
+    ("punct", r"[=!*/%^]=?"),
+    ("punct", r"##?"),
+    ("punct", r"\.\.\."),
+    ("punct", r"[][(){}.~?:;,]"),
+    ("string", '"' + _QUOTED.format(q='"')),
+    ("char", "'" + _QUOTED.format(q="'")),
+    ("other", r"."),
 )
+_MASTER = re.compile("|".join(pattern + "()" for _, pattern in _BRANCHES), re.DOTALL)
 _TOKEN_KINDS = {
     "ident": TokenKind.IDENT,
     "punct": TokenKind.PUNCT,
@@ -123,6 +136,10 @@ _TOKEN_KINDS = {
     "string": TokenKind.STRING,
     "char": TokenKind.CHAR_CONST,
 }
+# By group number: each branch's name, and the kind of token it makes, or
+# None for text that makes no token or that `_reject` decides about.
+_NAMES = (None,) + tuple(name for name, _ in _BRANCHES)
+_KINDS = (None,) + tuple(_TOKEN_KINDS.get(name) for name, _ in _BRANCHES)
 
 
 def lex(source: SourceFile) -> list[PPToken]:
@@ -133,59 +150,73 @@ def lex(source: SourceFile) -> list[PPToken]:
     """
     text = source.contents
     file = source.id
-    match = _MASTER.match
-    token_kinds = _TOKEN_KINDS
+    names = _NAMES
+    kinds = _KINDS
     tokens: list[PPToken] = []
     append = tokens.append
-    pos = 0
-    end = len(text)
     line = 1
-    line_start = 0  # offset of the first character of `line`
+    # The offset of the newline before `line`, so offset `pos` is in
+    # column `pos - line_break`; a token at an offset below `limit` is at
+    # packed position `base | (pos - line_break)`.
+    line_break = -1
+    base, limit = line_base(file, line, line_break)
     at_bol = True
     ws_before = True
 
-    while pos < end:
-        m = match(text, pos)
-        group = m.lastgroup
-        nxt = m.end()
-        kind = token_kinds.get(group)
+    for m in _MASTER.finditer(text):
+        group = m.lastindex
+        kind = kinds[group]
         if kind is not None:
             lexeme = m.group()
-            origin = pack(file, line, pos - line_start + 1)
+            pos = m.start()
+            column = pos - line_break
+            origin = base | column if pos < limit else pack(file, line, column)
             if "\\\n" in lexeme:
                 line += lexeme.count("\n")
-                line_start = text.rindex("\n", pos, nxt) + 1
+                line_break = text.rindex("\n", pos, m.end())
+                base, limit = line_base(file, line, line_break)
                 lexeme = lexeme.replace("\\\n", "")
             # Only an identifier can be `L`, only a character constant `''`.
-            if lexeme == "L" and text[nxt:nxt + 1] in ("'", '"'):
+            if lexeme == "L" and text[m.end():m.end() + 1] in ("'", '"'):
                 raise UnsupportedConstructError(
                     "wide character/string literals are not supported", unpack(origin))
             if lexeme == "''":
                 raise LexError("empty character constant", unpack(origin))
             append(PPToken(kind, lexeme, origin, (), at_bol, ws_before))
             at_bol = ws_before = False
-        elif group == "ws" or group == "line_comment":
+            continue
+        name = names[group]
+        if name == "ws":
             ws_before = True
-        elif group == "newline":
+        elif name == "newline":
             line += 1
-            line_start = pos + 1
+            line_break = m.start()
+            base, limit = line_base(file, line, line_break)
             at_bol = ws_before = True
-        elif group == "block_comment":
-            newlines = text.count("\n", pos, nxt)
-            if newlines:
-                line += newlines
-                line_start = text.rindex("\n", pos, nxt) + 1
+        elif name == "comment":
+            pos, nxt = m.span()
+            if text[pos + 1] == "*":
+                if nxt - pos == 2:
+                    raise LexError("unterminated block comment",
+                                   unpack(pack(file, line, pos - line_break)))
+                newlines = text.count("\n", pos, nxt)
+                if newlines:
+                    line += newlines
+                    line_break = text.rindex("\n", pos, nxt)
+                    base, limit = line_base(file, line, line_break)
             ws_before = True
-        elif group == "splice":
+        elif name == "splice":
+            pos, nxt = m.span()
             line += (nxt - pos) // 2
-            line_start = nxt
+            line_break = nxt - 1
+            base, limit = line_base(file, line, line_break)
         else:
+            pos = m.start()
             ch = text[pos]
-            origin = pack(file, line, pos - line_start + 1)
-            _reject(group, ch, origin)
+            origin = pack(file, line, pos - line_break)
+            _reject(name, ch, origin)
             append(PPToken(TokenKind.OTHER, ch, origin, (), at_bol, ws_before))
             at_bol = ws_before = False
-        pos = nxt
     return tokens
 
 
@@ -194,8 +225,6 @@ def _reject(group: str, ch: str, origin: int) -> None:
 
     Only a character that no other alternative takes may lex as OTHER.
     """
-    if group == "open_comment":
-        raise LexError("unterminated block comment", unpack(origin))
     if group == "trigraph":
         raise UnsupportedConstructError("trigraph sequences are not supported", unpack(origin))
     if group == "digraph":

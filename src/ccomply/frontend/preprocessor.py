@@ -36,11 +36,12 @@ recorded into every enclosing file's entry. The files themselves are
 assumed not to change during a run, as the manager assumes for loaded
 files.
 
-The same idea reaches past this stage. The returned `UnitTokens` say how
-many tokens came from the included text the unit starts with and which
-entries produced them, and carry the run's table of header prefixes, so
-that `parse` and `resolve` work out the declarations of a header prefix
-that many units share once per run (see `parsing.prefix`).
+The same idea reaches past this stage. The returned `UnitTokens` say
+which entries produced the included text the unit starts with, one per
+leading `#include` that gave tokens, and where each one's tokens end, and
+carry the run's table of header prefixes, so that `parse` and `resolve`
+work out the declarations of every leading run of those entries that
+several units start with once per run (see `parsing.prefix`).
 """
 from __future__ import annotations
 
@@ -210,17 +211,21 @@ class IncludeEntry:
 class UnitTokens(list):
     """The token stream of one translation unit, as `preprocess` returns it.
 
-    A list of `PPToken`s that also carries what `parse` needs to share a
-    header prefix with earlier units of the run (see `parsing.prefix`):
+    A list of `PPToken`s that also carries what `parse` needs to share
+    header prefixes with earlier units of the run (see `parsing.prefix`):
 
     - `prefixes`: the run's table of prefixes, `SourceManager.prefixes`;
-    - `included`: how many tokens the stream starts with that came from
-      `#include`d files before any text of the main file;
-    - `key`: the serials of the `IncludeEntry`s whose tokens those are, in
-      order; units with the same key start with the same token objects.
+    - `key`: the serials of the `IncludeEntry`s whose tokens the stream
+      starts with, in order, one per `#include` of the main file that gave
+      tokens before any text of the main file did;
+    - `bounds`: parallel to `key`, the index past the tokens of each of
+      those entries, so `bounds[k - 1]` tokens came from the first `k`.
+
+    Units whose keys start with the same `k` serials start with the same
+    `bounds[k - 1]` token objects.
     """
 
-    __slots__ = ("prefixes", "included", "key")
+    __slots__ = ("prefixes", "key", "bounds")
 
 
 class _Stream:
@@ -285,10 +290,10 @@ class _Preprocessor:
         self.manager = manager
         self.macros: dict[str, MacroDef] = {}
         self.out: list[PPToken] = []
-        # How many tokens `out` starts with that came from included files,
-        # and the serials of the memo entries that gave them.
-        self.included = 0
+        # The serials of the memo entries whose tokens `out` starts with,
+        # and the index past each one's tokens.
         self.key: list[int] = []
+        self.bounds: list[int] = []
         # The entry of the innermost included file being processed, if any.
         self.trace: IncludeEntry | None = None
         self.pragmas: list[PragmaRecord] = []
@@ -552,15 +557,15 @@ class _Preprocessor:
             raise PreprocessError(f"include file not found: {form}", head.origin)
         included = self.manager.load(path)
         # Whether the main file has produced no token of its own yet.
-        leading = depth == 0 and len(self.out) == self.included
+        leading = depth == 0 and len(self.out) == (self.bounds[-1] if self.bounds else 0)
         entry = self._replay(included, depth + 1) or self._record(included, depth + 1, head.pos)
         trace = self.trace
         if trace is not None:
             trace.loads.append(path)
             trace.absorb(entry)
         if leading and entry.tokens:
-            self.included = len(self.out)
             self.key.append(entry.serial)
+            self.bounds.append(len(self.out))
 
     def _replay(self, source: SourceFile, depth: int) -> IncludeEntry | None:
         """Replay a kept entry of `source` that fits, if there is one."""
@@ -763,8 +768,8 @@ def preprocess(
     pp.process_file(entry, tokens, _directive_lines(tokens), {}, depth=0, site=None)
     out = UnitTokens(pp.out)
     out.prefixes = manager.prefixes
-    out.included = pp.included
     out.key = tuple(pp.key)
+    out.bounds = pp.bounds
     return out, SourceMap(out), pp.pragmas
 
 

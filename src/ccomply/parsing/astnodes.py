@@ -217,16 +217,23 @@ class FunctionDef(Node):
 
 
 class _Unit(Node):
-    """Holds a unit's `prefix`: the kept header prefix whose declarations
-    `decls` starts with, shared with other units of the run
-    (`parsing.prefix.Prefix`), else None. It is run state, not syntax, so it
-    is a slot and no dataclass field: `children`, `fields` and tree
-    comparisons leave it out."""
+    """Holds the header prefixes (`parsing.prefix.Prefix`) a unit shares
+    with other units of the run: `started_from`, the kept prefix the parse
+    started from, else None, and `kept`, the longer prefixes its parse
+    kept, by length. They are run state, not syntax, so they are slots and
+    no dataclass fields: `children`, `fields` and tree comparisons leave
+    them out."""
 
-    __slots__ = ("prefix",)
+    __slots__ = ("started_from", "kept")
 
     def __post_init__(self) -> None:
-        self.prefix = None
+        self.started_from = None
+        self.kept = ()
+
+    @property
+    def prefix(self):
+        """The longest kept prefix whose declarations `decls` starts with, else None."""
+        return self.kept[-1] if self.kept else self.started_from
 
 
 @dataclass(eq=False, slots=True)

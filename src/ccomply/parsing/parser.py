@@ -219,8 +219,10 @@ class Parser:
 
     def parse_translation_unit(self) -> TranslationUnitAst:
         """The unit's tree; a unit that starts with a kept header prefix
-        takes its declarations and parses on from the state after them."""
-        prefix, key = find_prefix(self.unit)
+        takes its declarations and parses on from the state after them, and
+        keeps each prefix `find_prefix` names where a declaration ends
+        exactly at its end."""
+        prefix, keep = find_prefix(self.unit)
         decls: list[Node] = []
         if prefix is not None:
             decls += prefix.decls
@@ -228,15 +230,18 @@ class Parser:
             self.scopes = [dict(prefix.typedefs)]
             self._bases = dict(prefix.bases)
             self._syntypes = dict(prefix.syntypes)
-        keep_at = -1 if key is None else self.unit.included
+        kept = []
         while self._pad[self.i] is not None:
             decls.append(self.parse_external_declaration())
-            if self.i == keep_at:
-                prefix = keep_prefix(self.unit, key, decls, self.scopes[0], self._bases,
-                                     self._syntypes)
+            while keep and keep[-1][0] <= self.i:
+                end, key = keep.pop()
+                if end == self.i:
+                    kept.append(keep_prefix(self.unit, end, key, decls, self.scopes[0],
+                                            self._bases, self._syntypes))
         start, end, via = self.extent_from(0)
         tu = TranslationUnitAst(decls, path=self.path, start=start, end=end, via=via)
-        tu.prefix = prefix
+        tu.started_from = prefix
+        tu.kept = tuple(kept)
         return tu
 
     def parse_external_declaration(self) -> Node:

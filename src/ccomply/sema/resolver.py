@@ -362,6 +362,9 @@ class Resolver:
                 entry.start, entry.end, entry.via, quals=t.quals,
             ))
         if t.kind is TK.FUNCTION:
+            if not at_file_scope and storage_kw is not None and storage_kw != "extern":
+                # C99 6.7.1p5: a block-scope function takes no storage class but `extern`.
+                raise SemaError(f"invalid storage class for function {entry.name!r}", entry.loc)
             linkage = Linkage.INTERNAL if storage_kw == "static" else Linkage.EXTERNAL
             return self.table.declare(Symbol(
                 entry.name, SymKind.FUNCTION, t, 0, Storage.EXTERN, linkage,
@@ -481,6 +484,13 @@ class Resolver:
             self.table.push()
             if isinstance(node.init, Declaration):
                 self._declaration(node.init)
+                # C99 6.8.5p3: the clause declares only auto or register objects.
+                automatic = node.init.base.storage in (None, "auto", "register")
+                for entry in node.init.entries:
+                    if not automatic or entry.symbol.kind is not SymKind.OBJECT:
+                        raise SemaError(
+                            f"'for' loop initial declaration of {entry.name!r} declares no "
+                            "auto or register object", entry.loc)
             elif node.init is not None:
                 self.type_expr(node.init)
             if node.cond is not None:
@@ -821,28 +831,39 @@ def _named_types(m: IntegerModel) -> dict[str, TypeDesc]:
 def resolve(tu: TranslationUnitAst, model: IntegerModel = DEFAULT_MODEL) -> SymbolTable:
     """Bind names and compute types for one translation unit (in place).
 
-    A unit that starts with a kept header prefix (`tu.prefix`, see
+    A unit that starts from a kept header prefix (`tu.started_from`, see
     `parsing.prefix`) starts from the state kept after the prefix under
-    `model` and resolves only its own declarations. Without kept state, the
-    first resolution annotates the prefix's shared declarations and keeps
-    the state after them; any other resolves a fresh parse of the prefix,
-    so that no unit writes into nodes another unit reads.
+    `model`. Without kept state it resolves a fresh parse of the prefix, so
+    that no unit writes into nodes another unit reads. Where each longer
+    prefix the unit's parse kept (`tu.kept`) ends, the state after it is
+    kept under `model`.
     """
-    prefix = tu.prefix
-    if prefix is None:
-        return Resolver(model, tu.path).resolve(tu.decls)
-    n = len(prefix.decls)
-    kept = prefix.resolved.get(model)
-    if kept is not None:
-        decls, start = kept
-        tu.decls[:n] = decls
-        return Resolver(model, tu.path, start).resolve(tu.decls[n:])
-    if prefix.claimed:
-        tu.decls[:n] = parse(prefix.tokens, tu.path).decls
-    prefix.claimed = True
-    resolver = Resolver(model, tu.path)
-    resolver.resolve(tu.decls[:n])
-    start = resolver.state()
-    if start is not None:
-        prefix.resolved[model] = (tu.decls[:n], start)
-    return resolver.resolve(tu.decls[n:])
+    start = tu.started_from
+    done = 0
+    if start is None:
+        resolver = Resolver(model, tu.path)
+    else:
+        done = len(start.decls)
+        kept = start.resolved.get(model)
+        if kept is not None:
+            decls, state = kept
+            tu.decls[:done] = decls
+            resolver = Resolver(model, tu.path, state)
+        else:
+            tu.decls[:done] = parse(start.tokens, tu.path).decls
+            resolver = Resolver(model, tu.path)
+            _resolve_prefix(resolver, tu.decls, 0, start, model)
+    for prefix in tu.kept:
+        done = _resolve_prefix(resolver, tu.decls, done, prefix, model)
+    return resolver.resolve(tu.decls[done:])
+
+
+def _resolve_prefix(resolver: Resolver, decls: list, done: int, prefix, model: IntegerModel) -> int:
+    """Resolve `decls` from `done` to where `prefix` ends, keep the state
+    there under `model` if it can be kept, and return where it ends."""
+    end = len(prefix.decls)
+    resolver.resolve(decls[done:end])
+    state = resolver.state()
+    if state is not None:
+        prefix.resolved[model] = (decls[:end], state)
+    return end

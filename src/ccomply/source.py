@@ -56,6 +56,22 @@ def pack(file: int, line: int, column: int) -> int:
     )
 
 
+def line_base(file: int, line: int, line_break: int) -> tuple[int, int]:
+    """(base, limit) for line `line` of file `file`, which follows offset
+    `line_break` of the file's text (-1 for the first line): the character
+    at offset `pos` is in column `pos - line_break`, and its packed position
+    is `base | (pos - line_break)` for every `pos` below `limit`. At `limit`
+    the column passes `COLUMN_MAX`; when `file` or `line` is out of range no
+    column is valid. Past the limit `pack` raises.
+
+    The base has no column bits, so `|` adds the column; a bitwise result
+    takes no more memory than its larger operand, where `+` may allocate
+    one digit more for the same value."""
+    if 0 <= line <= LINE_MAX and -1 <= file <= FILE_ID_MAX:
+        return pack(file, line, 0), line_break + COLUMN_MAX + 1
+    return 0, line_break + 1
+
+
 def unpack(pos: int) -> Location:
     """The `Location` a packed position stands for."""
     return Location((pos >> _FILE_SHIFT) - 1, (pos >> _LINE_SHIFT) & LINE_MAX, pos & COLUMN_MAX)
@@ -159,8 +175,11 @@ class SourceManager:
     `prefixes` is the run's table of header prefixes: the declarations,
     parser state and resolver state of the included text that units start
     with, kept so that units starting with the same text parse and resolve
-    it once. It is keyed by the serials of the memo entries that produced
-    that text. `parsing.prefix` owns its entries; the preprocessor hands the
+    it once. It is keyed by every leading run of the serials of the memo
+    entries that produced that text, one serial per leading `#include`, so
+    units that share only their first few headers share those: a trie over
+    include entries, in which a key maps to None until a second unit starts
+    with it. `parsing.prefix` owns its entries; the preprocessor hands the
     table on with each unit's tokens.
     """
 

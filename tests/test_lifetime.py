@@ -19,9 +19,9 @@ tracked objects by type, each with its count and its bytes by
 `sys.getsizeof` (the object alone, not what it refers to; untracked
 objects such as ints and strings are not counted), cyclic collections and
 their CPU seconds by generation, and peak RSS, with automatic collection on
-as in the benchmark, how many header prefixes the run kept and how many
-units share one, and how many include memo entries the run keeps, made and
-replayed:
+as in the benchmark, how many header prefixes the run kept, by how many
+leading `#include`s each covers, and how many units share one, and how many
+include memo entries the run keeps, made and replayed:
 
     PYTHONPATH=src:tests:perfbench python3 tests/test_lifetime.py --census header_heavy --seed 3
 """
@@ -329,7 +329,7 @@ def census(workload: str, seed: int, top: int = 25) -> dict:
                 kept, _, _ = _pass(manager, project.tus, _builtins(manager), rules)
         finally:
             gc.callbacks.remove(clock)
-        prefixes = [p for p in manager.prefixes.values() if p is not None]
+        levels = collections.Counter(len(k) for k, p in manager.prefixes.items() if p is not None)
         live: collections.Counter = collections.Counter()
         size: collections.Counter = collections.Counter()
         for o in gc.get_objects():
@@ -337,7 +337,8 @@ def census(workload: str, seed: int, top: int = 25) -> dict:
             size[type(o).__name__] += sys.getsizeof(o)
     return {
         "workload": workload, "seed": seed, "units": len(project.tus), "kept_units": len(kept),
-        "prefix_entries": len(prefixes),
+        "prefix_entries": sum(levels.values()),
+        "prefix_entries_by_level": dict(sorted(levels.items())),
         "prefix_units": sum(facts.tu.prefix is not None for facts in kept),
         "memo_entries": sum(map(len, manager.memo.values())),
         "memo_made": manager.memo_made,

@@ -13,7 +13,8 @@ them the packed positions, agree.
 Run as a script to compare whole workloads the same way, every finding
 with its decoded span and evidence, every node's type, constant value and
 symbol, and every table's symbols in uid order with whether the unit
-defines them:
+defines them; it also reports how many units share a prefix and how many
+tokens units took from the prefix they started from:
 
     PYTHONPATH=src:tests:perfbench python3 tests/test_prefix.py --seeds 1 2 3
 """
@@ -408,7 +409,134 @@ def test_a_digest_collision_is_no_match(tmp_path):
     other = streams[2]
     assert other.key != streams[0].key and len(other) == len(streams[0])
     manager.prefixes[other.key] = kept
-    assert find_prefix(other) == (None, None)
+    assert find_prefix(other) == (None, [])
+
+
+# ---- leading runs of headers ---------------------------------------------------
+
+LEVEL_1 = PROTOS + "typedef unsigned short word_t;\nextern word_t level;\n"
+
+
+def _nested(tmp_path, seconds, header=LEVEL_1, seconds_text=None) -> list[str]:
+    """Write units that include p.h and then the named second header each,
+    and return their paths; every second header declares one object."""
+    texts = seconds_text or {name: f"extern word_t in_{name};\n" for name in set(seconds)}
+    files = {f"u{i}.c": f"#include \"p.h\"\n#include \"{name}.h\"\n"
+                        f"word_t f{i}(void) {{ return level; }}\n"
+             for i, name in enumerate(seconds)}
+    _write(str(tmp_path), {"p.h": header, **{f"{n}.h": t for n, t in texts.items()}, **files})
+    return list(files)
+
+
+def test_a_common_first_header_is_shared_under_different_second_headers(tmp_path):
+    paths = _nested(tmp_path, ["a", "b", "c", "d"])
+    shared, diffs = compare(str(tmp_path), _units(paths))
+    assert diffs == []
+    # The second unit keeps p.h's prefix; the later ones start from it.
+    assert [tu.started_from is not None for tu in shared.tus] == [False, False, True, True]
+    assert _shares(shared, 1, 2) and _shares(shared, 1, 3)
+    assert shared.tables[1].file_scope.names["level"] is shared.tables[3].file_scope.names["level"]
+    assert [len(k) for k, p in shared.manager.prefixes.items() if p is not None] == [1]
+
+
+def test_a_unit_starts_from_one_level_and_keeps_the_next(tmp_path):
+    paths = _nested(tmp_path, ["a", "b", "a", "a", "b"])
+    shared, diffs = compare(str(tmp_path), _units(paths))
+    assert diffs == []
+    tus = shared.tus
+    first = tus[1].prefix
+    assert tus[1].started_from is None and tus[1].kept == (first,)
+    # The third unit starts from p.h and keeps p.h with a.h, which the first
+    # unit started with; the fourth starts from that.
+    assert tus[2].started_from is first and len(tus[2].kept) == 1
+    assert tus[3].started_from is tus[2].kept[0] and tus[3].kept == ()
+    assert tus[4].started_from is first and len(tus[4].kept) == 1
+    assert _shares(shared, 2, 3) and tus[3].decls[0] is tus[1].decls[0]
+    assert len(tus[2].prefix.decls) == len(first.decls) + 1
+
+
+def test_a_second_header_that_keeps_no_state_leaves_the_first_shared(tmp_path):
+    texts = {"q": "struct S;\nextern struct S *sp;\n", "r": "extern word_t in_r;\n"}
+    paths = _nested(tmp_path, ["q", "q", "r", "q"], seconds_text=texts)
+    shared, diffs = compare(str(tmp_path), _units(paths))
+    assert diffs == []
+    tus = shared.tus
+    first, second = tus[1].kept
+    assert set(first.resolved) == {DEFAULT_MODEL} and second.resolved == {}
+    # The third unit takes p.h's declarations; the fourth starts from the
+    # prefix with q.h, which keeps no resolver state, and so parses it anew.
+    assert tus[2].started_from is first and tus[2].decls[0] is tus[1].decls[0]
+    assert tus[3].started_from is second and tus[3].decls[0] is not tus[1].decls[0]
+
+
+def test_nested_prefixes_keep_state_per_integer_model(tmp_path):
+    header = LEVEL_1 + "int width[sizeof(long)];\n"
+    paths = _nested(tmp_path, ["a", "b", "a", "a", "a", "c", "a"], header=header)
+    models = [DEFAULT_MODEL, SMALL_LONG, SMALL_LONG, DEFAULT_MODEL, SMALL_LONG, DEFAULT_MODEL,
+              DEFAULT_MODEL]
+    units = [(path, True, model) for path, model in zip(paths, models)]
+    shared, diffs = compare(str(tmp_path), units)
+    assert diffs == []
+    assert [t.file_scope.names["width"].type.length for t in shared.tables] == [
+        8 if m is DEFAULT_MODEL else 4 for m in models]
+    tus = shared.tus
+    first, (second,) = tus[1].prefix, tus[2].kept
+    assert set(first.resolved) == {SMALL_LONG, DEFAULT_MODEL}
+    assert set(second.resolved) == {SMALL_LONG, DEFAULT_MODEL}
+    # Each model's units share that model's declarations, never the other's.
+    assert tus[2].decls[0] is tus[4].decls[0] is tus[1].decls[0]
+    assert tus[3].decls[0] is tus[6].decls[0]
+    assert tus[3].decls[0] is not tus[2].decls[0]
+    assert tus[5].decls[0] is not tus[2].decls[0]
+
+
+def test_a_prefix_kept_by_a_unit_that_fails_later_is_parsed_anew(tmp_path):
+    # The third unit starts from p.h's prefix, keeps the one with a.h and
+    # then fails to parse; the fourth starts from that one, which holds
+    # p.h's shared declarations, so it must not resolve them again in place.
+    paths = _nested(tmp_path, ["a", "b", "a", "a", "c"])
+    with open(tmp_path / paths[2], "a", encoding="utf-8") as fh:
+        fh.write("int broken = ;\n")
+    shared, diffs = compare(str(tmp_path), _units(paths))
+    assert diffs == []
+    assert [o[:2] for o in shared.outcomes][2] == ("error", "parse")
+    tus, tables = shared.tus, shared.tables
+    second = tus[3].started_from
+    assert second is not None and second is not tus[1].prefix and second.resolved.keys() == {
+        DEFAULT_MODEL}
+    assert tus[3].decls[0] is not tus[1].decls[0] and tus[4].decls[0] is tus[1].decls[0]
+    level = tables[1].file_scope.names["level"]
+    assert tables[4].file_scope.names["level"] is level
+    assert tus[1].decls[2].entries[0].symbol is level  # `extern word_t level;`
+
+
+@pytest.mark.parametrize("where", ["main file", "header"])
+def test_a_define_between_the_headers_gives_a_separate_branch(tmp_path, where):
+    # q.h reads N. A unit that defines N itself gets q.h tokens of its own,
+    # so no two units start with the same text past p.h; a definition from
+    # n4.h or n8.h gives one branch per value, which units repeat.
+    lengths = [4, 8, 4, 8, 4]
+    define = "#define N {}\n" if where == "main file" else "#include \"n{}.h\"\n"
+    files = {f"u{i}.c": f"#include \"p.h\"\n{define.format(n)}#include \"q.h\"\n"
+                        f"int f(void) {{ return v[0] + (int)level; }}\n"
+             for i, n in enumerate(lengths)}
+    _write(str(tmp_path), {"p.h": LEVEL_1, "q.h": "extern int v[N];\n",
+                           "n4.h": "#define N 4\n", "n8.h": "#define N 8\n", **files})
+    shared, diffs = compare(str(tmp_path), _units(files))
+    assert diffs == []
+    assert [t.file_scope.names["v"].type.length for t in shared.tables] == lengths
+    tus = shared.tus
+    first = tus[1].prefix
+    assert tus[2].started_from is tus[3].started_from is first
+    assert all(tus[i].decls[0] is tus[1].decls[0] for i in (2, 3, 4))
+    branches = [k for k in shared.manager.prefixes if len(k) == 2]
+    if where == "main file":
+        assert len(branches) == 5 and [tu.kept for tu in tus[2:]] == [()] * 3
+        assert tus[4].started_from is first
+    else:
+        fours, eights = tus[2].kept[0], tus[3].kept[0]
+        assert len(branches) == 2 and fours is not eights
+        assert tus[4].started_from is fours and tus[4].kept == ()
 
 
 # ---- the include memo ----------------------------------------------------------
@@ -572,21 +700,24 @@ def test_separate_managers_share_nothing(tmp_path):
 
 
 def workload_diffs(workload: str, seed: int, workdir: str, tus: int | None = None):
-    """(units compared, units sharing a prefix, differences) over a workload's first `tus` units."""
+    """(units compared, units sharing a prefix, tokens units took from a kept
+    prefix, differences) over a workload's first `tus` units."""
     project = generate(workload, seed)
     _write(workdir, project.files)
     units = _units(project.tus[:tus])
     shared, diffs = compare(workdir, units, WORKLOADS[workload].rules)
     sharing = sum(tu is not None and tu.prefix is not None for tu in shared.tus)
-    return len(units), sharing, diffs
+    taken = sum(len(tu.started_from.tokens) for tu in shared.tus
+                if tu is not None and tu.started_from is not None)
+    return len(units), sharing, taken, diffs
 
 
 @pytest.mark.parametrize("workload", ["header_heavy", "project_all_rules"])
 def test_workload_units_match_a_fresh_parse(workload, tmp_path):
-    units, sharing, diffs = workload_diffs(workload, 1, str(tmp_path), WORKLOAD_TUS)
+    units, sharing, taken, diffs = workload_diffs(workload, 1, str(tmp_path), WORKLOAD_TUS)
     assert units == WORKLOAD_TUS and diffs == []
-    if workload == "header_heavy":
-        assert sharing == WORKLOAD_TUS - 1
+    # Every unit after the first shares at least the first header.
+    assert sharing == WORKLOAD_TUS - 1 and taken > 0
 
 
 def main(argv: list[str]) -> int:
@@ -602,10 +733,10 @@ def main(argv: list[str]) -> int:
     for workload in sorted(WORKLOADS):
         for seed in args.seeds:
             with tempfile.TemporaryDirectory() as workdir:
-                units, sharing, diffs = workload_diffs(workload, seed, workdir)
+                units, sharing, taken, diffs = workload_diffs(workload, seed, workdir)
             report[f"{workload}:{seed}"] = {
-                "units": units, "sharing_a_prefix": sharing, "differences": len(diffs),
-                "first": diffs[:3],
+                "units": units, "sharing_a_prefix": sharing, "tokens_from_a_prefix": taken,
+                "differences": len(diffs), "first": diffs[:3],
             }
     print(json.dumps(report))
     return 0 if all(r["differences"] == 0 for r in report.values()) else 1

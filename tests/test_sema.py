@@ -760,3 +760,44 @@ class TestBlockScopeExternInitializer:
     ])
     def test_accepted(self, decl):
         analyze(f"{self.PRELUDE}{decl}\n")
+
+
+class TestForDeclaration:
+    """C99 6.8.5p3: the declaration of a `for` clause declares only objects of
+    storage class `auto` or `register`; gcc -std=c99 -pedantic-errors rejects
+    every other shape."""
+
+    @pytest.mark.parametrize("clause, name, column", [
+        ("static int i = 0", "i", 33),
+        ("extern int i", "i", 33),
+        ("typedef int T", "T", 34),
+        ("int g(void)", "g", 26),
+    ])
+    def test_rejected_at_the_declarator(self, clause, name, column):
+        message = f"'for' loop initial declaration of '{name}' declares no auto or register"
+        with pytest.raises(SemaError, match=message) as info:
+            analyze(f"void f(int n) {{ for ({clause}; n < 1; n++) {{ }} }}\n")
+        assert (info.value.loc.line, info.value.loc.column) == (1, column)
+
+    @pytest.mark.parametrize("clause", ["int i = 0, j = 1", "register int i = 0", "auto int i = 0"])
+    def test_accepted(self, clause):
+        analyze(f"void f(int n) {{ for ({clause}; i < n; i++) {{ }} }}\n")
+
+
+class TestBlockScopeFunctionStorage:
+    """C99 6.7.1p5: a block-scope function declaration takes no storage class
+    but `extern`; gcc rejects the others ("invalid storage class for function")."""
+
+    @pytest.mark.parametrize("storage", ["static", "auto", "register"])
+    def test_rejected_at_the_declarator(self, storage):
+        with pytest.raises(SemaError, match="invalid storage class for function 'g'") as info:
+            analyze(f"void f(void) {{ {storage} int g(void); }}\n")
+        assert (info.value.loc.line, info.value.loc.column) == (1, 21 + len(storage))
+
+    @pytest.mark.parametrize("decl", [
+        "extern int g(void); int x = g();",
+        "int g(void);",
+        "typedef int G(void); extern G g;",
+    ])
+    def test_accepted(self, decl):
+        analyze(f"void f(void) {{ {decl} }}\nstatic int h(void);\n")
