@@ -5,7 +5,9 @@ are lowered into explicit branch structure (with synthetic temporaries
 for value contexts), so every item in a basic block is a straight-line
 expression. Branches whose condition is a syntactic constant get only
 the taken edge; the untaken side records why it was orphaned so the
-unreachable-code checker can cite the condition.
+unreachable-code checker can cite the condition. Each `if`, `while`, `do`
+and `for` statement with a condition records where its condition goes
+when true and when false (`Cfg.conditions`).
 
 Lowering never mutates an AST node. An item's expression (and a
 terminator's) is the AST's own node unless one of its descendants was
@@ -146,6 +148,8 @@ class Cfg:
     blocks: list[Block]
     entry: int
     exit: int
+    # statement -> (true target, false target) of its controlling expression
+    conditions: dict[Node, tuple[int, int]] = field(default_factory=dict)
 
     def block(self, bid: int) -> Block:
         return self.blocks[bid]
@@ -205,6 +209,7 @@ class CfgBuilder:
         self.breakables: list[int] = []  # innermost-last break targets
         self.labels: dict[str, int] = {}
         self.pending_gotos: list[tuple[str, Block, Node]] = []
+        self.conditions: dict[Node, tuple[int, int]] = {}
 
     # ---- plumbing -----------------------------------------------------------
 
@@ -246,7 +251,7 @@ class CfgBuilder:
                     node.loc,
                 )
             block.term = TJump(target, EdgeKind.JUMP)
-        cfg = Cfg(self.fn, self.blocks, entry.id, self.exit_id)
+        cfg = Cfg(self.fn, self.blocks, entry.id, self.exit_id, self.conditions)
         _materialize_edges(cfg)
         return cfg
 
@@ -283,7 +288,7 @@ class CfgBuilder:
             then_b = self.new_block()
             else_b = self.new_block() if node.els is not None else None
             join = self.new_block()
-            self._cond(node.cond, then_b.id, (else_b or join).id, cur, node)
+            self._test(node, then_b.id, (else_b or join).id, cur)
             end_then = self._stmt(node.then, then_b)
             if end_then is not None:
                 end_then.term = TJump(join.id, EdgeKind.FALLTHROUGH)
@@ -300,7 +305,7 @@ class CfgBuilder:
             cur.term = TJump(head.id, EdgeKind.FALLTHROUGH)
             body_b = self.new_block()
             after = self.new_block()
-            self._cond(node.cond, body_b.id, after.id, head, node)
+            self._test(node, body_b.id, after.id, head)
             self.loops.append(_LoopCtx(after.id, head.id))
             self.breakables.append(after.id)
             end_body = self._stmt(node.body, body_b)
@@ -324,7 +329,7 @@ class CfgBuilder:
             if end_body is not None:
                 end_body.term = TJump(cond_b.id, EdgeKind.FALLTHROUGH)
             cond_b.note(node.cond)
-            self._cond(node.cond, body_b.id, after.id, cond_b, node)
+            self._test(node, body_b.id, after.id, cond_b)
             return after
 
         if isinstance(node, For):
@@ -340,7 +345,7 @@ class CfgBuilder:
             step_b = self.new_block()
             after = self.new_block()
             if node.cond is not None:
-                self._cond(node.cond, body_b.id, after.id, head, node)
+                self._test(node, body_b.id, after.id, head)
             else:
                 head.term = TJump(body_b.id, EdgeKind.TRUE)
             self.loops.append(_LoopCtx(after.id, step_b.id))
@@ -500,6 +505,12 @@ class CfgBuilder:
                 if low is not value:
                     lowered[name] = low
         return (replace(e, **lowered) if lowered else e), cur
+
+    def _test(self, node: If | While | DoWhile | For, true_t: int, false_t: int,
+              cur: Block) -> None:
+        """Lower statement `node`'s controlling expression; record its targets."""
+        self.conditions[node] = (true_t, false_t)
+        self._cond(node.cond, true_t, false_t, cur, node)
 
     def _cond(self, e: Expr, true_t: int, false_t: int, cur: Block, node: Node) -> None:
         """Lower a boolean context; always terminates `cur`'s chain."""

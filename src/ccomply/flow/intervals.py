@@ -8,24 +8,38 @@ subexpressions like `32 & 0x1F` keep their precise value.
 
 The transfer functions are compiled, not interpreted (abstract
 compilation, Boucher & Feeley, CC 1996). The first time the solver visits
-a block, `_AbstractEval.lower_block` lowers its items, its terminator
-expression and its branch condition into closures over an environment;
-the analysis keeps them until it returns. Everything that does not depend
-on the abstract state is resolved then, once per node: constant folding,
-which reads the value the resolver recorded on the node (`const_value`;
-a node lowering rebuilt around a temporary has none), type ranges (cached
-per type for the CFG's model), which variables are tracked or volatile,
-store targets, which subexpressions can change the environment at all (an
-item that cannot is dropped), and the narrowing plan of each `TBranch` and
-`TSwitch`. Only a store or a call can change the environment, so an item or
-a terminator expression whose `Expr.kinds` shows neither is dropped without
-being lowered at all; an item rebuilt around a temporary has every bit set
-and is lowered. Per visit only the
-interval arithmetic runs: the range operators behind `_AbstractEval._arith`
-(`/` and `%` take C's truncating quotient and remainder from `sema.intarith`),
-and `_compare`. A comparison, and the narrowing it drives, first converts
-both operand ranges to their common type (C99 6.5.8p3, 6.5.9p4); a branch
-refines a variable only when that conversion keeps the variable's value.
+a block, `_AbstractEval.lower_block` lowers its items and its terminator
+into closures over an environment; the analysis keeps them until it
+returns. Everything that does not depend on the abstract state is
+resolved then, once per node: constant folding, which reads the value the
+resolver recorded on the node (`const_value`; a node lowering rebuilt
+around a temporary has none), type ranges (cached per type for the CFG's
+model), which variables are tracked or volatile, store targets, which
+subexpressions can change the environment at all (an item that cannot is
+dropped), and how each `TBranch` and `TSwitch` splits the state. Only a
+store or a call can change the environment, so an item or a terminator
+expression whose `Expr.kinds` shows neither is dropped without being
+lowered at all; an item rebuilt around a temporary has every bit set and
+is lowered. Per visit only the interval arithmetic runs: the range
+operators behind `_AbstractEval._arith` (`/` and `%` take C's truncating
+quotient and remainder from `sema.intarith`), and `_compare`. A
+comparison, and the narrowing it drives, first converts both operand
+ranges to their common type (C99 6.5.8p3, 6.5.9p4); a branch refines a
+variable only when that conversion keeps the variable's value.
+
+Which way a branch can go has one answer, its block's `edges` function:
+as in Cousot & Cousot (POPL 1977), a guard is one function of the state
+before the test, and it gives None for an edge no state can take. A
+condition that cannot change the state refines the variables it compares
+or tests (through casts only when each cast's type holds every value of
+the variable's type), or else gives None on the side its value excludes.
+A condition that can change the state is evaluated once with its stores
+(`x++ == 0` compares `x`'s value before the store); both edges take the
+state after them, one is None if the value excludes it, and no variable
+is refined. At the fixpoint an edge is dead exactly when `edges` gives it
+None (`dead_edges`, R2.1's input); per `if`, `while`, `do` and `for`
+statement, `outcomes` says whether an edge into its true and into its
+false target (`Cfg.conditions`) is live (R14.3's input).
 
 The result keeps one state per reached block, not one per program point.
 `IntervalResult.env_at(bid, idx)` lowers the block's items again and
@@ -34,9 +48,9 @@ replays those before `idx` on its in-state (`solver.state_at`): it is
 and `term_env[bid]`, the state before the terminator, at `len(items)`.
 The lowered code is not kept past the analysis: held for a whole run, its
 closures take more memory than the per-point states they replace.
-`eval_expr` and `truth_of` lower the queried AST-level expression, `&&`,
-`||`, `?:` and `,` included, on each call, and never change the
-environment they are given.
+`eval_expr` lowers the queried expression on each call and never changes
+the environment it is given; a `&&`, `||`, `?:` or `,`, which lowering
+leaves in no item, reads as its type's range.
 
 The state tracks the local automatic integer objects, CFG temporaries
 included (`Symbol.is_local_object`, as in the other analyses); a static
@@ -55,9 +69,9 @@ from ccomply.flow.cfg import Block, Cfg, DeclItem, TBranch, TSwitch
 from ccomply.flow.effects import designate, sym_of
 from ccomply.flow.solver import solve, state_at
 from ccomply.parsing.astnodes import (
-    KIND_CALL, KIND_STORE, AddrOf, Assign, Binary, Call, Cast, Comma,
-    CompoundAssign, Conditional, Constant, Deref, Expr, Identifier, IncDec,
-    Index, InitList, Member, Sizeof, StringLiteral, Unary, operands, placed,
+    KIND_CALL, KIND_STORE, AddrOf, Assign, Binary, Call, Cast, CompoundAssign,
+    Constant, Deref, Expr, Identifier, IncDec, Index, InitList, Member, Node,
+    Sizeof, StringLiteral, Unary, operands, placed,
 )
 from ccomply.sema.intarith import truncating_divmod
 from ccomply.sema.symbols import Symbol
@@ -144,17 +158,20 @@ class IntervalResult:
 
     `in_states` holds the state at the entry of each block the solver
     reached and `term_env` the state before its terminator; `env_at`
-    replays the states in between. `dead_edges` are the branch edges no
-    state can take, `cond_entry` maps a branch statement to the lowest block
-    that tests its condition, `iterations` counts block visits and
-    `widenings` the widening steps that moved a bound.
+    replays the states in between. Each branch is decided once, by its
+    block's edge function on `term_env` at the fixpoint, which reads the
+    condition before its own stores: `dead_edges` are the open branch edges
+    it gives None, and `outcomes` maps each `if`, `while`, `do` and `for`
+    statement with a reached branch block to (an edge into its true target
+    is live, an edge into its false target is live). `iterations` counts
+    block visits and `widenings` the widening steps that moved a bound.
     """
 
     model: IntegerModel
     in_states: dict[int, Env] = field(default_factory=dict)
     term_env: dict[int, Env] = field(default_factory=dict)
-    cond_entry: dict[int, int] = field(default_factory=dict)  # id(stmt node) -> block id
     dead_edges: set[tuple[int, int]] = field(default_factory=set)
+    outcomes: dict[Node, tuple[bool, bool]] = field(default_factory=dict)
     iterations: int = 0
     widenings: int = 0
     _evaluator: "_AbstractEval | None" = None
@@ -175,30 +192,23 @@ class IntervalResult:
         assert self._evaluator is not None
         return self._evaluator.lower_value(expr)(env)
 
-    def truth_of(self, expr: Expr, env: Env) -> tuple[bool, bool]:
-        """(can_be_false, can_be_true) under `env`, handling && || ! ?: and ,."""
-        assert self._evaluator is not None
-        return self._evaluator.lower_truth(expr)(env)
-
 
 class _BlockCode:
     """One block's lowered transfer.
 
     `steps` are `(item index, step)` for the items that can change the
-    state; `run` applies them and the terminator expression; `edges` gives
-    the successor states of the state after `run`. For a branch on a
-    non-constant condition, `narrow` gives the (true, false) edge states
-    and `truth` the condition's (can_be_false, can_be_true).
+    state; `run` applies them and the expression of a terminator that is
+    no open branch. `edges` gives `(successor, state)` pairs from the state
+    after `run`, None for an edge no state can take, and never changes the
+    state it is given; for an open branch, its condition is read there.
     """
 
-    __slots__ = ("steps", "run", "edges", "narrow", "truth")
+    __slots__ = ("steps", "run", "edges")
 
-    def __init__(self, steps, run, edges, narrow=None, truth=None):
+    def __init__(self, steps, run, edges):
         self.steps = steps
         self.run = run
         self.edges = edges
-        self.narrow = narrow
-        self.truth = truth
 
 
 class _AbstractEval:
@@ -257,70 +267,29 @@ class _AbstractEval:
         """`e`'s value function, with stores and calls leaving the state as is."""
         return self._lower(e, False)[0]
 
-    def lower_truth(self, e: Expr) -> Callable[[Env], tuple[bool, bool]]:
-        """`e`'s (can_be_false, can_be_true) function."""
-        if type(e) is Binary and e.op == "&&":
-            left, right = self.lower_truth(e.left), self.lower_truth(e.right)
-
-            def both(env):
-                lf, lt = left(env)
-                rf, rt = right(env)
-                return (lf or (lt and rf), lt and rt)
-            return both
-        if type(e) is Binary and e.op == "||":
-            left, right = self.lower_truth(e.left), self.lower_truth(e.right)
-
-            def either(env):
-                lf, lt = left(env)
-                rf, rt = right(env)
-                return (lf and rf, lt or (lf and rt))
-            return either
-        if type(e) is Unary and e.op == "!":
-            inner = self.lower_truth(e.operand)
-            return lambda env: inner(env)[::-1]
-        if type(e) is Comma:
-            return self.lower_truth(e.right)
-        if type(e) is Conditional:
-            cond, then = self.lower_truth(e.cond), self.lower_truth(e.then)
-            other = self.lower_truth(e.other)
-
-            def pick(env):
-                cf, ct = cond(env)
-                tf, tt = then(env)
-                of, ot = other(env)
-                return ((ct and tf) or (cf and of), (ct and tt) or (cf and ot))
-            return pick
-        value = self._lower(e, False)[0]
-
-        def test(env):
-            iv = value(env)
-            if iv is None:
-                return (True, True)
-            return (iv.lo <= 0 <= iv.hi, iv.lo != 0 or iv.hi != 0)
-        return test
-
     # -- blocks ----------------------------------------------------------------
 
     def lower_block(self, b: Block) -> _BlockCode:
         steps = self.lower_items(b)
         run_all = [step for _, step in steps]
-        if b.term_expr is not None and b.term_expr.kinds & _MUTATORS:
-            fn, changes = self._lower(b.term_expr, True)
-            if changes:
-                run_all.append(fn)
-        run = _sequence(run_all) if run_all else None
         term = b.term
         if isinstance(term, TBranch) and term.const_value is None:
-            narrow = self._narrowing(term.cond)
-            targets = (term.true_target, term.false_target)
+            edges = self._branch_edges(term)
+        else:
+            effect = self._effect(b.term_expr)
+            if effect is not None:
+                run_all.append(effect)
+            succs = [target for target, _kind in b.succs]
+            edges = (self._switch_edges(term) if isinstance(term, TSwitch)
+                     else lambda env: [(t, env) for t in succs])
+        return _BlockCode(steps, _sequence(run_all) if run_all else None, edges)
 
-            def edges(env):
-                return zip(targets, narrow(env))
-            return _BlockCode(steps, run, edges, narrow, self.lower_truth(term.cond))
-        if isinstance(term, TSwitch):
-            return _BlockCode(steps, run, self._switch_edges(term))
-        succs = [target for target, _kind in b.succs]
-        return _BlockCode(steps, run, lambda env: [(t, env) for t in succs])
+    def _effect(self, e: Expr | None) -> ValueFn | None:
+        """`e` lowered with its stores and calls, or None if it cannot change the state."""
+        if e is None or not e.kinds & _MUTATORS:
+            return None
+        fn, changes = self._lower(e, True)
+        return fn if changes else None
 
     def lower_items(self, b: Block) -> list[tuple[int, ValueFn]]:
         """(index, step) for each of `b`'s items that can change the state."""
@@ -333,10 +302,7 @@ class _AbstractEval:
 
     def _lower_item(self, item) -> ValueFn | None:
         if not isinstance(item, DeclItem):
-            if not item.expr.kinds & _MUTATORS:
-                return None
-            fn, changes = self._lower(item.expr, True)
-            return fn if changes else None
+            return self._effect(item.expr)
         sym, init = item.symbol, item.init
         if init is None:
             return None
@@ -358,12 +324,34 @@ class _AbstractEval:
         sym = e.symbol if type(e) is Identifier else None
         if _tracked(sym):
             full = self._range(sym)
-            if common is None or common.lo <= full.lo and full.hi <= common.hi:
+            if common is None or _holds(common, full):
                 return sym.uid, full, "volatile" in sym.quals
         return None
 
-    def _narrowing(self, cond: Expr):
-        """narrow(env) -> (true-edge state, false-edge state); None = infeasible.
+    def _tested(self, e: Expr):
+        """The `_narrowable` variable a scalar condition or a switch on `e`
+        tests: `e`, or its operand under casts that keep each of its values."""
+        if type(e) is not Cast:
+            return self._narrowable(e)
+        var = self._tested(e.operand)
+        return var if var is not None and _holds(self.full(e.ctype), var[1]) else None
+
+    def _branch_edges(self, term: TBranch):
+        """edges(env) of a branch whose condition did not fold."""
+        targets = (term.true_target, term.false_target)
+        effect = self._effect(term.cond)
+        if effect is None:
+            split = self._split(term.cond)
+            return lambda env: zip(targets, split(env))
+
+        def storing(env):
+            env = dict(env)
+            return zip(targets, _by_value(env, effect(env)))
+        return storing
+
+    def _split(self, cond: Expr):
+        """split(env) -> (true-edge state, false-edge state), None where an
+        edge cannot be taken, for a condition that cannot change the state.
 
         CFG construction turns a leading `!` into swapped branch targets,
         so `cond` is a comparison, a variable or an opaque expression.
@@ -381,9 +369,10 @@ class _AbstractEval:
                 return (_refine(env, op, lv, rv, lvar, rvar),
                         _refine(env, neg, lv, rv, lvar, rvar))
             return compare
-        var = self._narrowable(_strip_casts(cond))
+        var = self._tested(cond)
         if var is None:
-            return lambda env: (env, env)
+            value = self.lower_value(cond)
+            return lambda env: _by_value(env, value(env))
         uid, full, volatile = var
 
         def scalar(env):
@@ -393,7 +382,7 @@ class _AbstractEval:
 
     def _switch_edges(self, term: TSwitch):
         default = term.default_target
-        var = self._narrowable(_strip_casts(term.expr))
+        var = self._tested(term.expr)
         if var is None:
             targets = [target for _value, target in term.cases] + [default]
             return lambda env: [(t, env) for t in targets]
@@ -531,6 +520,8 @@ class _AbstractEval:
 
     def _lower_binary(self, e, mutate):
         op = e.op
+        if op in ("&&", "||"):  # never in an item
+            return self._lower_opaque(e, mutate)
         left, lchanges = self._lower(e.left, mutate)
         right, rchanges = self._lower(e.right, mutate)
         changes = lchanges or rchanges
@@ -543,9 +534,6 @@ class _AbstractEval:
                 truth = _compare(op, left(env), right(env))
                 return BOOL if truth is None else (ONE if truth else ZERO)
             return compare, changes
-        if op in ("&&", "||"):  # AST-level queries only; both sides evaluated
-            steps = [f for f, c in ((left, lchanges), (right, rchanges)) if c]
-            return _then(steps, BOOL), changes
         kernel, full, width = _ARITH[op], self.full(e.ctype), self._width(e.ctype)
 
         def arith(env):
@@ -570,22 +558,6 @@ class _AbstractEval:
         steps = self._effects(operands(e), mutate)
         return _then(steps, self.full(e.ctype)), bool(steps)
 
-    def _lower_comma(self, e, mutate):
-        # AST-level queries only (lowered items never contain these).
-        return self._lower(e.right, False)[0], False
-
-    def _lower_conditional(self, e, mutate):
-        then = self._lower(e.then, False)[0]
-        other = self._lower(e.other, False)[0]
-        full = self.full(e.ctype)
-
-        def join(env):
-            a, b = then(env), other(env)
-            if a is None or b is None:
-                return full
-            return a.join(b)
-        return join, False
-
 
 _LOWER = {
     Identifier: _AbstractEval._lower_identifier,
@@ -602,8 +574,6 @@ _LOWER = {
     Member: _AbstractEval._lower_operands,
     AddrOf: _AbstractEval._lower_operands,
     InitList: _AbstractEval._lower_operands,
-    Comma: _AbstractEval._lower_comma,
-    Conditional: _AbstractEval._lower_conditional,
     StringLiteral: _AbstractEval._lower_opaque,
     Sizeof: _AbstractEval._lower_opaque,
 }
@@ -803,10 +773,16 @@ def _with(env: Env, uid: int, iv: Interval) -> Env:
     return out
 
 
-def _strip_casts(e: Expr) -> Expr:
-    while isinstance(e, Cast):
-        e = e.operand
-    return e
+def _holds(outer: Interval | None, inner: Interval) -> bool:
+    """Whether range `outer` holds every value of range `inner`."""
+    return outer is not None and outer.lo <= inner.lo and inner.hi <= outer.hi
+
+
+def _by_value(env: Env, iv: Interval | None) -> tuple[Env | None, Env | None]:
+    """(true-edge state, false-edge state) of a condition whose value is `iv`."""
+    if iv is None:
+        return env, env
+    return (None if iv.lo == iv.hi == 0 else env), (env if iv.lo <= 0 <= iv.hi else None)
 
 
 def _bound_for(op: str, other: Interval) -> Interval | None:
@@ -923,7 +899,8 @@ def interval_analysis(cfg: Cfg, model: IntegerModel = DEFAULT_MODEL) -> Interval
         widen=widen,
     )
 
-    # Final pass: terminator states, condition blocks, dead edges.
+    # Final pass: terminator states, dead edges and statement outcomes, each
+    # edge decided by the function the solver sent its states with.
     for bid, entry in result.in_states.items():
         b = cfg.block(bid)
         code = codes[bid]
@@ -931,16 +908,14 @@ def interval_analysis(cfg: Cfg, model: IntegerModel = DEFAULT_MODEL) -> Interval
         term = b.term
         if not isinstance(term, TBranch):
             continue
-        node_key = id(term.node)
-        prev = result.cond_entry.get(node_key)
-        if prev is None or bid < prev:
-            result.cond_entry[node_key] = bid
-        if term.const_value is not None:
-            continue
-        on_true, on_false = code.narrow(env)
-        truth = code.truth(env) if on_true is not None or on_false is not None else None
-        if on_true is None or not truth[1]:
-            result.dead_edges.add((bid, term.true_target))
-        if on_false is None or not truth[0]:
-            result.dead_edges.add((bid, term.false_target))
+        live = {target for target, state in code.edges(env) if state is not None}
+        if term.const_value is None:
+            for target in (term.true_target, term.false_target):
+                if target not in live:
+                    result.dead_edges.add((bid, target))
+        targets = cfg.conditions.get(term.node)
+        if targets is not None:
+            true_live, false_live = result.outcomes.get(term.node, (False, False))
+            result.outcomes[term.node] = (true_live or targets[0] in live,
+                                          false_live or targets[1] in live)
     return result

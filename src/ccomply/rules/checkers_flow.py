@@ -281,27 +281,23 @@ def check_dead_code(
 def check_invariant_condition(
     facts: TUFacts, index: NodeIndex, functions: list[FunctionFacts],
 ) -> list[Finding]:
+    """A controlling expression is invariant when the interval analysis
+    reaches it and, at its fixpoint, finds an edge into only one of its
+    outcomes live (`IntervalResult.outcomes`): the same edge decisions that
+    R2.1 reads. A condition no state reaches gives no finding."""
     out: list[Finding] = []
     for fn in functions:
         for stmt in index.subtree(fn.fn.body):
-            cond = None
-            if isinstance(stmt, (If, While, DoWhile)):
-                cond = stmt.cond
-            elif isinstance(stmt, For):
-                cond = stmt.cond
-            if cond is None:
+            if not isinstance(stmt, (If, While, DoWhile, For)) or stmt.cond is None:
                 continue
+            cond = stmt.cond
             if isinstance(stmt, While) and isinstance(cond, Constant) and cond.value == 1:
                 continue  # exempt literal while(1)
             if isinstance(stmt, DoWhile) and isinstance(cond, Constant) and cond.value == 0:
                 continue  # exempt literal do..while(0)
-            bid = fn.intervals.cond_entry.get(id(stmt))
-            if bid is None:
-                continue  # condition block itself unreachable
-            env = fn.intervals.term_env.get(bid, {})
-            can_false, can_true = fn.intervals.truth_of(cond, env)
-            if can_false and can_true:
-                continue
+            can_true, can_false = fn.intervals.outcomes.get(stmt, (False, False))
+            if can_true == can_false:
+                continue  # both outcomes live, or the condition is never reached
             value = "true" if can_true else "false"
             out.append(Finding(
                 "R14.3", cond.span, Certainty.DEFINITE,

@@ -43,7 +43,7 @@ from ccomply.parsing.astnodes import (
     DeclEntry, Declaration, Deref, DoWhile, Expr, ExprStmt, For, FunctionDef,
     Goto, Identifier, If, IncDec, Index, InitList, Label, Member, Node, Return, Sizeof,
     StringLiteral, Switch, SynArr, SynBase, SynFunc, SynParam, SynPtr, SynType,
-    TranslationUnitAst, Unary, While, qualifier_set,
+    TranslationUnitAst, Unary, While, qualifier_set, walk_operands,
 )
 from ccomply.parsing.parser import parse
 from ccomply.sema.intarith import IntResult, binary, result_type, unary, unary_type
@@ -304,6 +304,7 @@ class Resolver:
                 length: int | None = None
                 if deriv.size is not None:
                     self.type_expr(deriv.size)
+                    self._check_size_flaw(deriv.size)
                     length = deriv.size.const_value
                     if length is None:
                         raise UnsupportedConstructError(
@@ -317,6 +318,20 @@ class Resolver:
                     params = tuple(self._param_type(p) for p in deriv.params)
                 t = types.function(t, params, deriv.variadic)
         return t
+
+    def _check_size_flaw(self, size: Expr) -> None:
+        """Reject an array size whose evaluation has undefined behavior: it
+        is no constant in its type's range (C99 6.6p4), and no VLA either."""
+        for node in walk_operands(size):
+            if node.behavior is None:
+                continue
+            if type(node) is Unary:
+                result = unary(node.op, (node.operand.const_value, node.operand.ctype), self.model)
+            else:
+                result = binary(node.op, (node.left.const_value, node.left.ctype),
+                                (node.right.const_value, node.right.ctype), self.model)
+            raise SemaError(f"array size has undefined behavior: {result.flaw} "
+                            f"in '{node.op}' (C99 6.6p4)", node.loc)
 
     def _param_type(self, p: SynParam) -> TypeDesc:
         """A parameter's type, adjusted as C99 6.7.5.3p7-8 says."""

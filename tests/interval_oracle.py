@@ -2,12 +2,33 @@
 
 `ccomply.flow.intervals` lowers each expression to closures once per CFG;
 on every function it must give exactly this evaluator's per-point states,
-terminator states, dead edges, condition blocks, block visits and
-widenings, and the same `eval_expr` and `truth_of` answers (see
+terminator states, dead edges, statement outcomes, block visits and
+widenings, and the same `eval_expr` answers (see
 `test_interval_oracle.py`). The code is the evaluator as it was before the
 lowering, unchanged but for `IntervalResult.widenings`, which counts the
-`_widen_env` calls that moved a bound, and for four evaluation rules that
-follow C99 as `ccomply.flow.effects` states it:
+`_widen_env` calls that moved a bound, for one rule of branches, and for
+four evaluation rules that follow C99 as `ccomply.flow.effects` states it.
+
+Branches are decided by one function, `_AbstractEval.branch`, on the
+state before the terminator; the solver sends its states, and the final
+pass takes the dead edges and the outcomes from it at the fixpoint. The
+AST-level `truth` and its rules for `&&`, `||`, `!`, `?:` and `,` are gone:
+- a condition that can change the state (`changes_state`: it stores into
+  a tracked variable or, when some local has its address taken, calls or
+  stores through a pointer) is evaluated once with its stores; both edges
+  take the state after them, the side its value excludes takes None, and
+  no variable is refined;
+- any other condition narrows as before, except that a scalar condition,
+  and a switch, see a variable through casts only when each cast's type
+  holds every value of the variable's type, and a condition that is no
+  comparison and tests no such variable excludes the side its value rules
+  out;
+- an `if`, `while`, `do` or `for` statement's outcome is live when an edge
+  into its true (false) target in `Cfg.conditions` is live;
+- the evaluator keeps the symbols it meets (`symmap`), the widening bounds'
+  source, for every evaluation, a narrowed variable included.
+
+The four evaluation rules:
 - only local automatic integer objects are tracked; any other variable,
   a static local included, is always at its type range (C99 6.2.4p3), and
   a call forgets only the address-taken locals;
@@ -28,8 +49,8 @@ from ccomply.flow.cfg import Cfg, DeclItem, TBranch, TSwitch
 from ccomply.flow.solver import solve
 from ccomply.parsing.astnodes import (
     AddrOf, Assign, Binary, Call, Cast, Comma, CompoundAssign, Conditional,
-    Constant, Deref, Expr, Identifier, IncDec, Index, InitList, Member,
-    Sizeof, StringLiteral, Unary, placed,
+    Constant, Deref, Expr, Identifier, IncDec, Index, InitList, Member, Node,
+    Sizeof, StringLiteral, Unary, placed, walk_operands,
 )
 from ccomply.sema.symbols import Symbol
 from ccomply.sema.typesys import (
@@ -93,8 +114,9 @@ class IntervalResult:
     model: IntegerModel
     pre: dict[tuple[int, int], Env] = field(default_factory=dict)
     term_env: dict[int, Env] = field(default_factory=dict)
-    cond_entry: dict[int, int] = field(default_factory=dict)  # id(stmt node) -> block id
     dead_edges: set[tuple[int, int]] = field(default_factory=set)
+    # statement -> (an edge into its true target is live, one into its false target is)
+    outcomes: dict[Node, tuple[bool, bool]] = field(default_factory=dict)
     iterations: int = 0
     widenings: int = 0
     _evaluator: "_AbstractEval | None" = None
@@ -105,11 +127,6 @@ class IntervalResult:
     def eval_expr(self, expr: Expr, env: Env) -> Interval | None:
         assert self._evaluator is not None
         return self._evaluator.eval(expr, dict(env), mutate=False)
-
-    def truth_of(self, expr: Expr, env: Env) -> tuple[bool, bool]:
-        """(can_be_false, can_be_true) under `env`, handling && || !."""
-        assert self._evaluator is not None
-        return self._evaluator.truth(expr, env)
 
     def var_interval(self, env: Env, sym: Symbol) -> Interval | None:
         if not _tracked(sym):
@@ -122,6 +139,7 @@ class _AbstractEval:
     def __init__(self, model: IntegerModel, addr_taken: set[int]):
         self.model = model
         self.addr_taken = addr_taken
+        self.symmap: dict[int, Symbol] = {}
 
     # -- environment helpers -------------------------------------------------
 
@@ -135,9 +153,8 @@ class _AbstractEval:
 
     # -- evaluation ------------------------------------------------------------
 
-    def eval(self, e: Expr, env: Env, mutate: bool = True, symmap: dict[int, Symbol] | None = None) -> Interval | None:
-        symmap = symmap if symmap is not None else {}
-        return self._eval(e, env, mutate, symmap)
+    def eval(self, e: Expr, env: Env, mutate: bool = True) -> Interval | None:
+        return self._eval(e, env, mutate, self.symmap)
 
     def _eval(self, e: Expr, env: Env, mutate: bool, symmap: dict[int, Symbol]) -> Interval | None:
         model = self.model
@@ -342,34 +359,43 @@ class _AbstractEval:
 
     # -- branch reasoning --------------------------------------------------------
 
-    def truth(self, e: Expr, env: Env) -> tuple[bool, bool]:
-        """(can_be_false, can_be_true); handles short-circuit forms."""
-        if isinstance(e, Binary) and e.op == "&&":
-            lf, lt = self.truth(e.left, env)
-            rf, rt = self.truth(e.right, env)
-            return (lf or (lt and rf), lt and rt)
-        if isinstance(e, Binary) and e.op == "||":
-            lf, lt = self.truth(e.left, env)
-            rf, rt = self.truth(e.right, env)
-            return (lf and rf, lt or (lf and rt))
-        if isinstance(e, Unary) and e.op == "!":
-            cf, ct = self.truth(e.operand, env)
-            return (ct, cf)
-        if isinstance(e, Comma):
-            return self.truth(e.right, env)
-        if isinstance(e, Conditional):
-            cf, ct = self.truth(e.cond, env)
-            tf, tt = self.truth(e.then, env)
-            of, ot = self.truth(e.other, env)
-            can_false = (ct and tf) or (cf and of)
-            can_true = (ct and tt) or (cf and ot)
-            return (can_false, can_true)
-        iv = self.eval(e, dict(env), mutate=False)
-        if iv is None:
-            return (True, True)
-        can_true = iv.lo != 0 or iv.hi != 0
-        can_false = iv.contains(0)
-        return (can_false, can_true)
+    def branch(self, env: Env, cond: Expr) -> tuple[Env | None, Env | None]:
+        """(true-edge state, false-edge state) of a branch on `cond` from
+        `env`, the state before it; None = edge infeasible."""
+        if self.changes_state(cond):
+            out = dict(env)
+            iv = self.eval(cond, out, mutate=True)
+            if iv is None:
+                return out, out
+            return (None if iv.singleton() == 0 else out), (out if iv.contains(0) else None)
+        return self.narrow(env, cond, True), self.narrow(env, cond, False)
+
+    def changes_state(self, e: Expr) -> bool:
+        """Whether evaluating `e` can change an environment."""
+        for node in walk_operands(e):
+            if isinstance(node, Call) and self.addr_taken:
+                return True
+            if isinstance(node, (Assign, CompoundAssign, IncDec)):
+                target = node.operand if isinstance(node, IncDec) else node.target
+                if isinstance(target, Identifier) and _tracked(target.symbol):
+                    return True
+                if self.addr_taken and _through_pointer(target):
+                    return True
+        return False
+
+    def tested_var(self, e: Expr) -> Symbol | None:
+        """The tracked variable `e` is, seen through casts whose types hold
+        every value of the variable's type."""
+        casts = []
+        while isinstance(e, Cast):
+            casts.append(_type_interval(e.ctype, self.model))
+            e = e.operand
+        if not isinstance(e, Identifier) or not _tracked(e.symbol):
+            return None
+        full = _type_interval(e.symbol.type, self.model)
+        if all(c is not None and c.lo <= full.lo and full.hi <= c.hi for c in casts):
+            return e.symbol
+        return None
 
     def narrow(self, env: Env, cond: Expr, taken: bool) -> Env | None:
         """Refine `env` along a branch edge; None = edge infeasible."""
@@ -388,24 +414,24 @@ class _AbstractEval:
                       "<=": ">", ">=": "<"}[op]
             return self._narrow_compare(env, op, cond.left, cond.right)
         # Bare scalar condition: x / (x) etc.
-        target = _strip_casts(cond)
-        if isinstance(target, Identifier) and isinstance(target.symbol, Symbol):
-            sym = target.symbol
-            iv = self.var(env, sym)
-            if iv is None or not _tracked(sym):
-                return True
-            if taken:
-                if iv.singleton() == 0:
-                    return False
-                if iv.lo == 0:
-                    env[sym.uid] = Interval(1, iv.hi) if iv.hi >= 1 else iv
-                elif iv.hi == 0 and iv.lo < 0:
-                    env[sym.uid] = Interval(iv.lo, -1)
-            else:
-                refined = iv.meet(Interval(0, 0))
-                if refined is None:
-                    return False
-                env[sym.uid] = refined
+        sym = self.tested_var(cond)
+        if sym is None:
+            iv = self.eval(cond, dict(env), mutate=False)
+            return iv is None or (iv.singleton() != 0 if taken else iv.contains(0))
+        iv = self.var(env, sym)
+        self.symmap[sym.uid] = sym
+        if taken:
+            if iv.singleton() == 0:
+                return False
+            if iv.lo == 0:
+                env[sym.uid] = Interval(1, iv.hi) if iv.hi >= 1 else iv
+            elif iv.hi == 0 and iv.lo < 0:
+                env[sym.uid] = Interval(iv.lo, -1)
+        else:
+            refined = iv.meet(Interval(0, 0))
+            if refined is None:
+                return False
+            env[sym.uid] = refined
         return True
 
     def _narrow_compare(self, env: Env, op: str, left: Expr, right: Expr) -> bool:
@@ -418,11 +444,10 @@ class _AbstractEval:
             (left, rv, op),
             (right, lv, _flip(op)),
         ):
-            target = _strip_casts(var_side)
+            target = var_side  # no narrowing through a cast
             if (
                 isinstance(target, Identifier)
                 and _tracked(target.symbol)
-                and target is var_side  # do not narrow through value-changing casts
                 and other_iv is not None
             ):
                 sym = target.symbol
@@ -436,6 +461,7 @@ class _AbstractEval:
                 if refined is None:
                     return False
                 env[sym.uid] = refined
+                self.symmap[sym.uid] = sym
         return True
 
 
@@ -464,12 +490,6 @@ def _eval_children(e: Expr) -> list[Expr]:
     if isinstance(e, Member):
         return [e.base]
     return []
-
-
-def _strip_casts(e: Expr) -> Expr:
-    while isinstance(e, Cast):
-        e = e.operand
-    return e
 
 
 def _flip(op: str) -> str:
@@ -566,7 +586,7 @@ def interval_analysis(cfg: Cfg, model: IntegerModel = DEFAULT_MODEL) -> Interval
     result = IntervalResult(model)
     ev = _AbstractEval(model, cfg.addr_taken)
     result._evaluator = ev
-    symmap: dict[int, Symbol] = {}
+    symmap = ev.symmap
 
     def transfer_block(b, entry: Env, pre: dict | None = None) -> Env:
         env = dict(entry)
@@ -576,14 +596,14 @@ def interval_analysis(cfg: Cfg, model: IntegerModel = DEFAULT_MODEL) -> Interval
             if isinstance(item, DeclItem):
                 sym = item.symbol
                 if item.init is not None:
-                    value = ev.eval(item.init, env, mutate=True, symmap=symmap)
+                    value = ev.eval(item.init, env, mutate=True)
                     if _tracked(sym):
                         symmap[sym.uid] = sym
                         converted = ev._converted(value, sym.type)
                         if converted is not None:
                             env[sym.uid] = converted
             else:
-                ev.eval(item.expr, env, mutate=True, symmap=symmap)
+                ev.eval(item.expr, env, mutate=True)
         if pre is not None:
             pre[(b.id, len(b.items))] = dict(env)
         return env
@@ -599,31 +619,36 @@ def interval_analysis(cfg: Cfg, model: IntegerModel = DEFAULT_MODEL) -> Interval
                     if full is not None:
                         bounds[uid] = full
 
-    def transfer(bid: int, entry: Env):
-        b = cfg.block(bid)
-        env = transfer_block(b, entry)
-        if b.term_expr is not None:
-            ev.eval(b.term_expr, env, mutate=True, symmap=symmap)
-        note_bounds(env)
+    def edges(b, env: Env):
+        """(successor, state or None) pairs from `env`, the state before b's terminator."""
         term = b.term
         if isinstance(term, TBranch) and term.const_value is None:
-            yield term.true_target, ev.narrow(env, term.cond, True)
-            yield term.false_target, ev.narrow(env, term.cond, False)
-        elif isinstance(term, TSwitch):
-            scrutinee = _strip_casts(term.expr)
-            for value, target in term.cases:
-                out_env = dict(env)
-                if isinstance(scrutinee, Identifier) and _tracked(scrutinee.symbol):
-                    current = ev.var(out_env, scrutinee.symbol)
-                    refined = current.meet(Interval(value, value)) if current else None
-                    if refined is None:
-                        continue
-                    out_env[scrutinee.symbol.uid] = refined
-                yield target, out_env
-            yield term.default_target, dict(env)
-        else:
-            for target, _kind in b.succs:
-                yield target, dict(env)
+            return list(zip((term.true_target, term.false_target), ev.branch(env, term.cond)))
+        env = dict(env)
+        if b.term_expr is not None:
+            ev.eval(b.term_expr, env, mutate=True)
+        if not isinstance(term, TSwitch):
+            return [(target, dict(env)) for target, _kind in b.succs]
+        out = []
+        sym = ev.tested_var(term.expr)
+        for value, target in term.cases:
+            out_env = dict(env)
+            if sym is not None:
+                refined = ev.var(out_env, sym).meet(Interval(value, value))
+                if refined is None:
+                    continue
+                out_env[sym.uid] = refined
+            out.append((target, out_env))
+        out.append((term.default_target, dict(env)))
+        return out
+
+    def transfer(bid: int, entry: Env):
+        b = cfg.block(bid)
+        out = edges(b, transfer_block(b, entry))
+        for _, env in out:
+            if env is not None:
+                note_bounds(env)
+        return out
 
     def widen(old: Env, new: Env) -> Env:
         out = _widen_env(old, new, bounds)
@@ -639,28 +664,22 @@ def interval_analysis(cfg: Cfg, model: IntegerModel = DEFAULT_MODEL) -> Interval
         widen=widen,
     )
 
-    # Final pass: record per-point pre-states, terminator states, dead edges.
+    # Final pass: per-point pre-states, terminator states, and the dead
+    # edges and statement outcomes of the branch function at the fixpoint.
     for bid, entry_env in in_states.items():
         b = cfg.block(bid)
         env = transfer_block(b, entry_env, result.pre)
         result.term_env[bid] = dict(env)
         term = b.term
-        if isinstance(term, TBranch):
-            node_key = id(term.node)
-            prev = result.cond_entry.get(node_key)
-            if prev is None or bid < prev:
-                result.cond_entry[node_key] = bid
-        if isinstance(term, TBranch) and term.const_value is None:
-            if ev.narrow(env, term.cond, True) is None:
-                result.dead_edges.add((bid, term.true_target))
-            else:
-                can_false, can_true = ev.truth(term.cond, env)
-                if not can_true:
-                    result.dead_edges.add((bid, term.true_target))
-            if ev.narrow(env, term.cond, False) is None:
-                result.dead_edges.add((bid, term.false_target))
-            else:
-                can_false, can_true = ev.truth(term.cond, env)
-                if not can_false:
-                    result.dead_edges.add((bid, term.false_target))
+        if not isinstance(term, TBranch):
+            continue
+        live = {target for target, state in edges(b, env) if state is not None}
+        if term.const_value is None:
+            for target in (term.true_target, term.false_target):
+                if target not in live:
+                    result.dead_edges.add((bid, target))
+        if term.node in cfg.conditions:
+            true_t, false_t = cfg.conditions[term.node]
+            was = result.outcomes.get(term.node, (False, False))
+            result.outcomes[term.node] = (was[0] or true_t in live, was[1] or false_t in live)
     return result

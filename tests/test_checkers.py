@@ -492,6 +492,72 @@ class TestLoopRules:
         assert run_rule(TWO_TEMPS, "R14.3") == []
 
 
+class TestBranchDecisions:
+    """R2.1 and R14.3 read one decision per branch edge: the interval
+    analysis's edge function on the state before the branch, which reads a
+    condition before its own stores."""
+
+    @pytest.mark.parametrize("cond", ["x > 0 && (y = 1, y > 0)", "x > 0 && y++ == 0 && y == 1"])
+    def test_store_inside_a_short_circuit_is_applied(self, cond):
+        # Oracle: with y starting at 0, the right side holds whenever x > 0.
+        for x in (-1, 0, 1):
+            y = 0
+            if x > 0:
+                y += 1
+                assert y > 0 and y == 1
+        assert run_rule(f"void f(int x) {{ int y = 0; if ({cond}) {{ use(y); }} }}", "R14.3") == []
+
+    def test_condition_is_read_before_its_store(self):
+        # Oracle (as compiled C runs it): x++ == 0 compares 0, so y is 5
+        # and y == 0 is always false.
+        x = y = 0
+        old, x = x, x + 1
+        if old == 0:
+            y = 5
+        assert y != 0
+        text = "void f(void) { int x = 0, y = 0; if (x++ == 0) { y = 5; } if (y == 0) { use(1); } }"
+        found = sorted((f.span.start.column, f.message) for f in run_rule(text, "R14.3"))
+        assert found == [
+            (text.index("x++") + 1, "controlling expression is invariant: always true"),
+            (text.index("y == 0") + 1, "controlling expression is invariant: always false"),
+        ]
+        f = single(run_rule(text, "R2.1"))
+        assert f.certainty is Certainty.DEFINITE
+        assert f.span.start.column == text.index("{ use(1)") + 1
+
+    def test_value_changing_cast_does_not_narrow(self):
+        # Oracle: (unsigned char)256 is 0, so y stays 0 and use(2) runs.
+        assert 256 % 256 == 0
+        text = ("void f(void) { int x = 256, y = 0; if ((unsigned char)x) { y = 1; } "
+                "if (y == 0) { use(2); } }")
+        assert run_rule(text, "R2.1") == []
+        assert run_rule(text, "R14.3") == []
+
+    def test_for_init_short_circuit_is_not_the_loop_condition(self):
+        # Oracle: i < 3 is true for i = 0, 1, 2 and false at 3.
+        assert [i < 3 for i in range(4)] == [True, True, True, False]
+        assert run_rule(
+            "void f(int c) { int i = 0; for (c && get(); i < 3; i++) { use(i); } }", "R14.3"
+        ) == []
+
+    def test_condition_refuted_on_every_path(self):
+        # Oracle: no int is both above and below 0.
+        assert not any(x > 0 and x < 0 for x in range(-300, 300))
+        text = "void f(int x) { if (x > 0 && x < 0) { use(x); } }"
+        f = single(run_rule(text, "R14.3"))
+        assert f.message == "controlling expression is invariant: always false"
+        assert f.span.start.column == text.index("x > 0") + 1
+        assert single(run_rule(text, "R2.1")).certainty is Certainty.DEFINITE
+
+    def test_branch_taken_after_a_storing_condition_gets_its_state(self):
+        # Oracle: x++ == 0 compares 0, so the shift by 40 runs.
+        assert 40 > 31
+        text = "void f(void) { int x = 0; unsigned s = 40u; if (x++ == 0) { useu(1u << s); } }"
+        f = single(run_rule(text, "R12.2"))
+        assert f.certainty is Certainty.DEFINITE
+        assert "is 40" in f.message
+
+
 class TestLiteralWrite:
     def test_direct_literal_write(self):
         f = single(run_rule(

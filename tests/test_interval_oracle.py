@@ -1,11 +1,11 @@
 """The lowered interval analysis against the original evaluator (`interval_oracle`).
 
 On every function both must give the same state at every program point,
-the same terminator states, dead edges, condition blocks, block visits
-and widenings, the same `eval_expr` on every shift's right operand and
-the same `truth_of` on every controlling expression. The inputs are the
-snippets of the interval, R12.2, R14.3 and R2.1 tests, cases aimed at the
-lowering's special paths, and the first TUs of two benchmark workloads.
+the same terminator states, dead edges, statement outcomes, block visits
+and widenings, and the same `eval_expr` on every shift's right operand.
+The inputs are the snippets of the interval, R12.2, R14.3 and R2.1 tests,
+cases aimed at the lowering's special paths and at branches, and the
+first TUs of two benchmark workloads.
 
 Run as a script to compare every function of whole workloads:
 
@@ -21,7 +21,7 @@ import interval_oracle
 from ccomply.flow import build_cfg, interval_analysis
 from ccomply.flow.cfg import DeclItem
 from ccomply.flow.intervals import Interval
-from ccomply.parsing import Binary, CompoundAssign, DoWhile, For, FunctionDef, If, While, walk
+from ccomply.parsing import Binary, CompoundAssign, FunctionDef, If, walk
 from flow_helpers import analyze_fn, workload_units
 from rule_helpers import PRELUDE
 
@@ -117,10 +117,32 @@ SNIPPETS = [
     "usep(p); use(t[0]); }",
     "struct S { int m; };\nvoid f(void) { struct S s; int t[2]; int x; int *p = &x; x = 1; "
     "get(); if (x == 1) { use(1); } usep(p); use(s.m + t[0]); }",
-    # AST-level && || ?: and , in controlling expressions.
+    # && || ?: and , in controlling expressions.
     "void f(int a, int b) { while (a < 10 && (b = a, b > 2)) { a++; } "
     "if (a ? b : a + 1) { use(a); } if (a > 3 || b < 0) { use(b); } "
     "for (; a < 100 && b; a += b) { use(a << b); } }",
+    # Conditions that store are read before their stores; both edges take
+    # the state after them.
+    "void f(int x) { int y = 0; if (x > 0 && (y = 1, y > 0)) { use(y); } }",
+    "void f(int x) { int y = 0; if (x > 0 && y++ == 0 && y == 1) { use(y); } }",
+    "void f(void) { int x = 0, y = 0; if (x++ == 0) { y = 5; } if (y == 0) { use(1); } }",
+    "void f(void) { int x = 0; unsigned s = 40u; if (x++ == 0) { useu(1u << s); } }",
+    "void f(int n) { int i = 0; while (i++ < n) { use(i); } do { n--; } while (--n > 3); "
+    "if ((i = get()) != 0) { use(i); } if (n < get()) { use(n); } }",
+    "void f(int *p, int n) { int k = 0; int *q = &k; while (n < get() && (*p = n) > k) "
+    "{ n++; } if ((*q = 3) == 3) { use(k); } }",
+    # Casts: a scalar condition or a switch sees a variable only through
+    # casts that keep its values.
+    "void f(void) { int x = 256, y = 0; if ((unsigned char)x) { y = 1; } if (y == 0) { use(2); } }",
+    "void f(unsigned char c, int x) { if ((int)c) { use(c); } if ((long)(short)x) { use(x); } "
+    "switch ((unsigned char)x) { case 0: use(0); break; case 300: use(1); } "
+    "switch ((long)c) { case 1: use(c); break; case 256: use(2); } }",
+    # Opaque conditions exclude the side their value rules out.
+    "void f(int x) { if (x * 0) { use(1); } if (!(x & 0)) { use(2); } if ((x, 3)) { use(3); } }",
+    # Outcomes: a for init's short-circuit is not the loop's condition, and
+    # a condition refuted on one path still counts the other.
+    "void f(int c) { int i = 0; for (c && get(); i < 3; i++) { use(i); } }",
+    "void f(int x) { if (x > 0 && x < 0) { use(x); } while (x > 5 || x < 9) { x = get(); } }",
 ]
 
 # Functions of generated TUs compared in the suite, per workload.
@@ -144,7 +166,7 @@ def compare(cfg, fn) -> list[str]:
             check(f"env_at({b.id}, {idx})", new.env_at(b.id, idx), old.env_at(b.id, idx))
     check("term_env", new.term_env, old.term_env)
     check("dead_edges", new.dead_edges, old.dead_edges)
-    check("cond_entry", new.cond_entry, old.cond_entry)
+    check("outcomes", new.outcomes, old.outcomes)
     check("iterations", new.iterations, old.iterations)
     check("widenings", new.widenings, old.widenings)
     for bid, idx, expr in _point_exprs(cfg):
@@ -154,11 +176,6 @@ def compare(cfg, fn) -> list[str]:
                 check(f"eval_expr at ({bid}, {idx})",
                       new.eval_expr(right, new.env_at(bid, idx)),
                       old.eval_expr(right, old.env_at(bid, idx)))
-    envs = [{}] + [old.term_env[bid] for bid in sorted(old.term_env)]
-    for stmt in walk(fn.body):
-        if isinstance(stmt, (If, While, DoWhile, For)) and stmt.cond is not None:
-            for env in envs:
-                check("truth_of", new.truth_of(stmt.cond, env), old.truth_of(stmt.cond, env))
     return diffs
 
 
@@ -247,22 +264,9 @@ class TestReplayContract:
         env = {uid: Interval(1, 5) for uid in range(20)}
         before = dict(env)
         cond = [s for s in walk(fn.body) if isinstance(s, If)][0].cond
-        res.truth_of(cond, env)
         for node in walk(cond):
             res.eval_expr(node, env)
         assert env == before
-
-    @pytest.mark.parametrize("cond", ["a && b", "c ? x : y", "(x, y)", "!(a || c ? x : (y, b))"])
-    def test_ast_level_condition_matches_oracle(self, cond):
-        cfg, fn, res, old = self.analysis(
-            f"void f(int a, int b, int c) {{ int x = 1; int y = 7; a = 0; "
-            f"if (c > 4) {{ y = 0; }} if ({cond}) {{ use(1); }} }}")
-        stmt = [s for s in walk(fn.body) if isinstance(s, If)][-1]
-        bid = res.cond_entry[id(stmt)]
-        varied = {uid: Interval(uid % 3 - 1, uid % 3 + uid % 2) for uid in range(40)}
-        for env in ({}, res.term_env[bid], {uid: Interval(0, 0) for uid in range(40)}, varied):
-            assert res.truth_of(stmt.cond, env) == old.truth_of(stmt.cond, env)
-            assert _plain(res.eval_expr(stmt.cond, env)) == _plain(old.eval_expr(stmt.cond, env))
 
 
 def main(argv: list[str]) -> int:

@@ -21,6 +21,7 @@ tokens units took from the prefix they started from:
 from __future__ import annotations
 
 import contextlib
+import copy
 import gc
 import os
 import sys
@@ -184,16 +185,41 @@ def run(workdir: str, units, shared: bool, rules=IMPLEMENTED, order=()) -> Run:
 
 
 def compare(workdir: str, units, rules=IMPLEMENTED) -> tuple[Run, list[str]]:
-    """The shared run, and where it differs from a fresh manager per unit."""
+    """The shared run, and where it differs from a fresh manager per unit.
+
+    Equal values do not show a unit that resolved another unit's shared
+    nodes again in place, as that numbers the same uids; so once the shared
+    run is over, every symbol a unit's tree holds must also be the very
+    object its own table holds under that uid (`foreign_symbols`)."""
     shared = run(workdir, units, True, rules)
     order = [shared.manager.path_of(i) for i in range(len(shared.manager))
              if not shared.manager.path_of(i).startswith("<define:")]
     fresh = run(workdir, units, False, rules, order)
     diffs = [f"{path}: {_first_difference(a, b)}"
              for (path, _, _), a, b in zip(units, shared.outcomes, fresh.outcomes) if a != b]
+    diffs += [f"{path}: {where}" for (path, _, _), tu, table in zip(units, shared.tus, shared.tables)
+              if tu is not None for where in foreign_symbols(tu, table)]
     if shared.system != fresh.system:
         diffs.append(f"<system>: {_first_difference(shared.system, fresh.system)}")
     return shared, diffs
+
+
+def foreign_symbols(tu, table) -> list[str]:
+    """Each place in `tu` whose symbol is not the object `table` holds under its uid."""
+    out = []
+
+    def check(node, sym) -> None:
+        if isinstance(sym, Symbol) and not (
+                sym.uid < len(table.symbols) and table.symbols[sym.uid] is sym):
+            out.append(f"{type(node).__name__} at {node.start}: {sym.name!r} (uid {sym.uid}) "
+                       f"is not the table's symbol")
+
+    for node in walk(tu):
+        check(node, getattr(node, "symbol", None))
+        for held in (node.entries if isinstance(node, Declaration)
+                     else node.params if isinstance(node, FunctionDef) else ()):
+            check(held, held.symbol)
+    return out
 
 
 def _first_difference(a, b) -> str:
@@ -230,6 +256,24 @@ def test_same_header_after_defines_in_each_main_file_is_never_shared(tmp_path):
     shared, diffs = compare(str(tmp_path), _units(files))
     assert diffs == []
     assert [tu.prefix for tu in shared.tus] == [None] * 4
+
+
+def test_an_equal_valued_symbol_from_elsewhere_is_a_difference(tmp_path):
+    # What re-resolving a shared node in place leaves behind: a node of the
+    # shared prefix whose symbol has the right values but is not the object
+    # the unit's table holds. The tree rows cannot tell; `compare` can.
+    files = {f"u{i}.c": f"#include \"h.h\"\nint f{i}(void) {{ return base[{i}]; }}\n"
+             for i in range(3)}
+    _write(str(tmp_path), {"h.h": "extern int base[4];\nextern int *at(int);\n", **files})
+    shared, diffs = compare(str(tmp_path), _units(files))
+    assert diffs == [] and _shares(shared, 1, 2)
+    tu, table = shared.tus[2], shared.tables[2]
+    entry = tu.decls[0].entries[0]
+    before = _tree(tu)
+    entry.symbol = copy.copy(entry.symbol)
+    assert _tree(tu) == before
+    assert foreign_symbols(tu, table) == [
+        f"DeclEntry at {entry.start}: 'base' (uid {entry.symbol.uid}) is not the table's symbol"]
 
 
 @pytest.mark.parametrize("variant", ["defines", "builtins"])

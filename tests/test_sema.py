@@ -801,3 +801,32 @@ class TestBlockScopeFunctionStorage:
     ])
     def test_accepted(self, decl):
         analyze(f"void f(void) {{ {decl} }}\nstatic int h(void);\n")
+
+
+class TestArraySizeFlaw:
+    """An array size whose constant evaluation has undefined behavior is no
+    constant in its type's range (C99 6.6p4): a `SemaError` that names the
+    flaw, not the VLA message."""
+
+    @pytest.mark.parametrize("text, flaw, column", [
+        ("void f(void) { int a[1 << 35]; }\n", "shift count out of range in '<<'", 22),
+        ("typedef int T[1 << 35];\n", "shift count out of range in '<<'", 15),
+        ("int a[(1 << 35) + 1];\n", "shift count out of range in '<<'", 8),
+        ("int a[65536 * 65537];\n", "signed overflow in '*'", 7),
+        ("int a[-(-2147483647 - 1)];\n", "signed overflow in '-'", 7),
+        ("int a[4 / 0];\n", "division by zero in '/'", 7),
+    ])
+    def test_rejected_naming_the_flaw(self, text, flaw, column):
+        with pytest.raises(SemaError) as info:
+            analyze(text)
+        assert type(info.value) is SemaError
+        assert info.value.message == f"array size has undefined behavior: {flaw} (C99 6.6p4)"
+        assert (info.value.loc.line, info.value.loc.column) == (1, column)
+
+    @pytest.mark.parametrize("size", ["1 << 30", "sizeof(1 << 35)", "65536 * 32767"])
+    def test_sizes_without_a_flaw_are_accepted(self, size):
+        analyze(f"int a[{size}];\n")
+
+    def test_a_variable_size_is_still_a_vla(self):
+        with pytest.raises(UnsupportedConstructError, match="variable-length"):
+            analyze("void f(int n) { int a[n]; }\n")
