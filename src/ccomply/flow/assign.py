@@ -25,6 +25,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from enum import IntEnum
+from typing import NamedTuple
 
 from ccomply.flow.cfg import Block, Cfg, DeclItem
 from ccomply.flow.solver import solve
@@ -43,8 +44,9 @@ _STATE_OF = (AssignState.DEFINITELY_ASSIGNED, AssignState.ASSIGNED_BY_ALIAS,
              None, AssignState.MAYBE_UNASSIGNED)
 
 
-@dataclass(frozen=True)
-class ReadEvent:
+class ReadEvent(NamedTuple):
+    """A read of a tracked variable and its state there; a tuple record."""
+
     node: Identifier
     sym: Symbol
     state: AssignState

@@ -52,7 +52,7 @@ class EvalItem:
     @cached_property
     def events(self) -> list[Event]:
         """The item's effect events, walked once and kept."""
-        return list(effects.walk_effects(self.expr))
+        return effects.walk_effects(self.expr)
 
 
 @dataclass(eq=False)
@@ -67,8 +67,8 @@ class DeclItem:
         """The initializer's events, then the store of the declared object."""
         if self.init is None:
             return []
-        out = list(effects.walk_effects(self.init))
-        out.append(Event("write", sym=self.symbol, value=self.init, node=self.init))
+        out = effects.walk_effects(self.init)
+        out.append(Event("write", self.symbol, self.init, self.init))
         return out
 
 
@@ -139,7 +139,7 @@ class Block:
     def term_events(self) -> list[Event]:
         """The terminator expression's effect events, walked once and kept."""
         expr = self.term_expr
-        return list(effects.walk_effects(expr)) if expr is not None else []
+        return effects.walk_effects(expr) if expr is not None else []
 
 
 @dataclass(eq=False)

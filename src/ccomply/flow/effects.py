@@ -2,7 +2,9 @@
 
 CFG lowering guarantees item expressions are branch-free, so every
 event in the stream happens exactly once when the item executes. The
-canonical order is left-to-right, value before store. `op=`, `++` and
+canonical order is left-to-right, value before store. An event is a
+tuple record (`Event`), and `walk_effects` makes one recursive walk that
+appends every event of an expression to one list. `op=`, `++` and
 `--` compute their target's address once, in their read of the target
 (C99 6.5.16.2p3, 6.5.2.4p2), so their store adds only its own event.
 
@@ -19,9 +21,8 @@ decomposition.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator
+from typing import NamedTuple
 
 from ccomply.parsing.astnodes import (
     AddrOf, Assign, Call, Cast, CompoundAssign, Deref, Expr, Identifier,
@@ -31,13 +32,20 @@ from ccomply.sema.symbols import SymKind, Symbol
 from ccomply.sema.typesys import TK
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
+class Event(NamedTuple):
+    """One effect of evaluating an expression: a tuple record, built in one
+    step and never changed."""
+
     kind: str              # read | write | addrof | deref_read | deref_store | call | volatile
     sym: Symbol | None = None
     node: Expr | None = None
     value: Expr | None = None      # for write: RHS when it is a plain copy
     pointer: Expr | None = None    # for deref events: the pointer expression
+
+
+# Kinds as module globals: reading them through their enum class is slow.
+_OBJECT = SymKind.OBJECT
+_POINTER, _ARRAY = TK.POINTER, TK.ARRAY
 
 
 def sym_of(e: Expr | None) -> Symbol | None:
@@ -76,9 +84,9 @@ def designate(e: Expr) -> tuple[Expr | None, Expr | None, list[Expr], bool]:
             ops.append(pointer)
         elif cls is Index:
             base, index = e.base, e.index
-            if index.ctype is not None and index.ctype.kind in (TK.POINTER, TK.ARRAY):
+            if index.ctype is not None and index.ctype.kind in (_POINTER, _ARRAY):
                 base, index = index, base  # `i[p]` is `p[i]`
-            if base.ctype is not None and base.ctype.kind is TK.ARRAY:
+            if base.ctype is not None and base.ctype.kind is _ARRAY:
                 ops.append(index)
                 indexed = True
                 e = base
@@ -100,7 +108,7 @@ def is_volatile_access(e: Expr) -> bool:
         return sym is not None and "volatile" in getattr(sym, "quals", frozenset())
     if isinstance(e, Deref):
         t = e.operand.ctype
-        return bool(t is not None and t.kind is TK.POINTER and t.pointee is not None
+        return bool(t is not None and t.kind is _POINTER and t.pointee is not None
                     and "volatile" in t.pointee.quals) or (e.ctype is not None and "volatile" in e.ctype.quals)
     if isinstance(e, Index):
         return e.ctype is not None and "volatile" in e.ctype.quals
@@ -109,78 +117,85 @@ def is_volatile_access(e: Expr) -> bool:
     return False
 
 
-def walk_effects(e: Expr) -> Iterator[Event]:
-    """Yield events for one branch-free expression tree, in order.
+def walk_effects(e: Expr) -> list[Event]:
+    """The events of one branch-free expression tree, in order.
 
     Stores, `&`, `*`, `[]`, `.` and `->` have their own events. Every other
-    class yields its operands' events in the order `astnodes.operands`
+    class gives its operands' events in the order `astnodes.operands`
     gives, so nothing under `sizeof` or in a cast's type name counts.
     """
+    out: list[Event] = []
+    _walk(e, out)
+    return out
+
+
+def _walk(e: Expr, out: list[Event]) -> None:
+    """Append the events of `e` to `out`."""
     cls = type(e)
     if cls is Identifier:
-        sym = sym_of(e)
-        if sym is not None and sym.kind is SymKind.OBJECT:
+        sym = e.symbol
+        if isinstance(sym, Symbol) and sym.kind is _OBJECT:
             if "volatile" in sym.quals:
-                yield Event("volatile", sym=sym, node=e)
-            yield Event("read", sym=sym, node=e)
+                out.append(Event("volatile", sym, e))
+            out.append(Event("read", sym, e))
         return
     if cls is Assign:
-        yield from walk_effects(e.value)
+        _walk(e.value, out)
         obj, _, ops, indexed = designate(e.target)
-        yield from _address(obj, ops, obj is not None and (indexed or type(obj) is not Identifier))
-        yield from _store(e.target, e.value, e)
+        _address(obj, ops, obj is not None and (indexed or type(obj) is not Identifier), out)
+        _store(e.target, e.value, e, out)
         return
     if cls is CompoundAssign:
-        yield from walk_effects(e.value)
-        yield from walk_effects(e.target)  # read-modify-write reads the target
-        yield from _store(e.target, None, e)
+        _walk(e.value, out)
+        _walk(e.target, out)  # read-modify-write reads the target
+        _store(e.target, None, e, out)
         return
     if cls is IncDec:
-        yield from walk_effects(e.operand)
-        yield from _store(e.operand, None, e)
+        _walk(e.operand, out)
+        _store(e.operand, None, e, out)
         return
     if cls is AddrOf:
         # Forming an address reads the pointer and the indices it goes
         # through, but never the object it names (C99 6.5.3.2).
         obj, _, ops, _ = designate(e.operand)
-        yield from _address(obj, ops, False)
+        _address(obj, ops, False, out)
         sym = sym_of(obj)
         if sym is not None:
-            if sym.kind is SymKind.OBJECT:
-                yield Event("addrof", sym=sym, node=obj)
+            if sym.kind is _OBJECT:
+                out.append(Event("addrof", sym, obj))
         elif obj is not None:
-            yield from walk_effects(obj)
+            _walk(obj, out)
         return
     if cls is Deref or cls is Index or cls is Member:
         obj, pointer, ops, _ = designate(e)
-        yield from _address(obj, ops, obj is not None)
+        _address(obj, ops, obj is not None, out)
         if is_volatile_access(e):
-            yield Event("volatile", node=e)
+            out.append(Event("volatile", None, e))
         if pointer is not None:
-            yield Event("deref_read", pointer=pointer, node=e)
+            out.append(Event("deref_read", None, e, None, pointer))
         return
     # Every other class only evaluates its operands, in order; a call then
     # happens. Lowered items hold no comma or conditional, but AST-level
     # callers pass them.
     for x in operands(e):
-        yield from walk_effects(x)
+        _walk(x, out)
     if cls is Call:
-        yield Event("call", node=e)
+        out.append(Event("call", None, e))
 
 
-def _address(obj: Expr | None, ops: list[Expr], read_root: bool) -> Iterator[Event]:
-    """The events of computing a designated address.
+def _address(obj: Expr | None, ops: list[Expr], read_root: bool, out: list[Event]) -> None:
+    """Append the events of computing a designated address.
 
     The root's when `read_root`, then the operands', in order.
     """
     if read_root:
-        yield from walk_effects(obj)
+        _walk(obj, out)
     for x in ops:
-        yield from walk_effects(x)
+        _walk(x, out)
 
 
-def _store(target: Expr, value: Expr | None, node: Expr) -> Iterator[Event]:
-    """The events of storing into `target` once its address is computed.
+def _store(target: Expr, value: Expr | None, node: Expr, out: list[Event]) -> None:
+    """Append the events of storing into `target` once its address is computed.
 
     A store into an array element reads the array first (in the address of
     `=`, or in the read of `op=` and `++`) and then writes it as a whole, so
@@ -189,11 +204,11 @@ def _store(target: Expr, value: Expr | None, node: Expr) -> Iterator[Event]:
     """
     obj, pointer, _, _ = designate(target)
     if is_volatile_access(target):
-        yield Event("volatile", node=node)
+        out.append(Event("volatile", None, node))
     if pointer is not None:
-        yield Event("deref_store", pointer=pointer, value=value, node=node)
+        out.append(Event("deref_store", None, node, value, pointer))
     else:
-        yield Event("write", sym=sym_of(obj), value=value if obj is target else None, node=node)
+        out.append(Event("write", sym_of(obj), node, value if obj is target else None))
 
 
 def addr_taken_syms(cfg) -> frozenset[int]:

@@ -51,7 +51,7 @@ from ccomply.sema.symbols import Linkage, Storage, SymKind, Symbol, SymbolTable
 from ccomply.sema.typesys import (
     BOOL_T, DEFAULT_MODEL, DOUBLE_T, FLOAT_T, TK, VOID_T, EnumInfo,
     IntegerModel, RecordInfo, TypeDesc, TypeTable, convert_int, int_constant_type,
-    is_arithmetic, is_integer, is_pointer, is_scalar, make_int, sizeof_type,
+    is_arithmetic, is_floating, is_integer, is_pointer, is_scalar, make_int, sizeof_type,
     usual_arith_conversion,
 )
 from ccomply.source import pack
@@ -134,6 +134,7 @@ class Resolver:
     def __init__(self, model: IntegerModel = DEFAULT_MODEL, path: str = "<tu>",
                  start: tuple[SymbolTable, TypeTable, int] | None = None):
         self.model = model
+        model.conversions  # built on first use, which rejects an invalid model
         self._named_types = _named_types(model)
         self.current_function: FunctionDef | None = None
         # The calls typed so far, in pre-order, none under `sizeof`: the
@@ -487,7 +488,9 @@ class Resolver:
             if node.els is not None:
                 self._stmt(node.els)
         elif isinstance(node, Switch):
-            self.type_expr(node.cond)
+            # C99 6.8.4.2p1: the controlling expression has integer type.
+            self._require(is_integer(self.type_expr(node.cond)), node.cond,
+                          "controlling expression of switch must have integer type")
             self._stmt(node.body)
         elif isinstance(node, While):
             self.type_expr(node.cond)
@@ -612,10 +615,19 @@ class Resolver:
 
         if cls is CompoundAssign:
             self._kinds |= KIND_STORE
-            target_t = self.type_expr(e.target)
+            target_t = self._rvalue(e.target)
             self._require_lvalue(e.target)
-            self.type_expr(e.value)
-            return self.types.rvalue(target_t)
+            value_t = self._rvalue(e.value)
+            # C99 6.5.16.2p1-2: the operands the binary operator takes, or a
+            # pointer target of `+=` or `-=` with an integer value.
+            what, test = _OPERANDS[e.op]
+            if e.op in ("+", "-"):
+                if is_pointer(target_t) and is_integer(value_t):
+                    return target_t
+                what += ", or a pointer and an integer"
+            self._require(test(target_t, value_t, e, model), e,
+                          f"operands of {e.op}= must be {what}")
+            return target_t
 
         if cls is IncDec:
             self._kinds |= KIND_STORE
@@ -701,7 +713,11 @@ class Resolver:
         if cls is Cast:
             self._kinds |= KIND_CAST
             target = self.syn_type(e.type_name)
-            self.type_expr(e.operand)
+            operand_t = self._rvalue(e.operand)
+            # C99 6.5.4p4: no conversion between a pointer and a floating type.
+            self._require(not (is_pointer(target) and is_floating(operand_t)
+                               or is_floating(target) and is_pointer(operand_t)),
+                          e, "cast between a pointer and a floating type")
             if e.operand.const_value is not None and is_integer(target):
                 e.const_value = convert_int(e.operand.const_value, target, model)[0]
             return target

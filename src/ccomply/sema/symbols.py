@@ -1,4 +1,8 @@
-"""Symbols, scopes, and cross-TU linkage unification."""
+"""Symbols, scopes, and cross-TU linkage unification.
+
+A symbol's kind, storage and linkage are fixed when it is built, and so is
+`Symbol.is_local_object`, which the flow analyses read for every event.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -56,18 +60,21 @@ class Symbol(Extent):
     enum_value: int | None = None
     uid: int = -1
     is_temp: bool = False  # synthetic temporary introduced by CFG lowering
+    # An object of automatic storage with no linkage: what the flow analyses
+    # track. Fixed at declaration, as nothing writes a symbol's kind,
+    # storage or linkage after construction.
+    is_local_object: bool = field(init=False, repr=False)
 
-    @property
-    def def_span(self) -> Span:
-        return self.span
-
-    @property
-    def is_local_object(self) -> bool:
-        return (
+    def __post_init__(self) -> None:
+        self.is_local_object = (
             self.kind is SymKind.OBJECT
             and self.storage is Storage.AUTO
             and self.linkage is Linkage.NONE
         )
+
+    @property
+    def def_span(self) -> Span:
+        return self.span
 
     def canonical_id(self, tu_path: str) -> str:
         """Stable cross-TU identity for linkage-based unification; `tu_path`

@@ -3,12 +3,25 @@
 The default model: signed 8-bit char, 16-bit short, 32-bit int, 64-bit
 long and long long, 64-bit pointers, two's complement. Widths and char
 signedness can be overridden from the tool configuration; the closed
-width set {8, 16, 32, 64} is enforced.
+width set {8, 16, 32, 64} is enforced, and the widths must not decrease
+from `char` to `long long`.
+
+The integer ranges, promotions, usual arithmetic conversions and constant
+types are a fixed function of the model and at most two types, so each
+model keeps them as tables (`Conversions`), one set per model, built on
+first use from the C99 rules (6.2.5, 6.3.1.1p2, 6.3.1.8p1, 6.4.4.1p5)
+after the model is validated. The tables' keys are canonical unqualified
+types: the eight shared integer types, `BOOL_T`, `FLOAT_T`, `DOUBLE_T`,
+and one key, not a `TypeDesc`, for every enum type. A lookup maps a
+qualified or enum type to its key, so the tables hold only process-wide
+values. `type_range`, `integer_promote`, `promoted_width`,
+`usual_arith_conversion`, `int_constant_type` and `convert_int` read them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from ccomply.errors import SemaError
 
@@ -187,15 +200,28 @@ class IntegerModel:
     char_signed: bool = True
 
     def validate(self) -> None:
+        """Raise a `SemaError` naming the field, unless every width is in the
+        supported set and the widths do not decrease from `char` to `long
+        long` (C99 6.2.5p8)."""
         for name in ("char_bits", "short_bits", "int_bits", "long_bits",
                      "long_long_bits", "pointer_bits"):
             if getattr(self, name) not in _WIDTHS:
                 raise SemaError(
                     f"{name}={getattr(self, name)} outside the supported set {_WIDTHS}"
                 )
-        if not (self.char_bits <= self.short_bits <= self.int_bits
-                <= self.long_bits <= self.long_long_bits):
-            raise SemaError("integer widths must be non-decreasing char..long long")
+        ranks = ("char_bits", "short_bits", "int_bits", "long_bits", "long_long_bits")
+        for lower, higher in zip(ranks, ranks[1:]):
+            if getattr(self, higher) < getattr(self, lower):
+                raise SemaError(
+                    f"{higher}={getattr(self, higher)} is narrower than "
+                    f"{lower}={getattr(self, lower)}: integer widths must be "
+                    f"non-decreasing char..long long"
+                )
+
+    @cached_property
+    def conversions(self) -> "Conversions":
+        """This model's conversion tables, built and validated on first use."""
+        return Conversions(self)
 
 
 DEFAULT_MODEL = IntegerModel()
@@ -219,12 +245,12 @@ def is_arithmetic(t: TypeDesc) -> bool:
 
 
 def is_pointer(t: TypeDesc) -> bool:
-    return t.kind is TK.POINTER
+    return t.kind is _POINTER
 
 
 def is_object_pointer(t: TypeDesc) -> bool:
     """Pointer to anything but a function (void * counts as object pointer)."""
-    return t.kind is TK.POINTER and t.pointee is not None and t.pointee.kind is not TK.FUNCTION
+    return t.kind is _POINTER and t.pointee is not None and t.pointee.kind is not _FUNCTION
 
 
 def is_scalar(t: TypeDesc) -> bool:
@@ -261,59 +287,67 @@ def same_type(a: TypeDesc | None, b: TypeDesc | None) -> bool:
 
 
 # ---- conversions ------------------------------------------------------------
+#
+# The `_*_rule` functions are the one definition of the C99 rules; only
+# `Conversions` runs them, and the public functions after it read its tables.
+
+# The one table key of every enum type. Enum types are per unit, so a key
+# that is a `TypeDesc` would keep one unit's enum alive in a process-wide table.
+_ENUM_KEY = "enum"
 
 
-def effective_int(t: TypeDesc, model: IntegerModel) -> tuple[int, bool]:
-    """(width, signed) of an integer type; enums use their underlying int."""
-    if t.kind is TK.BOOL:
+def _key(t: TypeDesc):
+    """The conversion tables' key of `t`: the canonical unqualified type,
+    `_ENUM_KEY` for an enum type, None when `t` is not arithmetic."""
+    k = t.kind
+    if k is _INT or k is _UINT:
+        return _INTS.get((t.width, k is _INT))
+    if k is _ENUM:
+        return _ENUM_KEY
+    if k is _BOOL:
+        return BOOL_T
+    if k is _FLOAT:
+        return FLOAT_T
+    if k is _DOUBLE:
+        return DOUBLE_T
+    return None
+
+
+def _int_rule(key) -> tuple[int, bool]:
+    """(width, signed) of an integer key; an enum acts as a 32-bit `int`."""
+    if key is BOOL_T:
         return 8, False
-    if t.kind is TK.ENUM:
+    if key is _ENUM_KEY:
         return 32, True
-    if t.kind is TK.INT:
-        return t.width, True
-    if t.kind is TK.UINT:
-        return t.width, False
-    raise SemaError(f"expected integer type, got {t!r}")
+    return key.width, key.kind is _INT
 
 
-def type_range(t: TypeDesc, model: IntegerModel) -> tuple[int, int]:
-    width, signed = effective_int(t, model)
-    if t.kind is TK.BOOL:
+def _range_rule(key) -> tuple[int, int]:
+    if key is BOOL_T:
         return 0, 1
+    width, signed = _int_rule(key)
     if signed:
         return -(1 << (width - 1)), (1 << (width - 1)) - 1
     return 0, (1 << width) - 1
 
 
-def integer_promote(t: TypeDesc, model: IntegerModel) -> TypeDesc:
-    if not is_integer(t):
-        raise SemaError(f"integer promotion requires an arithmetic type, got {t!r}")
-    width, signed = effective_int(t, model)
-    if width < model.int_bits or t.kind is TK.BOOL or t.kind is TK.ENUM:
+def _promote_rule(key, model: IntegerModel) -> TypeDesc:
+    """C99 6.3.1.1p2: `_Bool`, enums and types narrower than `int` become `int`."""
+    width, signed = _int_rule(key)
+    if width < model.int_bits or key is BOOL_T or key is _ENUM_KEY:
         return make_int(model.int_bits, True)
     return make_int(width, signed)
 
 
-def promoted_width(t: TypeDesc, model: IntegerModel = DEFAULT_MODEL) -> int:
-    """Width in bits after integer promotion."""
-    if not is_arithmetic(t):
-        raise SemaError(f"promoted width requires an arithmetic type, got {t!r}")
-    if not is_integer(t):
-        raise SemaError(f"promoted width is defined for integer types, got {t!r}")
-    return integer_promote(t, model).width
-
-
-def usual_arith_conversion(a: TypeDesc, b: TypeDesc, model: IntegerModel) -> TypeDesc:
-    if not (is_arithmetic(a) and is_arithmetic(b)):
-        raise SemaError("usual arithmetic conversions require arithmetic types")
-    if a.kind is TK.DOUBLE or b.kind is TK.DOUBLE:
+def _common_rule(a, b, model: IntegerModel) -> TypeDesc:
+    """C99 6.3.1.8p1 on two arithmetic keys; long double is `double` here."""
+    if a is DOUBLE_T or b is DOUBLE_T:
         return DOUBLE_T
-    if a.kind is TK.FLOAT or b.kind is TK.FLOAT:
+    if a is FLOAT_T or b is FLOAT_T:
         return FLOAT_T
-    pa = integer_promote(a, model)
-    pb = integer_promote(b, model)
-    wa, sa = pa.width, pa.kind is TK.INT
-    wb, sb = pb.width, pb.kind is TK.INT
+    pa, pb = _promote_rule(a, model), _promote_rule(b, model)
+    wa, sa = pa.width, pa.kind is _INT
+    wb, sb = pb.width, pb.kind is _INT
     if sa == sb:
         return make_int(max(wa, wb), sa)
     if not sa and wa >= wb:
@@ -327,40 +361,114 @@ def usual_arith_conversion(a: TypeDesc, b: TypeDesc, model: IntegerModel) -> Typ
     return make_int(max(wa, wb), False)
 
 
+def _constant_rule(longs: int, unsigned: bool, decimal: bool,
+                   model: IntegerModel) -> tuple[tuple[TypeDesc, int, int], ...]:
+    """C99 6.4.4.1p5: the candidate types of a constant with `longs` `l`
+    suffixes, a `u` suffix or not, written in decimal or not; each with its
+    range, in the order the first that can represent the value is taken."""
+    signs = (False,) if unsigned else (True,) if decimal else (True, False)
+    widths = (model.int_bits, model.long_bits, model.long_long_bits)[longs:]
+    return tuple((t, *_range_rule(t)) for t in
+                 (make_int(width, signed) for width in widths for signed in signs))
+
+
+class Conversions:
+    """One integer model's conversion rules, as tables built once.
+
+    Every table is keyed by canonical unqualified types: the eight shared
+    integer types, `BOOL_T`, `FLOAT_T` and `DOUBLE_T`, and `_ENUM_KEY` for
+    every enum type; a qualified or enum type is mapped to its key when it
+    is looked up. So a table has a bounded size and holds only process-wide
+    values. `IntegerModel.conversions` builds a model's tables on first use,
+    after validating the model.
+
+    - `range_of`: the range of each integer type;
+    - `promote`: each integer type after the integer promotions;
+    - `common`: `common[a][b]`, the usual arithmetic conversion of two
+      arithmetic types;
+    - `constants`: by (number of `l`s, `u` or not, decimal or not) of an
+      integer constant, its candidate types, each with its range.
+    """
+
+    __slots__ = ("range_of", "promote", "common", "constants")
+
+    def __init__(self, model: IntegerModel):
+        model.validate()
+        ints = [*_INTS.values(), BOOL_T, _ENUM_KEY]
+        arith = [*ints, FLOAT_T, DOUBLE_T]
+        self.range_of = {k: _range_rule(k) for k in ints}
+        self.promote = {k: _promote_rule(k, model) for k in ints}
+        self.common = {a: {b: _common_rule(a, b, model) for b in arith} for a in arith}
+        self.constants = {
+            (longs, unsigned, decimal): _constant_rule(longs, unsigned, decimal, model)
+            for longs in (0, 1, 2) for unsigned in (False, True) for decimal in (False, True)
+        }
+
+
+def type_range(t: TypeDesc, model: IntegerModel) -> tuple[int, int]:
+    range_of = model.conversions.range_of
+    found = range_of.get(t) or range_of.get(_key(t))
+    if found is None:
+        raise SemaError(f"expected integer type, got {t!r}")
+    return found
+
+
+def integer_promote(t: TypeDesc, model: IntegerModel) -> TypeDesc:
+    promote = model.conversions.promote
+    found = promote.get(t) or promote.get(_key(t))
+    if found is None:
+        raise SemaError(f"integer promotion requires an arithmetic type, got {t!r}")
+    return found
+
+
+def promoted_width(t: TypeDesc, model: IntegerModel = DEFAULT_MODEL) -> int:
+    """Width in bits after integer promotion."""
+    if not is_arithmetic(t):
+        raise SemaError(f"promoted width requires an arithmetic type, got {t!r}")
+    if not is_integer(t):
+        raise SemaError(f"promoted width is defined for integer types, got {t!r}")
+    return integer_promote(t, model).width
+
+
+def usual_arith_conversion(a: TypeDesc, b: TypeDesc, model: IntegerModel) -> TypeDesc:
+    common = model.conversions.common
+    row = common.get(a) or common.get(_key(a))
+    found = row and (row.get(b) or row.get(_key(b)))
+    if found is None:
+        raise SemaError("usual arithmetic conversions require arithmetic types")
+    return found
+
+
 def int_constant_type(text: str, value: int, model: IntegerModel) -> TypeDesc | None:
     """The type of integer constant `text`, whose value is `value`: the first
     type of its C99 6.4.4.1p5 list that can represent it, or None."""
     body = text.rstrip("uUlL")
     suffix = text[len(body):].lower()
     decimal = body == "0" or body[0] != "0"
-    signs = (False,) if "u" in suffix else (True,) if decimal else (True, False)
-    for width in (model.int_bits, model.long_bits, model.long_long_bits)[suffix.count("l"):]:
-        for t in (make_int(width, signed) for signed in signs):
-            lo, hi = type_range(t, model)
-            if lo <= value <= hi:
-                return t
+    candidates = model.conversions.constants.get((suffix.count("l"), "u" in suffix, decimal), ())
+    for t, lo, hi in candidates:
+        if lo <= value <= hi:
+            return t
     return None
 
 
 def convert_int(value: int, target: TypeDesc, model: IntegerModel) -> tuple[int, bool]:
     """Convert a mathematical integer into `target`; flags signed wrap."""
-    width, signed = effective_int(target, model)
-    if target.kind is TK.BOOL:
-        return (1 if value != 0 else 0), False
-    span = 1 << width
-    wrapped = value % span
-    if signed and wrapped >= span // 2:
-        wrapped -= span
-    return wrapped, wrapped != value
+    lo, hi = type_range(target, model)
+    if lo <= value <= hi:
+        return value, False
+    if target.kind is _BOOL:
+        return 1, False
+    return (value - lo) % (hi - lo + 1) + lo, True
 
 
 def rvalue_type(t: TypeDesc | None) -> TypeDesc | None:
     """Type after lvalue conversion: arrays and functions decay to pointers."""
     if t is None:
         return None
-    if t.kind is TK.ARRAY:
+    if t.kind is _ARRAY:
         return make_pointer(t.elem)
-    if t.kind is TK.FUNCTION:
+    if t.kind is _FUNCTION:
         return make_pointer(t)
     return t
 

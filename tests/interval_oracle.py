@@ -6,8 +6,9 @@ terminator states, dead edges, statement outcomes, block visits and
 widenings, and the same `eval_expr` answers (see
 `test_interval_oracle.py`). The code is the evaluator as it was before the
 lowering, unchanged but for `IntervalResult.widenings`, which counts the
-`_widen_env` calls that moved a bound, for one rule of branches, and for
-four evaluation rules that follow C99 as `ccomply.flow.effects` states it.
+`_widen_env` calls that moved a bound, for one rule of branches, for one
+rule of comparisons, and for four evaluation rules that follow C99 as
+`ccomply.flow.effects` states it.
 
 Branches are decided by one function, `_AbstractEval.branch`, on the
 state before the terminator; the solver sends its states, and the final
@@ -27,6 +28,13 @@ AST-level `truth` and its rules for `&&`, `||`, `!`, `?:` and `,` are gone:
   into its true (false) target in `Cfg.conditions` is live;
 - the evaluator keeps the symbols it meets (`symmap`), the widening bounds'
   source, for every evaluation, a narrowed variable included.
+
+The rule of comparisons: an integer comparison converts both operand
+ranges to their common type before it compares them (C99 6.5.8p3,
+6.5.9p4), a range the common type cannot hold becoming that type's whole
+range (`_common_range`, `_to_common`); it refines a variable only when
+the common type holds every value of the variable's type. So `x < 5u`
+with `int x = -3` compares in `unsigned int`, where `x` is 4294967293.
 
 The four evaluation rules:
 - only local automatic integer objects are tracked; any other variable,
@@ -55,6 +63,7 @@ from ccomply.parsing.astnodes import (
 from ccomply.sema.symbols import Symbol
 from ccomply.sema.typesys import (
     DEFAULT_MODEL, TK, IntegerModel, TypeDesc, is_integer, type_range,
+    usual_arith_conversion,
 )
 
 from consteval_oracle import const_eval
@@ -103,6 +112,20 @@ def _clamp(lo: int, hi: int, t: TypeDesc | None, model: IntegerModel) -> Interva
     if lo < full.lo or hi > full.hi:
         return full  # wraparound / overflow degrades to the type range
     return Interval(lo, hi)
+
+
+def _to_common(iv: Interval | None, common: Interval | None) -> Interval | None:
+    """`iv` converted to a comparison's common type, whose range is `common`."""
+    if common is None:
+        return iv
+    if iv is None or not _holds(common, iv):
+        return common
+    return iv
+
+
+def _holds(outer: Interval | None, inner: Interval) -> bool:
+    """Whether `outer` holds every value of `inner`; None holds everything."""
+    return outer is None or (outer.lo <= inner.lo and inner.hi <= outer.hi)
 
 
 def _tracked(sym) -> bool:
@@ -288,6 +311,14 @@ class _AbstractEval:
                 if uid in self.addr_taken:
                     del env[uid]
 
+    def _common_range(self, e: Binary) -> Interval | None:
+        """The range of the common type of an integer comparison's operands
+        (C99 6.3.1.8p1), or None when an operand is no integer."""
+        lt, rt = e.left.ctype, e.right.ctype
+        if lt is None or rt is None or not (is_integer(lt) and is_integer(rt)):
+            return None
+        return _type_interval(usual_arith_conversion(lt, rt, self.model), self.model)
+
     def _converted(self, iv: Interval | None, t: TypeDesc | None) -> Interval | None:
         if iv is None:
             return _type_interval(t, self.model)
@@ -300,7 +331,8 @@ class _AbstractEval:
         if op in ("&&", "||"):
             return Interval(0, 1)
         if op in ("==", "!=", "<", ">", "<=", ">="):
-            truth = _compare(op, left, right)
+            common = self._common_range(e)
+            truth = _compare(op, _to_common(left, common), _to_common(right, common))
             return Interval(0, 1) if truth is None else Interval(int(truth), int(truth))
         if left is None or right is None:
             return _type_interval(e.ctype, self.model)
@@ -412,7 +444,7 @@ class _AbstractEval:
             if not taken:
                 op = {"==": "!=", "!=": "==", "<": ">=", ">": "<=",
                       "<=": ">", ">=": "<"}[op]
-            return self._narrow_compare(env, op, cond.left, cond.right)
+            return self._narrow_compare(env, op, cond.left, cond.right, self._common_range(cond))
         # Bare scalar condition: x / (x) etc.
         sym = self.tested_var(cond)
         if sym is None:
@@ -434,9 +466,10 @@ class _AbstractEval:
             env[sym.uid] = refined
         return True
 
-    def _narrow_compare(self, env: Env, op: str, left: Expr, right: Expr) -> bool:
-        lv = self.eval(left, dict(env), mutate=False)
-        rv = self.eval(right, dict(env), mutate=False)
+    def _narrow_compare(self, env: Env, op: str, left: Expr, right: Expr,
+                        common: Interval | None) -> bool:
+        lv = _to_common(self.eval(left, dict(env), mutate=False), common)
+        rv = _to_common(self.eval(right, dict(env), mutate=False), common)
         truth = _compare(op, lv, rv)
         if truth is False:
             return False
@@ -449,6 +482,7 @@ class _AbstractEval:
                 isinstance(target, Identifier)
                 and _tracked(target.symbol)
                 and other_iv is not None
+                and _holds(common, _type_interval(target.symbol.type, self.model))
             ):
                 sym = target.symbol
                 current = self.var(env, sym)

@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccomply.flow import build_cfg
+from ccomply.flow.assign import definite_assignment
 from ccomply.flow.cfg import DeclItem
 from ccomply.flow.effects import designate, walk_effects
 from ccomply.flow.pointsto import local_points_to
@@ -120,6 +121,21 @@ def test_shape(lvalue, store, root, targets):
     pt = local_points_to(cfg)
     [(bid, idx)] = [(b.id, i) for b, i, item in cfg.points() if getattr(item, "expr", None) is addr]
     assert {repr(t) for t in pt.points_to(addr, pt.env_at(bid, idx)).targets} == targets
+
+
+def test_events_are_immutable_records():
+    fn = _function("int g(int *); void f(int a) { int x; int *p = &x; x = a; *p = g(&x); }\n")
+    events = _events(fn.body.items[-1].expr)
+    assert isinstance(walk_effects(fn.body.items[-1].expr), list)
+    assert [ev.kind for ev in events] == ["addrof", "call", "read", "deref_store"]
+    for ev in events:
+        with pytest.raises(AttributeError):
+            ev.kind = "read"
+        with pytest.raises(AttributeError):
+            ev.extra = 1
+    read = definite_assignment(build_cfg(fn)).reads[0]
+    with pytest.raises(AttributeError):
+        read.state = None
 
 
 def test_store_event_order_puts_the_address_first():

@@ -143,6 +143,12 @@ SNIPPETS = [
     # a condition refuted on one path still counts the other.
     "void f(int c) { int i = 0; for (c && get(); i < 3; i++) { use(i); } }",
     "void f(int x) { if (x > 0 && x < 0) { use(x); } while (x > 5 || x < 9) { x = get(); } }",
+    # Mixed-sign comparisons convert both operands to their common type
+    # (C99 6.5.8p3): -3 and -1 become large unsigned values, and an
+    # `unsigned char` promotes to `int` instead.
+    "void f(void) { int x = -3; if (x < 5u) { use(1); } }",
+    "void f(void) { unsigned u = 3u; int x = -1; if (u > x) { use(1); } }",
+    "void f(void) { unsigned char c = 200; int x = -1; if (c > x) { use(c); } if (x < c) { use(x); } }",
 ]
 
 # Functions of generated TUs compared in the suite, per workload.

@@ -297,6 +297,16 @@ class TestIntegerModel:
         with pytest.raises(SemaError):
             IntegerModel(int_bits=24).validate()
 
+    @pytest.mark.parametrize("model, field", [
+        (IntegerModel(int_bits=24), "int_bits=24"),
+        (IntegerModel(int_bits=64, long_bits=32), "long_bits=32"),
+    ])
+    def test_resolve_rejects_an_invalid_model_naming_the_field(self, model, field):
+        # A width outside the set, and widths that decrease (C99 6.2.5p8).
+        toks, _, _, _ = pp_text("int x;\n")
+        with pytest.raises(SemaError, match=field):
+            resolve(parse(toks, "t.c"), model)
+
     def test_type_ranges(self):
         assert type_range(make_int(8, True), DEFAULT_MODEL) == (-128, 127)
         assert type_range(make_int(32, False), DEFAULT_MODEL) == (0, 4294967295)
@@ -830,3 +840,42 @@ class TestArraySizeFlaw:
     def test_a_variable_size_is_still_a_vla(self):
         with pytest.raises(UnsupportedConstructError, match="variable-length"):
             analyze("void f(int n) { int a[n]; }\n")
+
+
+class TestOperatorOperands:
+    """Operand constraints the resolver checks at the operator, each shape
+    as gcc -std=c99 -pedantic-errors decides it."""
+
+    PRELUDE = "int x; unsigned u; int i; int *p; double d; _Bool b;\n"
+
+    @pytest.mark.parametrize("stmt, message", [
+        # C99 6.5.16.2p1-2: compound assignment takes its operator's operands.
+        ("x |= 1.5", "operands of |= must be integers"),
+        ("u <<= 1.5", "operands of <<= must be integers"),
+        ("x >>= &u", "operands of >>= must be integers"),
+        ("i %= 1.5", "operands of %= must be integers"),
+        ("p *= 2", "operands of \\*= must be arithmetic"),
+        ("p += 1.5", "operands of \\+= must be arithmetic, or a pointer and an integer"),
+        # C99 6.8.4.2p1: a switch controls on an integer.
+        ("switch (d) { default: break; }", "controlling expression of switch must have integer type"),
+        # C99 6.5.4p4: no cast between a pointer and a floating type.
+        ("(int *)1.5", "cast between a pointer and a floating type"),
+        ("(double)&x", "cast between a pointer and a floating type"),
+    ])
+    def test_rejected(self, stmt, message):
+        end = "" if stmt.endswith("}") else ";"
+        with pytest.raises(SemaError, match=message) as info:
+            analyze(f"{self.PRELUDE}void f(void) {{\n  {stmt}{end}\n}}\n")
+        assert info.value.loc.line == 3
+
+    @pytest.mark.parametrize("stmt", [
+        "p += 1", "p -= 1", "d += 1", "b |= 1", "d *= 2", "u <<= 1", "x %= 'a'",
+        "switch (b) { default: break; }", "(double)x", "(int *)0", "(char *)p",
+    ])
+    def test_accepted(self, stmt):
+        end = "" if stmt.endswith("}") else ";"
+        analyze(f"{self.PRELUDE}void f(void) {{ {stmt}{end} }}\n")
+
+    def test_pointer_compound_assignment_keeps_the_pointer_type(self):
+        expr = first_expr("p += 1;", self.PRELUDE)
+        assert expr.ctype.kind is TK.POINTER
