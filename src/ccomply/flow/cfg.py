@@ -12,9 +12,11 @@ when true and when false (`Cfg.conditions`).
 Lowering never mutates an AST node. An item's expression (and a
 terminator's) is the AST's own node unless one of its descendants was
 lowered to a temporary; then only the nodes on the path from it to that
-temporary are new, and every other subtree is shared with the AST.
-Operands are lowered in the order `astnodes.operands` gives, so the
-operand of `sizeof` is never lowered.
+temporary are new, and every other subtree is shared with the AST. A
+subtree whose `Expr.kinds` shows no `&&`, `||`, `?:` or `,`
+(`KIND_BRANCH`) is taken as it is, unwalked. Operands are lowered in the
+order `astnodes.operands` gives, so the operand of `sizeof` is never
+lowered.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from ccomply.errors import SemaError
 from ccomply.flow import effects
 from ccomply.flow.effects import Event
 from ccomply.parsing.astnodes import (
-    Assign, Binary, Break, Comma, CompoundStmt, Conditional, Constant, Continue,
+    KIND_BRANCH, Assign, Binary, Break, Comma, CompoundStmt, Conditional, Constant, Continue,
     DeclEntry, Declaration, DoWhile, Expr, ExprStmt, For, FunctionDef, Goto,
     Identifier, If, Label, Node, Return, Switch, Unary, While, operand_fields, placed,
 )
@@ -453,6 +455,8 @@ class CfgBuilder:
 
     def _expr(self, e: Expr, cur: Block) -> tuple[Expr, Block]:
         """Lower an expression for value; returns a branch-free tree."""
+        if not e.kinds & KIND_BRANCH:
+            return e, cur
         if isinstance(e, Binary) and e.op in ("&&", "||"):
             temp = self.new_temp(e.ctype)
             true_b = self.new_block()

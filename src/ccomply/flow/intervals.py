@@ -39,18 +39,28 @@ state after them, one is None if the value excludes it, and no variable
 is refined. At the fixpoint an edge is dead exactly when `edges` gives it
 None (`dead_edges`, R2.1's input); per `if`, `while`, `do` and `for`
 statement, `outcomes` says whether an edge into its true and into its
-false target (`Cfg.conditions`) is live (R14.3's input).
+false target (`Cfg.conditions`) is live (R14.3's input). Both come from
+what the solver's last visit to each branch block saw: a block's in-state
+never changes after that visit, since a change queues the block again, so
+no block is replayed and no edge function called again after the solver
+returns.
 
 The result keeps one state per reached block, not one per program point.
 `IntervalResult.env_at(bid, idx)` lowers the block's items again and
 replays those before `idx` on its in-state (`solver.state_at`): it is
 `{}` in a block the solver never reached, the in-state itself at index 0,
-and `term_env[bid]`, the state before the terminator, at `len(items)`.
+and `term_env[bid]`, the state before the terminator that the last visit
+recorded, at `len(items)`.
 The lowered code is not kept past the analysis: held for a whole run, its
 closures take more memory than the per-point states they replace.
 `eval_expr` lowers the queried expression on each call and never changes
 the environment it is given; a `&&`, `||`, `?:` or `,`, which lowering
-leaves in no item, reads as its type's range.
+leaves in no item, reads as its type's range. C leaves the order of a full
+expression's operands unspecified (C99 6.5p3), so in an item, an
+initializer or a condition that calls a function, and in a query told the
+full expression it is part of, a read of an address-taken local gives its
+type range unless it is an operand of every call there (6.5.2.2p10): a
+call may set the local before or after the read.
 
 The state tracks the local automatic integer objects, CFG temporaries
 included (`Symbol.is_local_object`, as in the other analyses); a static
@@ -152,15 +162,36 @@ def _tracked(sym) -> bool:
     return isinstance(sym, Symbol) and sym.is_local_object and is_integer(sym.type)
 
 
+def _unordered_reads(e: Expr, uids) -> set[Expr]:
+    """The reads in full expression `e` of the locals `uids` that a call of
+    `e` may precede: C leaves the order of operands unspecified (C99 6.5p3),
+    and only a call's own operands are read before it (6.5.2.2p10), so
+    every read but those in the operands of every call of `e`."""
+    calls = 0
+    reads = []  # (read, how many calls it is an operand of)
+    stack = [(e, 0)]
+    while stack:
+        node, inside = stack.pop()
+        cls = type(node)
+        if cls is Call:
+            calls += 1
+            inside += 1
+        elif cls is Identifier and getattr(node.symbol, "uid", None) in uids:
+            reads.append((node, inside))
+        stack += [(x, inside) for x in operands(node)]
+    return {read for read, inside in reads if inside < calls}
+
+
 @dataclass
 class IntervalResult:
     """Per-block states of one function, and queries against them.
 
     `in_states` holds the state at the entry of each block the solver
     reached and `term_env` the state before its terminator; `env_at`
-    replays the states in between. Each branch is decided once, by its
-    block's edge function on `term_env` at the fixpoint, which reads the
-    condition before its own stores: `dead_edges` are the open branch edges
+    replays the states in between. Each branch is decided by its block's
+    edge function on `term_env` at the solver's last visit, which saw the
+    fixpoint; the function reads the condition before its own stores.
+    `dead_edges` are the open branch edges
     it gives None, and `outcomes` maps each `if`, `while`, `do` and `for`
     statement with a reached branch block to (an edge into its true target
     is live, an edge into its false target is live). `iterations` counts
@@ -188,27 +219,32 @@ class IntervalResult:
         steps = self._evaluator.lower_items(b) if 0 < idx < len(b.items) else []
         return state_at(entry, steps, idx, len(b.items))
 
-    def eval_expr(self, expr: Expr, env: Env) -> Interval | None:
+    def eval_expr(self, expr: Expr, env: Env, within: Expr | None = None) -> Interval | None:
+        """`expr`'s value in `env`; `within` is the full expression that
+        holds it, whose calls may run before `expr` is read."""
         assert self._evaluator is not None
-        return self._evaluator.lower_value(expr)(env)
+        return self._evaluator.lower_value(expr, within)(env)
 
 
 class _BlockCode:
     """One block's lowered transfer.
 
-    `steps` are `(item index, step)` for the items that can change the
-    state; `run` applies them and the expression of a terminator that is
-    no open branch. `edges` gives `(successor, state)` pairs from the state
-    after `run`, None for an edge no state can take, and never changes the
-    state it is given; for an open branch, its condition is read there.
+    `items` applies the steps of the items that can change the state (None
+    if there are none); `term` applies the expression of a terminator that
+    is no open branch (None if it cannot change the state). `edges` gives
+    `(successor, state)` pairs from the state after `term`, None for an
+    edge no state can take, and never changes the state it is given; for an
+    open branch, its condition is read there. `branch` says whether the
+    terminator is a `TBranch`.
     """
 
-    __slots__ = ("steps", "run", "edges")
+    __slots__ = ("items", "term", "edges", "branch")
 
-    def __init__(self, steps, run, edges):
-        self.steps = steps
-        self.run = run
+    def __init__(self, items, term, edges, branch):
+        self.items = items
+        self.term = term
         self.edges = edges
+        self.branch = branch
 
 
 class _AbstractEval:
@@ -220,6 +256,14 @@ class _AbstractEval:
     method takes an expression and whether its stores and calls update the
     environment (`mutate`), and returns `(value function, whether that
     function can change the environment)`.
+
+    C leaves the order of a full expression's operands unspecified (C99
+    6.5p3), and a call may change an address-taken local before or after
+    the local is read. So while a full expression that calls a function is
+    lowered (an item, an initializer or a whole condition; `_full_expression`
+    says which), a read of an address-taken local that a call may precede
+    (`_unordered_reads`) gives its type range, which holds its values both
+    before and after any call.
     """
 
     def __init__(self, model: IntegerModel, addr_taken):
@@ -227,6 +271,14 @@ class _AbstractEval:
         self.addr_taken = addr_taken
         self.bounds: dict[int, Interval] = {}
         self._full: dict[TypeDesc | None, Interval | None] = {}
+        # The reads that give their type range in the full expression being
+        # lowered.
+        self._unordered: set[Expr] | frozenset = frozenset()
+
+    def _full_expression(self, e: Expr | None) -> None:
+        """Lower what follows as (part of) full expression `e`."""
+        calls = self.addr_taken and e is not None and e.kinds & KIND_CALL
+        self._unordered = _unordered_reads(e, self.addr_taken) if calls else frozenset()
 
     def full(self, t: TypeDesc | None) -> Interval | None:
         """The range of type `t`, or None if it is not an integer type."""
@@ -263,26 +315,28 @@ class _AbstractEval:
 
     # -- queries ---------------------------------------------------------------
 
-    def lower_value(self, e: Expr) -> ValueFn:
-        """`e`'s value function, with stores and calls leaving the state as is."""
+    def lower_value(self, e: Expr, within: Expr | None = None) -> ValueFn:
+        """`e`'s value function, with stores and calls leaving the state as
+        is; `within` is the full expression that holds `e`, if any."""
+        self._full_expression(within)
         return self._lower(e, False)[0]
 
     # -- blocks ----------------------------------------------------------------
 
     def lower_block(self, b: Block) -> _BlockCode:
         steps = self.lower_items(b)
-        run_all = [step for _, step in steps]
+        items = _sequence([step for _, step in steps]) if steps else None
         term = b.term
+        self._full_expression(b.term_expr)
+        effect = None
         if isinstance(term, TBranch) and term.const_value is None:
             edges = self._branch_edges(term)
         else:
             effect = self._effect(b.term_expr)
-            if effect is not None:
-                run_all.append(effect)
             succs = [target for target, _kind in b.succs]
             edges = (self._switch_edges(term) if isinstance(term, TSwitch)
                      else lambda env: [(t, env) for t in succs])
-        return _BlockCode(steps, _sequence(run_all) if run_all else None, edges)
+        return _BlockCode(items, effect, edges, isinstance(term, TBranch))
 
     def _effect(self, e: Expr | None) -> ValueFn | None:
         """`e` lowered with its stores and calls, or None if it cannot change the state."""
@@ -295,6 +349,7 @@ class _AbstractEval:
         """(index, step) for each of `b`'s items that can change the state."""
         steps = []
         for idx, item in enumerate(b.items):
+            self._full_expression(item.init if type(item) is DeclItem else item.expr)
             step = self._lower_item(item)
             if step is not None:
                 steps.append((idx, step))
@@ -426,7 +481,7 @@ class _AbstractEval:
         if not _tracked(sym):
             return _const(self.full(e.ctype)), False
         uid, full = sym.uid, self._range(sym)
-        if "volatile" in sym.quals:
+        if "volatile" in sym.quals or e in self._unordered:
             return _const(full), False
         return (lambda env: env.get(uid, full)), False
 
@@ -874,16 +929,28 @@ def interval_analysis(cfg: Cfg, model: IntegerModel = DEFAULT_MODEL) -> Interval
     # The lowered blocks live as long as the analysis: kept for the whole
     # run, closures would outweigh the states they replace.
     codes: dict[int, _BlockCode] = {}
+    # Per block, what its latest visit saw: the state before the terminator
+    # (`term_env`) and, for a `TBranch`, the successors its edges gave a state.
+    term_env = result.term_env
+    live: dict[int, set[int]] = {}
 
     def transfer(bid: int, entry: Env):
         code = codes.get(bid)
         if code is None:
             code = codes[bid] = ev.lower_block(cfg.blocks[bid])
         env = entry
-        if code.run is not None:
+        if code.items is not None:
             env = dict(entry)
-            code.run(env)
-        return code.edges(env)
+            code.items(env)
+        term_env[bid] = env
+        if code.term is not None:
+            env = dict(env)
+            code.term(env)
+        out = code.edges(env)
+        if code.branch:
+            out = list(out)
+            live[bid] = {target for target, state in out if state is not None}
+        return out
 
     def widen(old: Env, new: Env) -> Env:
         out = _widen_env(old, new, ev.bounds)
@@ -899,23 +966,19 @@ def interval_analysis(cfg: Cfg, model: IntegerModel = DEFAULT_MODEL) -> Interval
         widen=widen,
     )
 
-    # Final pass: terminator states, dead edges and statement outcomes, each
-    # edge decided by the function the solver sent its states with.
-    for bid, entry in result.in_states.items():
-        b = cfg.block(bid)
-        code = codes[bid]
-        env = result.term_env[bid] = state_at(entry, code.steps, len(b.items), len(b.items))
-        term = b.term
-        if not isinstance(term, TBranch):
-            continue
-        live = {target for target, state in code.edges(env) if state is not None}
+    # Final pass: dead edges and statement outcomes, from the edges each
+    # branch block's last visit gave. A block's in-state never changes after
+    # its last visit, since a change queues it again, so what that visit saw
+    # is what the fixpoint gives.
+    for bid, targets_live in live.items():
+        term = cfg.block(bid).term
         if term.const_value is None:
             for target in (term.true_target, term.false_target):
-                if target not in live:
+                if target not in targets_live:
                     result.dead_edges.add((bid, target))
         targets = cfg.conditions.get(term.node)
         if targets is not None:
             true_live, false_live = result.outcomes.get(term.node, (False, False))
-            result.outcomes[term.node] = (true_live or targets[0] in live,
-                                          false_live or targets[1] in live)
+            result.outcomes[term.node] = (true_live or targets[0] in targets_live,
+                                          false_live or targets[1] in targets_live)
     return result

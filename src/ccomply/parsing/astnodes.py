@@ -31,15 +31,17 @@ function can evaluate are recorded by sema, in `FunctionDef.calls`.
 
 Sema also records what each expression's subtree contains, as the bit mask
 `Expr.kinds` (the `KIND_*` bits): stores, calls, `&`, volatile operands,
-casts, `sizeof`, `&&`/`||`, and whether it holds two or more calls. The
+casts, `sizeof`, the operators CFG lowering splits into branches (`&&`,
+`||`, `?:` and `,`), and whether it holds two or more calls. The
 mask covers every node of the `children` subtree, so it is a superset of
 what evaluating the expression does, and a walker that finds a bit absent
 may skip the subtree exactly. A node sema never typed (a CFG temporary, or
 one built by `placed` or `dataclasses.replace`) keeps `KIND_ALL`, which no
 walker skips. `NodeIndex` descends only into expressions that hold a node
-it keeps; R13.2 (`checkers_ast.check_evaluation_order`), `_has_side_effect`
-(R13.1, R13.5), R14.1/R14.2's clause writes and the interval lowering of
-CFG items skip the subtrees whose mask shows they cannot matter.
+it keeps; CFG lowering (`flow.cfg.CfgBuilder._expr`), R13.2
+(`checkers_ast.check_evaluation_order`), `_has_side_effect` (R13.1,
+R13.5), R14.1/R14.2's clause writes and the interval lowering of CFG items
+skip the subtrees whose mask shows they cannot matter.
 """
 from __future__ import annotations
 
@@ -58,7 +60,7 @@ __all__ = [
     "Comma", "Sizeof", "InitList", "children", "operands", "operand_fields", "walk",
     "walk_operands", "placed", "NodeIndex", "QUALIFIER_SETS", "SYN_PTRS", "qualifier_set",
     "KIND_STORE", "KIND_CALL", "KIND_ADDR", "KIND_VOLATILE", "KIND_CAST", "KIND_SIZEOF",
-    "KIND_LOGIC", "KIND_MULTICALL", "KIND_ALL",
+    "KIND_BRANCH", "KIND_MULTICALL", "KIND_ALL",
 ]
 
 # The bits of `Expr.kinds`: what some node of the expression's subtree is.
@@ -68,7 +70,7 @@ KIND_ADDR = 4         # `&`
 KIND_VOLATILE = 8     # a volatile access: a volatile object, or `*`, `[]`, `.`, `->` of one
 KIND_CAST = 16        # a cast
 KIND_SIZEOF = 32      # `sizeof`
-KIND_LOGIC = 64       # `&&` or `||`
+KIND_BRANCH = 64      # `&&`, `||`, `?:` or `,`: an operator CFG lowering splits
 KIND_MULTICALL = 128  # the subtree holds two or more calls
 # The mask of a node sema never typed: every bit, so nothing skips it.
 KIND_ALL = -1
@@ -214,6 +216,11 @@ class FunctionDef(Node):
     # Filled by sema: the calls the body can evaluate, in pre-order; a call
     # under `sizeof` is none (C99 6.5.3.4p2). The shared `()` when there are none.
     calls: tuple["Call", ...] = field(init=False, default=(), repr=False)
+    # Filled by sema: whether the body holds a `<<`, `>>`, `<<=` or `>>=`
+    # whose count is no constant in [0, promoted width of the left operand)
+    # (C99 6.5.7p3), under `sizeof` too; R12.2 skips a function without one.
+    # True until sema shows otherwise, so an unresolved function is checked.
+    unproven_shifts: bool = field(init=False, default=True, repr=False)
 
 
 class _Unit(Node):
@@ -582,16 +589,22 @@ def walk(node: Node) -> Iterator[Node]:
 
 
 # The expression classes `NodeIndex` keeps, and the bits that show one in
-# a subtree. `Binary` is kept only for `&&` and `||`.
+# a subtree. `Binary` is kept only for `&&` and `||`; `KIND_BRANCH` also
+# marks a `?:` or `,`, so it shows a superset.
 _KEPT_EXPRS = frozenset({Assign, CompoundAssign, IncDec, Call, AddrOf, Cast, Sizeof, Binary})
-_KEPT_KINDS = KIND_STORE | KIND_CALL | KIND_ADDR | KIND_CAST | KIND_SIZEOF | KIND_LOGIC
+_KEPT_KINDS = KIND_STORE | KIND_CALL | KIND_ADDR | KIND_CAST | KIND_SIZEOF | KIND_BRANCH
 # Per node class: whether `NodeIndex` keeps its nodes. Every statement,
 # declaration and function definition is kept.
 _KEEPS = {cls: not issubclass(cls, Expr) or cls in _KEPT_EXPRS for cls in _CHILD_FIELDS}
 
 
 class NodeIndex:
-    """The nodes checkers look up below a unit's declarations, from one pre-order walk.
+    """The nodes checkers look up below a run of top-level declarations, from
+    one pre-order walk.
+
+    `decls` is the run it indexes: a whole unit's declarations, or a part of
+    them, such as those of a shared header prefix or those that follow it
+    (see `rules.engine.run_rules`).
 
     It keeps every statement and declaration, the top-level declarations
     and function definitions, and the expressions of the classes in
@@ -615,13 +628,13 @@ class NodeIndex:
     index after `run_rules` returns.
     """
 
-    __slots__ = ("nodes", "by_class", "unevaluated", "_bounds", "__weakref__")
+    __slots__ = ("decls", "nodes", "by_class", "unevaluated", "_bounds", "__weakref__")
 
-    def __init__(self, tu: TranslationUnitAst) -> None:
+    def __init__(self, decls: list[Node]) -> None:
         nodes: list[Node] = []
         unevaluated: set[Node] = set()
         bounds: dict[int, tuple[int, int]] = {}
-        for decl in tu.decls:
+        for decl in decls:
             start = len(nodes)
             _gather(decl, nodes, unevaluated)
             end = len(nodes)
@@ -636,6 +649,7 @@ class NodeIndex:
                 by_class[cls].append(n)
             else:
                 by_class[cls] = [n]
+        self.decls = decls
         self.nodes = nodes
         self.by_class = by_class
         self.unevaluated = unevaluated

@@ -52,6 +52,17 @@ parse of the prefix tokens instead. A kept entry may start with the
 declarations of a shorter one, which other units read, so no unit
 resolves an entry's own nodes after the unit that parsed them.
 
+`run_rules` keeps, per integer model and per guideline, the findings of
+a prefix's declarations (`findings`), so they are checked once per run and
+not once per unit that includes them. A unit reuses them when its leading
+declarations are, object for object, those `resolved` holds for its
+model: it started from the prefix's state or kept it. Every per-unit
+checker reads one declaration at a time, and a prefix's symbols have the
+same uids in every unit that shares it (`SymbolTable.fork`), so the
+findings are the same in each such unit. They are kept packed (positions
+as packed ints), like the trees, and each unit gets its own fresh copies;
+a finding in a header is still reported once per unit that includes it.
+
 No resolver state is kept for a prefix that leaves a file-scope struct or
 union tag incomplete, or that declares a file-scope object of incomplete
 array type: a later declaration completes such a type in place, which would
@@ -70,7 +81,7 @@ _UNSEEN = object()
 class Prefix:
     """The declarations of one header prefix and the state after them."""
 
-    __slots__ = ("tokens", "decls", "typedefs", "bases", "syntypes", "resolved")
+    __slots__ = ("tokens", "decls", "typedefs", "bases", "syntypes", "resolved", "findings")
 
     def __init__(self, tokens: list, decls: list, typedefs: dict, bases: dict,
                  syntypes: dict) -> None:
@@ -83,6 +94,9 @@ class Prefix:
         self.syntypes = dict(syntypes)
         # Integer model -> (declarations, resolver state after them).
         self.resolved: dict[Any, tuple[list, Any]] = {}
+        # Integer model -> guideline -> the packed findings of `decls`
+        # (`rules.engine`), filled by the first `run_rules` call that needs them.
+        self.findings: dict[Any, dict[str, tuple]] = {}
 
 
 def find_prefix(tokens: list) -> tuple[Prefix | None, list[tuple[int, tuple]]]:

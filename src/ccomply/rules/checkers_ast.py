@@ -44,7 +44,7 @@ def check_int_pointer_conversion(
             evidence=(Evidence(src_expr.span, f"operand has type {src!r}"),),
         ))
 
-    for decl in facts.tu.decls:
+    for decl in index.decls:
         ret_t = None
         if isinstance(decl, FunctionDef) and decl.symbol is not None:
             ret_t = decl.symbol.type.ret
@@ -372,7 +372,7 @@ def check_const_pointer(
     into the pointer itself spoil nothing.
     """
     out: list[Finding] = []
-    for decl in facts.tu.decls:
+    for decl in index.decls:
         if not isinstance(decl, FunctionDef):
             continue
         body = index.subtree(decl.body)

@@ -33,6 +33,8 @@ def check_shift_range(
 ) -> list[Finding]:
     out: list[Finding] = []
     for fn in functions:
+        if not fn.fn.unproven_shifts:
+            continue  # every shift count is a constant in range: nothing to report
         for bid, idx, expr, _ in _point_exprs(fn.cfg):
             for node in walk_operands(expr):
                 shift = _shift_parts(node)
@@ -47,7 +49,7 @@ def check_shift_range(
                 if right.const_value is not None:
                     lo = hi = right.const_value
                 else:
-                    iv = fn.intervals.eval_expr(right, fn.intervals.env_at(bid, idx))
+                    iv = fn.intervals.eval_expr(right, fn.intervals.env_at(bid, idx), expr)
                     if iv is None:
                         continue
                     lo, hi = iv.lo, iv.hi

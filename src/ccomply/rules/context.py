@@ -40,7 +40,9 @@ class FunctionFacts:
     `intervals`, `points` and `live` keep one state per reached block;
     `env_at` and `is_live_after` replay the state at a program point when a
     checker asks for it. R2.2 asks liveness only after its stores. R12.2
-    asks only at shifts whose right operand is not constant and R1.3 only
+    asks only at shifts whose right operand is not constant, and only in a
+    function sema could not show every shift of in range
+    (`FunctionDef.unproven_shifts`), and R1.3 only
     at stores through a pointer, so points-to runs only on functions that
     store through a pointer. R2.1 reads `intervals` only of a function whose
     CFG has an open branch (`Cfg.has_open_branch`): interval analysis finds
@@ -114,6 +116,6 @@ def compute_tu_facts(
     return TUFacts(tu, table, tu.path, manager)
 
 
-def function_facts(unit: TUFacts) -> list[FunctionFacts]:
-    """One `FunctionFacts`, none of it computed yet, per function the unit defines."""
-    return [FunctionFacts(d, unit.model) for d in unit.tu.decls if isinstance(d, FunctionDef)]
+def function_facts(decls: list, model: IntegerModel) -> list[FunctionFacts]:
+    """One `FunctionFacts`, none of it computed yet, per function `decls` defines."""
+    return [FunctionFacts(d, model) for d in decls if isinstance(d, FunctionDef)]

@@ -1,17 +1,21 @@
 """Checker dispatch: run enabled guidelines over computed facts."""
 from __future__ import annotations
 
+from operator import is_
+
 from ccomply.errors import ConfigError
 from ccomply.flow.callgraph import CallGraph
 from ccomply.parsing.astnodes import NodeIndex
+from ccomply.parsing.prefix import Prefix
 from ccomply.rules import checkers_ast, checkers_flow, checkers_system
 from ccomply.rules.context import TUFacts, function_facts
 from ccomply.rules.findings import Evidence, Finding
 from ccomply.rules.registry import REGISTRY
-from ccomply.source import SourceManager, format_location
+from ccomply.source import SourceManager, Span, format_location, pack, unpack
 
 # Guideline id -> per-TU checker, called as checker(facts, index, functions)
-# with the TU's NodeIndex and the `FunctionFacts` of its functions.
+# with a NodeIndex of a run of the TU's declarations (`index.decls`) and the
+# `FunctionFacts` of the functions among them.
 PER_TU_CHECKERS = {
     "R1.3": checkers_flow.check_literal_write,
     "R2.1": checkers_flow.check_unreachable,
@@ -72,16 +76,28 @@ def run_rules(
     reads it. Both are dropped as soon as the unit's checkers return:
     callers keep every unit's `TUFacts` alive, and a CFG or analysis state
     kept with them would only grow the heap that every collection walks.
+
+    A unit that starts with a shared header prefix (`_reused_prefix`) is
+    checked only past it: the findings of the prefix's declarations are
+    computed once per run, integer model and guideline, and kept on the
+    prefix (see `parsing.prefix`); the unit gets fresh copies of them.
     """
     _reject_unchecked(enabled)
     findings: list[Finding] = []
-    checkers = [PER_TU_CHECKERS[gid] for gid in sorted(enabled) if gid in PER_TU_CHECKERS]
-    if checkers:
+    gids = [gid for gid in sorted(enabled) if gid in PER_TU_CHECKERS]
+    if gids:
         for unit in units:
-            index = NodeIndex(unit.tu)
-            functions = function_facts(unit)
-            for checker in checkers:
-                findings.extend(checker(unit, index, functions))
+            decls = unit.tu.decls
+            prefix = _reused_prefix(unit)
+            if prefix is not None:
+                kept = _prefix_findings(prefix, unit, gids)
+                decls = decls[len(prefix.decls):]
+            index = NodeIndex(decls)
+            functions = function_facts(decls, unit.model)
+            for gid in gids:
+                if prefix is not None:
+                    findings.extend(map(_unpacked, kept[gid]))
+                findings.extend(PER_TU_CHECKERS[gid](unit, index, functions))
     system_enabled = sorted(set(enabled) & set(SYSTEM_CHECKERS))
     if system_enabled:
         if call_graph is None:
@@ -95,6 +111,55 @@ def run_rules(
         _fill_paths_and_expansions(findings, manager)
     findings.sort(key=lambda f: f.sort_key())
     return findings
+
+
+def _reused_prefix(unit: TUFacts) -> Prefix | None:
+    """The longest header prefix whose resolved declarations under the
+    unit's model the unit starts with, object for object, else None."""
+    tu = unit.tu
+    for prefix in (*reversed(tu.kept), tu.started_from):
+        resolved = prefix is not None and prefix.resolved.get(unit.model)
+        if resolved:
+            decls = resolved[0]
+            if len(decls) <= len(tu.decls) and all(map(is_, decls, tu.decls)):
+                return prefix
+    return None
+
+
+def _prefix_findings(prefix: Prefix, unit: TUFacts, gids: list[str]) -> dict[str, tuple]:
+    """Guideline -> the packed findings of `prefix`'s declarations under the
+    unit's model; those of `gids` not kept yet are computed from the unit's
+    leading declarations, over an index and function facts of theirs alone."""
+    kept = prefix.findings.setdefault(unit.model, {})
+    missing = [gid for gid in gids if gid not in kept]
+    if missing:
+        decls = unit.tu.decls[:len(prefix.decls)]
+        index = NodeIndex(decls)
+        functions = function_facts(decls, unit.model)
+        for gid in missing:
+            kept[gid] = tuple(map(_packed, PER_TU_CHECKERS[gid](unit, index, functions)))
+    return kept
+
+
+def _packed(f: Finding) -> tuple:
+    """`f` as plain values, its positions packed (see `ccomply.source`)."""
+    return (f.guideline, _packed_span(f.span), f.certainty, f.message, f.behavior_class,
+            tuple((_packed_span(e.span), e.note) for e in f.evidence))
+
+
+def _unpacked(row: tuple) -> Finding:
+    """A new `Finding` from a `_packed` one."""
+    guideline, span, certainty, message, behavior, evidence = row
+    return Finding(guideline, _span(span), certainty, message, behavior,
+                   tuple(Evidence(_span(s), note) for s, note in evidence))
+
+
+def _packed_span(span: Span | None) -> tuple | None:
+    return None if span is None else (pack(*span.start), pack(*span.end), span.via)
+
+
+def _span(packed: tuple | None) -> Span | None:
+    return None if packed is None else Span(unpack(packed[0]), unpack(packed[1]), packed[2])
 
 
 def _fill_paths_and_expansions(findings: list[Finding], manager: SourceManager) -> None:

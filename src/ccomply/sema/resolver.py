@@ -21,7 +21,9 @@ definition's `calls` lists the calls its body can evaluate, in pre-order.
 A call typed under `sizeof` is dropped, since C99 6.5.3.4p2 does not
 evaluate the operand. Outside function bodies a call can stand only in an
 initializer or under `sizeof`: everywhere else an integer constant is
-required, and no call is one.
+required, and no call is one. In the same way it records whether a body
+holds a shift whose count it cannot show to be a constant in range
+(`FunctionDef.unproven_shifts`), a shift under `sizeof` included.
 
 And it records what each expression's subtree holds, as the `KIND_*` bits
 of `Expr.kinds` (see `parsing.astnodes`). `type_expr` keeps one
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 from ccomply.errors import SemaError, UnsupportedConstructError
 from ccomply.parsing.astnodes import (
-    KIND_ADDR, KIND_CALL, KIND_CAST, KIND_LOGIC, KIND_MULTICALL, KIND_SIZEOF,
+    KIND_ADDR, KIND_BRANCH, KIND_CALL, KIND_CAST, KIND_MULTICALL, KIND_SIZEOF,
     KIND_STORE, KIND_VOLATILE, AddrOf, Assign, Binary, Break, Call, Cast,
     Comma, CompoundAssign, CompoundStmt, Conditional, Constant, Continue,
     DeclEntry, Declaration, Deref, DoWhile, Expr, ExprStmt, For, FunctionDef,
@@ -51,8 +53,8 @@ from ccomply.sema.symbols import Linkage, Storage, SymKind, Symbol, SymbolTable
 from ccomply.sema.typesys import (
     BOOL_T, DEFAULT_MODEL, DOUBLE_T, FLOAT_T, TK, VOID_T, EnumInfo,
     IntegerModel, RecordInfo, TypeDesc, TypeTable, convert_int, int_constant_type,
-    is_arithmetic, is_floating, is_integer, is_pointer, is_scalar, make_int, sizeof_type,
-    usual_arith_conversion,
+    is_arithmetic, is_floating, is_integer, is_pointer, is_scalar, make_int, promoted_width,
+    sizeof_type, usual_arith_conversion,
 )
 from ccomply.source import pack
 
@@ -142,6 +144,8 @@ class Resolver:
         self._calls: list[Call] = []
         # The `KIND_*` bits of the expression being typed, so far.
         self._kinds = 0
+        # Whether the current function body holds a shift `_shift` noted.
+        self._unproven_shifts = False
         if start is None:
             self.table = SymbolTable(path, model)
             self.types = TypeTable()
@@ -455,6 +459,7 @@ class Resolver:
         ), self.table.file_scope, defined=True)
         fn.symbol = sym
         self.current_function = fn
+        self._unproven_shifts = False
         for p, pt in zip(fn.params, param_types):
             p.symbol = self.table.declare(Symbol(
                 p.name, SymKind.OBJECT, pt, 0, Storage.AUTO, Linkage.NONE,
@@ -463,6 +468,7 @@ class Resolver:
         self._stmt(fn.body, push=False)
         fn.calls = tuple(self._calls)
         self._calls.clear()
+        fn.unproven_shifts = self._unproven_shifts
         self.table.pop()
         self.current_function = None
 
@@ -518,8 +524,16 @@ class Resolver:
             self._stmt(node.body)
             self.table.pop()
         elif isinstance(node, Return):
+            # C99 6.8.6.4p1: a value exactly when the function returns one.
+            void = self.current_function.symbol.type.ret.kind is TK.VOID
             if node.value is not None:
                 self.type_expr(node.value)
+                if void:
+                    raise SemaError("'return' with a value in a function returning void",
+                                    node.loc)
+            elif not void:
+                raise SemaError("'return' with no value in a function returning a value",
+                                node.loc)
         elif isinstance(node, Label):
             if node.case_expr is not None:
                 self.type_expr(node.case_expr)
@@ -627,6 +641,8 @@ class Resolver:
                 what += ", or a pointer and an integer"
             self._require(test(target_t, value_t, e, model), e,
                           f"operands of {e.op}= must be {what}")
+            if e.op == "<<" or e.op == ">>":
+                self._shift(promoted_width(target_t, model), e.value)
             return target_t
 
         if cls is IncDec:
@@ -714,6 +730,10 @@ class Resolver:
             self._kinds |= KIND_CAST
             target = self.syn_type(e.type_name)
             operand_t = self._rvalue(e.operand)
+            if not (is_scalar(target) and is_scalar(operand_t)) and target.kind is not TK.VOID:
+                # C99 6.5.4p2: only a cast to void takes or gives a non-scalar.
+                raise SemaError("cast of a non-scalar operand" if is_scalar(target)
+                                else "cast to a non-scalar type", e.loc)
             # C99 6.5.4p4: no conversion between a pointer and a floating type.
             self._require(not (is_pointer(target) and is_floating(operand_t)
                                or is_floating(target) and is_pointer(operand_t)),
@@ -723,6 +743,7 @@ class Resolver:
             return target
 
         if cls is Conditional:
+            self._kinds |= KIND_BRANCH
             cond_t = self._rvalue(e.cond)
             self._require(is_scalar(cond_t), e, "condition must be scalar")
             then_t = self._rvalue(e.then)
@@ -739,6 +760,7 @@ class Resolver:
             return then_t
 
         if cls is Comma:
+            self._kinds |= KIND_BRANCH
             self.type_expr(e.left)
             return self._rvalue(e.right)
 
@@ -768,7 +790,7 @@ class Resolver:
         model = self.model
         op = e.op
         if op == "&&" or op == "||":
-            self._kinds |= KIND_LOGIC
+            self._kinds |= KIND_BRANCH
         left_t = self._rvalue(e.left)
         right_t = self._rvalue(e.right)
         if op in ("+", "-"):
@@ -786,9 +808,19 @@ class Resolver:
         left, right = e.left.const_value, e.right.const_value
         if left is not None and right is not None:
             self._fold(e, binary(op, (left, left_t), (right, right_t), model))
-        return result_type(op, left_t, right_t, model)
+        t = result_type(op, left_t, right_t, model)
+        if op == "<<" or op == ">>":
+            self._shift(t.width, e.right)  # a shift has its promoted left operand's type
+        return t
 
     # -- helpers ---------------------------------------------------------------------
+
+    def _shift(self, width: int, count: Expr) -> None:
+        """Note a shift by `count` of a left operand whose promoted width is
+        `width`, unless `count` is a constant in [0, width) (C99 6.5.7p3)."""
+        value = count.const_value
+        if value is None or not 0 <= value < width:
+            self._unproven_shifts = True
 
     @staticmethod
     def _fold(e: Expr, result: IntResult) -> None:

@@ -254,7 +254,10 @@ def is_object_pointer(t: TypeDesc) -> bool:
 
 
 def is_scalar(t: TypeDesc) -> bool:
-    return is_arithmetic(t) or is_pointer(t)
+    """An arithmetic or a pointer type: one kind test, as casts ask it often."""
+    k = t.kind
+    return (k is _POINTER or k is _INT or k is _UINT or k is _BOOL or k is _ENUM
+            or k is _DOUBLE or k is _FLOAT)
 
 
 def same_type(a: TypeDesc | None, b: TypeDesc | None) -> bool:

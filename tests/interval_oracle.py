@@ -7,8 +7,8 @@ widenings, and the same `eval_expr` answers (see
 `test_interval_oracle.py`). The code is the evaluator as it was before the
 lowering, unchanged but for `IntervalResult.widenings`, which counts the
 `_widen_env` calls that moved a bound, for one rule of branches, for one
-rule of comparisons, and for four evaluation rules that follow C99 as
-`ccomply.flow.effects` states it.
+rule of comparisons, for four evaluation rules that follow C99 as
+`ccomply.flow.effects` states it, and for one rule of operand order.
 
 Branches are decided by one function, `_AbstractEval.branch`, on the
 state before the terminator; the solver sends its states, and the final
@@ -47,6 +47,18 @@ The four evaluation rules:
 - `op=`, `++` and `--` compute their target's address once, in their read
   of the target (C99 6.5.16.2p3, 6.5.2.4p2); only `=` evaluates the
   address of its target apart from the store.
+
+The rule of operand order: C leaves the order in which a full
+expression's operands are evaluated unspecified (C99 6.5p3), so a call in
+it may change an address-taken local before or after a read of the local;
+only the operands of a call are read before it (6.5.2.2p10). While the
+evaluator is in a full expression that calls a function (an item, an
+initializer, or a whole condition, both sides of a comparison included),
+a read of an address-taken local that is not in the operands of every
+call of the full expression gives its type range, the join of its values
+before and after the call (`full_expression`, `unordered`). `eval_expr`
+reads that way when it is told the full expression that holds the queried
+one.
 Nothing under `src/` imports it.
 """
 from __future__ import annotations
@@ -147,8 +159,9 @@ class IntervalResult:
     def env_at(self, bid: int, idx: int) -> Env:
         return self.pre.get((bid, idx), {})
 
-    def eval_expr(self, expr: Expr, env: Env) -> Interval | None:
+    def eval_expr(self, expr: Expr, env: Env, within: Expr | None = None) -> Interval | None:
         assert self._evaluator is not None
+        self._evaluator.full_expression(within)
         return self._evaluator.eval(expr, dict(env), mutate=False)
 
     def var_interval(self, env: Env, sym: Symbol) -> Interval | None:
@@ -163,6 +176,26 @@ class _AbstractEval:
         self.model = model
         self.addr_taken = addr_taken
         self.symmap: dict[int, Symbol] = {}
+        # The ids of the reads that give their type range, in the full
+        # expression being evaluated.
+        self.unordered: set[int] = set()
+
+    def full_expression(self, e: Expr | None) -> None:
+        """Evaluate what follows as (part of) full expression `e`."""
+        self.unordered = set()
+        if e is None:
+            return
+        before_every_call = None
+        for call in [n for n in walk_operands(e) if isinstance(n, Call)]:
+            inside = {id(n) for n in walk_operands(call) if n is not call}
+            before_every_call = inside if before_every_call is None else before_every_call & inside
+        if before_every_call is None:
+            return
+        self.unordered = {
+            id(n) for n in walk_operands(e)
+            if isinstance(n, Identifier) and _tracked(n.symbol)
+            and n.symbol.uid in self.addr_taken and id(n) not in before_every_call
+        }
 
     # -- environment helpers -------------------------------------------------
 
@@ -190,6 +223,8 @@ class _AbstractEval:
             sym = e.symbol
             if _tracked(sym):
                 symmap[sym.uid] = sym
+                if id(e) in self.unordered:
+                    return _type_interval(sym.type, model)
                 return self.var(env, sym)
             return _type_interval(e.ctype, model)
 
@@ -627,6 +662,7 @@ def interval_analysis(cfg: Cfg, model: IntegerModel = DEFAULT_MODEL) -> Interval
         for idx, item in enumerate(b.items):
             if pre is not None:
                 pre[(b.id, idx)] = dict(env)
+            ev.full_expression(item.init if isinstance(item, DeclItem) else item.expr)
             if isinstance(item, DeclItem):
                 sym = item.symbol
                 if item.init is not None:
@@ -656,6 +692,7 @@ def interval_analysis(cfg: Cfg, model: IntegerModel = DEFAULT_MODEL) -> Interval
     def edges(b, env: Env):
         """(successor, state or None) pairs from `env`, the state before b's terminator."""
         term = b.term
+        ev.full_expression(b.term_expr)
         if isinstance(term, TBranch) and term.const_value is None:
             return list(zip((term.true_target, term.false_target), ev.branch(env, term.cond)))
         env = dict(env)

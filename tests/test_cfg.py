@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import pytest
 
 from ccomply.errors import SemaError
-from ccomply.flow.cfg import EdgeKind, EvalItem, TBranch, TJump, TReturn, TSwitch
+from ccomply.flow.cfg import CfgBuilder, EdgeKind, EvalItem, TBranch, TJump, TReturn, TSwitch
 from ccomply.parsing import Call, Identifier, walk
 from flow_helpers import analyze_fn
 
@@ -212,3 +214,53 @@ def test_sizeof_operand_is_not_lowered():
     [item] = _eval_items(cfg)
     assert item.expr is fn.body.items[0].expr
     assert len([b for b in cfg.blocks if b.reachable]) == 2
+
+
+class _CountingBuilder(CfgBuilder):
+    """A builder that records every expression `_expr` is asked to lower."""
+
+    def __init__(self, fn):
+        super().__init__(fn)
+        self.lowered = []
+
+    def _expr(self, e, cur):
+        self.lowered.append(e)
+        return super()._expr(e, cur)
+
+
+def _lower(text):
+    """(the statement expressions of `f`, each lowered for value by a fresh builder)."""
+    _, fn, _, _ = analyze_fn(text)
+    out = []
+    for stmt in fn.body.items:
+        builder = _CountingBuilder(fn)
+        block = builder.new_block()
+        lowered, end = builder._expr(stmt.expr, block)
+        out.append((stmt.expr, lowered, end is block, builder.lowered))
+    return out
+
+
+def test_a_branch_free_expression_is_taken_unwalked():
+    rows = _lower("void f(int a, int b, int *p) { use(a + b * *p); *p = (a << 2) - b; }")
+    for expr, lowered, same_block, walked in rows:
+        assert lowered is expr and same_block and walked == [expr]
+
+
+@pytest.mark.parametrize("stmt", ["use(a && b);", "use(c ? a : b);", "use((a, b));"])
+def test_a_branch_is_lowered_around_a_temporary(stmt):
+    [(expr, lowered, same_block, walked)] = _lower(f"void f(int a, int b, int c) {{ {stmt} }}")
+    assert lowered is not expr and type(lowered) is Call
+    # `&&` and `?:` end the block in a branch; `,` puts its left operand in an item.
+    assert same_block is (stmt == "use((a, b));")
+    # Only the call, its callee and the branching argument are visited, and
+    # the operands of `&&`, `?:` and `,` that lowering splits.
+    assert walked[:3] == [expr, expr.callee, expr.args[0]]
+    assert expr.callee not in walked[3:]
+
+
+def test_a_tree_rebuilt_after_sema_is_walked():
+    _, fn, _, _ = analyze_fn("void f(int a, int b) { use(a + b); }")
+    copy = replace(fn.body.items[0].expr)
+    builder = _CountingBuilder(fn)
+    lowered, _ = builder._expr(copy, builder.new_block())
+    assert lowered is copy and builder.lowered[:2] == [copy, copy.callee]

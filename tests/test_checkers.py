@@ -69,6 +69,91 @@ class TestShiftRange:
         assert f.certainty is Certainty.DEFINITE
 
 
+class TestShiftSkip:
+    """R12.2 reads the CFG and intervals only of a function whose body holds
+    a shift sema could not show to be in range (`FunctionDef.unproven_shifts`):
+    a shift whose count is a constant in [0, the promoted width of the left
+    operand) gives no finding (C99 6.5.7p3)."""
+
+    @staticmethod
+    def _flag_and_findings(body):
+        findings, facts = run_rule_full(f"void f(unsigned x, unsigned n, int c) {{ {body} }}",
+                                        "R12.2")
+        return facts.tu.decls[-1].unproven_shifts, findings
+
+    @pytest.mark.parametrize("body", [
+        "useu(x << 3); useu(x >> 31u); x <<= 0; x >>= (2 + 3); useu(1u << sizeof(int));",
+        "uint8_t b = 1; use(b << 20);",
+        "useu(x + n);",
+    ])
+    def test_in_range_constant_shifts_skip_the_function(self, flow_calls, body):
+        flagged, findings = self._flag_and_findings(body)
+        assert not flagged and findings == []
+        assert ("build_cfg", "f") not in flow_calls
+
+    @pytest.mark.parametrize("body, certainty", [
+        ("useu(x << 40);", "definite"),
+        ("useu(x << -1);", "definite"),
+        ("useu(x << n);", "caution"),
+        ("x <<= n; useu(x);", "caution"),
+        ("useu(1u << (c ? 1 : 40));", "caution"),
+    ])
+    def test_other_shifts_are_still_checked(self, flow_calls, body, certainty):
+        flagged, findings = self._flag_and_findings(body)
+        assert flagged and ("build_cfg", "f") in flow_calls
+        assert [f.certainty.value for f in findings] == [certainty]
+
+    def test_a_shift_under_sizeof_only_sets_the_flag(self, flow_calls):
+        flagged, findings = self._flag_and_findings("use((int)sizeof(x << 40));")
+        assert flagged and findings == []
+
+    def test_an_unresolved_function_is_checked(self):
+        from ccomply.parsing import FunctionDef
+        assert FunctionDef("f", None, [], None).unproven_shifts
+
+
+class TestOperandOrderAroundCalls:
+    """C99 6.5p3 leaves the order of a full expression's operands open, so a
+    call may set an address-taken local before or after it is read: gcc
+    calls `set` first in both programs below, so neither condition is
+    invariant. Without the call the read is ordered, and the finding stays;
+    so is a read in the operands of every call, which precedes each of them
+    (6.5.2.2p10)."""
+
+    SET = "extern int set(int *);\n"
+
+    @pytest.mark.parametrize("body", [
+        "int x = 0; int *p = &x; if (x + set(p) * 0 == 0) { use(1); }",
+        "int x = 0; int *p = &x; int y = x + set(p) * 0; if (y == 0) { use(1); }",
+        "int x = 0; int *p = &x; if (set(p) * 0 + x == 0) { use(1); }",
+    ])
+    def test_a_read_beside_a_call_is_not_invariant(self, body):
+        assert run_rule(f"{self.SET}void f(void) {{ {body} }}", "R14.3") == []
+
+    def test_without_the_call_the_finding_stays(self):
+        f = single(run_rule(
+            "void f(void) { int x = 0; int *p = &x; if (x + *p * 0 == 0) { use(1); } }",
+            "R14.3"))
+        assert f.certainty is Certainty.DEFINITE
+
+    def test_a_local_whose_address_is_not_taken_keeps_its_value(self):
+        f = single(run_rule(
+            f"{self.SET}void f(int *q) {{ int x = 0; if (x + set(q) * 0 == 0) {{ use(1); }} }}",
+            "R14.3"))
+        assert f.certainty is Certainty.DEFINITE
+
+    def test_a_read_in_the_operands_of_every_call_keeps_its_value(self):
+        body = "int n = 3; int *p = &n; usep(p); n = 3; useu(u << n << 40);"
+        f = single(run_rule(f"void f(unsigned u) {{ {body} }}", "R12.2"))
+        assert f.certainty is Certainty.DEFINITE and "is 40" in f.message
+
+    def test_a_shift_count_beside_a_call_is_only_a_caution(self):
+        f = single(run_rule(
+            f"{self.SET}void f(unsigned u) {{ int n = 40; int *p = &n; "
+            "useu(set(p) + (u << n)); }", "R12.2"))
+        assert f.certainty is Certainty.CAUTION
+
+
 class TestUninitializedRead:
     def test_plain_uninit_read_definite(self):
         f = single(run_rule("void f(void) { int x; use(x); }", "R9.1"))
@@ -839,8 +924,8 @@ class TestNodeIndexLifetime:
         class CountingIndex(engine.NodeIndex):
             __slots__ = ()
 
-            def __init__(self, tu):
-                super().__init__(tu)
+            def __init__(self, decls):
+                super().__init__(decls)
                 built.append(weakref.ref(self))
 
         monkeypatch.setattr(engine, "NodeIndex", CountingIndex)

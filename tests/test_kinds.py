@@ -31,9 +31,10 @@ from ccomply.flow import build_cfg
 from ccomply.flow.cfg import DeclItem
 from ccomply.flow.intervals import _MUTATORS, _AbstractEval, _tracked
 from ccomply.parsing import (
-    KIND_ADDR, KIND_ALL, KIND_CALL, KIND_CAST, KIND_LOGIC, KIND_MULTICALL, KIND_SIZEOF,
-    KIND_STORE, KIND_VOLATILE, AddrOf, Assign, Binary, Call, Cast, CompoundAssign, Deref,
-    Expr, FunctionDef, Identifier, IncDec, Index, Member, NodeIndex, Sizeof, walk,
+    KIND_ADDR, KIND_ALL, KIND_BRANCH, KIND_CALL, KIND_CAST, KIND_MULTICALL, KIND_SIZEOF,
+    KIND_STORE, KIND_VOLATILE, AddrOf, Assign, Binary, Call, Cast, Comma, CompoundAssign,
+    Conditional, Deref, Expr, FunctionDef, Identifier, IncDec, Index, Member, NodeIndex,
+    Sizeof, walk,
 )
 from ccomply.rules.checkers_ast import _accesses, _cannot_conflict, _full_expressions
 from ccomply.sema.typesys import DEFAULT_MODEL
@@ -80,8 +81,8 @@ def oracle_kinds(e: Expr) -> int:
         cls = type(n)
         kinds |= _OWN.get(cls, 0)
         calls += cls is Call
-        if cls is Binary and n.op in ("&&", "||"):
-            kinds |= KIND_LOGIC
+        if cls is Binary and n.op in ("&&", "||") or cls is Conditional or cls is Comma:
+            kinds |= KIND_BRANCH
         elif cls is Identifier and n.symbol is not None and "volatile" in n.symbol.quals:
             kinds |= KIND_VOLATILE
         elif cls in (Deref, Index, Member) and "volatile" in n.ctype.quals:
@@ -102,7 +103,7 @@ def kinds_diffs(tu) -> list[str]:
 def order_skips(tu) -> tuple[int, int, list[str]]:
     """(full expressions, those R13.2 skips, skipped ones with a conflict)."""
     total, skipped, diffs = 0, 0, []
-    index = NodeIndex(tu)
+    index = NodeIndex(tu.decls)
     for fn in tu.decls:
         if not isinstance(fn, FunctionDef):
             continue
@@ -197,11 +198,31 @@ def test_masks_of_shapes():
         KIND_STORE | KIND_VOLATILE,
         KIND_STORE | KIND_CAST | KIND_VOLATILE,
         KIND_STORE | KIND_ADDR,
-        KIND_LOGIC | KIND_CALL,
+        KIND_BRANCH | KIND_CALL,
     ]
     # A leaf holds nothing; a node built after sema holds every bit.
     assert exprs[0].target.kinds == exprs[0].value.kinds == 0
     assert replace(exprs[0]).kinds == Identifier("x").kinds == KIND_ALL
+
+
+def test_masks_of_branch_shapes():
+    # Every operator CFG lowering splits sets KIND_BRANCH; other operators,
+    # and a `sizeof` of a branch, hold only their own bits and the operand's.
+    exprs = _stmt_exprs(
+        "void f(int x, int y) { x = y ? 1 : 2; use((x, y)); x ? get() : 0; (x, y); "
+        "x = y || x; use(x + y); x = sizeof(x ? 1 : 2); }")
+    assert [e.kinds for e in exprs] == [
+        KIND_STORE | KIND_BRANCH,
+        KIND_CALL | KIND_BRANCH,
+        KIND_BRANCH | KIND_CALL,
+        KIND_BRANCH,
+        KIND_STORE | KIND_BRANCH,
+        KIND_CALL,
+        KIND_STORE | KIND_SIZEOF | KIND_BRANCH,
+    ]
+    conditional, comma = exprs[0].value, exprs[3]
+    assert type(conditional) is Conditional and type(comma) is Comma
+    assert conditional.cond.kinds == comma.left.kinds == 0
 
 
 @pytest.mark.parametrize("stmt, skipped", [
@@ -228,7 +249,7 @@ def test_which_full_expressions_r13_2_skips(stmt, skipped):
 def test_index_keeps_only_looked_up_classes():
     tu, _ = _resolved(PRELUDE + "void f(int x) { int n = sizeof(x && get()); "
                                 "use(n + (x || get())); }")
-    index = NodeIndex(tu)
+    index = NodeIndex(tu.decls)
     logic = index.of(Binary)
     assert [b.op for b in logic] == ["&&", "||"]
     assert logic[0] in index.unevaluated and logic[1] not in index.unevaluated
@@ -259,7 +280,7 @@ def main(argv: list[str]) -> int:
                     row["r13_2_skipped"] += skipped
                     row["items"] += items
                     row["lowering_skipped"] += lowered
-                    row["index_kept"] += len(NodeIndex(tu).nodes)
+                    row["index_kept"] += len(NodeIndex(tu.decls).nodes)
                     row["walked"] += sum(1 for decl in tu.decls for _ in walk(decl))
                     row["diffs"] += len(kinds_diffs(tu) + order_diffs + lowering_diffs
                                         + node_index_diffs(tu))

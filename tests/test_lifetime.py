@@ -9,7 +9,8 @@ the CFG, the analyses or the facts, these tests name the types involved.
 What is kept is compact: the units of a header-heavy project share their
 syntactic and derived types, so their number stays under a bound, and the
 declarations of the header prefix they start with, which are kept once per
-distinct prefix and not once per unit; a recorded constant value and the
+distinct prefix and not once per unit, as are the findings of those
+declarations, packed; a recorded constant value and the
 mask of what an expression holds are plain ints on its node, and a source
 position is a plain packed int: no
 kept tree or symbol table reaches a `Span` or a `Location`.
@@ -20,8 +21,10 @@ tracked objects by type, each with its count and its bytes by
 objects such as ints and strings are not counted), cyclic collections and
 their CPU seconds by generation, and peak RSS, with automatic collection on
 as in the benchmark, how many header prefixes the run kept, by how many
-leading `#include`s each covers, and how many units share one, and how many
-include memo entries the run keeps, made and replayed:
+leading `#include`s each covers, and how many units share one, how many
+(integer model, guideline) lists of findings the prefixes keep and how many
+findings they hold, and how many include memo entries the run keeps, made
+and replayed:
 
     PYTHONPATH=src:tests:perfbench python3 tests/test_lifetime.py --census header_heavy --seed 3
 """
@@ -284,6 +287,32 @@ def test_header_declarations_are_kept_once_per_prefix(tmp_path, automatic_gc_off
     assert grown == own + _declarations(prefixes[0].decls)
 
 
+def _prefix_findings(manager: SourceManager) -> tuple[int, int]:
+    """(lists of findings the run's prefixes keep, findings in them)."""
+    lists = [rows for prefix in manager.prefixes.values() if prefix is not None
+             for by_guideline in prefix.findings.values() for rows in by_guideline.values()]
+    return len(lists), sum(map(len, lists))
+
+
+def test_kept_prefix_findings_hold_no_position_objects(tmp_path, automatic_gc_off):
+    header = ("int *const base = (int *)4096;\n"
+              "static unsigned wide(unsigned x) { return x << 40; }\n")
+    (tmp_path / "h.h").write_text(header)
+    for i in range(3):
+        (tmp_path / f"u{i}.c").write_text(
+            "#include \"h.h\"\nunsigned f(void) { return wide(1u); }\n")
+    with _cwd(str(tmp_path)):
+        manager = SourceManager()
+        kept, findings = _chain(manager, [f"u{i}.c" for i in range(3)], [])
+    header_findings = sorted(f.guideline for f in findings if f.path.endswith("h.h"))
+    assert header_findings == ["R11.4"] * 3 + ["R12.2"] * 3
+    # One list per per-unit guideline, and the two header findings in them.
+    assert _prefix_findings(manager) == (len(PER_TU), 2)
+    reached = _reachable([root for facts in kept for root in (facts.tu, facts.table)])
+    assert any(type(o).__name__ == "Prefix" for o in reached)
+    assert [o for o in reached if isinstance(o, (Span, Location))] == []
+
+
 def test_include_memo_keeps_a_few_entries_per_file(tmp_path, automatic_gc_off):
     # Each unit defines the macro the header reads anew, so no unit replays
     # an entry and each keeps one; the file keeps only the newest few.
@@ -330,6 +359,7 @@ def census(workload: str, seed: int, top: int = 25) -> dict:
         finally:
             gc.callbacks.remove(clock)
         levels = collections.Counter(len(k) for k, p in manager.prefixes.items() if p is not None)
+        findings_lists, findings_kept = _prefix_findings(manager)
         live: collections.Counter = collections.Counter()
         size: collections.Counter = collections.Counter()
         for o in gc.get_objects():
@@ -340,6 +370,8 @@ def census(workload: str, seed: int, top: int = 25) -> dict:
         "prefix_entries": sum(levels.values()),
         "prefix_entries_by_level": dict(sorted(levels.items())),
         "prefix_units": sum(facts.tu.prefix is not None for facts in kept),
+        "prefix_findings_lists": findings_lists,
+        "prefix_findings": findings_kept,
         "memo_entries": sum(map(len, manager.memo.values())),
         "memo_made": manager.memo_made,
         "memo_hits": manager.memo_hits,

@@ -417,7 +417,7 @@ def index_keeps(node) -> bool:
 
 
 def node_index_diffs(tu) -> list[str]:
-    """Where `NodeIndex(tu)` differs from `walk` filtered to the kept nodes.
+    """Where `NodeIndex(tu.decls)` differs from `walk` filtered to the kept nodes.
 
     Each top-level declaration's and each function body's kept nodes, all of
     them together and each class's must be the walk's, by identity and in
@@ -429,8 +429,8 @@ def node_index_diffs(tu) -> list[str]:
     def same(got, want):
         return len(got) == len(want) and all(a is b for a, b in zip(got, want))
 
-    index = NodeIndex(tu)
-    diffs = []
+    index = NodeIndex(tu.decls)
+    diffs = [] if index.decls is tu.decls else ["decls"]
     want, unevaluated = [], set()
     for decl in tu.decls:
         nodes = [n for n in walk(decl) if index_keeps(n)]

@@ -13,18 +13,22 @@ them the packed positions, agree.
 Run as a script to compare whole workloads the same way, every finding
 with its decoded span and evidence, every node's type, constant value and
 symbol, and every table's symbols in uid order with whether the unit
-defines them; it also reports how many units share a prefix and how many
-tokens units took from the prefix they started from:
+defines them; it also reports how many units share a prefix, how many
+tokens units took from the prefix they started from, and how many
+(unit, guideline) checks of a prefix's declarations were served from the
+findings the prefix keeps (see `rules.engine.run_rules`):
 
     PYTHONPATH=src:tests:perfbench python3 tests/test_prefix.py --seeds 1 2 3
 """
 from __future__ import annotations
 
+import collections
 import contextlib
 import copy
 import gc
 import os
 import sys
+import weakref
 from dataclasses import dataclass, fields
 
 import pytest
@@ -142,10 +146,13 @@ def _graph(graph) -> tuple:
             [(caller, call.start) for caller, call in graph.indirect_call_sites])
 
 
-def run(workdir: str, units, shared: bool, rules=IMPLEMENTED, order=()) -> Run:
+def run(workdir: str, units, shared: bool, rules=IMPLEMENTED, order=(),
+        per_guideline: bool = False) -> Run:
     """Run `units`, (path, with builtin macros, integer model) each, through
     the stage chain with one manager, or with a fresh one per unit that
-    first loads the files of `order`."""
+    first loads the files of `order`; with `per_guideline`, each unit's
+    checkers run one `run_rules` call per guideline, as the benchmark's
+    traced pass calls them."""
     outcomes, tus, tables, ok = [], [], [], []
     per_tu = set(rules) & set(engine.PER_TU_CHECKERS)
     with _cwd(workdir):
@@ -167,7 +174,12 @@ def run(workdir: str, units, shared: bool, rules=IMPLEMENTED, order=()) -> Run:
                 table = resolve(tu, model)
                 stage = "rules"
                 facts = compute_tu_facts(tu, table, manager)
-                found = run_rules([facts], per_tu, manager=manager)
+                if per_guideline:
+                    found = [f for gid in sorted(per_tu)
+                             for f in run_rules([facts], {gid}, manager=manager)]
+                    found.sort(key=lambda f: f.sort_key())
+                else:
+                    found = run_rules([facts], per_tu, manager=manager)
             except AnalysisError as exc:
                 outcomes.append(("error", stage, type(exc).__name__, exc.stage, exc.message,
                                  exc.loc))
@@ -740,28 +752,140 @@ def test_separate_managers_share_nothing(tmp_path):
     assert reach[0] and reach[0].isdisjoint(reach[1])
 
 
+# ---- findings of a prefix's declarations ----------------------------------------
+
+# A header with an R11.4 initializer and a `static` function with an R12.2
+# shift; `wider`'s shift is out of range only where `long` has 32 bits.
+FINDINGS_HEADER = ("extern unsigned reg;\nint *const base = (int *)4096;\n"
+                   "static unsigned wide(unsigned x) { return x << 40; }\n"
+                   "static long wider(long x) { return x << 40; }\n")
+
+
+def _checker_calls(monkeypatch) -> list:
+    """Each per-unit checker call, as (guideline, unit path, the declarations it indexed)."""
+    calls = []
+    for gid, checker in engine.PER_TU_CHECKERS.items():
+        def spy(facts, index, functions, _gid=gid, _checker=checker):
+            calls.append((_gid, facts.tu.path, list(index.decls)))
+            return _checker(facts, index, functions)
+
+        monkeypatch.setitem(engine.PER_TU_CHECKERS, gid, spy)
+    return calls
+
+
+def _header_findings(outcome) -> set:
+    return {(os.path.basename(row[0]), row[2]) for row in outcome[3] if row[0].endswith("h.h")}
+
+
+@pytest.mark.parametrize("per_guideline", [False, True])
+def test_header_findings_are_computed_once_and_reported_by_every_unit(
+        tmp_path, monkeypatch, per_guideline):
+    files = {f"u{i}.c": "#include \"h.h\"\nunsigned f(void) { return wide(reg); }\n"
+             for i in range(4)}
+    _write(str(tmp_path), {"h.h": FINDINGS_HEADER, **files})
+    units = _units(list(files)[:3]) + _units(["u3.c"], model=SMALL_LONG)
+    calls = _checker_calls(monkeypatch)
+    shared = run(str(tmp_path), units, True, per_guideline=per_guideline)
+    monkeypatch.undo()
+    assert compare(str(tmp_path), units)[1] == []
+    # Each unit reports both header findings, as with a fresh parse.
+    assert all(_header_findings(o) == {("h.h", "R11.4"), ("h.h", "R12.2")}
+               for o in shared.outcomes)
+    prefix = shared.tus[1].prefix
+    assert prefix is not None and shared.tus[2].prefix is prefix
+    common = shared.tus[1].decls[:len(prefix.decls)]
+
+    def ran_on(unit: int) -> collections.Counter:
+        """Per guideline, the calls whose declarations start with the unit's prefix run."""
+        first = shared.tus[unit].decls[0]
+        return collections.Counter(gid for gid, _, decls in calls if decls and decls[0] is first)
+
+    # Under the default model every guideline ran once on the shared
+    # declarations (for the second unit), and never for the third.
+    every = set(engine.PER_TU_CHECKERS)
+    assert ran_on(1) == collections.Counter(every) and ran_on(2) == ran_on(1)
+    assert [d for gid, path, decls in calls if path == "u2.c" for d in decls
+            if any(d is c for c in common)] == []
+    # The unit under SMALL_LONG takes nothing from them: its leading
+    # declarations are its own parse, checked once under its model.
+    assert shared.tus[3].decls[0] is not common[0]
+    assert ran_on(3) == collections.Counter(every)
+    assert set(prefix.findings) == {DEFAULT_MODEL, SMALL_LONG}
+    assert all(set(by_guideline) == every for by_guideline in prefix.findings.values())
+
+
+def test_a_unit_reuses_a_prefix_only_with_its_very_declarations(tmp_path):
+    files = {f"u{i}.c": "#include \"h.h\"\nunsigned f(void) { return wide(reg); }\n"
+             for i in range(3)}
+    _write(str(tmp_path), {"h.h": FINDINGS_HEADER, **files})
+    shared = run(str(tmp_path), _units(files), True)
+    tu = shared.tus[2]
+    facts = compute_tu_facts(tu, shared.tables[2])
+    assert engine._reused_prefix(facts) is tu.prefix is not None
+    # An equal declaration that is another object is no match.
+    tu.decls[0] = copy.copy(tu.decls[0])
+    assert engine._reused_prefix(facts) is None
+
+
+def test_no_index_of_a_prefix_outlives_the_call(tmp_path, monkeypatch):
+    files = {f"u{i}.c": "#include \"h.h\"\nunsigned f(void) { return wide(reg); }\n"
+             for i in range(3)}
+    _write(str(tmp_path), {"h.h": FINDINGS_HEADER, **files})
+    built = []
+
+    class CountingIndex(engine.NodeIndex):
+        __slots__ = ()
+
+        def __init__(self, decls):
+            super().__init__(decls)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(engine, "NodeIndex", CountingIndex)
+    shared = run(str(tmp_path), _units(files), True)
+    assert shared.tus[2].prefix is not None
+    # One index per unit, and one over the prefix's declarations.
+    assert len(built) == len(files) + 1
+    assert all(ref() is None for ref in built)
+
+
 # ---- whole workloads ---------------------------------------------------------------
+
+
+def served_checks(run_: Run, rules) -> int:
+    """How many (unit, guideline) checks of a prefix's declarations `run_`'s
+    units took from the findings the prefix keeps, not counting the check
+    that computed them."""
+    guidelines = len(set(rules) & set(engine.PER_TU_CHECKERS))
+    reusing = sum(engine._reused_prefix(compute_tu_facts(tu, table)) is not None
+                  for tu, table in zip(run_.tus, run_.tables) if tu is not None)
+    computed = sum(len(by_guideline) for prefix in run_.manager.prefixes.values()
+                   if prefix is not None for by_guideline in prefix.findings.values())
+    return reusing * guidelines - computed
 
 
 def workload_diffs(workload: str, seed: int, workdir: str, tus: int | None = None):
     """(units compared, units sharing a prefix, tokens units took from a kept
-    prefix, differences) over a workload's first `tus` units."""
+    prefix, (unit, guideline) checks served from a prefix, differences) over
+    a workload's first `tus` units."""
     project = generate(workload, seed)
     _write(workdir, project.files)
     units = _units(project.tus[:tus])
-    shared, diffs = compare(workdir, units, WORKLOADS[workload].rules)
+    rules = WORKLOADS[workload].rules
+    shared, diffs = compare(workdir, units, rules)
     sharing = sum(tu is not None and tu.prefix is not None for tu in shared.tus)
     taken = sum(len(tu.started_from.tokens) for tu in shared.tus
                 if tu is not None and tu.started_from is not None)
-    return len(units), sharing, taken, diffs
+    return len(units), sharing, taken, served_checks(shared, rules), diffs
 
 
 @pytest.mark.parametrize("workload", ["header_heavy", "project_all_rules"])
 def test_workload_units_match_a_fresh_parse(workload, tmp_path):
-    units, sharing, taken, diffs = workload_diffs(workload, 1, str(tmp_path), WORKLOAD_TUS)
+    units, sharing, taken, served, diffs = workload_diffs(workload, 1, str(tmp_path),
+                                                          WORKLOAD_TUS)
     assert units == WORKLOAD_TUS and diffs == []
-    # Every unit after the first shares at least the first header.
-    assert sharing == WORKLOAD_TUS - 1 and taken > 0
+    # Every unit after the first shares at least the first header, and the
+    # units after the second take its findings from it.
+    assert sharing == WORKLOAD_TUS - 1 and taken > 0 and served > 0
 
 
 def main(argv: list[str]) -> int:
@@ -777,9 +901,10 @@ def main(argv: list[str]) -> int:
     for workload in sorted(WORKLOADS):
         for seed in args.seeds:
             with tempfile.TemporaryDirectory() as workdir:
-                units, sharing, taken, diffs = workload_diffs(workload, seed, workdir)
+                units, sharing, taken, served, diffs = workload_diffs(workload, seed, workdir)
             report[f"{workload}:{seed}"] = {
                 "units": units, "sharing_a_prefix": sharing, "tokens_from_a_prefix": taken,
+                "checks_served_from_a_prefix": served,
                 "differences": len(diffs), "first": diffs[:3],
             }
     print(json.dumps(report))

@@ -846,7 +846,8 @@ class TestOperatorOperands:
     """Operand constraints the resolver checks at the operator, each shape
     as gcc -std=c99 -pedantic-errors decides it."""
 
-    PRELUDE = "int x; unsigned u; int i; int *p; double d; _Bool b;\n"
+    PRELUDE = ("int x; unsigned u; int i; int *p; double d; _Bool b;\n"
+               "struct S { int m; } s; union U { int m; } w;\n")
 
     @pytest.mark.parametrize("stmt, message", [
         # C99 6.5.16.2p1-2: compound assignment takes its operator's operands.
@@ -861,16 +862,22 @@ class TestOperatorOperands:
         # C99 6.5.4p4: no cast between a pointer and a floating type.
         ("(int *)1.5", "cast between a pointer and a floating type"),
         ("(double)&x", "cast between a pointer and a floating type"),
+        # C99 6.5.4p2: but for a cast to void, a cast is from and to a scalar.
+        ("s = (struct S)x", "cast to a non-scalar type"),
+        ("w = (union U)x", "cast to a non-scalar type"),
+        ("x = (int)s", "cast of a non-scalar operand"),
+        ("p = (int *)w", "cast of a non-scalar operand"),
     ])
     def test_rejected(self, stmt, message):
         end = "" if stmt.endswith("}") else ";"
         with pytest.raises(SemaError, match=message) as info:
             analyze(f"{self.PRELUDE}void f(void) {{\n  {stmt}{end}\n}}\n")
-        assert info.value.loc.line == 3
+        assert info.value.loc.line == 4
 
     @pytest.mark.parametrize("stmt", [
         "p += 1", "p -= 1", "d += 1", "b |= 1", "d *= 2", "u <<= 1", "x %= 'a'",
         "switch (b) { default: break; }", "(double)x", "(int *)0", "(char *)p",
+        "(void)s", "(void)w", "(void)x", "(const int)x", "(_Bool)p",
     ])
     def test_accepted(self, stmt):
         end = "" if stmt.endswith("}") else ";"
@@ -879,3 +886,30 @@ class TestOperatorOperands:
     def test_pointer_compound_assignment_keeps_the_pointer_type(self):
         expr = first_expr("p += 1;", self.PRELUDE)
         assert expr.ctype.kind is TK.POINTER
+
+
+class TestReturnConstraints:
+    """C99 6.8.6.4p1: a `return` has a value exactly when its function
+    returns one; gcc -std=c99 -pedantic-errors rejects both other shapes."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("void f(void) {\n  return 1;\n}\n", "'return' with a value in a function returning void"),
+        ("int f(void) {\n  return;\n}\n",
+         "'return' with no value in a function returning a value"),
+        ("void *f(void) {\n  return;\n}\n",
+         "'return' with no value in a function returning a value"),
+    ])
+    def test_rejected_at_the_return(self, text, message):
+        with pytest.raises(SemaError, match=message) as info:
+            analyze(text)
+        assert (info.value.loc.line, info.value.loc.column) == (2, 3)
+
+    @pytest.mark.parametrize("text", [
+        "void f(void) { return; }",
+        "int f(void) { return 1; }",
+        "void f(void) { }",
+        "int f(void) { }",
+        "void f(int x) { if (x) { return; } x = 1; }",
+    ])
+    def test_accepted(self, text):
+        analyze(text + "\n")
