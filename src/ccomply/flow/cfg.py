@@ -17,6 +17,10 @@ subtree whose `Expr.kinds` shows no `&&`, `||`, `?:` or `,`
 (`KIND_BRANCH`) is taken as it is, unwalked. Operands are lowered in the
 order `astnodes.operands` gives, so the operand of `sizeof` is never
 lowered.
+
+The function must be resolved: the resolver checks every statement
+constraint (labels, `goto`, `break`, `continue`, `case` and `default`), so
+lowering checks none and takes each jump's target as given.
 """
 from __future__ import annotations
 
@@ -25,7 +29,6 @@ from enum import Enum
 from functools import cached_property
 from operator import is_not
 
-from ccomply.errors import SemaError
 from ccomply.flow import effects
 from ccomply.flow.effects import Event
 from ccomply.parsing.astnodes import (
@@ -210,7 +213,7 @@ class CfgBuilder:
         self.switches: list[_SwitchCtx] = []
         self.breakables: list[int] = []  # innermost-last break targets
         self.labels: dict[str, int] = {}
-        self.pending_gotos: list[tuple[str, Block, Node]] = []
+        self.pending_gotos: list[tuple[str, Block]] = []
         self.conditions: dict[Node, tuple[int, int]] = {}
 
     # ---- plumbing -----------------------------------------------------------
@@ -245,14 +248,8 @@ class CfgBuilder:
         cur = self._stmt(self.fn.body, entry)
         if cur is not None:
             cur.term = TJump(self.exit_id, EdgeKind.FALLTHROUGH)
-        for name, block, node in self.pending_gotos:
-            target = self.labels.get(name)
-            if target is None:
-                raise SemaError(
-                    f"goto to undefined label {name!r}",
-                    node.loc,
-                )
-            block.term = TJump(target, EdgeKind.JUMP)
+        for name, block in self.pending_gotos:
+            block.term = TJump(self.labels[name], EdgeKind.JUMP)
         cfg = Cfg(self.fn, self.blocks, entry.id, self.exit_id, self.conditions)
         _materialize_edges(cfg)
         return cfg
@@ -388,36 +385,23 @@ class CfgBuilder:
             if cur is not None:
                 cur.term = TJump(target.id, EdgeKind.FALLTHROUGH)
             if node.kind == "named":
-                if node.name in self.labels:
-                    raise SemaError(f"duplicate label {node.name!r}", node.loc)
                 self.labels[node.name] = target.id
                 target.is_loop_head = True  # goto may form a loop through here
             elif node.kind == "case":
-                if not self.switches:
-                    raise SemaError("'case' label outside switch", node.loc)
-                value = node.case_expr.const_value
-                if value is None:
-                    raise SemaError("case label requires a constant", node.loc)
-                self.switches[-1].cases.append((value, target.id))
+                self.switches[-1].cases.append((node.case_expr.const_value, target.id))
             else:
-                if not self.switches:
-                    raise SemaError("'default' label outside switch", node.loc)
                 self.switches[-1].default_target = target.id
             return self._stmt(node.stmt, target)
 
         if isinstance(node, Goto):
-            self.pending_gotos.append((node.label, cur, node))
+            self.pending_gotos.append((node.label, cur))
             return None
 
         if isinstance(node, Break):
-            if not self.breakables:
-                raise SemaError("'break' outside loop or switch", node.loc)
             cur.term = TJump(self.breakables[-1], EdgeKind.JUMP)
             return None
 
         if isinstance(node, Continue):
-            if not self.loops:
-                raise SemaError("'continue' outside loop", node.loc)
             cur.term = TJump(self.loops[-1].continue_target, EdgeKind.JUMP)
             return None
 
@@ -428,7 +412,7 @@ class CfgBuilder:
             cur.term = TReturn(value, node)
             return None
 
-        raise SemaError(f"cannot lower statement {type(node).__name__}")
+        raise AssertionError(f"cannot lower statement {type(node).__name__}")
 
     # ---- expressions ------------------------------------------------------------
 

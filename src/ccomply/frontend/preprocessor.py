@@ -15,9 +15,22 @@ the extent of each directive line, and the `MacroDef` parsed from each
 `#define` line the first time a translation unit reaches it in an active
 group (a line that fails to parse is not kept, so each unit that reaches
 it raises again). Cached tokens and definitions are shared by every unit
-and must not be mutated. Expansion makes new tokens; one whose body token
-had no chain or hide set of its own shares the expansion's chain and hide
-set objects, never a copy.
+and must not be mutated.
+
+Macro expansion follows Prosser's algorithm (X3J11/86-196): a token's hide
+set (`PPToken.no_expand`) names the macros it came out of, and a name in
+its own hide set is never expanded. Each invocation builds its tokens once,
+straight from the body and the arguments (`MacroDef.slots` says which
+parameter each body token names). Every body token of the invocation
+shares one chain and one hide set object; argument tokens with a chain or
+hide set of their own share one extended chain and hide set per distinct
+inner object in the invocation. An argument that holds no name that can
+expand is substituted as it is; any other is expanded on its own first.
+A name that can still expand is a defined macro outside the token's hide
+set, or `_Pragma` where the text consumes it. An expansion that holds
+none goes straight to the output; any other waits in front of the rest of
+the text and is rescanned. Either way the read set gets exactly the names
+the scan of those tokens would look up.
 
 What processing an included file produced also depends on the macros
 defined before it, so the manager keeps it per file as a few
@@ -47,7 +60,6 @@ from __future__ import annotations
 
 import os
 import re
-from collections import deque
 from dataclasses import dataclass, field
 from operator import is_
 
@@ -79,7 +91,10 @@ _DESTRINGIZE = re.compile(r'\\(["\\])')
 
 @dataclass(frozen=True, slots=True)
 class MacroDef:
-    """One macro definition; shared by every translation unit of a run."""
+    """One macro definition; shared by every translation unit of a run.
+
+    The body tokens are lexed tokens: no expansion chain, no hide set.
+    """
 
     name: str
     body: tuple[PPToken, ...]
@@ -87,17 +102,24 @@ class MacroDef:
     def_pos: int | None = None  # packed position of the macro's name
     # The hide set of a top-level expansion: {name}.
     hide: frozenset[str] = field(init=False, repr=False, compare=False)
+    # Parallel to `body`: the index of the parameter each body token names,
+    # or None.
+    slots: tuple[int | None, ...] = field(init=False, repr=False, compare=False)
+    # Each identifier of the body that names no parameter, once, in order.
+    names: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "hide", frozenset((self.name,)))
+        index = {p: i for i, p in enumerate(self.params or ())}
+        slots = tuple(index.get(t.lexeme) if t.kind is _IDENT else None for t in self.body)
+        object.__setattr__(self, "slots", slots)
+        object.__setattr__(self, "names", tuple(dict.fromkeys(
+            t.lexeme for t, slot in zip(self.body, slots) if t.kind is _IDENT and slot is None
+        )))
 
     @property
     def def_site(self) -> Location | None:
         return None if self.def_pos is None else unpack(self.def_pos)
-
-    @property
-    def function_like(self) -> bool:
-        return self.params is not None
 
     def same_definition(self, other: "MacroDef") -> bool:
         if self.params != other.params or len(self.body) != len(other.body):
@@ -228,36 +250,6 @@ class UnitTokens(list):
     __slots__ = ("prefixes", "key", "bounds")
 
 
-class _Stream:
-    """A cursor over a token list that is never copied or changed, with
-    the tokens of expansions waiting in front of it."""
-
-    __slots__ = ("tokens", "pos", "front")
-
-    def __init__(self, tokens: list[PPToken]):
-        self.tokens = tokens
-        self.pos = 0
-        self.front: deque[PPToken] = deque()
-
-    def __bool__(self) -> bool:
-        return bool(self.front) or self.pos < len(self.tokens)
-
-    def pop(self) -> PPToken:
-        if self.front:
-            return self.front.popleft()
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def peek(self) -> PPToken | None:
-        if self.front:
-            return self.front[0]
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def push_front(self, tokens: list[PPToken]) -> None:
-        self.front.extendleft(reversed(tokens))
-
-
 def _directive_lines(tokens: list[PPToken]) -> list[tuple[int, int]]:
     """(index of the '#', index past the line's last token) of each directive.
 
@@ -321,40 +313,17 @@ class _Preprocessor:
                 f"include depth exceeded ({INCLUDE_DEPTH_LIMIT}) while including {source.path}",
                 unpack(site),
             )
-        stream = _Stream(tokens)
         conds: list[_CondFrame] = []
+        pos = 0
         for start, end in lines:
             if self.active:
-                self._text(stream, start)
-            stream.pos = end
+                self._scan(tokens, pos, start, self.out, True)
+            pos = end
             self._directive(tokens, start, end, conds, depth, source, defines)
         if self.active:
-            self._text(stream, len(tokens))
+            self._scan(tokens, pos, len(tokens), self.out, True)
         if conds:
             raise PreprocessError("unmatched conditional at end of file", unpack(conds[-1].site))
-
-    def _text(self, stream: _Stream, limit: int) -> None:
-        """Expand the text up to the directive at `limit` into the output."""
-        tokens, front, out, macros = stream.tokens, stream.front, self.out, self.macros
-        reads = None if self.trace is None else self.trace.reads
-        while True:
-            if front:
-                tok = front.popleft()
-            elif stream.pos < limit:
-                tok = tokens[stream.pos]
-                stream.pos += 1
-            else:
-                return
-            if tok.kind is _IDENT:
-                if tok.lexeme in macros:
-                    if self._maybe_expand(stream, tok):
-                        continue
-                elif reads is not None:
-                    reads.setdefault(tok.lexeme, None)
-                if tok.lexeme == "_Pragma":
-                    self._consume_operator_pragma(stream, tok)
-                    continue
-            out.append(tok)
 
     # ---- directives ----------------------------------------------------
 
@@ -447,7 +416,8 @@ class _Preprocessor:
         if not rest:
             raise PreprocessError("#if with no controlling expression", head.origin)
         resolved = self._resolve_defined(rest)
-        expanded = self._expand_isolated(resolved)
+        expanded: list[PPToken] = []
+        self._scan(resolved, 0, len(resolved), expanded, False)
         return evaluate_pp_condition(expanded, at=head.origin) != 0
 
     def _resolve_defined(self, tokens: list[PPToken]) -> list[PPToken]:
@@ -633,7 +603,8 @@ class _Preprocessor:
                         return "".join(parts), True
                     parts.append(t.lexeme)
             if attempt == 0:
-                rest = self._expand_isolated(list(rest))
+                written, rest = rest, []
+                self._scan(written, 0, len(written), rest, False)
         raise PreprocessError("invalid #include form", head.origin)
 
     def _resolve_include(self, name: str, angled: bool, source: SourceFile) -> str | None:
@@ -642,116 +613,218 @@ class _Preprocessor:
             dirs.append(os.path.dirname(source.path) or ".")
         dirs.extend(self.include_paths)
         for d in dirs:
-            candidate = os.path.join(d, name)
+            # One spelling per file: `h.h`, not `./h.h` or `sub/../h.h`.
+            candidate = os.path.normpath(os.path.join(d, name))
             if os.path.isfile(candidate):
                 return candidate
         return None
 
     # ---- macro expansion ------------------------------------------------
 
-    def _maybe_expand(self, stream: _Stream, tok: PPToken) -> bool:
-        if tok.kind is not _IDENT or tok.lexeme in tok.no_expand:
-            return False
-        macro = self._lookup(tok.lexeme)
-        if macro is None:
-            return False
-        if macro.function_like:
-            nxt = stream.peek()
-            if nxt is None or not nxt.is_punct("("):
-                return False
-            args = self._collect_args(stream, tok, macro)
-            expanded_args = [self._expand_isolated(a) for a in args]
-            body = self._substitute(macro, expanded_args)
-        else:
-            body = macro.body
-        # A body token with no chain of its own takes `outer` itself, and
-        # one with an empty hide set takes `hide` itself.
+    def _scan(
+        self, tokens: list[PPToken], i: int, limit: int, out: list[PPToken], pragma: bool
+    ) -> None:
+        """Expand `tokens[i:limit]` into `out`; with `pragma`, consume each
+        `_Pragma` operator as text outside directives does (C99 6.10.9).
+
+        The tokens of an expansion that can still expand wait in `front`,
+        last first, and are rescanned before the rest; any other expansion
+        goes straight to `out`.
+        """
+        macros = self.macros
+        reads = None if self.trace is None else self.trace.reads
+        front: list[PPToken] = []
+        while True:
+            if front:
+                tok = front.pop()
+            elif i < limit:
+                tok = tokens[i]
+                i += 1
+            else:
+                return
+            if tok.kind is _IDENT:
+                name = tok.lexeme
+                macro = macros.get(name)
+                if macro is None:
+                    if reads is not None:
+                        reads.setdefault(name, None)
+                elif name not in tok.no_expand:
+                    if reads is not None:
+                        reads.setdefault(name, macro)
+                    if macro.params is None or self._next(front, tokens, i, limit) == "(":
+                        args = None
+                        if macro.params is not None:
+                            args, i = self._collect_args(front, tokens, i, limit, tok, macro)
+                        expansion, live = self._expand(macro, tok, args, pragma)
+                        if live:
+                            front += reversed(expansion)
+                        else:
+                            out += expansion
+                        continue
+                if pragma and name == "_Pragma" and self._next(front, tokens, i, limit) == "(":
+                    i = self._operator_pragma(tok, front, tokens, i, limit)
+                    continue
+            out.append(tok)
+
+    @staticmethod
+    def _next(front: list[PPToken], tokens: list[PPToken], i: int, limit: int) -> str | None:
+        """The lexeme of the token a scan takes next, if any."""
+        if front:
+            return front[-1].lexeme
+        return tokens[i].lexeme if i < limit else None
+
+    def _expand(
+        self, macro: MacroDef, tok: PPToken, args: list[list[PPToken]] | None, pragma: bool
+    ) -> tuple[list[PPToken], bool]:
+        """The tokens `macro` invoked at `tok` gives, with `args` the tokens
+        of its arguments (None if it is object-like), and whether a scan
+        (consuming `_Pragma` if `pragma`) could expand or consume one of them.
+
+        An argument is macro-expanded on its own first, unless a scan would
+        pass each of its tokens through (`_Pragma` counts as one it would
+        not, as the text it lands in may consume it). Every token of the
+        result takes `outer` as its chain and `hide` as its hide set,
+        extended by the argument token's own: one new chain and hide set
+        per distinct one.
+        """
+        macros = self.macros
         outer = tok.chain + (ExpansionFrame(macro.name, tok.pos),)
         hide = tok.no_expand | macro.hide if tok.no_expand else macro.hide
-        stream.push_front([
-            PPToken(t.kind, t.lexeme, t.pos, outer + t.chain if t.chain else outer,
-                    False, t.ws_before, t.no_expand | hide if t.no_expand else hide)
-            for t in body
-        ])
+        scanned = False
+        if args is None:
+            out = [PPToken(t.kind, t.lexeme, t.pos, outer, False, t.ws_before, hide)
+                   for t in macro.body]
+        else:
+            for k, arg in enumerate(args):
+                if not self._settled(arg, True):
+                    args[k] = expanded = []
+                    self._scan(arg, 0, len(arg), expanded, False)
+                    scanned = True
+            out = []
+            chains: dict[int, tuple[ExpansionFrame, ...]] = {}
+            hides: dict[int, frozenset[str]] = {}
+            for t, slot in zip(macro.body, macro.slots):
+                if slot is None:
+                    out.append(PPToken(t.kind, t.lexeme, t.pos, outer, False, t.ws_before, hide))
+                    continue
+                for a in args[slot]:
+                    inner = a.chain
+                    if inner:
+                        chain = chains.get(id(inner))
+                        if chain is None:
+                            chain = chains[id(inner)] = outer + inner
+                    else:
+                        chain = outer
+                    inner = a.no_expand
+                    if inner:
+                        hidden = hides.get(id(inner))
+                        if hidden is None:
+                            hidden = hides[id(inner)] = inner | hide
+                    else:
+                        hidden = hide
+                    out.append(PPToken(a.kind, a.lexeme, a.pos, chain, False, a.ws_before, hidden))
+        for name in macro.names:
+            if pragma and name == "_Pragma" or name in macros and name not in hide:
+                return out, True
+        if scanned:
+            return out, not self._settled(out, pragma)
+        if self.trace is not None:
+            reads = self.trace.reads
+            for name in macro.names:
+                if name not in macros:
+                    reads.setdefault(name, None)
+        return out, False
+
+    def _settled(self, tokens: list[PPToken], pragma: bool) -> bool:
+        """Whether a scan (consuming `_Pragma` if `pragma`) would pass every
+        token of `tokens` through: none is a defined macro outside its hide
+        set. Notes each undefined name in the read set, as that scan would."""
+        macros = self.macros
+        reads = None if self.trace is None else self.trace.reads
+        for t in tokens:
+            if t.kind is _IDENT:
+                name = t.lexeme
+                if pragma and name == "_Pragma":
+                    return False
+                if name in macros:
+                    if name not in t.no_expand:
+                        return False
+                elif reads is not None:
+                    reads.setdefault(name, None)
         return True
 
-    def _collect_args(self, stream: _Stream, name_tok: PPToken, macro: MacroDef) -> list[list[PPToken]]:
-        stream.pop()  # '('
-        args: list[list[PPToken]] = [[]]
+    @staticmethod
+    def _collect_args(
+        front: list[PPToken], tokens: list[PPToken], i: int, limit: int,
+        name_tok: PPToken, macro: MacroDef,
+    ) -> tuple[list[list[PPToken]], int]:
+        """The arguments of an invocation whose '(' is next, and the index
+        in `tokens` past its ')'. Text ends at a directive or at the end of
+        its file, and an argument list may cross neither."""
+        if front:
+            front.pop()
+        else:
+            i += 1
+        arg: list[PPToken] = []
+        args = [arg]
         depth = 1
         while True:
-            if not stream:
+            if front:
+                t = front.pop()
+            elif i < limit:
+                t = tokens[i]
+                i += 1
+            elif limit < len(tokens):
+                raise PreprocessError(
+                    "preprocessing directive inside macro arguments", tokens[limit].origin
+                )
+            else:
                 raise PreprocessError(
                     f"unterminated argument list for macro {macro.name!r}", name_tok.origin
                 )
-            t = stream.pop()
-            if t.at_bol and t.is_punct("#") and not t.chain:
-                raise PreprocessError(
-                    "preprocessing directive inside macro arguments", t.origin
-                )
-            if t.is_punct("("):
+            lexeme = t.lexeme
+            if lexeme == "(":
                 depth += 1
-            elif t.is_punct(")"):
+            elif lexeme == ")":
                 depth -= 1
-                if depth == 0:
+                if not depth:
                     break
-            elif t.is_punct(",") and depth == 1:
-                args.append([])
+            elif lexeme == "," and depth == 1:
+                arg = []
+                args.append(arg)
                 continue
-            args[-1].append(t)
-        if macro.params == () and len(args) == 1 and not args[0]:
+            arg.append(t)
+        if macro.params == () and len(args) == 1 and not arg:
             args = []
-        if len(args) != len(macro.params or ()):
+        if len(args) != len(macro.params):
             raise PreprocessError(
-                f"macro {macro.name!r} expects {len(macro.params or ())} argument(s), "
-                f"got {len(args)}",
+                f"macro {macro.name!r} expects {len(macro.params)} argument(s), got {len(args)}",
                 name_tok.origin,
             )
-        return args
+        return args, i
 
-    @staticmethod
-    def _substitute(macro: MacroDef, args: list[list[PPToken]]) -> list[PPToken]:
-        index = {p: i for i, p in enumerate(macro.params or ())}
-        out: list[PPToken] = []
-        for t in macro.body:
-            if t.kind is TokenKind.IDENT and t.lexeme in index:
-                out.extend(args[index[t.lexeme]])
+    def _operator_pragma(
+        self, tok: PPToken, front: list[PPToken], tokens: list[PPToken], i: int, limit: int
+    ) -> int:
+        """Consume the `_Pragma` operator at `tok`, whose '(' is next, and
+        record it; return the index in `tokens` past what it took."""
+        taken: list[PPToken] = []
+        while len(taken) < 3 and (front or i < limit):
+            if front:
+                taken.append(front.pop())
             else:
-                out.append(t)
-        return out
-
-    def _expand_isolated(self, tokens: list[PPToken]) -> list[PPToken]:
-        stream = _Stream(tokens)
-        out: list[PPToken] = []
-        while stream:
-            t = stream.pop()
-            if self._maybe_expand(stream, t):
-                continue
-            out.append(t)
-        return out
-
-    def _consume_operator_pragma(self, stream: _Stream, tok: PPToken) -> None:
-        nxt = stream.peek()
-        if nxt is None or not nxt.is_punct("("):
-            self.out.append(tok)
-            return
-        stream.pop()
-        string = stream.pop() if stream else None
-        close = stream.pop() if stream else None
-        if (
-            string is None
-            or string.kind is not TokenKind.STRING
-            or close is None
-            or not close.is_punct(")")
-        ):
+                taken.append(tokens[i])
+                i += 1
+        if len(taken) < 3 or taken[1].kind is not TokenKind.STRING or taken[2].lexeme != ")":
             raise PreprocessError("malformed _Pragma operator", tok.origin)
         # C99 6.10.9: destringize, then record the tokens as #pragma does.
-        text = _DESTRINGIZE.sub(r"\1", string.lexeme[1:-1])
+        text = _DESTRINGIZE.sub(r"\1", taken[1].lexeme[1:-1])
         try:
             tokens = lex(SourceFile(tok.origin.file, "_Pragma", text))
         except (LexError, UnsupportedConstructError) as exc:
             raise type(exc)(exc.message, tok.origin) from None
         self.pragmas.append(PragmaRecord(tok.pos, render_tokens(tokens)))
+        return i
 
 
 def preprocess(

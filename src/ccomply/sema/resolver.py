@@ -37,6 +37,8 @@ siblings, and that sets `KIND_MULTICALL`.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 from ccomply.errors import SemaError, UnsupportedConstructError
 from ccomply.parsing.astnodes import (
     KIND_ADDR, KIND_BRANCH, KIND_CALL, KIND_CAST, KIND_MULTICALL, KIND_SIZEOF,
@@ -53,8 +55,8 @@ from ccomply.sema.symbols import Linkage, Storage, SymKind, Symbol, SymbolTable
 from ccomply.sema.typesys import (
     BOOL_T, DEFAULT_MODEL, DOUBLE_T, FLOAT_T, TK, VOID_T, EnumInfo,
     IntegerModel, RecordInfo, TypeDesc, TypeTable, convert_int, int_constant_type,
-    is_arithmetic, is_floating, is_integer, is_pointer, is_scalar, make_int, promoted_width,
-    sizeof_type, usual_arith_conversion,
+    integer_promote, is_arithmetic, is_floating, is_integer, is_pointer, is_scalar, make_int,
+    promoted_width, sizeof_type, usual_arith_conversion,
 )
 from ccomply.source import pack
 
@@ -129,6 +131,15 @@ _BUILTIN_TYPEDEFS = {
 _BUILTIN_POS = pack(-1, 1, 1)
 
 
+@dataclass(slots=True)
+class _SwitchLabels:
+    """The labels met so far in one switch body."""
+
+    type: TypeDesc  # the promoted type of the controlling expression
+    values: set[int] = field(default_factory=set)  # case values, converted to `type`
+    default: bool = False
+
+
 class Resolver:
     """Resolves one unit's declarations in order, starting from the builtin
     typedefs or from `start`, a `state()` kept where a header prefix ends."""
@@ -146,6 +157,13 @@ class Resolver:
         self._kinds = 0
         # Whether the current function body holds a shift `_shift` noted.
         self._unproven_shifts = False
+        # What the statement constraints need of the current function body:
+        # the label names and `goto`s met so far, how many loops enclose the
+        # statement being resolved, and the labels of each enclosing switch.
+        self._labels: set[str] = set()
+        self._gotos: list[Goto] = []
+        self._loops = 0
+        self._switches: list[_SwitchLabels] = []
         if start is None:
             self.table = SymbolTable(path, model)
             self.types = TypeTable()
@@ -356,7 +374,7 @@ class Resolver:
                     raise SemaError(
                         f"{entry.name!r} has both 'extern' and initializer", entry.loc)
                 first = len(self._calls)
-                self.type_expr(entry.init)
+                self._value(entry.init)
                 if len(self._calls) > first and sym.storage is not Storage.AUTO:
                     # C99 6.7.8p4: an object of static storage duration takes
                     # constant initializers, and a call is none (6.6p3).
@@ -465,7 +483,12 @@ class Resolver:
                 p.name, SymKind.OBJECT, pt, 0, Storage.AUTO, Linkage.NONE,
                 p.start, p.end, p.via, quals=pt.quals, is_param=True,
             ), defined=True)
+        self._labels, self._gotos, self._loops, self._switches = set(), [], 0, []
         self._stmt(fn.body, push=False)
+        for goto in self._gotos:
+            # C99 6.8.6.1p1: a `goto` names a label of its own function.
+            if goto.label not in self._labels:
+                raise SemaError(f"goto to undefined label {goto.label!r}", goto.loc)
         fn.calls = tuple(self._calls)
         self._calls.clear()
         fn.unproven_shifts = self._unproven_shifts
@@ -489,21 +512,24 @@ class Resolver:
             if node.expr is not None:
                 self.type_expr(node.expr)
         elif isinstance(node, If):
-            self.type_expr(node.cond)
+            self._condition(node.cond)
             self._stmt(node.then)
             if node.els is not None:
                 self._stmt(node.els)
         elif isinstance(node, Switch):
             # C99 6.8.4.2p1: the controlling expression has integer type.
-            self._require(is_integer(self.type_expr(node.cond)), node.cond,
+            cond_t = self._rvalue(node.cond)
+            self._require(is_integer(cond_t), node.cond,
                           "controlling expression of switch must have integer type")
+            self._switches.append(_SwitchLabels(integer_promote(cond_t, self.model)))
             self._stmt(node.body)
+            self._switches.pop()
         elif isinstance(node, While):
-            self.type_expr(node.cond)
-            self._stmt(node.body)
+            self._condition(node.cond)
+            self._loop_body(node.body)
         elif isinstance(node, DoWhile):
-            self._stmt(node.body)
-            self.type_expr(node.cond)
+            self._loop_body(node.body)
+            self._condition(node.cond)
         elif isinstance(node, For):
             self.table.push()
             if isinstance(node.init, Declaration):
@@ -518,35 +544,76 @@ class Resolver:
             elif node.init is not None:
                 self.type_expr(node.init)
             if node.cond is not None:
-                self.type_expr(node.cond)
+                self._condition(node.cond)
             if node.step is not None:
                 self.type_expr(node.step)
-            self._stmt(node.body)
+            self._loop_body(node.body)
             self.table.pop()
         elif isinstance(node, Return):
             # C99 6.8.6.4p1: a value exactly when the function returns one.
             void = self.current_function.symbol.type.ret.kind is TK.VOID
             if node.value is not None:
-                self.type_expr(node.value)
                 if void:
                     raise SemaError("'return' with a value in a function returning void",
                                     node.loc)
+                self._value(node.value)
             elif not void:
                 raise SemaError("'return' with no value in a function returning a value",
                                 node.loc)
         elif isinstance(node, Label):
-            if node.case_expr is not None:
-                self.type_expr(node.case_expr)
-                if node.case_expr.const_value is None:
-                    raise SemaError(
-                        "case label requires a constant expression",
-                        node.loc,
-                    )
+            if node.kind == "named":
+                # C99 6.8.1p3: label names are unique in a function.
+                if node.name in self._labels:
+                    raise SemaError(f"duplicate label {node.name!r}", node.loc)
+                self._labels.add(node.name)
+            else:
+                self._switch_label(node)
             self._stmt(node.stmt)
-        elif isinstance(node, (Goto, Break, Continue)):
-            pass
+        elif isinstance(node, Goto):
+            self._gotos.append(node)
+        elif isinstance(node, Break):
+            # C99 6.8.6.3p1: only in a loop or a switch body.
+            if not self._loops and not self._switches:
+                raise SemaError("'break' outside loop or switch", node.loc)
+        elif isinstance(node, Continue):
+            # C99 6.8.6.2p1: only in a loop body.
+            if not self._loops:
+                raise SemaError("'continue' outside loop", node.loc)
         else:
             raise SemaError(f"unexpected statement {type(node).__name__}")
+
+    def _loop_body(self, body: Node) -> None:
+        self._loops += 1
+        self._stmt(body)
+        self._loops -= 1
+
+    def _condition(self, cond: Expr) -> None:
+        # C99 6.8.4.1p1, 6.8.5p2: a controlling expression has scalar type.
+        self._require(is_scalar(self._rvalue(cond)), cond,
+                      "controlling expression must have scalar type")
+
+    def _switch_label(self, node: Label) -> None:
+        """Check a `case` or `default` label against its switch (C99 6.8.4.2)."""
+        if not self._switches:
+            # C99 6.8.1p2: only in a switch body.
+            raise SemaError(f"'{node.kind}' label outside switch", node.loc)
+        labels = self._switches[-1]
+        if node.case_expr is None:
+            # C99 6.8.4.2p3: at most one `default` per switch.
+            if labels.default:
+                raise SemaError("multiple default labels in one switch", node.loc)
+            labels.default = True
+            return
+        self.type_expr(node.case_expr)
+        value = node.case_expr.const_value
+        if value is None:
+            raise SemaError("case label requires a constant expression", node.loc)
+        # C99 6.8.4.2p3, p5: no two case values are equal once converted to
+        # the promoted type of the controlling expression.
+        value = convert_int(value, labels.type, self.model)[0]
+        if value in labels.values:
+            raise SemaError(f"duplicate case value {value}", node.loc)
+        labels.values.add(value)
 
     # -- expressions ------------------------------------------------------------------
 
@@ -562,6 +629,14 @@ class Resolver:
 
     def _rvalue(self, e: Expr) -> TypeDesc:
         return self.types.rvalue(self.type_expr(e))
+
+    def _value(self, e: Expr) -> TypeDesc:
+        """The type of `e`, whose value is used: C99 6.3.2.2p1 forbids using
+        the value of a void expression. An initializer list is no value."""
+        t = self.type_expr(e)
+        if t.kind is TK.VOID and type(e) is not InitList:
+            raise SemaError("void value not ignored as it ought to be", e.loc)
+        return t
 
     def _type_expr(self, e: Expr) -> TypeDesc:
         model = self.model
@@ -624,7 +699,7 @@ class Resolver:
             self._kinds |= KIND_STORE
             target_t = self.type_expr(e.target)
             self._require_lvalue(e.target)
-            self.type_expr(e.value)
+            self._value(e.value)
             return self.types.rvalue(target_t)
 
         if cls is CompoundAssign:
@@ -666,7 +741,7 @@ class Resolver:
                     e.loc,
                 )
             for a in e.args:
-                self.type_expr(a)
+                self._value(a)
             if ft.params is not None:
                 n, got = len(ft.params), len(e.args)
                 if got < n or (got > n and not ft.variadic):
@@ -756,6 +831,8 @@ class Resolver:
                     e.const_value = convert_int(then if cond else other, t, model)[0]
                 return t
             if then_t.kind is TK.VOID or other_t.kind is TK.VOID:
+                # C99 6.5.15p3: both operands are void, or neither is.
+                self._require(then_t.kind is other_t.kind, e, "only one operand of ?: is void")
                 return VOID_T
             return then_t
 
@@ -781,7 +858,7 @@ class Resolver:
 
         if cls is InitList:
             for element in e.elements:
-                self.type_expr(element)
+                self._value(element)
             return VOID_T
 
         raise SemaError(f"cannot type expression {type(e).__name__}")

@@ -124,6 +124,21 @@ def test_include_resolution_order(tmp_path):
     srcmap.check_total(mgr)
 
 
+def test_an_included_header_has_one_normalized_path(tmp_path, monkeypatch):
+    """A header found through `.` is reported as `h.h`, not `./h.h`, and
+    every spelling of it loads the same file."""
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "h.h").write_text("int x;\n")
+    (tmp_path / "main.c").write_text('#include "h.h"\n#include "./h.h"\n#include "sub/../h.h"\n')
+    monkeypatch.chdir(tmp_path)
+    mgr = SourceManager()
+    toks, srcmap, _ = preprocess(mgr.load("main.c"), [], [], mgr)
+    assert lexemes(toks) == ["int", "x", ";"] * 3
+    assert {mgr.path_of(t.origin.file) for t in toks} == {"h.h"}
+    assert len(mgr) == 2  # main.c and h.h
+    srcmap.check_total(mgr)
+
+
 class TestHeaderTokenCache:
     """A header reached through #include is lexed once per SourceManager."""
 

@@ -13,7 +13,7 @@ the new side keeps from one unit must not change the next one's output.
 Run as a script to compare every translation unit of all three
 generated workloads:
 
-    PYTHONPATH=src:tests:perfbench python3 tests/test_preprocessor_oracle.py --seeds 1 2
+    PYTHONPATH=src:tests:perfbench python3 tests/test_preprocessor_oracle.py --seeds 1 2 3
 """
 from __future__ import annotations
 
@@ -21,6 +21,7 @@ import os
 import sys
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -189,6 +190,80 @@ def test_units_alternating_two_contexts_match_oracle(header, second_header, cont
             assert new.run(path, chosen) == old.run(path, chosen), files
 
 
+# Examples of each shortcut the expansion takes, run unit after unit
+# through one manager per side. Each is checked against a deliberately
+# broken preprocessor (a mutant) that gives some of them a wrong outcome:
+# - `reads`: an argument substituted as it is records no reads;
+# - `hide`: an argument token's hide set is looked up by the size of its
+#   own, not by the object, so two of one size share one;
+# - `wide`: the settled test takes every name the scan has expanded so far
+#   as hidden, not the token's own hide set;
+# - `args`: the settled test looks at the body's names and not at the
+#   argument tokens;
+# - `directive`: an argument list that meets a directive is reported as
+#   unterminated.
+# A settled test that ignores the hide set altogether takes every defined
+# name as one that can expand: that only rescans more, so no output can
+# tell it apart.
+SHORTCUT_CASES = {
+    # `reads`: the argument holds `N`, undefined when `h.h` is first
+    # processed; the second unit defines `N` and must not replay it.
+    "argument_read_replayed_after_definition": (
+        {"h.h": "#define ID(x) x\nint v = ID(N) + ID(M);\n",
+         "u0.c": '#include "h.h"\n', "u1.c": '#define N 5\n#include "h.h"\n',
+         "u2.c": '#define M 6\n#include "h.h"\n'},
+        ["u0.c", "u1.c", "u2.c", "u0.c"]),
+    # `wide`: the expansion ends in a function-like name and its `(` comes
+    # from the source.
+    "expansion_ends_in_function_like_name": (
+        {"u0.c": "#define F(x) (x + 1)\n#define H F\n#define HH H\nint a = H(2) + HH(3) + H;\n"},
+        ["u0.c"]),
+    # `args`: an argument holds a function-like name the body calls.
+    "argument_function_like_name_called_by_body": (
+        {"u0.c": "#define F(x) (x + 1)\n#define CALL(f, v) f(v)\n#define TWICE(f) f(f(1))\n"
+                 "int a = CALL(F, 2) + TWICE(F) + CALL(CALL, F);\n"},
+        ["u0.c"]),
+    # `wide`: self-reference, directly and through another name, next to a
+    # name expanded earlier in the same text.
+    "self_referential_names": (
+        {"u0.c": "#define B 2\n#define R R + B\n#define P Q + 1\n#define Q P * B\n"
+                 "#define ID(x) x\nint a = B + R + P + Q + ID(R) + ID(ID(P));\n"},
+        ["u0.c"]),
+    # `args`: `_Pragma` out of an expansion, from the body and from an
+    # argument (one word each: the oracle records a pragma's string as
+    # written, where `preprocess` destringizes and relexes it).
+    "pragma_from_expansion": (
+        {"u0.c": '#define PR _Pragma("pack") int\n#define ID(x) x\n#define B 1\n'
+                 'PR a;\nID(_Pragma("once")) int b = ID(B);\nID(_Pragma) c;\n'},
+        ["u0.c"]),
+    # `hide`: one argument holds tokens of several expansions, with hide
+    # sets of one size; arguments start in an expansion and end in the
+    # source.
+    "arguments_span_front_and_source": (
+        {"u0.c": "#define A 1\n#define B 2\n#define C A B\n#define G(x, y) x y B\n"
+                 "#define OPEN G(A B C,\n#define SUM(x) (x + A)\n"
+                 "int a[] = { OPEN C) };\nint b = SUM(A B C) + G(C, A);\n"},
+        ["u0.c"]),
+    # `directive`: a directive inside the arguments, in source text and
+    # after an expansion that opened them.
+    "directive_inside_arguments": (
+        {"u0.c": "#define F(x) x\nint a = F(1\n#define X\n);\n",
+         "u1.c": "#define F(x) x\n#define OPEN F(\nint a = OPEN 1\n#undef F\n);\n"},
+        ["u0.c", "u1.c"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHORTCUT_CASES))
+def test_expansion_shortcuts_match_oracle(tmp_path, name):
+    files, units = SHORTCUT_CASES[name]
+    for path, text in files.items():
+        (tmp_path / path).write_text(text, encoding="ascii")
+    new, old = sides([])
+    for path in units:
+        full = str(tmp_path / path)
+        assert new.run(full) == old.run(full), path
+
+
 def workload_diffs(workload: str, seed: int, workdir: str, tus: int | None = None):
     """(units, output tokens, units whose outcome differs) over the first `tus` units."""
     project = generate(workload, seed)
@@ -220,7 +295,7 @@ def main(argv: list[str]) -> int:
     import json
 
     ap = argparse.ArgumentParser(description=main.__doc__)
-    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
+    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     args = ap.parse_args(argv)
     report = {}
     for workload in WORKLOADS:

@@ -1,9 +1,12 @@
 import re
+import shutil
+import subprocess
 from dataclasses import FrozenInstanceError, fields, is_dataclass
 
 import pytest
 
-from ccomply.errors import SemaError, UnsupportedConstructError
+from ccomply.errors import AnalysisError, SemaError, UnsupportedConstructError
+from ccomply.flow import build_call_graph
 from ccomply.parsing import (
     QUALIFIER_SETS, Assign, Binary, Call, Declaration, ExprStmt, FunctionDef, Identifier,
     Return, SynBase, SynPtr, SynType, astnodes, parse, walk,
@@ -16,6 +19,7 @@ from ccomply.sema import (
 from ccomply.sema.typesys import (
     DEFAULT_MODEL, EnumInfo, RecordInfo, TypeDesc, make_int, make_pointer, sizeof_type,
 )
+from ccomply.rules import IMPLEMENTED, compute_tu_facts, run_rules
 from support import pp_text
 
 
@@ -913,3 +917,155 @@ class TestReturnConstraints:
     ])
     def test_accepted(self, text):
         analyze(text + "\n")
+
+
+# Each shape below is checked against gcc -std=c99 -pedantic-errors
+# -fsyntax-only when gcc is installed: a rejected shape must fail there
+# too, on the same line, and an accepted one must compile.
+GCC = shutil.which("gcc")
+CONSTRAINT_PRELUDE = "extern void use(int);\nextern int get(void);\n"
+
+
+def gcc_errors(tmp_path, text: str) -> list[str] | None:
+    """gcc's error lines for `text`, or None if gcc is not installed."""
+    if GCC is None:
+        return None
+    path = tmp_path / "t.c"
+    path.write_text(text)
+    run = subprocess.run([GCC, "-std=c99", "-pedantic-errors", "-fsyntax-only", str(path)],
+                         capture_output=True, text=True, check=False)
+    return [line for line in run.stderr.splitlines() if ": error: " in line]
+
+
+def check_rejected(tmp_path, text: str, message: str, line: int) -> SemaError:
+    with pytest.raises(SemaError, match=message) as info:
+        analyze(text)
+    assert info.value.loc.line == line
+    errors = gcc_errors(tmp_path, text)
+    assert errors is None or any(f"t.c:{line}:" in e for e in errors), errors
+    return info.value
+
+
+def check_accepted(tmp_path, text: str) -> None:
+    analyze(text)
+    assert gcc_errors(tmp_path, text) in (None, [])
+
+
+# (body, message); the offending statement is on line 5.
+STATEMENT_SHAPES = [
+    # C99 6.8.1p3: label names are unique in a function.
+    ("void f(void) {\n  L: use(1);\n  L: use(2);\n}\n", "duplicate label 'L'"),
+    # C99 6.8.6.1p1: a `goto` names a label of its own function.
+    ("void f(void) {\n  use(1);\n  goto M;\n}\n", "goto to undefined label 'M'"),
+    ("void g(void) { M: use(1); }\nvoid f(void) {\n  goto M;\n}\n",
+     "goto to undefined label 'M'"),
+    # C99 6.8.6.3p1 and 6.8.6.2p1.
+    ("void f(void) {\n  use(1);\n  break;\n}\n", "'break' outside loop or switch"),
+    ("void f(void) {\n  use(1);\n  continue;\n}\n", "'continue' outside loop"),
+    ("void f(int x) {\n  switch (x) { case 1: use(1);\n  continue; }\n}\n", "'continue' outside loop"),
+    # C99 6.8.1p2: `case` and `default` only in a switch body.
+    ("void f(void) {\n  use(1);\n  case 1: use(1);\n}\n", "'case' label outside switch"),
+    ("void f(void) {\n  use(1);\n  default: use(1);\n}\n", "'default' label outside switch"),
+    # C99 6.8.4.2p3: case values unique once converted to the promoted
+    # type of the controlling expression, and at most one `default`.
+    ("void f(int x) {\n  switch (x) { case 1: use(1);\n  case 1: use(2); }\n}\n",
+     "duplicate case value 1"),
+    ("void f(unsigned x) {\n  switch (x) { case -1: use(1);\n  case 4294967295u: use(2); }\n}\n",
+     "duplicate case value 4294967295"),
+    ("void f(int x) {\n  switch (x) { default: use(1);\n  default: use(2); }\n}\n",
+     "multiple default labels in one switch"),
+]
+
+STATEMENTS_ACCEPTED = [
+    "void f(int x) { while (x) { switch (x) { case 1: continue; default: break; } } }\n",
+    "void f(int x) { switch (x) { case 1: { switch (x) { case 1: break; default: break; } }"
+    " default: break; } }\n",
+    "void f(int x) { switch (x) { case 1: while (x) { case 2: break; } } }\n",
+    "void f(int x) { L: if (x) goto L; }\n",
+    "void f(void) { goto L; L: use(1); }\n",
+    "void f(int x) { for (;;) { if (x) break; } }\n",
+    "void g(void) { L: use(1); }\nvoid f(void) { L: use(2); }\n",
+]
+
+# C99 6.3.2.2p1: no void value is used; C99 6.8.4.1p1, 6.8.5p2 and
+# 6.5.15p2: a controlling expression and the first operand of `?:` are
+# scalar; 6.5.15p3: both operands of `?:` are void, or neither is.
+VOID_VALUE_SHAPES = [
+    ("void f(void) {\n  use(1);\n  if (use(1)) { }\n}\n", "controlling expression must have scalar"),
+    ("void f(void) {\n  use(1);\n  while (use(1)) { }\n}\n",
+     "controlling expression must have scalar"),
+    ("void f(void) {\n  use(1);\n  do { } while (use(1));\n}\n",
+     "controlling expression must have scalar"),
+    ("void f(void) {\n  use(1);\n  for (; use(1); ) { }\n}\n",
+     "controlling expression must have scalar"),
+    ("struct S { int m; } s;\nvoid f(void) {\n  if (s) { }\n}\n",
+     "controlling expression must have scalar"),
+    ("void f(void) {\n  use(1);\n  use(use(1) ? 1 : 2);\n}\n", "condition must be scalar"),
+    ("void f(void) {\n  use(1);\n  int z = use(1); use(z);\n}\n", "void value not ignored"),
+    ("void f(void) {\n  use(1);\n  int a[2] = { use(1), 2 }; use(a[0]);\n}\n",
+     "void value not ignored"),
+    ("void f(void) {\n  int z;\n  z = use(1); use(z);\n}\n", "void value not ignored"),
+    ("void f(void) {\n  use(1);\n  use(use(2));\n}\n", "void value not ignored"),
+    ("void f(int c) {\n  use(1);\n  c ? use(1) : 1;\n}\n", "only one operand of \\?: is void"),
+    ("void f(int c) {\n  use(1);\n  c ? 1 : use(1);\n}\n", "only one operand of \\?: is void"),
+    ("int f(void) {\n  use(1);\n  return use(1);\n}\n", "void value not ignored"),
+]
+
+VOID_VALUES_ACCEPTED = [
+    "void f(int c) { c ? use(1) : use(2); }\n",
+    "void f(void) { (void)use(1); }\n",
+    "void f(int *p) { int a[2]; a[0] = 1; if (p) { use(a[0]); } while (a) { break; } }\n",
+    "void f(double d) { if (d) { use(1); } }\n",
+    "void f(void) { int z = (use(1), 2); use(z); }\n",
+    "void f(void) { int a[2][2] = { { 1, 2 }, { 3, 4 } }; use(a[0][0]); }\n",
+]
+
+
+def _shape_id(shape) -> str:
+    """A test id: a rejected shape's offending line, or an accepted body."""
+    text = shape[0] if isinstance(shape, tuple) else shape
+    lines = text.split("\n")
+    return (lines[2] if len(lines) > 4 else lines[-2]).strip()
+
+
+class TestStatementConstraints:
+    """The resolver checks every statement constraint as it resolves a
+    body, so whether a unit is accepted does not depend on the guidelines
+    enabled."""
+
+    @pytest.mark.parametrize("shape", STATEMENT_SHAPES + VOID_VALUE_SHAPES, ids=_shape_id)
+    def test_rejected(self, tmp_path, shape):
+        text, message = shape
+        check_rejected(tmp_path, CONSTRAINT_PRELUDE + text, message, 5)
+
+    @pytest.mark.parametrize("text", STATEMENTS_ACCEPTED + VOID_VALUES_ACCEPTED, ids=_shape_id)
+    def test_accepted(self, tmp_path, text):
+        check_accepted(tmp_path, CONSTRAINT_PRELUDE + text)
+
+    @staticmethod
+    def _outcome(text: str, guideline: str):
+        """(stage, error class, message, location) of the first error the
+        stage chain raises with only `guideline` enabled, or None."""
+        stage = "preprocess"
+        try:
+            toks, _, _, mgr = pp_text(text)
+            stage = "parse"
+            tu = parse(toks, "t.c")
+            stage = "resolve"
+            table = resolve(tu)
+            stage = "rules"
+            facts = compute_tu_facts(tu, table, mgr)
+            run_rules([facts], {guideline}, call_graph=build_call_graph([(tu, table)]),
+                      manager=mgr)
+        except AnalysisError as exc:
+            return stage, type(exc).__name__, exc.message, exc.loc
+        return None
+
+    @pytest.mark.parametrize("text", [t for t, _ in STATEMENT_SHAPES + VOID_VALUE_SHAPES]
+                             + STATEMENTS_ACCEPTED + VOID_VALUES_ACCEPTED, ids=_shape_id)
+    def test_every_guideline_gets_the_same_outcome(self, text):
+        text = CONSTRAINT_PRELUDE + text
+        outcomes = {gid: self._outcome(text, gid) for gid in sorted(IMPLEMENTED)}
+        first = outcomes["R2.1"]
+        assert first is None or first[:2] == ("resolve", "SemaError")
+        assert all(o == first for o in outcomes.values()), outcomes
