@@ -49,32 +49,41 @@ class EdgeKind(Enum):
     JUMP = "jump"
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class EvalItem:
     expr: Expr
     stmt: Node  # originating statement (or declaration entry)
+    _events: list[Event] | None = field(default=None, init=False, repr=False)
 
-    @cached_property
+    @property
     def events(self) -> list[Event]:
-        """The item's effect events, walked once and kept."""
-        return effects.walk_effects(self.expr)
+        """The item's effect events, walked on first read and kept."""
+        events = self._events
+        if events is None:
+            events = self._events = effects.walk_effects(self.expr)
+        return events
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class DeclItem:
     symbol: Symbol
     init: Expr | None
     entry: DeclEntry
     stmt: Node
+    _events: list[Event] | None = field(default=None, init=False, repr=False)
 
-    @cached_property
+    @property
     def events(self) -> list[Event]:
-        """The initializer's events, then the store of the declared object."""
-        if self.init is None:
-            return []
-        out = effects.walk_effects(self.init)
-        out.append(Event("write", self.symbol, self.init, self.init))
-        return out
+        """The initializer's events, then the store of the declared object;
+        walked on first read and kept."""
+        events = self._events
+        if events is None:
+            events = []
+            if self.init is not None:
+                events = effects.walk_effects(self.init)
+                events.append(Event("write", self.symbol, self.init, self.init))
+            self._events = events
+        return events
 
 
 Item = EvalItem | DeclItem
@@ -110,7 +119,7 @@ class TReturn:
     node: Node
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Block:
     id: int
     items: list[Item] = field(default_factory=list)
@@ -123,6 +132,7 @@ class Block:
     preds: list[int] = field(default_factory=list)
     succs: list[tuple[int, EdgeKind]] = field(default_factory=list)
     reachable: bool = True
+    _term_events: list[Event] | None = field(default=None, init=False, repr=False)
 
     def note(self, holder: Extent) -> None:
         if self.anchor is None and holder.start is not None:
@@ -140,11 +150,14 @@ class Block:
             return term.value
         return None
 
-    @cached_property
+    @property
     def term_events(self) -> list[Event]:
-        """The terminator expression's effect events, walked once and kept."""
-        expr = self.term_expr
-        return effects.walk_effects(expr) if expr is not None else []
+        """The terminator expression's effect events, walked on first read and kept."""
+        events = self._term_events
+        if events is None:
+            expr = self.term_expr
+            events = self._term_events = effects.walk_effects(expr) if expr is not None else []
+        return events
 
 
 @dataclass(eq=False)

@@ -40,10 +40,23 @@ is refined. At the fixpoint an edge is dead exactly when `edges` gives it
 None (`dead_edges`, R2.1's input); per `if`, `while`, `do` and `for`
 statement, `outcomes` says whether an edge into its true and into its
 false target (`Cfg.conditions`) is live (R14.3's input). Both come from
-what the solver's last visit to each branch block saw: a block's in-state
-never changes after that visit, since a change queues the block again, so
-no block is replayed and no edge function called again after the solver
-returns.
+what the solver's latest visit to each branch block saw: a block's
+in-state never changes after its last visit, since a change queues the
+block again, so no block is replayed and no edge function called again
+after the solver returns.
+
+The solver's iterates only grow (Cousot & Cousot, POPL 1977), so an edge
+that one visit finds live stays live at the fixpoint. Once every
+reachable branch block has been visited and every open one has had both
+edges live, no edge is dead and every outcome is final, so the analysis
+pauses there (`solver.Solver`): R2.1 and R14.3 never run it further.
+Reading `in_states`, `term_env` or `env_at`, as R12.2 does, resumes the
+same worklist to its fixpoint; the resumed run makes the visits an
+unpaused one would, so states, widenings and a budget `FlowError` are the
+same, and the error surfaces at that read; `dead_edges` and `outcomes`
+stay as the pause decided them. A function with a dead edge,
+or with a reachable branch block no state reaches, runs to its fixpoint
+at once.
 
 The result keeps one state per reached block, not one per program point.
 `IntervalResult.env_at(bid, idx)` lowers the block's items again and
@@ -51,8 +64,9 @@ replays those before `idx` on its in-state (`solver.state_at`): it is
 `{}` in a block the solver never reached, the in-state itself at index 0,
 and `term_env[bid]`, the state before the terminator that the last visit
 recorded, at `len(items)`.
-The lowered code is not kept past the analysis: held for a whole run, its
-closures take more memory than the per-point states they replace.
+The lowered code is kept while the solver is paused and dropped at its
+fixpoint: held for a whole run, its closures take more memory than the
+per-point states they replace.
 `eval_expr` lowers the queried expression on each call and never changes
 the environment it is given; a `&&`, `||`, `?:` or `,`, which lowering
 leaves in no item, reads as its type's range. C leaves the order of a full
@@ -72,12 +86,12 @@ address-taken locals (`Cfg.addr_taken`).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from ccomply.flow.cfg import Block, Cfg, DeclItem, TBranch, TSwitch
 from ccomply.flow.effects import designate, sym_of
-from ccomply.flow.solver import solve, state_at
+from ccomply.flow.solver import Solver, state_at
 from ccomply.parsing.astnodes import (
     KIND_CALL, KIND_STORE, AddrOf, Assign, Binary, Call, Cast, CompoundAssign,
     Constant, Deref, Expr, Identifier, IncDec, Index, InitList, Member, Node,
@@ -182,31 +196,67 @@ def _unordered_reads(e: Expr, uids) -> set[Expr]:
     return {read for read, inside in reads if inside < calls}
 
 
-@dataclass
 class IntervalResult:
     """Per-block states of one function, and queries against them.
 
-    `in_states` holds the state at the entry of each block the solver
-    reached and `term_env` the state before its terminator; `env_at`
-    replays the states in between. Each branch is decided by its block's
-    edge function on `term_env` at the solver's last visit, which saw the
-    fixpoint; the function reads the condition before its own stores.
-    `dead_edges` are the open branch edges
+    Each branch is decided by its block's edge function on the state before
+    its terminator at the solver's latest visit; the function reads the
+    condition before its own stores. `dead_edges` are the open branch edges
     it gives None, and `outcomes` maps each `if`, `while`, `do` and `for`
     statement with a reached branch block to (an edge into its true target
-    is live, an edge into its false target is live). `iterations` counts
-    block visits and `widenings` the widening steps that moved a bound.
+    is live, an edge into its false target is live). Both are final as soon
+    as every reachable branch block has been visited and every open one
+    has had both edges live, and the solver pauses there; they are decided
+    once, when the result is made, and reading them never runs it further.
+
+    `in_states` holds the state at the entry of each block the solver
+    reached and `term_env` the state before its terminator; `env_at`
+    replays the states in between. Each of the three first resumes the
+    solver to its fixpoint, which leaves `dead_edges` and `outcomes` as
+    they are; a budget `FlowError` surfaces there. `iterations` counts the
+    block visits and `widenings` the widening steps that moved a bound so
+    far; neither resumes the solver.
     """
 
-    model: IntegerModel
-    in_states: dict[int, Env] = field(default_factory=dict)
-    term_env: dict[int, Env] = field(default_factory=dict)
-    dead_edges: set[tuple[int, int]] = field(default_factory=set)
-    outcomes: dict[Node, tuple[bool, bool]] = field(default_factory=dict)
-    iterations: int = 0
-    widenings: int = 0
-    _evaluator: "_AbstractEval | None" = None
-    _cfg: Cfg | None = None
+    def __init__(self, model: IntegerModel, cfg: Cfg, evaluator: "_AbstractEval",
+                 solver: Solver, term_env: dict[int, Env], live: dict[int, set[int]]):
+        self.model = model
+        self._cfg = cfg
+        self._evaluator = evaluator
+        self._solver = solver
+        self._term_env = term_env
+        dead, outcomes = set(), {}
+        for bid, targets_live in live.items():
+            term = cfg.block(bid).term
+            if term.const_value is None:
+                for target in (term.true_target, term.false_target):
+                    if target not in targets_live:
+                        dead.add((bid, target))
+            targets = cfg.conditions.get(term.node)
+            if targets is not None:
+                true_live, false_live = outcomes.get(term.node, (False, False))
+                outcomes[term.node] = (true_live or targets[0] in targets_live,
+                                       false_live or targets[1] in targets_live)
+        self.dead_edges: set[tuple[int, int]] = dead
+        self.outcomes: dict[Node, tuple[bool, bool]] = outcomes
+
+    @property
+    def iterations(self) -> int:
+        return self._solver.visits
+
+    @property
+    def widenings(self) -> int:
+        return self._solver.widenings
+
+    @property
+    def in_states(self) -> dict[int, Env]:
+        self._fixpoint()
+        return self._solver.states
+
+    @property
+    def term_env(self) -> dict[int, Env]:
+        self._fixpoint()
+        return self._term_env
 
     def env_at(self, bid: int, idx: int) -> Env:
         """The state before item `idx` of block `bid`; {} if never reached."""
@@ -215,15 +265,19 @@ class IntervalResult:
             return {}
         b = self._cfg.block(bid)
         if idx == len(b.items):
-            return self.term_env[bid]
+            return self._term_env[bid]
         steps = self._evaluator.lower_items(b) if 0 < idx < len(b.items) else []
         return state_at(entry, steps, idx, len(b.items))
 
     def eval_expr(self, expr: Expr, env: Env, within: Expr | None = None) -> Interval | None:
         """`expr`'s value in `env`; `within` is the full expression that
         holds it, whose calls may run before `expr` is read."""
-        assert self._evaluator is not None
         return self._evaluator.lower_value(expr, within)(env)
+
+    def _fixpoint(self) -> None:
+        """Resume the solver to its fixpoint."""
+        if not self._solver.stable:
+            self._solver.run()
 
 
 class _BlockCode:
@@ -923,16 +977,22 @@ def _widen_env(old: Env, new: Env, bounds: dict[int, Interval]) -> Env:
 
 
 def interval_analysis(cfg: Cfg, model: IntegerModel = DEFAULT_MODEL) -> IntervalResult:
+    """Run the analysis until `dead_edges` and `outcomes` are final (see
+    `IntervalResult`): to its fixpoint only if some reachable branch block
+    is never visited or an edge of an open one stays dead."""
     ev = _AbstractEval(model, cfg.addr_taken)
-    result = IntervalResult(model, _evaluator=ev, _cfg=cfg)
 
-    # The lowered blocks live as long as the analysis: kept for the whole
+    # The lowered blocks live as long as the solver: kept for the whole
     # run, closures would outweigh the states they replace.
     codes: dict[int, _BlockCode] = {}
     # Per block, what its latest visit saw: the state before the terminator
-    # (`term_env`) and, for a `TBranch`, the successors its edges gave a state.
-    term_env = result.term_env
+    # and, for a `TBranch`, the successors its edges gave a state.
+    term_env: dict[int, Env] = {}
     live: dict[int, set[int]] = {}
+    # The reachable branch blocks whose edges a later visit may still make
+    # live: not visited yet, or an edge no visit has given a state. The
+    # states only grow, so an edge once live stays live.
+    unsettled = {b.id for b in cfg.blocks if b.reachable and type(b.term) is TBranch}
 
     def transfer(bid: int, entry: Env):
         code = codes.get(bid)
@@ -949,36 +1009,17 @@ def interval_analysis(cfg: Cfg, model: IntegerModel = DEFAULT_MODEL) -> Interval
         out = code.edges(env)
         if code.branch:
             out = list(out)
-            live[bid] = {target for target, state in out if state is not None}
-        return out
-
-    def widen(old: Env, new: Env) -> Env:
-        out = _widen_env(old, new, ev.bounds)
-        if out != new:
-            result.widenings += 1
+            targets = live[bid] = {target for target, state in out if state is not None}
+            if len(targets) == len(out):
+                unsettled.discard(bid)
         return out
 
     # The empty entry map is "all top": parameters and locals enter the
     # environment lazily at their full type range.
-    result.in_states, result.iterations = solve(
+    solver = Solver(
         cfg, {cfg.entry: {}}, transfer, _join_env,
         budget=192 * len(cfg.blocks) + 1024, analysis="interval analysis",
-        widen=widen,
+        widen=lambda old, new: _widen_env(old, new, ev.bounds),
     )
-
-    # Final pass: dead edges and statement outcomes, from the edges each
-    # branch block's last visit gave. A block's in-state never changes after
-    # its last visit, since a change queues it again, so what that visit saw
-    # is what the fixpoint gives.
-    for bid, targets_live in live.items():
-        term = cfg.block(bid).term
-        if term.const_value is None:
-            for target in (term.true_target, term.false_target):
-                if target not in targets_live:
-                    result.dead_edges.add((bid, target))
-        targets = cfg.conditions.get(term.node)
-        if targets is not None:
-            true_live, false_live = result.outcomes.get(term.node, (False, False))
-            result.outcomes[term.node] = (true_live or targets[0] in targets_live,
-                                          false_live or targets[1] in targets_live)
-    return result
+    solver.run(until=lambda: not unsettled)
+    return IntervalResult(model, cfg, ev, solver, term_env, live)

@@ -284,9 +284,10 @@ def check_invariant_condition(
     facts: TUFacts, index: NodeIndex, functions: list[FunctionFacts],
 ) -> list[Finding]:
     """A controlling expression is invariant when the interval analysis
-    reaches it and, at its fixpoint, finds an edge into only one of its
-    outcomes live (`IntervalResult.outcomes`): the same edge decisions that
-    R2.1 reads. A condition no state reaches gives no finding."""
+    reaches it and finds an edge into only one of its outcomes live
+    (`IntervalResult.outcomes`, final without running the analysis to its
+    fixpoint): the same edge decisions that R2.1 reads. A condition no
+    state reaches gives no finding."""
     out: list[Finding] = []
     for fn in functions:
         for stmt in index.subtree(fn.fn.body):

@@ -47,6 +47,10 @@ class FunctionFacts:
     store through a pointer. R2.1 reads `intervals` only of a function whose
     CFG has an open branch (`Cfg.has_open_branch`): interval analysis finds
     dead edges nowhere else.
+
+    R2.1 and R14.3 read only `dead_edges` and `outcomes`, which are final
+    once the interval analysis pauses (see `IntervalResult`), so they do not
+    run it to its fixpoint; R12.2 reads states through `env_at`, which does.
     """
 
     fn: FunctionDef

@@ -86,6 +86,12 @@ def workload_units(workload: str, seed: int, workdir: str, tus: int | None = Non
     The project is written under `workdir` and preprocessed with the
     builtin macros, as the benchmark does.
     """
+    for tu, _ in workload_tables(workload, seed, workdir, tus):
+        yield tu
+
+
+def workload_tables(workload: str, seed: int, workdir: str, tus: int | None = None):
+    """(resolved tree, symbol table) of each unit `workload_units` gives."""
     project = generate(workload, seed)
     for path, text in project.files.items():
         full = os.path.join(workdir, path)
@@ -98,5 +104,4 @@ def workload_units(workload: str, seed: int, workdir: str, tus: int | None = Non
         full = os.path.join(workdir, path)
         tokens, _, _ = preprocess(manager.load(full), [], builtins, manager)
         tu = parse(tokens, full)
-        resolve(tu)
-        yield tu
+        yield tu, resolve(tu)

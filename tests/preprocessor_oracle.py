@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import operator
 import os
+import re
 from collections import deque
 from dataclasses import dataclass
 
-from ccomply.errors import PreprocessError, UnsupportedConstructError
+from ccomply.errors import LexError, PreprocessError, UnsupportedConstructError
 from ccomply.frontend.lexer import PPToken, TokenKind, lex
 from ccomply.source import ExpansionFrame, Location, SourceFile, SourceManager
 
@@ -472,7 +473,16 @@ class _Preprocessor:
             or not close.is_punct(")")
         ):
             raise PreprocessError("malformed _Pragma operator", tok.origin)
-        self.pragmas.append(PragmaRecord(tok.origin, string.lexeme[1:-1]))
+        # C99 6.10.9: drop the quotes, replace `\"` by `"` and `\\` by `\`,
+        # then record the tokens of the result as #pragma records its own.
+        from ccomply.frontend.lexer import render_tokens
+
+        text = re.sub(r'\\(["\\])', r"\1", string.lexeme[1:-1])
+        try:
+            tokens = lex(SourceFile(tok.origin.file, "_Pragma", text))
+        except (LexError, UnsupportedConstructError) as exc:
+            raise type(exc)(exc.message, tok.origin) from None
+        self.pragmas.append(PragmaRecord(tok.origin, render_tokens(tokens)))
 
 
 def preprocess(

@@ -10,7 +10,7 @@ from ccomply.flow import (
 )
 from ccomply.flow import effects
 from ccomply.flow.cfg import DeclItem, EvalItem
-from ccomply.flow.solver import solve
+from ccomply.flow.solver import Solver, solve
 from ccomply.parsing import Assign, Call, FunctionDef, Identifier, parse, walk
 from ccomply.sema import resolve
 from flow_helpers import PRELUDE, analyze_fn, probe_points, sym_named, var_interval
@@ -188,6 +188,7 @@ class TestIntervals:
             "{ if (s < 100) { s += i; } } probe(s); }"
         )
         res = interval_analysis(cfg)
+        res.in_states  # noqa: B018  (the read runs the analysis to its fixpoint)
         assert res.iterations <= len(cfg.blocks) * 8 + 64
 
 
@@ -302,6 +303,57 @@ class TestSolver:
         assert err.stage == "flow"
         assert err.loc == fn.span.start
         assert "counter" in err.message and "'f'" in err.message
+
+        # Paused after 20 visits and resumed, the same run fails on the same
+        # visit, with the same error, and fails again if resumed once more.
+        visited = []
+
+        def counting(bid, n):
+            visited.append(bid)
+            return [(bid, n + 1)]
+
+        run = Solver(cfg, {head.id: 0}, counting, max, budget=50, analysis="counter")
+        assert run.run(until=lambda: len(visited) == 20) is False
+        assert run.visits == len(visited) == 20
+        for _ in range(2):
+            with pytest.raises(FlowError) as again:
+                run.run()
+            assert (again.value.message, again.value.loc) == (err.message, err.loc)
+            assert run.visits == len(visited) == 50
+
+    def test_paused_run_matches_an_unpaused_one(self):
+        # A loop whose counter is widened to a cap: a pause after every
+        # visit changes neither the visits, nor the states, nor the widenings.
+        cfg, _, _, _ = analyze_fn(
+            "void f(int n) { int i = 0; while (i < n) { if (n > 3) { i++; } } use(i); }"
+        )
+        cap = 1000
+
+        def problem(order):
+            def transfer(bid, n):
+                order.append(bid)
+                return [(t, min(n + 1, cap)) for t, _ in cfg.block(bid).succs]
+            return (cfg, {cfg.entry: 0}, transfer, max), dict(
+                budget=500, analysis="count", widen=lambda old, new: cap if new > old else old)
+
+        def solver(order):
+            args, kwargs = problem(order)
+            return Solver(*args, **kwargs)
+
+        plain_order, paused_order, solve_order = [], [], []
+        plain, paused = solver(plain_order), solver(paused_order)
+        assert plain.run() is True
+        args, kwargs = problem(solve_order)
+        assert solve(*args, **kwargs) == (plain.states, plain.visits)
+        assert solve_order == plain_order
+        pauses = 0
+        while not paused.run(until=lambda: True):
+            pauses += 1
+        assert pauses == paused.visits - 1 > 0
+        assert paused_order == plain_order
+        assert (paused.states, paused.visits, paused.widenings) == (
+            plain.states, plain.visits, plain.widenings)
+        assert plain.widenings > 0
 
     def test_visits_in_breadth_first_order(self):
         # A state that never changes after its first arrival makes the FIFO

@@ -245,8 +245,11 @@ def _plain(value):
 
 
 def _outcome(analysis, cfg):
+    """`analysis` of `cfg` at its fixpoint, where a budget `FlowError` surfaces."""
     try:
-        return analysis(cfg)
+        res = analysis(cfg)
+        res.term_env  # noqa: B018  (the read resumes a paused analysis)
+        return res
     except Exception as exc:  # the same failure on both sides is agreement
         return f"{type(exc).__name__}: {exc}"
 

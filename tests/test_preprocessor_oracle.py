@@ -46,7 +46,8 @@ LINES = [
     "#define G(x, y) F(y) * x", "#define E()", "#define H F", "#define R R + B",
     "#define CFG", "#define MODE 2", "#define P(a) a(", W_BLOCK,
     "#undef A", "#undef F", "#undef CFG", "#undef W", "#undef MODE",
-    "#pragma pack(1)", '_Pragma("once") int p;', "_Pragma", "#",
+    "#pragma pack(1)", '_Pragma("once") int p;', '_Pragma("pack(push, 1)") int q;',
+    '_Pragma("message(\\"a\\\\b\\")")', "_Pragma", "#",
     "int v = A B;", "F(A) G(1, 2) H(3) E() R;", "F(F(A)) G(B, F(2));", "CFG MODE W;",
     "W(A) W(W(1));", "P(F) 2);", "F(", "G(A,", "1,", "2)", "(3);", ")", "H", "x = E(", ");",
 ]
@@ -57,7 +58,8 @@ LINES = [
 FAULTS = [
     "#define A 2", "#define F(y) (y + A)", "#define B (A)", "#define", "#define 1",
     "#define F(x", "#define S(x) #x", "#define V(...) 1", "#undef", "#error stop here",
-    "#line 3", "#bogus", "#endif", "#else", "_Pragma(1)", '#include "h.h"',
+    "#line 3", "#bogus", "#endif", "#else", "_Pragma(1)", '_Pragma("a \\\\ b")',
+    '#include "h.h"',
 ]
 IF_HEADS = [
     "#ifdef CFG", "#ifndef A", "#if A == 1", "#if defined(F) || defined G", "#if MODE",
@@ -230,11 +232,10 @@ SHORTCUT_CASES = {
                  "#define ID(x) x\nint a = B + R + P + Q + ID(R) + ID(ID(P));\n"},
         ["u0.c"]),
     # `args`: `_Pragma` out of an expansion, from the body and from an
-    # argument (one word each: the oracle records a pragma's string as
-    # written, where `preprocess` destringizes and relexes it).
+    # argument, each destringized and relexed (C99 6.10.9).
     "pragma_from_expansion": (
-        {"u0.c": '#define PR _Pragma("pack") int\n#define ID(x) x\n#define B 1\n'
-                 'PR a;\nID(_Pragma("once")) int b = ID(B);\nID(_Pragma) c;\n'},
+        {"u0.c": '#define PR _Pragma("pack(1)") int\n#define ID(x) x\n#define B 1\n'
+                 'PR a;\nID(_Pragma("message(\\"hi\\")")) int b = ID(B);\nID(_Pragma) c;\n'},
         ["u0.c"]),
     # `hide`: one argument holds tokens of several expansions, with hide
     # sets of one size; arguments start in an expansion and end in the
