@@ -14,6 +14,13 @@ punctuators (`+\\<newline>+` lexes as `+`, `+`) or comment delimiters
 C99 5.1.1.2 phase 2, which splices before tokenizing; the last is the
 case MISRA C:2012 Rule 3.2 forbids. A splice sets neither `at_bol` nor
 `ws_before`.
+
+`lex` reads a file as the list of strings `re.findall` gives for
+`_BRANCHES`, one piece per token, blank run, newline, comment or splice.
+The pieces cover the text without a gap, so a piece's offset is the total
+length of the pieces before it. A piece's first character says what it
+is; only for `.`, `/`, `\\`, `<`, `%`, `:`, `?` and the quotes does the
+second one decide as well (`_FIRST`).
 """
 from __future__ import annotations
 
@@ -82,7 +89,8 @@ class PPToken:
 _QUOTED = r"[^{q}\\\n]*(?:\\.[^{q}\\\n]*)*{q}"
 # What may follow the first character of a pp-number.
 _NUMBER_TAIL = r"(?:\\\n|[eEpP][+-]|[A-Za-z0-9_.])*"
-# One branch per shape of text, tried in order at each position. A
+# One branch per shape of text, tried in order at each position; `lex`
+# takes the text as the list of pieces these branches match. A
 # backslash-newline splice may sit inside an identifier, a pp-number or a
 # literal, and is dropped from its lexeme; anywhere else it stands alone.
 # Numbers precede punctuators so that `.5` is a number, comments precede
@@ -90,56 +98,84 @@ _NUMBER_TAIL = r"(?:\\\n|[eEpP][+-]|[A-Za-z0-9_.])*"
 # trigraphs and digraphs precede the punctuators they start with.
 # The punctuators are grouped by first character, each group matching its
 # longest punctuator ('#' is for directive detection; '##' lexes as one
-# token so that macro definitions can reject pasting). `other` takes any
-# one character, so the pattern matches at every position; `_reject`
-# decides what that character means.
+# token so that macro definitions can reject pasting). The last branch
+# takes any one character, so the pieces cover the text without a gap and
+# each one starts where the one before it ends.
 #
 # Every branch starts with a literal or a character class: `sre` tests such
 # a first op against the current character and skips the branch without
 # entering it, while a group or a repeat as the first op makes it enter
-# every branch at every position. So `+` is spelled `[c][c]*`, and a branch
-# is named not by a named group around it but by an empty group after it:
-# `m.lastindex` is that group's number, which indexes `_NAMES` and `_KINDS`.
-# With more than 24 groups a match object outgrows CPython's small-object
-# allocator (512 bytes), which costs memory, so the comments share a branch.
+# every branch at every position. So `+` is spelled `[c][c]*`. The pattern
+# has no capturing group, so `findall` gives the pieces as plain strings.
 _BRANCHES = (
-    ("ws", r"[ \t\f\v][ \t\f\v]*"),
-    ("newline", r"\n[ \t\f\v]*"),
-    ("splice", r"\\\n(?:\\\n)*"),
-    ("ident", r"[A-Za-z_][A-Za-z0-9_]*(?:\\\n[A-Za-z0-9_]*)*"),
-    ("number", r"[0-9]" + _NUMBER_TAIL),
-    ("number", r"\.[0-9]" + _NUMBER_TAIL),
-    ("comment", r"/(?:/[^\n]*|\*(?:.*?\*/)?)"),
-    ("trigraph", r"\?\?[='()!<>\-/]"),
-    ("digraph", r"<[%:]"),
-    ("digraph", r"%[>:]"),
-    ("digraph", r":>"),
-    ("punct", r"<<?=?"),
-    ("punct", r">>?=?"),
-    ("punct", r"-[->=]?"),
-    ("punct", r"\+[+=]?"),
-    ("punct", r"&[&=]?"),
-    ("punct", r"\|[|=]?"),
-    ("punct", r"[=!*/%^]=?"),
-    ("punct", r"##?"),
-    ("punct", r"\.\.\."),
-    ("punct", r"[][(){}.~?:;,]"),
-    ("string", '"' + _QUOTED.format(q='"')),
-    ("char", "'" + _QUOTED.format(q="'")),
-    ("other", r"."),
+    r"[ \t\f\v][ \t\f\v]*",
+    r"\n[ \t\f\v]*",
+    r"\\\n(?:\\\n)*",
+    r"[A-Za-z_][A-Za-z0-9_]*(?:\\\n[A-Za-z0-9_]*)*",
+    r"[0-9]" + _NUMBER_TAIL,
+    r"\.[0-9]" + _NUMBER_TAIL,
+    r"/(?:/[^\n]*|\*(?:.*?\*/)?)",
+    r"\?\?[='()!<>\-/]",
+    r"<[%:]",
+    r"%[>:]",
+    r":>",
+    r"<<?=?",
+    r">>?=?",
+    r"-[->=]?",
+    r"\+[+=]?",
+    r"&[&=]?",
+    r"\|[|=]?",
+    r"[=!*/%^]=?",
+    r"##?",
+    r"\.\.\.",
+    r"[][(){}.~?:;,]",
+    '"' + _QUOTED.format(q='"'),
+    "'" + _QUOTED.format(q="'"),
+    r".",
 )
-_MASTER = re.compile("|".join(pattern + "()" for _, pattern in _BRANCHES), re.DOTALL)
-_TOKEN_KINDS = {
-    "ident": TokenKind.IDENT,
-    "punct": TokenKind.PUNCT,
-    "number": TokenKind.NUMBER,
-    "string": TokenKind.STRING,
-    "char": TokenKind.CHAR_CONST,
-}
-# By group number: each branch's name, and the kind of token it makes, or
-# None for text that makes no token or that `_reject` decides about.
-_NAMES = (None,) + tuple(name for name, _ in _BRANCHES)
-_KINDS = (None,) + tuple(_TOKEN_KINDS.get(name) for name, _ in _BRANCHES)
+_MASTER = re.compile("|".join(_BRANCHES), re.DOTALL)
+
+# What a piece is, for text that makes no token or that `_reject` decides
+# about; a piece that makes a token is classed by its `TokenKind`.
+_BLANK = "blank"
+_NEWLINE = "newline"
+_SPLICE = "splice"
+_COMMENT = "comment"
+_TRIGRAPH = "trigraph"
+_DIGRAPH = "digraph"
+_OTHER = "other"
+
+
+def _first_chars() -> dict[str, object]:
+    """The class of a piece by its first character (absent: `_OTHER`).
+
+    The first character decides, except for nine characters that begin
+    pieces of two classes. For those the entry is a pair: a table from the
+    second character ("" for a piece of one character) to the class, and
+    the class of every other piece.
+    """
+    table: dict[str, object] = dict.fromkeys(" \t\f\v", _BLANK)
+    table["\n"] = _NEWLINE
+    letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_"
+    table.update(dict.fromkeys(letters, TokenKind.IDENT))
+    table.update(dict.fromkeys("0123456789", TokenKind.NUMBER))
+    table.update(dict.fromkeys("[](){}~;,>-+&|=!*^#", TokenKind.PUNCT))
+    table.update({
+        ".": (dict.fromkeys("0123456789", TokenKind.NUMBER), TokenKind.PUNCT),
+        "/": ({"/": _COMMENT, "*": _COMMENT}, TokenKind.PUNCT),
+        "\\": ({"": _OTHER}, _SPLICE),
+        "<": ({"%": _DIGRAPH, ":": _DIGRAPH}, TokenKind.PUNCT),
+        "%": ({">": _DIGRAPH, ":": _DIGRAPH}, TokenKind.PUNCT),
+        ":": ({">": _DIGRAPH}, TokenKind.PUNCT),
+        "?": ({"?": _TRIGRAPH}, TokenKind.PUNCT),
+        '"': ({"": _OTHER}, TokenKind.STRING),
+        "'": ({"": _OTHER}, TokenKind.CHAR_CONST),
+    })
+    return table
+
+
+_FIRST = _first_chars()
+_NO_HIDE: frozenset[str] = frozenset()
 
 
 def lex(source: SourceFile) -> list[PPToken]:
@@ -150,8 +186,11 @@ def lex(source: SourceFile) -> list[PPToken]:
     """
     text = source.contents
     file = source.id
-    names = _NAMES
-    kinds = _KINDS
+    first = _FIRST
+    blank = _BLANK
+    newline = _NEWLINE
+    other = _OTHER
+    new = object.__new__
     tokens: list[PPToken] = []
     append = tokens.append
     line = 1
@@ -162,72 +201,86 @@ def lex(source: SourceFile) -> list[PPToken]:
     base, limit = line_base(file, line, line_break)
     at_bol = True
     ws_before = True
+    end = 0
 
-    for m in _MASTER.finditer(text):
-        group = m.lastindex
-        kind = kinds[group]
-        if kind is not None:
-            lexeme = m.group()
-            pos = m.start()
+    for piece in _MASTER.findall(text):
+        pos = end
+        end += len(piece)
+        kind = first.get(piece[0], other)
+        if kind is blank:
+            ws_before = True
+            continue
+        if kind is newline:
+            line += 1
+            line_break = pos
+            base, limit = line_base(file, line, line_break)
+            at_bol = ws_before = True
+            continue
+        if kind.__class__ is tuple:
+            kind = kind[0].get(piece[1:2], kind[1])
+        if kind.__class__ is str:
+            if kind is _COMMENT:
+                if piece[1] == "*":
+                    if end - pos == 2:
+                        raise LexError("unterminated block comment",
+                                       unpack(pack(file, line, pos - line_break)))
+                    newlines = piece.count("\n")
+                    if newlines:
+                        line += newlines
+                        line_break = text.rindex("\n", pos, end)
+                        base, limit = line_base(file, line, line_break)
+                ws_before = True
+                continue
+            if kind is _SPLICE:
+                line += (end - pos) // 2
+                line_break = end - 1
+                base, limit = line_base(file, line, line_break)
+                continue
+            origin = pack(file, line, pos - line_break)
+            _reject(kind, piece, origin)
+            lexeme = piece
+            kind = TokenKind.OTHER
+        else:
+            lexeme = piece
             column = pos - line_break
             origin = base | column if pos < limit else pack(file, line, column)
             if "\\\n" in lexeme:
                 line += lexeme.count("\n")
-                line_break = text.rindex("\n", pos, m.end())
+                line_break = text.rindex("\n", pos, end)
                 base, limit = line_base(file, line, line_break)
                 lexeme = lexeme.replace("\\\n", "")
             # Only an identifier can be `L`, only a character constant `''`.
-            if lexeme == "L" and text[m.end():m.end() + 1] in ("'", '"'):
+            if lexeme == "L" and text[end:end + 1] in ("'", '"'):
                 raise UnsupportedConstructError(
                     "wide character/string literals are not supported", unpack(origin))
             if lexeme == "''":
                 raise LexError("empty character constant", unpack(origin))
-            append(PPToken(kind, lexeme, origin, (), at_bol, ws_before))
-            at_bol = ws_before = False
-            continue
-        name = names[group]
-        if name == "ws":
-            ws_before = True
-        elif name == "newline":
-            line += 1
-            line_break = m.start()
-            base, limit = line_base(file, line, line_break)
-            at_bol = ws_before = True
-        elif name == "comment":
-            pos, nxt = m.span()
-            if text[pos + 1] == "*":
-                if nxt - pos == 2:
-                    raise LexError("unterminated block comment",
-                                   unpack(pack(file, line, pos - line_break)))
-                newlines = text.count("\n", pos, nxt)
-                if newlines:
-                    line += newlines
-                    line_break = text.rindex("\n", pos, nxt)
-                    base, limit = line_base(file, line, line_break)
-            ws_before = True
-        elif name == "splice":
-            pos, nxt = m.span()
-            line += (nxt - pos) // 2
-            line_break = nxt - 1
-            base, limit = line_base(file, line, line_break)
-        else:
-            pos = m.start()
-            ch = text[pos]
-            origin = pack(file, line, pos - line_break)
-            _reject(name, ch, origin)
-            append(PPToken(TokenKind.OTHER, ch, origin, (), at_bol, ws_before))
-            at_bol = ws_before = False
+        # This and `_expand` make nearly every token of a run, so neither
+        # calls `PPToken.__init__`: it takes about 210 ns a token where
+        # `object.__new__` and the seven slot stores take about 125 ns
+        # (CPython 3.11, timeit, call overhead taken off).
+        tok = new(PPToken)
+        tok.kind = kind
+        tok.lexeme = lexeme
+        tok.pos = origin
+        tok.chain = ()
+        tok.at_bol = at_bol
+        tok.ws_before = ws_before
+        tok.no_expand = _NO_HIDE
+        append(tok)
+        at_bol = ws_before = False
     return tokens
 
 
-def _reject(group: str, ch: str, origin: int) -> None:
-    """Raise the error that a match of `group` at `ch` means, if any.
+def _reject(kind: str, ch: str, origin: int) -> None:
+    """Raise the error that a piece of class `kind` means, if any; `ch` is
+    the piece, one character unless it is a trigraph or a digraph.
 
-    Only a character that no other alternative takes may lex as OTHER.
+    Only a character that no other branch takes may lex as OTHER.
     """
-    if group == "trigraph":
+    if kind is _TRIGRAPH:
         raise UnsupportedConstructError("trigraph sequences are not supported", unpack(origin))
-    if group == "digraph":
+    if kind is _DIGRAPH:
         raise UnsupportedConstructError("digraph sequences are not supported", unpack(origin))
     if ch == '"':
         raise LexError("unterminated string literal", unpack(origin))

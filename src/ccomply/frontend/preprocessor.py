@@ -691,38 +691,56 @@ class _Preprocessor:
         outer = tok.chain + (ExpansionFrame(macro.name, tok.pos),)
         hide = tok.no_expand | macro.hide if tok.no_expand else macro.hide
         scanned = False
-        if args is None:
-            out = [PPToken(t.kind, t.lexeme, t.pos, outer, False, t.ws_before, hide)
-                   for t in macro.body]
-        else:
+        if args is not None:
             for k, arg in enumerate(args):
                 if not self._settled(arg, True):
                     args[k] = expanded = []
                     self._scan(arg, 0, len(arg), expanded, False)
                     scanned = True
-            out = []
-            chains: dict[int, tuple[ExpansionFrame, ...]] = {}
-            hides: dict[int, frozenset[str]] = {}
-            for t, slot in zip(macro.body, macro.slots):
-                if slot is None:
-                    out.append(PPToken(t.kind, t.lexeme, t.pos, outer, False, t.ws_before, hide))
-                    continue
-                for a in args[slot]:
-                    inner = a.chain
-                    if inner:
-                        chain = chains.get(id(inner))
-                        if chain is None:
-                            chain = chains[id(inner)] = outer + inner
-                    else:
-                        chain = outer
-                    inner = a.no_expand
-                    if inner:
-                        hidden = hides.get(id(inner))
-                        if hidden is None:
-                            hidden = hides[id(inner)] = inner | hide
-                    else:
-                        hidden = hide
-                    out.append(PPToken(a.kind, a.lexeme, a.pos, chain, False, a.ws_before, hidden))
+        # Expansion makes most of a run's tokens, so each is built as
+        # `lex` builds its own: `object.__new__` and the seven slot stores
+        # take about 125 ns a token against 210 ns for `PPToken.__init__`.
+        new = object.__new__
+        out: list[PPToken] = []
+        chains: dict[int, tuple[ExpansionFrame, ...]] = {}
+        hides: dict[int, frozenset[str]] = {}
+        # An object-like macro's slots are all None.
+        for t, slot in zip(macro.body, macro.slots):
+            if slot is None:
+                e = new(PPToken)
+                e.kind = t.kind
+                e.lexeme = t.lexeme
+                e.pos = t.pos
+                e.chain = outer
+                e.at_bol = False
+                e.ws_before = t.ws_before
+                e.no_expand = hide
+                out.append(e)
+                continue
+            for a in args[slot]:
+                inner = a.chain
+                if inner:
+                    chain = chains.get(id(inner))
+                    if chain is None:
+                        chain = chains[id(inner)] = outer + inner
+                else:
+                    chain = outer
+                inner = a.no_expand
+                if inner:
+                    hidden = hides.get(id(inner))
+                    if hidden is None:
+                        hidden = hides[id(inner)] = inner | hide
+                else:
+                    hidden = hide
+                e = new(PPToken)
+                e.kind = a.kind
+                e.lexeme = a.lexeme
+                e.pos = a.pos
+                e.chain = chain
+                e.at_bol = False
+                e.ws_before = a.ws_before
+                e.no_expand = hidden
+                out.append(e)
         for name in macro.names:
             if pragma and name == "_Pragma" or name in macros and name not in hide:
                 return out, True

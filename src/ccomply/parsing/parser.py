@@ -12,6 +12,15 @@ entries appended, so `_pad[i + k]` for k <= 2 never leaves the list and
 `i` past the last token: it advances only over a token it has just read
 as not `None`. The hot loops read `_pad[i]` themselves rather than call
 `peek`, and nodes take their extents from the token list directly.
+
+One loop, `_expr`, parses every infix operator: `,`, the assignment
+operators, `?:` and the ten binary levels. Casts, unary, postfix and
+primary expressions keep a method each. A parenthesized operand costs four
+frames (`parse_primary`, `_expr`, `parse_cast`, `parse_postfix`) and a
+right-associative operator one, so no input nests deeper in Python frames
+here than in the parser with one method per level that
+`tests/parser_oracle.py` keeps, which the parity rule of
+`tests/test_parser_oracle.py` needs.
 """
 from __future__ import annotations
 
@@ -60,7 +69,16 @@ _ASSIGN_OPS = {
     "<<=": "<<", ">>=": ">>", "&=": "&", "^=": "^", "|=": "|",
 }
 
-_BINARY_LEVELS = [
+# The levels of `_expr`, loosest first: an expression, an
+# assignment-expression, a conditional-expression (C99 6.5.17, 6.5.16,
+# 6.5.15), then the ten binary levels, `||` to `*`. The operator of a
+# level takes its left operand at that level; `,` and the binary operators
+# associate to the left, assignment and `?:` to the right.
+_EXPRESSION, _ASSIGNMENT, _CONDITIONAL = 0, 1, 2
+_INFIX_LEVELS = [
+    (",",),
+    tuple(_ASSIGN_OPS),
+    ("?",),
     ("||",),
     ("&&",),
     ("|",),
@@ -72,7 +90,7 @@ _BINARY_LEVELS = [
     ("+", "-"),
     ("*", "/", "%"),
 ]
-_BINARY_PREC = {op: level for level, ops in enumerate(_BINARY_LEVELS) for op in ops}
+_INFIX_LEVEL = {op: level for level, ops in enumerate(_INFIX_LEVELS) for op in ops}
 _POSTFIX_OPS = frozenset({"(", "[", ".", "->", "++", "--"})
 
 # Compound, selection and iteration statements open inside one function
@@ -475,7 +493,7 @@ class Parser:
                 value: Expr | None = None
                 if self.at_punct("="):
                     self.pop()
-                    value = self.parse_conditional()
+                    value = self._expr(_CONDITIONAL)
                 enumerators.append((name_tok.lexeme, value))
                 self.declare_name(name_tok.lexeme, is_typedef=False)
                 if self.at_punct(","):
@@ -529,7 +547,7 @@ class Parser:
                     )
                 size: Expr | None = None
                 if not self.at_punct("]"):
-                    size = self.parse_conditional()
+                    size = self._expr(_CONDITIONAL)
                 self.expect_punct("]")
                 suffixes.append(SynArr(size))
                 continue
@@ -626,7 +644,7 @@ class Parser:
                 break
             self.expect_punct("}")
             return self._finish(InitList(elements), start)
-        return self.parse_assignment()
+        return self._expr(_ASSIGNMENT)
 
     # ---- statements -------------------------------------------------------
 
@@ -687,7 +705,7 @@ class Parser:
                 if word == "return":
                     value = None
                     if not self.at_punct(";"):
-                        value = self.parse_expression()
+                        value = self._expr(_EXPRESSION)
                     self.expect_punct(";")
                     return self._finish(Return(value), start)
                 if word == "break":
@@ -701,7 +719,7 @@ class Parser:
                     self.expect_punct(";")
                     return self._finish(Goto(label), start)
                 if word == "case":
-                    expr = self.parse_conditional()
+                    expr = self._expr(_CONDITIONAL)
                     self.expect_punct(":")
                     stmt = self.parse_statement()
                     return self._finish(Label("case", None, expr, stmt), start)
@@ -723,7 +741,7 @@ class Parser:
                 self.i += 1
                 return self._finish(ExprStmt(None), start)
 
-        expr = self.parse_expression()
+        expr = self._expr(_EXPRESSION)
         self.expect_punct(";")
         return self._finish(ExprStmt(expr), start)
 
@@ -743,14 +761,14 @@ class Parser:
         elif word == "switch":
             self.i += 1
             self.expect_punct("(")
-            cond = self.parse_expression()
+            cond = self._expr(_EXPRESSION)
             self.expect_punct(")")
             body = self.parse_statement()
             stmt = self._finish(Switch(cond, body), start)
         elif word == "while":
             self.i += 1
             self.expect_punct("(")
-            cond = self.parse_expression()
+            cond = self._expr(_EXPRESSION)
             self.expect_punct(")")
             body = self.parse_statement()
             stmt = self._finish(While(cond, body), start)
@@ -761,7 +779,7 @@ class Parser:
                 raise ParseError("expected 'while' after do-body", self._here())
             self.i += 1
             self.expect_punct("(")
-            cond = self.parse_expression()
+            cond = self._expr(_EXPRESSION)
             self.expect_punct(")")
             self.expect_punct(";")
             stmt = self._finish(DoWhile(body, cond), start)
@@ -773,7 +791,7 @@ class Parser:
     def _parse_if(self, start: int) -> If:
         self.i += 1
         self.expect_punct("(")
-        cond = self.parse_expression()
+        cond = self._expr(_EXPRESSION)
         self.expect_punct(")")
         then = self.parse_statement()
         els: Stmt | None = None
@@ -792,16 +810,16 @@ class Parser:
         elif self.starts_declaration():
             init = self.parse_declaration_stmt()
         else:
-            init_expr = self.parse_expression()
+            init_expr = self._expr(_EXPRESSION)
             self.expect_punct(";")
             init = init_expr
         cond: Expr | None = None
         if not self.at_punct(";"):
-            cond = self.parse_expression()
+            cond = self._expr(_EXPRESSION)
         self.expect_punct(";")
         step: Expr | None = None
         if not self.at_punct(")"):
-            step = self.parse_expression()
+            step = self._expr(_EXPRESSION)
         self.expect_punct(")")
         body = self.parse_statement()
         self.pop_scope()
@@ -809,45 +827,17 @@ class Parser:
 
     # ---- expressions ------------------------------------------------------
 
-    def parse_expression(self) -> Expr:
-        start = self.i
-        expr = self.parse_assignment()
-        pad = self._pad
-        while True:
-            t = pad[self.i]
-            if t is None or t.kind is not _PUNCT or t.lexeme != ",":
-                return expr
-            self.i += 1
-            right = self.parse_assignment()
-            expr = self._finish(Comma(expr, right), start)
+    def _expr(self, min_level: int) -> Expr:
+        """An expression whose operators all bind at `min_level` or tighter.
 
-    def parse_assignment(self) -> Expr:
-        start = self.i
-        left = self.parse_conditional()
-        t = self._pad[self.i]
-        if t is not None and t.kind is _PUNCT and t.lexeme in _ASSIGN_OPS:
-            self.i += 1
-            right = self.parse_assignment()
-            base_op = _ASSIGN_OPS[t.lexeme]
-            if base_op is None:
-                return self._finish(Assign(left, right), start)
-            return self._finish(CompoundAssign(base_op, left, right), start)
-        return left
-
-    def parse_conditional(self) -> Expr:
-        start = self.i
-        cond = self.parse_binary(0)
-        t = self._pad[self.i]
-        if t is not None and t.kind is _PUNCT and t.lexeme == "?":
-            self.i += 1
-            then = self.parse_expression()
-            self.expect_punct(":")
-            other = self.parse_conditional()
-            return self._finish(Conditional(cond, then, other), start)
-        return cond
-
-    def parse_binary(self, min_level: int) -> Expr:
-        """Precedence climbing over `_BINARY_LEVELS`; all levels are left-associative."""
+        One loop takes every infix operator, after Pratt, "Top down
+        operator precedence" (POPL 1973): it parses an operand, then
+        while the next token is an operator of `min_level` or tighter,
+        takes it and its right operand, which holds only operators that
+        bind tighter (a left-associative level) or as tight (a
+        right-associative one). Every node the loop builds spans from its
+        first operand's first token.
+        """
         start = self.i
         left = self.parse_cast()
         pad = self._pad
@@ -855,12 +845,24 @@ class Parser:
             t = pad[self.i]
             if t is None or t.kind is not _PUNCT:
                 return left
-            level = _BINARY_PREC.get(t.lexeme)
+            op = t.lexeme
+            level = _INFIX_LEVEL.get(op)
             if level is None or level < min_level:
                 return left
             self.i += 1
-            right = self.parse_binary(level + 1)
-            left = self._finish(Binary(t.lexeme, left, right), start)
+            if level > _CONDITIONAL:
+                left = self._finish(Binary(op, left, self._expr(level + 1)), start)
+            elif level == _CONDITIONAL:
+                then = self._expr(_EXPRESSION)
+                self.expect_punct(":")
+                left = self._finish(Conditional(left, then, self._expr(_CONDITIONAL)), start)
+            elif level == _ASSIGNMENT:
+                right = self._expr(_ASSIGNMENT)
+                base_op = _ASSIGN_OPS[op]
+                node = Assign(left, right) if base_op is None else CompoundAssign(base_op, left, right)
+                left = self._finish(node, start)
+            else:
+                left = self._finish(Comma(left, self._expr(_ASSIGNMENT)), start)
 
     def _open_paren(self) -> None:
         t = self.pop()
@@ -943,15 +945,15 @@ class Parser:
                 self._open_paren()
                 args: list[Expr] = []
                 if not self.at_punct(")"):
-                    args.append(self.parse_assignment())
+                    args.append(self._expr(_ASSIGNMENT))
                     while self.at_punct(","):
                         self.i += 1
-                        args.append(self.parse_assignment())
+                        args.append(self._expr(_ASSIGNMENT))
                 self._close_paren()
                 expr = self._finish(Call(expr, args), start)
             elif op == "[":
                 self.i += 1
-                index = self.parse_expression()
+                index = self._expr(_EXPRESSION)
                 self.expect_punct("]")
                 expr = self._finish(Index(expr, index), start)
             elif op == "." or op == "->":
@@ -981,7 +983,7 @@ class Parser:
             return self._finish(Constant(t.lexeme, value, is_float), start)
         if kind is _PUNCT and t.lexeme == "(":
             self._open_paren()
-            inner = self.parse_expression()
+            inner = self._expr(_EXPRESSION)
             self._close_paren()
             return inner
         if kind is TokenKind.CHAR_CONST:

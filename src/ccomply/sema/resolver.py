@@ -237,7 +237,7 @@ class Resolver:
                 raise SemaError(f"invalid type specifier combination {' '.join(base.specs)!r}")
             t = self._named_types[name]
         if base.quals:
-            t = self._qualify(t, base.quals)
+            t = self._qualified(t, base.quals)
         return t
 
     def _record_type(self, base: SynBase) -> TypeDesc:
@@ -698,14 +698,15 @@ class Resolver:
         if cls is Assign:
             self._kinds |= KIND_STORE
             target_t = self.type_expr(e.target)
-            self._require_lvalue(e.target)
+            self._require_modifiable(e.target, target_t, "=")
             self._value(e.value)
             return self.types.rvalue(target_t)
 
         if cls is CompoundAssign:
             self._kinds |= KIND_STORE
-            target_t = self._rvalue(e.target)
-            self._require_lvalue(e.target)
+            target_t = self.type_expr(e.target)
+            self._require_modifiable(e.target, target_t, e.op + "=")
+            target_t = self.types.rvalue(target_t)
             value_t = self._rvalue(e.value)
             # C99 6.5.16.2p1-2: the operands the binary operator takes, or a
             # pointer target of `+=` or `-=` with an integer value.
@@ -723,7 +724,7 @@ class Resolver:
         if cls is IncDec:
             self._kinds |= KIND_STORE
             t = self.type_expr(e.operand)
-            self._require_lvalue(e.operand)
+            self._require_modifiable(e.operand, t, e.op)
             t = self.types.rvalue(t)
             self._require(is_scalar(t), e, "++/-- requires a scalar operand")
             return t
@@ -782,7 +783,7 @@ class Resolver:
                 if name == e.name:
                     # C99 6.5.2.3p3-4: the member has the object's qualifiers.
                     return self._designated(
-                        self._qualified_member(mt, base_t.quals) if base_t.quals else mt)
+                        self._qualified(mt, base_t.quals) if base_t.quals else mt)
             raise SemaError(
                 f"no member named {e.name!r} in "
                 f"{base_t.record.kind} {base_t.record.tag or '<anon>'}",
@@ -917,13 +918,13 @@ class Resolver:
         """`t` with `quals` added to its own qualifiers."""
         return self.types.qualified(t, qualifier_set(t.quals | quals))
 
-    def _qualified_member(self, t: TypeDesc, quals: frozenset) -> TypeDesc:
-        """Member type `t` read through an object qualified with `quals`.
-
-        An array member's elements take the qualifiers (C99 6.7.3p8).
+    def _qualified(self, t: TypeDesc, quals: frozenset) -> TypeDesc:
+        """`t` qualified with `quals`, as a typedef name's type in a
+        declaration or a member read through a qualified object is: an
+        array type's elements take the qualifiers (C99 6.7.3p8).
         """
         if t.kind is TK.ARRAY and t.elem is not None:
-            return self.types.array(self._qualified_member(t.elem, quals), t.length)
+            return self.types.array(self._qualified(t.elem, quals), t.length)
         return self._qualify(t, quals)
 
     def _require(self, cond: bool, e: Expr, message: str) -> None:
@@ -948,6 +949,33 @@ class Resolver:
             f"expression is not an lvalue ({type(e).__name__})",
             e.loc,
         )
+
+    def _require_modifiable(self, e: Expr, t: TypeDesc, op: str) -> None:
+        """`e`, of type `t`, is the operand that `op` stores to: C99
+        6.5.16p2, 6.5.2.4p1 and 6.5.3.1p1 want a modifiable lvalue, which
+        by 6.3.2.1p1 has no array type, no const-qualified type, and no
+        struct or union type with a const member at any depth."""
+        self._require_lvalue(e)
+        if t.kind is TK.ARRAY:
+            flaw = "it has array type"
+        elif "const" in t.quals:
+            flaw = "it is const-qualified"
+        elif t.kind is TK.RECORD and _has_const_member(t):
+            flaw = "its struct or union type has a const member"
+        else:
+            return
+        raise SemaError(f"operand of {op} is not a modifiable lvalue: {flaw}", e.loc)
+
+
+def _has_const_member(t: TypeDesc) -> bool:
+    """Whether a member of record type `t`, or an element or member inside
+    one, at any depth, has a const-qualified type."""
+    for _, mt, _ in t.record.members:
+        while mt.kind is TK.ARRAY:
+            mt = mt.elem
+        if "const" in mt.quals or mt.kind is TK.RECORD and _has_const_member(mt):
+            return True
+    return False
 
 
 def _named_types(m: IntegerModel) -> dict[str, TypeDesc]:

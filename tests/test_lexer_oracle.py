@@ -2,7 +2,15 @@
 
 On every input the two must give the same tokens, field for field, or
 raise the same exception class with the same message and location.
+
+Run as a script to compare every source file of all three generated
+workloads:
+
+    PYTHONPATH=src:tests:perfbench python3 tests/test_lexer_oracle.py --seeds 1 2 3
 """
+import os
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +19,9 @@ import lexer_oracle
 from ccomply.errors import AnalysisError, LexError, UnsupportedConstructError
 from ccomply.frontend.lexer import TokenKind, lex
 from ccomply.source import Location, SourceFile
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+from gen import WORKLOADS, generate  # noqa: E402  (the generator imports nothing from ccomply)
 
 # C text, with splices, whole literals and whole comments, drawn three
 # times as often as the pieces that end lexing with an error (stray quotes
@@ -39,6 +50,19 @@ def outcome(lexer, text):
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(st.lists(st.sampled_from(PIECES), max_size=30).map("".join))
 def test_lex_matches_seed_scanner(text):
+    assert outcome(lex, text) == outcome(lexer_oracle.lex, text)
+
+
+# Each character that begins pieces of two classes, in a piece of each.
+SECOND_CHARACTER_DECIDES = [
+    "x = .5 + 1.", "a...b", "a..b", "a/b /= c", "a // c\nb", "a /* c */ b", "\\", "a\\\nb",
+    "a < b <<= c", "<%", "<:", "a % b %= c", "%>", "%:", "a ? b : c", ":>", "??=", "a ?? b",
+    "\"", "\"s\"", "'", "'c'",
+]
+
+
+@pytest.mark.parametrize("text", SECOND_CHARACTER_DECIDES)
+def test_second_character_decides_the_class(text):
     assert outcome(lex, text) == outcome(lexer_oracle.lex, text)
 
 
@@ -94,3 +118,43 @@ def test_block_comment_ends_at_its_first_close():
     text = "/**/a/* b */c*/"
     assert outcome(lex, text) == outcome(lexer_oracle.lex, text)
     assert [t.lexeme for t in lex(SourceFile(0, "t.c", text))] == ["a", "c", "*", "/"]
+
+
+def workload_diffs(workload: str, seed: int, files: int | None = None):
+    """(files, tokens, files whose outcome differs) over the first `files`
+    source files, headers included, in the generator's order."""
+    project = generate(workload, seed)
+    count = tokens = diffs = 0
+    for text in list(project.files.values())[:files]:
+        got, want = outcome(lex, text), outcome(lexer_oracle.lex, text)
+        count += 1
+        tokens += len(got[1]) if got[0] == "tokens" else 0
+        diffs += got != want or got[0] != "tokens"
+    return count, tokens, diffs
+
+
+def test_workload_files_match_oracle():
+    for workload in WORKLOADS:
+        files, tokens, diffs = workload_diffs(workload, 1, 10)
+        assert files == 10 and tokens > 0 and diffs == 0
+
+
+def main(argv: list[str]) -> int:
+    """Compare every source file of all three workloads at the given seeds."""
+    import argparse
+    import json
+
+    ap = argparse.ArgumentParser(description=main.__doc__)
+    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    args = ap.parse_args(argv)
+    report = {}
+    for workload in WORKLOADS:
+        for seed in args.seeds:
+            files, tokens, diffs = workload_diffs(workload, seed)
+            report[f"{workload}:{seed}"] = {"files": files, "tokens": tokens, "diffs": diffs}
+    print(json.dumps(report))
+    return 0 if all(r["diffs"] == 0 for r in report.values()) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

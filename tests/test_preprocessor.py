@@ -1,11 +1,14 @@
+import dataclasses
 import os
 
 import pytest
 
 from ccomply.errors import LexError, PreprocessError, UnsupportedConstructError
-from ccomply.frontend import evaluate_pp_condition, lex, macro_from_define_flag, preprocess
+from ccomply.frontend import (
+    PPToken, evaluate_pp_condition, lex, macro_from_define_flag, preprocess,
+)
 from ccomply.source import SourceManager
-from support import lexemes, make_manager, pp_text
+from support import lex_text, lexemes, make_manager, pp_text
 
 
 def test_function_macro_expansion_with_chain():
@@ -576,3 +579,28 @@ class TestCharConstantsInIf:
         assert lexemes(toks) == ["int", "a", ";"]
         with pytest.raises(UnsupportedConstructError):
             pp_text("#if '\\1234' == 668\nint a;\n#endif\n")
+
+
+def _assert_complete(tok):
+    """Every field of `tok` is set, and `PPToken.__init__` given the same
+    values builds an equal token: `lex` and macro expansion build tokens
+    without `__init__`, so a field they leave unset shows here."""
+    values = {f.name: getattr(tok, f.name) for f in dataclasses.fields(PPToken)}
+    assert PPToken(**values) == tok
+
+
+def test_fast_path_tokens_are_complete():
+    lexed = lex_text("int x = 'c' + 1;\n")
+    assert len(lexed) == 7
+    for tok in lexed:
+        _assert_complete(tok)
+    toks, _, _, _ = pp_text("#define N 3\n#define F(x) (x + N)\nint a = N;\nint b = F(N);\n")
+    assert lexemes(toks) == ["int", "a", "=", "3", ";",
+                             "int", "b", "=", "(", "3", "+", "3", ")", ";"]
+    object_like, body, argument = toks[3], toks[8], toks[9]
+    assert [f.macro for f in object_like.chain] == ["N"] and object_like.no_expand == {"N"}
+    assert [f.macro for f in body.chain] == ["F"] and body.no_expand == {"F"}
+    assert [f.macro for f in argument.chain] == ["F", "N"]
+    assert argument.no_expand == {"F", "N"}
+    for tok in toks:
+        _assert_complete(tok)

@@ -1069,3 +1069,62 @@ class TestStatementConstraints:
         first = outcomes["R2.1"]
         assert first is None or first[:2] == ("resolve", "SemaError")
         assert all(o == first for o in outcomes.values()), outcomes
+
+
+# (text, message); the store is on line 5. C99 6.5.16p2, 6.5.2.4p1 and
+# 6.5.3.1p1 want a modifiable lvalue, which by 6.3.2.1p1 has no array
+# type, no const-qualified type, and no struct or union type with a
+# const member, recursively through member structs, unions and arrays.
+UNMODIFIABLE_SHAPES = [
+    ("void f(void) {\n  const int k = 1;\n  k = 2;\n}\n", "operand of = .*const-qualified"),
+    ("void f(void) {\n  const int k = 1;\n  k++;\n}\n", "operand of \\+\\+ .*const-qualified"),
+    ("void f(void) {\n  const int k = 1;\n  --k;\n}\n", "operand of -- .*const-qualified"),
+    ("void f(void) {\n  const int k = 1;\n  k += 2;\n}\n", "operand of \\+= .*const-qualified"),
+    ("void f(const int *p) {\n  use(*p);\n  *p = 1;\n}\n", "operand of = .*const-qualified"),
+    ("void f(void) {\n  int x[2], y[2];\n  x = y;\n}\n", "operand of = .*array type"),
+    ("void f(void) {\n  int x[2];\n  x += 1;\n}\n", "operand of \\+= .*array type"),
+    ("void f(void) {\n  int x[2];\n  x++;\n}\n", "operand of \\+\\+ .*array type"),
+    ("const int t[2] = { 1, 2 };\nvoid f(void) {\n  t[0] = 3;\n}\n",
+     "operand of = .*const-qualified"),
+    ("typedef const int CI;\nCI c = 1;\nvoid f(void) { c = 2; }\n",
+     "operand of = .*const-qualified"),
+    ("const struct P { int m; } cp = { 1 };\nvoid f(void) {\n  cp.m = 2;\n}\n",
+     "operand of = .*const-qualified"),
+    ("struct S { const int m; int n; };\nvoid f(struct S *a, struct S *b) {\n  *a = *b;\n}\n",
+     "operand of = .*has a const member"),
+    ("struct S { const int m; int n; };\nvoid f(struct S *a) {\n  a->m = 1;\n}\n",
+     "operand of = .*const-qualified"),
+    ("union U { int i; const int c; } u, v;\nvoid f(void) {\n  u = v;\n}\n",
+     "operand of = .*has a const member"),
+    ("struct I { const int m; };\nstruct O { struct I i; int n; } o, q;\nvoid f(void) { o = q; }\n",
+     "operand of = .*has a const member"),
+    ("struct A { struct { const int m; } in[2]; } a, b;\nvoid f(void) {\n  a = b;\n}\n",
+     "operand of = .*has a const member"),
+    # C99 6.7.3p8: qualifying an array type qualifies its elements.
+    ("typedef int A[2];\nconst A ca = { 1, 2 };\nvoid f(void) { ca[0] = 1; }\n",
+     "operand of = .*const-qualified"),
+    ("typedef int A[2];\nstruct S { const A m; } s, t;\nvoid f(void) { s = t; }\n",
+     "operand of = .*has a const member"),
+]
+
+MODIFIABLE_ACCEPTED = [
+    "void f(int *const p) { *p = 1; (*p)++; }\n",
+    "const int *p; int x;\nvoid f(void) { p = &x; p++; }\n",
+    "struct S { const int *m; int n; } s, t;\nvoid f(void) { s = t; s.n += 1; }\n",
+    "struct S { int m; } s, t;\nvoid f(void) { s = t; s.m++; }\n",
+    "int a[2][2];\nvoid f(void) { a[0][1] = 1; a[1][0] |= 2; }\n",
+    "volatile int v;\nvoid f(void) { v = 1; v--; }\n",
+]
+
+
+class TestModifiableLvalue:
+    """`=`, `op=`, `++` and `--` store only to a modifiable lvalue."""
+
+    @pytest.mark.parametrize("shape", UNMODIFIABLE_SHAPES, ids=_shape_id)
+    def test_rejected(self, tmp_path, shape):
+        text, message = shape
+        check_rejected(tmp_path, CONSTRAINT_PRELUDE + text, message, 5)
+
+    @pytest.mark.parametrize("text", MODIFIABLE_ACCEPTED, ids=_shape_id)
+    def test_accepted(self, tmp_path, text):
+        check_accepted(tmp_path, CONSTRAINT_PRELUDE + text)
