@@ -15,12 +15,13 @@ as not `None`. The hot loops read `_pad[i]` themselves rather than call
 
 One loop, `_expr`, parses every infix operator: `,`, the assignment
 operators, `?:` and the ten binary levels. Casts, unary, postfix and
-primary expressions keep a method each. A parenthesized operand costs four
-frames (`parse_primary`, `_expr`, `parse_cast`, `parse_postfix`) and a
-right-associative operator one, so no input nests deeper in Python frames
-here than in the parser with one method per level that
-`tests/parser_oracle.py` keeps, which the parity rule of
-`tests/test_parser_oracle.py` needs.
+primary expressions keep a method each, but `_expr` reads a leaf operand
+itself: an identifier, a number, or a parenthesized expression, which
+costs one frame (`_expr`) and one more for any postfix operators after
+it (`_postfix_tail`). A right-associative operator costs one frame, so no
+input nests deeper in Python frames here than in the parser with one
+method per level that `tests/parser_oracle.py` keeps, which the parity
+rule of `tests/test_parser_oracle.py` needs.
 """
 from __future__ import annotations
 
@@ -837,10 +838,41 @@ class Parser:
         bind tighter (a left-associative level) or as tight (a
         right-associative one). Every node the loop builds spans from its
         first operand's first token.
+
+        The first operand is read here, as Pratt's "null denotation" of
+        its token, when it is a leaf: an identifier that is no keyword, a
+        pp-number, or a `(` that opens no type name, whose inner
+        expression this loop parses again. Any postfix operators after
+        the leaf go to `_postfix_tail`. Every other operand (prefix
+        operators, casts, `sizeof`, character constants, strings and
+        every error) goes through `parse_cast`.
         """
         start = self.i
-        left = self.parse_cast()
         pad = self._pad
+        t = pad[start]
+        kind = t.kind if t is not None else None
+        if kind is _IDENT and t.lexeme not in KEYWORDS or kind is _NUMBER:
+            self.i = start + 1
+            if kind is _IDENT:
+                left: Expr = Identifier(t.lexeme)
+            else:
+                value, is_float = _parse_number(t)
+                left = Constant(t.lexeme, value, is_float)
+            # `_finish` over the one token, inline.
+            via = t.chain
+            left.start = left.end = via[0].pos if via else t.pos
+            left.via = via
+        elif kind is _PUNCT and t.lexeme == "(" and not self._paren_opens_type():
+            self._open_paren()
+            left = self._expr(_EXPRESSION)
+            self._close_paren()
+        else:
+            left = self.parse_cast()  # with any postfix operators of its own
+            kind = None
+        if kind is not None:
+            t = pad[self.i]
+            if t is not None and t.kind is _PUNCT and t.lexeme in _POSTFIX_OPS:
+                left = self._postfix_tail(left, start)
         while True:
             t = pad[self.i]
             if t is None or t.kind is not _PUNCT:
@@ -934,7 +966,11 @@ class Parser:
 
     def parse_postfix(self) -> Expr:
         start = self.i
-        expr = self.parse_primary()
+        return self._postfix_tail(self.parse_primary(), start)
+
+    def _postfix_tail(self, expr: Expr, start: int) -> Expr:
+        """`expr`, which began at token `start`, under the postfix operators
+        that follow it (C99 6.5.2); `parse_postfix` and `_expr` share it."""
         pad = self._pad
         while True:
             t = pad[self.i]
@@ -1013,9 +1049,13 @@ def _is_void_param(p: SynParam) -> bool:
     return p.syntype.base.specs == ("void",) and not p.syntype.derivs
 
 
-# C99 6.4.4.2 decimal floating constants; hexadecimal ones are not supported.
+# C99 6.4.4.2 decimal floating constants, and hexadecimal ones, which are
+# valid C99 outside the supported subset; the binary exponent is required.
 _FLOAT_CONSTANT = re.compile(
     r"(?:(?:[0-9]*\.[0-9]+|[0-9]+\.)(?:[eE][+-]?[0-9]+)?|[0-9]+[eE][+-]?[0-9]+)[fFlL]?"
+)
+_HEX_FLOAT_CONSTANT = re.compile(
+    r"0[xX](?:[0-9a-fA-F]*\.[0-9a-fA-F]+|[0-9a-fA-F]+\.?)[pP][+-]?[0-9]+[fFlL]?"
 )
 
 
@@ -1026,6 +1066,9 @@ def _parse_number(tok: PPToken) -> tuple[int | float, bool]:
         return value, False
     if _FLOAT_CONSTANT.fullmatch(text):
         return float(text.rstrip("fFlL")), True
+    if _HEX_FLOAT_CONSTANT.fullmatch(text):
+        raise UnsupportedConstructError(
+            f"hexadecimal floating constant {text} is not supported", tok.report_site)
     raise ParseError(f"invalid numeric constant {text!r}", tok.report_site)
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, NamedTuple
 
-from ccomply.flow.effects import designate, sym_of, walk_effects
+from ccomply.flow.effects import designate, is_volatile_access, sym_of, walk_effects
 from ccomply.parsing.astnodes import (
     KIND_ADDR, KIND_CALL, KIND_MULTICALL, KIND_STORE, KIND_VOLATILE, AddrOf,
     Assign, Binary, Call, Cast, Comma, CompoundAssign, Conditional,
@@ -143,10 +143,11 @@ _Escaped = Callable[[tuple], bool]
 
 
 class _Access(NamedTuple):
-    write: bool
+    write: bool  # a modification; every other access is a read
     key: tuple
     deref: bool
     name: str
+    volatile: bool = False  # an access to a volatile object
 
 
 def _accesses(e: Expr, escaped: _Escaped, conflicts: list) -> list[_Access]:
@@ -155,14 +156,13 @@ def _accesses(e: Expr, escaped: _Escaped, conflicts: list) -> list[_Access]:
     if cls is Identifier:
         sym = e.symbol
         if isinstance(sym, Symbol) and sym.kind is SymKind.OBJECT:
-            volatile = "volatile" in sym.quals
-            return [_Access(volatile, ("var", sym.uid), False, sym.name)]
+            return [_Access(False, ("var", sym.uid), False, sym.name, "volatile" in sym.quals)]
         return []
     if cls is Assign or cls is CompoundAssign:
         value_acc = _accesses(e.value, escaped, conflicts)
         target_reads, named = _lvalue(e.target, "store", escaped, conflicts)
         if named is not None:
-            target_write = _Access(True, named.key, named.deref, named.name)
+            target_write = _Access(True, named.key, named.deref, named.name, named.volatile)
             if cls is CompoundAssign:
                 target_reads.append(named)
             # The updating store is exempt from conflicts with reads of the
@@ -180,7 +180,7 @@ def _accesses(e: Expr, escaped: _Escaped, conflicts: list) -> list[_Access]:
     if cls is IncDec:
         out, named = _lvalue(e.operand, "store", escaped, conflicts)
         if named is not None:
-            out += [_Access(True, named.key, named.deref, named.name), named]
+            out += [_Access(True, named.key, named.deref, named.name, named.volatile), named]
         return out
     if cls is AddrOf:
         return _lvalue(e.operand, "address", escaped, conflicts)[0]
@@ -218,7 +218,8 @@ def _lvalue(e: Expr, use: str, escaped: _Escaped,
     read where `walk_effects` reads it. Through a pointer the key is
     `("deref", pointer uid or None)`, an array element's is
     `("deref", root uid or None)`, any other part of a named object's is
-    `("var", uid)`, and a call or literal root names nothing.
+    `("var", uid)`, and a call or literal root names nothing. The read is
+    volatile when `e` designates a volatile object.
     """
     obj, pointer, ops, indexed = designate(e)
     groups = [_accesses(x, escaped, conflicts) for x in ops]
@@ -229,11 +230,12 @@ def _lvalue(e: Expr, use: str, escaped: _Escaped,
     address = [x for g in groups for x in g]
     if pointer is not None or indexed:
         sym = sym_of(obj if pointer is None else pointer)
-        return address, _Access(False, ("deref", sym.uid if sym else None), True, "")
+        return address, _Access(False, ("deref", sym.uid if sym else None), True, "",
+                                is_volatile_access(e))
     sym = sym_of(obj)
     if sym is None:
         return address, None
-    return address, _Access(False, ("var", sym.uid), False, sym.name)
+    return address, _Access(False, ("var", sym.uid), False, sym.name, is_volatile_access(e))
 
 
 def _is_escaped(key: tuple, fn: FunctionFacts, symbols: list[Symbol]) -> bool:
@@ -250,6 +252,20 @@ def _is_escaped(key: tuple, fn: FunctionFacts, symbols: list[Symbol]) -> bool:
 
 def _check_pair(a: _Access, b: _Access, node: Expr, escaped: _Escaped,
                 conflicts: list) -> None:
+    """Record the conflict, if any, between two unsequenced accesses.
+
+    MISRA C:2012 Rule 13.2 allows at most one volatile read and at most one
+    volatile modification between sequence points: two of either kind
+    conflict whatever objects they reach. Otherwise a conflict needs a
+    modification.
+    """
+    if a.volatile and b.volatile and a.write is b.write:
+        conflicts.append((
+            "definite", node,
+            "two unsequenced volatile modifications" if a.write
+            else "two unsequenced volatile reads",
+        ))
+        return
     if not (a.write or b.write):
         return
     if a.key == _WORLD or b.key == _WORLD:
@@ -301,11 +317,12 @@ def _full_expressions(body: list[Node]) -> list[Expr]:
 def _cannot_conflict(e: Expr) -> bool:
     """Does `e`'s `kinds` show that `_accesses` finds no conflict in it?
 
-    A conflict needs a write (`_check_pair`): a store, a volatile read, or
-    the `_WORLD` access of a call, which conflicts only with another call.
-    So with no volatile operand and fewer than two calls there is none when
-    `e` has no store, or when its one store is `e` itself into a plain
-    identifier: that store is exempt from the reads of its own value.
+    A conflict needs two volatile accesses or a write (`_check_pair`): a
+    store, or the `_WORLD` access of a call, which conflicts only with
+    another call. So with no volatile operand and fewer than two calls
+    there is none when `e` has no store, or when its one store is `e`
+    itself into a plain identifier: that store is exempt from the reads of
+    its own value.
     """
     kinds = e.kinds
     if kinds & (KIND_VOLATILE | KIND_MULTICALL):

@@ -33,7 +33,10 @@ is what the accumulator holds at its end, which then joins its parent's.
 So no node's operands are walked twice, and a `sizeof` operand or a cast's
 type name counts like any child. A call's bit is added before its operands
 are typed: two or more calls meet in one accumulator, by nesting or as
-siblings, and that sets `KIND_MULTICALL`.
+siblings, and that sets `KIND_MULTICALL`. A declared identifier and an
+integer constant typed before are leaves whose mask `type_expr` sets
+itself, without `_type_expr`; `_type_expr` still types every leaf, so
+`tests/test_resolver_parity.py` compares the two.
 """
 from __future__ import annotations
 
@@ -126,6 +129,9 @@ _BUILTIN_TYPEDEFS = {
 }
 
 
+_TYPEDEF = SymKind.TYPEDEF
+_ENUM_CONST = SymKind.ENUM_CONST
+
 # Where builtin typedefs and enumeration constants are declared: line 1,
 # column 1 of the builtin file, -1.
 _BUILTIN_POS = pack(-1, 1, 1)
@@ -164,6 +170,10 @@ class Resolver:
         self._gotos: list[Goto] = []
         self._loops = 0
         self._switches: list[_SwitchLabels] = []
+        # The type of each integer constant spelling typed so far. The
+        # spelling fixes the value and the model is fixed per resolver, so
+        # the spelling alone fixes the type; `type_expr` reads it.
+        self._int_constants: dict[str, TypeDesc] = {}
         if start is None:
             self.table = SymbolTable(path, model)
             self.types = TypeTable()
@@ -618,6 +628,37 @@ class Resolver:
     # -- expressions ------------------------------------------------------------------
 
     def type_expr(self, e: Expr) -> TypeDesc:
+        """Type `e` and its operands, record their fields, and join `e`'s
+        `kinds` into the accumulator of the node being typed.
+
+        Two leaves are typed here without entering `_type_expr`: an
+        identifier naming a declared non-typedef symbol, and an integer
+        constant whose spelling this resolver has typed before (see
+        `_int_constants`). Neither holds a call, so the accumulator needs
+        no save and restore. Every other node, and every leaf that is an
+        error, takes `_type_expr`.
+        """
+        cls = type(e)
+        if cls is Identifier:
+            sym = self.table.lookup(e.name)
+            if sym is not None and sym.kind is not _TYPEDEF:
+                e.symbol = sym
+                if sym.kind is _ENUM_CONST:
+                    e.const_value = sym.enum_value
+                if "volatile" in sym.quals:
+                    e.kinds = KIND_VOLATILE
+                    self._kinds |= KIND_VOLATILE
+                else:
+                    e.kinds = 0
+                t = e.ctype = sym.type
+                return t
+        elif cls is Constant:
+            t = self._int_constants.get(e.text)
+            if t is not None:
+                e.const_value = e.value
+                e.kinds = 0
+                e.ctype = t
+                return t
         outer = self._kinds
         self._kinds = 0
         t = e.ctype = self._type_expr(e)
@@ -670,6 +711,7 @@ class Resolver:
             t = int_constant_type(e.text, e.value, model)
             self._require(t is not None, e,
                           f"integer constant {e.text!r} does not fit any supported type")
+            self._int_constants[e.text] = t
             return t
 
         if cls is StringLiteral:

@@ -4,13 +4,14 @@
 field (spans, token indices and expansion trails included), or raise the
 same exception class with the same message and location, on every input
 (see `test_parser_oracle.py`). The code below is the earlier parser
-verbatim, except in two places. It builds spans of the frozen dataclass
+verbatim, except in three places. It builds spans of the frozen dataclass
 `Span` defined here, the type the earlier `ccomply.source` had, from the
 tokens' decoded positions, and packs them into the tree's inline extents
-(`_extent`). And its declaration
-specifiers reject a second type specifier next to a struct, union or enum
-specifier (C99 6.7.2p2) with the parser's message, a constraint the
-parser learned after this copy was taken. Nothing under `src/` imports it.
+(`_extent`). Its declaration specifiers reject a second type specifier
+next to a struct, union or enum specifier (C99 6.7.2p2) with the parser's
+message, and a hexadecimal floating constant raises the parser's
+`UnsupportedConstructError`: the parser learned both after this copy was
+taken. Nothing under `src/` imports it.
 
 Typedef names are tracked in a parse-time scope stack (the classic
 lexer-feedback approach) so `T * x;` parses as a declaration exactly
@@ -959,9 +960,13 @@ def _is_void_param(p: SynParam) -> bool:
     return p.syntype.base.specs == ("void",) and not p.syntype.derivs
 
 
-# C99 6.4.4.2 decimal floating constants; hexadecimal ones are not supported.
+# C99 6.4.4.2 decimal floating constants, and hexadecimal ones, which are
+# valid C99 outside the supported subset; the binary exponent is required.
 _FLOAT_CONSTANT = re.compile(
     r"(?:(?:[0-9]*\.[0-9]+|[0-9]+\.)(?:[eE][+-]?[0-9]+)?|[0-9]+[eE][+-]?[0-9]+)[fFlL]?"
+)
+_HEX_FLOAT_CONSTANT = re.compile(
+    r"0[xX](?:[0-9a-fA-F]*\.[0-9a-fA-F]+|[0-9a-fA-F]+\.?)[pP][+-]?[0-9]+[fFlL]?"
 )
 
 
@@ -972,6 +977,9 @@ def _parse_number(tok: PPToken) -> tuple[int | float, bool]:
         return value, False
     if _FLOAT_CONSTANT.fullmatch(text):
         return float(text.rstrip("fFlL")), True
+    if _HEX_FLOAT_CONSTANT.fullmatch(text):
+        raise UnsupportedConstructError(
+            f"hexadecimal floating constant {text} is not supported", tok.report_site)
     raise ParseError(f"invalid numeric constant {text!r}", tok.report_site)
 
 

@@ -501,6 +501,38 @@ class TestEvaluationOrder:
         ))
         assert f.certainty is Certainty.DEFINITE and "'i'" in f.message
 
+    # MISRA C:2012 Rule 13.2 allows, between sequence points, at most one
+    # volatile read and at most one volatile modification, and a read that
+    # only feeds the value stored.
+    VOLATILES = ("volatile unsigned int R, v, v1, v2;\nunsigned int t, x;\n"
+                 "extern void two(unsigned int, unsigned int);\n")
+
+    @pytest.mark.parametrize("stmt", [
+        "R = R | 1u;", "v = v + 1u;", "v += 1u;", "v1 = v2;", "t = v1 && v2;",
+        "t = v1 ? v2 : 0u;", "v++;", "t = (v1, v2);",
+    ])
+    def test_one_volatile_read_and_one_modification_clean(self, stmt):
+        assert run_rule(self.VOLATILES + f"void f(void) {{ {stmt} }}", "R13.2") == []
+
+    @pytest.mark.parametrize("stmt, param, message", [
+        ("x = v + v;", "void", "two unsequenced volatile reads"),
+        ("t = v1 + v2;", "void", "two unsequenced volatile reads"),
+        ("two(v1, v2);", "void", "two unsequenced volatile reads"),
+        ("t = *r + *r;", "volatile unsigned int *r", "two unsequenced volatile reads"),
+        ("t = r[0] + v;", "volatile unsigned int *r", "two unsequenced volatile reads"),
+        ("v1 = v2 = 0u;", "void", "two unsequenced volatile modifications"),
+        ("*r = v1 = 0u;", "volatile unsigned int *r", "two unsequenced volatile modifications"),
+    ])
+    def test_two_volatile_reads_or_modifications_definite(self, stmt, param, message):
+        f = single(run_rule(self.VOLATILES + f"void f({param}) {{ {stmt} }}", "R13.2"))
+        assert (f.certainty, f.message) == (Certainty.DEFINITE, message)
+
+    @pytest.mark.parametrize("stmt", ["use((int)v + *p);", "*p = (int)v;"])
+    def test_volatile_read_beside_a_plain_dereference_clean(self, stmt):
+        # Reaching a volatile object through a non-volatile lvalue is
+        # undefined (C99 6.7.3p5), so a plain `*p` cannot alias `v`.
+        assert run_rule(self.VOLATILES + f"void f(int *p) {{ {stmt} }}", "R13.2") == []
+
 
 class TestLoopRules:
     def test_float_counter(self):

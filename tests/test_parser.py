@@ -9,6 +9,7 @@ from ccomply.parsing import (
 )
 from structural import structural_equal
 from support import pp_text
+from test_sema import gcc_errors
 from unparse import unparse
 
 
@@ -516,6 +517,27 @@ class TestIntegerConstants:
     def test_floating_constants_still_parse(self, text, value):
         e = self.value(text)
         assert e.is_float and e.value == value
+
+    # Each spelling with gcc 12's verdict under -std=c99 -pedantic-errors:
+    # hexadecimal floating constants (C99 6.4.4.2) are valid C99 outside the
+    # subset; the malformed ones are errors there too.
+    @pytest.mark.parametrize("text, valid_c99", [
+        ("0x1p3", True), ("0x1.8p1", True), ("0X.8P-2f", True), ("0x1P+3L", True),
+        ("0x1.p1", True), ("0x", False), ("1.0e", False), ("0x1p", False),
+        ("0x1.8", False), ("0x.p1", False),
+    ])
+    def test_hexadecimal_floating_constants_are_unsupported(self, tmp_path, text, valid_c99):
+        with pytest.raises(ParseError) as info:
+            self.value(text)
+        if valid_c99:
+            assert type(info.value) is UnsupportedConstructError
+            assert info.value.message == f"hexadecimal floating constant {text} is not supported"
+        else:
+            assert type(info.value) is ParseError
+            assert info.value.message == f"invalid numeric constant {text!r}"
+        assert (info.value.loc.line, info.value.loc.column) == (2, 5)
+        errors = gcc_errors(tmp_path, f"double x = {text};\n")
+        assert errors is None or (errors == []) is valid_c99, errors
 
 
 class TestCharacterConstants:

@@ -1,10 +1,13 @@
 """`parse` against the parser it replaced (`parser_oracle`).
 
-The new parser reads a padded token list and takes a fast path for
-operands that begin with an identifier or a number; the oracle is the
-earlier parser verbatim. On every token stream both must give the same
-tree, field for field (spans and the expansion trail `via` included), or
-raise the same exception class with the same message and location.
+The new parser reads a padded token list, and its one precedence loop
+(`Parser._expr`) reads a leaf operand itself: an identifier, a number or a
+parenthesized expression, with any postfix operators after it. The oracle
+is the earlier parser, with one method per precedence level (see its
+docstring for where it departs from the original). On every token stream
+both must give the same tree, field for field (spans and the expansion
+trail `via` included), or raise the same exception class with the same
+message and location.
 
 One divergence is allowed, in one direction only: where the oracle runs
 out of Python stack (`RecursionError`), the new parser may parse the input
@@ -30,8 +33,9 @@ from hypothesis import strategies as st
 
 import parser_oracle
 from ccomply.builtins import BUILTIN_MACRO_SPECS
-from ccomply.errors import AnalysisError
+from ccomply.errors import AnalysisError, UnsupportedConstructError
 from ccomply.frontend import macro_from_define_flag, preprocess
+from ccomply.frontend.preprocessor import PAREN_NESTING_LIMIT
 from ccomply.parsing import parse
 from ccomply.source import Extent, SourceManager, Span
 from support import pp_text
@@ -238,6 +242,66 @@ def test_spans_are_named_tuples_with_the_oracle_fields():
     assert type(init.span) is Span
     assert init.span.via and init.span.via == old_init.span.via
     assert tuple(init.span) == (old_init.span.start, old_init.span.end, old_init.span.via)
+
+
+# Operand shapes around the leaf path of `Parser._expr`: a leaf under each
+# postfix operator, parenthesized callees, operands that leave the path
+# (casts, `sizeof`, character constants, strings, keywords), and leaves
+# from macro expansions, which carry an expansion trail.
+LEAF_DECLS = ("typedef int U;\nstruct S { int m; } s, *p;\n"
+              "int a[2], i, x, y, f(int), (*fp)(int), *q[2];\n")
+LEAF_SHAPES = {
+    "index": "x = a[i];",
+    "call": "x = f(x);",
+    "member": "x = s.m;",
+    "arrow": "x = p->m;",
+    "post increment": "x++;",
+    "post decrement": "y = x--;",
+    "number under postfix": "x = 1[a];",
+    "postfix chain": "x = *q[i]++ + f(a[0]);",
+    "parenthesized callee": "x = (f)(y);",
+    "parenthesized leaf called": "x = (fp)(x)[0 + 0] ? (a)[1] : (x);",
+    "paren then call": "x = (a)(b);",
+    "paren callee indexed": "x = (f)(x)[0];",
+    "nested parens": "x = ((((x))));",
+    "typedef cast": "x = (U)x;",
+    "typedef cast of paren": "x = (U)(x)[0];",
+    "sizeof leaf": "x = sizeof x;",
+    "sizeof type": "x = sizeof(int);",
+    "sizeof paren": "x = sizeof(x) + sizeof (a)[0];",
+    "character constant": "x = 'c' + '\\n';",
+    "string": 'x = "ab" "cd"[1];',
+    "keyword operand": "x = int;",
+    "keyword after operator": "x = 1 + return;",
+    "keyword in parens": "x = (while);",
+    "macro leaf": "x = N;",
+    "macro expression": "x = M(a) + CALL;",
+    "macro minus": "x = NEG x;",
+    "unclosed paren": "x = (a;",
+    "missing operand": "x = ;",
+    "hexadecimal float": "x = 0x1p3;",
+    "bad number": "x = 0x1p;",
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEAF_SHAPES))
+def test_leaf_shapes_match_oracle(name):
+    check_parity(_tokens(LEAF_DECLS + "void g(int b) { " + LEAF_SHAPES[name] + " }\n"))
+
+
+@pytest.mark.parametrize("form", ["({})", "({})(b)", "f({})", "(({}))", "(b + {})"])
+def test_paren_nesting_limit_raises_at_the_same_token(form):
+    """One level past `PAREN_NESTING_LIMIT` is an error at the oracle's
+    token, whether the level is a grouping `(`, which the leaf path takes,
+    or a call's."""
+    nested = "x"
+    for _ in range(PAREN_NESTING_LIMIT + 1):
+        nested = form.format(nested)
+    tokens = _tokens(LEAF_DECLS + "void g(int b) { x = " + nested + "; }\n")
+    want = outcome(parser_oracle.parse, tokens)
+    assert want[:3] == ("error", UnsupportedConstructError,
+                        f"parentheses nested more than {PAREN_NESTING_LIMIT} levels deep")
+    assert outcome(parse, tokens) == want
 
 
 DEEP = 600
