@@ -73,8 +73,9 @@ leaves in no item, reads as its type's range. C leaves the order of a full
 expression's operands unspecified (C99 6.5p3), so in an item, an
 initializer or a condition that calls a function, and in a query told the
 full expression it is part of, a read of an address-taken local gives its
-type range unless it is an operand of every call there (6.5.2.2p10): a
-call may set the local before or after the read.
+type range unless every call there is sequenced after it
+(`effects.sequencing`; 6.5.2.2p10): a call may set the local before or
+after the read.
 
 The state tracks the local automatic integer objects, CFG temporaries
 included (`Symbol.is_local_object`, as in the other analyses); a static
@@ -90,7 +91,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ccomply.flow.cfg import Block, Cfg, DeclItem, TBranch, TSwitch
-from ccomply.flow.effects import designate, sym_of
+from ccomply.flow.effects import SEQUENCED, designate, sequencing, sym_of, walk_effects
 from ccomply.flow.solver import Solver, state_at
 from ccomply.parsing.astnodes import (
     KIND_CALL, KIND_STORE, AddrOf, Assign, Binary, Call, Cast, CompoundAssign,
@@ -174,26 +175,6 @@ _MUTATORS = KIND_STORE | KIND_CALL
 
 def _tracked(sym) -> bool:
     return isinstance(sym, Symbol) and sym.is_local_object and is_integer(sym.type)
-
-
-def _unordered_reads(e: Expr, uids) -> set[Expr]:
-    """The reads in full expression `e` of the locals `uids` that a call of
-    `e` may precede: C leaves the order of operands unspecified (C99 6.5p3),
-    and only a call's own operands are read before it (6.5.2.2p10), so
-    every read but those in the operands of every call of `e`."""
-    calls = 0
-    reads = []  # (read, how many calls it is an operand of)
-    stack = [(e, 0)]
-    while stack:
-        node, inside = stack.pop()
-        cls = type(node)
-        if cls is Call:
-            calls += 1
-            inside += 1
-        elif cls is Identifier and getattr(node.symbol, "uid", None) in uids:
-            reads.append((node, inside))
-        stack += [(x, inside) for x in operands(node)]
-    return {read for read, inside in reads if inside < calls}
 
 
 class IntervalResult:
@@ -315,9 +296,9 @@ class _AbstractEval:
     6.5p3), and a call may change an address-taken local before or after
     the local is read. So while a full expression that calls a function is
     lowered (an item, an initializer or a whole condition; `_full_expression`
-    says which), a read of an address-taken local that a call may precede
-    (`_unordered_reads`) gives its type range, which holds its values both
-    before and after any call.
+    says which), a read of an address-taken local that some call of the
+    expression is not sequenced after (`effects.sequencing`) gives its type
+    range, which holds its values both before and after any call.
     """
 
     def __init__(self, model: IntegerModel, addr_taken):
@@ -331,8 +312,22 @@ class _AbstractEval:
 
     def _full_expression(self, e: Expr | None) -> None:
         """Lower what follows as (part of) full expression `e`."""
-        calls = self.addr_taken and e is not None and e.kinds & KIND_CALL
-        self._unordered = _unordered_reads(e, self.addr_taken) if calls else frozenset()
+        uids = self.addr_taken
+        if not (uids and e is not None and e.kinds & KIND_CALL):
+            self._unordered = frozenset()
+            return
+        unordered = self._unordered = set()
+        reads, called = [], False
+        for ev in walk_effects(e):
+            kind = ev.kind
+            if kind == "read" and ev.sym.uid in uids:
+                if called:  # a call comes first, so it is not sequenced after
+                    unordered.add(ev.node)
+                else:
+                    reads.append(ev)
+            elif kind == "call":
+                called = True
+                unordered.update(r.node for r in reads if sequencing(r, ev) != SEQUENCED)
 
     def full(self, t: TypeDesc | None) -> Interval | None:
         """The range of type `t`, or None if it is not an integer type."""

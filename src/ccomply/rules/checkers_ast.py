@@ -4,7 +4,10 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, NamedTuple
 
-from ccomply.flow.effects import designate, is_volatile_access, sym_of, walk_effects
+from ccomply.flow.effects import (
+    BEFORE_CALL, IN_TURN, SELF, SEQUENCED, SIDE_BY_SIDE, STORE, TOP, Event, Frame, designate,
+    meet, sym_of, walk_effects,
+)
 from ccomply.parsing.astnodes import (
     KIND_ADDR, KIND_CALL, KIND_MULTICALL, KIND_STORE, KIND_VOLATILE, AddrOf,
     Assign, Binary, Call, Cast, Comma, CompoundAssign, Conditional,
@@ -14,7 +17,7 @@ from ccomply.parsing.astnodes import (
 )
 from ccomply.rules.context import FunctionFacts, TUFacts
 from ccomply.rules.findings import BehaviorClass, Certainty, Evidence, Finding
-from ccomply.sema.symbols import SymKind, Symbol
+from ccomply.sema.symbols import Symbol
 from ccomply.sema.typesys import TK, TypeDesc, is_integer, is_object_pointer, rvalue_type
 
 
@@ -136,106 +139,106 @@ def check_logical_operand_side_effects(
 
 # ---- R13.2: no reliance on unspecified evaluation order --------------------------
 
-_WORLD = ("world", -1)
-
-# Says whether the variable an access key names may be reached through a pointer.
+# Says whether the variable a key names may be reached through a pointer.
 _Escaped = Callable[[tuple], bool]
+_ADJACENT_VOLATILE_READS = "two volatile reads between adjacent sequence points"
 
 
-class _Access(NamedTuple):
-    write: bool  # a modification; every other access is a read
-    key: tuple
-    deref: bool
+class _Touch(NamedTuple):
+    """What one event reads or modifies, as R13.2 weighs it. `key` is
+    ("var", uid) for a named object, ("deref", uid or None) for what a
+    pointer or an array element reaches, and None for a call, which writes
+    what it may, or for a volatile member of a named object."""
+
+    write: bool
+    key: tuple | None
     name: str
-    volatile: bool = False  # an access to a volatile object
+    volatile: bool
+
+    @property
+    def deref(self) -> bool:
+        return self.key is not None and self.key[0] == "deref"
 
 
-def _accesses(e: Expr, escaped: _Escaped, conflicts: list) -> list[_Access]:
-    """Collect accesses of a subtree, checking unsequenced sibling groups."""
-    cls = type(e)
-    if cls is Identifier:
-        sym = e.symbol
-        if isinstance(sym, Symbol) and sym.kind is SymKind.OBJECT:
-            return [_Access(False, ("var", sym.uid), False, sym.name, "volatile" in sym.quals)]
-        return []
-    if cls is Assign or cls is CompoundAssign:
-        value_acc = _accesses(e.value, escaped, conflicts)
-        target_reads, named = _lvalue(e.target, "store", escaped, conflicts)
-        if named is not None:
-            target_write = _Access(True, named.key, named.deref, named.name, named.volatile)
-            if cls is CompoundAssign:
-                target_reads.append(named)
-            # The updating store is exempt from conflicts with reads of the
-            # same key that feed the stored value, but two writes of one
-            # object always conflict, and a store through one pointer may
-            # alias a read through another.
-            for other in value_acc + target_reads:
-                if other.write or (named.deref and other.deref and other.key != named.key):
-                    _check_pair(target_write, other, e, escaped, conflicts)
-        _cross([value_acc, target_reads], e, escaped, conflicts)
-        result = value_acc + target_reads
-        if named is not None:
-            result.append(target_write)
-        return result
-    if cls is IncDec:
-        out, named = _lvalue(e.operand, "store", escaped, conflicts)
-        if named is not None:
-            out += [_Access(True, named.key, named.deref, named.name, named.volatile), named]
-        return out
-    if cls is AddrOf:
-        return _lvalue(e.operand, "address", escaped, conflicts)[0]
-    if cls is Deref or cls is Index or cls is Member:
-        out, named = _lvalue(e, "read", escaped, conflicts)
-        if named is not None and named.deref:
-            out.append(named)  # a named object's read is its root's read
-        return out
-    # Every other class: the operands' accesses. The operands of a call, of
-    # an initializer list and of a binary operator other than && and || are
-    # unsequenced against each other.
-    groups = [_accesses(x, escaped, conflicts) for x in operands(e)]
-    if cls is Call or cls is InitList or (cls is Binary and e.op not in ("&&", "||")):
-        _cross(groups, e, escaped, conflicts)
-    flat = [x for g in groups for x in g]
-    if cls is Call:
-        flat.append(_Access(True, _WORLD, False, "<call>"))
-    return flat
+def _touches(events: list[Event]) -> list[tuple[Event, _Touch]]:
+    """Each event R13.2 weighs, with what it touches.
 
-
-def _cross(groups: list[list[_Access]], node: Expr, escaped: _Escaped, conflicts: list) -> None:
-    for i in range(len(groups)):
-        for j in range(i + 1, len(groups)):
-            for a in groups[i]:
-                for b in groups[j]:
-                    _check_pair(a, b, node, escaped, conflicts)
-
-
-def _lvalue(e: Expr, use: str, escaped: _Escaped,
-            conflicts: list) -> tuple[list[_Access], _Access | None]:
-    """The accesses computing the address of the lvalue `e`, and a read of what it names.
-
-    `use` is "read", "store" or "address" (`&e`). The address operands of
-    `designate` are unsequenced against each other; the root object is
-    read where `walk_effects` reads it. Through a pointer the key is
-    `("deref", pointer uid or None)`, an array element's is
-    `("deref", root uid or None)`, any other part of a named object's is
-    `("var", uid)`, and a call or literal root names nothing. The read is
-    volatile when `e` designates a volatile object.
+    A `volatile` event marks the next event volatile if that event is on
+    the same node, and is the read of a volatile member of a named object
+    if not. A store into an array element touches the element, not the
+    array its `write` event names; `&` touches nothing.
     """
-    obj, pointer, ops, indexed = designate(e)
-    groups = [_accesses(x, escaped, conflicts) for x in ops]
-    if obj is not None and (use == "read" or type(obj) is not Identifier
-                            or (use == "store" and indexed)):
-        groups.insert(0, _accesses(obj, escaped, conflicts))
-    _cross(groups, e, escaped, conflicts)
-    address = [x for g in groups for x in g]
-    if pointer is not None or indexed:
-        sym = sym_of(obj if pointer is None else pointer)
-        return address, _Access(False, ("deref", sym.uid if sym else None), True, "",
-                                is_volatile_access(e))
-    sym = sym_of(obj)
-    if sym is None:
-        return address, None
-    return address, _Access(False, ("var", sym.uid), False, sym.name, is_volatile_access(e))
+    out = []
+    for i, ev in enumerate(events):
+        kind, sym, prev = ev.kind, ev.sym, events[i - 1] if i else None
+        volatile = prev is not None and prev.kind == "volatile" and prev.node is ev.node
+        if kind == "volatile":
+            if i + 1 == len(events) or events[i + 1].node is not ev.node:
+                out.append((ev, _Touch(False, None, "", True)))
+            continue
+        if kind == "call":
+            touch = _Touch(True, None, "<call>", False)
+        elif kind == "deref_read" or kind == "deref_store":
+            pointer = sym_of(ev.pointer)
+            touch = _Touch(kind == "deref_store", ("deref", pointer and pointer.uid), "", volatile)
+        elif kind == "elem_read" or kind == "write" and designate(
+                ev.node.operand if type(ev.node) is IncDec else ev.node.target)[3]:
+            touch = _Touch(kind == "write", ("deref", sym and sym.uid), "", volatile)
+        elif (kind == "read" or kind == "write") and sym is not None:
+            touch = _Touch(kind == "write", ("var", sym.uid), sym.name, volatile)
+        else:
+            continue
+        out.append((ev, touch))
+    return out
+
+
+def _conflicts(full: Expr, escaped: _Escaped) -> list[tuple[str, Frame, str]]:
+    """The R13.2 conflicts of one full expression: (level, frame, message).
+
+    Every pair of events `effects.meet` calls unsequenced or
+    indeterminately sequenced is weighed (`_check_pair`) at the frame
+    where they meet. Where this departs from that relation, the line that
+    does so says "Departure". Besides, a volatile read that the address of
+    a volatile read depends on, with no `&&`, `||`, `?:`, `,` or call
+    between them, is a second volatile read between the same sequence
+    points.
+    """
+    touched = _touches(walk_effects(full))
+    conflicts: list[tuple[str, Frame, str]] = []
+    for j, (b, tb) in enumerate(touched):
+        for a, ta in touched[:j]:
+            if not (ta.write or tb.write or (ta.volatile and tb.volatile)):
+                continue  # two reads conflict only when both are volatile
+            frame, slot_a, slot_b, path, relation = meet(a, b)
+            if slot_b != SELF or slot_a == SELF:
+                if relation != SEQUENCED:
+                    _check_pair(ta, tb, frame, escaped, conflicts)
+            elif frame.order == STORE:  # `b` is a store, `a` in its operands
+                # Departure: the store of `++` and `--` is weighed against
+                # nothing in its operand (`a[i++]++` gives nothing).
+                if type(frame.node) is IncDec:
+                    continue
+                # Departure: the store of `=` and `op=` is weighed against
+                # every write in its operands, sequenced or not (`x = f(x++)`
+                # conflicts), and a store through a pointer or into an
+                # element against such reads with another key (`*p = *q + 1`).
+                if ta.write or (tb.deref and ta.deref and ta.key != tb.key):
+                    _check_pair(tb, ta, frame, escaped, conflicts)
+            elif (frame.order == SIDE_BY_SIDE and slot_a > 0 and ta.volatile and tb.volatile
+                  and not (ta.write or tb.write or path & (IN_TURN | BEFORE_CALL))):
+                # `b` reads an lvalue whose address `a` is read for.
+                conflicts.append(("definite", frame, _ADJACENT_VOLATILE_READS))
+    # Departure: R13.2 reports the first conflict of each level and message
+    # in the post-order of their frames, and drops the others.
+    if len(conflicts) > 1:
+        done = {}  # id of a frame -> the index of its last event
+        for idx, (ev, _) in enumerate(touched):
+            f = ev.frame
+            while f is not TOP:
+                done[id(f)] = idx
+                f = f.parent
+        conflicts.sort(key=lambda c: (done[id(c[1])], -c[1].depth))
+    return conflicts
 
 
 def _is_escaped(key: tuple, fn: FunctionFacts, symbols: list[Symbol]) -> bool:
@@ -250,9 +253,9 @@ def _is_escaped(key: tuple, fn: FunctionFacts, symbols: list[Symbol]) -> bool:
     return not symbols[uid].is_local_object or uid in fn.addr_taken
 
 
-def _check_pair(a: _Access, b: _Access, node: Expr, escaped: _Escaped,
+def _check_pair(a: _Touch, b: _Touch, frame: Frame, escaped: _Escaped,
                 conflicts: list) -> None:
-    """Record the conflict, if any, between two unsequenced accesses.
+    """Record the conflict, if any, between two touches R13.2 weighs at `frame`.
 
     MISRA C:2012 Rule 13.2 allows at most one volatile read and at most one
     volatile modification between sequence points: two of either kind
@@ -261,21 +264,22 @@ def _check_pair(a: _Access, b: _Access, node: Expr, escaped: _Escaped,
     """
     if a.volatile and b.volatile and a.write is b.write:
         conflicts.append((
-            "definite", node,
+            "definite", frame,
             "two unsequenced volatile modifications" if a.write
             else "two unsequenced volatile reads",
         ))
         return
     if not (a.write or b.write):
         return
-    if a.key == _WORLD or b.key == _WORLD:
-        if a.key == _WORLD and b.key == _WORLD:
-            conflicts.append(("definite", node, "two unsequenced calls both carry side effects"))
+    if a.key is None or b.key is None:
+        # Departure: a call conflicts only with another call.
+        if a.key is None and b.key is None and a.write and b.write:
+            conflicts.append(("definite", frame, "two unsequenced calls both carry side effects"))
         return
     if not a.deref and not b.deref:
         if a.key == b.key:
             conflicts.append((
-                "definite", node,
+                "definite", frame,
                 f"unsequenced side effect and access on '{a.name}'",
             ))
         return
@@ -286,7 +290,7 @@ def _check_pair(a: _Access, b: _Access, node: Expr, escaped: _Escaped,
     if involved_var is not None and not escaped(involved_var.key):
         return  # a never-escaping local cannot alias a dereference
     conflicts.append((
-        "caution", node,
+        "caution", frame,
         "unsequenced accesses through possibly aliasing lvalues",
     ))
 
@@ -315,14 +319,14 @@ def _full_expressions(body: list[Node]) -> list[Expr]:
 
 
 def _cannot_conflict(e: Expr) -> bool:
-    """Does `e`'s `kinds` show that `_accesses` finds no conflict in it?
+    """Does `e`'s `kinds` show that `_conflicts` finds none in it?
 
     A conflict needs two volatile accesses or a write (`_check_pair`): a
-    store, or the `_WORLD` access of a call, which conflicts only with
-    another call. So with no volatile operand and fewer than two calls
-    there is none when `e` has no store, or when its one store is `e`
-    itself into a plain identifier: that store is exempt from the reads of
-    its own value.
+    store, or a call, which conflicts only with another call. So with no
+    volatile operand and fewer than two calls there is none when `e` has
+    no store, or when its one store is `e` itself into a plain identifier:
+    that store is weighed only against writes in its own operands, and
+    they hold none.
     """
     kinds = e.kinds
     if kinds & (KIND_VOLATILE | KIND_MULTICALL):
@@ -346,10 +350,8 @@ def check_evaluation_order(
         for full in _full_expressions(index.subtree(fn.fn.body)):
             if _cannot_conflict(full):
                 continue
-            conflicts: list = []
-            _accesses(full, escaped, conflicts)
             seen: set[tuple] = set()
-            for level, node, message in conflicts:
+            for level, frame, message in _conflicts(full, escaped):
                 key = (level, message)
                 if key in seen:
                     continue
@@ -359,7 +361,7 @@ def check_evaluation_order(
                     Certainty.DEFINITE if level == "definite" else Certainty.CAUTION,
                     message,
                     behavior_class=BehaviorClass.UNSPECIFIED,
-                    evidence=(Evidence(node.span, "within one full expression"),),
+                    evidence=(Evidence(frame.node.span, "within one full expression"),),
                 ))
     return out
 

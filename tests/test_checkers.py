@@ -495,6 +495,14 @@ class TestEvaluationOrder:
     def test_element_stores_against_other_reads_are_caution(self, text):
         assert single(run_rule(text, "R13.2")).certainty is Certainty.CAUTION
 
+    def test_evidence_is_the_first_conflict_in_post_order(self):
+        # Two conflicts on 'i', at the inner and at the outer `+`: the
+        # finding names the inner one, whose evaluation ends first.
+        text = "void f(int i, int k) { use(i + (k + (i + i++))); }"
+        f = single(run_rule(text, "R13.2"))
+        assert f.certainty is Certainty.DEFINITE and "'i'" in f.message
+        assert f.evidence[0].span.start.column == text.index("i + i++") + 1
+
     def test_store_address_operands_are_unsequenced(self):
         f = single(run_rule(
             "void f(int i) { int a[4][4]; a[i][i++] = 0; use(a[0][0]); }", "R13.2"
@@ -504,8 +512,10 @@ class TestEvaluationOrder:
     # MISRA C:2012 Rule 13.2 allows, between sequence points, at most one
     # volatile read and at most one volatile modification, and a read that
     # only feeds the value stored.
-    VOLATILES = ("volatile unsigned int R, v, v1, v2;\nunsigned int t, x;\n"
-                 "extern void two(unsigned int, unsigned int);\n")
+    VOLATILES = ("volatile unsigned int R, v, v1, v2, a[2];\nunsigned int t, x;\n"
+                 "volatile unsigned int *volatile q;\nvolatile struct W { unsigned int r[2]; } w;\n"
+                 "extern void two(unsigned int, unsigned int);\n"
+                 "extern unsigned int id(unsigned int);\n")
 
     @pytest.mark.parametrize("stmt", [
         "R = R | 1u;", "v = v + 1u;", "v += 1u;", "v1 = v2;", "t = v1 && v2;",
@@ -522,10 +532,30 @@ class TestEvaluationOrder:
         ("t = r[0] + v;", "volatile unsigned int *r", "two unsequenced volatile reads"),
         ("v1 = v2 = 0u;", "void", "two unsequenced volatile modifications"),
         ("*r = v1 = 0u;", "volatile unsigned int *r", "two unsequenced volatile modifications"),
+        # The index or the pointer is read before the access it feeds, but
+        # with no sequence point between them.
+        ("t = a[v];", "void", "two volatile reads between adjacent sequence points"),
+        ("t = *q;", "void", "two volatile reads between adjacent sequence points"),
     ])
     def test_two_volatile_reads_or_modifications_definite(self, stmt, param, message):
         f = single(run_rule(self.VOLATILES + f"void f({param}) {{ {stmt} }}", "R13.2"))
         assert (f.certainty, f.message) == (Certainty.DEFINITE, message)
+
+    def test_a_volatile_member_read_is_a_volatile_read(self):
+        # `s.m` reads the volatile member though `s` itself is not volatile.
+        f = single(run_rule(self.VOLATILES + "struct S { volatile unsigned int m; };\n"
+                            "struct S s;\nvoid f(void) { t = s.m + v; }", "R13.2"))
+        assert (f.certainty, f.message) == (Certainty.DEFINITE, "two unsequenced volatile reads")
+
+    @pytest.mark.parametrize("stmt, param", [
+        ("t = a[i];", "unsigned int i"),
+        ("t = *r;", "volatile unsigned int *r"),
+        ("t = w.r[i];", "unsigned int i"),
+        ("t = a[v ? 0u : 1u];", "void"),
+        ("t = a[id(v)];", "void"),
+    ])
+    def test_one_volatile_read_between_sequence_points_clean(self, stmt, param):
+        assert run_rule(self.VOLATILES + f"void f({param}) {{ {stmt} }}", "R13.2") == []
 
     @pytest.mark.parametrize("stmt", ["use((int)v + *p);", "*p = (int)v;"])
     def test_volatile_read_beside_a_plain_dereference_clean(self, stmt):

@@ -1,4 +1,5 @@
-"""The lvalue designator (`effects.designate`) and the events built on it.
+"""The lvalue designator (`effects.designate`), the events built on it, and
+the sequencing relation over them.
 
 Every question "which object does this lvalue name, and through which
 pointer?" reads `designate`: the store and `&` events of `walk_effects`,
@@ -6,7 +7,8 @@ the points-to address of `&`, and the side-effect test of R13.1 and R13.5.
 This checks one row per lvalue shape, the rule findings those shapes used
 to get wrong, and a property over random lvalues: every store yields
 exactly one `write` or `deref_store`, and `&` never reads the object it
-names.
+names. A table gives one pair of events per C99 clause that orders
+evaluations, with the answer `effects.sequencing` must give.
 
 Run as a script to check the one-store-event invariant on every CFG item
 of every function of whole workloads:
@@ -24,10 +26,13 @@ from hypothesis import strategies as st
 from ccomply.flow import build_cfg
 from ccomply.flow.assign import definite_assignment
 from ccomply.flow.cfg import DeclItem
-from ccomply.flow.effects import designate, walk_effects
+from ccomply.flow.effects import (
+    INDETERMINATE, SEQUENCED, UNSEQUENCED, designate, sequencing, walk_effects,
+)
 from ccomply.flow.pointsto import local_points_to
 from ccomply.parsing import (
-    Assign, CompoundAssign, FunctionDef, Identifier, IncDec, Member, parse, walk_operands,
+    Assign, CompoundAssign, Declaration, FunctionDef, Identifier, IncDec, Member, parse,
+    walk_operands,
 )
 from ccomply.sema import resolve
 from flow_helpers import workload_units
@@ -167,6 +172,72 @@ def test_store_into_a_member_of_a_call_result_evaluates_the_call():
     # `mk().m` is no lvalue (C99 6.5.2.3p3); an element of its array member is one.
     fn = _function("struct S { int a[2]; };\nstruct S mk(void);\nvoid f(void) { mk().a[0] = 1; }\n")
     assert [(e.kind, e.sym) for e in _events(fn.body.items[-1].expr)] == [("call", None), ("write", None)]
+
+
+# ---- the sequencing relation ----------------------------------------------------
+
+RELATION_PRELUDE = ("extern int get(void);\nextern int id(int);\nextern void use(int);\n"
+                    "extern void two(int, int);\n")
+
+# (C99 clause, statement, first event, second event, relation); an event is
+# (kind, the name of its variable or callee).
+RELATIONS = [
+    ("6.5p3 operands of +", "use(x + y);", ("read", "x"), ("read", "y"), UNSEQUENCED),
+    ("6.5.2.2p10 two arguments", "two(x, y);", ("read", "x"), ("read", "y"), UNSEQUENCED),
+    ("6.5.2.2p10 argument and its call", "use(x);", ("read", "x"), ("call", "use"), SEQUENCED),
+    ("6.5.2.2p10 call and a sibling operand", "use(get() + x);", ("call", "get"), ("read", "x"),
+     INDETERMINATE),
+    ("6.5.13 &&", "use(x && y);", ("read", "x"), ("read", "y"), SEQUENCED),
+    ("6.5.14 ||", "use(x || y);", ("read", "x"), ("read", "y"), SEQUENCED),
+    ("6.5.17 comma", "use((x, y));", ("read", "x"), ("read", "y"), SEQUENCED),
+    ("6.5.15 ?:", "use(x ? y : 0);", ("read", "x"), ("read", "y"), SEQUENCED),
+    ("6.5.16p3 value read and its store", "x = x + 1;", ("read", "x"), ("write", "x"), SEQUENCED),
+    ("6.5.16p3 side effect in the address and the store", "a[i++] = 0;", ("write", "i"),
+     ("write", "a"), UNSEQUENCED),
+    ("6.5.2.2p10 side effect in an argument and the store", "y = id(x++);", ("write", "x"),
+     ("write", "y"), SEQUENCED),
+    ("6.5.17 side effect before a comma and the store", "y = (x++, 0);", ("write", "x"),
+     ("write", "y"), SEQUENCED),
+    ("6.5.17 side effect after a comma and the store", "y = (0, x++);", ("write", "x"),
+     ("write", "y"), UNSEQUENCED),
+    ("6.7.8p23 initializer list elements", "int b[2] = { x, y };", ("read", "x"), ("read", "y"),
+     INDETERMINATE),
+    ("6.5.16.2p3 target read of op= and its store", "x += 1;", ("read", "x"), ("write", "x"),
+     SEQUENCED),
+]
+
+
+def _named(ev) -> tuple[str, str | None]:
+    if ev.kind == "call":
+        return ev.kind, ev.node.callee.name
+    return ev.kind, ev.sym.name if ev.sym is not None else None
+
+
+@pytest.mark.parametrize("clause, stmt, first, second, relation", RELATIONS,
+                         ids=[r[0] for r in RELATIONS])
+def test_relation_table(clause, stmt, first, second, relation):
+    fn = _function(f"{RELATION_PRELUDE}void f(int x, int y, int i) {{ int a[2]; {stmt} }}\n")
+    last = fn.body.items[-1]
+    expr = last.entries[0].init if isinstance(last, Declaration) else last.expr
+    events = walk_effects(expr)
+    [a] = [ev for ev in events if _named(ev) == first]
+    [b] = [ev for ev in events if _named(ev) == second]
+    assert events.index(a) < events.index(b)
+    assert sequencing(a, b) == relation
+
+
+def test_an_array_element_read_is_an_event_of_its_own():
+    fn = _function(f"{SHAPE_PRELUDE}void use(int);\n"
+                   f"void f(void) {{\n{SHAPE_LOCALS}use(a1[i] + s.v[0]);\n}}\n")
+    events = _events(fn.body.items[-1].expr)
+    assert [(e.kind, e.sym.name if e.sym else None) for e in events] == [
+        ("read", "a1"), ("read", "i"), ("elem_read", "a1"), ("read", "s"), ("elem_read", "s"),
+        ("call", None),
+    ]
+    # The index is computed before the element is read; the two elements
+    # are read unsequenced.
+    assert sequencing(events[1], events[2]) == SEQUENCED
+    assert sequencing(events[2], events[4]) == UNSEQUENCED
 
 
 # ---- findings the shapes used to get wrong -------------------------------------

@@ -4,7 +4,10 @@ Four oracles, each checked on every input:
 - every expression's `kinds` equals a mask built from a `children` walk of
   its subtree (`oracle_kinds`);
 - every full expression R13.2 skips (`_cannot_conflict`) gives no conflict
-  from `_accesses`, with every variable taken as escaped;
+  from the access walk R13.2's pair policy reproduces
+  (`sequencing_oracle._accesses`, which `test_sequencing_oracle.py`
+  compares with R13.2 on every full expression), with every variable
+  taken as escaped;
 - every CFG item and terminator expression the interval lowering skips
   lowers to a function that cannot change the state, with calls forgetting
   an address-taken variable;
@@ -36,11 +39,12 @@ from ccomply.parsing import (
     Conditional, Deref, Expr, FunctionDef, Identifier, IncDec, Index, Member, NodeIndex,
     Sizeof, walk,
 )
-from ccomply.rules.checkers_ast import _accesses, _cannot_conflict, _full_expressions
+from ccomply.rules.checkers_ast import _cannot_conflict, _full_expressions
 from ccomply.sema.typesys import DEFAULT_MODEL
 from flow_helpers import workload_units
 from gen import WORKLOADS
 from rule_helpers import PRELUDE
+from sequencing_oracle import _accesses
 from test_call_sites import CORPUS_PRELUDE
 from test_checkers import EVALUATION_SHAPES
 from test_dataflow_oracle import SNIPPETS as DATAFLOW_SNIPPETS
