@@ -41,7 +41,7 @@ SYSTEM_CHECKERS = {
 IMPLEMENTED = frozenset(PER_TU_CHECKERS | SYSTEM_CHECKERS)
 
 
-def _reject_unchecked(enabled: set[str]) -> None:
+def reject_unchecked(enabled: set[str]) -> None:
     """Raise ConfigError naming every enabled id that has no checker.
 
     An id without a checker is either a MISRA guideline this tool does not
@@ -82,7 +82,7 @@ def run_rules(
     computed once per run, integer model and guideline, and kept on the
     prefix (see `parsing.prefix`); the unit gets fresh copies of them.
     """
-    _reject_unchecked(enabled)
+    reject_unchecked(enabled)
     findings: list[Finding] = []
     gids = [gid for gid in sorted(enabled) if gid in PER_TU_CHECKERS]
     if gids:

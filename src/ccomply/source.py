@@ -195,8 +195,9 @@ class SourceManager:
         self.prefixes: dict[tuple[int, ...], object] = {}
 
     def add_virtual(self, path: str, contents: str) -> SourceFile:
-        """Register in-memory contents under a display path."""
-        return self._add(path, contents)
+        """Register in-memory contents under a display path; `load(path)`
+        returns them from then on."""
+        return self._add(path, contents, os.path.realpath(path))
 
     def load(self, path: str) -> SourceFile:
         real = os.path.realpath(path)
@@ -205,16 +206,14 @@ class SourceManager:
         with open(path, "rb") as fh:
             raw = fh.read()
         text = raw.decode("latin-1")
-        f = self._add(path, text, real_key=real)
-        return f
+        return self._add(path, text, real)
 
-    def _add(self, path: str, contents: str, real_key: str | None = None) -> SourceFile:
+    def _add(self, path: str, contents: str, real_key: str) -> SourceFile:
         # Normalize line endings once so lexing can assume bare '\n'.
         contents = contents.replace("\r\n", "\n").replace("\r", "\n")
         f = SourceFile(id=len(self._files), path=path, contents=contents)
         self._files.append(f)
-        if real_key is not None:
-            self._by_path[real_key] = f.id
+        self._by_path[real_key] = f.id
         return f
 
     def get(self, file_id: int) -> SourceFile:

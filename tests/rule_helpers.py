@@ -1,10 +1,7 @@
 """Run single rules over in-memory sources."""
 from __future__ import annotations
 
-from ccomply.flow import build_call_graph
-from ccomply.parsing import parse
-from ccomply.rules import compute_tu_facts, run_rules
-from ccomply.sema import resolve
+from ccomply.pipeline import analyze
 from support import make_manager
 
 PRELUDE = (
@@ -23,16 +20,12 @@ def run_rule(text: str, rule: str, prelude: str = PRELUDE, path: str = "t.c"):
 
 
 def run_rule_full(text: str, rule: str, prelude: str = PRELUDE, path: str = "t.c"):
-    from ccomply.frontend import preprocess
-
-    mgr, entry = make_manager({path: prelude + text})
-    tokens, _, _ = preprocess(entry, [], [], mgr)
-    tu = parse(tokens, path)
-    table = resolve(tu)
-    facts = compute_tu_facts(tu, table, mgr)
-    graph = build_call_graph([(tu, table)])
-    findings = run_rules([facts], {rule}, call_graph=graph, manager=mgr)
-    return findings, facts
+    """(findings, the unit's `TUFacts`); the unit's `AnalysisError` is raised."""
+    mgr, _ = make_manager({path: prelude + text})
+    run = analyze([path], {rule}, mgr)
+    if run.errors:
+        raise run.errors[0][1]
+    return run.findings, run.units[0]
 
 
 def lines_of(findings):

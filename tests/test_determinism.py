@@ -1,7 +1,7 @@
 """Findings do not depend on the order the units of a run are analysed in.
 
-Each run chains the stages over 20 units of a generated workload with one
-`SourceManager`, as the benchmark does, so header prefixes, the include
+Each run is one `analyze` call over 20 units of a generated workload, with
+one `SourceManager` as in the benchmark, so header prefixes, the include
 memo and interned types are shared in another order each time. The sorted
 findings, rendered as the benchmark digests them (`one_pass.render`), must
 be byte-identical in sorted, reversed and shuffled unit order.
@@ -14,13 +14,7 @@ import sys
 
 import pytest
 
-from ccomply.builtins import BUILTIN_MACRO_SPECS
-from ccomply.flow import build_call_graph
-from ccomply.frontend import macro_from_define_flag, preprocess
-from ccomply.parsing import parse
-from ccomply.rules import compute_tu_facts, engine, run_rules
-from ccomply.sema import resolve
-from ccomply.source import SourceManager
+from ccomply.pipeline import analyze
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
 from gen import WORKLOADS, generate  # noqa: E402  (the generator imports nothing from ccomply)
@@ -31,21 +25,9 @@ UNITS = 20
 
 def findings_text(workdir: str, paths: list[str], rules) -> str:
     """The rendered, sorted findings of one run over `paths`, in that order."""
-    manager = SourceManager()
-    builtins = [macro_from_define_flag(spec, manager) for spec in BUILTIN_MACRO_SPECS]
-    per_tu = set(rules) & set(engine.PER_TU_CHECKERS)
-    findings, units = [], []
-    for path in paths:
-        full = os.path.join(workdir, path)
-        tokens, _, _ = preprocess(manager.load(full), [], builtins, manager)
-        tu = parse(tokens, full)
-        table = resolve(tu)
-        findings += run_rules([compute_tu_facts(tu, table, manager)], per_tu, manager=manager)
-        units.append((tu, table))
-    findings += run_rules([], set(rules) - per_tu, call_graph=build_call_graph(units),
-                          manager=manager)
-    findings.sort(key=lambda f: f.sort_key())
-    return render(findings)
+    run = analyze([os.path.join(workdir, path) for path in paths], rules)
+    assert run.errors == []
+    return render(run.findings)
 
 
 @pytest.mark.parametrize("workload", ["project_all_rules", "header_heavy"])

@@ -1,10 +1,10 @@
 """What a pass keeps alive: no per-function fact outlives `run_rules`.
 
-Callers keep every unit's `TUFacts` for the whole run, so whatever they
+`analyze` keeps every unit's `TUFacts` for the whole run, so whatever they
 reach stays in the heap that every cyclic collection walks. `run_rules`
 builds each unit's `FunctionFacts` next to its `NodeIndex` and drops both
 when the unit's checkers return; reference counting must free them, so
-the chain makes no cyclic garbage at all. If a change puts a cycle into
+an `analyze` run makes no cyclic garbage at all. If a change puts a cycle into
 the CFG, the analyses or the facts, these tests name the types involved.
 What is kept is compact: the units of a header-heavy project share their
 syntactic and derived types, so their number stays under a bound, and the
@@ -38,13 +38,12 @@ import sys
 
 import pytest
 
-from ccomply.builtins import BUILTIN_MACRO_SPECS
-from ccomply.flow import Cfg, build_call_graph
-from ccomply.frontend import macro_from_define_flag, preprocess
+from ccomply.flow import Cfg
+from ccomply.frontend import preprocess
 from ccomply.frontend.preprocessor import MEMO_ENTRIES
-from ccomply.parsing import Declaration, Expr, parse, walk
-from ccomply.rules import IMPLEMENTED, FunctionFacts, compute_tu_facts, engine, run_rules
-from ccomply.sema import resolve
+from ccomply.parsing import Declaration, Expr, walk
+from ccomply.pipeline import analyze
+from ccomply.rules import IMPLEMENTED, FunctionFacts, engine, run_rules
 from ccomply.source import Extent, Location, SourceManager, Span
 from rule_helpers import PRELUDE
 
@@ -85,29 +84,13 @@ SNIPPETS = {
 }
 
 
-def _pass(manager: SourceManager, paths: list[str], builtins, rules) -> tuple[list, list, object]:
-    """One benchmark pass over `paths`: preprocess -> parse -> resolve ->
-    per-TU rules, keeping every unit, then the call graph and R17.2."""
-    units, kept, findings = [], [], []
-    for path in paths:
-        tokens, _, _ = preprocess(manager.load(path), [], builtins, manager)
-        tu = parse(tokens, path)
-        table = resolve(tu)
-        facts = compute_tu_facts(tu, table, manager)
-        findings += run_rules([facts], PER_TU & rules, manager=manager)
-        units.append((tu, table))
-        kept.append(facts)
-    graph = build_call_graph(units)
-    findings += run_rules([], {"R17.2"} & rules, call_graph=graph, manager=manager)
-    return kept, findings, graph
-
-
-def _chain(manager: SourceManager, paths: list[str], builtins) -> tuple[list, list]:
-    """`_pass` over `paths` with every guideline, then its chain check."""
-    kept, findings, graph = _pass(manager, paths, builtins, set(IMPLEMENTED))
+def _chain(manager: SourceManager, paths: list[str]) -> tuple[list, list]:
+    """One `analyze` run over `paths` with every guideline, then its chain check."""
+    run = analyze(paths, IMPLEMENTED, manager)
+    assert run.errors == []
     # One call over every kept unit, as the chain check of the benchmark makes.
-    assert run_rules(kept, set(IMPLEMENTED), call_graph=graph, manager=manager)
-    return kept, findings
+    assert run_rules(run.units, set(IMPLEMENTED), call_graph=run.call_graph, manager=manager)
+    return run.units, run.findings
 
 
 def _write_project(workload: str, seed: int, workdir: str):
@@ -132,10 +115,6 @@ def _cwd(workdir: str):
         os.chdir(cwd)
 
 
-def _builtins(manager: SourceManager) -> list:
-    return [macro_from_define_flag(spec, manager) for spec in BUILTIN_MACRO_SPECS]
-
-
 def _run_snippets_and_project(workdir: str):
     """The chain over every snippet, then over the first units of a generated project."""
     for name, text in SNIPPETS.items():
@@ -143,9 +122,8 @@ def _run_snippets_and_project(workdir: str):
             fh.write(PRELUDE + text)
     project = _write_project("project_all_rules", 5, workdir)
     with _cwd(workdir):
-        snippets = _chain(SourceManager(), list(SNIPPETS), [])
-        manager = SourceManager()
-        project_run = _chain(manager, project.tus[:PROJECT_TUS], _builtins(manager))
+        snippets = _chain(SourceManager(), list(SNIPPETS))
+        project_run = _chain(SourceManager(), project.tus[:PROJECT_TUS])
     return snippets, project_run
 
 
@@ -256,8 +234,7 @@ def test_kept_units_share_their_types(tmp_path, automatic_gc_off):
     before = _live(SHARED_BOUNDS)
     project = _write_project("header_heavy", 5, str(tmp_path))
     with _cwd(str(tmp_path)):
-        manager = SourceManager()
-        kept, _ = _chain(manager, project.tus[:PROJECT_TUS], _builtins(manager))
+        kept, _ = _chain(SourceManager(), project.tus[:PROJECT_TUS])
     grown = _live(SHARED_BOUNDS) - before
     assert kept
     over = {name: grown[name] for name, bound in SHARED_BOUNDS.items() if grown[name] > bound}
@@ -274,7 +251,7 @@ def test_header_declarations_are_kept_once_per_prefix(tmp_path, automatic_gc_off
     project = _write_project("header_heavy", 5, str(tmp_path))
     with _cwd(str(tmp_path)):
         manager = SourceManager()
-        kept, _ = _chain(manager, project.tus[:PROJECT_TUS], _builtins(manager))
+        kept, _ = _chain(manager, project.tus[:PROJECT_TUS])
     gc.collect()
     grown = (_live({"Declaration"}) - before)["Declaration"]
     prefixes = [p for p in manager.prefixes.values() if p is not None]
@@ -303,7 +280,7 @@ def test_kept_prefix_findings_hold_no_position_objects(tmp_path, automatic_gc_of
             "#include \"h.h\"\nunsigned f(void) { return wide(1u); }\n")
     with _cwd(str(tmp_path)):
         manager = SourceManager()
-        kept, findings = _chain(manager, [f"u{i}.c" for i in range(3)], [])
+        kept, findings = _chain(manager, [f"u{i}.c" for i in range(3)])
     header_findings = sorted(f.guideline for f in findings if f.path.endswith("h.h"))
     assert header_findings == ["R11.4"] * 3 + ["R12.2"] * 3
     # One list per per-unit guideline, and the two header findings in them.
@@ -355,7 +332,7 @@ def census(workload: str, seed: int, top: int = 25) -> dict:
         try:
             with _cwd(workdir):
                 manager = SourceManager()
-                kept, _, _ = _pass(manager, project.tus, _builtins(manager), rules)
+                kept = analyze(project.tus, rules, manager).units
         finally:
             gc.callbacks.remove(clock)
         levels = collections.Counter(len(k) for k, p in manager.prefixes.items() if p is not None)

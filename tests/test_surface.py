@@ -9,7 +9,10 @@ import sys
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "ccomply"
-PACKAGES = ["ccomply.rules", "ccomply.flow", "ccomply.sema", "ccomply.frontend", "ccomply.parsing"]
+PACKAGES = [
+    "ccomply.rules", "ccomply.flow", "ccomply.sema", "ccomply.frontend", "ccomply.parsing",
+    "ccomply.pipeline",
+]
 # Reference implementations and helpers kept only for tests.
 ORACLES = {
     "lexer_oracle", "interval_oracle", "preprocessor_oracle", "parser_oracle", "unparse",
@@ -41,6 +44,17 @@ def test_no_source_module_imports_a_test_oracle():
         if ORACLES & set(name.split("."))
     ]
     assert offenders == []
+
+
+def test_only_the_pipeline_chains_the_stages():
+    # A module that imports both the first and the last stage chains them.
+    chains = [
+        str(path.relative_to(SRC))
+        for path in sorted(SRC.rglob("*.py"))
+        if {"preprocess", "run_rules"}
+        <= {name.rsplit(".", 1)[-1] for name in _imported_modules(ast.parse(path.read_text()))}
+    ]
+    assert chains == ["pipeline.py"]
 
 
 def _fresh_python(code: str) -> subprocess.CompletedProcess:
